@@ -1,6 +1,6 @@
 // Figure-level benchmark report: times the hybrid-layer workloads the
-// figures lean on (batch forward/backward, adjoint VJP) under compiled
-// plans, forced-uncompiled lowering, and generic kernels, and writes
+// figures lean on (batch forward/backward, adjoint VJP) under the active
+// kernel backend and under the reference backend, and writes
 // BENCH_figs.json via the shared JSON reporter — the figure-scale
 // counterpart of tools/bench_report.py's BENCH_micro.json.
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include "quantum/exec_plan.hpp"
 #include "quantum/kernels.hpp"
 #include "tensor/tensor.hpp"
+#include "util/backend_registry.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -29,23 +30,24 @@ namespace {
 
 using namespace qhdl;
 
-// Three execution modes per workload: cached compiled plans (default),
-// QHDL_FORCE_UNCOMPILED per-call lowering, and fully generic kernels.
+// Two execution modes per workload: the active backend (fused plans and
+// specialized kernels) and the reference backend (unfused generic kernels).
 struct BenchMode {
   const char* suffix;
-  bool generic;
-  bool uncompiled;
+  const char* backend;  ///< nullptr = env/build/auto selection
 };
 
 constexpr BenchMode kModes[] = {
-    {"", false, false},
-    {"_uncompiled", false, true},
-    {"_generic", true, false},
+    {"", nullptr},
+    {"_reference", "reference"},
 };
 
 void apply_mode(const BenchMode& mode) {
-  quantum::kernels::set_force_generic(mode.generic);
-  quantum::kernels::set_force_uncompiled(mode.uncompiled);
+  if (mode.backend == nullptr) {
+    util::simd::set_backend(std::nullopt);
+  } else {
+    util::simd::set_backend(mode.backend);
+  }
 }
 
 double median(std::vector<double>& samples) {
@@ -156,9 +158,8 @@ LayerWorkload make_layer_workload(std::size_t qubits, std::size_t depth,
 
 int main(int argc, char** argv) {
   util::Cli cli{"bench_figs_report",
-                "Times figure-level hybrid workloads under compiled, "
-                "uncompiled, and generic execution and writes "
-                "BENCH_figs.json"};
+                "Times figure-level hybrid workloads under the active and "
+                "the reference kernel backend and writes BENCH_figs.json"};
   cli.add_string("out", "BENCH_figs.json", "output JSON path");
   cli.add_int("repeat", 9, "timed repetitions per workload");
   if (!cli.parse(argc, argv)) return 0;
@@ -202,9 +203,7 @@ int main(int argc, char** argv) {
       "figs/sel_q8_d2_b16_forward", repeat, 8, sel8.amps_per_call,
       [&] { sel8.layer.forward(sel8.input); })));
 
-  // Scalar per-sample path (parameter-shift / shots / noise route): here
-  // per-call lowering is a larger fraction of the work than in the batch
-  // path, whose uncompiled loop never re-analyzed ops in the first place.
+  // Scalar per-sample path (parameter-shift / shots / noise route).
   auto scalar5 = make_scalar_workload(5, 10, rng);
   push_all(attach_plan_stats(time_workload_all_modes(
       "figs/sel_q5_d10_scalar_forward", repeat, 64, scalar5.amps_per_call,
@@ -230,8 +229,7 @@ int main(int argc, char** argv) {
         scalar3.circuit.run(state, scalar3.params);
       })));
 
-  quantum::kernels::set_force_generic(std::nullopt);
-  quantum::kernels::set_force_uncompiled(std::nullopt);
+  util::simd::set_backend(std::nullopt);
 
   bench::write_bench_json(out_path, bench::collect_metadata(), entries);
   std::printf("wrote %s (%zu workloads)\n", out_path.c_str(),

@@ -10,7 +10,6 @@
 #include "qnn/encoding.hpp"
 #include "qnn/quantum_layer.hpp"
 #include "quantum/adjoint_diff.hpp"
-#include "quantum/kernels.hpp"
 #include "quantum/parameter_shift.hpp"
 #include "quantum/statevector_batch.hpp"
 #include "tensor/tensor.hpp"
@@ -144,19 +143,7 @@ BENCHMARK(BM_QuantumLayerBatchForward)
     ->Arg(8)
     ->UseRealTime();
 
-/// Pins the kernel mode for one benchmark's scope (specialized vs the
-/// QHDL_FORCE_GENERIC_KERNELS escape hatch) so each binary carries its own
-/// before/after pair.
-class KernelModeGuard {
- public:
-  explicit KernelModeGuard(bool generic) {
-    quantum::kernels::set_force_generic(generic);
-  }
-  ~KernelModeGuard() { quantum::kernels::set_force_generic(std::nullopt); }
-};
-
-void run_rz_bench(benchmark::State& state, bool generic) {
-  const KernelModeGuard guard{generic};
+void BM_RzGate(benchmark::State& state) {
   const auto qubits = static_cast<std::size_t>(state.range(0));
   StateVector sv{qubits};
   sv.apply_single_qubit(quantum::gates::hadamard(), 0);
@@ -171,14 +158,9 @@ void run_rz_bench(benchmark::State& state, bool generic) {
           static_cast<double>(sv.dimension()),
       benchmark::Counter::kIsRate);
 }
-
-void BM_RzGate(benchmark::State& state) { run_rz_bench(state, false); }
-void BM_RzGateGeneric(benchmark::State& state) { run_rz_bench(state, true); }
 BENCHMARK(BM_RzGate)->DenseRange(4, 12, 4);
-BENCHMARK(BM_RzGateGeneric)->DenseRange(4, 12, 4);
 
-void run_sel_forward_bench(benchmark::State& state, bool generic) {
-  const KernelModeGuard guard{generic};
+void BM_SelForwardFused(benchmark::State& state) {
   const auto qubits = static_cast<std::size_t>(state.range(0));
   std::vector<double> params;
   const Circuit circuit = make_sel_circuit(qubits, 2, params);
@@ -191,21 +173,11 @@ void run_sel_forward_bench(benchmark::State& state, bool generic) {
           static_cast<double>(std::size_t{1} << qubits),
       benchmark::Counter::kIsRate);
 }
-
-void BM_SelForwardFused(benchmark::State& state) {
-  run_sel_forward_bench(state, false);
-}
-void BM_SelForwardGeneric(benchmark::State& state) {
-  run_sel_forward_bench(state, true);
-}
 BENCHMARK(BM_SelForwardFused)->DenseRange(2, 10, 2);
-BENCHMARK(BM_SelForwardGeneric)->DenseRange(2, 10, 2);
 
-/// The PR acceptance workload: SEL, 5 qubits, depth 10, batch 16, one
-/// thread. `Generic` pins the escape hatch, reproducing the pre-batching
-/// per-row dense path as the baseline for the speedup ratio.
-void run_layer5q_forward_bench(benchmark::State& state, bool generic) {
-  const KernelModeGuard guard{generic};
+/// The headline layer workload: SEL, 5 qubits, depth 10, batch 16, one
+/// thread.
+void BM_QuantumLayerForward5qD10(benchmark::State& state) {
   qnn::QuantumLayerConfig config;
   config.qubits = 5;
   config.depth = 10;
@@ -228,18 +200,9 @@ void run_layer5q_forward_bench(benchmark::State& state, bool generic) {
           static_cast<double>(std::size_t{1} << config.qubits),
       benchmark::Counter::kIsRate);
 }
-
-void BM_QuantumLayerForward5qD10(benchmark::State& state) {
-  run_layer5q_forward_bench(state, false);
-}
-void BM_QuantumLayerForward5qD10Generic(benchmark::State& state) {
-  run_layer5q_forward_bench(state, true);
-}
 BENCHMARK(BM_QuantumLayerForward5qD10);
-BENCHMARK(BM_QuantumLayerForward5qD10Generic);
 
-void run_layer5q_backward_bench(benchmark::State& state, bool generic) {
-  const KernelModeGuard guard{generic};
+void BM_QuantumLayerBackward5qD10(benchmark::State& state) {
   qnn::QuantumLayerConfig config;
   config.qubits = 5;
   config.depth = 10;
@@ -260,15 +223,7 @@ void run_layer5q_backward_bench(benchmark::State& state, bool generic) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch));
 }
-
-void BM_QuantumLayerBackward5qD10(benchmark::State& state) {
-  run_layer5q_backward_bench(state, false);
-}
-void BM_QuantumLayerBackward5qD10Generic(benchmark::State& state) {
-  run_layer5q_backward_bench(state, true);
-}
 BENCHMARK(BM_QuantumLayerBackward5qD10);
-BENCHMARK(BM_QuantumLayerBackward5qD10Generic);
 
 void BM_SelAdjointVsDepth(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));

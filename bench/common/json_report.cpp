@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "quantum/kernels.hpp"
 #include "util/json.hpp"
 
 namespace qhdl::bench {
@@ -50,8 +49,6 @@ BenchMetadata collect_metadata() {
 #else
   metadata.build_flags = "assertions";
 #endif
-  metadata.force_generic_kernels = quantum::kernels::force_generic();
-  metadata.force_uncompiled = quantum::kernels::force_uncompiled();
   return metadata;
 }
 
@@ -62,9 +59,6 @@ void write_bench_json(const std::string& path, const BenchMetadata& metadata,
   meta["git_sha"] = util::Json{metadata.git_sha};
   meta["compiler"] = util::Json{metadata.compiler};
   meta["build_flags"] = util::Json{metadata.build_flags};
-  meta["force_generic_kernels"] =
-      util::Json{metadata.force_generic_kernels};
-  meta["force_uncompiled"] = util::Json{metadata.force_uncompiled};
   root["metadata"] = meta;
 
   util::Json benchmarks = util::Json::array();

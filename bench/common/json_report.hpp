@@ -1,4 +1,4 @@
-// JSON bench reporting: metadata (git SHA, build flags, kernel mode) plus
+// JSON bench reporting: metadata (git SHA, compiler, build flags) plus
 // per-benchmark entries with ns/op and derived amplitudes/sec, written in
 // the same shape tools/check_bench_regression.py consumes. The micro
 // benches get this shape via tools/bench_report.py from google-benchmark's
@@ -16,8 +16,6 @@ struct BenchMetadata {
   std::string git_sha;      ///< GITHUB_SHA env, else `git rev-parse HEAD`
   std::string compiler;     ///< compiler + version string
   std::string build_flags;  ///< NDEBUG / optimization summary
-  bool force_generic_kernels = false;  ///< escape-hatch state at run time
-  bool force_uncompiled = false;  ///< compiled-plan escape hatch at run time
 };
 
 /// Collects metadata from the environment/process.

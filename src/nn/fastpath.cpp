@@ -1,10 +1,7 @@
 #include "nn/fastpath.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <sstream>
-
-#include "util/backend_registry.hpp"
 
 namespace qhdl::nn::fastpath {
 
@@ -18,23 +15,6 @@ std::string FastpathStatsSnapshot::to_string() const {
 
 namespace {
 
-bool env_default() {
-  // Env var wins when set ("0" = workspace fast path, anything else =
-  // reference); otherwise the build-time default applies.
-  const char* value = std::getenv("QHDL_FORCE_REFERENCE_NN");
-  if (value != nullptr && value[0] != '\0') {
-    return !(value[0] == '0' && value[1] == '\0');
-  }
-#ifdef QHDL_FORCE_REFERENCE_NN_DEFAULT
-  return true;
-#else
-  return false;
-#endif
-}
-
-// -1 = follow env/build default, 0 = workspace, 1 = reference.
-std::atomic<int> g_force_override{-1};
-
 struct Counters {
   std::atomic<std::uint64_t> workspace_runs{0};
   std::atomic<std::uint64_t> reference_runs{0};
@@ -47,21 +27,6 @@ Counters& counters() {
 }
 
 }  // namespace
-
-bool force_reference() {
-  const int override_value = g_force_override.load(std::memory_order_relaxed);
-  if (override_value >= 0) return override_value == 1;
-  static const bool from_env = env_default();
-  // The reference kernel backend (QHDL_BACKEND=reference) implies the
-  // historical QHDL_FORCE_REFERENCE_NN escape hatch. Queried live (not
-  // cached) so runtime backend switches in tests take effect.
-  return from_env || util::simd::active_backend().reference;
-}
-
-void set_force_reference(std::optional<bool> forced) {
-  g_force_override.store(forced.has_value() ? (*forced ? 1 : 0) : -1,
-                         std::memory_order_relaxed);
-}
 
 void count_workspace_run() {
   counters().workspace_runs.fetch_add(1, std::memory_order_relaxed);

@@ -1,22 +1,20 @@
-// Classical-training fast-path configuration and observability.
+// Classical-training fast-path observability.
 //
 // train_classifier routes classical Sequential models through the
 // preallocated workspace trainer (nn/workspace.hpp): fused GEMM + bias +
 // activation forward, fused softmax-cross-entropy loss, in-place backward
-// and Adam step with zero steady-state heap allocations. This header owns
-//   * the QHDL_FORCE_REFERENCE_NN escape hatch (env var, CMake option, or
-//     runtime override, mirroring QHDL_FORCE_GENERIC_KERNELS in
-//     quantum/kernels.hpp) that forces every training run back onto the
-//     reference Module::forward/backward path for equivalence testing, and
-//   * per-path run/step counters so tests and benchmarks can assert which
-//     path actually executed.
+// and Adam step with zero steady-state heap allocations. Under the
+// `reference` kernel backend (QHDL_BACKEND=reference,
+// util/backend_registry.hpp) every run takes the reference
+// Module::forward/backward path instead, which is how the two paths are
+// compared. This header owns per-path run/step counters so tests and
+// benchmarks can assert which path actually executed.
 //
 // Counters are process-global relaxed atomics: diagnostics, never control
 // flow.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace qhdl::nn::fastpath {
@@ -29,17 +27,6 @@ struct FastpathStatsSnapshot {
   std::uint64_t workspace_steps = 0;  ///< fused train steps executed
   std::string to_string() const;
 };
-
-/// True when the escape hatch is active: the QHDL_FORCE_REFERENCE_NN
-/// environment variable is set to anything but "0"/"" at first use, the
-/// CMake option of the same name was ON at build time, or a test override
-/// is in place.
-bool force_reference();
-
-/// Test override: true/false forces the mode, nullopt restores the
-/// env/build-time default. Not thread-safe against concurrently running
-/// training (flip it only between runs).
-void set_force_reference(std::optional<bool> forced);
 
 // Counter bumps (relaxed; called once per run / per step).
 void count_workspace_run();

@@ -10,6 +10,7 @@
 #include "nn/metrics.hpp"
 #include "nn/sequential.hpp"
 #include "nn/workspace.hpp"
+#include "util/backend_registry.hpp"
 #include "util/csv.hpp"
 #include "util/fault_injection.hpp"
 #include "util/string_util.hpp"
@@ -103,10 +104,11 @@ TrainHistory train_classifier(Module& model, Optimizer& optimizer,
 
   // Workspace fast path: pure classical Sequential stacks train through a
   // preallocated, fused, zero-steady-state-allocation pipeline. Hybrid and
-  // custom models — or QHDL_FORCE_REFERENCE_NN — use the reference Module
-  // path below. Both produce bit-identical histories.
+  // custom models — and every model under the reference kernel backend —
+  // use the reference Module path below. Both produce bit-identical
+  // histories.
   std::unique_ptr<TrainWorkspace> workspace;
-  if (!fastpath::force_reference()) {
+  if (!util::simd::active_backend().reference) {
     if (auto* sequential = dynamic_cast<Sequential*>(&model)) {
       workspace = TrainWorkspace::compile(
           *sequential, std::min(config.batch_size, n),

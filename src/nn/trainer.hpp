@@ -75,7 +75,7 @@ struct TrainHistory {
 ///
 /// Classical Sequential models (Dense + Tanh/ReLU/Sigmoid stacks) train on
 /// the zero-allocation workspace fast path (nn/workspace.hpp); anything else
-/// — and everything when QHDL_FORCE_REFERENCE_NN is set (nn/fastpath.hpp) —
+/// — and everything under the reference kernel backend (nn/fastpath.hpp) —
 /// uses the reference Module::forward/backward path. Both paths produce
 /// bit-identical TrainHistory values and consume the RNG identically.
 TrainHistory train_classifier(Module& model, Optimizer& optimizer,

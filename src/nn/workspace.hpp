@@ -24,9 +24,9 @@
 // Arithmetic is bit-identical to the reference Module::forward/backward
 // path: both route every matrix product through the same GEMM kernel, share
 // the loss and accuracy cores, and order every floating-point accumulation
-// identically (see DESIGN.md §9). The QHDL_FORCE_REFERENCE_NN escape hatch
-// (nn/fastpath.hpp) forces train_classifier back onto the reference path so
-// the equivalence is testable end to end.
+// identically (see DESIGN.md §9). The reference kernel backend
+// (nn/fastpath.hpp) puts train_classifier on the reference path, so the
+// equivalence is testable end to end.
 #pragma once
 
 #include <memory>

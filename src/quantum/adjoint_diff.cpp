@@ -9,59 +9,36 @@ namespace qhdl::quantum {
 
 namespace {
 
-// The sweeps below run over either the circuit's raw op list or its
-// compiled plan's flat op stream (same ops minus exactly-cancelled
-// involution pairs — see exec_plan.hpp). These shims give both op types
-// one parameter-slot interface.
-inline bool op_has_param(const Op& op) { return op.param_index.has_value(); }
-inline std::size_t op_param(const Op& op) { return *op.param_index; }
-inline bool op_has_param(const PlanOp& op) { return op.param_slot >= 0; }
-inline std::size_t op_param(const PlanOp& op) {
-  return static_cast<std::size_t>(op.param_slot);
-}
-
-/// Core reverse sweep shared by the scalar and VJP entry points.
+/// Core reverse sweep shared by the scalar and VJP entry points, over the
+/// compiled plan's flat op stream (the op list minus exactly-cancelled
+/// involution pairs, never parameterized — see exec_plan.hpp).
 /// `lambda` must hold O_eff|ψ⟩ on entry; `phi` must hold |ψ⟩.
-template <typename OpT>
-std::vector<double> reverse_sweep_ops(std::span<const OpT> ops,
-                                      std::size_t parameter_count,
-                                      std::size_t num_qubits,
-                                      std::span<const double> params,
-                                      StateVector& phi, StateVector& lambda) {
-  std::vector<double> gradient(parameter_count, 0.0);
-  StateVector mu{num_qubits};
+std::vector<double> reverse_sweep(const Circuit& circuit,
+                                  std::span<const double> params,
+                                  StateVector& phi, StateVector& lambda) {
+  std::vector<double> gradient(circuit.parameter_count(), 0.0);
+  StateVector mu{circuit.num_qubits()};
+  const std::shared_ptr<const ExecutionPlan> plan = circuit.compiled_plan();
+  const std::span<const PlanOp> ops = plan->flat_ops();
 
   for (std::size_t idx = ops.size(); idx-- > 0;) {
-    const OpT& op = ops[idx];
+    const PlanOp& op = ops[idx];
     const double angle = op.angle(params);
     // Peel the gate off the forward state: φ ← U_k† φ.
     apply_gate_inverse(phi, op.type, angle, op.wire0, op.wire1);
 
-    if (op_has_param(op)) {
+    if (op.param_slot >= 0) {
       // μ = (dU_k/dθ) φ_{k-1}; contribution = 2 Re⟨λ|μ⟩.
       mu = phi;
       apply_gate_derivative(mu, op.type, angle, op.wire0, op.wire1);
-      gradient[op_param(op)] += 2.0 * lambda.inner_product(mu).real();
+      gradient[static_cast<std::size_t>(op.param_slot)] +=
+          2.0 * lambda.inner_product(mu).real();
     }
 
     // Pull the co-state back: λ ← U_k† λ.
     apply_gate_inverse(lambda, op.type, angle, op.wire0, op.wire1);
   }
   return gradient;
-}
-
-std::vector<double> reverse_sweep(const Circuit& circuit,
-                                  std::span<const double> params,
-                                  StateVector& phi, StateVector& lambda) {
-  if (const std::shared_ptr<const ExecutionPlan> plan =
-          circuit.compiled_plan()) {
-    return reverse_sweep_ops<PlanOp>(plan->flat_ops(),
-                                     circuit.parameter_count(),
-                                     circuit.num_qubits(), params, phi,
-                                     lambda);
-  }
-  return reverse_sweep_ops<Op>(circuit.ops(), circuit.parameter_count(),
-                               circuit.num_qubits(), params, phi, lambda);
 }
 
 }  // namespace
@@ -159,18 +136,12 @@ std::vector<double> initial_state_cogradient(
   circuit.run(psi, params);
   StateVector lambda =
       weighted_observable_state(psi, observables, upstream_weights);
-  const auto pull_back = [&](auto ops) {
-    for (std::size_t idx = ops.size(); idx-- > 0;) {
-      const auto& op = ops[idx];
-      apply_gate_inverse(lambda, op.type, op.angle(params), op.wire0,
-                         op.wire1);
-    }
-  };
-  if (const std::shared_ptr<const ExecutionPlan> plan =
-          circuit.compiled_plan()) {
-    pull_back(plan->flat_ops());
-  } else {
-    pull_back(std::span<const Op>{circuit.ops()});
+  const std::shared_ptr<const ExecutionPlan> plan = circuit.compiled_plan();
+  const std::span<const PlanOp> ops = plan->flat_ops();
+  for (std::size_t idx = ops.size(); idx-- > 0;) {
+    const PlanOp& op = ops[idx];
+    apply_gate_inverse(lambda, op.type, op.angle(params), op.wire0,
+                       op.wire1);
   }
   std::vector<double> cogradient(lambda.dimension());
   const auto amps = lambda.amplitudes();
@@ -278,49 +249,42 @@ BatchAdjointVjpResult adjoint_vjp_batch(
   std::vector<double> row_inner(batch_rows);
 
   const auto gather_angles =
-      [&](const auto& op) -> std::span<const double> {
-    if (!op_has_param(op)) {
+      [&](const PlanOp& op) -> std::span<const double> {
+    if (op.param_slot < 0) {
       angles[0] = op.fixed_angle;
       return {angles.data(), 1};
     }
+    const std::size_t index = static_cast<std::size_t>(op.param_slot);
     bool shared = true;
     for (std::size_t b = 0; b < batch_rows; ++b) {
-      angles[b] = params[b * param_stride + op_param(op)];
+      angles[b] = params[b * param_stride + index];
       shared = shared && angles[b] == angles[0];
     }
     return shared ? std::span<const double>{angles.data(), 1}
                   : std::span<const double>{angles};
   };
 
-  const auto sweep = [&](auto ops) {
-    for (std::size_t idx = ops.size(); idx-- > 0;) {
-      const auto& op = ops[idx];
-      const std::span<const double> op_angles = gather_angles(op);
-      apply_gate_inverse_batch(phi, op.type, op_angles, op.wire0, op.wire1);
-
-      if (op_has_param(op)) {
-        mu.assign_from(phi);
-        apply_gate_derivative_batch(mu, op.type, op_angles, op.wire0,
-                                    op.wire1);
-        lambda.inner_products_real(mu, row_inner);
-        for (std::size_t b = 0; b < batch_rows; ++b) {
-          result.gradient[b * parameter_count + op_param(op)] +=
-              2.0 * row_inner[b];
-        }
-      }
-
-      apply_gate_inverse_batch(lambda, op.type, op_angles, op.wire0,
-                               op.wire1);
-    }
-  };
   // The flat plan stream is the op list minus exactly-cancelled involution
-  // pairs (bit-identical, and never parameterized), so gradients match the
-  // uncompiled sweep exactly.
-  if (const std::shared_ptr<const ExecutionPlan> plan =
-          circuit.compiled_plan()) {
-    sweep(plan->flat_ops());
-  } else {
-    sweep(std::span<const Op>{circuit.ops()});
+  // pairs, so every row's gradient matches the scalar adjoint_vjp exactly.
+  const std::shared_ptr<const ExecutionPlan> plan = circuit.compiled_plan();
+  const std::span<const PlanOp> ops = plan->flat_ops();
+  for (std::size_t idx = ops.size(); idx-- > 0;) {
+    const PlanOp& op = ops[idx];
+    const std::span<const double> op_angles = gather_angles(op);
+    apply_gate_inverse_batch(phi, op.type, op_angles, op.wire0, op.wire1);
+
+    if (op.param_slot >= 0) {
+      mu.assign_from(phi);
+      apply_gate_derivative_batch(mu, op.type, op_angles, op.wire0,
+                                  op.wire1);
+      lambda.inner_products_real(mu, row_inner);
+      const std::size_t slot = static_cast<std::size_t>(op.param_slot);
+      for (std::size_t b = 0; b < batch_rows; ++b) {
+        result.gradient[b * parameter_count + slot] += 2.0 * row_inner[b];
+      }
+    }
+
+    apply_gate_inverse_batch(lambda, op.type, op_angles, op.wire0, op.wire1);
   }
   return result;
 }

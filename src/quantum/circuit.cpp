@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "quantum/exec_plan.hpp"
-#include "quantum/kernels.hpp"
 #include "quantum/statevector_batch.hpp"
 
 namespace qhdl::quantum {
@@ -134,124 +133,7 @@ Circuit& Circuit::rot(std::size_t param_index_base, std::size_t wire) {
   return *this;
 }
 
-namespace {
-
-/// Per-wire chain of deferred adjacent single-qubit gates. A chain of one
-/// gate dispatches through the specialized kernels untouched; two or more
-/// are collapsed into a single dense 2x2 before application. Single-qubit
-/// gates on distinct wires commute exactly, so deferral never reorders
-/// anything observable.
-struct PendingChain {
-  GateType first_type;
-  double first_angle = 0.0;
-  Mat2 matrix;  ///< product of the chain; only valid once gates >= 2
-  std::size_t gates = 0;
-};
-
-void flush_wire(StateVector& state, std::vector<PendingChain>& pending,
-                std::size_t wire) {
-  PendingChain& chain = pending[wire];
-  if (chain.gates == 0) return;
-  if (chain.gates == 1) {
-    apply_gate(state, chain.first_type, chain.first_angle, wire);
-  } else {
-    state.apply_single_qubit(chain.matrix, wire);
-    kernels::count_fused(chain.gates);
-  }
-  chain.gates = 0;
-}
-
-/// Batched mirror of PendingChain. Per-row matrix products are deferred
-/// until a second gate lands on the wire; a chain whose angles are all
-/// shared across rows keeps one matrix (the scalar fuser's product), while
-/// any per-row angle switches the chain to one product per row — built in
-/// the same left-multiplication order, so every row matches the scalar
-/// fuser bit-for-bit.
-struct BatchPendingChain {
-  GateType first_type;
-  bool first_shared = true;
-  std::vector<double> first_angles;  ///< size 1 (shared) or rows
-  bool per_row = false;
-  Mat2 shared_matrix;             ///< product; valid once gates >= 2, !per_row
-  std::vector<Mat2> row_matrices;  ///< products; valid when per_row
-  std::size_t gates = 0;
-};
-
-void batch_chain_append(BatchPendingChain& chain, GateType type,
-                        std::span<const double> angles, std::size_t rows) {
-  const bool shared = angles.size() == 1;
-  const auto angle_of = [&](std::size_t b) {
-    return shared ? angles[0] : angles[b];
-  };
-  if (chain.gates == 0) {
-    chain.first_type = type;
-    chain.first_shared = shared;
-    chain.first_angles.assign(angles.begin(), angles.end());
-    chain.per_row = false;
-    chain.gates = 1;
-    return;
-  }
-  if (chain.gates == 1) {
-    if (chain.first_shared && shared) {
-      chain.shared_matrix =
-          gates::matrix_for(chain.first_type, chain.first_angles[0]);
-      chain.shared_matrix =
-          gates::matrix_for(type, angles[0]) * chain.shared_matrix;
-    } else {
-      chain.per_row = true;
-      chain.row_matrices.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        const double first_angle = chain.first_shared ? chain.first_angles[0]
-                                                      : chain.first_angles[b];
-        chain.row_matrices[b] =
-            gates::matrix_for(type, angle_of(b)) *
-            gates::matrix_for(chain.first_type, first_angle);
-      }
-    }
-    chain.gates = 2;
-    return;
-  }
-  if (!chain.per_row && shared) {
-    chain.shared_matrix = gates::matrix_for(type, angles[0]) *
-                          chain.shared_matrix;
-  } else if (!chain.per_row) {
-    chain.per_row = true;
-    chain.row_matrices.assign(rows, chain.shared_matrix);
-    for (std::size_t b = 0; b < rows; ++b) {
-      chain.row_matrices[b] =
-          gates::matrix_for(type, angle_of(b)) * chain.row_matrices[b];
-    }
-  } else {
-    for (std::size_t b = 0; b < rows; ++b) {
-      chain.row_matrices[b] =
-          gates::matrix_for(type, angle_of(b)) * chain.row_matrices[b];
-    }
-  }
-  ++chain.gates;
-}
-
-void flush_wire_batch(StateVectorBatch& batch,
-                      std::vector<BatchPendingChain>& pending,
-                      std::size_t wire) {
-  BatchPendingChain& chain = pending[wire];
-  if (chain.gates == 0) return;
-  if (chain.gates == 1) {
-    apply_gate_batch(batch, chain.first_type, chain.first_angles, wire,
-                     SIZE_MAX);
-  } else if (!chain.per_row) {
-    batch.apply_single_qubit(chain.shared_matrix, wire);
-    kernels::count_fused(chain.gates);
-  } else {
-    batch.apply_single_qubit_per_row(chain.row_matrices, wire);
-    kernels::count_fused(chain.gates);
-  }
-  chain.gates = 0;
-}
-
-}  // namespace
-
 std::shared_ptr<const ExecutionPlan> Circuit::compiled_plan() const {
-  if (kernels::force_uncompiled()) return nullptr;
   std::shared_ptr<const ExecutionPlan> plan =
       plan_slot_.load(std::memory_order_acquire);
   if (plan != nullptr) return plan;
@@ -276,45 +158,7 @@ void Circuit::run(StateVector& state, std::span<const double> params) const {
                                 " params, need exactly " +
                                 std::to_string(parameter_count_));
   }
-  if (kernels::force_generic()) {
-    // Escape hatch: no fusion, no specialized kernels — the pre-PR2 loop.
-    for (const Op& op : ops_) {
-      apply_gate(state, op.type, op.angle(params), op.wire0, op.wire1);
-    }
-    return;
-  }
-  if (const std::shared_ptr<const ExecutionPlan> plan = compiled_plan()) {
-    plan->run(state, params);
-    return;
-  }
-  // QHDL_FORCE_UNCOMPILED: per-call lowering, the pre-plan fused loop.
-  thread_local std::vector<PendingChain> pending;
-  pending.assign(num_qubits_, PendingChain{});
-  for (const Op& op : ops_) {
-    if (gate_arity(op.type) == 1) {
-      const double theta = op.angle(params);
-      PendingChain& chain = pending[op.wire0];
-      if (chain.gates == 0) {
-        chain.first_type = op.type;
-        chain.first_angle = theta;
-        chain.gates = 1;
-      } else {
-        if (chain.gates == 1) {
-          chain.matrix =
-              gates::matrix_for(chain.first_type, chain.first_angle);
-        }
-        chain.matrix = gates::matrix_for(op.type, theta) * chain.matrix;
-        ++chain.gates;
-      }
-    } else {
-      flush_wire(state, pending, op.wire0);
-      flush_wire(state, pending, op.wire1);
-      apply_gate(state, op.type, op.angle(params), op.wire0, op.wire1);
-    }
-  }
-  for (std::size_t wire = 0; wire < num_qubits_; ++wire) {
-    flush_wire(state, pending, wire);
-  }
+  compiled_plan()->run(state, params);
 }
 
 void Circuit::run_batch(StateVectorBatch& batch,
@@ -339,53 +183,7 @@ void Circuit::run_batch(StateVectorBatch& batch,
                                 " params, need exactly " +
                                 std::to_string(rows * param_stride));
   }
-  thread_local std::vector<double> angles;
-  angles.resize(rows);
-  const auto gather = [&](const Op& op) -> std::span<const double> {
-    if (!op.param_index.has_value()) {
-      angles[0] = op.fixed_angle;
-      return {angles.data(), 1};
-    }
-    const std::size_t index = *op.param_index;
-    bool shared = true;
-    for (std::size_t b = 0; b < rows; ++b) {
-      angles[b] = params[b * param_stride + index];
-      shared = shared && angles[b] == angles[0];
-    }
-    return shared ? std::span<const double>{angles.data(), 1}
-                  : std::span<const double>{angles};
-  };
-  if (kernels::force_generic()) {
-    // Escape hatch: no fusion — one batched kernel per op, mirroring the
-    // scalar force-generic loop per row.
-    for (const Op& op : ops_) {
-      apply_gate_batch(batch, op.type, gather(op), op.wire0, op.wire1);
-    }
-    return;
-  }
-  if (const std::shared_ptr<const ExecutionPlan> plan = compiled_plan()) {
-    plan->run_batch(batch, params, param_stride);
-    return;
-  }
-  // QHDL_FORCE_UNCOMPILED: per-call runtime fusion, mirroring the scalar
-  // PendingChain loop so every batch row matches Circuit::run bit-for-bit.
-  thread_local std::vector<BatchPendingChain> pending;
-  if (pending.size() < num_qubits_) pending.resize(num_qubits_);
-  for (std::size_t wire = 0; wire < num_qubits_; ++wire) {
-    pending[wire].gates = 0;
-  }
-  for (const Op& op : ops_) {
-    if (gate_arity(op.type) == 1) {
-      batch_chain_append(pending[op.wire0], op.type, gather(op), rows);
-    } else {
-      flush_wire_batch(batch, pending, op.wire0);
-      flush_wire_batch(batch, pending, op.wire1);
-      apply_gate_batch(batch, op.type, gather(op), op.wire0, op.wire1);
-    }
-  }
-  for (std::size_t wire = 0; wire < num_qubits_; ++wire) {
-    flush_wire_batch(batch, pending, wire);
-  }
+  compiled_plan()->run_batch(batch, params, param_stride);
 }
 
 StateVector Circuit::execute(std::span<const double> params) const {

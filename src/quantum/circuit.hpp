@@ -75,15 +75,9 @@ class Circuit {
   // --- execution --------------------------------------------------------
 
   /// Applies all ops to `state` with the given runtime parameters
-  /// (params.size() must equal parameter_count() exactly). By default this
-  /// executes the circuit's cached ExecutionPlan (compiled on first use,
-  /// shared through the process-wide plan cache — see exec_plan.hpp).
-  /// QHDL_FORCE_UNCOMPILED falls back to per-call lowering: adjacent
-  /// single-qubit gates on the same wire are fused into one 2x2 matrix
-  /// before application (gates on different wires commute exactly, so
-  /// deferral is safe; two-qubit ops flush both of their wires first).
-  /// QHDL_FORCE_GENERIC_KERNELS additionally disables fusion and the
-  /// specialized kernels.
+  /// (params.size() must equal parameter_count() exactly) by executing the
+  /// circuit's cached ExecutionPlan (compiled on first use, shared through
+  /// the process-wide plan cache — see exec_plan.hpp).
   void run(StateVector& state, std::span<const double> params) const;
 
   /// Applies all ops to every row of a SoA batch. Row b reads its
@@ -92,16 +86,13 @@ class Circuit {
   /// angle is identical across rows (fixed angles, shared ansatz weights)
   /// run as one shared kernel with a single sin/cos evaluation; per-row
   /// angles (data encoding) use the per-row kernel variants. Executes the
-  /// cached plan's flat op stream unless QHDL_FORCE_UNCOMPILED /
-  /// QHDL_FORCE_GENERIC_KERNELS is active (both paths are bit-identical).
+  /// same cached plan as run(), so every row is bit-identical to it.
   void run_batch(StateVectorBatch& batch, std::span<const double> params,
                  std::size_t param_stride) const;
 
-  /// The circuit's compiled plan, memoized per instance and shared through
-  /// the process-wide plan cache. Returns nullptr when compiled execution
-  /// is disabled (QHDL_FORCE_UNCOMPILED or QHDL_FORCE_GENERIC_KERNELS), so
-  /// callers can use it directly as the "should I take the compiled path"
-  /// test. Thread-safe; builder mutations invalidate the memoized slot.
+  /// The circuit's compiled plan (never null), memoized per instance and
+  /// shared through the process-wide plan cache. Thread-safe; builder
+  /// mutations invalidate the memoized slot.
   std::shared_ptr<const ExecutionPlan> compiled_plan() const;
 
   /// Runs on a fresh |0...0⟩ state and returns it.
@@ -127,8 +118,8 @@ class Circuit {
   std::size_t num_qubits_;
   std::vector<Op> ops_;
   std::size_t parameter_count_ = 0;
-  /// Memoized compiled plan (nullptr until first compiled execution or
-  /// after a builder mutation). Atomic so concurrent run()/run_batch()
+  /// Memoized compiled plan (nullptr until first execution or after a
+  /// builder mutation). Atomic so concurrent run()/run_batch()
   /// calls on one circuit can fill and read it without a lock.
   mutable std::atomic<std::shared_ptr<const ExecutionPlan>> plan_slot_;
 };

@@ -12,6 +12,7 @@
 #include "quantum/circuit.hpp"
 #include "quantum/kernels.hpp"
 #include "quantum/statevector_batch.hpp"
+#include "util/backend_registry.hpp"
 #include "util/fault_injection.hpp"
 
 namespace qhdl::quantum {
@@ -324,14 +325,20 @@ std::shared_ptr<const ExecutionPlan> compile_circuit(const Circuit& circuit) {
 
 void ExecutionPlan::run(StateVector& state,
                         std::span<const double> params) const {
+  if (util::simd::active_backend().reference) {
+    for (const PlanOp& op : flat_ops_) {
+      apply_gate(state, op.type, op.angle(params), op.wire0, op.wire1);
+    }
+    return;
+  }
   for (const FusedOp& op : fused_ops_) {
     switch (op.kind) {
       case FusedOp::Kind::Single:
         apply_gate(state, op.type, op.angle(params), op.wire0);
         break;
       case FusedOp::Kind::Chain: {
-        // Same left-multiplication order as the runtime fuser, so the
-        // product — and therefore the state — matches it bit-for-bit.
+        // Later gates multiply from the left; run_batch builds its per-row
+        // products in the same order, so batch rows match this bit-for-bit.
         const ChainGate* gates = &chain_gates_[op.chain_begin];
         Mat2 matrix =
             gates::matrix_for(gates[0].type, gates[0].angle(params));
@@ -366,22 +373,22 @@ void ExecutionPlan::run(StateVector& state,
 void ExecutionPlan::run_batch(StateVectorBatch& batch,
                               std::span<const double> params,
                               std::size_t param_stride) const {
-  // Executes the FUSED stream — the same ops ExecutionPlan::run dispatches
-  // — so every batch row reproduces the scalar compiled path bit-for-bit
-  // and the fused chains feed the batched SIMD kernels (DESIGN.md §14).
-  // Parameterized gates detect shared-vs-per-row angles at runtime; a
-  // chain whose angles are all row-independent falls back to one 2x2
-  // product per row, built in the scalar fuser's left-multiplication
-  // order.
+  // Mirrors run(): the fused stream (or, under the reference backend, the
+  // flat stream), so every batch row reproduces the scalar path
+  // bit-for-bit and the fused chains feed the batched SIMD kernels
+  // (DESIGN.md §14). Parameterized gates detect shared-vs-per-row angles
+  // at runtime; a chain whose angles differ across rows falls back to one
+  // 2x2 product per row, built in run()'s left-multiplication order.
   const std::size_t rows = batch.batch();
   thread_local std::vector<double> angles;
   thread_local std::vector<Mat2> row_mats;
   angles.resize(rows);
-  const auto gather = [&](std::int64_t slot, double fixed_angle) -> bool {
-    // Fills `angles`; true when every row shares one angle.
+  const auto gather = [&](std::int64_t slot,
+                          double fixed_angle) -> std::span<const double> {
+    // One shared angle when every row agrees, else one per row.
     if (slot < 0) {
       angles[0] = fixed_angle;
-      return true;
+      return {angles.data(), 1};
     }
     const std::size_t index = static_cast<std::size_t>(slot);
     bool shared = true;
@@ -389,19 +396,24 @@ void ExecutionPlan::run_batch(StateVectorBatch& batch,
       angles[b] = params[b * param_stride + index];
       shared = shared && angles[b] == angles[0];
     }
-    return shared;
+    return shared ? std::span<const double>{angles.data(), 1}
+                  : std::span<const double>{angles};
   };
+  if (util::simd::active_backend().reference) {
+    for (const PlanOp& op : flat_ops_) {
+      apply_gate_batch(batch, op.type, gather(op.param_slot, op.fixed_angle),
+                       op.wire0, op.wire1);
+    }
+    return;
+  }
   for (const FusedOp& op : fused_ops_) {
     switch (op.kind) {
       case FusedOp::Kind::Single:
-      case FusedOp::Kind::TwoQubit: {
-        const bool shared = gather(op.param_slot, op.fixed_angle);
+      case FusedOp::Kind::TwoQubit:
         apply_gate_batch(batch, op.type,
-                         shared ? std::span<const double>{angles.data(), 1}
-                                : std::span<const double>{angles},
-                         op.wire0, op.wire1);
+                         gather(op.param_slot, op.fixed_angle), op.wire0,
+                         op.wire1);
         break;
-      }
       case FusedOp::Kind::Chain: {
         const ChainGate* gates = &chain_gates_[op.chain_begin];
         bool all_shared = true;

@@ -1,10 +1,9 @@
 // Compiled circuit execution plans (DESIGN.md §12).
 //
-// Circuit::run used to re-derive the same lowering on every call: scan the
-// op list, rebuild single-qubit fusion chains, and re-decide kernel dispatch
-// — per run × epoch × batch in a grid search even though thousands of
-// candidate evaluations share a handful of circuit *structures*. The compile
-// pass here lowers a Circuit once into an immutable ExecutionPlan:
+// Every circuit execution (Circuit::run / run_batch and the adjoint sweeps)
+// goes through an ExecutionPlan. A grid search runs thousands of candidate
+// evaluations over a handful of circuit *structures*, so the compile pass
+// lowers a Circuit once into an immutable plan:
 //
 //   * a peephole pass drops adjacent exact-involution pairs (X·X, Z·Z,
 //     CNOT·CNOT, CZ·CZ, SWAP·SWAP on the same wires — pure permutations and
@@ -12,8 +11,8 @@
 //   * adjacent single-qubit gates on one wire become fused chains: fully
 //     fixed chains collapse to a precomputed dense 2×2 (or a precomputed
 //     diagonal when every factor is diagonal), parameterized chains record
-//     the gate sequence so run() multiplies the same matrices in the same
-//     order the uncompiled fuser would;
+//     the gate sequence so run() multiplies the matrices at execution time
+//     (later gates from the left);
 //   * adjacent angle-independent two-qubit gates on one wire pair collapse
 //     to a precomputed 4×4 unitary (StateVector::apply_two_qubit);
 //   * every op records the specialized kernel class it dispatches to, so
@@ -23,8 +22,12 @@
 // scheme as search::sweep_config_hash) with full-key verification, so a
 // sweep compiles each (ansatz, qubits, depth) structure once per process —
 // including re-exec'd --worker-mode processes, which warm their own cache on
-// the first unit of each structure. QHDL_FORCE_UNCOMPILED restores the
-// per-call lowering (and QHDL_FORCE_GENERIC_KERNELS still bypasses both).
+// the first unit of each structure.
+//
+// One executor serves both kernel modes. Under the `reference` backend
+// (QHDL_BACKEND=reference) run() / run_batch() replay the flat stream op by
+// op through apply_gate / apply_gate_batch — no fusion, and apply_gate
+// takes the generic dense-matrix path — instead of the fused stream.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +60,8 @@ KernelClass kernel_class_for(GateType type);
 
 /// One op of the flat (unfused) stream: the original op order minus
 /// peephole-cancelled pairs, with parameter lookup and kernel dispatch
-/// resolved at compile time. Used by run_batch and the adjoint reverse
-/// sweeps, whose arithmetic must stay bit-identical to per-op dispatch.
+/// resolved at compile time. Executed by the reference backend and by the
+/// adjoint reverse sweeps, whose arithmetic is per-op dispatch.
 struct PlanOp {
   GateType type;
   std::size_t wire0 = 0;
@@ -85,9 +88,9 @@ struct ChainGate {
   }
 };
 
-/// One op of the fused scalar stream, emitted in exactly the order the
-/// uncompiled fuser applies gates (two-qubit ops flush their wires first;
-/// trailing chains flush in ascending wire order).
+/// One op of the fused stream. Single-qubit gates are deferred per wire:
+/// two-qubit ops flush their wires first, and trailing chains flush in
+/// ascending wire order.
 struct FusedOp {
   enum class Kind : std::uint8_t {
     Single,         ///< one single-qubit gate, specialized dispatch
@@ -139,16 +142,14 @@ class ExecutionPlan {
   /// cache lookup so hash collisions can never alias two structures.
   const std::string& structure_key() const { return structure_key_; }
 
-  /// Executes the fused scalar stream. Arithmetic per op matches the
-  /// uncompiled fuser (same matrices multiplied in the same order), so
-  /// outputs agree to the golden-suite tolerance; chains of one gate and
-  /// two-qubit ops dispatch through apply_gate and are bit-identical.
+  /// Executes the fused stream; under the reference backend, the flat
+  /// stream op by op. Fused output agrees with per-op execution to the
+  /// golden-suite tolerance (1e-12); chains of one gate and two-qubit ops
+  /// dispatch through apply_gate and are bit-identical to it.
   void run(StateVector& state, std::span<const double> params) const;
 
-  /// Executes the FUSED stream with the batched SoA kernels (DESIGN.md
-  /// §14): the same fused ops run() dispatches, so every batch row is
-  /// bit-identical to the scalar compiled path — and to the uncompiled
-  /// batch fuser, which mirrors the same lowering per call.
+  /// Executes the same stream run() would with the batched SoA kernels
+  /// (DESIGN.md §14), so every batch row is bit-identical to run().
   void run_batch(StateVectorBatch& batch, std::span<const double> params,
                  std::size_t param_stride) const;
 

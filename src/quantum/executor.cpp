@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "quantum/kernels.hpp"
 #include "quantum/parameter_shift.hpp"
 #include "quantum/statevector_batch.hpp"
+#include "util/backend_registry.hpp"
 
 namespace qhdl::quantum {
 
@@ -19,8 +19,7 @@ Executor::Executor(Circuit circuit, std::vector<Observable> observables,
   }
   // Prime the compiled plan while construction is still single-threaded:
   // later run()/run_batch() calls (possibly from many worker threads at
-  // once) find the memoized slot already filled. No-op when a force flag
-  // disables compiled execution.
+  // once) find the memoized slot already filled.
   circuit_.compiled_plan();
 }
 
@@ -58,7 +57,7 @@ AdjointVjpResult Executor::run_with_vjp(
 }
 
 bool Executor::batch_path_available() const {
-  if (kernels::force_generic()) return false;
+  if (util::simd::active_backend().reference) return false;
   if (diff_method_ != DiffMethod::Adjoint) return false;
   for (const Observable& obs : observables_) {
     if (!obs.is_diagonal()) return false;

@@ -36,8 +36,8 @@ class Executor {
       std::span<const double> params) const;
 
   /// True when the batched SoA path can serve this executor: adjoint
-  /// differentiation, all-diagonal observables, and the generic-kernel
-  /// escape hatch not active.
+  /// differentiation, all-diagonal observables, and a non-reference kernel
+  /// backend active.
   bool batch_path_available() const;
 
   /// Forward for `batch_rows` parameter rows at once through the SoA

@@ -4,8 +4,8 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "quantum/kernels.hpp"
 #include "quantum/statevector_batch.hpp"
+#include "util/backend_registry.hpp"
 
 namespace qhdl::quantum {
 
@@ -279,8 +279,7 @@ void require_second_wire(GateType type, std::size_t wire1) {
 }
 
 /// Generic path: every single-qubit gate as a dense 2x2 matvec (the
-/// pre-specialization behavior, kept verbatim behind the
-/// QHDL_FORCE_GENERIC_KERNELS escape hatch).
+/// pre-specialization behavior, kept verbatim for the reference backend).
 void apply_gate_generic(StateVector& state, GateType type, double theta,
                         std::size_t wire0, std::size_t wire1) {
   switch (type) {
@@ -364,7 +363,7 @@ void apply_gate_specialized(StateVector& state, GateType type, double theta,
 
 void apply_gate(StateVector& state, GateType type, double theta,
                 std::size_t wire0, std::size_t wire1) {
-  if (kernels::force_generic()) {
+  if (util::simd::active_backend().reference) {
     apply_gate_generic(state, type, theta, wire0, wire1);
   } else {
     apply_gate_specialized(state, type, theta, wire0, wire1);
@@ -373,7 +372,7 @@ void apply_gate(StateVector& state, GateType type, double theta,
 
 void apply_gate_inverse(StateVector& state, GateType type, double theta,
                         std::size_t wire0, std::size_t wire1) {
-  if (kernels::force_generic()) {
+  if (util::simd::active_backend().reference) {
     switch (type) {
       case GateType::CNOT:
       case GateType::CZ:
@@ -461,7 +460,7 @@ void apply_gate_derivative(StateVector& state, GateType type, double theta,
       return;
     }
     case GateType::RZ:
-      if (!kernels::force_generic()) {
+      if (!util::simd::active_backend().reference) {
         // dRZ/dθ = diag(-i/2·e^{-iθ/2}, i/2·e^{iθ/2}) — still diagonal.
         const double c = 0.5 * std::cos(theta / 2.0);
         const double s = 0.5 * std::sin(theta / 2.0);
@@ -471,7 +470,7 @@ void apply_gate_derivative(StateVector& state, GateType type, double theta,
       state.apply_single_qubit(gates::derivative_for(type, theta), wire0);
       return;
     case GateType::PhaseShift:
-      if (!kernels::force_generic()) {
+      if (!util::simd::active_backend().reference) {
         // d/dθ diag(1, e^{iθ}) = diag(0, i·e^{iθ}).
         state.apply_diagonal(Complex{0.0, 0.0},
                              kIu * Complex{std::cos(theta), std::sin(theta)},
@@ -481,7 +480,7 @@ void apply_gate_derivative(StateVector& state, GateType type, double theta,
       state.apply_single_qubit(gates::derivative_for(type, theta), wire0);
       return;
     case GateType::RX:
-      if (!kernels::force_generic()) {
+      if (!util::simd::active_backend().reference) {
         // dRX/dθ = [[-s', -ic'], [-ic', -s']] with c' = cos(θ/2)/2,
         // s' = sin(θ/2)/2 — the RX kernel shape with (c, s) = (-s', c').
         state.apply_rx_fast(-0.5 * std::sin(theta / 2.0),
@@ -491,7 +490,7 @@ void apply_gate_derivative(StateVector& state, GateType type, double theta,
       state.apply_single_qubit(gates::derivative_for(type, theta), wire0);
       return;
     case GateType::RY:
-      if (!kernels::force_generic()) {
+      if (!util::simd::active_backend().reference) {
         // dRY/dθ = [[-s', -c'], [c', -s']] — RY kernel with (-s', c').
         state.apply_ry_fast(-0.5 * std::sin(theta / 2.0),
                             0.5 * std::cos(theta / 2.0), wire0);

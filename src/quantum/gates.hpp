@@ -115,8 +115,8 @@ void apply_gate_derivative(StateVector& state, GateType type, double theta,
 // gates) or one angle per batch row (size batch.batch()). Shared angles hit
 // the shared kernels (one trig evaluation for the whole batch); per-row
 // angles hit the per-row kernel variants. These always use the specialized
-// kernels — the QHDL_FORCE_GENERIC_KERNELS escape hatch disables the batched
-// path upstream (callers fall back to per-row StateVector execution).
+// kernels — under the reference backend the hybrid executor does not take
+// the batched path (it falls back to per-row StateVector execution).
 
 void apply_gate_batch(StateVectorBatch& batch, GateType type,
                       std::span<const double> angles, std::size_t wire0,

@@ -1,10 +1,7 @@
 #include "quantum/kernels.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <sstream>
-
-#include "util/backend_registry.hpp"
 
 namespace qhdl::quantum {
 
@@ -23,38 +20,6 @@ std::string KernelStatsSnapshot::to_string() const {
 namespace kernels {
 
 namespace {
-
-bool env_default() {
-  // Env var wins when set ("0" = specialized, anything else = generic);
-  // otherwise the build-time default applies.
-  const char* value = std::getenv("QHDL_FORCE_GENERIC_KERNELS");
-  if (value != nullptr && value[0] != '\0') {
-    return !(value[0] == '0' && value[1] == '\0');
-  }
-#ifdef QHDL_FORCE_GENERIC_KERNELS_DEFAULT
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool uncompiled_env_default() {
-  const char* value = std::getenv("QHDL_FORCE_UNCOMPILED");
-  if (value != nullptr && value[0] != '\0') {
-    return !(value[0] == '0' && value[1] == '\0');
-  }
-#ifdef QHDL_FORCE_UNCOMPILED_DEFAULT
-  return true;
-#else
-  return false;
-#endif
-}
-
-// -1 = follow env/build default, 0 = specialized, 1 = generic.
-std::atomic<int> g_force_override{-1};
-
-// -1 = follow env/build default, 0 = compiled plans, 1 = uncompiled.
-std::atomic<int> g_force_uncompiled_override{-1};
 
 struct Counters {
   std::atomic<std::uint64_t> diagonal{0};
@@ -79,36 +44,6 @@ inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t by = 1) {
 }
 
 }  // namespace
-
-bool force_generic() {
-  const int override_value = g_force_override.load(std::memory_order_relaxed);
-  if (override_value >= 0) return override_value == 1;
-  static const bool from_env = env_default();
-  // The reference kernel backend (QHDL_BACKEND=reference) implies the
-  // historical QHDL_FORCE_GENERIC_KERNELS escape hatch: no specialized
-  // dispatch, fusion, or batched SoA path. Queried live (not cached) so
-  // runtime backend switches in tests take effect.
-  return from_env || util::simd::active_backend().reference;
-}
-
-void set_force_generic(std::optional<bool> forced) {
-  g_force_override.store(forced.has_value() ? (*forced ? 1 : 0) : -1,
-                         std::memory_order_relaxed);
-}
-
-bool force_uncompiled() {
-  if (force_generic()) return true;
-  const int override_value =
-      g_force_uncompiled_override.load(std::memory_order_relaxed);
-  if (override_value >= 0) return override_value == 1;
-  static const bool from_env = uncompiled_env_default();
-  return from_env;
-}
-
-void set_force_uncompiled(std::optional<bool> forced) {
-  g_force_uncompiled_override.store(
-      forced.has_value() ? (*forced ? 1 : 0) : -1, std::memory_order_relaxed);
-}
 
 void count_diagonal() { bump(counters().diagonal); }
 void count_real_rotation() { bump(counters().real_rotation); }

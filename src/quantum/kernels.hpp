@@ -1,28 +1,22 @@
-// Kernel dispatch configuration and observability.
+// Kernel dispatch observability.
 //
 // The state-vector simulator routes every gate through one of a handful of
 // specialized kernels (see DESIGN.md §8): diagonal phase multiplies for
 // RZ/PhaseShift/S/T/Z/CZ, real-rotation updates for RX/RY, index
 // permutations for X/CNOT/SWAP, and dense complex 2x2 matvecs for
-// everything else. This header owns
-//   * the QHDL_FORCE_GENERIC_KERNELS escape hatch (env var or CMake option)
-//     that forces every gate back onto the generic dense-matrix path and
-//     disables fusion and the batched SoA executor — i.e. reproduces the
-//     pre-kernel code path bit-for-bit,
-//   * the QHDL_FORCE_UNCOMPILED escape hatch (same env/CMake/override
-//     plumbing) that keeps the specialized kernels but disables the cached
-//     ExecutionPlan path, restoring per-call circuit lowering (DESIGN.md
-//     §12); forcing generic kernels implies uncompiled execution, and
-//   * per-kernel dispatch counters, so the FLOPs cost model's predicted gate
-//     mix can be checked against what the simulator actually executed
-//     (flops::classify_circuit / flops::dispatch_comparison_to_string).
+// everything else. This header owns per-kernel dispatch counters, so the
+// FLOPs cost model's predicted gate mix can be checked against what the
+// simulator actually executed (flops::classify_circuit /
+// flops::dispatch_comparison_to_string). Which path a gate takes is decided
+// by the active kernel backend alone: the `reference` backend
+// (QHDL_BACKEND=reference, util/backend_registry.hpp) routes every gate
+// through the generic dense-matrix path and runs circuits unfused.
 //
 // Counters are process-global relaxed atomics: cheap, thread-safe, and
 // deliberately order-free (they are diagnostics, never control flow).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace qhdl::quantum {
@@ -49,27 +43,6 @@ struct KernelStatsSnapshot {
 };
 
 namespace kernels {
-
-/// True when the escape hatch is active: the QHDL_FORCE_GENERIC_KERNELS
-/// environment variable is set to anything but "0"/"" at first use, the
-/// CMake option of the same name was ON at build time, or a test override
-/// is in place.
-bool force_generic();
-
-/// Test override: true/false forces the mode, nullopt restores the
-/// env/build-time default. Not thread-safe against concurrent gate
-/// application (flip it only between runs).
-void set_force_generic(std::optional<bool> forced);
-
-/// True when the cached-plan escape hatch is active: QHDL_FORCE_UNCOMPILED
-/// env var set to anything but "0"/"" at first use, the CMake option of the
-/// same name ON at build time, or a test override. Circuits then lower
-/// per call instead of executing a cached ExecutionPlan. Implied by
-/// force_generic() (the generic path never compiles).
-bool force_uncompiled();
-
-/// Test override mirroring set_force_generic. Flip only between runs.
-void set_force_uncompiled(std::optional<bool> forced);
 
 // Counter bumps (relaxed; called from the hot loops in statevector.cpp).
 void count_diagonal();

@@ -20,8 +20,8 @@
 // (nn/workspace.hpp): per-run models own their workspaces, GEMM packing
 // scratch is thread_local, and the workspace arithmetic is bit-identical to
 // the reference Module path — so the thread-count invariance above holds
-// unchanged, and QHDL_FORCE_REFERENCE_NN reproduces identical results on
-// the reference path (see DESIGN.md §9).
+// unchanged, and the reference kernel backend reproduces identical results
+// on the reference path (see DESIGN.md §9).
 #pragma once
 
 #include <functional>

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <stdexcept>
-
-#include "util/logging.hpp"
 
 namespace qhdl::util::simd {
 
@@ -49,11 +46,6 @@ void ensure_registered() {
     return true;
   }();
   (void)once;
-}
-
-bool env_flag_set(const char* value) {
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
 }
 
 std::string registered_names_locked(const Registry& reg) {
@@ -100,8 +92,7 @@ void resolve_locked(Registry& reg) {
   const char* source = "auto";
   const std::string name = resolve_backend_name(
       reg.override_name.empty() ? nullptr : reg.override_name.c_str(),
-      std::getenv("QHDL_BACKEND"), std::getenv("QHDL_FORCE_GENERIC_KERNELS"),
-      std::getenv("QHDL_FORCE_REFERENCE_NN"), kBuildDefault, &source);
+      std::getenv("QHDL_BACKEND"), kBuildDefault, &source);
   if (name.empty()) {
     reg.active = auto_detect_locked(reg);
   } else {
@@ -127,8 +118,6 @@ void resolve_locked(Registry& reg) {
 
 std::string resolve_backend_name(const char* override_name,
                                  const char* backend_env,
-                                 const char* legacy_generic_env,
-                                 const char* legacy_reference_env,
                                  const char* build_default,
                                  const char** source) {
   if (override_name != nullptr && override_name[0] != '\0') {
@@ -138,12 +127,6 @@ std::string resolve_backend_name(const char* override_name,
   if (backend_env != nullptr && backend_env[0] != '\0') {
     *source = "env";
     return backend_env;
-  }
-  // Deprecated aliases: the pre-registry escape hatches forced the scalar
-  // reference paths, which is exactly what the reference backend selects.
-  if (env_flag_set(legacy_generic_env) || env_flag_set(legacy_reference_env)) {
-    *source = "alias";
-    return "reference";
   }
   if (build_default != nullptr && build_default[0] != '\0') {
     *source = "build";
@@ -185,14 +168,7 @@ const Backend& active_backend() {
   ensure_registered();
   Registry& reg = registry();
   const std::lock_guard<std::mutex> lock{reg.mutex};
-  if (reg.active == nullptr) {
-    resolve_locked(reg);
-    if (std::strcmp(reg.source, "alias") == 0) {
-      log_warn(
-          "QHDL_FORCE_GENERIC_KERNELS / QHDL_FORCE_REFERENCE_NN are "
-          "deprecated aliases; use QHDL_BACKEND=reference");
-    }
-  }
+  if (reg.active == nullptr) resolve_locked(reg);
   return *reg.active;
 }
 

@@ -43,12 +43,12 @@
 //     canons are never mixed because the batched and single-state ops are
 //     distinct registry entries.
 //
-// The `reference` backend preserves the pre-registry escape hatch: scalar
-// ops with the seed's sequential expval reduction, and selecting it flips
-// quantum::kernels::force_generic() and nn::fastpath::force_reference() on
-// (which in turn imply uncompiled execution) — the legacy
-// QHDL_FORCE_GENERIC_KERNELS / QHDL_FORCE_REFERENCE_NN env flags map here
-// as deprecated aliases.
+// The `reference` backend is the one mode switch for the reference paths:
+// scalar ops with the seed's sequential expval reduction, and its
+// descriptor's `reference` flag makes circuits run unfused through the
+// generic dense gate path (quantum::ExecutionPlan, gates.cpp), keeps the
+// hybrid executor off the batched SoA path, and trains classical models on
+// the reference Module path instead of the workspace trainer.
 #pragma once
 
 #include <complex>
@@ -152,7 +152,7 @@ struct Backend {
   const char* name;       ///< selection key ("generic", "avx2", ...)
   int priority;           ///< auto-detect picks the highest supported one
   bool (*supported)();    ///< CPUID gate (util::cpuid); constant per process
-  bool reference;         ///< selecting it forces the legacy reference paths
+  bool reference;         ///< selecting it switches to the reference paths
   KernelOps ops;
 };
 
@@ -173,8 +173,8 @@ const Backend* find_backend(std::string_view name);
 /// build default names an unknown or unsupported backend.
 const Backend& active_backend();
 
-/// Where the active selection came from: "override", "env", "build",
-/// "alias" (deprecated QHDL_FORCE_* env flag), or "auto".
+/// Where the active selection came from: "override", "env", "build", or
+/// "auto".
 const char* active_source();
 
 /// Hot accessor for kernel call sites: the active ops table.
@@ -192,8 +192,6 @@ void set_backend(std::optional<std::string_view> name);
 /// auto-detect) and reports the deciding layer through `source`.
 std::string resolve_backend_name(const char* override_name,
                                  const char* backend_env,
-                                 const char* legacy_generic_env,
-                                 const char* legacy_reference_env,
                                  const char* build_default,
                                  const char** source);
 

@@ -1,9 +1,8 @@
 // Scalar kernel backends: `generic` (the portable default and the
 // bit-identity anchor every SIMD backend is compared against) and
-// `reference` (the legacy escape hatch: same scalar loops, but the seed's
-// sequential expval reduction, and selecting it flips the force_generic /
-// force_reference_nn / force_uncompiled legacy paths on via its descriptor
-// flag).
+// `reference` (same scalar loops, but the seed's sequential expval
+// reduction, and its descriptor flag switches circuits, the hybrid executor
+// and the trainer to their reference paths).
 //
 // This TU compiles with no -m arch flags and -ffp-contract=off, so the
 // scalar loops here — which double as the SIMD backends' small-shape

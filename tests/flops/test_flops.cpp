@@ -7,6 +7,7 @@
 #include "flops/profiler.hpp"
 #include "qnn/hybrid_model.hpp"
 #include "search/candidate.hpp"
+#include "util/backend_registry.hpp"
 #include "util/rng.hpp"
 
 namespace qhdl::flops {
@@ -202,7 +203,7 @@ TEST(DispatchCounts, ClassifyCircuitMatchesMeasuredCounters) {
   EXPECT_EQ(modeled.double_flip, 1u);    // RZZ
   EXPECT_EQ(modeled.total(), circuit.op_count());
 
-  quantum::kernels::set_force_generic(false);
+  util::simd::set_backend("generic");
   quantum::kernels::reset_stats();
   quantum::StateVector state{3};
   const std::vector<double> params{0.3, 0.5, 0.7, 0.9};
@@ -210,7 +211,7 @@ TEST(DispatchCounts, ClassifyCircuitMatchesMeasuredCounters) {
     quantum::apply_gate(state, op.type, op.angle(params), op.wire0, op.wire1);
   }
   const auto measured = quantum::kernels::stats();
-  quantum::kernels::set_force_generic(std::nullopt);
+  util::simd::set_backend(std::nullopt);
   EXPECT_EQ(measured.diagonal, modeled.diagonal);
   EXPECT_EQ(measured.real_rotation, modeled.real_rotation);
   EXPECT_EQ(measured.permutation, modeled.permutation);
@@ -247,13 +248,13 @@ TEST(DispatchCounts, ClassifyPlanMatchesMeasuredCompiledCounters) {
   EXPECT_EQ(modeled.fused, 3u);
   EXPECT_EQ(modeled.fused_gates, 6u);
 
-  quantum::kernels::set_force_generic(false);
+  util::simd::set_backend("generic");
   quantum::kernels::reset_stats();
   quantum::StateVector state{3};
   const std::vector<double> params{0.4, -0.8};
   plan->run(state, params);
   const auto measured = quantum::kernels::stats();
-  quantum::kernels::set_force_generic(std::nullopt);
+  util::simd::set_backend(std::nullopt);
   EXPECT_EQ(measured.diagonal, modeled.diagonal);
   EXPECT_EQ(measured.generic, modeled.generic);
   EXPECT_EQ(measured.two_qubit_dense, modeled.two_qubit_dense);

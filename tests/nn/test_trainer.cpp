@@ -6,9 +6,9 @@
 
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
-#include "nn/fastpath.hpp"
 #include "nn/sequential.hpp"
 #include "tensor/init.hpp"
+#include "test_helpers.hpp"
 
 namespace qhdl::nn {
 namespace {
@@ -61,9 +61,9 @@ TEST(SliceRows, IntoReusesPreallocatedTensor) {
 // Regression pin for the epoch-stats refactor: the accuracies recorded in
 // TrainHistory must exactly equal a module-path forward over the same
 // parameters at the same point in training — on both the workspace fast
-// path and the forced reference path.
+// path and the reference path.
 TEST(Trainer, EpochStatsMatchModuleForwardOnBothPaths) {
-  for (const bool force_reference : {false, true}) {
+  for (const bool reference : {false, true}) {
     util::Rng rng{46};
     Tensor x_train, x_val;
     std::vector<std::size_t> y_train, y_val;
@@ -76,7 +76,7 @@ TEST(Trainer, EpochStatsMatchModuleForwardOnBothPaths) {
     model.emplace<Dense>(5, 2, rng);
     Adam optimizer{1e-3};
 
-    fastpath::set_force_reference(force_reference);
+    const testing::ReferenceScope scope{reference};
     TrainConfig config;
     config.epochs = 3;
     config.batch_size = 8;
@@ -87,14 +87,13 @@ TEST(Trainer, EpochStatsMatchModuleForwardOnBothPaths) {
     };
     const TrainHistory history = train_classifier(
         model, optimizer, x_train, y_train, x_val, y_val, config, rng);
-    fastpath::set_force_reference(std::nullopt);
     EXPECT_EQ(history.epochs_run, 3u);
   }
 }
 
 // Early-stop and patience must trigger at the same epoch on both paths.
 TEST(Trainer, StoppingDecisionsIdenticalAcrossPaths) {
-  const auto run = [](bool force_reference) {
+  const auto run = [](bool reference) {
     util::Rng rng{47};
     Tensor x_train, x_val;
     std::vector<std::size_t> y_train, y_val;
@@ -105,14 +104,13 @@ TEST(Trainer, StoppingDecisionsIdenticalAcrossPaths) {
     model.emplace<Tanh>();
     model.emplace<Dense>(4, 2, rng);
     Adam optimizer{0.05};
-    fastpath::set_force_reference(force_reference);
+    const testing::ReferenceScope scope{reference};
     TrainConfig config;
     config.epochs = 200;
     config.patience = 3;
     config.early_stop_accuracy = 0.98;
     const TrainHistory history = train_classifier(
         model, optimizer, x_train, y_train, x_val, y_val, config, rng);
-    fastpath::set_force_reference(std::nullopt);
     return history;
   };
   const TrainHistory fast = run(false);

@@ -16,20 +16,13 @@
 #include "nn/trainer.hpp"
 #include "qnn/quantum_layer.hpp"
 #include "tensor/init.hpp"
+#include "test_helpers.hpp"
 
 namespace qhdl::nn {
 namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
-
-/// Restores the fastpath override on scope exit.
-struct ForceReferenceGuard {
-  explicit ForceReferenceGuard(bool force) {
-    fastpath::set_force_reference(force);
-  }
-  ~ForceReferenceGuard() { fastpath::set_force_reference(std::nullopt); }
-};
 
 /// Deterministic synthetic multi-class data (not linearly separable; the
 /// histories just need rich dynamics, not convergence).
@@ -69,7 +62,7 @@ Sequential make_mlp(std::size_t features, std::size_t hidden,
   return model;
 }
 
-TrainHistory train_once(bool force_reference, std::size_t hidden,
+TrainHistory train_once(bool reference, std::size_t hidden,
                         std::size_t depth, Act act, std::size_t n,
                         std::size_t batch, std::size_t epochs) {
   constexpr std::size_t kFeatures = 4, kClasses = 2;
@@ -78,7 +71,7 @@ TrainHistory train_once(bool force_reference, std::size_t hidden,
   make_dataset(n, kFeatures, kClasses, 100 + hidden, x_train, y_train);
   make_dataset(n / 2 + 1, kFeatures, kClasses, 200 + depth, x_val, y_val);
 
-  ForceReferenceGuard guard{force_reference};
+  const testing::ReferenceScope scope{reference};
   util::Rng init_rng{7 * hidden + depth};
   Sequential model = make_mlp(kFeatures, hidden, depth, kClasses, act,
                               init_rng);

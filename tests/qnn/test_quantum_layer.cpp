@@ -341,9 +341,9 @@ TEST(QuantumLayer, ThreadedBatchMatchesSequential) {
 
 TEST(QuantumLayer, BatchedSoAPathMatchesGenericPerRow) {
   // The SoA batch path (specialized kernels, shared+per-row variants,
-  // batched adjoint VJP) must agree with the QHDL_FORCE_GENERIC_KERNELS
-  // per-row path — PR1's exact code path — to 1e-12 on outputs, input
-  // gradients, and weight gradients.
+  // batched adjoint VJP) must agree with the reference backend's per-row
+  // generic-kernel path to 1e-12 on outputs, input gradients, and weight
+  // gradients.
   util::Rng rng_a{31};
   util::Rng rng_b{31};
   auto config = small_config(AnsatzKind::StronglyEntangling, 4, 3);
@@ -356,20 +356,23 @@ TEST(QuantumLayer, BatchedSoAPathMatchesGenericPerRow) {
   const tensor::Tensor g =
       tensor::uniform(tensor::Shape{7, 4}, -1.0, 1.0, data_rng);
 
-  quantum::kernels::set_force_generic(false);
-  quantum::kernels::reset_stats();
-  const tensor::Tensor out_batched = batched.forward(x);
-  EXPECT_GT(quantum::kernels::stats().batched_rows, 0u)
-      << "specialized mode should take the SoA batch path";
-  const tensor::Tensor gin_batched = batched.backward(g);
-
-  quantum::kernels::set_force_generic(true);
-  quantum::kernels::reset_stats();
-  const tensor::Tensor out_generic = generic.forward(x);
-  EXPECT_EQ(quantum::kernels::stats().batched_rows, 0u)
-      << "escape hatch should disable the SoA batch path";
-  const tensor::Tensor gin_generic = generic.backward(g);
-  quantum::kernels::set_force_generic(std::nullopt);
+  tensor::Tensor out_batched, gin_batched, out_generic, gin_generic;
+  {
+    const testing::ReferenceScope scope{false};
+    quantum::kernels::reset_stats();
+    out_batched = batched.forward(x);
+    EXPECT_GT(quantum::kernels::stats().batched_rows, 0u)
+        << "specialized mode should take the SoA batch path";
+    gin_batched = batched.backward(g);
+  }
+  {
+    const testing::ReferenceScope scope{true};
+    quantum::kernels::reset_stats();
+    out_generic = generic.forward(x);
+    EXPECT_EQ(quantum::kernels::stats().batched_rows, 0u)
+        << "the reference backend should not take the SoA batch path";
+    gin_generic = generic.backward(g);
+  }
 
   EXPECT_TRUE(tensor::allclose(out_batched, out_generic, 1e-12, 1e-12));
   EXPECT_TRUE(tensor::allclose(gin_batched, gin_generic, 1e-12, 1e-12));

@@ -2,9 +2,10 @@
 // supported non-reference backend must reproduce the generic backend's
 // amplitudes BIT-IDENTICALLY (EXPECT_EQ on raw doubles, not EXPECT_NEAR)
 // for the four registry-dispatched kernels and for full circuit execution,
-// compiled and uncompiled. The reference backend is held to 1e-12 on the
-// expval reduction only — its sequential sum order legitimately differs
-// from the canonical mod-8 lane order.
+// through the compiled plan and through a test-local uncompiled per-op loop.
+// The reference backend is held to 1e-12 on the expval reduction only — its
+// sequential sum order legitimately differs from the canonical mod-8 lane
+// order.
 #include <complex>
 #include <cstddef>
 #include <optional>
@@ -17,8 +18,8 @@
 #include "qnn/encoding.hpp"
 #include "quantum/circuit.hpp"
 #include "quantum/gates.hpp"
-#include "quantum/kernels.hpp"
 #include "quantum/statevector.hpp"
+#include "test_helpers.hpp"
 #include "util/backend_registry.hpp"
 #include "util/rng.hpp"
 
@@ -200,34 +201,37 @@ Circuit make_sel_circuit(std::size_t qubits, std::size_t depth,
   return circuit;
 }
 
+using qhdl::testing::run_uncompiled;
+
 TEST(BackendEquivalence, FullCircuitBitIdenticalCompiledAndUncompiled) {
   util::Rng rng{2028};
   for (const std::size_t qubits : {3u, 5u, 6u}) {
     std::vector<double> params;
     const Circuit circuit = make_sel_circuit(qubits, 4, params, rng);
     for (const bool uncompiled : {false, true}) {
-      quantum::kernels::set_force_uncompiled(uncompiled);
+      const auto run = [&] {
+        return uncompiled ? run_uncompiled(circuit, params)
+                          : circuit.execute(params);
+      };
       StateVector golden = [&] {
         const BackendScope scope{"generic"};
-        return circuit.execute(params);
+        return run();
       }();
       for (const simd::Backend* backend : simd_backends_under_test()) {
         const BackendScope scope{backend->name};
-        const StateVector candidate = circuit.execute(params);
         expect_states_bit_identical(
-            candidate, golden,
+            run(), golden,
             std::string{backend->name} + " SEL q=" + std::to_string(qubits) +
                 (uncompiled ? " uncompiled" : " compiled"));
       }
-      quantum::kernels::set_force_uncompiled(std::nullopt);
     }
   }
 }
 
 TEST(BackendEquivalence, ReferenceBackendCircuitMatchesGenericNumerically) {
-  // The reference backend runs the seed's scalar path (generic kernels,
-  // uncompiled lowering); results agree with the registry's generic backend
-  // to float tolerance — the historical KernelEquivalence contract.
+  // The reference backend runs the seed's scalar path (generic kernels, the
+  // plan's flat stream unfused); results agree with the registry's generic
+  // backend to float tolerance — the historical KernelEquivalence contract.
   util::Rng rng{2029};
   std::vector<double> params;
   const Circuit circuit = make_sel_circuit(5, 4, params, rng);

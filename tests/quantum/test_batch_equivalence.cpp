@@ -2,10 +2,11 @@
 // batch executor vectorizes ACROSS batch lanes, so every batch row must
 // reproduce the scalar per-row path BIT-IDENTICALLY (EXPECT_EQ on raw
 // doubles) on every supported backend, for every batch size — including the
-// odd tails (1, 3, 5, 7) that exercise the scalar remainder loops — in
-// compiled, uncompiled, and force-generic execution modes. The adjoint
-// batch VJP is held to the same contract against row-by-row adjoint_vjp
-// for the single-term diagonal observables the hybrid layer emits.
+// odd tails (1, 3, 5, 7) that exercise the scalar remainder loops — both
+// through the compiled plan and through a test-local uncompiled per-op loop,
+// and under the reference backend too. The adjoint batch VJP is held to the
+// same contract against row-by-row adjoint_vjp for the single-term diagonal
+// observables the hybrid layer emits.
 #include <complex>
 #include <cstddef>
 #include <optional>
@@ -19,10 +20,10 @@
 #include "quantum/adjoint_diff.hpp"
 #include "quantum/circuit.hpp"
 #include "quantum/gates.hpp"
-#include "quantum/kernels.hpp"
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
 #include "quantum/statevector_batch.hpp"
+#include "test_helpers.hpp"
 #include "util/backend_registry.hpp"
 #include "util/rng.hpp"
 
@@ -215,34 +216,39 @@ std::vector<double> make_batch_params(const std::vector<double>& proto,
   return params;
 }
 
-enum class ExecMode { Compiled, Uncompiled, ForceGeneric };
-
-constexpr ExecMode kExecModes[] = {ExecMode::Compiled, ExecMode::Uncompiled,
-                                   ExecMode::ForceGeneric};
-
-const char* mode_name(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::Compiled: return "compiled";
-    case ExecMode::Uncompiled: return "uncompiled";
-    case ExecMode::ForceGeneric: return "generic-kernels";
-  }
-  return "?";
+/// Every backend a circuit can run on here: the bit-identity backends plus
+/// the reference backend, whose unfused generic-kernel scalar path the
+/// batched kernels must reproduce per row as well.
+std::vector<const simd::Backend*> circuit_backends_under_test() {
+  std::vector<const simd::Backend*> out = batch_backends_under_test();
+  out.push_back(simd::find_backend("reference"));
+  return out;
 }
 
-/// Pins one execution mode (plan / runtime fuser / unfused generic); the
-/// batch driver mirrors the scalar lowering mode-for-mode, which is what
-/// makes the EXPECT_EQ below valid.
-class ExecModeScope {
- public:
-  explicit ExecModeScope(ExecMode mode) {
-    quantum::kernels::set_force_generic(mode == ExecMode::ForceGeneric);
-    quantum::kernels::set_force_uncompiled(mode == ExecMode::Uncompiled);
+using qhdl::testing::run_uncompiled;
+
+/// Batched counterpart of run_uncompiled: the circuit's ops applied one by
+/// one through apply_gate_batch — no plan, no fusion.
+void run_batch_uncompiled(const Circuit& circuit, StateVectorBatch& batch,
+                          std::span<const double> params,
+                          std::size_t stride) {
+  std::vector<double> angles(batch.batch());
+  for (const quantum::Op& op : circuit.ops()) {
+    // One shared angle when every row agrees (fixed gates, ansatz
+    // weights), else one per row (data encoding).
+    bool shared = true;
+    for (std::size_t b = 0; b < batch.batch(); ++b) {
+      angles[b] = op.param_index.has_value()
+                      ? params[b * stride + *op.param_index]
+                      : op.fixed_angle;
+      shared = shared && angles[b] == angles[0];
+    }
+    quantum::apply_gate_batch(
+        batch, op.type,
+        std::span<const double>{angles}.first(shared ? 1 : angles.size()),
+        op.wire0, op.wire1);
   }
-  ~ExecModeScope() {
-    quantum::kernels::set_force_generic(std::nullopt);
-    quantum::kernels::set_force_uncompiled(std::nullopt);
-  }
-};
+}
 
 TEST(BatchEquivalence, CircuitRunBitIdenticalPerRowAllModes) {
   util::Rng rng{43};
@@ -252,23 +258,25 @@ TEST(BatchEquivalence, CircuitRunBitIdenticalPerRowAllModes) {
     for (const std::size_t batch_size : kBatchSizes) {
       const std::vector<double> params =
           make_batch_params(proto, qubits, batch_size, rng);
-      for (const ExecMode mode : kExecModes) {
-        const ExecModeScope mode_scope{mode};
-        for (const simd::Backend* backend : batch_backends_under_test()) {
-          const BackendScope scope{backend->name};
-          StateVectorBatch batch{qubits, batch_size};
-          circuit.run_batch(batch, params, proto.size());
-          for (std::size_t b = 0; b < batch_size; ++b) {
-            const std::span<const double> row_params{
-                params.data() + b * proto.size(), proto.size()};
-            const StateVector golden = circuit.execute(row_params);
-            expect_row_bit_identical(
-                batch.extract_row(b), golden,
-                std::string{backend->name} + " " + mode_name(mode) +
-                    " q=" + std::to_string(qubits) +
-                    " b=" + std::to_string(batch_size) + " row " +
-                    std::to_string(b));
-          }
+      for (const simd::Backend* backend : circuit_backends_under_test()) {
+        const BackendScope scope{backend->name};
+        StateVectorBatch compiled{qubits, batch_size};
+        circuit.run_batch(compiled, params, proto.size());
+        StateVectorBatch uncompiled{qubits, batch_size};
+        run_batch_uncompiled(circuit, uncompiled, params, proto.size());
+        for (std::size_t b = 0; b < batch_size; ++b) {
+          const std::span<const double> row_params{
+              params.data() + b * proto.size(), proto.size()};
+          const std::string label =
+              std::string{backend->name} + " q=" + std::to_string(qubits) +
+              " b=" + std::to_string(batch_size) + " row " +
+              std::to_string(b);
+          expect_row_bit_identical(compiled.extract_row(b),
+                                   circuit.execute(row_params),
+                                   label + " compiled");
+          expect_row_bit_identical(uncompiled.extract_row(b),
+                                   run_uncompiled(circuit, row_params),
+                                   label + " uncompiled");
         }
       }
     }
@@ -291,34 +299,29 @@ TEST(BatchEquivalence, AdjointVjpBitIdenticalPerRowAllModes) {
     for (auto& u : upstream) u = rng.uniform(-1.0, 1.0);
     // Exercise the w == 0 skip, which both seeds share.
     upstream[0] = 0.0;
-    for (const ExecMode mode : kExecModes) {
-      const ExecModeScope mode_scope{mode};
-      for (const simd::Backend* backend : batch_backends_under_test()) {
-        const BackendScope scope{backend->name};
-        const std::string label = std::string{backend->name} + " " +
-                                  mode_name(mode) +
-                                  " b=" + std::to_string(batch_size);
-        const auto batched = quantum::adjoint_vjp_batch(
-            circuit, params, proto.size(), batch_size, observables, upstream);
-        ASSERT_EQ(batched.expectations.size(), batch_size * qubits) << label;
-        ASSERT_EQ(batched.gradient.size(), batch_size * proto.size()) << label;
-        for (std::size_t b = 0; b < batch_size; ++b) {
-          const std::span<const double> row_params{
-              params.data() + b * proto.size(), proto.size()};
-          const std::span<const double> row_up{upstream.data() + b * qubits,
-                                               qubits};
-          const auto row =
-              quantum::adjoint_vjp(circuit, row_params, observables, row_up);
-          for (std::size_t k = 0; k < qubits; ++k) {
-            EXPECT_EQ(batched.expectations[b * qubits + k],
-                      row.expectations[k])
-                << label << " expectation row " << b << " obs " << k;
-          }
-          for (std::size_t p = 0; p < proto.size(); ++p) {
-            EXPECT_EQ(batched.gradient[b * proto.size() + p],
-                      row.gradient[p])
-                << label << " gradient row " << b << " param " << p;
-          }
+    for (const simd::Backend* backend : circuit_backends_under_test()) {
+      const BackendScope scope{backend->name};
+      const std::string label =
+          std::string{backend->name} + " b=" + std::to_string(batch_size);
+      const auto batched = quantum::adjoint_vjp_batch(
+          circuit, params, proto.size(), batch_size, observables, upstream);
+      ASSERT_EQ(batched.expectations.size(), batch_size * qubits) << label;
+      ASSERT_EQ(batched.gradient.size(), batch_size * proto.size()) << label;
+      for (std::size_t b = 0; b < batch_size; ++b) {
+        const std::span<const double> row_params{
+            params.data() + b * proto.size(), proto.size()};
+        const std::span<const double> row_up{upstream.data() + b * qubits,
+                                             qubits};
+        const auto row =
+            quantum::adjoint_vjp(circuit, row_params, observables, row_up);
+        for (std::size_t k = 0; k < qubits; ++k) {
+          EXPECT_EQ(batched.expectations[b * qubits + k],
+                    row.expectations[k])
+              << label << " expectation row " << b << " obs " << k;
+        }
+        for (std::size_t p = 0; p < proto.size(); ++p) {
+          EXPECT_EQ(batched.gradient[b * proto.size() + p], row.gradient[p])
+              << label << " gradient row " << b << " param " << p;
         }
       }
     }

@@ -1,8 +1,10 @@
-// Compiled execution plans (DESIGN.md §12): golden compiled-vs-uncompiled
-// equivalence for every gate × position × {3,4,5} qubits, fusion/cancellation
-// lowering invariants, the process-wide plan cache (determinism across
-// threads, LRU eviction, fault-injected flushes), and the strict parameter
-// size contract the compile pass relies on.
+// Compiled execution plans (DESIGN.md §12): golden equivalence of plan
+// execution against a test-local uncompiled reference (the circuit's ops
+// applied one by one on the same backend) for every gate × position ×
+// {3,4,5} qubits, fusion/cancellation lowering invariants, the reference
+// backend's unfused replay of the same plan, the process-wide plan cache
+// (determinism across threads, LRU eviction, fault-injected flushes), and
+// the strict parameter size contract the compile pass relies on.
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -21,6 +23,7 @@
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
 #include "quantum/statevector_batch.hpp"
+#include "test_helpers.hpp"
 #include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
@@ -36,17 +39,6 @@ using quantum::StateVector;
 using quantum::StateVectorBatch;
 
 constexpr double kTol = 1e-12;
-
-/// Forces per-call lowering inside the scope; restores the default on exit.
-class UncompiledScope {
- public:
-  explicit UncompiledScope(bool uncompiled) {
-    quantum::kernels::set_force_uncompiled(uncompiled);
-  }
-  ~UncompiledScope() {
-    quantum::kernels::set_force_uncompiled(std::nullopt);
-  }
-};
 
 const std::vector<GateType> kAllGates = {
     GateType::PauliX, GateType::PauliY, GateType::PauliZ,
@@ -81,22 +73,17 @@ Circuit make_sel_circuit(std::size_t qubits, std::size_t depth,
   return circuit;
 }
 
-/// Runs `circuit` compiled and uncompiled from |0...0> and checks 1e-12
-/// amplitude agreement.
+using qhdl::testing::run_uncompiled;
+
+/// Runs `circuit` through its plan and through run_uncompiled from
+/// |0...0> and checks amplitude agreement to `tolerance` (1e-12 where the
+/// plan fuses gates; 0, i.e. bit-identity, where it does not).
 void check_compiled_matches_uncompiled(const Circuit& circuit,
                                        std::span<const double> params,
-                                       const std::string& label) {
-  StateVector compiled{circuit.num_qubits()};
-  StateVector uncompiled{circuit.num_qubits()};
-  {
-    const UncompiledScope scope{false};
-    circuit.run(compiled, params);
-  }
-  {
-    const UncompiledScope scope{true};
-    circuit.run(uncompiled, params);
-  }
-  expect_states_close(compiled, uncompiled, kTol, label);
+                                       const std::string& label,
+                                       double tolerance = kTol) {
+  expect_states_close(circuit.execute(params),
+                      run_uncompiled(circuit, params), tolerance, label);
 }
 
 TEST(ExecPlan, EveryGateEveryPositionMatchesUncompiled) {
@@ -163,62 +150,83 @@ TEST(ExecPlan, RunBatchBitIdenticalToUncompiled) {
       }
     }
     StateVectorBatch compiled{qubits, batch};
-    StateVectorBatch uncompiled{qubits, batch};
-    {
-      const UncompiledScope scope{false};
-      circuit.run_batch(compiled, params, stride);
-    }
-    {
-      const UncompiledScope scope{true};
-      circuit.run_batch(uncompiled, params, stride);
-    }
-    // The compiled flat stream drives the exact same batch kernels, so the
-    // amplitudes must be bit-identical, not merely close.
-    const auto lhs = compiled.amplitudes();
-    const auto rhs = uncompiled.amplitudes();
-    ASSERT_EQ(lhs.size(), rhs.size());
-    for (std::size_t i = 0; i < lhs.size(); ++i) {
-      EXPECT_EQ(lhs[i].real(), rhs[i].real()) << "amplitude " << i;
-      EXPECT_EQ(lhs[i].imag(), rhs[i].imag()) << "amplitude " << i;
+    circuit.run_batch(compiled, params, stride);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const std::span<const double> row_params{params.data() + b * stride,
+                                               stride};
+      const std::string label = "row " + std::to_string(b);
+      const StateVector row = compiled.extract_row(b);
+      // The batch path runs the same plan as the scalar path, so each row
+      // is bit-identical to it; the SEL rot chains fuse, so the uncompiled
+      // per-op reference agrees to 1e-12.
+      expect_states_close(row, circuit.execute(row_params), 0.0,
+                          label + " vs scalar plan");
+      expect_states_close(row, run_uncompiled(circuit, row_params), kTol,
+                          label + " vs uncompiled");
     }
   }
 }
 
 TEST(ExecPlan, AdjointVjpBitIdenticalToUncompiled) {
+  // adjoint_vjp sweeps the plan's flat stream. An uncompiled reverse sweep
+  // over the circuit's own op list, seeded from the same forward state,
+  // must give bit-identical gradients: the two lists differ only by the
+  // cancelled CNOT pair, which is an exact permutation.
   util::Rng rng{23};
   const std::size_t qubits = 4;
   std::vector<double> params;
-  const Circuit circuit = make_sel_circuit(qubits, 3, params, rng);
+  Circuit circuit = make_sel_circuit(qubits, 3, params, rng);
+  circuit.gate(GateType::CNOT, 1, 2);
+  circuit.gate(GateType::CNOT, 1, 2);
+  ASSERT_EQ(circuit.compiled_plan()->cancelled_op_count(), 2u);
   std::vector<Observable> observables;
   std::vector<double> upstream;
   for (std::size_t w = 0; w < qubits; ++w) {
     observables.push_back(Observable::pauli_z(w));
     upstream.push_back(rng.uniform(-1.0, 1.0));
   }
-  quantum::AdjointVjpResult compiled, uncompiled;
-  {
-    const UncompiledScope scope{false};
-    compiled = quantum::adjoint_vjp(circuit, params, observables, upstream);
+  const quantum::AdjointVjpResult compiled =
+      quantum::adjoint_vjp(circuit, params, observables, upstream);
+
+  StateVector phi = circuit.execute(params);
+  std::vector<double> expectations;
+  StateVector lambda{qubits};
+  StateVector scratch{qubits};
+  for (auto& a : lambda.amplitudes()) a = quantum::Complex{0.0, 0.0};
+  for (std::size_t k = 0; k < observables.size(); ++k) {
+    expectations.push_back(observables[k].expectation(phi));
+    observables[k].apply(phi, scratch);
+    for (std::size_t i = 0; i < lambda.dimension(); ++i) {
+      lambda.amplitudes()[i] += upstream[k] * scratch.amplitudes()[i];
+    }
   }
-  {
-    const UncompiledScope scope{true};
-    uncompiled =
-        quantum::adjoint_vjp(circuit, params, observables, upstream);
+  std::vector<double> gradient(circuit.parameter_count(), 0.0);
+  for (std::size_t idx = circuit.op_count(); idx-- > 0;) {
+    const quantum::Op& op = circuit.ops()[idx];
+    const double angle = op.angle(params);
+    quantum::apply_gate_inverse(phi, op.type, angle, op.wire0, op.wire1);
+    if (op.param_index.has_value()) {
+      StateVector mu = phi;
+      quantum::apply_gate_derivative(mu, op.type, angle, op.wire0, op.wire1);
+      gradient[*op.param_index] += 2.0 * lambda.inner_product(mu).real();
+    }
+    quantum::apply_gate_inverse(lambda, op.type, angle, op.wire0, op.wire1);
   }
-  ASSERT_EQ(compiled.gradient.size(), uncompiled.gradient.size());
-  for (std::size_t p = 0; p < compiled.gradient.size(); ++p) {
-    EXPECT_EQ(compiled.gradient[p], uncompiled.gradient[p]) << "param " << p;
+
+  ASSERT_EQ(compiled.gradient.size(), gradient.size());
+  for (std::size_t p = 0; p < gradient.size(); ++p) {
+    EXPECT_EQ(compiled.gradient[p], gradient[p]) << "param " << p;
   }
   for (std::size_t k = 0; k < observables.size(); ++k) {
-    EXPECT_EQ(compiled.expectations[k], uncompiled.expectations[k])
-        << "obs " << k;
+    EXPECT_EQ(compiled.expectations[k], expectations[k]) << "obs " << k;
   }
 }
 
 TEST(ExecPlan, InvolutionPairsCancel) {
   // X·X, CNOT·CNOT, CZ·CZ (reversed wires too — CZ is symmetric), SWAP·SWAP
   // are pure permutations/sign flips; the peephole pass removes them and the
-  // compiled state still matches the uncompiled one exactly.
+  // compiled state still matches the uncompiled one exactly (the survivors
+  // sit on different wires, so nothing fuses).
   Circuit circuit{3};
   circuit.gate(GateType::Hadamard, 0);
   circuit.gate(GateType::PauliX, 1);
@@ -237,7 +245,8 @@ TEST(ExecPlan, InvolutionPairsCancel) {
   EXPECT_EQ(plan->flat_ops().size(), 2u);  // Hadamard + RY survive
 
   const std::vector<double> params = {0.37};
-  check_compiled_matches_uncompiled(circuit, params, "involution pairs");
+  check_compiled_matches_uncompiled(circuit, params, "involution pairs",
+                                    0.0);
 }
 
 TEST(ExecPlan, CnotReversedWiresDoesNotCancel) {
@@ -354,9 +363,6 @@ TEST(ExecPlan, StructureKeyDistinguishesAngleAndShape) {
 }
 
 TEST(ExecPlan, CacheHitsShareOnePlanAcrossThreads) {
-  // Pin compiled execution so the test also passes under a
-  // QHDL_FORCE_UNCOMPILED environment (the forced-uncompiled CI leg).
-  const UncompiledScope scope{false};
   quantum::plan_cache::clear();
   quantum::plan_cache::reset_stats();
 
@@ -391,7 +397,6 @@ TEST(ExecPlan, CacheHitsShareOnePlanAcrossThreads) {
 }
 
 TEST(ExecPlan, MemoizedSlotInvalidatesOnMutation) {
-  const UncompiledScope scope{false};
   Circuit circuit{3};
   circuit.gate(GateType::Hadamard, 0);
   const auto before = circuit.compiled_plan();
@@ -405,7 +410,6 @@ TEST(ExecPlan, MemoizedSlotInvalidatesOnMutation) {
 }
 
 TEST(ExecPlan, LruEvictionHonorsCapacity) {
-  const UncompiledScope scope{false};
   quantum::plan_cache::clear();
   quantum::plan_cache::reset_stats();
   quantum::plan_cache::set_capacity(2);
@@ -457,22 +461,29 @@ TEST(ExecPlan, FaultInjectionFlushesCache) {
   quantum::plan_cache::clear();
 }
 
-TEST(ExecPlan, ForcedUncompiledDisablesPlans) {
-  Circuit circuit{3};
-  circuit.gate(GateType::Hadamard, 0);
+TEST(ExecPlan, ReferenceBackendCompilesOnePlan) {
+  // The reference backend executes the same cached plan, replaying its
+  // flat stream unfused through the generic gate path: one compile, no
+  // fused chains, and amplitudes within 1e-12 of the fused fast path.
+  util::Rng rng{37};
+  std::vector<double> params;
+  const Circuit circuit = make_sel_circuit(4, 3, params, rng);
+  quantum::plan_cache::clear();
+  quantum::plan_cache::reset_stats();
+  StateVector reference{4};
   {
-    const UncompiledScope scope{true};
-    EXPECT_EQ(circuit.compiled_plan(), nullptr);
+    const qhdl::testing::ReferenceScope scope{true};
+    quantum::kernels::reset_stats();
+    circuit.run(reference, params);
+    EXPECT_EQ(quantum::kernels::stats().fused, 0u);
+    EXPECT_GT(quantum::kernels::stats().generic, 0u);
   }
-  // force_generic implies force_uncompiled: the generic path never compiles.
-  quantum::kernels::set_force_generic(true);
-  EXPECT_TRUE(quantum::kernels::force_uncompiled());
-  EXPECT_EQ(circuit.compiled_plan(), nullptr);
-  quantum::kernels::set_force_generic(std::nullopt);
-  {
-    const UncompiledScope scope{false};
-    EXPECT_NE(circuit.compiled_plan(), nullptr);
-  }
+  EXPECT_EQ(quantum::plan_cache::stats().compiled, 1u);
+  const qhdl::testing::ReferenceScope scope{false};
+  expect_states_close(reference, circuit.execute(params), kTol,
+                      "reference vs fused");
+  EXPECT_EQ(quantum::plan_cache::stats().compiled, 1u)
+      << "switching backends must not recompile";
 }
 
 TEST(ExecPlan, RunRejectsWrongSizedParams) {
@@ -494,14 +505,6 @@ TEST(ExecPlan, RunRejectsWrongSizedParams) {
   EXPECT_THROW(circuit.run_batch(batch, batch_long, 2),
                std::invalid_argument);
   EXPECT_NO_THROW(circuit.run_batch(batch, batch_exact, 2));
-}
-
-TEST(ExecPlan, ForceUncompiledOverrideLatches) {
-  quantum::kernels::set_force_uncompiled(true);
-  EXPECT_TRUE(quantum::kernels::force_uncompiled());
-  quantum::kernels::set_force_uncompiled(false);
-  EXPECT_FALSE(quantum::kernels::force_uncompiled());
-  quantum::kernels::set_force_uncompiled(std::nullopt);
 }
 
 }  // namespace

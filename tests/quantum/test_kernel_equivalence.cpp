@@ -18,6 +18,7 @@
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
 #include "quantum/statevector_batch.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -31,15 +32,9 @@ using quantum::StateVectorBatch;
 
 constexpr double kTol = 1e-12;
 
-/// Scopes the escape hatch: specialized inside SpecializedScope{false},
-/// generic inside SpecializedScope{true}; restores the default on exit.
-class KernelScope {
- public:
-  explicit KernelScope(bool generic) {
-    quantum::kernels::set_force_generic(generic);
-  }
-  ~KernelScope() { quantum::kernels::set_force_generic(std::nullopt); }
-};
+/// Generic dense kernels inside KernelScope{true}, specialized kernels
+/// inside KernelScope{false}.
+using KernelScope = qhdl::testing::ReferenceScope;
 
 const std::vector<GateType> kAllGates = {
     GateType::PauliX, GateType::PauliY, GateType::PauliZ,
@@ -54,7 +49,6 @@ const std::vector<GateType> kAllGates = {
 /// wire, then a CNOT ring, then per-wire RY with distinct angles.
 StateVector random_state(std::size_t qubits, util::Rng& rng) {
   StateVector state{qubits};
-  const KernelScope scope{true};  // preparation always via generic kernels
   for (std::size_t w = 0; w < qubits; ++w) {
     state.apply_single_qubit(quantum::gates::hadamard(), w);
     state.apply_single_qubit(quantum::gates::t(), w);
@@ -293,17 +287,12 @@ TEST(KernelEquivalence, BatchedRunMatchesPerRow) {
     StateVectorBatch sv_batch{qubits, batch};
     circuit.run_batch(sv_batch, params, stride);
     for (std::size_t b = 0; b < batch; ++b) {
-      StateVector row{qubits};
-      // Per-row reference without fusion: gate-by-gate dispatch, the same
-      // arithmetic order the batch kernels use per row.
+      // Per-row reference without fusion: gate-by-gate dispatch.
       const std::span<const double> row_params{params.data() + b * stride,
                                                stride};
-      for (const quantum::Op& op : circuit.ops()) {
-        quantum::apply_gate(row, op.type, op.angle(row_params), op.wire0,
-                            op.wire1);
-      }
-      expect_states_close(sv_batch.extract_row(b), row, kTol,
-                          "batch row " + std::to_string(b));
+      expect_states_close(sv_batch.extract_row(b),
+                          qhdl::testing::run_uncompiled(circuit, row_params),
+                          kTol, "batch row " + std::to_string(b));
     }
   }
 }
@@ -414,16 +403,6 @@ TEST(KernelEquivalence, DispatchCountersClassifyCircuit) {
   EXPECT_EQ(stats.controlled, 1u);
   EXPECT_EQ(stats.double_flip, 1u);
   EXPECT_EQ(stats.total_dispatches(), 7u);
-}
-
-TEST(KernelEquivalence, ForceGenericEnvOverrideLatches) {
-  // The test-override API wins over the env/build default in both
-  // directions and resets cleanly.
-  quantum::kernels::set_force_generic(true);
-  EXPECT_TRUE(quantum::kernels::force_generic());
-  quantum::kernels::set_force_generic(false);
-  EXPECT_FALSE(quantum::kernels::force_generic());
-  quantum::kernels::set_force_generic(std::nullopt);
 }
 
 }  // namespace

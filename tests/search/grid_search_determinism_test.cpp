@@ -9,11 +9,10 @@
 
 #include "core/config.hpp"
 #include "data/preprocess.hpp"
-#include "nn/fastpath.hpp"
-#include "quantum/kernels.hpp"
 #include "search/experiment.hpp"
 #include "search/grid_search.hpp"
 #include "search/search_space.hpp"
+#include "test_helpers.hpp"
 
 namespace qhdl::search {
 namespace {
@@ -136,7 +135,7 @@ TEST(GridSearchDeterminism, LookaheadWindowDoesNotChangeResults) {
   expect_identical(serial, speculative);
 }
 
-// The workspace fast path (default) and the QHDL_FORCE_REFERENCE_NN module
+// The workspace fast path (default) and the reference backend's Module
 // path must produce the same search outcome bit for bit — the classical
 // training results are interchangeable between the two trainers.
 TEST(GridSearchDeterminism, WorkspaceAndReferencePathsAgree) {
@@ -144,53 +143,26 @@ TEST(GridSearchDeterminism, WorkspaceAndReferencePathsAgree) {
   config.accuracy_threshold = 0.34;
   const auto dataset = level_dataset(6, core::test_scale());
 
-  nn::fastpath::set_force_reference(false);
+  RepeatedSearchResult workspace, reference, reference_parallel;
   config.threads = 1;
-  const auto workspace =
-      run_repeated_search(paper_classical_space(), dataset, config);
-
-  nn::fastpath::set_force_reference(true);
-  const auto reference =
-      run_repeated_search(paper_classical_space(), dataset, config);
-
-  // Reference path under parallel execution must also agree.
-  config.threads = 4;
-  const auto reference_parallel =
-      run_repeated_search(paper_classical_space(), dataset, config);
-  nn::fastpath::set_force_reference(std::nullopt);
+  {
+    const testing::ReferenceScope scope{false};
+    workspace = run_repeated_search(paper_classical_space(), dataset, config);
+  }
+  {
+    // The reference backend puts training on the reference Module path. It
+    // shares the generic GEMM micro-kernel, which every SIMD backend
+    // matches bit-for-bit, so the outcomes stay identical — under parallel
+    // execution too.
+    const testing::ReferenceScope scope{true};
+    reference = run_repeated_search(paper_classical_space(), dataset, config);
+    config.threads = 4;
+    reference_parallel =
+        run_repeated_search(paper_classical_space(), dataset, config);
+  }
 
   expect_identical(workspace, reference);
   expect_identical(workspace, reference_parallel);
-}
-
-// Compiled execution plans (the default) and QHDL_FORCE_UNCOMPILED per-call
-// lowering must produce bit-identical hybrid search outcomes: the plan's
-// fused scalar stream, flat batch stream, and adjoint sweeps all reproduce
-// the uncompiled arithmetic exactly, so every TrainHistory — and therefore
-// every accuracy, prune decision, and winner — matches.
-TEST(GridSearchDeterminism, CompiledAndUncompiledPlansAgree) {
-  auto config = base_config();
-  config.accuracy_threshold = 0.34;
-  config.max_candidates = 3;
-  const auto dataset = level_dataset(4, core::test_scale());
-
-  quantum::kernels::set_force_uncompiled(false);
-  config.threads = 1;
-  const auto compiled = run_repeated_search(
-      paper_hybrid_space(qnn::AnsatzKind::BasicEntangler), dataset, config);
-
-  quantum::kernels::set_force_uncompiled(true);
-  const auto uncompiled = run_repeated_search(
-      paper_hybrid_space(qnn::AnsatzKind::BasicEntangler), dataset, config);
-
-  // Uncompiled under parallel execution must also agree.
-  config.threads = 4;
-  const auto uncompiled_parallel = run_repeated_search(
-      paper_hybrid_space(qnn::AnsatzKind::BasicEntangler), dataset, config);
-  quantum::kernels::set_force_uncompiled(std::nullopt);
-
-  expect_identical(compiled, uncompiled);
-  expect_identical(compiled, uncompiled_parallel);
 }
 
 TEST(GridSearchDeterminism, EvaluateCandidateRejectsZeroRuns) {

@@ -1,18 +1,55 @@
 // Shared test utilities: finite-difference gradient checking for nn modules
-// and quantum circuits, plus random-circuit generation for property tests.
+// and quantum circuits, random-circuit generation for property tests, an
+// uncompiled per-op circuit reference, and a scope that switches between
+// the fast and the reference execution paths.
 #pragma once
 
 #include <cmath>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "nn/loss.hpp"
 #include "nn/module.hpp"
 #include "quantum/circuit.hpp"
 #include "quantum/observable.hpp"
+#include "util/backend_registry.hpp"
 #include "util/rng.hpp"
 
 namespace qhdl::testing {
+
+/// Pins the execution paths for one scope through the kernel backend.
+/// ReferenceScope{true} selects the reference backend: generic dense gate
+/// kernels, unfused circuits, no batched SoA layer path, and the reference
+/// Module trainer. ReferenceScope{false} keeps the active backend's fast
+/// paths (falling back to generic when the active backend is the reference
+/// one). Restores the env/build/auto selection on exit.
+class ReferenceScope {
+ public:
+  explicit ReferenceScope(bool reference) {
+    if (reference) {
+      util::simd::set_backend("reference");
+    } else if (util::simd::active_backend().reference) {
+      util::simd::set_backend("generic");
+    }
+  }
+  ~ReferenceScope() { util::simd::set_backend(std::nullopt); }
+  ReferenceScope(const ReferenceScope&) = delete;
+  ReferenceScope& operator=(const ReferenceScope&) = delete;
+};
+
+/// Uncompiled reference execution from |0...0⟩: the circuit's ops applied
+/// one by one through apply_gate on the active backend — no plan, no
+/// fusion, no involution cancellation.
+inline quantum::StateVector run_uncompiled(const quantum::Circuit& circuit,
+                                           std::span<const double> params) {
+  quantum::StateVector state{circuit.num_qubits()};
+  for (const quantum::Op& op : circuit.ops()) {
+    quantum::apply_gate(state, op.type, op.angle(params), op.wire0,
+                        op.wire1);
+  }
+  return state;
+}
 
 /// Central finite difference of a scalar function at x.
 inline double central_difference(const std::function<double(double)>& f,

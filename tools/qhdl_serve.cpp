@@ -139,6 +139,10 @@ int main(int argc, char** argv) {
     config.pool.steal_after_ms =
         static_cast<std::uint64_t>(cli.get_double("steal-after") * 1000.0);
 
+    // Handlers go in before the port file exists: a supervisor may signal
+    // as soon as it sees the file, and that signal must drain, not kill.
+    std::signal(SIGTERM, handle_signal);
+    std::signal(SIGINT, handle_signal);
     serve::Server server{std::move(config)};
     server.start();
     std::printf("qhdl_serve: listening on %s:%u\n",
@@ -151,8 +155,6 @@ int main(int argc, char** argv) {
                               std::to_string(server.port()) + "\n");
     }
 
-    std::signal(SIGTERM, handle_signal);
-    std::signal(SIGINT, handle_signal);
     while (g_drain == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
