@@ -193,10 +193,20 @@ int main(int argc, char** argv) {
   push_all(attach_plan_stats(time_workload_all_modes(
       "figs/sel_q5_d10_b16_forward", repeat, 16, sel5.amps_per_call,
       [&] { sel5.layer.forward(sel5.input); })));
+  // Repeated backward() after one forward(): every call past the first
+  // re-simulates the forward, since the first one spends the kept state.
   sel5.layer.forward(sel5.input);
   push_all(attach_plan_stats(time_workload_all_modes(
       "figs/sel_q5_d10_b16_backward", repeat, 4, sel5.amps_per_call,
       [&] { sel5.layer.backward(sel5.upstream); })));
+  // A training step's layer work: backward() starts from the state its
+  // forward() kept, so the batch is simulated once.
+  push_all(attach_plan_stats(time_workload_all_modes(
+      "figs/sel_q5_d10_b16_forward_backward", repeat, 4, sel5.amps_per_call,
+      [&] {
+        sel5.layer.forward(sel5.input);
+        sel5.layer.backward(sel5.upstream);
+      })));
 
   auto sel8 = make_layer_workload(8, 2, 16, rng);
   push_all(attach_plan_stats(time_workload_all_modes(
@@ -227,6 +237,16 @@ int main(int argc, char** argv) {
       [&] {
         quantum::StateVector state{3};
         scalar3.circuit.run(state, scalar3.params);
+      })));
+
+  // The end-to-end study's layer shape (3 qubits, depth 2, batch 8); made
+  // last so the workloads above keep their random inputs.
+  auto sel3 = make_layer_workload(3, 2, 8, rng);
+  push_all(attach_plan_stats(time_workload_all_modes(
+      "figs/sel_q3_d2_b8_forward_backward", repeat, 64, sel3.amps_per_call,
+      [&] {
+        sel3.layer.forward(sel3.input);
+        sel3.layer.backward(sel3.upstream);
       })));
 
   util::simd::set_backend(std::nullopt);

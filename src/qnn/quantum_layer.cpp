@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -52,17 +54,44 @@ QuantumLayer::QuantumLayer(const QuantumLayerConfig& config, util::Rng& rng)
   }
 }
 
-std::vector<double> QuantumLayer::pack_params(const Tensor& input,
-                                              std::size_t row) const {
+void QuantumLayer::pack_params(const Tensor& input, std::size_t row,
+                               std::span<double> out) const {
   const std::size_t q = config_.qubits;
-  std::vector<double> params(q + weights_.value.size());
   for (std::size_t i = 0; i < q; ++i) {
-    params[i] = config_.encoding.scale * input.at(row, i);
+    out[i] = config_.encoding.scale * input.at(row, i);
   }
   for (std::size_t i = 0; i < weights_.value.size(); ++i) {
-    params[q + i] = weights_.value[i];
+    out[q + i] = weights_.value[i];
   }
-  return params;
+}
+
+void QuantumLayer::pack_batch(const Tensor& input,
+                              std::vector<double>& out) const {
+  const std::size_t stride = config_.qubits + weights_.value.size();
+  out.resize(input.rows() * stride);
+  for (std::size_t b = 0; b < input.rows(); ++b) {
+    pack_params(input, b, std::span<double>{out}.subspan(b * stride, stride));
+  }
+}
+
+std::size_t QuantumLayer::chunk_count(std::size_t batch) const {
+  return std::min(std::max<std::size_t>(config_.threads, 1), batch);
+}
+
+void QuantumLayer::for_each_chunk(
+    std::size_t batch,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& work)
+    const {
+  const std::size_t chunks = chunk_count(batch);
+  const auto run_chunk = [&](std::size_t c) {
+    const std::size_t begin = c * batch / chunks;
+    work(c, begin, (c + 1) * batch / chunks - begin);
+  };
+  if (chunks > 1) {
+    run_batch_parallel(chunks, run_chunk);
+  } else {
+    run_chunk(0);
+  }
 }
 
 Tensor QuantumLayer::forward(const Tensor& input) {
@@ -74,44 +103,32 @@ Tensor QuantumLayer::forward(const Tensor& input) {
   }
   cached_input_ = input;
   has_cached_input_ = true;
+  forward_states_valid_ = false;
 
   Tensor output{Shape{input.rows(), q}};
 
   // Batched SoA fast path: all rows march through the gate kernels
   // together, hitting contiguous memory (see StateVectorBatch). Chunked
   // over the thread pool; per-row arithmetic is independent of the chunk
-  // boundaries, so results stay bit-identical across thread counts.
+  // boundaries, so results stay bit-identical across thread counts. Each
+  // chunk's final state is kept for backward() (forward-state reuse).
   if (config_.noise.empty() && config_.shots == 0 &&
       executor_.batch_path_available()) {
     const std::size_t batch = input.rows();
     const std::size_t stride = q + weights_.value.size();
-    std::vector<double> params(batch * stride);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto row = pack_params(input, b);
-      std::copy(row.begin(), row.end(), params.begin() + b * stride);
-    }
-    const std::size_t threads = config_.threads > 0 ? config_.threads : 1;
-    const std::size_t chunks = std::min(threads, batch);
-    const auto run_chunk = [&](std::size_t c) {
-      const std::size_t begin = c * batch / chunks;
-      const std::size_t end = (c + 1) * batch / chunks;
-      if (begin == end) return;
-      const std::size_t rows = end - begin;
-      const auto expectations = executor_.run_batch(
-          std::span<const double>{params}.subspan(begin * stride,
-                                                  rows * stride),
-          stride, rows);
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t w = 0; w < q; ++w) {
-          output.at(begin + r, w) = expectations[r * q + w];
-        }
-      }
-    };
-    if (chunks > 1) {
-      run_batch_parallel(chunks, run_chunk);
-    } else {
-      run_chunk(0);
-    }
+    pack_batch(input, forward_params_);
+    forward_states_.resize(chunk_count(batch));
+    for_each_chunk(batch, [&](std::size_t c, std::size_t begin,
+                              std::size_t rows) {
+      std::optional<quantum::StateVectorBatch>& state = forward_states_[c];
+      if (!state || state->batch() != rows) state.emplace(q, rows);
+      executor_.run_batch(
+          *state,
+          std::span<const double>{forward_params_}.subspan(begin * stride,
+                                                           rows * stride),
+          stride, output.data().subspan(begin * q, rows * q));
+    });
+    forward_states_valid_ = true;
     return output;
   }
 
@@ -119,7 +136,8 @@ Tensor QuantumLayer::forward(const Tensor& input) {
   for (std::size_t w = 0; w < q; ++w) wires[w] = w;
 
   const auto compute_row = [&](std::size_t b) {
-    const auto params = pack_params(input, b);
+    std::vector<double> params(q + weights_.value.size());
+    pack_params(input, b, params);
     std::vector<double> expectations;
     if (!config_.noise.empty()) {
       expectations = quantum::noisy_expvals(executor_.circuit(), params,
@@ -155,6 +173,7 @@ Tensor QuantumLayer::backward(const Tensor& grad_output) {
     // caller's forward/backward pairing is broken, and letting the next
     // backward silently reuse this stale batch would hide the bug.
     has_cached_input_ = false;
+    forward_states_valid_ = false;
     throw std::invalid_argument("QuantumLayer::backward: grad shape " +
                                 grad_output.shape().to_string());
   }
@@ -162,40 +181,34 @@ Tensor QuantumLayer::backward(const Tensor& grad_output) {
   const std::size_t batch = cached_input_.rows();
   Tensor grad_input{Shape{batch, q}};
 
+  // Whatever happens below, the kept forward states are spent: reuse
+  // consumes them, and a mismatch means they are stale.
+  const bool states_kept = forward_states_valid_;
+  forward_states_valid_ = false;
+
   // Batched SoA fast path mirroring forward(): one adjoint sweep per chunk
-  // covers every row in it.
+  // covers every row in it. When the repacked [angles | weights] rows are
+  // bitwise equal to the ones forward() simulated (same input, weights
+  // untouched), the sweep starts from forward()'s kept state instead of
+  // re-simulating it.
   if (config_.noise.empty() && executor_.batch_path_available()) {
     const std::size_t stride = q + weights_.value.size();
-    std::vector<double> params(batch * stride);
-    std::vector<double> upstream(batch * q);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto row = pack_params(cached_input_, b);
-      std::copy(row.begin(), row.end(), params.begin() + b * stride);
-      for (std::size_t w = 0; w < q; ++w) {
-        upstream[b * q + w] = grad_output.at(b, w);
-      }
-    }
+    pack_batch(cached_input_, backward_params_);
+    const bool reuse =
+        states_kept && forward_params_.size() == backward_params_.size() &&
+        std::memcmp(forward_params_.data(), backward_params_.data(),
+                    backward_params_.size() * sizeof(double)) == 0;
     std::vector<double> all_grads(batch * stride);
-    const std::size_t threads = config_.threads > 0 ? config_.threads : 1;
-    const std::size_t chunks = std::min(threads, batch);
-    const auto run_chunk = [&](std::size_t c) {
-      const std::size_t begin = c * batch / chunks;
-      const std::size_t end = (c + 1) * batch / chunks;
-      if (begin == end) return;
-      const std::size_t rows = end - begin;
+    for_each_chunk(batch, [&](std::size_t c, std::size_t begin,
+                              std::size_t rows) {
       const auto vjp = executor_.run_with_vjp_batch(
-          std::span<const double>{params}.subspan(begin * stride,
-                                                  rows * stride),
-          stride, rows,
-          std::span<const double>{upstream}.subspan(begin * q, rows * q));
+          std::span<const double>{backward_params_}.subspan(begin * stride,
+                                                            rows * stride),
+          stride, rows, grad_output.data().subspan(begin * q, rows * q),
+          reuse ? &*forward_states_[c] : nullptr);
       std::copy(vjp.gradient.begin(), vjp.gradient.end(),
                 all_grads.begin() + begin * stride);
-    };
-    if (chunks > 1) {
-      run_batch_parallel(chunks, run_chunk);
-    } else {
-      run_chunk(0);
-    }
+    });
     for (std::size_t b = 0; b < batch; ++b) {
       for (std::size_t w = 0; w < q; ++w) {
         grad_input.at(b, w) =
@@ -217,7 +230,8 @@ Tensor QuantumLayer::backward(const Tensor& grad_output) {
       batch, std::vector<double>(weights_.value.size(), 0.0));
 
   const auto compute_row = [&](std::size_t b) {
-    const auto params = pack_params(cached_input_, b);
+    std::vector<double> params(q + weights_.value.size());
+    pack_params(cached_input_, b, params);
     std::vector<double> upstream(q);
     for (std::size_t w = 0; w < q; ++w) upstream[w] = grad_output.at(b, w);
 

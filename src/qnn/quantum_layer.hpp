@@ -9,15 +9,31 @@
 // paper's TensorFlow+PennyLane models.
 //
 // Circuit parameter layout: [inputs (q) | ansatz weights (weight_count)].
+//
+// Forward-state reuse (batched SoA path only). The adjoint sweep starts from
+// the circuit's output state, which forward() has just computed, so the
+// layer simulates each training batch once:
+//   * the layer owns one StateVectorBatch per thread chunk; forward()
+//     leaves each chunk's final state in it and keeps the packed
+//     [angles | weights] rows the states were built from;
+//   * backward() repacks the rows from the cached input and the current
+//     weights; only if that buffer is bitwise equal to forward()'s does the
+//     sweep consume the kept states, otherwise it re-simulates the forward;
+//   * the states are spent by any backward() (consumed or stale), and
+//     every forward() rebuilds them, so a second backward(), or one after
+//     the weights changed, recomputes. Either way the gradients are
+//     bit-identical.
 #pragma once
 
 #include <functional>
+#include <optional>
 
 #include "nn/module.hpp"
 #include "qnn/ansatz.hpp"
 #include "qnn/encoding.hpp"
 #include "quantum/channels.hpp"
 #include "quantum/executor.hpp"
+#include "quantum/statevector_batch.hpp"
 #include "util/rng.hpp"
 
 namespace qhdl::qnn {
@@ -66,9 +82,23 @@ class QuantumLayer : public nn::Module {
   std::vector<double> run_single(std::span<const double> angles) const;
 
  private:
-  /// Builds [angles | weights] for one sample row.
-  std::vector<double> pack_params(const tensor::Tensor& input,
-                                  std::size_t row) const;
+  /// Writes [angles | weights] for one sample row into `out` (size
+  /// qubits + weight_count).
+  void pack_params(const tensor::Tensor& input, std::size_t row,
+                   std::span<double> out) const;
+
+  /// Packs every row of `input` into `out`, row b at b * stride.
+  void pack_batch(const tensor::Tensor& input, std::vector<double>& out) const;
+
+  /// Thread chunks a batch splits into on the batched path.
+  std::size_t chunk_count(std::size_t batch) const;
+
+  /// Runs work(chunk, first_row, rows) over chunk_count(batch) contiguous
+  /// chunks of [0, batch), on the shared pool when there is more than one.
+  void for_each_chunk(
+      std::size_t batch,
+      const std::function<void(std::size_t, std::size_t, std::size_t)>& work)
+      const;
 
   /// Dispatches `work(row)` over [0, batch) on the shared pool, at most
   /// config_.threads rows in flight.
@@ -81,6 +111,12 @@ class QuantumLayer : public nn::Module {
   util::Rng sample_rng_;  ///< drives finite-shot sampling when shots > 0
   tensor::Tensor cached_input_;
   bool has_cached_input_ = false;
+  /// Forward-state reuse (see the file comment): one final state per chunk,
+  /// the packed rows they were simulated from, and backward()'s repack.
+  std::vector<std::optional<quantum::StateVectorBatch>> forward_states_;
+  std::vector<double> forward_params_;
+  std::vector<double> backward_params_;
+  bool forward_states_valid_ = false;
 };
 
 /// Builds the executor (circuit + Z observables) for a config; exposed so

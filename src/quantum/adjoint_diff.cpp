@@ -1,5 +1,7 @@
 #include "quantum/adjoint_diff.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "quantum/exec_plan.hpp"
@@ -151,12 +153,76 @@ std::vector<double> initial_state_cogradient(
   return cogradient;
 }
 
+namespace {
+
+/// Thread-local scratch batch of the requested shape: re-created only when
+/// the shape changes, so repeated same-shape calls allocate nothing.
+StateVectorBatch& scratch_batch(std::optional<StateVectorBatch>& slot,
+                                std::size_t num_qubits, std::size_t rows) {
+  if (!slot || slot->num_qubits() != num_qubits || slot->batch() != rows) {
+    slot.emplace(num_qubits, rows);
+  }
+  return *slot;
+}
+
+}  // namespace
+
+void diagonal_expectations_batch(
+    const StateVectorBatch& state,
+    std::span<const std::vector<double>> diagonals, std::span<double> out) {
+  const std::size_t rows = state.batch();
+  const std::size_t obs_count = diagonals.size();
+  if (out.size() != rows * obs_count) {
+    throw std::invalid_argument(
+        "diagonal_expectations_batch: out size must be batch * observables");
+  }
+  for (const std::vector<double>& diag : diagonals) {
+    if (diag.size() != state.dimension()) {
+      throw std::invalid_argument(
+          "diagonal_expectations_batch: diagonal size != state dimension");
+    }
+  }
+  std::fill(out.begin(), out.end(), 0.0);
+  const std::span<const Complex> amps = state.amplitudes();
+  for (std::size_t i = 0; i < state.dimension(); ++i) {
+    for (std::size_t b = 0; b < rows; ++b) {
+      const double p = std::norm(amps[i * rows + b]);
+      for (std::size_t k = 0; k < obs_count; ++k) {
+        out[b * obs_count + k] += diagonals[k][i] * p;
+      }
+    }
+  }
+}
+
 BatchAdjointVjpResult adjoint_vjp_batch(
     const Circuit& circuit, std::span<const double> params,
     std::size_t param_stride, std::size_t batch_rows,
     std::span<const Observable> observables,
-    std::span<const double> upstream_weights) {
-  const std::size_t obs_count = observables.size();
+    std::span<const double> upstream_weights,
+    StateVectorBatch* forward_state) {
+  std::vector<std::vector<double>> diagonals;
+  diagonals.reserve(observables.size());
+  for (const Observable& obs : observables) {
+    if (!obs.is_diagonal()) {
+      throw std::invalid_argument(
+          "adjoint_vjp_batch: all observables must be diagonal (all-Z); "
+          "fall back to per-row adjoint_vjp for " +
+          obs.to_string());
+    }
+    diagonals.push_back(obs.diagonal(circuit.num_qubits()));
+  }
+  return adjoint_vjp_batch_diagonal(circuit, params, param_stride, batch_rows,
+                                    diagonals, upstream_weights,
+                                    forward_state);
+}
+
+BatchAdjointVjpResult adjoint_vjp_batch_diagonal(
+    const Circuit& circuit, std::span<const double> params,
+    std::size_t param_stride, std::size_t batch_rows,
+    std::span<const std::vector<double>> diagonals,
+    std::span<const double> upstream_weights,
+    StateVectorBatch* forward_state) {
+  const std::size_t obs_count = diagonals.size();
   if (upstream_weights.size() != batch_rows * obs_count) {
     throw std::invalid_argument(
         "adjoint_vjp_batch: upstream_weights size must be batch * "
@@ -178,56 +244,59 @@ BatchAdjointVjpResult adjoint_vjp_batch(
         "adjoint_vjp_batch: got " + std::to_string(params.size()) +
         " params, need exactly " + std::to_string(batch_rows * param_stride));
   }
-  for (const Observable& obs : observables) {
-    if (!obs.is_diagonal()) {
-      throw std::invalid_argument(
-          "adjoint_vjp_batch: all observables must be diagonal (all-Z); "
-          "fall back to per-row adjoint_vjp for " +
-          obs.to_string());
-    }
-  }
 
   const std::size_t num_qubits = circuit.num_qubits();
   const std::size_t dimension = std::size_t{1} << num_qubits;
+  for (const std::vector<double>& diag : diagonals) {
+    if (diag.size() != dimension) {
+      throw std::invalid_argument(
+          "adjoint_vjp_batch: observable diagonal has " +
+          std::to_string(diag.size()) + " entries, need " +
+          std::to_string(dimension));
+    }
+  }
+
+  thread_local std::optional<StateVectorBatch> phi_slot;
+  thread_local std::optional<StateVectorBatch> lambda_slot;
+  thread_local std::optional<StateVectorBatch> mu_slot;
+  thread_local std::vector<double> angles;
+  thread_local std::vector<double> row_inner;
+
+  // Forward: the caller's state when it holds U|0⟩ for these params
+  // (consumed in place below), else all rows at once through the SoA
+  // kernels.
+  StateVectorBatch* phi_ptr = forward_state;
+  if (phi_ptr != nullptr) {
+    if (phi_ptr->num_qubits() != num_qubits ||
+        phi_ptr->batch() != batch_rows) {
+      throw std::invalid_argument(
+          "adjoint_vjp_batch: forward_state shape does not match the "
+          "circuit and batch");
+    }
+  } else {
+    phi_ptr = &scratch_batch(phi_slot, num_qubits, batch_rows);
+    phi_ptr->reset();
+    circuit.run_batch(*phi_ptr, params, param_stride);
+  }
+  StateVectorBatch& phi = *phi_ptr;
 
   BatchAdjointVjpResult result;
   result.batch = batch_rows;
   result.observable_count = obs_count;
-
-  // Forward: all rows at once through the SoA kernels.
-  StateVectorBatch phi{num_qubits, batch_rows};
-  circuit.run_batch(phi, params, param_stride);
-
   // Each diagonal entry matches expectation()'s fast-path sign_weight, so
-  // the per-row expectations below are bit-identical to the scalar path.
-  std::vector<std::vector<double>> diagonals;
-  diagonals.reserve(obs_count);
-  for (const Observable& obs : observables) {
-    diagonals.push_back(obs.diagonal(num_qubits));
-  }
-
-  result.expectations.assign(batch_rows * obs_count, 0.0);
-  {
-    const std::span<const Complex> amps = phi.amplitudes();
-    for (std::size_t i = 0; i < dimension; ++i) {
-      for (std::size_t b = 0; b < batch_rows; ++b) {
-        const double p = std::norm(amps[i * batch_rows + b]);
-        for (std::size_t k = 0; k < obs_count; ++k) {
-          result.expectations[b * obs_count + k] += diagonals[k][i] * p;
-        }
-      }
-    }
-  }
+  // the per-row expectations are bit-identical to the scalar path.
+  result.expectations.resize(batch_rows * obs_count);
+  diagonal_expectations_batch(phi, diagonals, result.expectations);
 
   // Co-state seed: λ_b = Σ_k w_{b,k} (O_k ψ_b), accumulated term-by-term in
   // the same order as the scalar weighted_observable_state (k outer,
   // ascending i, w == 0 terms skipped) — bit-identical per row for the
   // single-term observables the hybrid layer emits.
-  StateVectorBatch lambda{num_qubits, batch_rows};
+  StateVectorBatch& lambda = scratch_batch(lambda_slot, num_qubits, batch_rows);
   {
     const std::span<const Complex> amps = phi.amplitudes();
     const std::span<Complex> lam = lambda.amplitudes();
-    for (auto& a : lam) a = Complex{0.0, 0.0};  // ctor seeds amplitude 0 to 1
+    std::fill(lam.begin(), lam.end(), Complex{0.0, 0.0});
     for (std::size_t k = 0; k < obs_count; ++k) {
       const std::vector<double>& diag = diagonals[k];
       for (std::size_t i = 0; i < dimension; ++i) {
@@ -244,9 +313,9 @@ BatchAdjointVjpResult adjoint_vjp_batch(
   // Re⟨λ|μ⟩, pull λ back.
   const std::size_t parameter_count = circuit.parameter_count();
   result.gradient.assign(batch_rows * parameter_count, 0.0);
-  StateVectorBatch mu{num_qubits, batch_rows};
-  std::vector<double> angles(batch_rows);
-  std::vector<double> row_inner(batch_rows);
+  StateVectorBatch& mu = scratch_batch(mu_slot, num_qubits, batch_rows);
+  angles.resize(batch_rows);
+  row_inner.resize(batch_rows);
 
   const auto gather_angles =
       [&](const PlanOp& op) -> std::span<const double> {

@@ -13,6 +13,11 @@
 // (dL/d⟨O_k⟩ from classical backprop), it runs ONE sweep with the effective
 // observable Σ_k w_k O_k, yielding dL/dθ directly. This is what the hybrid
 // QuantumLayer calls in its backward pass.
+//
+// The sweep only needs the forward state |ψ⟩ = U|0⟩ at its start. The
+// batched VJP accepts that state from the caller (the layer's forward pass
+// already computed it), so a training step simulates each batch forward
+// once instead of twice; see adjoint_vjp_batch for the ownership contract.
 #pragma once
 
 #include <span>
@@ -90,10 +95,39 @@ struct BatchAdjointVjpResult {
 /// (all-Z) so the co-state seed is a per-amplitude multiply — the hybrid
 /// layer's ⟨Z_w⟩ heads satisfy this; callers with X/Y observables fall back
 /// to the per-row adjoint_vjp. Throws std::invalid_argument otherwise.
+///
+/// Forward-state reuse: a non-null `forward_state` must hold the circuit
+/// applied to |0…0⟩ with exactly these `params` (e.g. the batch a forward
+/// pass just computed through Circuit::run_batch). The sweep then skips its
+/// own forward simulation and peels the gates off that batch IN PLACE, so
+/// on return it no longer holds the forward state — the caller owns it and
+/// must treat it as consumed. Only the caller can vouch that the state
+/// matches the params (the hybrid layer compares the packed parameter
+/// buffers bitwise); given that, the result is bit-identical to passing
+/// nullptr, which recomputes the forward. A shape mismatch throws.
 BatchAdjointVjpResult adjoint_vjp_batch(
     const Circuit& circuit, std::span<const double> params,
     std::size_t param_stride, std::size_t batch_rows,
     std::span<const Observable> observables,
-    std::span<const double> upstream_weights);
+    std::span<const double> upstream_weights,
+    StateVectorBatch* forward_state = nullptr);
+
+/// adjoint_vjp_batch with the observables given as their computational-basis
+/// diagonals (Observable::diagonal), so a caller that runs many batches
+/// (Executor) builds them once instead of per call.
+BatchAdjointVjpResult adjoint_vjp_batch_diagonal(
+    const Circuit& circuit, std::span<const double> params,
+    std::size_t param_stride, std::size_t batch_rows,
+    std::span<const std::vector<double>> diagonals,
+    std::span<const double> upstream_weights,
+    StateVectorBatch* forward_state = nullptr);
+
+/// out[b * K + k] = Σ_i diagonals[k][i] · |amp_b[i]|², one running sum per
+/// row in ascending amplitude order — bit-identical to
+/// Observable::expectation on each extracted row. `out` has batch * K
+/// entries.
+void diagonal_expectations_batch(
+    const StateVectorBatch& state,
+    std::span<const std::vector<double>> diagonals, std::span<double> out);
 
 }  // namespace qhdl::quantum

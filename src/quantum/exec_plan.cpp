@@ -1,5 +1,6 @@
 #include "quantum/exec_plan.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -382,6 +383,8 @@ void ExecutionPlan::run_batch(StateVectorBatch& batch,
   const std::size_t rows = batch.batch();
   thread_local std::vector<double> angles;
   thread_local std::vector<Mat2> row_mats;
+  thread_local std::vector<Mat2> factors;  // shared chain factors
+  thread_local std::vector<char> per_row;  // chain factor varies per row
   angles.resize(rows);
   const auto gather = [&](std::int64_t slot,
                           double fixed_angle) -> std::span<const double> {
@@ -415,43 +418,59 @@ void ExecutionPlan::run_batch(StateVectorBatch& batch,
                          op.wire1);
         break;
       case FusedOp::Kind::Chain: {
+        // Factor i is shared when its angle is fixed or equal on every row;
+        // shared factors are built once for the whole batch. The product
+        // keeps run()'s left-multiplication order, and the leading run of
+        // shared factors (the prefix every row would form identically) is
+        // multiplied once, so each row's matrix is bit-identical to run().
         const ChainGate* gates = &chain_gates_[op.chain_begin];
-        bool all_shared = true;
-        for (std::uint32_t i = 0; i < op.chain_length && all_shared; ++i) {
-          if (gates[i].param_slot < 0) continue;
-          const std::size_t index =
-              static_cast<std::size_t>(gates[i].param_slot);
-          const double first = params[index];
-          for (std::size_t b = 1; b < rows && all_shared; ++b) {
-            all_shared = params[b * param_stride + index] == first;
-          }
-        }
+        const std::uint32_t length = op.chain_length;
         const auto chain_angle = [&](std::uint32_t i, std::size_t b) {
           return gates[i].param_slot < 0
                      ? gates[i].fixed_angle
                      : params[b * param_stride +
                               static_cast<std::size_t>(gates[i].param_slot)];
         };
-        if (all_shared) {
-          Mat2 matrix = gates::matrix_for(gates[0].type, chain_angle(0, 0));
-          for (std::uint32_t i = 1; i < op.chain_length; ++i) {
-            matrix =
-                gates::matrix_for(gates[i].type, chain_angle(i, 0)) * matrix;
+        factors.resize(length);
+        per_row.resize(length);
+        std::uint32_t prefix = length;  // leading shared factors
+        for (std::uint32_t i = 0; i < length; ++i) {
+          bool shared = true;
+          if (gates[i].param_slot >= 0) {
+            const double first = chain_angle(i, 0);
+            for (std::size_t b = 1; b < rows && shared; ++b) {
+              shared = chain_angle(i, b) == first;
+            }
           }
-          batch.apply_single_qubit(matrix, op.wire0);
+          per_row[i] = !shared;
+          if (shared) {
+            factors[i] = gates::matrix_for(gates[i].type, chain_angle(i, 0));
+          } else if (prefix == length) {
+            prefix = i;
+          }
+        }
+        Mat2 head = factors[0];
+        for (std::uint32_t i = 1; i < prefix; ++i) head = factors[i] * head;
+        if (prefix == length) {
+          batch.apply_single_qubit(head, op.wire0);
         } else {
           row_mats.resize(rows);
           for (std::size_t b = 0; b < rows; ++b) {
-            Mat2 matrix = gates::matrix_for(gates[0].type, chain_angle(0, b));
-            for (std::uint32_t i = 1; i < op.chain_length; ++i) {
-              matrix = gates::matrix_for(gates[i].type, chain_angle(i, b)) *
+            Mat2 matrix = prefix > 0 ? head
+                                     : gates::matrix_for(gates[0].type,
+                                                         chain_angle(0, b));
+            for (std::uint32_t i = std::max<std::uint32_t>(prefix, 1);
+                 i < length; ++i) {
+              matrix = (per_row[i] ? gates::matrix_for(gates[i].type,
+                                                       chain_angle(i, b))
+                                   : factors[i]) *
                        matrix;
             }
             row_mats[b] = matrix;
           }
           batch.apply_single_qubit_per_row(row_mats, op.wire0);
         }
-        kernels::count_fused(op.chain_length);
+        kernels::count_fused(length);
         break;
       }
       case FusedOp::Kind::FixedChain:

@@ -21,6 +21,13 @@ Executor::Executor(Circuit circuit, std::vector<Observable> observables,
   // later run()/run_batch() calls (possibly from many worker threads at
   // once) find the memoized slot already filled.
   circuit_.compiled_plan();
+  if (std::all_of(observables_.begin(), observables_.end(),
+                  [](const Observable& obs) { return obs.is_diagonal(); })) {
+    diagonals_.reserve(observables_.size());
+    for (const Observable& obs : observables_) {
+      diagonals_.push_back(obs.diagonal(circuit_.num_qubits()));
+    }
+  }
 }
 
 std::vector<double> Executor::run(std::span<const double> params) const {
@@ -57,67 +64,36 @@ AdjointVjpResult Executor::run_with_vjp(
 }
 
 bool Executor::batch_path_available() const {
-  if (util::simd::active_backend().reference) return false;
-  if (diff_method_ != DiffMethod::Adjoint) return false;
-  for (const Observable& obs : observables_) {
-    if (!obs.is_diagonal()) return false;
-  }
-  return true;
+  return !util::simd::active_backend().reference &&
+         diff_method_ == DiffMethod::Adjoint && !diagonals_.empty();
 }
 
-std::vector<double> Executor::run_batch(std::span<const double> params,
-                                        std::size_t param_stride,
-                                        std::size_t batch_rows) const {
-  if (batch_rows == 0) {
-    throw std::invalid_argument("Executor::run_batch: batch must be >= 1");
-  }
-  const std::size_t obs_count = observables_.size();
+void Executor::run_batch(StateVectorBatch& state,
+                         std::span<const double> params,
+                         std::size_t param_stride,
+                         std::span<double> expectations) const {
   if (!batch_path_available()) {
-    // Per-row fallback: identical results, row at a time. Each row's
-    // parameters are the first parameter_count() entries of its stride
-    // block (run() rejects anything but an exact-size span).
-    std::vector<double> expectations(batch_rows * obs_count);
-    for (std::size_t b = 0; b < batch_rows; ++b) {
-      const auto row = run(
-          params.subspan(b * param_stride, circuit_.parameter_count()));
-      std::copy(row.begin(), row.end(),
-                expectations.begin() + b * obs_count);
-    }
-    return expectations;
+    throw std::logic_error(
+        "Executor::run_batch: the batched path is unavailable here");
   }
-  StateVectorBatch batch{circuit_.num_qubits(), batch_rows};
-  circuit_.run_batch(batch, params, param_stride);
-
-  std::vector<double> expectations(batch_rows * obs_count, 0.0);
-  const std::size_t dimension = batch.dimension();
-  const std::span<const Complex> amps = batch.amplitudes();
-  std::vector<std::vector<double>> diagonals;
-  diagonals.reserve(obs_count);
-  for (const Observable& obs : observables_) {
-    diagonals.push_back(obs.diagonal(circuit_.num_qubits()));
-  }
-  for (std::size_t i = 0; i < dimension; ++i) {
-    for (std::size_t b = 0; b < batch_rows; ++b) {
-      const double p = std::norm(amps[i * batch_rows + b]);
-      for (std::size_t k = 0; k < obs_count; ++k) {
-        expectations[b * obs_count + k] += diagonals[k][i] * p;
-      }
-    }
-  }
-  return expectations;
+  state.reset();
+  circuit_.run_batch(state, params, param_stride);
+  diagonal_expectations_batch(state, diagonals_, expectations);
 }
 
 BatchAdjointVjpResult Executor::run_with_vjp_batch(
     std::span<const double> params, std::size_t param_stride,
-    std::size_t batch_rows, std::span<const double> upstream) const {
+    std::size_t batch_rows, std::span<const double> upstream,
+    StateVectorBatch* forward_state) const {
   const std::size_t obs_count = observables_.size();
   if (upstream.size() != batch_rows * obs_count) {
     throw std::invalid_argument(
         "Executor::run_with_vjp_batch: upstream size");
   }
   if (batch_path_available()) {
-    return adjoint_vjp_batch(circuit_, params, param_stride, batch_rows,
-                             observables_, upstream);
+    return adjoint_vjp_batch_diagonal(circuit_, params, param_stride,
+                                      batch_rows, diagonals_, upstream,
+                                      forward_state);
   }
   // Per-row fallback (parameter-shift, non-diagonal observables, or the
   // generic-kernel escape hatch).

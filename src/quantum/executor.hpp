@@ -40,24 +40,36 @@ class Executor {
   /// backend active.
   bool batch_path_available() const;
 
-  /// Forward for `batch_rows` parameter rows at once through the SoA
-  /// kernels. Row b reads params[b*param_stride, (b+1)*param_stride).
-  /// Returns expectations [b * observable_count + k]. Falls back to per-row
-  /// run() when batch_path_available() is false.
-  std::vector<double> run_batch(std::span<const double> params,
-                                std::size_t param_stride,
-                                std::size_t batch_rows) const;
+  /// Forward for state.batch() parameter rows at once through the SoA
+  /// kernels. Row b reads params[b*param_stride, (b+1)*param_stride);
+  /// `state` is reset to |0…0⟩ first, and the expectations land in
+  /// `expectations` as [b * observable_count + k]. The final state stays in
+  /// `state`, so it can be handed to run_with_vjp_batch as the forward
+  /// state. Requires batch_path_available(); throws std::logic_error
+  /// otherwise.
+  void run_batch(StateVectorBatch& state, std::span<const double> params,
+                 std::size_t param_stride,
+                 std::span<double> expectations) const;
 
   /// Batched forward + VJP; upstream is [b * observable_count + k]. Falls
   /// back to per-row run_with_vjp when batch_path_available() is false.
+  /// A non-null `forward_state` is the batch run_batch left for exactly
+  /// these params; the batched sweep consumes it instead of re-simulating
+  /// the forward (adjoint_vjp_batch's contract). The per-row fallback
+  /// ignores it.
   BatchAdjointVjpResult run_with_vjp_batch(
       std::span<const double> params, std::size_t param_stride,
-      std::size_t batch_rows, std::span<const double> upstream) const;
+      std::size_t batch_rows, std::span<const double> upstream,
+      StateVectorBatch* forward_state = nullptr) const;
 
  private:
   Circuit circuit_;
   std::vector<Observable> observables_;
   DiffMethod diff_method_;
+  /// Observable::diagonal of each observable, built once at construction;
+  /// empty unless every observable is diagonal (the batch path's
+  /// precondition).
+  std::vector<std::vector<double>> diagonals_;
 };
 
 }  // namespace qhdl::quantum

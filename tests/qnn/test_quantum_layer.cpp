@@ -410,3 +410,172 @@ TEST(QuantumLayer, BatchedPathBitIdenticalAcrossChunkCounts) {
 
 }  // namespace
 }  // namespace qhdl::qnn
+
+// --- forward-state reuse -----------------------------------------------------
+//
+// On the batched path backward() starts its adjoint sweep from the state
+// forward() kept, but only when its repacked [angles | weights] rows are
+// bitwise equal to forward()'s; otherwise it re-simulates. Either way every
+// gradient bit must match a fresh recompute. Under the reference backend the
+// batched path is off and reuse must be inert.
+
+namespace qhdl::qnn {
+namespace {
+
+struct LayerGrads {
+  std::vector<double> input;   ///< dL/dx, [b * q + w]
+  std::vector<double> weight;  ///< dL/dθ summed over rows
+};
+
+/// Fresh recompute: packs the rows from `x` and the layer's current weights,
+/// runs the executor's batched forward + VJP with no kept state, and reduces
+/// as backward() does (rows ascending onto a zero gradient).
+LayerGrads recompute_grads(QuantumLayer& layer, const Tensor& x,
+                           const Tensor& g) {
+  const std::size_t q = layer.qubits();
+  const std::size_t weights = layer.weight_count();
+  const std::size_t stride = q + weights;
+  const std::size_t batch = x.rows();
+  const Tensor& theta = layer.parameters()[0]->value;
+  const double scale = AngleEncoding{}.scale;
+  std::vector<double> params(batch * stride);
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t w = 0; w < q; ++w) {
+      params[b * stride + w] = scale * x.at(b, w);
+    }
+    for (std::size_t i = 0; i < weights; ++i) {
+      params[b * stride + q + i] = theta[i];
+    }
+  }
+  const auto vjp = layer.executor().run_with_vjp_batch(params, stride, batch,
+                                                       g.data());
+  LayerGrads out{std::vector<double>(batch * q),
+                 std::vector<double>(weights, 0.0)};
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t w = 0; w < q; ++w) {
+      out.input[b * q + w] = scale * vjp.gradient[b * stride + w];
+    }
+    for (std::size_t i = 0; i < weights; ++i) {
+      out.weight[i] += vjp.gradient[b * stride + q + i];
+    }
+  }
+  return out;
+}
+
+/// Runs backward() on a zeroed weight gradient and records what the adjoint
+/// sweep did: `recomputed` is true when it ran the plan's forward again
+/// (fused chains are only counted by plan execution, never by the reverse
+/// sweep).
+struct BackwardRun {
+  LayerGrads grads;
+  bool recomputed = false;
+};
+
+BackwardRun run_backward(QuantumLayer& layer, const Tensor& g) {
+  layer.zero_grad();
+  quantum::kernels::reset_stats();
+  const Tensor grad_input = layer.backward(g);
+  BackwardRun run;
+  run.recomputed = quantum::kernels::stats().fused > 0;
+  run.grads.input.assign(grad_input.data().begin(), grad_input.data().end());
+  const Tensor& wgrad = layer.parameters()[0]->grad;
+  run.grads.weight.assign(wgrad.data().begin(), wgrad.data().end());
+  return run;
+}
+
+void expect_grads_bit_identical(const LayerGrads& got, const LayerGrads& want,
+                                const std::string& label) {
+  ASSERT_EQ(got.input.size(), want.input.size()) << label;
+  ASSERT_EQ(got.weight.size(), want.weight.size()) << label;
+  for (std::size_t i = 0; i < got.input.size(); ++i) {
+    EXPECT_EQ(got.input[i], want.input[i]) << label << " grad_input " << i;
+  }
+  for (std::size_t i = 0; i < got.weight.size(); ++i) {
+    EXPECT_EQ(got.weight[i], want.weight[i]) << label << " weight grad " << i;
+  }
+}
+
+std::string reuse_label(std::size_t threads, std::size_t batch) {
+  return "threads=" + std::to_string(threads) +
+         " batch=" + std::to_string(batch);
+}
+
+constexpr std::size_t kReuseThreads[] = {1, 3};
+
+TEST(QuantumLayerReuse, ReusedGradientsMatchFreshRecompute) {
+  // One layer per thread count walks batches of 1, 8 and a 5-row tail (the
+  // kept per-chunk states change shape between them); each backward follows
+  // its forward directly, so it must take the reuse path.
+  for (const std::size_t threads : kReuseThreads) {
+    util::Rng rng{91};
+    auto config = small_config(AnsatzKind::StronglyEntangling, 3, 2);
+    config.threads = threads;
+    QuantumLayer layer{config, rng};
+    util::Rng data_rng{92};
+    for (const std::size_t batch :
+         {std::size_t{1}, std::size_t{8}, std::size_t{5}}) {
+      const std::string label = reuse_label(threads, batch);
+      const Tensor x = tensor::uniform(Shape{batch, 3}, -1.0, 1.0, data_rng);
+      const Tensor g = tensor::uniform(Shape{batch, 3}, -1.0, 1.0, data_rng);
+      layer.forward(x);
+      const BackwardRun run = run_backward(layer, g);
+      if (layer.executor().batch_path_available()) {
+        EXPECT_FALSE(run.recomputed) << label << ": kept state not reused";
+      }
+      expect_grads_bit_identical(run.grads, recompute_grads(layer, x, g),
+                                 label);
+    }
+  }
+}
+
+TEST(QuantumLayerReuse, SecondBackwardRecomputes) {
+  // The first backward consumes the kept states; a second one after the
+  // same forward must re-simulate and still give the same bits.
+  for (const std::size_t threads : kReuseThreads) {
+    util::Rng rng{93};
+    auto config = small_config(AnsatzKind::StronglyEntangling, 3, 2);
+    config.threads = threads;
+    QuantumLayer layer{config, rng};
+    util::Rng data_rng{94};
+    const Tensor x = tensor::uniform(Shape{8, 3}, -1.0, 1.0, data_rng);
+    const Tensor g = tensor::uniform(Shape{8, 3}, -1.0, 1.0, data_rng);
+    const std::string label = reuse_label(threads, 8);
+    layer.forward(x);
+    const BackwardRun first = run_backward(layer, g);
+    const BackwardRun second = run_backward(layer, g);
+    if (layer.executor().batch_path_available()) {
+      EXPECT_FALSE(first.recomputed) << label;
+      EXPECT_TRUE(second.recomputed) << label << ": spent state reused";
+    }
+    expect_grads_bit_identical(second.grads, first.grads, label);
+    expect_grads_bit_identical(second.grads, recompute_grads(layer, x, g),
+                               label);
+  }
+}
+
+TEST(QuantumLayerReuse, WeightChangeBeforeBackwardRecomputes) {
+  // An optimizer step (or any weight edit) between forward and backward
+  // makes the kept state stale: the repacked rows differ, so backward must
+  // re-simulate with the current weights.
+  for (const std::size_t threads : kReuseThreads) {
+    util::Rng rng{95};
+    auto config = small_config(AnsatzKind::StronglyEntangling, 3, 2);
+    config.threads = threads;
+    QuantumLayer layer{config, rng};
+    util::Rng data_rng{96};
+    const Tensor x = tensor::uniform(Shape{8, 3}, -1.0, 1.0, data_rng);
+    const Tensor g = tensor::uniform(Shape{8, 3}, -1.0, 1.0, data_rng);
+    const std::string label = reuse_label(threads, 8);
+    layer.forward(x);
+    layer.parameters()[0]->value[0] += 0.25;
+    const BackwardRun run = run_backward(layer, g);
+    if (layer.executor().batch_path_available()) {
+      EXPECT_TRUE(run.recomputed) << label << ": stale state reused";
+    }
+    expect_grads_bit_identical(run.grads, recompute_grads(layer, x, g),
+                               label);
+  }
+}
+
+}  // namespace
+}  // namespace qhdl::qnn

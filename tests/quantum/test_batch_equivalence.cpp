@@ -20,6 +20,7 @@
 #include "quantum/adjoint_diff.hpp"
 #include "quantum/circuit.hpp"
 #include "quantum/gates.hpp"
+#include "quantum/kernels.hpp"
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
 #include "quantum/statevector_batch.hpp"
@@ -216,6 +217,62 @@ std::vector<double> make_batch_params(const std::vector<double>& proto,
   return params;
 }
 
+/// Mixed fused chains: every wire carries chains whose factors mix per-row
+/// angles (slots [0, 2 * qubits)), shared weights (later slots) and fixed
+/// angles. Even wires open with shared factors (the prefix the batch path
+/// multiplies once for all rows), odd wires open with a per-row factor, and
+/// a final all-shared chain per wire takes the one-matrix path.
+Circuit make_mixed_chain_circuit(std::size_t qubits,
+                                 std::vector<double>& params,
+                                 util::Rng& rng) {
+  using quantum::GateType;
+  Circuit circuit{qubits};
+  std::size_t shared = 2 * qubits;
+  const auto next_shared = [&shared] { return shared++; };
+  for (std::size_t w = 0; w < qubits; ++w) {
+    if (w % 2 == 0) {
+      circuit.parameterized_gate(GateType::RZ, next_shared(), w);
+      circuit.gate(GateType::Hadamard, w);
+      circuit.parameterized_gate(GateType::RY, 2 * w, w);
+      circuit.parameterized_gate(GateType::RX, next_shared(), w);
+      circuit.parameterized_gate(GateType::RZ, 2 * w + 1, w);
+      circuit.gate(GateType::PhaseShift, w, SIZE_MAX, 0.3);
+    } else {
+      circuit.parameterized_gate(GateType::RX, 2 * w, w);
+      circuit.parameterized_gate(GateType::RZ, next_shared(), w);
+      circuit.parameterized_gate(GateType::RY, 2 * w + 1, w);
+      circuit.gate(GateType::S, w);
+      circuit.parameterized_gate(GateType::RY, next_shared(), w);
+    }
+  }
+  for (std::size_t w = 0; w + 1 < qubits; ++w) {
+    circuit.gate(GateType::CNOT, w, w + 1);
+  }
+  for (std::size_t w = 0; w < qubits; ++w) {
+    circuit.parameterized_gate(GateType::RZ, next_shared(), w);
+    circuit.parameterized_gate(GateType::RY, next_shared(), w);
+  }
+  params = rng.uniform_vector(shared, -2.0, 2.0);
+  return circuit;
+}
+
+/// make_batch_params for the mixed-chain circuit: 2 * qubits per-row slots,
+/// and every third row repeats the previous row's per-row angles, so some
+/// rows agree on every encoding angle while the batch as a whole does not.
+std::vector<double> make_mixed_batch_params(const std::vector<double>& proto,
+                                            std::size_t qubits,
+                                            std::size_t batch,
+                                            util::Rng& rng) {
+  std::vector<double> params =
+      make_batch_params(proto, 2 * qubits, batch, rng);
+  for (std::size_t b = 2; b < batch; b += 3) {
+    for (std::size_t p = 0; p < 2 * qubits; ++p) {
+      params[b * proto.size() + p] = params[(b - 1) * proto.size() + p];
+    }
+  }
+  return params;
+}
+
 /// Every backend a circuit can run on here: the bit-identity backends plus
 /// the reference backend, whose unfused generic-kernel scalar path the
 /// batched kernels must reproduce per row as well.
@@ -253,30 +310,64 @@ void run_batch_uncompiled(const Circuit& circuit, StateVectorBatch& batch,
 TEST(BatchEquivalence, CircuitRunBitIdenticalPerRowAllModes) {
   util::Rng rng{43};
   for (const std::size_t qubits : kQubitCounts) {
-    std::vector<double> proto;
-    const Circuit circuit = make_sel_circuit(qubits, 3, proto, rng);
-    for (const std::size_t batch_size : kBatchSizes) {
-      const std::vector<double> params =
-          make_batch_params(proto, qubits, batch_size, rng);
-      for (const simd::Backend* backend : circuit_backends_under_test()) {
-        const BackendScope scope{backend->name};
-        StateVectorBatch compiled{qubits, batch_size};
-        circuit.run_batch(compiled, params, proto.size());
-        StateVectorBatch uncompiled{qubits, batch_size};
-        run_batch_uncompiled(circuit, uncompiled, params, proto.size());
-        for (std::size_t b = 0; b < batch_size; ++b) {
-          const std::span<const double> row_params{
-              params.data() + b * proto.size(), proto.size()};
-          const std::string label =
-              std::string{backend->name} + " q=" + std::to_string(qubits) +
-              " b=" + std::to_string(batch_size) + " row " +
-              std::to_string(b);
-          expect_row_bit_identical(compiled.extract_row(b),
-                                   circuit.execute(row_params),
-                                   label + " compiled");
-          expect_row_bit_identical(uncompiled.extract_row(b),
-                                   run_uncompiled(circuit, row_params),
-                                   label + " uncompiled");
+    struct Case {
+      const char* name;
+      Circuit circuit;
+      std::vector<double> proto;
+      std::size_t per_row_slots;
+    };
+    std::vector<Case> cases;
+    {
+      std::vector<double> proto;
+      Circuit circuit = make_sel_circuit(qubits, 3, proto, rng);
+      cases.push_back({"sel", std::move(circuit), std::move(proto), qubits});
+    }
+    {
+      std::vector<double> proto;
+      Circuit circuit = make_mixed_chain_circuit(qubits, proto, rng);
+      cases.push_back(
+          {"mixed", std::move(circuit), std::move(proto), 2 * qubits});
+    }
+    for (const Case& c : cases) {
+      const std::size_t stride = c.proto.size();
+      for (const std::size_t batch_size : kBatchSizes) {
+        const std::vector<double> params =
+            c.per_row_slots == qubits
+                ? make_batch_params(c.proto, qubits, batch_size, rng)
+                : make_mixed_batch_params(c.proto, qubits, batch_size, rng);
+        for (const simd::Backend* backend : circuit_backends_under_test()) {
+          const BackendScope scope{backend->name};
+          const std::string base = std::string{c.name} + " " +
+                                   backend->name +
+                                   " q=" + std::to_string(qubits) +
+                                   " b=" + std::to_string(batch_size);
+          quantum::kernels::reset_stats();
+          StateVectorBatch compiled{qubits, batch_size};
+          c.circuit.run_batch(compiled, params, stride);
+          const quantum::KernelStatsSnapshot batch_stats =
+              quantum::kernels::stats();
+          // A batched run fuses each chain once for all rows: the same
+          // fused-chain totals as one scalar plan run.
+          quantum::kernels::reset_stats();
+          c.circuit.execute(std::span<const double>{params.data(), stride});
+          const quantum::KernelStatsSnapshot row_stats =
+              quantum::kernels::stats();
+          EXPECT_EQ(batch_stats.fused, row_stats.fused) << base;
+          EXPECT_EQ(batch_stats.fused_gates, row_stats.fused_gates) << base;
+
+          StateVectorBatch uncompiled{qubits, batch_size};
+          run_batch_uncompiled(c.circuit, uncompiled, params, stride);
+          for (std::size_t b = 0; b < batch_size; ++b) {
+            const std::span<const double> row_params{
+                params.data() + b * stride, stride};
+            const std::string label = base + " row " + std::to_string(b);
+            expect_row_bit_identical(compiled.extract_row(b),
+                                     c.circuit.execute(row_params),
+                                     label + " compiled");
+            expect_row_bit_identical(uncompiled.extract_row(b),
+                                     run_uncompiled(c.circuit, row_params),
+                                     label + " uncompiled");
+          }
         }
       }
     }

@@ -251,10 +251,16 @@ TEST(DistributedPoolFallback, SlowHandshakeIsRejectedThenFallsBackLocal) {
   util::Subprocess daemon = spawn_daemon(pool.listen_port(), 1);
 
   const std::string bytes = sweep_bytes(config, &pool);
+  // Snapshot the counters and stop the daemon while the fault is still
+  // armed: the daemon redials shortly after each dropped handshake, and a
+  // redial that lands after the disarm would register for real.
+  const WorkerPoolStats stats = pool.stats();
+  daemon.kill_hard();
+  daemon.wait();
   util::FaultInjector::instance().configure("");
   EXPECT_EQ(bytes, baseline);
   EXPECT_FALSE(pool.degraded()) << pool.degraded_reason();
-  EXPECT_EQ(pool.stats().remote_registered, 0u);
+  EXPECT_EQ(stats.remote_registered, 0u);
   EXPECT_TRUE(eventually(
       [&] { return pool.stats().handshake_rejects >= 1; }, 5000));
 }
