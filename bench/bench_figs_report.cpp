@@ -19,7 +19,6 @@
 #include "quantum/circuit.hpp"
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
-#include "quantum/exec_plan.hpp"
 #include "quantum/kernels.hpp"
 #include "tensor/tensor.hpp"
 #include "util/backend_registry.hpp"
@@ -69,7 +68,7 @@ std::vector<bench::BenchEntry> time_workload_all_modes(
     double amps_per_op, const std::function<void()>& fn) {
   for (const BenchMode& mode : kModes) {
     apply_mode(mode);
-    fn();  // warm-up (also primes thread-local scratch and the plan cache)
+    fn();  // warm-up (also primes thread-local scratch and the plan memo)
   }
   std::vector<std::vector<double>> samples(std::size(kModes));
   for (std::size_t r = 0; r < repeat; ++r) {
@@ -168,21 +167,7 @@ int main(int argc, char** argv) {
 
   util::Rng rng{29};
   std::vector<bench::BenchEntry> entries;
-  quantum::plan_cache::reset_stats();
 
-  // Cumulative plan-cache counters at the time each workload finished:
-  // proves the compiled rounds hit the cache instead of recompiling. The
-  // counters go on the compiled (no-suffix) entry of each workload.
-  const auto attach_plan_stats = [](std::vector<bench::BenchEntry> batch) {
-    const auto stats = quantum::plan_cache::stats();
-    batch.front().extra["plan_cache_hits"] =
-        static_cast<double>(stats.hits);
-    batch.front().extra["plan_cache_misses"] =
-        static_cast<double>(stats.misses);
-    batch.front().extra["plan_cache_compiled"] =
-        static_cast<double>(stats.compiled);
-    return batch;
-  };
   const auto push_all = [&](std::vector<bench::BenchEntry> batch) {
     for (bench::BenchEntry& entry : batch) {
       entries.push_back(std::move(entry));
@@ -190,64 +175,64 @@ int main(int argc, char** argv) {
   };
 
   auto sel5 = make_layer_workload(5, 10, 16, rng);
-  push_all(attach_plan_stats(time_workload_all_modes(
+  push_all(time_workload_all_modes(
       "figs/sel_q5_d10_b16_forward", repeat, 16, sel5.amps_per_call,
-      [&] { sel5.layer.forward(sel5.input); })));
+      [&] { sel5.layer.forward(sel5.input); }));
   // Repeated backward() after one forward(): every call past the first
   // re-simulates the forward, since the first one spends the kept state.
   sel5.layer.forward(sel5.input);
-  push_all(attach_plan_stats(time_workload_all_modes(
+  push_all(time_workload_all_modes(
       "figs/sel_q5_d10_b16_backward", repeat, 4, sel5.amps_per_call,
-      [&] { sel5.layer.backward(sel5.upstream); })));
+      [&] { sel5.layer.backward(sel5.upstream); }));
   // A training step's layer work: backward() starts from the state its
   // forward() kept, so the batch is simulated once.
-  push_all(attach_plan_stats(time_workload_all_modes(
+  push_all(time_workload_all_modes(
       "figs/sel_q5_d10_b16_forward_backward", repeat, 4, sel5.amps_per_call,
       [&] {
         sel5.layer.forward(sel5.input);
         sel5.layer.backward(sel5.upstream);
-      })));
+      }));
 
   auto sel8 = make_layer_workload(8, 2, 16, rng);
-  push_all(attach_plan_stats(time_workload_all_modes(
+  push_all(time_workload_all_modes(
       "figs/sel_q8_d2_b16_forward", repeat, 8, sel8.amps_per_call,
-      [&] { sel8.layer.forward(sel8.input); })));
+      [&] { sel8.layer.forward(sel8.input); }));
 
   // Scalar per-sample path (parameter-shift / shots / noise route).
   auto scalar5 = make_scalar_workload(5, 10, rng);
-  push_all(attach_plan_stats(time_workload_all_modes(
+  push_all(time_workload_all_modes(
       "figs/sel_q5_d10_scalar_forward", repeat, 64, scalar5.amps_per_call,
       [&] {
         quantum::StateVector state{5};
         scalar5.circuit.run(state, scalar5.params);
-      })));
-  push_all(attach_plan_stats(time_workload_all_modes(
+      }));
+  push_all(time_workload_all_modes(
       "figs/sel_q5_d10_scalar_backward", repeat, 24, scalar5.amps_per_call,
       [&] {
         quantum::adjoint_vjp(scalar5.circuit, scalar5.params,
                              scalar5.observables, scalar5.upstream);
-      })));
+      }));
 
   // Small-state scalar workload: at q3 the per-op bookkeeping is
   // comparable to the kernel arithmetic, so this is where compiled plans
   // buy the most throughput (~10% on this machine).
   auto scalar3 = make_scalar_workload(3, 10, rng);
-  push_all(attach_plan_stats(time_workload_all_modes(
+  push_all(time_workload_all_modes(
       "figs/sel_q3_d10_scalar_forward", repeat, 128, scalar3.amps_per_call,
       [&] {
         quantum::StateVector state{3};
         scalar3.circuit.run(state, scalar3.params);
-      })));
+      }));
 
   // The end-to-end study's layer shape (3 qubits, depth 2, batch 8); made
   // last so the workloads above keep their random inputs.
   auto sel3 = make_layer_workload(3, 2, 8, rng);
-  push_all(attach_plan_stats(time_workload_all_modes(
+  push_all(time_workload_all_modes(
       "figs/sel_q3_d2_b8_forward_backward", repeat, 64, sel3.amps_per_call,
       [&] {
         sel3.layer.forward(sel3.input);
         sel3.layer.backward(sel3.upstream);
-      })));
+      }));
 
   util::simd::set_backend(std::nullopt);
 
@@ -256,6 +241,5 @@ int main(int argc, char** argv) {
               entries.size());
   const auto stats = quantum::kernels::stats();
   std::printf("%s\n", stats.to_string().c_str());
-  std::printf("%s\n", quantum::plan_cache::stats().to_string().c_str());
   return 0;
 }

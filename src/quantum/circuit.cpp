@@ -31,21 +31,22 @@ Circuit::Circuit(const Circuit& other)
     : num_qubits_(other.num_qubits_),
       ops_(other.ops_),
       parameter_count_(other.parameter_count_),
-      plan_slot_(other.plan_slot_.load(std::memory_order_acquire)) {}
+      plan_(other.memoized_plan()),
+      plan_ready_(plan_ != nullptr) {}
 
 Circuit::Circuit(Circuit&& other) noexcept
     : num_qubits_(other.num_qubits_),
       ops_(std::move(other.ops_)),
       parameter_count_(other.parameter_count_),
-      plan_slot_(other.plan_slot_.load(std::memory_order_acquire)) {}
+      plan_(other.plan_),
+      plan_ready_(plan_ != nullptr) {}
 
 Circuit& Circuit::operator=(const Circuit& other) {
   if (this != &other) {
     num_qubits_ = other.num_qubits_;
     ops_ = other.ops_;
     parameter_count_ = other.parameter_count_;
-    plan_slot_.store(other.plan_slot_.load(std::memory_order_acquire),
-                     std::memory_order_release);
+    set_plan(other.memoized_plan());
   }
   return *this;
 }
@@ -55,8 +56,7 @@ Circuit& Circuit::operator=(Circuit&& other) noexcept {
     num_qubits_ = other.num_qubits_;
     ops_ = std::move(other.ops_);
     parameter_count_ = other.parameter_count_;
-    plan_slot_.store(other.plan_slot_.load(std::memory_order_acquire),
-                     std::memory_order_release);
+    set_plan(other.plan_);
   }
   return *this;
 }
@@ -104,7 +104,7 @@ Circuit& Circuit::gate(GateType type, std::size_t wire0, std::size_t wire1,
   op.wire1 = wire1;
   op.fixed_angle = fixed_angle;
   ops_.push_back(op);
-  plan_slot_.store(nullptr, std::memory_order_release);
+  set_plan(nullptr);
   return *this;
 }
 
@@ -122,7 +122,7 @@ Circuit& Circuit::parameterized_gate(GateType type, std::size_t param_index,
   op.param_index = param_index;
   ops_.push_back(op);
   parameter_count_ = std::max(parameter_count_, param_index + 1);
-  plan_slot_.store(nullptr, std::memory_order_release);
+  set_plan(nullptr);
   return *this;
 }
 
@@ -134,12 +134,24 @@ Circuit& Circuit::rot(std::size_t param_index_base, std::size_t wire) {
 }
 
 std::shared_ptr<const ExecutionPlan> Circuit::compiled_plan() const {
-  std::shared_ptr<const ExecutionPlan> plan =
-      plan_slot_.load(std::memory_order_acquire);
-  if (plan != nullptr) return plan;
-  plan = plan_cache::get_or_compile(*this);
-  plan_slot_.store(plan, std::memory_order_release);
-  return plan;
+  if (plan_ready_.load(std::memory_order_acquire)) return plan_;
+  // First use: one caller compiles, racing callers wait for its plan.
+  std::lock_guard<std::mutex> lock(plan_mutex_);
+  if (plan_ == nullptr) {
+    plan_ = compile_circuit(*this);
+    plan_ready_.store(true, std::memory_order_release);
+  }
+  return plan_;
+}
+
+std::shared_ptr<const ExecutionPlan> Circuit::memoized_plan() const {
+  std::lock_guard<std::mutex> lock(plan_mutex_);
+  return plan_;
+}
+
+void Circuit::set_plan(std::shared_ptr<const ExecutionPlan> plan) {
+  plan_ = std::move(plan);
+  plan_ready_.store(plan_ != nullptr, std::memory_order_release);
 }
 
 void Circuit::run(StateVector& state, std::span<const double> params) const {

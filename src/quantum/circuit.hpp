@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -38,9 +39,9 @@ class Circuit {
  public:
   explicit Circuit(std::size_t num_qubits);
 
-  // Copies and moves are explicit because the memoized plan slot is atomic
-  // (shareable across concurrently running executors); the slot's value —
-  // a pointer into the process-wide plan cache — travels with the circuit.
+  // Copies and moves are explicit because the plan memo holds a mutex and
+  // an atomic flag; the memoized plan travels with the circuit, so copies
+  // share it.
   Circuit(const Circuit& other);
   Circuit(Circuit&& other) noexcept;
   Circuit& operator=(const Circuit& other);
@@ -76,8 +77,8 @@ class Circuit {
 
   /// Applies all ops to `state` with the given runtime parameters
   /// (params.size() must equal parameter_count() exactly) by executing the
-  /// circuit's cached ExecutionPlan (compiled on first use, shared through
-  /// the process-wide plan cache — see exec_plan.hpp).
+  /// circuit's memoized ExecutionPlan (compiled on first use — see
+  /// exec_plan.hpp).
   void run(StateVector& state, std::span<const double> params) const;
 
   /// Applies all ops to every row of a SoA batch. Row b reads its
@@ -86,13 +87,14 @@ class Circuit {
   /// angle is identical across rows (fixed angles, shared ansatz weights)
   /// run as one shared kernel with a single sin/cos evaluation; per-row
   /// angles (data encoding) use the per-row kernel variants. Executes the
-  /// same cached plan as run(), so every row is bit-identical to it.
+  /// same memoized plan as run(), so every row is bit-identical to it.
   void run_batch(StateVectorBatch& batch, std::span<const double> params,
                  std::size_t param_stride) const;
 
   /// The circuit's compiled plan (never null), memoized per instance and
-  /// shared through the process-wide plan cache. Thread-safe; builder
-  /// mutations invalidate the memoized slot.
+  /// shared by copies. Thread-safe: the first call compiles under a
+  /// per-circuit lock (racing first callers wait for that one plan), later
+  /// calls read the memo without locking. Builder mutations invalidate it.
   std::shared_ptr<const ExecutionPlan> compiled_plan() const;
 
   /// Runs on a fresh |0...0⟩ state and returns it.
@@ -114,14 +116,21 @@ class Circuit {
 
  private:
   void check_wires(GateType type, std::size_t wire0, std::size_t wire1) const;
+  /// plan_ under plan_mutex_, for copying from a circuit others may run.
+  std::shared_ptr<const ExecutionPlan> memoized_plan() const;
+  /// Replaces the memo; only copies, moves and builder calls use it, and
+  /// none of them may race with a run of this circuit.
+  void set_plan(std::shared_ptr<const ExecutionPlan> plan);
 
   std::size_t num_qubits_;
   std::vector<Op> ops_;
   std::size_t parameter_count_ = 0;
   /// Memoized compiled plan (nullptr until first execution or after a
-  /// builder mutation). Atomic so concurrent run()/run_batch()
-  /// calls on one circuit can fill and read it without a lock.
-  mutable std::atomic<std::shared_ptr<const ExecutionPlan>> plan_slot_;
+  /// builder mutation). Filled once under plan_mutex_ and published by
+  /// plan_ready_, so concurrent run()/run_batch() calls read it lock-free.
+  mutable std::mutex plan_mutex_;
+  mutable std::shared_ptr<const ExecutionPlan> plan_;
+  mutable std::atomic<bool> plan_ready_{false};
 };
 
 }  // namespace qhdl::quantum

@@ -1,20 +1,12 @@
 #include "quantum/exec_plan.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
-#include <cstdlib>
-#include <list>
-#include <mutex>
-#include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "quantum/circuit.hpp"
 #include "quantum/kernels.hpp"
 #include "quantum/statevector_batch.hpp"
 #include "util/backend_registry.hpp"
-#include "util/fault_injection.hpp"
 
 namespace qhdl::quantum {
 
@@ -149,39 +141,6 @@ Mat4 swap_wire_order(const Mat4& m) {
   return out;
 }
 
-std::uint64_t fnv1a64(const std::string& text) {
-  // Same FNV-1a scheme as search::sweep_config_hash (checkpoint.cpp).
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-/// Canonical structural string for a circuit: qubit count plus, per op,
-/// gate type, wires, and parameter slot or exact fixed-angle bits. Two
-/// circuits compile to interchangeable plans iff their keys match.
-std::string build_structure_key(const Circuit& circuit) {
-  std::ostringstream oss;
-  oss << "q" << circuit.num_qubits();
-  for (const Op& op : circuit.ops()) {
-    oss << "|" << static_cast<int>(op.type) << ":" << op.wire0;
-    if (op.wire1 != SIZE_MAX) oss << "," << op.wire1;
-    if (op.param_index.has_value()) {
-      oss << ":p" << *op.param_index;
-    } else {
-      // Exact bit pattern, immune to locale and formatting-precision drift.
-      char bits[17];
-      std::snprintf(bits, sizeof bits, "%016llx",
-                    static_cast<unsigned long long>(
-                        std::bit_cast<std::uint64_t>(op.fixed_angle)));
-      oss << ":f" << bits;
-    }
-  }
-  return oss.str();
-}
-
 /// Deferred single-qubit gates on one wire during fused-stream lowering.
 struct CompileChain {
   std::vector<ChainGate> gates;
@@ -244,8 +203,6 @@ std::shared_ptr<const ExecutionPlan> compile_circuit(const Circuit& circuit) {
   plan->num_qubits_ = circuit.num_qubits();
   plan->parameter_count_ = circuit.parameter_count();
   plan->source_op_count_ = circuit.op_count();
-  plan->structure_key_ = build_structure_key(circuit);
-  plan->structure_hash_ = fnv1a64(plan->structure_key_);
 
   // 1. Flat stream: resolve params/kernels, peephole-cancel exact
   //    involution pairs (stack scan reaches the fixpoint in one pass).
@@ -489,166 +446,4 @@ void ExecutionPlan::run_batch(StateVectorBatch& batch,
   }
 }
 
-std::string PlanCacheStats::to_string() const {
-  std::ostringstream oss;
-  oss << "plan cache: hits=" << hits << " misses=" << misses
-      << " compiled=" << compiled << " evictions=" << evictions
-      << " resident=" << size << "/" << capacity;
-  return oss.str();
-}
-
-namespace plan_cache {
-
-namespace {
-
-struct CacheEntry {
-  std::string key;
-  std::shared_ptr<const ExecutionPlan> plan;
-  std::uint64_t last_used = 0;
-};
-
-struct Cache {
-  std::mutex mutex;
-  // Hash → entries with that hash (collision bucket; full keys compared).
-  std::unordered_map<std::uint64_t, std::vector<CacheEntry>> buckets;
-  std::size_t resident = 0;
-  std::uint64_t tick = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t compiled = 0;
-  std::optional<std::size_t> capacity_override;
-
-  std::size_t capacity() const {
-    if (capacity_override.has_value()) return *capacity_override;
-    static const std::size_t from_env = [] {
-      const char* value = std::getenv("QHDL_PLAN_CACHE_CAPACITY");
-      if (value != nullptr && value[0] != '\0') {
-        char* end = nullptr;
-        const unsigned long parsed = std::strtoul(value, &end, 10);
-        if (end != nullptr && *end == '\0') {
-          return static_cast<std::size_t>(parsed);
-        }
-      }
-      return std::size_t{64};
-    }();
-    return from_env;
-  }
-
-  /// Drops least-recently-used entries until `resident` <= `limit`.
-  /// Caller holds the mutex.
-  void evict_down_to(std::size_t limit) {
-    while (resident > limit) {
-      std::uint64_t oldest_hash = 0;
-      std::size_t oldest_index = 0;
-      std::uint64_t oldest_tick = UINT64_MAX;
-      for (const auto& [hash, entries] : buckets) {
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-          if (entries[i].last_used < oldest_tick) {
-            oldest_tick = entries[i].last_used;
-            oldest_hash = hash;
-            oldest_index = i;
-          }
-        }
-      }
-      auto& entries = buckets[oldest_hash];
-      entries.erase(entries.begin() +
-                    static_cast<std::ptrdiff_t>(oldest_index));
-      if (entries.empty()) buckets.erase(oldest_hash);
-      --resident;
-      ++evictions;
-    }
-  }
-
-  void drop_all() {
-    evictions += resident;
-    buckets.clear();
-    resident = 0;
-  }
-};
-
-Cache& cache() {
-  static Cache instance;
-  return instance;
-}
-
-}  // namespace
-
-std::shared_ptr<const ExecutionPlan> get_or_compile(const Circuit& circuit) {
-  Cache& c = cache();
-  std::lock_guard<std::mutex> lock(c.mutex);
-  // Deterministic fault site: plan=evict@N flushes the whole cache on the
-  // N-th lookup, forcing a rehash + recompile (results must not change).
-  if (util::FaultInjector::instance().plan_cache_evict()) {
-    c.drop_all();
-  }
-  const std::string key = build_structure_key(circuit);
-  const std::uint64_t hash = fnv1a64(key);
-  auto bucket = c.buckets.find(hash);
-  if (bucket != c.buckets.end()) {
-    for (CacheEntry& entry : bucket->second) {
-      if (entry.key == key) {
-        ++c.hits;
-        entry.last_used = ++c.tick;
-        return entry.plan;
-      }
-    }
-  }
-  ++c.misses;
-  // Compiling under the lock serializes first-touch per structure but
-  // guarantees exactly one resident plan and one compile per miss.
-  std::shared_ptr<const ExecutionPlan> plan = compile_circuit(circuit);
-  ++c.compiled;
-  CacheEntry entry;
-  entry.key = key;
-  entry.plan = plan;
-  entry.last_used = ++c.tick;
-  c.buckets[hash].push_back(std::move(entry));
-  ++c.resident;
-  c.evict_down_to(c.capacity());
-  return plan;
-}
-
-PlanCacheStats stats() {
-  Cache& c = cache();
-  std::lock_guard<std::mutex> lock(c.mutex);
-  PlanCacheStats snapshot;
-  snapshot.hits = c.hits;
-  snapshot.misses = c.misses;
-  snapshot.evictions = c.evictions;
-  snapshot.compiled = c.compiled;
-  snapshot.size = c.resident;
-  snapshot.capacity = c.capacity();
-  return snapshot;
-}
-
-void reset_stats() {
-  Cache& c = cache();
-  std::lock_guard<std::mutex> lock(c.mutex);
-  c.hits = 0;
-  c.misses = 0;
-  c.evictions = 0;
-  c.compiled = 0;
-}
-
-void clear() {
-  Cache& c = cache();
-  std::lock_guard<std::mutex> lock(c.mutex);
-  c.drop_all();
-}
-
-std::size_t size() {
-  Cache& c = cache();
-  std::lock_guard<std::mutex> lock(c.mutex);
-  return c.resident;
-}
-
-void set_capacity(std::optional<std::size_t> capacity) {
-  Cache& c = cache();
-  std::lock_guard<std::mutex> lock(c.mutex);
-  c.capacity_override = capacity;
-  c.evict_down_to(c.capacity());
-}
-
-}  // namespace plan_cache
 }  // namespace qhdl::quantum

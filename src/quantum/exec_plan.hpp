@@ -18,11 +18,10 @@
 //   * every op records the specialized kernel class it dispatches to, so
 //     flops::classify_plan can model the compiled dispatch mix exactly.
 //
-// Plans are cached process-wide, keyed by a structural FNV-1a hash (same
-// scheme as search::sweep_config_hash) with full-key verification, so a
-// sweep compiles each (ansatz, qubits, depth) structure once per process —
-// including re-exec'd --worker-mode processes, which warm their own cache on
-// the first unit of each structure.
+// Each Circuit memoizes its plan per instance (Circuit::compiled_plan):
+// compiled once on first use, invalidated by builder mutations, shared by
+// copies of the circuit. A compile costs a few microseconds, so there is
+// no process-wide cache: each circuit a grid search builds compiles once.
 //
 // One executor serves both kernel modes. Under the `reference` backend
 // (QHDL_BACKEND=reference) run() / run_batch() replay the flat stream op by
@@ -32,9 +31,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "quantum/gates.hpp"
@@ -136,12 +133,6 @@ class ExecutionPlan {
   std::span<const FusedOp> fused_ops() const { return fused_ops_; }
   std::span<const ChainGate> chain_gates() const { return chain_gates_; }
 
-  /// FNV-1a 64-bit over the structural key (cache key).
-  std::uint64_t structure_hash() const { return structure_hash_; }
-  /// Canonical structural string the hash is taken over; exact-compared on
-  /// cache lookup so hash collisions can never alias two structures.
-  const std::string& structure_key() const { return structure_key_; }
-
   /// Executes the fused stream; under the reference backend, the flat
   /// stream op by op. Fused output agrees with per-op execution to the
   /// golden-suite tolerance (1e-12); chains of one gate and two-qubit ops
@@ -163,51 +154,10 @@ class ExecutionPlan {
   std::vector<PlanOp> flat_ops_;
   std::vector<FusedOp> fused_ops_;
   std::vector<ChainGate> chain_gates_;
-  std::uint64_t structure_hash_ = 0;
-  std::string structure_key_;
 };
 
-/// Lowers `circuit` to a fresh plan, bypassing the cache (tests/tools; hot
-/// paths go through plan_cache::get_or_compile via Circuit::compiled_plan).
+/// Lowers `circuit` to a fresh plan. Hot paths reach it through
+/// Circuit::compiled_plan, which memoizes the result per instance.
 std::shared_ptr<const ExecutionPlan> compile_circuit(const Circuit& circuit);
 
-/// Point-in-time counters of the process-wide plan cache.
-struct PlanCacheStats {
-  std::uint64_t hits = 0;        ///< lookups served by a cached plan
-  std::uint64_t misses = 0;      ///< lookups that had to compile
-  std::uint64_t evictions = 0;   ///< plans dropped (capacity or fault site)
-  std::uint64_t compiled = 0;    ///< total compilations (== misses)
-  std::size_t size = 0;          ///< plans currently resident
-  std::size_t capacity = 0;      ///< eviction threshold
-  std::string to_string() const;
-};
-
-namespace plan_cache {
-
-/// Returns the cached plan for the circuit's structure, compiling and
-/// inserting on miss. Lookups verify the full structural key, not just the
-/// hash. Thread-safe: misses compile under the cache lock, so every
-/// structure is compiled exactly once per residency no matter how many
-/// threads race on first touch.
-std::shared_ptr<const ExecutionPlan> get_or_compile(const Circuit& circuit);
-
-/// Copies the current counters.
-PlanCacheStats stats();
-
-/// Zeroes hit/miss/eviction counters (tests / bench epochs); resident plans
-/// stay cached.
-void reset_stats();
-
-/// Drops every resident plan (counted as evictions).
-void clear();
-
-/// Plans currently resident.
-std::size_t size();
-
-/// Test override for the eviction threshold; nullopt restores the
-/// QHDL_PLAN_CACHE_CAPACITY env default (64 when unset). Shrinking below
-/// the resident count evicts least-recently-used plans immediately.
-void set_capacity(std::optional<std::size_t> capacity);
-
-}  // namespace plan_cache
 }  // namespace qhdl::quantum

@@ -7,7 +7,6 @@
 #include "data/preprocess.hpp"
 #include "flops/profiler.hpp"
 #include "nn/fastpath.hpp"
-#include "quantum/exec_plan.hpp"
 #include "search/checkpoint.hpp"
 #include "search/worker_pool.hpp"
 #include "util/fault_injection.hpp"
@@ -416,7 +415,6 @@ RepeatedSearchResult run_repeated_search(const std::vector<ModelSpec>& specs,
     result.mean_winner_parameters = param_sum / n;
   }
   util::log_info(nn::fastpath::stats().to_string());
-  util::log_info(quantum::plan_cache::stats().to_string());
   return result;
 }
 

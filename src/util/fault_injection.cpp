@@ -12,8 +12,11 @@ namespace qhdl::util {
 
 namespace {
 
-enum class FaultAction { Crash, Fail, Nan, Hang, Garbage, Evict, Short, Drop,
-                         Slow, Refuse, Reset, Partition };
+enum class FaultAction { Crash, Fail, Nan, Hang, Garbage, Short, Drop, Slow,
+                         Refuse, Reset, Partition };
+
+constexpr std::size_t kSiteCount =
+    static_cast<std::size_t>(FaultSite::Connection) + 1;
 
 struct Trigger {
   FaultSite site = FaultSite::UnitBoundary;
@@ -29,7 +32,6 @@ const char* site_name(FaultSite site) {
     case FaultSite::Loss: return "loss";
     case FaultSite::Worker: return "worker";
     case FaultSite::DirSync: return "dir";
-    case FaultSite::PlanCache: return "plan";
     case FaultSite::SocketAccept: return "accept";
     case FaultSite::SocketRead: return "sock";
     case FaultSite::Connection: return "conn";
@@ -43,7 +45,6 @@ FaultSite parse_site(const std::string& token, const std::string& spec) {
   if (token == "loss") return FaultSite::Loss;
   if (token == "worker") return FaultSite::Worker;
   if (token == "dir") return FaultSite::DirSync;
-  if (token == "plan") return FaultSite::PlanCache;
   if (token == "accept") return FaultSite::SocketAccept;
   if (token == "sock") return FaultSite::SocketRead;
   if (token == "conn") return FaultSite::Connection;
@@ -114,13 +115,6 @@ FaultAction parse_action(const std::string& token, FaultSite site,
     }
     return FaultAction::Garbage;
   }
-  if (token == "evict") {
-    if (site != FaultSite::PlanCache) {
-      throw std::invalid_argument(
-          "QHDL_FAULT_SPEC: 'evict' is only valid for the plan site");
-    }
-    return FaultAction::Evict;
-  }
   throw std::invalid_argument("QHDL_FAULT_SPEC: unknown action '" + token +
                               "' in '" + spec + "'");
 }
@@ -178,8 +172,7 @@ struct FaultInjector::Impl {
   /// Lock-free disarmed check: the loss site sits on the per-batch training
   /// hot path, so the common (no injection) case must cost one relaxed load.
   std::atomic<bool> any_armed{false};
-  std::atomic<std::uint64_t> counters[9] = {{0}, {0}, {0}, {0}, {0},
-                                            {0}, {0}, {0}, {0}};
+  std::atomic<std::uint64_t> counters[kSiteCount]{};
 
   /// Counts the arrival and returns the action that fires for it, if any.
   /// The counter bump and trigger match happen under the mutex so that two
@@ -272,15 +265,6 @@ void FaultInjector::on_io_dir_sync(const std::string& path) {
   if (!impl_->fire(FaultSite::DirSync, &action)) return;
   throw std::runtime_error(
       "injected directory fsync failure after renaming " + path);
-}
-
-bool FaultInjector::plan_cache_evict() {
-  FaultAction action;
-  if (!impl_->fire(FaultSite::PlanCache, &action)) return false;
-  log_warn(std::string{"fault injection: evicting compiled-plan cache "
-                       "(arrival "} +
-           std::to_string(arrivals(FaultSite::PlanCache)) + ")");
-  return true;
 }
 
 bool FaultInjector::on_socket_accept() {

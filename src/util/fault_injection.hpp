@@ -12,7 +12,7 @@
 // Spec grammar (sites separated by ';'):
 //   <site>=<action>@<trigger>[,<trigger>...]
 // where
-//   site    = unit | io | dir | loss | worker | plan | accept | sock | conn
+//   site    = unit | io | dir | loss | worker | accept | sock | conn
 //   action  = crash (unit/io: throw InjectedCrash; worker: std::abort(),
 //                    so the worker process dies by signal mid-unit)
 //           | fail  (io/dir: throw std::runtime_error, like a full disk /
@@ -23,8 +23,6 @@
 //           | hang  (worker: wedge silently without emitting frames, so the
 //                    supervisor's deadline/heartbeat reaper must act)
 //           | garbage (worker: emit a corrupt protocol frame and exit)
-//           | evict (plan: flush the compiled-plan cache before the lookup,
-//                    forcing a rehash + recompile — results must not change)
 //           | short (sock: the framed read delivers at most one byte, so
 //                    frames arrive maximally fragmented — reassembly must
 //                    still produce identical results)
@@ -82,10 +80,9 @@ enum class FaultSite {
   Loss = 2,
   Worker = 3,
   DirSync = 4,
-  PlanCache = 5,
-  SocketAccept = 6,
-  SocketRead = 7,
-  Connection = 8,
+  SocketAccept = 5,
+  SocketRead = 6,
+  Connection = 7,  ///< last site: sizes the arrival-counter array
 };
 
 /// What a worker process should do with the unit it just received.
@@ -151,11 +148,6 @@ class FaultInjector {
   /// crash/hang/garbage happen in search::worker_main, not here, because
   /// they are process-level behaviours.
   WorkerFaultMode on_worker_unit(const std::string& key);
-
-  /// Compiled-plan cache lookup: true when a `plan=evict` trigger fires and
-  /// the cache should be flushed before serving the lookup (exercises the
-  /// eviction + recompile path; see quantum/exec_plan.cpp).
-  bool plan_cache_evict();
 
   /// Listener accept: true when an `accept=fail` trigger fires and the
   /// freshly accepted connection should be closed immediately, emulating a

@@ -257,8 +257,19 @@ class Parser {
   Json parse_value() {
     skip_whitespace();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Bounded so hostile input (a frame of 10^5 '[') is an error, not
+        // a stack overflow.
+        if (depth_ == Json::kMaxParseDepth) {
+          fail("nesting deeper than " +
+               std::to_string(Json::kMaxParseDepth) + " levels");
+        }
+        ++depth_;
+        Json nested = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return Json{parse_string()};
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -396,6 +407,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects currently open
 };
 
 }  // namespace

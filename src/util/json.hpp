@@ -63,8 +63,12 @@ class Json {
   /// object) — for consumers that enumerate keys, e.g. checkpoint manifests.
   const std::map<std::string, Json>& object_items() const;
 
+  /// Deepest array/object nesting parse() accepts; the repo's own
+  /// documents nest a handful of levels.
+  static constexpr std::size_t kMaxParseDepth = 128;
+
   /// Parses JSON text; throws std::invalid_argument with position info on
-  /// malformed input.
+  /// malformed input or nesting deeper than kMaxParseDepth.
   static Json parse(std::string_view text);
 
   /// Reads and parses a file; throws std::runtime_error on I/O failure.

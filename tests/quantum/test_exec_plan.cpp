@@ -2,11 +2,13 @@
 // execution against a test-local uncompiled reference (the circuit's ops
 // applied one by one on the same backend) for every gate × position ×
 // {3,4,5} qubits, fusion/cancellation lowering invariants, the reference
-// backend's unfused replay of the same plan, the process-wide plan cache
-// (determinism across threads, LRU eviction, fault-injected flushes), and
-// the strict parameter size contract the compile pass relies on.
-#include <optional>
-#include <set>
+// backend's unfused replay of the same plan, the per-circuit plan memo
+// (independent or racing compiles give identical results, mutation
+// invalidates it), and the strict parameter size contract the compile
+// pass relies on.
+#include <atomic>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -24,7 +26,6 @@
 #include "quantum/statevector.hpp"
 #include "quantum/statevector_batch.hpp"
 #include "test_helpers.hpp"
-#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -336,64 +337,87 @@ TEST(ExecPlan, AdjacentFixedTwoQubitGatesFuseToPair) {
   }
 }
 
-TEST(ExecPlan, StructureKeyDistinguishesAngleAndShape) {
-  Circuit a{3};
-  a.gate(GateType::Hadamard, 0);
-  Circuit b{3};
-  b.gate(GateType::Hadamard, 1);  // differs in wire
-  Circuit c{4};
-  c.gate(GateType::Hadamard, 0);  // differs in qubit count
-  Circuit d{3};
-  d.gate(GateType::RZ, 0, SIZE_MAX, 0.25);
-  Circuit e{3};
-  e.gate(GateType::RZ, 0, SIZE_MAX, 0.250000000000001);  // differs in angle
-
-  std::set<std::string> keys;
-  for (const Circuit* circuit : {&a, &b, &c, &d, &e}) {
-    keys.insert(quantum::compile_circuit(*circuit)->structure_key());
+TEST(ExecPlan, RecompiledPlansGiveIdenticalResultsAcrossThreads) {
+  // Each circuit memoizes its own plan, so recompiling is routine: every
+  // independently built circuit compiles its own plan, and concurrent
+  // first runs on one unprimed circuit race to fill its memo. Every path
+  // must produce the same amplitudes and adjoint gradients, bit for bit.
+  constexpr std::size_t kQubits = 4;
+  constexpr std::size_t kThreads = 8;
+  const auto build = [](std::vector<double>& params) {
+    util::Rng rng{7};
+    return make_sel_circuit(kQubits, 3, params, rng);
+  };
+  std::vector<Observable> observables;
+  std::vector<double> upstream;
+  for (std::size_t w = 0; w < kQubits; ++w) {
+    observables.push_back(Observable::pauli_z(w));
+    upstream.push_back(0.25 * static_cast<double>(w + 1));
   }
-  EXPECT_EQ(keys.size(), 5u) << "all five structures must key differently";
-
-  Circuit a2{3};
-  a2.gate(GateType::Hadamard, 0);
-  EXPECT_EQ(quantum::compile_circuit(a)->structure_key(),
-            quantum::compile_circuit(a2)->structure_key());
-  EXPECT_EQ(quantum::compile_circuit(a)->structure_hash(),
-            quantum::compile_circuit(a2)->structure_hash());
-}
-
-TEST(ExecPlan, CacheHitsShareOnePlanAcrossThreads) {
-  quantum::plan_cache::clear();
-  quantum::plan_cache::reset_stats();
-
-  util::Rng rng{5};
+  struct Result {
+    std::vector<quantum::Complex> amplitudes;
+    std::vector<double> gradient;
+  };
+  const auto evaluate = [&](const Circuit& circuit,
+                            std::span<const double> params) {
+    StateVector state{kQubits};
+    circuit.run(state, params);
+    const auto amps = state.amplitudes();
+    return Result{{amps.begin(), amps.end()},
+                  quantum::adjoint_vjp(circuit, params, observables, upstream)
+                      .gradient};
+  };
   std::vector<double> params;
-  const std::size_t threads = 8;
-  std::vector<std::shared_ptr<const ExecutionPlan>> plans(threads);
+  const Circuit baseline = build(params);
+  const Result expected = evaluate(baseline, params);
+
+  // Part 1: each thread builds the same structure and compiles its own.
+  std::vector<std::shared_ptr<const ExecutionPlan>> plans(kThreads);
+  std::vector<Result> own(kThreads);
   {
-    // Each thread builds its own structurally-identical circuit and asks
-    // for its plan concurrently; every one must get the same object and
-    // the structure must compile exactly once.
     std::vector<std::thread> workers;
-    for (std::size_t t = 0; t < threads; ++t) {
+    for (std::size_t t = 0; t < kThreads; ++t) {
       workers.emplace_back([&, t] {
-        util::Rng thread_rng{7};
         std::vector<double> p;
-        const Circuit circuit = make_sel_circuit(4, 3, p, thread_rng);
+        const Circuit circuit = build(p);
         plans[t] = circuit.compiled_plan();
+        own[t] = evaluate(circuit, p);
       });
     }
     for (auto& w : workers) w.join();
   }
-  for (std::size_t t = 0; t < threads; ++t) {
+  for (std::size_t t = 0; t < kThreads; ++t) {
     ASSERT_NE(plans[t], nullptr) << "thread " << t;
-    EXPECT_EQ(plans[t], plans[0]) << "thread " << t;
+    if (t > 0) {
+      EXPECT_NE(plans[t], plans[0]) << "no shared plan store";
+    }
+    EXPECT_EQ(own[t].amplitudes, expected.amplitudes) << "thread " << t;
+    EXPECT_EQ(own[t].gradient, expected.gradient) << "thread " << t;
   }
-  const auto stats = quantum::plan_cache::stats();
-  EXPECT_EQ(stats.compiled, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, threads - 1);
-  EXPECT_EQ(stats.size, 1u);
+
+  // Part 2: concurrent first run() on one unprimed circuit.
+  const Circuit shared = build(params);
+  std::vector<Result> raced(kThreads);
+  std::vector<std::shared_ptr<const ExecutionPlan>> raced_plans(kThreads);
+  {
+    std::atomic<bool> go{false};
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        raced[t] = evaluate(shared, params);
+        raced_plans[t] = shared.compiled_plan();
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& w : workers) w.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(raced[t].amplitudes, expected.amplitudes) << "thread " << t;
+    EXPECT_EQ(raced[t].gradient, expected.gradient) << "thread " << t;
+    EXPECT_EQ(raced_plans[t], shared.compiled_plan())
+        << "racing first runs compile once";
+  }
 }
 
 TEST(ExecPlan, MemoizedSlotInvalidatesOnMutation) {
@@ -406,83 +430,34 @@ TEST(ExecPlan, MemoizedSlotInvalidatesOnMutation) {
   const auto after = circuit.compiled_plan();
   ASSERT_NE(after, nullptr);
   EXPECT_NE(after, before);
-  EXPECT_NE(after->structure_key(), before->structure_key());
-}
-
-TEST(ExecPlan, LruEvictionHonorsCapacity) {
-  quantum::plan_cache::clear();
-  quantum::plan_cache::reset_stats();
-  quantum::plan_cache::set_capacity(2);
-
-  const auto touch = [](std::size_t qubits, std::size_t wire) {
-    Circuit circuit{qubits};
-    circuit.gate(GateType::Hadamard, wire);
-    return circuit.compiled_plan();
-  };
-  touch(4, 0);  // A
-  touch(4, 1);  // B
-  touch(4, 0);  // A again: hit, refreshes A's recency
-  touch(4, 2);  // C: evicts B (least recently used)
-  EXPECT_EQ(quantum::plan_cache::size(), 2u);
-  EXPECT_EQ(quantum::plan_cache::stats().evictions, 1u);
-
-  touch(4, 0);  // A must still be resident
-  EXPECT_EQ(quantum::plan_cache::stats().hits, 2u);
-  touch(4, 1);  // B was evicted -> recompiles
-  EXPECT_EQ(quantum::plan_cache::stats().compiled, 4u);
-
-  quantum::plan_cache::set_capacity(std::nullopt);
-  quantum::plan_cache::clear();
-}
-
-TEST(ExecPlan, FaultInjectionFlushesCache) {
-  auto& injector = util::FaultInjector::instance();
-  quantum::plan_cache::clear();
-  quantum::plan_cache::reset_stats();
-  injector.configure("plan=evict@2");
-
-  Circuit circuit{3};
-  circuit.gate(GateType::Hadamard, 0);
-  Circuit other{3};
-  other.gate(GateType::Hadamard, 1);
-
-  ASSERT_NE(quantum::compile_circuit(circuit), nullptr);
-  quantum::plan_cache::get_or_compile(circuit);  // arrival 1: no fault
-  EXPECT_EQ(quantum::plan_cache::size(), 1u);
-  quantum::plan_cache::get_or_compile(other);  // arrival 2: flush fires
-  // The flush empties the cache before the lookup, so `other` recompiles
-  // into an empty cache and `circuit`'s plan is gone.
-  EXPECT_EQ(quantum::plan_cache::size(), 1u);
-  EXPECT_GE(quantum::plan_cache::stats().evictions, 1u);
-  quantum::plan_cache::get_or_compile(circuit);  // arrival 3: miss again
-  EXPECT_EQ(quantum::plan_cache::stats().compiled, 3u);
-
-  injector.configure("");
-  quantum::plan_cache::clear();
+  EXPECT_EQ(before->source_op_count(), 1u);
+  EXPECT_EQ(after->source_op_count(), 2u);
+  const Circuit copy = circuit;
+  EXPECT_EQ(copy.compiled_plan(), after) << "copies share the memo";
 }
 
 TEST(ExecPlan, ReferenceBackendCompilesOnePlan) {
-  // The reference backend executes the same cached plan, replaying its
+  // The reference backend executes the same memoized plan, replaying its
   // flat stream unfused through the generic gate path: one compile, no
   // fused chains, and amplitudes within 1e-12 of the fused fast path.
   util::Rng rng{37};
   std::vector<double> params;
   const Circuit circuit = make_sel_circuit(4, 3, params, rng);
-  quantum::plan_cache::clear();
-  quantum::plan_cache::reset_stats();
   StateVector reference{4};
+  std::shared_ptr<const ExecutionPlan> plan;
   {
     const qhdl::testing::ReferenceScope scope{true};
     quantum::kernels::reset_stats();
     circuit.run(reference, params);
     EXPECT_EQ(quantum::kernels::stats().fused, 0u);
     EXPECT_GT(quantum::kernels::stats().generic, 0u);
+    plan = circuit.compiled_plan();
   }
-  EXPECT_EQ(quantum::plan_cache::stats().compiled, 1u);
+  ASSERT_NE(plan, nullptr);
   const qhdl::testing::ReferenceScope scope{false};
   expect_states_close(reference, circuit.execute(params), kTol,
                       "reference vs fused");
-  EXPECT_EQ(quantum::plan_cache::stats().compiled, 1u)
+  EXPECT_EQ(circuit.compiled_plan(), plan)
       << "switching backends must not recompile";
 }
 

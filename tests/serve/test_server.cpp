@@ -115,6 +115,33 @@ TEST_F(ServeServerTest, UnknownRequestTypeIsAnErrorNotADisconnect) {
             std::string::npos);
 }
 
+TEST_F(ServeServerTest, DeeplyNestedRequestIsAnErrorNotACrash) {
+  Server server{ServerConfig{}};
+  server.start();
+  // One frame of 100 000 '[': the parser must refuse the nesting depth
+  // with an error reply instead of recursing off the end of the stack.
+  util::Socket socket = util::connect_tcp("127.0.0.1", server.port());
+  ASSERT_TRUE(socket.write_all(search::frame_wire(std::string(100000, '['))));
+  search::FrameReader reader;
+  std::string payload;
+  ASSERT_EQ(search::read_frame(socket.fd(), reader,
+                               util::Deadline::after_ms(5000), &payload),
+            search::FrameReadStatus::Frame);
+  const util::Json reply = util::Json::parse(payload);
+  EXPECT_EQ(reply.at("type").as_string(), "error");
+  EXPECT_NE(reply.at("message").as_string().find("nesting"),
+            std::string::npos)
+      << reply.dump(2);
+  EXPECT_EQ(server.stats().protocol_errors, 1u);
+
+  util::Json ping = util::Json::object();
+  ping["type"] = "ping";
+  EXPECT_EQ(round_trip("127.0.0.1", server.port(), ping, 5000)
+                .at("type")
+                .as_string(),
+            "pong");
+}
+
 // The golden property of the serving layer: submitting the same study twice
 // returns byte-identical results, with the second pass served entirely from
 // the content-addressed cache (counters asserted, not assumed) — and both

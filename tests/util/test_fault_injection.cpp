@@ -78,7 +78,8 @@ TEST_F(FaultInjectionTest, InvalidSpecsThrowAndPreserveState) {
   for (const char* bad :
        {"bogus", "unit=explode@1", "disk=fail@1", "unit=crash@0",
         "unit=crash@x", "loss=crash@1", "unit=fail@1", "io=nan@1",
-        "unit=crash", "=crash@1"}) {
+        "unit=crash", "=crash@1",
+        "plan=evict@1"}) {  // unknown site
     EXPECT_THROW(injector.configure(bad), std::invalid_argument) << bad;
   }
   // A rejected spec must not clobber the armed configuration.

@@ -119,6 +119,28 @@ TEST(JsonParse, Errors) {
   EXPECT_THROW(Json::parse("{\"k\" 1}"), std::invalid_argument);
 }
 
+TEST(JsonParse, NestingDepthIsBounded) {
+  // At the limit parses; one level deeper throws, naming the offset.
+  const std::size_t limit = Json::kMaxParseDepth;
+  const Json deepest = Json::parse(std::string(limit, '[') +
+                                   std::string(limit, ']'));
+  EXPECT_EQ(deepest.size(), 1u);
+  try {
+    Json::parse(std::string(limit + 1, '[') + std::string(limit + 1, ']'));
+    ADD_FAILURE() << "depth " << limit + 1 << " accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("at offset " +
+                                         std::to_string(limit)),
+              std::string::npos)
+        << e.what();
+  }
+  // Hostile input: recursion this deep would overflow the stack.
+  EXPECT_THROW(Json::parse(std::string(100000, '[')), std::invalid_argument);
+  std::string objects;
+  for (std::size_t i = 0; i < 100000; ++i) objects += "{\"k\":";
+  EXPECT_THROW(Json::parse(objects), std::invalid_argument);
+}
+
 TEST(JsonParse, AccessorTypeChecks) {
   const Json j = Json::parse("{\"n\": 1}");
   EXPECT_THROW(j.as_number(), std::logic_error);
