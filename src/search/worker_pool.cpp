@@ -24,6 +24,7 @@
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
 #include "util/thread_pool.hpp"
+#include "util/waker.hpp"
 
 namespace qhdl::search {
 
@@ -97,6 +98,8 @@ struct WorkerPool::Impl {
   WorkerPoolStats stat;
 
   std::atomic<bool> stop{false};
+  /// Ends the dispatcher's poll when units are queued or the pool stops.
+  util::Waker waker;
   std::thread dispatcher;
   UnitDataCache cache;  ///< degraded-mode dataset/split derivation
 
@@ -765,8 +768,11 @@ struct WorkerPool::Impl {
   }
 
 #if defined(__unix__) || defined(__APPLE__)
+  /// Blocks until a worker fd, a registration, or the waker is readable,
+  /// or 50 ms pass (the liveness/deadline/backoff tick). The waker is
+  /// drained here, before the next loop iteration re-reads the queue.
   void wait_for_io() {
-    std::vector<pollfd> fds;
+    std::vector<pollfd> fds{pollfd{waker.fd(), POLLIN, 0}};
     {
       std::lock_guard<std::mutex> lock(mutex);
       for (const Slot& slot : slots) {
@@ -782,11 +788,8 @@ struct WorkerPool::Impl {
         fds.push_back(pollfd{listener.fd(), POLLIN, 0});
       }
     }
-    if (fds.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      return;
-    }
     ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
+    waker.drain();
   }
 #else
   void wait_for_io() {
@@ -950,6 +953,7 @@ WorkerPool::WorkerPool(SweepConfig config, WorkerPoolConfig pool_config)
 WorkerPool::~WorkerPool() {
   if (impl_ == nullptr) return;
   impl_->stop.store(true, std::memory_order_relaxed);
+  impl_->waker.notify();
   if (impl_->dispatcher.joinable()) impl_->dispatcher.join();
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
@@ -1000,7 +1004,11 @@ std::vector<CandidateResult> WorkerPool::evaluate(
     }
   }
   // A pool that never came up has no dispatcher; evaluate on the caller.
-  if (inline_now) impl_->run_inline(pending);
+  if (inline_now) {
+    impl_->run_inline(pending);
+  } else {
+    impl_->waker.notify();
+  }
 
   std::vector<CandidateResult> results;
   results.reserve(futures.size());

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -25,6 +26,7 @@
 #include "util/logging.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
+#include "util/waker.hpp"
 
 namespace qhdl::serve {
 
@@ -72,6 +74,14 @@ struct Job {
   util::CancelToken cancel;
   std::promise<util::Json> promise;
   std::shared_future<util::Json> reply;
+  /// Polled by the connection thread next to the client socket; notified
+  /// after the reply is resolved and after each queued progress frame.
+  util::Waker waker;
+
+  void resolve(util::Json reply_frame) {
+    promise.set_value(std::move(reply_frame));
+    waker.notify();
+  }
 
   /// Streaming progress (study requests with "progress": true): the
   /// executor enqueues frames here and the connection thread drains them
@@ -304,12 +314,14 @@ struct Server::Impl {
     while (job.reply.wait_for(std::chrono::milliseconds(0)) !=
            std::future_status::ready) {
       if (!flush_progress(socket, job)) return false;
-      pollfd pfd{};
-      pfd.fd = socket.fd();
-      pfd.events = POLLIN;
-      const int ready = ::poll(&pfd, 1, 50);
+      pollfd fds[2] = {pollfd{socket.fd(), POLLIN, 0},
+                       pollfd{job.waker.fd(), POLLIN, 0}};
+      const int ready = ::poll(fds, 2, 50);
       if (ready < 0 && errno != EINTR) return false;
-      if (ready > 0) {
+      // Drained before the loop re-checks the reply, so a notify racing
+      // with that check stays pending for the next poll.
+      job.waker.drain();
+      if (ready > 0 && fds[0].revents != 0) {
         char scratch[256];
         const ssize_t n = ::read(socket.fd(), scratch, sizeof(scratch));
         if (n == 0) return false;  // clean EOF: client gone
@@ -349,14 +361,14 @@ struct Server::Impl {
       // executing count as "in flight".
       if (draining.load(std::memory_order_acquire)) {
         bump([](ServerStats& s) { ++s.rejected_draining; });
-        job->promise.set_value(make_rejected("draining"));
+        job->resolve(make_rejected("draining"));
         continue;
       }
       if (cfg.job_timeout_ms > 0) {
         job->cancel.set_deadline(
             util::Deadline::after_ms(cfg.job_timeout_ms));
       }
-      job->promise.set_value(run_job(*job));
+      job->resolve(run_job(*job));
     }
   }
 
@@ -432,6 +444,7 @@ struct Server::Impl {
           job_ptr->progress_frames.pop_front();
         }
         job_ptr->progress_frames.push_back(std::move(frame));
+        job_ptr->waker.notify();
       };
     }
 
@@ -519,9 +532,12 @@ struct Server::Impl {
         static_cast<std::uint64_t>(job.request.at("ms").as_number());
     const util::Deadline done = util::Deadline::after_ms(
         total_ms == 0 ? 1 : total_ms);
+    // Sleeps in slices of at most 10 ms so cancellation stays prompt, and
+    // never past the deadline.
     while (!done.expired()) {
       job.cancel.throw_if_cancelled();
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          std::min<std::uint64_t>(done.remaining_ms(), 10)));
     }
     util::Json reply = util::Json::object();
     reply["type"] = "result";

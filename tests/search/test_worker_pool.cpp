@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -283,6 +285,43 @@ TEST(WorkerPoolGolden, MultiProcessSweepMatchesInProcessBytes) {
   const WorkerPoolStats stats = pool.stats();
   EXPECT_EQ(stats.retried_units, 0u);
   EXPECT_EQ(stats.quarantined_units, 0u);
+}
+
+// --- dispatch latency -----------------------------------------------------
+
+TEST(WorkerPoolDispatch, IdlePoolDispatchesQueuedUnitWithoutWaitingForTick) {
+  if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
+  // A unit queued on an idle pool must wake the dispatcher, not wait out
+  // its 50 ms poll tick: each evaluate() below would take >= 45 ms then.
+  SweepConfig config = sweep_config();
+  config.search.runs_per_model = 1;
+  config.search.train.epochs = 1;
+  WorkerPoolConfig pool_config;
+  pool_config.workers = 1;
+  WorkerPool pool{config, pool_config};
+  ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
+
+  const auto unit = [&](std::size_t candidate) {
+    WorkUnit u;
+    u.key = UnitKey{"classical", config.feature_sizes.front(), 0, candidate};
+    u.spec = ModelSpec::make_classical({2});
+    u.streams = {util::Rng{candidate + 1}};
+    return u;
+  };
+  // Warm-up: worker start-up and dataset generation are not dispatch.
+  ASSERT_EQ(pool.evaluate({unit(0)}).size(), 1u);
+
+  using Clock = std::chrono::steady_clock;
+  Clock::duration total{};
+  for (std::size_t i = 1; i <= 10; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));  // go idle
+    const auto start = Clock::now();
+    ASSERT_EQ(pool.evaluate({unit(i)}).size(), 1u);
+    total += Clock::now() - start;
+  }
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(total)
+                .count(),
+            10 * 20);
 }
 
 // --- supervised failure handling -----------------------------------------

@@ -293,6 +293,26 @@ TEST_F(ServeServerTest, OverloadedQueueShedsDeterministically) {
   EXPECT_GE(stats.rejected_overloaded, 1u);
 }
 
+TEST_F(ServeServerTest, SequentialNoopJobsAreNotPollBound) {
+  // The connection thread must wake when the executor resolves the reply,
+  // not when its 50 ms socket poll times out: ten back-to-back no-op jobs
+  // would take >= 500 ms if each round trip waited out one poll.
+  Server server{ServerConfig{}};
+  server.start();
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 10; ++i) {
+    const util::Json reply =
+        round_trip("127.0.0.1", server.port(), sleep_request(0), 5000);
+    ASSERT_EQ(reply.at("type").as_string(), "result");
+  }
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(elapsed_ms, 250);
+  EXPECT_EQ(server.stats().jobs_completed, 10u);
+}
+
 TEST_F(ServeServerTest, JobDeadlineCancelsSleep) {
   ServerConfig config;
   config.job_timeout_ms = 200;
