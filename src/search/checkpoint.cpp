@@ -189,20 +189,27 @@ void StudyCheckpoint::record(const UnitKey& key,
   util::Json json = candidate_result_to_json(result);
   std::lock_guard<std::mutex> lock(mutex_);
   units_[key.to_string()] = std::move(json);
+  ++recorded_;
 }
 
-void StudyCheckpoint::flush() const {
+void StudyCheckpoint::flush() {
   if (path_.empty()) return;  // memory-only checkpoint
+  std::lock_guard<std::mutex> flush_lock(flush_mutex_);
   util::Json manifest = util::Json::object();
   manifest["version"] = std::size_t{1};
   manifest["config_hash"] = hash_;
+  std::uint64_t generation = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (recorded_ == flushed_) return;  // nothing new since the last write
+    generation = recorded_;
     util::Json units = util::Json::object();
     for (const auto& [key, value] : units_) units[key] = value;
     manifest["units"] = std::move(units);
   }
-  manifest.write_file(path_);
+  manifest.write_file(path_);  // throws on failure: flushed_ stays behind
+  std::lock_guard<std::mutex> lock(mutex_);
+  flushed_ = generation;
 }
 
 std::size_t StudyCheckpoint::completed_units() const {

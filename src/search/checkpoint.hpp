@@ -17,6 +17,7 @@
 // uninterrupted run — the property the resume tests pin.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -62,8 +63,11 @@ class StudyCheckpoint {
   /// Records a completed unit (in memory; flush() persists).
   void record(const UnitKey& key, const CandidateResult& result);
 
-  /// Atomically persists the manifest via util::atomic_write_file.
-  void flush() const;
+  /// Atomically persists the manifest via util::atomic_write_file when
+  /// record() ran since the last flush that succeeded; a clean checkpoint
+  /// (only find() calls, or a fully replayed study) leaves the file alone.
+  /// A failed write keeps the checkpoint dirty, so the next flush retries.
+  void flush();
 
   std::size_t completed_units() const;
   const std::string& path() const { return path_; }
@@ -83,6 +87,12 @@ class StudyCheckpoint {
   mutable std::mutex mutex_;
   // std::map keeps manifest keys sorted -> deterministic file bytes.
   std::map<std::string, util::Json> units_;
+  // Dirty tracking: record() bumps recorded_; a successful flush stores the
+  // generation it wrote. flush_mutex_ orders concurrent flushes, so a newer
+  // generation is never overwritten on disk by an older one.
+  std::mutex flush_mutex_;
+  std::uint64_t recorded_ = 0;
+  std::uint64_t flushed_ = 0;
   mutable std::size_t replay_hits_ = 0;
   mutable std::size_t replay_misses_ = 0;
 };

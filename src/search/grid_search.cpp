@@ -270,16 +270,29 @@ SearchOutcome search_once(const std::vector<ModelSpec>& sorted_specs,
       window_rngs.push_back(split_run_rngs(config, rng));
     }
 
-    // Units already in the checkpoint replay their recorded results.
+    // Units already in the checkpoint replay their recorded results. The
+    // lookups run in FLOPs order and stop at the first replayed winner: the
+    // commit loop stops there too, so the slots behind it (`live` onwards)
+    // are neither looked up nor trained. Their streams were drawn above, so
+    // the repetition stream still advances exactly as in the serial walk.
     std::vector<std::optional<CandidateResult>> replayed(count);
+    std::size_t live = count;
     if (resume.checkpoint != nullptr) {
-      for (std::size_t i = 0; i < count; ++i) {
+      for (std::size_t i = 0; i < live; ++i) {
         replayed[i] = resume.checkpoint->find(UnitKey{
             resume.family, resume.features, repetition, next + i});
+        if (replayed[i].has_value()) {
+          ++outcome.units_replayed;
+          if (replayed[i]->meets_threshold) live = i + 1;
+        } else {
+          ++outcome.units_trained;
+        }
       }
+    } else {
+      outcome.units_trained += count;
     }
 
-    std::vector<CandidateResult> results(count);
+    std::vector<CandidateResult> results(live);
     if (resume.pool != nullptr) {
       // Crash-isolated path: ship every fresh unit (with its pre-drawn
       // streams) to the pool and scatter results back by window slot. The
@@ -287,7 +300,7 @@ SearchOutcome search_once(const std::vector<ModelSpec>& sorted_specs,
       // is unchanged — and identical to the in-process path's.
       std::vector<WorkUnit> units;
       std::vector<std::size_t> slots;
-      for (std::size_t i = 0; i < count; ++i) {
+      for (std::size_t i = 0; i < live; ++i) {
         if (replayed[i].has_value()) {
           results[i] = *replayed[i];
           continue;
@@ -306,7 +319,7 @@ SearchOutcome search_once(const std::vector<ModelSpec>& sorted_specs,
         results[slots[u]] = std::move(pooled[u]);
       }
     } else {
-      util::parallel_for(0, count, config.threads, [&](std::size_t i) {
+      util::parallel_for(0, live, config.threads, [&](std::size_t i) {
         if (replayed[i].has_value()) {
           results[i] = *replayed[i];
         } else {
@@ -316,7 +329,7 @@ SearchOutcome search_once(const std::vector<ModelSpec>& sorted_specs,
       });
     }
 
-    for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < live; ++i) {
       const CandidateResult& result = results[i];
       // Unit boundary: the injectable kill point. A crash here loses at
       // most this window's unflushed units; the resumed search retrains

@@ -62,7 +62,8 @@ struct SearchConfig {
   /// Speculative candidate lookahead window for search_once: this many
   /// FLOPs-ordered candidates train concurrently, committing strictly in
   /// FLOPs order (candidates trained past the winner are discarded, so the
-  /// "first winner" is the serial one). 0 = auto (= threads).
+  /// "first winner" is the serial one). A window is cut at a winner replayed
+  /// from a checkpoint: nothing behind it is trained. 0 = auto (= threads).
   std::size_t lookahead = 0;
   /// Graceful degradation budget: when a training run trips the non-finite
   /// guard (nn::NonFiniteError), retry it up to this many times on the next
@@ -103,6 +104,11 @@ struct SearchOutcome {
   std::optional<CandidateResult> winner;  ///< empty if nothing met threshold
   std::vector<CandidateResult> evaluated;  ///< in training order
   std::size_t candidates_trained = 0;
+  /// Units replayed from the checkpoint and units trained fresh (committed
+  /// or discarded past the winner). Not part of the serialized result; the
+  /// serve layer reports them as a reply's cache hits and misses.
+  std::size_t units_replayed = 0;
+  std::size_t units_trained = 0;
 };
 
 /// All repetitions plus aggregates over the winners.
@@ -124,9 +130,11 @@ class WorkerPool;
 /// non-null, every completed work unit — one candidate evaluation, keyed by
 /// (family, features, repetition, candidate index in FLOPs order) — is
 /// recorded and atomically flushed at unit boundaries, and units already in
-/// the checkpoint are replayed instead of retrained. The resumed search
-/// still draws every RNG split in the original order, so a resumed run is
-/// bit-identical to an uninterrupted one (see DESIGN.md §10).
+/// the checkpoint are replayed instead of retrained. Lookups run in FLOPs
+/// order and stop at the first replayed winner, so a fully replayed search
+/// trains nothing, not even the speculative slots of its last window. The
+/// resumed search still draws every RNG split in the original order, so a
+/// resumed run is bit-identical to an uninterrupted one (see DESIGN.md §10).
 ///
 /// When `pool` is non-null, fresh units are dispatched to the crash-isolated
 /// worker pool (DESIGN.md §11) instead of the in-process thread pool. Only

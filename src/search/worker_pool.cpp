@@ -50,8 +50,8 @@ struct WorkerPool::Impl {
 
   /// One worker slot — a pipe child (respawned in place on failure) or a
   /// registered remote connection (erased on loss; the daemon's reconnect
-  /// shows up as a fresh registration). Slots are touched only by the
-  /// constructor and the dispatcher thread.
+  /// shows up as a fresh registration). Slots are touched only by start()
+  /// and the dispatcher thread.
   struct Slot {
     std::unique_ptr<WorkerTransport> transport;
     bool remote = false;
@@ -100,6 +100,8 @@ struct WorkerPool::Impl {
   std::atomic<bool> stop{false};
   /// Ends the dispatcher's poll when units are queued or the pool stops.
   util::Waker waker;
+  /// Guards start(): the constructor in remote mode, else the first use.
+  std::once_flag started;
   std::thread dispatcher;
   UnitDataCache cache;  ///< degraded-mode dataset/split derivation
 
@@ -819,6 +821,47 @@ struct WorkerPool::Impl {
         });
   }
 
+  /// Brings the pool up: local mode spawns its workers here, on first use
+  /// (a non-empty evaluate() or a degraded() query), so a pool that never
+  /// receives a unit never forks. Spawn validation is synchronous: if the
+  /// very first worker cannot be created (missing binary, fork failure, exec
+  /// failure via the status pipe), the pool degrades before any unit is
+  /// dispatched and runs without a dispatcher. Remote mode only starts the
+  /// dispatcher; its listener is already bound.
+  void start() {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!remote_mode) {
+        if (command.empty()) {
+          enter_degraded("subprocess spawning is unavailable on this platform");
+          return;
+        }
+        local_spawned = true;
+        slots.resize(cfg.workers);
+        for (std::size_t i = 0; i < slots.size(); ++i) slots[i].index = i;
+        next_slot_index = slots.size();
+        if (!spawn_slot(slots[0])) {
+          enter_degraded("cannot spawn worker process (" + command[0] + ")");
+          slots.clear();
+          return;
+        }
+        for (std::size_t i = 1; i < slots.size(); ++i) {
+          // Later failures are not fatal: the dispatcher keeps retrying
+          // them with backoff while the first worker carries the load.
+          spawn_slot(slots[i]);
+        }
+        util::log_info("worker pool: " + std::to_string(cfg.workers) +
+                       " worker(s), command " + command[0]);
+      }
+      dispatcher_running = true;
+    }
+    dispatcher = std::thread([this] { dispatcher_loop(); });
+  }
+
+  void ensure_started() {
+    std::call_once(started, [this] { start(); });
+  }
+
   void dispatcher_loop() {
     while (!stop.load(std::memory_order_relaxed)) {
       std::vector<std::shared_ptr<PendingUnit>> inline_batch;
@@ -869,12 +912,9 @@ WorkerPool::WorkerPool(SweepConfig config, WorkerPoolConfig pool_config)
   impl_->worker_config.search.lookahead = 0;
   impl_->local_backend = util::simd::active_backend().name;
 
-  bool local_available = true;
   if (pool_config.worker_command.empty()) {
     const std::string self = util::current_executable_path();
-    if (!util::subprocess_supported() || self.empty()) {
-      local_available = false;
-    } else {
+    if (util::subprocess_supported() && !self.empty()) {
       impl_->command = {self, "--worker-mode"};
     }
   } else {
@@ -917,37 +957,9 @@ WorkerPool::WorkerPool(SweepConfig config, WorkerPoolConfig pool_config)
     }
   }
 
-  if (!impl_->remote_mode) {
-    if (!local_available) {
-      impl_->enter_degraded(
-          "subprocess spawning is unavailable on this platform");
-      return;
-    }
-    impl_->local_spawned = true;
-    impl_->slots.resize(impl_->cfg.workers);
-    for (std::size_t i = 0; i < impl_->slots.size(); ++i) {
-      impl_->slots[i].index = i;
-    }
-    impl_->next_slot_index = impl_->slots.size();
-    // Spawn validation happens here, synchronously: if the very first worker
-    // cannot be created (missing binary, fork failure, exec failure via the
-    // status pipe), the pool degrades before any unit is submitted.
-    if (!impl_->spawn_slot(impl_->slots[0])) {
-      impl_->enter_degraded("cannot spawn worker process (" +
-                            impl_->command[0] + ")");
-      impl_->slots.clear();
-      return;
-    }
-    for (std::size_t i = 1; i < impl_->slots.size(); ++i) {
-      // Later failures are not fatal: the dispatcher keeps retrying them
-      // with backoff while the first worker carries the load.
-      impl_->spawn_slot(impl_->slots[i]);
-    }
-    util::log_info("worker pool: " + std::to_string(impl_->cfg.workers) +
-                   " worker(s), command " + impl_->command[0]);
-  }
-  impl_->dispatcher_running = true;
-  impl_->dispatcher = std::thread([this] { impl_->dispatcher_loop(); });
+  // A listening pool must accept registrations at once; a local one spawns
+  // its workers on first use.
+  if (impl_->remote_mode) impl_->ensure_started();
 }
 
 WorkerPool::~WorkerPool() {
@@ -984,6 +996,7 @@ std::vector<CandidateResult> WorkerPool::evaluate(
     std::vector<WorkUnit> units) {
   util::throw_if_interrupted();
   if (units.empty()) return {};
+  impl_->ensure_started();
 
   bool inline_now = false;
   std::vector<std::shared_ptr<Impl::PendingUnit>> pending;
@@ -1019,11 +1032,13 @@ std::vector<CandidateResult> WorkerPool::evaluate(
 }
 
 bool WorkerPool::degraded() const {
+  impl_->ensure_started();
   std::lock_guard<std::mutex> lock(impl_->mutex);
   return impl_->degraded;
 }
 
 std::string WorkerPool::degraded_reason() const {
+  impl_->ensure_started();
   std::lock_guard<std::mutex> lock(impl_->mutex);
   return impl_->degraded_reason;
 }

@@ -18,7 +18,7 @@
 //     failure path PR 4 uses for non-finite training runs (runs = 0,
 //     cause "worker:<reason>"), so one poisoned unit can never abort or
 //     bias the sweep;
-//   * degrades gracefully to in-process execution — at construction when
+//   * degrades gracefully to in-process execution — at start-up when
 //     workers cannot be spawned at all, or mid-run when respawns keep
 //     failing — with the reason logged and queryable.
 //
@@ -102,12 +102,15 @@ struct WorkerPoolStats {
 
 class WorkerPool {
  public:
-  /// Local mode validates spawning immediately: one worker is started (then
-  /// the rest) before the constructor returns. If no worker can be spawned
-  /// the pool comes up degraded — evaluate() runs in-process — with the
-  /// reason in degraded_reason(); construction never throws for spawn
-  /// problems. Distributed mode (remote_workers > 0) binds the listener in
-  /// the constructor and degrades along the chain remote -> local pipes ->
+  /// Local mode starts on first use: the first non-empty evaluate() or
+  /// degraded()/degraded_reason() query spawns one worker (then the rest)
+  /// and the dispatcher, exactly once even under concurrent callers. A pool
+  /// that never receives a unit — a fully replayed study — never forks. If
+  /// no worker can be spawned the pool comes up degraded — evaluate() runs
+  /// in-process — with the reason in degraded_reason(); neither
+  /// construction nor first use throws for spawn problems. Distributed mode
+  /// (remote_workers > 0) binds the listener and starts the dispatcher in
+  /// the constructor, and degrades along the chain remote -> local pipes ->
   /// in-process as deadlines expire, each step logged.
   WorkerPool(SweepConfig config, WorkerPoolConfig pool_config);
   ~WorkerPool();
@@ -122,8 +125,9 @@ class WorkerPool {
   /// SIGTERM to live workers).
   std::vector<CandidateResult> evaluate(std::vector<WorkUnit> units);
 
-  /// True when the pool executes in-process (spawn failure at construction
-  /// or persistent respawn failure mid-run).
+  /// True when the pool executes in-process (spawn failure at start-up or
+  /// persistent respawn failure mid-run). Counts as a use: a local pool
+  /// that has not started yet starts here, so the answer is real.
   bool degraded() const;
   std::string degraded_reason() const;
 

@@ -122,6 +122,8 @@ struct Server::Impl {
   std::deque<std::shared_ptr<Job>> queue;
 
   std::atomic<bool> draining{false};
+  /// Notified by request_drain(); ends the accept loop's poll at once.
+  util::Waker drain_waker;
   std::atomic<bool> stop_executors{false};
   bool started = false;
   bool stopped = false;
@@ -163,11 +165,25 @@ struct Server::Impl {
     }
   }
 
+  /// Blocks until a connection is pending, request_drain() notifies the
+  /// drain waker, or a 100 ms slice passes. True when accept() should run.
+  bool wait_for_connection() {
+#if defined(__unix__) || defined(__APPLE__)
+    pollfd fds[2] = {pollfd{listener.fd(), POLLIN, 0},
+                     pollfd{drain_waker.fd(), POLLIN, 0}};
+    return ::poll(fds, 2, 100) > 0 && (fds[0].revents & POLLIN) != 0;
+#else
+    return true;
+#endif
+  }
+
   void accept_loop() {
     while (!draining.load(std::memory_order_acquire)) {
       bool injected = false;
-      auto socket =
-          listener.accept(util::Deadline::after_ms(100), &injected);
+      std::optional<util::Socket> socket;
+      if (wait_for_connection()) {
+        socket = listener.accept(util::Deadline::after_ms(100), &injected);
+      }
       {
         std::lock_guard<std::mutex> lock(conn_mutex);
         reap_finished_locked();
@@ -407,8 +423,6 @@ struct Server::Impl {
         search::sweep_config_from_json(job.request.at("config"));
 
     auto checkpoint = cache.checkpoint_for(config);
-    const std::size_t hits_before = checkpoint->replay_hits();
-    const std::size_t misses_before = checkpoint->replay_misses();
 
     std::unique_ptr<search::WorkerPool> pool;
     // Remote fleets don't need local subprocess support: the pool's own
@@ -467,9 +481,19 @@ struct Server::Impl {
     reply["family"] = search::family_name(family);
     reply["config_hash"] = checkpoint->config_hash();
     reply["sweep"] = search::sweep_to_json(sweep);
+    // Counted per sweep call, not as a delta of the shared checkpoint's
+    // counters, so concurrent jobs on one config never count each other.
+    std::size_t unit_hits = 0;
+    std::size_t unit_misses = 0;
+    for (const search::LevelResult& level : sweep.levels) {
+      for (const search::SearchOutcome& outcome : level.search.repetitions) {
+        unit_hits += outcome.units_replayed;
+        unit_misses += outcome.units_trained;
+      }
+    }
     util::Json cache_json = util::Json::object();
-    cache_json["unit_hits"] = checkpoint->replay_hits() - hits_before;
-    cache_json["unit_misses"] = checkpoint->replay_misses() - misses_before;
+    cache_json["unit_hits"] = unit_hits;
+    cache_json["unit_misses"] = unit_misses;
     reply["cache"] = std::move(cache_json);
     return reply;
   }
@@ -580,6 +604,7 @@ std::uint16_t Server::port() const { return impl_->listener.port(); }
 
 void Server::request_drain() {
   impl_->draining.store(true, std::memory_order_release);
+  impl_->drain_waker.notify();
   impl_->queue_cv.notify_all();
 }
 
@@ -589,7 +614,12 @@ void Server::stop() {
   if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
   // Executors shed everything still queued (reason "draining"), finish
   // the jobs they are executing, then exit.
-  impl_->stop_executors.store(true, std::memory_order_release);
+  // Stored under the queue lock: an executor between its predicate check
+  // and its wait would otherwise miss the notify and never exit.
+  {
+    std::lock_guard<std::mutex> lock(impl_->queue_mutex);
+    impl_->stop_executors.store(true, std::memory_order_release);
+  }
   impl_->queue_cv.notify_all();
   for (std::thread& t : impl_->executors) {
     if (t.joinable()) t.join();

@@ -7,10 +7,16 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/stat.h>
+#endif
 
 #include "core/config.hpp"
 #include "data/preprocess.hpp"
 #include "nn/dense.hpp"
+#include "nn/fastpath.hpp"
 #include "nn/trainer.hpp"
 #include "search/checkpoint.hpp"
 #include "search/experiment.hpp"
@@ -120,6 +126,68 @@ TEST_F(CheckpointResumeTest, RecordFindFlushLoadRoundTrip) {
   EXPECT_FALSE(reloaded.find(UnitKey{"classical", 6, 1, 2}).has_value());
 }
 
+/// Identity of the file at `path`: its inode (POSIX) and modification time.
+/// An atomic temp+rename rewrite always lands on a new inode.
+std::pair<unsigned long long, fs::file_time_type> file_stamp(
+    const std::string& path) {
+  unsigned long long inode = 0;
+#if defined(__unix__) || defined(__APPLE__)
+  struct stat st {};
+  if (::stat(path.c_str(), &st) == 0) {
+    inode = static_cast<unsigned long long>(st.st_ino);
+  }
+#endif
+  return {inode, fs::last_write_time(path)};
+}
+
+TEST_F(CheckpointResumeTest, CleanFlushLeavesManifestUntouched) {
+  const UnitKey key{"classical", 6, 0, 0};
+  StudyCheckpoint checkpoint{path_, "hash-a"};
+  checkpoint.record(key, CandidateResult{});
+  checkpoint.flush();
+  const auto written = file_stamp(path_);
+
+  // Lookups alone (hits and misses) do not dirty the checkpoint.
+  EXPECT_TRUE(checkpoint.find(key).has_value());
+  EXPECT_FALSE(checkpoint.find(UnitKey{"classical", 6, 0, 1}).has_value());
+  checkpoint.flush();
+  EXPECT_EQ(file_stamp(path_), written);
+
+  // Nor does a load: a restarted process that only replays writes nothing.
+  StudyCheckpoint reloaded{path_, "hash-a"};
+  ASSERT_EQ(reloaded.load(), 1u);
+  EXPECT_TRUE(reloaded.find(key).has_value());
+  reloaded.flush();
+  EXPECT_EQ(file_stamp(path_), written);
+
+  // A record does.
+  reloaded.record(UnitKey{"classical", 6, 0, 1}, CandidateResult{});
+  reloaded.flush();
+  EXPECT_NE(file_stamp(path_), written);
+  StudyCheckpoint after{path_, "hash-a"};
+  EXPECT_EQ(after.load(), 2u);
+}
+
+TEST_F(CheckpointResumeTest, FailedFlushStaysDirtyAndNextFlushWrites) {
+  StudyCheckpoint checkpoint{path_, "hash-a"};
+  checkpoint.record(UnitKey{"classical", 6, 0, 0}, CandidateResult{});
+  checkpoint.flush();
+  checkpoint.record(UnitKey{"classical", 6, 0, 1}, CandidateResult{});
+
+  util::FaultInjector::instance().configure("io=fail@1");
+  EXPECT_THROW(checkpoint.flush(), std::runtime_error);
+  {
+    StudyCheckpoint on_disk{path_, "hash-a"};
+    EXPECT_EQ(on_disk.load(), 1u);  // the previous generation survived
+  }
+  // No record() since the failure: the unit recorded before it is still
+  // owed to the disk.
+  checkpoint.flush();
+  util::FaultInjector::instance().configure("");
+  StudyCheckpoint on_disk{path_, "hash-a"};
+  EXPECT_EQ(on_disk.load(), 2u);
+}
+
 TEST_F(CheckpointResumeTest, StaleConfigHashRejected) {
   {
     StudyCheckpoint checkpoint{path_, "hash-a"};
@@ -215,6 +283,47 @@ TEST_F(CheckpointResumeTest, GoldenResumeThreaded) {
   // then the crash lands mid-commit in repetition 1; the resumed search
   // replays rep 0 from the manifest and retrains rep 1, on 4 threads.
   golden_resume(path_, 4, 4, "unit=crash@6");
+}
+
+TEST_F(CheckpointResumeTest, ResumeAtCheckpointedWinnerTrainsNothing) {
+  // A winner replayed from the checkpoint ends its lookahead window: the
+  // speculative slots behind it are neither looked up nor trained. Resuming
+  // a fully checkpointed search therefore trains nothing at all, and still
+  // lands on the bytes of an uninterrupted run.
+  SweepConfig config = sweep_config();
+  config.search.accuracy_threshold = 0.5;
+  config.search.train.epochs = 10;
+  config.search.max_candidates = 8;
+  config.search.threads = 1;
+  config.search.lookahead = 4;
+  const std::string baseline =
+      sweep_to_json(run_complexity_sweep(Family::Classical, config)).dump(2);
+  ASSERT_NE(baseline.find("\"winner\""), std::string::npos)
+      << "no repetition found a winner; the window cut is not exercised"
+      << baseline;
+
+  const std::string hash = sweep_config_hash(config);
+  {
+    StudyCheckpoint checkpoint{path_, hash};
+    ASSERT_EQ(sweep_to_json(run_complexity_sweep(Family::Classical, config,
+                                                 &checkpoint))
+                  .dump(2),
+              baseline);
+  }
+
+  StudyCheckpoint resumed{path_, hash};
+  ASSERT_GT(resumed.load(), 0u);
+  const nn::fastpath::FastpathStatsSnapshot before = nn::fastpath::stats();
+  const SweepResult sweep =
+      run_complexity_sweep(Family::Classical, config, &resumed);
+  const nn::fastpath::FastpathStatsSnapshot after = nn::fastpath::stats();
+  EXPECT_EQ(after.workspace_runs, before.workspace_runs);
+  EXPECT_EQ(after.reference_runs, before.reference_runs);
+  EXPECT_EQ(sweep_to_json(sweep).dump(2), baseline);
+  for (const SearchOutcome& outcome : sweep.levels.at(0).search.repetitions) {
+    EXPECT_EQ(outcome.units_trained, 0u);
+    EXPECT_EQ(outcome.units_replayed, outcome.evaluated.size());
+  }
 }
 
 TEST_F(CheckpointResumeTest, ResumeAfterInjectedIoFailure) {

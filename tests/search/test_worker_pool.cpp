@@ -15,6 +15,8 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 
@@ -471,6 +473,94 @@ TEST(WorkerPoolDegraded, UnspawnableWorkersFallBackToInProcessIdentically) {
   EXPECT_FALSE(pool.degraded_reason().empty());
   // Degraded execution is the same arithmetic on the same shipped streams.
   EXPECT_EQ(sweep_bytes(config, &pool), baseline);
+}
+
+// --- start on first use ---------------------------------------------------
+
+TEST(WorkerPoolLazyStart, FullyReplayedSweepSpawnsNoWorker) {
+  if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
+  namespace fs = std::filesystem;
+  // A replayed winner cuts its window, so a fully checkpointed pooled sweep
+  // ships no unit, and a pool that never gets a unit never forks. The
+  // worker command is a shell wrapper that leaves a marker file before it
+  // execs the real worker, so any spawn is visible.
+  SweepConfig config = sweep_config();
+  config.search.accuracy_threshold = 0.5;
+  config.search.train.epochs = 10;
+  config.search.max_candidates = 8;
+  const std::string baseline = sweep_bytes(config, nullptr);
+  ASSERT_NE(baseline.find("\"winner\""), std::string::npos)
+      << "no repetition found a winner; the window cut is not exercised";
+
+  const fs::path dir = fs::temp_directory_path();
+  const std::string manifest = (dir / "qhdl_lazy_pool.json").string();
+  const std::string marker = (dir / "qhdl_lazy_pool.spawned").string();
+  fs::remove(manifest);
+  fs::remove(marker);
+  StudyCheckpoint checkpoint{manifest, sweep_config_hash(config)};
+  ASSERT_EQ(sweep_to_json(
+                run_complexity_sweep(Family::Classical, config, &checkpoint))
+                .dump(2),
+            baseline);
+
+  WorkerPoolConfig pool_config;
+  pool_config.workers = 2;
+  pool_config.worker_command = {"/bin/sh", "-c", "touch \"$0\" && exec \"$@\"",
+                                marker, util::current_executable_path(),
+                                "--worker-mode"};
+  {
+    WorkerPool pool{config, pool_config};
+    EXPECT_EQ(sweep_to_json(run_complexity_sweep(Family::Classical, config,
+                                                 &checkpoint, &pool))
+                  .dump(2),
+              baseline);
+  }
+  EXPECT_FALSE(fs::exists(marker)) << "a fully replayed sweep spawned a worker";
+
+  // The wrapper does mark a real spawn, and degraded() counts as a use.
+  {
+    WorkerPool pool{config, pool_config};
+    ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
+    const util::Deadline deadline = util::Deadline::after_ms(10000);
+    while (!fs::exists(marker) && !deadline.expired()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  EXPECT_TRUE(fs::exists(marker));
+  fs::remove(manifest);
+  fs::remove(marker);
+}
+
+TEST(WorkerPoolLazyStart, ConcurrentFirstUseSpawnsEachWorkerOnce) {
+  if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
+  namespace fs = std::filesystem;
+  // Two sweep levels on two threads reach the fresh pool's first
+  // evaluate() together; the pool must start exactly once (one spawn per
+  // worker slot, every spawn appending one line to the log) and still
+  // return the in-process bytes.
+  SweepConfig config = sweep_config();
+  config.feature_sizes = {4, 6};
+  const std::string baseline = sweep_bytes(config, nullptr);
+
+  const std::string log =
+      (fs::temp_directory_path() / "qhdl_lazy_pool.spawns").string();
+  fs::remove(log);
+  WorkerPoolConfig pool_config;
+  pool_config.workers = 2;
+  pool_config.worker_command = {"/bin/sh", "-c",
+                                "echo spawn >> \"$0\" && exec \"$@\"", log,
+                                util::current_executable_path(),
+                                "--worker-mode"};
+  {
+    WorkerPool pool{config, pool_config};
+    EXPECT_EQ(sweep_bytes(config, &pool), baseline);
+    EXPECT_EQ(pool.stats().restarts, 0u);
+  }
+  std::ifstream in{log};
+  std::size_t spawns = 0;
+  for (std::string line; std::getline(in, line);) ++spawns;
+  EXPECT_EQ(spawns, pool_config.workers);
+  fs::remove(log);
 }
 
 // --- CI fault-matrix leg --------------------------------------------------

@@ -313,6 +313,74 @@ TEST_F(ServeServerTest, SequentialNoopJobsAreNotPollBound) {
   EXPECT_EQ(server.stats().jobs_completed, 10u);
 }
 
+TEST_F(ServeServerTest, ConcurrentHotJobsCountOnlyTheirOwnCacheHits) {
+  // A reply's cache counts belong to its own sweep call: two hot jobs on
+  // one config, running side by side on two executors, must each report
+  // exactly their own committed units as hits, never the other's replays.
+  search::SweepConfig config = tiny_study();
+  config.feature_sizes = {4, 5, 6};
+  config.search.repetitions = 2;
+  config.search.max_candidates = 4;
+  ServerConfig server_config;
+  server_config.executors = 2;
+  Server server{server_config};
+  server.start();
+  const util::Json request =
+      make_study_request(search::Family::Classical, config);
+
+  const util::Json cold =
+      round_trip("127.0.0.1", server.port(), request, 120000);
+  ASSERT_EQ(cold.at("type").as_string(), "result");
+  double committed = 0.0;
+  const util::Json& levels = cold.at("sweep").at("levels");
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    const util::Json& reps = levels.at(l).at("repetitions");
+    for (std::size_t r = 0; r < reps.size(); ++r) {
+      committed += reps.at(r).at("candidates_trained").as_number();
+    }
+  }
+  EXPECT_EQ(cold.at("cache").at("unit_hits").as_number(), 0.0);
+  EXPECT_EQ(cold.at("cache").at("unit_misses").as_number(), committed);
+
+  for (int round = 0; round < 5; ++round) {
+    util::Json replies[2];
+    std::thread jobs[2];
+    for (int j = 0; j < 2; ++j) {
+      jobs[j] = std::thread([&, j] {
+        replies[j] = round_trip("127.0.0.1", server.port(), request, 120000);
+      });
+    }
+    for (std::thread& job : jobs) job.join();
+    for (const util::Json& reply : replies) {
+      ASSERT_EQ(reply.at("type").as_string(), "result");
+      EXPECT_EQ(reply.at("cache").at("unit_hits").as_number(), committed);
+      EXPECT_EQ(reply.at("cache").at("unit_misses").as_number(), 0.0);
+      EXPECT_EQ(reply.at("sweep").dump(2), cold.at("sweep").dump(2));
+    }
+  }
+}
+
+TEST_F(ServeServerTest, SequentialStartStopCyclesAreNotTickBound) {
+  // stop() must wake the accept loop through its drain waker, not wait out
+  // the accept loop's 100 ms slice: stopping a freshly started idle server
+  // would then cost up to 100 ms, about 1 s over ten cycles.
+  using Clock = std::chrono::steady_clock;
+  Clock::duration stopping{};
+  for (int i = 0; i < 10; ++i) {
+    Server server{ServerConfig{}};
+    server.start();
+    // Let the accept loop enter its wait; a stop() that lands before the
+    // loop's first drain check returns at once on any implementation.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto start = Clock::now();
+    server.stop();
+    stopping += Clock::now() - start;
+  }
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(stopping)
+                .count(),
+            250);
+}
+
 TEST_F(ServeServerTest, JobDeadlineCancelsSleep) {
   ServerConfig config;
   config.job_timeout_ms = 200;
