@@ -19,10 +19,10 @@
 #include "quantum/circuit.hpp"
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
-#include "quantum/kernels.hpp"
 #include "tensor/tensor.hpp"
 #include "util/backend_registry.hpp"
 #include "util/cli.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   bench::write_bench_json(out_path, bench::collect_metadata(), entries);
   std::printf("wrote %s (%zu workloads)\n", out_path.c_str(),
               entries.size());
-  const auto stats = quantum::kernels::stats();
-  std::printf("%s\n", stats.to_string().c_str());
+  std::printf("%s\n",
+              util::Metrics::global().snapshot().to_string().c_str());
   return 0;
 }

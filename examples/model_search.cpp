@@ -169,15 +169,7 @@ int main(int argc, char** argv) {
       search::sweep_to_json(sweep).write_file(cli.get_string("out"));
     }
     if (pool) {
-      const search::WorkerPoolStats stats = pool->stats();
-      if (stats.restarts + stats.retried_units + stats.quarantined_units +
-              stats.steals + stats.remote_lost + stats.handshake_rejects >
-          0) {
-        std::printf("worker pool: %zu restart(s), %zu retried unit(s), %zu "
-                    "quarantined unit(s), %zu stolen unit(s)\n",
-                    stats.restarts, stats.retried_units,
-                    stats.quarantined_units, stats.steals);
-      }
+      std::printf("worker pool: %s\n", pool->metrics().to_string().c_str());
     }
 
     util::Table table({"#", "candidate", "FLOPs", "params", "train acc",

@@ -160,23 +160,7 @@ int main(int argc, char** argv) {
     const core::StudyResult result = study.run(checkpoint.get(), pool.get());
 
     if (pool) {
-      const search::WorkerPoolStats stats = pool->stats();
-      if (stats.restarts + stats.retried_units + stats.quarantined_units +
-              stats.steals + stats.remote_lost + stats.handshake_rejects >
-          0) {
-        std::printf("worker pool: %zu restart(s), %zu retried unit(s), %zu "
-                    "quarantined unit(s), %zu stolen unit(s)\n",
-                    stats.restarts, stats.retried_units,
-                    stats.quarantined_units, stats.steals);
-      }
-      if (stats.remote_registered + stats.remote_lost +
-              stats.handshake_rejects >
-          0) {
-        std::printf("worker pool: %zu remote registration(s), %zu remote "
-                    "connection(s) lost, %zu handshake reject(s)\n",
-                    stats.remote_registered, stats.remote_lost,
-                    stats.handshake_rejects);
-      }
+      std::printf("worker pool: %s\n", pool->metrics().to_string().c_str());
     }
 
     // Per-family winner tables (Figs. 6-9 data).

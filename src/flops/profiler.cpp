@@ -128,28 +128,30 @@ DispatchCounts classify_plan(const quantum::ExecutionPlan& plan) {
 }
 
 std::string dispatch_comparison_to_string(
-    const DispatchCounts& modeled,
-    const quantum::KernelStatsSnapshot& measured) {
+    const DispatchCounts& modeled, const util::MetricsSnapshot& measured) {
   util::Table table({"kernel", "modeled/run", "measured"});
-  const auto row = [&](const char* name, std::uint64_t m, std::uint64_t got) {
+  std::uint64_t measured_total = 0;  // gate applications; a chain counts once
+  const auto row = [&](const std::string& name, std::uint64_t m) {
+    const std::uint64_t got = measured.at("kernel." + name);
+    measured_total += got;
     table.add_row({name, std::to_string(m), std::to_string(got)});
   };
-  row("diagonal", modeled.diagonal, measured.diagonal);
-  row("real_rotation", modeled.real_rotation, measured.real_rotation);
-  row("permutation", modeled.permutation, measured.permutation);
-  row("controlled", modeled.controlled, measured.controlled);
-  row("double_flip", modeled.double_flip, measured.double_flip);
-  row("generic", modeled.generic, measured.generic);
-  row("two_qubit_dense", modeled.two_qubit_dense, measured.two_qubit_dense);
+  row("diagonal", modeled.diagonal);
+  row("real_rotation", modeled.real_rotation);
+  row("permutation", modeled.permutation);
+  row("controlled", modeled.controlled);
+  row("double_flip", modeled.double_flip);
+  row("generic", modeled.generic);
+  row("two_qubit_dense", modeled.two_qubit_dense);
   std::ostringstream oss;
   oss << table.to_string();
   oss << "modeled total=" << modeled.total()
       << " (fused_chains=" << modeled.fused << " absorbing "
       << modeled.fused_gates << " gates)"
-      << " | measured total=" << measured.total_dispatches()
-      << " (fused_chains=" << measured.fused << " absorbing "
-      << measured.fused_gates << " gates, batched_rows="
-      << measured.batched_rows << ")\n";
+      << " | measured total=" << measured_total
+      << " (fused_chains=" << measured.at("kernel.fused") << " absorbing "
+      << measured.at("kernel.fused_gates") << " gates, batched_rows="
+      << measured.at("kernel.batched_rows") << ")\n";
   return oss.str();
 }
 

@@ -10,7 +10,7 @@
 #include "nn/sequential.hpp"
 #include "quantum/circuit.hpp"
 #include "quantum/exec_plan.hpp"
-#include "quantum/kernels.hpp"
+#include "util/metrics.hpp"
 
 namespace qhdl::flops {
 
@@ -82,10 +82,11 @@ DispatchCounts classify_circuit(const quantum::Circuit& circuit);
 DispatchCounts classify_plan(const quantum::ExecutionPlan& plan);
 
 /// Side-by-side table of the modeled dispatch mix for a circuit vs the
-/// measured process-wide kernel counters (quantum::kernels::stats()), e.g.
-/// to confirm an experiment actually exercised the specialized paths.
+/// measured kernel.* counters of a util::Metrics::global() snapshot
+/// (quantum/kernels.hpp), e.g. to confirm an experiment actually exercised
+/// the specialized paths.
 std::string dispatch_comparison_to_string(
     const DispatchCounts& modeled,
-    const quantum::KernelStatsSnapshot& measured);
+    const util::MetricsSnapshot& measured);
 
 }  // namespace qhdl::flops

@@ -1,24 +1,16 @@
 #include "nn/fastpath.hpp"
 
-#include <atomic>
-#include <sstream>
+#include "util/metrics.hpp"
 
 namespace qhdl::nn::fastpath {
-
-std::string FastpathStatsSnapshot::to_string() const {
-  std::ostringstream oss;
-  oss << "nn fastpath: workspace_runs=" << workspace_runs
-      << " reference_runs=" << reference_runs
-      << " workspace_steps=" << workspace_steps;
-  return oss.str();
-}
 
 namespace {
 
 struct Counters {
-  std::atomic<std::uint64_t> workspace_runs{0};
-  std::atomic<std::uint64_t> reference_runs{0};
-  std::atomic<std::uint64_t> workspace_steps{0};
+  util::Metrics& m = util::Metrics::global();
+  util::Counter& workspace_runs = m.counter("fastpath.workspace_runs");
+  util::Counter& reference_runs = m.counter("fastpath.reference_runs");
+  util::Counter& workspace_steps = m.counter("fastpath.workspace_steps");
 };
 
 Counters& counters() {
@@ -26,35 +18,15 @@ Counters& counters() {
   return instance;
 }
 
+// Registers every fastpath.* name at start-up (see quantum/kernels.cpp).
+[[maybe_unused]] const Counters& registered = counters();
+
 }  // namespace
 
-void count_workspace_run() {
-  counters().workspace_runs.fetch_add(1, std::memory_order_relaxed);
-}
-
-void count_reference_run() {
-  counters().reference_runs.fetch_add(1, std::memory_order_relaxed);
-}
-
+void count_workspace_run() { counters().workspace_runs.add(); }
+void count_reference_run() { counters().reference_runs.add(); }
 void count_workspace_steps(std::uint64_t steps) {
-  counters().workspace_steps.fetch_add(steps, std::memory_order_relaxed);
-}
-
-FastpathStatsSnapshot stats() {
-  const Counters& c = counters();
-  FastpathStatsSnapshot snapshot;
-  snapshot.workspace_runs = c.workspace_runs.load(std::memory_order_relaxed);
-  snapshot.reference_runs = c.reference_runs.load(std::memory_order_relaxed);
-  snapshot.workspace_steps =
-      c.workspace_steps.load(std::memory_order_relaxed);
-  return snapshot;
-}
-
-void reset_stats() {
-  Counters& c = counters();
-  c.workspace_runs.store(0, std::memory_order_relaxed);
-  c.reference_runs.store(0, std::memory_order_relaxed);
-  c.workspace_steps.store(0, std::memory_order_relaxed);
+  counters().workspace_steps.add(steps);
 }
 
 }  // namespace qhdl::nn::fastpath

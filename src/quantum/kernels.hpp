@@ -4,7 +4,7 @@
 // specialized kernels (see DESIGN.md §8): diagonal phase multiplies for
 // RZ/PhaseShift/S/T/Z/CZ, real-rotation updates for RX/RY, index
 // permutations for X/CNOT/SWAP, and dense complex 2x2 matvecs for
-// everything else. This header owns per-kernel dispatch counters, so the
+// everything else. This header bumps per-kernel dispatch counters, so the
 // FLOPs cost model's predicted gate mix can be checked against what the
 // simulator actually executed (flops::classify_circuit /
 // flops::dispatch_comparison_to_string). Which path a gate takes is decided
@@ -12,39 +12,22 @@
 // (QHDL_BACKEND=reference, util/backend_registry.hpp) routes every gate
 // through the generic dense-matrix path and runs circuits unfused.
 //
-// Counters are process-global relaxed atomics: cheap, thread-safe, and
-// deliberately order-free (they are diagnostics, never control flow).
+// The counters live in the process-wide util::Metrics registry
+// (DESIGN.md §17) under kernel.*: diagonal, real_rotation, permutation,
+// controlled, double_flip, generic, two_qubit_dense (one per gate
+// application; a fused chain counts once), fused and fused_gates (chains
+// merged into one matrix and the gates they absorbed), batched_rows
+// (row-gates run by the SoA batch path). Read them with
+// util::Metrics::global().snapshot(); they are diagnostics, never control
+// flow.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-namespace qhdl::quantum {
+namespace qhdl::quantum::kernels {
 
-/// Point-in-time copy of the dispatch counters.
-struct KernelStatsSnapshot {
-  std::uint64_t diagonal = 0;       ///< RZ / PhaseShift / S / T / Z / CZ
-  std::uint64_t real_rotation = 0;  ///< RX / RY fast paths
-  std::uint64_t permutation = 0;    ///< X / CNOT / SWAP
-  std::uint64_t controlled = 0;     ///< CRX / CRY / CRZ (dense on half pairs)
-  std::uint64_t double_flip = 0;    ///< RXX / RYY / RZZ
-  std::uint64_t generic = 0;        ///< dense 2x2 matvec over all pairs
-  std::uint64_t two_qubit_dense = 0;  ///< dense 4x4 matvec (fused gate pairs)
-  std::uint64_t fused = 0;          ///< gate chains merged into one matrix
-  std::uint64_t fused_gates = 0;    ///< gates absorbed into those chains
-  std::uint64_t batched_rows = 0;   ///< row-gates executed by the SoA batch path
-
-  /// Individual gate applications (a fused chain counts once).
-  std::uint64_t total_dispatches() const {
-    return diagonal + real_rotation + permutation + controlled + double_flip +
-           generic + two_qubit_dense;
-  }
-  std::string to_string() const;
-};
-
-namespace kernels {
-
-// Counter bumps (relaxed; called from the hot loops in statevector.cpp).
+// Counter bumps: one relaxed fetch_add each, called from the hot loops in
+// statevector.cpp.
 void count_diagonal();
 void count_real_rotation();
 void count_permutation();
@@ -55,11 +38,4 @@ void count_two_qubit_dense();
 void count_fused(std::uint64_t gates_absorbed);
 void count_batched_rows(std::uint64_t rows);
 
-/// Copies the current counters.
-KernelStatsSnapshot stats();
-
-/// Zeroes all counters (tests / bench epochs).
-void reset_stats();
-
-}  // namespace kernels
-}  // namespace qhdl::quantum
+}  // namespace qhdl::quantum::kernels

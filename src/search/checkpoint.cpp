@@ -118,8 +118,12 @@ CandidateResult candidate_result_from_json(const util::Json& json) {
   return result;
 }
 
-StudyCheckpoint::StudyCheckpoint(std::string path, std::string config_hash)
-    : path_(std::move(path)), hash_(std::move(config_hash)) {}
+StudyCheckpoint::StudyCheckpoint(std::string path, std::string config_hash,
+                                 util::Counter* hits, util::Counter* misses)
+    : path_(std::move(path)),
+      hash_(std::move(config_hash)),
+      hits_(hits),
+      misses_(misses) {}
 
 std::size_t StudyCheckpoint::load() {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -167,21 +171,11 @@ std::optional<CandidateResult> StudyCheckpoint::find(
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = units_.find(key.to_string());
   if (it == units_.end()) {
-    ++replay_misses_;
+    if (misses_ != nullptr) misses_->add();
     return std::nullopt;
   }
-  ++replay_hits_;
+  if (hits_ != nullptr) hits_->add();
   return candidate_result_from_json(it->second);
-}
-
-std::size_t StudyCheckpoint::replay_hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return replay_hits_;
-}
-
-std::size_t StudyCheckpoint::replay_misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return replay_misses_;
 }
 
 void StudyCheckpoint::record(const UnitKey& key,

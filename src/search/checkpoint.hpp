@@ -25,6 +25,7 @@
 
 #include "search/experiment.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 
 namespace qhdl::search {
 
@@ -48,8 +49,13 @@ class StudyCheckpoint {
   /// (sweep_config_hash) guards resumes against stale manifests. An empty
   /// path makes the checkpoint memory-only: load() restores nothing and
   /// flush() is a no-op (the serve layer's cache uses this when disk spill
-  /// is disabled).
-  StudyCheckpoint(std::string path, std::string config_hash);
+  /// is disabled). `hits` / `misses`, when set, count find() lookups that
+  /// did / did not find a recorded unit (the serve result cache's
+  /// cache.unit_hits / cache.unit_misses); they must outlive the
+  /// checkpoint.
+  StudyCheckpoint(std::string path, std::string config_hash,
+                  util::Counter* hits = nullptr,
+                  util::Counter* misses = nullptr);
 
   /// Loads an existing manifest if `path` exists; returns the number of
   /// restored units (0 when starting fresh). Throws std::runtime_error on a
@@ -73,14 +79,6 @@ class StudyCheckpoint {
   const std::string& path() const { return path_; }
   const std::string& config_hash() const { return hash_; }
 
-  /// Replay counters: how many find() lookups hit a recorded unit vs came
-  /// up empty since construction. The serve layer's result cache surfaces
-  /// these as its per-config hit/miss statistics (a fully warmed repeat of
-  /// a sweep is 100% hits), and the golden cache-determinism test asserts
-  /// on them.
-  std::size_t replay_hits() const;
-  std::size_t replay_misses() const;
-
  private:
   std::string path_;
   std::string hash_;
@@ -93,8 +91,8 @@ class StudyCheckpoint {
   std::mutex flush_mutex_;
   std::uint64_t recorded_ = 0;
   std::uint64_t flushed_ = 0;
-  mutable std::size_t replay_hits_ = 0;
-  mutable std::size_t replay_misses_ = 0;
+  util::Counter* hits_;
+  util::Counter* misses_;
 };
 
 /// FNV-1a hash (hex) over every SweepConfig field that affects results —

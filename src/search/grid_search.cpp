@@ -6,12 +6,12 @@
 
 #include "data/preprocess.hpp"
 #include "flops/profiler.hpp"
-#include "nn/fastpath.hpp"
 #include "search/checkpoint.hpp"
 #include "search/worker_pool.hpp"
 #include "util/fault_injection.hpp"
 #include "util/interrupt.hpp"
 #include "util/logging.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qhdl::search {
@@ -427,7 +427,7 @@ RepeatedSearchResult run_repeated_search(const std::vector<ModelSpec>& specs,
     result.mean_winner_flops = flops_sum / n;
     result.mean_winner_parameters = param_sum / n;
   }
-  util::log_info(nn::fastpath::stats().to_string());
+  util::log_info(util::Metrics::global().snapshot().to_string());
   return result;
 }
 

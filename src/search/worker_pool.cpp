@@ -95,7 +95,16 @@ struct WorkerPool::Impl {
   bool dispatcher_running = false;
   bool interrupt_forwarded = false;
   std::size_t spawn_failure_streak = 0;
-  WorkerPoolStats stat;
+  bool remote_ever_registered = false;
+
+  util::Metrics metrics;
+  util::Counter& restarts = metrics.counter("pool_restarts");
+  util::Counter& retried_units = metrics.counter("pool_retried_units");
+  util::Counter& quarantined_units = metrics.counter("pool_quarantined_units");
+  util::Counter& steals = metrics.counter("pool_steals");
+  util::Counter& remote_registered = metrics.counter("pool_remote_registered");
+  util::Counter& remote_lost = metrics.counter("pool_remote_lost");
+  util::Counter& handshake_rejects = metrics.counter("pool_handshake_rejects");
 
   std::atomic<bool> stop{false};
   /// Ends the dispatcher's poll when units are queued or the pool stops.
@@ -137,7 +146,7 @@ struct WorkerPool::Impl {
     unit->attempts += 1;
     const std::string key = unit->unit.key.to_string();
     if (unit->attempts > cfg.unit_retries) {
-      stat.quarantined_units += 1;
+      quarantined_units.add();
       std::string all;
       for (const std::string& c : unit->causes) {
         if (!all.empty()) all += "; ";
@@ -150,7 +159,7 @@ struct WorkerPool::Impl {
                      quarantined_unit_result(worker_config, unit->unit,
                                              unit->causes));
     } else {
-      if (unit->attempts == 1) stat.retried_units += 1;
+      if (unit->attempts == 1) retried_units.add();
       util::log_warn("worker pool: retrying " + key + " (attempt " +
                      std::to_string(unit->attempts + 1) + "): " + cause);
       requeue_front(unit);
@@ -177,7 +186,7 @@ struct WorkerPool::Impl {
                              " uncharged re-dispatches)");
       return;
     }
-    stat.steals += 1;
+    steals.add();
     util::log_warn("worker pool: re-dispatching orphaned " + key + " (" +
                    cause + "); no retry attempt charged");
     requeue_front(unit);
@@ -230,7 +239,7 @@ struct WorkerPool::Impl {
     if (slot.transport != nullptr) {
       const std::string ending = slot.transport->finish(kill);
       if (cause.empty()) cause = ending;
-      if (slot.remote) stat.remote_lost += 1;
+      if (slot.remote) remote_lost.add();
       slot.transport.reset();
     }
     slot.ready = false;
@@ -378,7 +387,7 @@ struct WorkerPool::Impl {
                       std::to_string(cfg.handshake_timeout_ms) + " ms";
       }
       if (!drop_reason.empty()) {
-        stat.handshake_rejects += 1;
+        handshake_rejects.add();
         util::log_warn("worker pool: dropping worker connection (" +
                        drop_reason + ")");
         pending_conns.erase(pending_conns.begin() +
@@ -437,7 +446,8 @@ struct WorkerPool::Impl {
                      " vanished before the init frame");
       return false;
     }
-    stat.remote_registered += 1;
+    remote_registered.add();
+    remote_ever_registered = true;
     util::log_info("worker pool: registered remote worker " + who +
                    " (pid " + std::to_string(reg.pid) + ", slot " +
                    std::to_string(reg.slot + 1) + "/" +
@@ -469,7 +479,7 @@ struct WorkerPool::Impl {
       lost_fleet_gate.reset();
       return;
     }
-    if (stat.remote_registered == 0) {
+    if (!remote_ever_registered) {
       if (!remote_gate.expired()) return;
       util::log_warn("worker pool: no remote workers registered within " +
                      std::to_string(cfg.handshake_timeout_ms) +
@@ -521,7 +531,7 @@ struct WorkerPool::Impl {
       if (slot.remote || slot.transport != nullptr) continue;
       if (!slot.respawn_gate.expired()) continue;
       if (spawn_slot(slot)) {
-        stat.restarts += 1;
+        restarts.add();
       } else if (spawn_failure_streak >= 2 * slots.size() &&
                  !any_live_worker()) {
         // Every slot has failed to come (back) up repeatedly and nothing is
@@ -602,7 +612,7 @@ struct WorkerPool::Impl {
         continue;
       }
       unit->replicas += 1;
-      stat.steals += 1;
+      steals.add();
       util::log_warn("worker pool: stealing straggler " +
                      unit->unit.key.to_string() + " from " +
                      victim->transport->describe() + " onto " +
@@ -1055,9 +1065,8 @@ std::uint16_t WorkerPool::listen_port() const {
   return impl_->listener.valid() ? impl_->listener.port() : 0;
 }
 
-WorkerPoolStats WorkerPool::stats() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->stat;
+util::MetricsSnapshot WorkerPool::metrics() const {
+  return impl_->metrics.snapshot();
 }
 
 }  // namespace qhdl::search

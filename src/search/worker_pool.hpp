@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "search/worker_protocol.hpp"
+#include "util/metrics.hpp"
 
 namespace qhdl::search {
 
@@ -89,17 +90,6 @@ struct WorkerPoolConfig {
   std::uint64_t steal_after_ms = 0;
 };
 
-/// Supervisor health counters (monotonic over the pool's lifetime).
-struct WorkerPoolStats {
-  std::size_t restarts = 0;           ///< worker processes respawned
-  std::size_t retried_units = 0;      ///< units that needed >= 1 retry
-  std::size_t quarantined_units = 0;  ///< units that exhausted all retries
-  std::size_t steals = 0;             ///< units re-dispatched or duplicated
-  std::size_t remote_registered = 0;  ///< remote registrations accepted
-  std::size_t remote_lost = 0;        ///< remote connections lost
-  std::size_t handshake_rejects = 0;  ///< connections dropped pre-register
-};
-
 class WorkerPool {
  public:
   /// Local mode starts on first use: the first non-empty evaluate() or
@@ -140,7 +130,12 @@ class WorkerPool {
   /// caller bind an ephemeral port and then tell daemons where to connect.
   std::uint16_t listen_port() const;
 
-  WorkerPoolStats stats() const;
+  /// Supervisor health counters over the pool's lifetime (DESIGN.md §17):
+  /// pool_restarts, pool_retried_units (units retried at least once),
+  /// pool_quarantined_units, pool_steals (units re-dispatched or
+  /// duplicated), pool_remote_registered, pool_remote_lost and
+  /// pool_handshake_rejects. The names are the serve `stats` reply's.
+  util::MetricsSnapshot metrics() const;
 
  private:
   struct Impl;

@@ -15,10 +15,14 @@
 //   {"type":"stats"}
 //   {"type":"study","family":<name>,"config":<sweep_config_to_json>}
 //   {"type":"train","config":<sweep config>,"features":F,
-//    "repetition":R,"spec":<model_spec_to_json>}
+//    "repetition":R,"spec":<model_spec_to_json>}   (R optional, default 0)
 //   {"type":"sleep","ms":N}   (diagnostic job that occupies an executor
 //                              slot; used by the admission-control tests
 //                              and the load bench)
+// F, R and N must be integers in [0, 2^53] (finite, non-negative, no
+// fraction); any other value gets an `error` reply naming the field. A
+// large R or N stays cancellable by the job deadline and by a client
+// disconnect.
 // Replies:
 //   {"type":"pong","version":1}
 //   {"type":"stats", ...counters...}           (serve/server.hpp)

@@ -35,12 +35,13 @@ std::shared_ptr<search::StudyCheckpoint> ResultCache::checkpoint_for(
 
   const std::string path =
       dir_.empty() ? "" : dir_ + "/" + hash + ".units.json";
-  auto checkpoint = std::make_shared<search::StudyCheckpoint>(path, hash);
+  auto checkpoint = std::make_shared<search::StudyCheckpoint>(
+      path, hash, &unit_hits_, &unit_misses_);
   if (!path.empty()) {
     try {
       const std::size_t restored = checkpoint->load();
       if (restored > 0) {
-        ++disk_loads_;
+        disk_loads_.add();
         util::log_info("result cache: restored " + std::to_string(restored) +
                        " units for " + hash + " from disk");
       }
@@ -49,7 +50,8 @@ std::shared_ptr<search::StudyCheckpoint> ResultCache::checkpoint_for(
       // entry simply starts cold and overwrites the file on next flush.
       util::log_warn(std::string{"result cache: discarding spill file: "} +
                      e.what());
-      checkpoint = std::make_shared<search::StudyCheckpoint>(path, hash);
+      checkpoint = std::make_shared<search::StudyCheckpoint>(
+          path, hash, &unit_hits_, &unit_misses_);
     }
   }
 
@@ -64,8 +66,6 @@ void ResultCache::evict_locked() {
   order_.pop_back();
   const auto it = entries_.find(victim);
   if (it == entries_.end()) return;
-  retired_hits_ += it->second.checkpoint->replay_hits();
-  retired_misses_ += it->second.checkpoint->replay_misses();
   if (!dir_.empty()) {
     try {
       it->second.checkpoint->flush();
@@ -78,7 +78,7 @@ void ResultCache::evict_locked() {
   // A job still holding the shared_ptr keeps its checkpoint alive; the
   // cache just stops tracking it.
   entries_.erase(it);
-  ++evictions_;
+  evictions_.add();
 }
 
 void ResultCache::flush_all() {
@@ -94,19 +94,11 @@ void ResultCache::flush_all() {
   }
 }
 
-ResultCacheStats ResultCache::stats() const {
+util::MetricsSnapshot ResultCache::metrics() const {
+  util::MetricsSnapshot snapshot = metrics_.snapshot();
   std::lock_guard<std::mutex> lock(mutex_);
-  ResultCacheStats stats;
-  stats.entries = entries_.size();
-  stats.unit_hits = retired_hits_;
-  stats.unit_misses = retired_misses_;
-  for (const auto& [hash, entry] : entries_) {
-    stats.unit_hits += entry.checkpoint->replay_hits();
-    stats.unit_misses += entry.checkpoint->replay_misses();
-  }
-  stats.evictions = evictions_;
-  stats.disk_loads = disk_loads_;
-  return stats;
+  snapshot.values["cache.entries"] = entries_.size();
+  return snapshot;
 }
 
 }  // namespace qhdl::serve

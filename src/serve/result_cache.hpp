@@ -26,19 +26,9 @@
 
 #include "search/checkpoint.hpp"
 #include "search/experiment.hpp"
+#include "util/metrics.hpp"
 
 namespace qhdl::serve {
-
-/// Counters exposed over the `stats` request. Hits/misses are unit-level
-/// replay counters summed across all entries the cache has ever owned
-/// (evicted entries keep contributing their totals).
-struct ResultCacheStats {
-  std::size_t entries = 0;      ///< live in-memory entries
-  std::size_t unit_hits = 0;    ///< unit lookups served from a manifest
-  std::size_t unit_misses = 0;  ///< unit lookups that had to train
-  std::size_t evictions = 0;    ///< entries pushed out of the memory LRU
-  std::size_t disk_loads = 0;   ///< entries restored from disk spill
-};
 
 /// Thread-safe get-or-create LRU of per-config-hash checkpoints.
 class ResultCache {
@@ -59,7 +49,11 @@ class ResultCache {
   /// graceful drain.
   void flush_all();
 
-  ResultCacheStats stats() const;
+  /// Counters for the `stats` reply (DESIGN.md §17): cache.unit_hits /
+  /// unit_misses (find() lookups on every checkpoint handed out, which
+  /// therefore must not outlive the cache), cache.evictions,
+  /// cache.disk_loads, and the gauge cache.entries (live entries now).
+  util::MetricsSnapshot metrics() const;
 
  private:
   void evict_locked();
@@ -74,11 +68,11 @@ class ResultCache {
     std::list<std::string>::iterator order_it;
   };
   std::unordered_map<std::string, Entry> entries_;
-  /// Replay totals of evicted entries, so stats() never regresses.
-  std::size_t retired_hits_ = 0;
-  std::size_t retired_misses_ = 0;
-  std::size_t evictions_ = 0;
-  std::size_t disk_loads_ = 0;
+  util::Metrics metrics_;
+  util::Counter& unit_hits_ = metrics_.counter("cache.unit_hits");
+  util::Counter& unit_misses_ = metrics_.counter("cache.unit_misses");
+  util::Counter& evictions_ = metrics_.counter("cache.evictions");
+  util::Counter& disk_loads_ = metrics_.counter("cache.disk_loads");
 };
 
 }  // namespace qhdl::serve

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <future>
@@ -33,35 +34,6 @@ namespace qhdl::serve {
 using search::FrameReader;
 using search::FrameReadStatus;
 using search::ProtocolError;
-
-util::Json ServerStats::to_json() const {
-  util::Json json = util::Json::object();
-  json["type"] = "stats";
-  json["accepted"] = accepted;
-  json["accept_failures"] = accept_failures;
-  json["rejected_overloaded"] = rejected_overloaded;
-  json["rejected_draining"] = rejected_draining;
-  json["jobs_completed"] = jobs_completed;
-  json["jobs_failed"] = jobs_failed;
-  json["jobs_cancelled"] = jobs_cancelled;
-  json["deadlines_expired"] = deadlines_expired;
-  json["client_disconnects"] = client_disconnects;
-  json["protocol_errors"] = protocol_errors;
-  json["read_timeouts"] = read_timeouts;
-  json["progress_frames"] = progress_frames;
-  json["pool_restarts"] = pool_restarts;
-  json["pool_retried_units"] = pool_retried_units;
-  json["pool_quarantined_units"] = pool_quarantined_units;
-  json["pool_steals"] = pool_steals;
-  util::Json cache_json = util::Json::object();
-  cache_json["entries"] = cache.entries;
-  cache_json["unit_hits"] = cache.unit_hits;
-  cache_json["unit_misses"] = cache.unit_misses;
-  cache_json["evictions"] = cache.evictions;
-  cache_json["disk_loads"] = cache.disk_loads;
-  json["cache"] = std::move(cache_json);
-  return json;
-}
 
 namespace {
 
@@ -96,6 +68,21 @@ struct Job {
 
 constexpr std::size_t kMaxQueuedProgressFrames = 256;
 
+/// Reads a client-supplied count: a finite, non-negative integer no larger
+/// than 2^53, the largest a JSON number holds exactly. Anything else is a
+/// request error naming the field, never a cast of a negative, NaN or huge
+/// double to an unsigned type (undefined behaviour).
+std::uint64_t count_field(const util::Json& request, const std::string& field) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  const double value = request.at(field).as_number();
+  if (!std::isfinite(value) || value < 0.0 || value > kMaxExact ||
+      std::floor(value) != value) {
+    throw std::invalid_argument("field '" + field +
+                                "' must be an integer in [0, 2^53]");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 }  // namespace
 
 struct Server::Impl {
@@ -128,28 +115,34 @@ struct Server::Impl {
   bool started = false;
   bool stopped = false;
 
-  mutable std::mutex stats_mutex;
-  ServerStats counters;
+  util::Metrics metrics;
+  util::Counter& accepted = metrics.counter("accepted");
+  util::Counter& accept_failures = metrics.counter("accept_failures");
+  util::Counter& rejected_overloaded = metrics.counter("rejected_overloaded");
+  util::Counter& rejected_draining = metrics.counter("rejected_draining");
+  util::Counter& jobs_completed = metrics.counter("jobs_completed");
+  util::Counter& jobs_failed = metrics.counter("jobs_failed");
+  util::Counter& jobs_cancelled = metrics.counter("jobs_cancelled");
+  util::Counter& deadlines_expired = metrics.counter("deadlines_expired");
+  util::Counter& client_disconnects = metrics.counter("client_disconnects");
+  util::Counter& protocol_errors = metrics.counter("protocol_errors");
+  util::Counter& read_timeouts = metrics.counter("read_timeouts");
+  util::Counter& progress_frames = metrics.counter("progress_frames");
 
   explicit Impl(ServerConfig config)
-      : cfg(std::move(config)), cache(cfg.cache_dir, cfg.cache_capacity) {}
-
-  // --- stats ---------------------------------------------------------------
-
-  template <typename F>
-  void bump(F&& update) {
-    std::lock_guard<std::mutex> lock(stats_mutex);
-    update(counters);
+      : cfg(std::move(config)), cache(cfg.cache_dir, cfg.cache_capacity) {
+    // Registered so a fresh `stats` reply lists them at zero; merge() adds
+    // each study job's WorkerPool::metrics() into them.
+    for (const char* name : {"pool_restarts", "pool_retried_units",
+                             "pool_quarantined_units", "pool_steals"}) {
+      metrics.counter(name);
+    }
   }
 
-  ServerStats snapshot() const {
-    ServerStats stats;
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex);
-      stats = counters;
-    }
-    stats.cache = cache.stats();
-    return stats;
+  util::MetricsSnapshot snapshot() const {
+    util::MetricsSnapshot snapshot = metrics.snapshot();
+    snapshot.values.merge(cache.metrics().values);
+    return snapshot;
   }
 
   // --- accept / connection side -------------------------------------------
@@ -189,15 +182,15 @@ struct Server::Impl {
         reap_finished_locked();
       }
       if (injected) {
-        bump([](ServerStats& s) { ++s.accept_failures; });
+        accept_failures.add();
         continue;
       }
       if (!socket.has_value()) continue;  // slice elapsed; re-check drain
-      bump([](ServerStats& s) { ++s.accepted; });
+      accepted.add();
 
       std::lock_guard<std::mutex> lock(conn_mutex);
       if (active_connections >= cfg.max_connections) {
-        bump([](ServerStats& s) { ++s.rejected_overloaded; });
+        rejected_overloaded.add();
         socket->write_all(
             search::frame_wire(make_rejected("overloaded").dump()));
         continue;  // Socket destructor closes the connection
@@ -232,12 +225,12 @@ struct Server::Impl {
                              &payload);
       if (status == FrameReadStatus::Eof) return;  // connected and left
       if (status == FrameReadStatus::Timeout) {
-        bump([](ServerStats& s) { ++s.read_timeouts; });
+        read_timeouts.add();
         reply_and_close(socket, make_error("request read timed out"));
         return;
       }
     } catch (const ProtocolError& e) {
-      bump([](ServerStats& s) { ++s.protocol_errors; });
+      protocol_errors.add();
       util::log_warn(std::string{"serve: bad request stream: "} + e.what());
       reply_and_close(socket, make_error(e.what()));
       return;
@@ -249,7 +242,7 @@ struct Server::Impl {
       request = util::Json::parse(payload);
       type = request.at("type").as_string();
     } catch (const std::exception& e) {
-      bump([](ServerStats& s) { ++s.protocol_errors; });
+      protocol_errors.add();
       reply_and_close(socket,
                       make_error(std::string{"bad request: "} + e.what()));
       return;
@@ -263,11 +256,13 @@ struct Server::Impl {
       return;
     }
     if (type == "stats") {
-      reply_and_close(socket, snapshot().to_json());
+      util::Json reply = snapshot().to_json();
+      reply["type"] = "stats";
+      reply_and_close(socket, reply);
       return;
     }
     if (type != "study" && type != "train" && type != "sleep") {
-      bump([](ServerStats& s) { ++s.protocol_errors; });
+      protocol_errors.add();
       reply_and_close(socket,
                       make_error("unknown request type '" + type + "'"));
       return;
@@ -275,7 +270,7 @@ struct Server::Impl {
 
     // Admission control for compute jobs.
     if (draining.load(std::memory_order_acquire)) {
-      bump([](ServerStats& s) { ++s.rejected_draining; });
+      rejected_draining.add();
       reply_and_close(socket, make_rejected("draining"));
       return;
     }
@@ -287,7 +282,7 @@ struct Server::Impl {
     {
       std::lock_guard<std::mutex> lock(queue_mutex);
       if (queue.size() >= cfg.max_queue) {
-        bump([](ServerStats& s) { ++s.rejected_overloaded; });
+        rejected_overloaded.add();
         reply_and_close(socket, make_rejected("overloaded"));
         return;
       }
@@ -299,7 +294,7 @@ struct Server::Impl {
     // went away, and an orphaned job must not burn an executor slot any
     // longer than one unit window.
     if (!wait_with_disconnect_watch(socket, *job)) {
-      bump([](ServerStats& s) { ++s.client_disconnects; });
+      client_disconnects.add();
       job->cancel.cancel("client disconnected");
       return;  // nobody left to reply to
     }
@@ -318,7 +313,7 @@ struct Server::Impl {
     }
     for (const util::Json& frame : frames) {
       if (!socket.write_all(search::frame_wire(frame.dump()))) return false;
-      bump([](ServerStats& s) { ++s.progress_frames; });
+      progress_frames.add();
     }
     return true;
   }
@@ -376,7 +371,7 @@ struct Server::Impl {
       // Queued-but-unstarted jobs are shed on drain; only jobs already
       // executing count as "in flight".
       if (draining.load(std::memory_order_acquire)) {
-        bump([](ServerStats& s) { ++s.rejected_draining; });
+        rejected_draining.add();
         job->resolve(make_rejected("draining"));
         continue;
       }
@@ -399,18 +394,15 @@ struct Server::Impl {
       } else {
         result = run_sleep(job);
       }
-      bump([](ServerStats& s) { ++s.jobs_completed; });
+      jobs_completed.add();
       return result;
     } catch (const util::Cancelled& e) {
-      const bool deadline = job.cancel.deadline_expired();
-      bump([deadline](ServerStats& s) {
-        ++s.jobs_cancelled;
-        if (deadline) ++s.deadlines_expired;
-      });
+      jobs_cancelled.add();
+      if (job.cancel.deadline_expired()) deadlines_expired.add();
       util::log_info(std::string{"serve: job cancelled: "} + e.what());
       return make_cancelled(job.cancel.reason());
     } catch (const std::exception& e) {
-      bump([](ServerStats& s) { ++s.jobs_failed; });
+      jobs_failed.add();
       util::log_warn(std::string{"serve: job failed: "} + e.what());
       return make_error(e.what());
     }
@@ -465,15 +457,7 @@ struct Server::Impl {
     const search::SweepResult sweep = search::run_complexity_sweep(
         family, config, checkpoint.get(), pool.get(), &job.cancel,
         progress_fn ? &progress_fn : nullptr);
-    if (pool != nullptr) {
-      const search::WorkerPoolStats pool_stats = pool->stats();
-      bump([&pool_stats](ServerStats& s) {
-        s.pool_restarts += pool_stats.restarts;
-        s.pool_retried_units += pool_stats.retried_units;
-        s.pool_quarantined_units += pool_stats.quarantined_units;
-        s.pool_steals += pool_stats.steals;
-      });
-    }
+    if (pool != nullptr) metrics.merge(pool->metrics());
     checkpoint->flush();
 
     util::Json reply = util::Json::object();
@@ -501,12 +485,10 @@ struct Server::Impl {
   util::Json run_train(Job& job) {
     const search::SweepConfig config =
         search::sweep_config_from_json(job.request.at("config"));
-    const auto features =
-        static_cast<std::size_t>(job.request.at("features").as_number());
+    const std::size_t features = count_field(job.request, "features");
     const std::size_t repetition =
         job.request.contains("repetition")
-            ? static_cast<std::size_t>(
-                  job.request.at("repetition").as_number())
+            ? count_field(job.request, "repetition")
             : 0;
     const search::ModelSpec spec =
         search::model_spec_from_json(job.request.at("spec"));
@@ -533,7 +515,10 @@ struct Server::Impl {
       // run streams for this one candidate are drawn.
       util::Rng root{config.search.seed};
       util::Rng rep_rng = root;
-      for (std::size_t r = 0; r <= repetition; ++r) rep_rng = root.split();
+      for (std::size_t r = 0; r <= repetition; ++r) {
+        job.cancel.throw_if_cancelled();  // repetition may be up to 2^53
+        rep_rng = root.split();
+      }
       unit.streams.reserve(config.search.runs_per_model);
       for (std::size_t r = 0; r < config.search.runs_per_model; ++r) {
         unit.streams.push_back(rep_rng.split());
@@ -552,8 +537,7 @@ struct Server::Impl {
   }
 
   util::Json run_sleep(Job& job) {
-    const auto total_ms =
-        static_cast<std::uint64_t>(job.request.at("ms").as_number());
+    const std::uint64_t total_ms = count_field(job.request, "ms");
     const util::Deadline done = util::Deadline::after_ms(
         total_ms == 0 ? 1 : total_ms);
     // Sleeps in slices of at most 10 ms so cancellation stays prompt, and
@@ -640,6 +624,6 @@ void Server::stop() {
   util::log_info("qhdl_serve: drained and stopped");
 }
 
-ServerStats Server::stats() const { return impl_->snapshot(); }
+util::MetricsSnapshot Server::metrics() const { return impl_->snapshot(); }
 
 }  // namespace qhdl::serve

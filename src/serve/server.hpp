@@ -17,8 +17,8 @@
 //     stops accepting, lets in-flight jobs finish, rejects queued-but-
 //     unstarted ones with reason "draining", and flushes the result cache.
 //   * Worker-crash tolerance — study jobs with `pool_workers > 0` run on a
-//     PR-5 WorkerPool (kill/respawn, retry, quarantine, backoff); pool
-//     stats aggregate into the server's.
+//     search::WorkerPool (kill/respawn, retry, quarantine, backoff); each
+//     job's pool counters merge into the server's.
 //
 // Results are memoized in a content-addressed ResultCache keyed by the
 // sweep-config hash: a repeated study replays its units byte-identically,
@@ -32,6 +32,7 @@
 #include "search/worker_pool.hpp"
 #include "serve/result_cache.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 
 namespace qhdl::serve {
 
@@ -64,30 +65,6 @@ struct ServerConfig {
   search::WorkerPoolConfig pool;
 };
 
-/// Counters behind the `stats` request. Monotonic since server start.
-struct ServerStats {
-  std::size_t accepted = 0;
-  std::size_t accept_failures = 0;
-  std::size_t rejected_overloaded = 0;
-  std::size_t rejected_draining = 0;
-  std::size_t jobs_completed = 0;
-  std::size_t jobs_failed = 0;
-  std::size_t jobs_cancelled = 0;
-  std::size_t deadlines_expired = 0;
-  std::size_t client_disconnects = 0;
-  std::size_t protocol_errors = 0;
-  std::size_t read_timeouts = 0;
-  std::size_t progress_frames = 0;  ///< streaming progress frames written
-  // Aggregated over every per-job worker pool this server has run.
-  std::size_t pool_restarts = 0;
-  std::size_t pool_retried_units = 0;
-  std::size_t pool_quarantined_units = 0;
-  std::size_t pool_steals = 0;
-  ResultCacheStats cache;
-
-  util::Json to_json() const;
-};
-
 class Server {
  public:
   explicit Server(ServerConfig config);
@@ -112,7 +89,11 @@ class Server {
   /// jobs finish first), flush the result cache. Idempotent.
   void stop();
 
-  ServerStats stats() const;
+  /// The counters behind the `stats` reply since server start (DESIGN.md
+  /// §17): admission, job-outcome and protocol counters, progress_frames
+  /// written, four pool_* counters summed over every per-job WorkerPool,
+  /// and the result cache's cache.* counters.
+  util::MetricsSnapshot metrics() const;
 
  private:
   struct Impl;

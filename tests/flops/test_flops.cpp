@@ -8,6 +8,7 @@
 #include "qnn/hybrid_model.hpp"
 #include "search/candidate.hpp"
 #include "util/backend_registry.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace qhdl::flops {
@@ -204,20 +205,20 @@ TEST(DispatchCounts, ClassifyCircuitMatchesMeasuredCounters) {
   EXPECT_EQ(modeled.total(), circuit.op_count());
 
   util::simd::set_backend("generic");
-  quantum::kernels::reset_stats();
+  util::Metrics::global().reset();
   quantum::StateVector state{3};
   const std::vector<double> params{0.3, 0.5, 0.7, 0.9};
   for (const quantum::Op& op : circuit.ops()) {
     quantum::apply_gate(state, op.type, op.angle(params), op.wire0, op.wire1);
   }
-  const auto measured = quantum::kernels::stats();
+  const util::MetricsSnapshot measured = util::Metrics::global().snapshot();
   util::simd::set_backend(std::nullopt);
-  EXPECT_EQ(measured.diagonal, modeled.diagonal);
-  EXPECT_EQ(measured.real_rotation, modeled.real_rotation);
-  EXPECT_EQ(measured.permutation, modeled.permutation);
-  EXPECT_EQ(measured.controlled, modeled.controlled);
-  EXPECT_EQ(measured.double_flip, modeled.double_flip);
-  EXPECT_EQ(measured.generic, modeled.generic);
+  EXPECT_EQ(measured.at("kernel.diagonal"), modeled.diagonal);
+  EXPECT_EQ(measured.at("kernel.real_rotation"), modeled.real_rotation);
+  EXPECT_EQ(measured.at("kernel.permutation"), modeled.permutation);
+  EXPECT_EQ(measured.at("kernel.controlled"), modeled.controlled);
+  EXPECT_EQ(measured.at("kernel.double_flip"), modeled.double_flip);
+  EXPECT_EQ(measured.at("kernel.generic"), modeled.generic);
 
   const std::string table = dispatch_comparison_to_string(modeled, measured);
   EXPECT_NE(table.find("diagonal"), std::string::npos);
@@ -249,20 +250,21 @@ TEST(DispatchCounts, ClassifyPlanMatchesMeasuredCompiledCounters) {
   EXPECT_EQ(modeled.fused_gates, 6u);
 
   util::simd::set_backend("generic");
-  quantum::kernels::reset_stats();
+  util::Metrics::global().reset();
   quantum::StateVector state{3};
   const std::vector<double> params{0.4, -0.8};
   plan->run(state, params);
-  const auto measured = quantum::kernels::stats();
+  const util::MetricsSnapshot measured = util::Metrics::global().snapshot();
   util::simd::set_backend(std::nullopt);
-  EXPECT_EQ(measured.diagonal, modeled.diagonal);
-  EXPECT_EQ(measured.generic, modeled.generic);
-  EXPECT_EQ(measured.two_qubit_dense, modeled.two_qubit_dense);
-  EXPECT_EQ(measured.controlled, modeled.controlled);
-  EXPECT_EQ(measured.permutation, modeled.permutation);
-  EXPECT_EQ(measured.fused, modeled.fused);
-  EXPECT_EQ(measured.fused_gates, modeled.fused_gates);
-  EXPECT_EQ(measured.total_dispatches(), modeled.total());
+  EXPECT_EQ(measured.at("kernel.diagonal"), modeled.diagonal);
+  EXPECT_EQ(measured.at("kernel.generic"), modeled.generic);
+  EXPECT_EQ(measured.at("kernel.two_qubit_dense"), modeled.two_qubit_dense);
+  EXPECT_EQ(measured.at("kernel.controlled"), modeled.controlled);
+  EXPECT_EQ(measured.at("kernel.permutation"), modeled.permutation);
+  EXPECT_EQ(measured.at("kernel.fused"), modeled.fused);
+  EXPECT_EQ(measured.at("kernel.fused_gates"), modeled.fused_gates);
+  EXPECT_EQ(measured.at("kernel.real_rotation"), modeled.real_rotation);
+  EXPECT_EQ(measured.at("kernel.double_flip"), modeled.double_flip);
 
   const std::string table = dispatch_comparison_to_string(modeled, measured);
   EXPECT_NE(table.find("two_qubit_dense"), std::string::npos);

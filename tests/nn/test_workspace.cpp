@@ -12,11 +12,11 @@
 
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
-#include "nn/fastpath.hpp"
 #include "nn/trainer.hpp"
 #include "qnn/quantum_layer.hpp"
 #include "tensor/init.hpp"
 #include "test_helpers.hpp"
+#include "util/metrics.hpp"
 
 namespace qhdl::nn {
 namespace {
@@ -187,19 +187,19 @@ TEST(Workspace, HybridModelsFallBackToReferencePath) {
   config.epochs = 1;
   config.batch_size = 4;
 
-  fastpath::reset_stats();
+  util::Metrics::global().reset();
   util::Rng train_rng{17};
   train_classifier(hybrid, optimizer, x, y, x, y, config, train_rng);
-  EXPECT_EQ(fastpath::stats().reference_runs, 1u);
-  EXPECT_EQ(fastpath::stats().workspace_runs, 0u);
+  EXPECT_EQ(qhdl::testing::global_count("fastpath.reference_runs"), 1u);
+  EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 0u);
 }
 
 TEST(Workspace, ClassicalModelsUseWorkspacePath) {
-  fastpath::reset_stats();
+  util::Metrics::global().reset();
   train_once(false, 4, 1, Act::Tanh, 20, 8, 1);
-  EXPECT_EQ(fastpath::stats().workspace_runs, 1u);
-  EXPECT_EQ(fastpath::stats().reference_runs, 0u);
-  EXPECT_GT(fastpath::stats().workspace_steps, 0u);
+  EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 1u);
+  EXPECT_EQ(qhdl::testing::global_count("fastpath.reference_runs"), 0u);
+  EXPECT_GT(qhdl::testing::global_count("fastpath.workspace_steps"), 0u);
 }
 
 TEST(Workspace, EvaluateAccuracyMatchesModuleForward) {

@@ -6,10 +6,10 @@
 #include <optional>
 #include <vector>
 
-#include "quantum/kernels.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 #include "test_helpers.hpp"
+#include "util/metrics.hpp"
 
 namespace qhdl::qnn {
 namespace {
@@ -359,17 +359,17 @@ TEST(QuantumLayer, BatchedSoAPathMatchesGenericPerRow) {
   tensor::Tensor out_batched, gin_batched, out_generic, gin_generic;
   {
     const testing::ReferenceScope scope{false};
-    quantum::kernels::reset_stats();
+    util::Metrics::global().reset();
     out_batched = batched.forward(x);
-    EXPECT_GT(quantum::kernels::stats().batched_rows, 0u)
+    EXPECT_GT(qhdl::testing::global_count("kernel.batched_rows"), 0u)
         << "specialized mode should take the SoA batch path";
     gin_batched = batched.backward(g);
   }
   {
     const testing::ReferenceScope scope{true};
-    quantum::kernels::reset_stats();
+    util::Metrics::global().reset();
     out_generic = generic.forward(x);
-    EXPECT_EQ(quantum::kernels::stats().batched_rows, 0u)
+    EXPECT_EQ(qhdl::testing::global_count("kernel.batched_rows"), 0u)
         << "the reference backend should not take the SoA batch path";
     gin_generic = generic.backward(g);
   }
@@ -473,10 +473,10 @@ struct BackwardRun {
 
 BackwardRun run_backward(QuantumLayer& layer, const Tensor& g) {
   layer.zero_grad();
-  quantum::kernels::reset_stats();
+  util::Metrics::global().reset();
   const Tensor grad_input = layer.backward(g);
   BackwardRun run;
-  run.recomputed = quantum::kernels::stats().fused > 0;
+  run.recomputed = qhdl::testing::global_count("kernel.fused") > 0;
   run.grads.input.assign(grad_input.data().begin(), grad_input.data().end());
   const Tensor& wgrad = layer.parameters()[0]->grad;
   run.grads.weight.assign(wgrad.data().begin(), wgrad.data().end());

@@ -20,12 +20,12 @@
 #include "quantum/adjoint_diff.hpp"
 #include "quantum/circuit.hpp"
 #include "quantum/gates.hpp"
-#include "quantum/kernels.hpp"
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
 #include "quantum/statevector_batch.hpp"
 #include "test_helpers.hpp"
 #include "util/backend_registry.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -341,19 +341,23 @@ TEST(BatchEquivalence, CircuitRunBitIdenticalPerRowAllModes) {
                                    backend->name +
                                    " q=" + std::to_string(qubits) +
                                    " b=" + std::to_string(batch_size);
-          quantum::kernels::reset_stats();
+          util::Metrics::global().reset();
           StateVectorBatch compiled{qubits, batch_size};
           c.circuit.run_batch(compiled, params, stride);
-          const quantum::KernelStatsSnapshot batch_stats =
-              quantum::kernels::stats();
+          const util::MetricsSnapshot batch_stats =
+              util::Metrics::global().snapshot();
           // A batched run fuses each chain once for all rows: the same
           // fused-chain totals as one scalar plan run.
-          quantum::kernels::reset_stats();
+          util::Metrics::global().reset();
           c.circuit.execute(std::span<const double>{params.data(), stride});
-          const quantum::KernelStatsSnapshot row_stats =
-              quantum::kernels::stats();
-          EXPECT_EQ(batch_stats.fused, row_stats.fused) << base;
-          EXPECT_EQ(batch_stats.fused_gates, row_stats.fused_gates) << base;
+          const util::MetricsSnapshot row_stats =
+              util::Metrics::global().snapshot();
+          EXPECT_EQ(batch_stats.at("kernel.fused"),
+                    row_stats.at("kernel.fused"))
+              << base;
+          EXPECT_EQ(batch_stats.at("kernel.fused_gates"),
+                    row_stats.at("kernel.fused_gates"))
+              << base;
 
           StateVectorBatch uncompiled{qubits, batch_size};
           run_batch_uncompiled(c.circuit, uncompiled, params, stride);

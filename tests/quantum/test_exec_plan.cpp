@@ -21,11 +21,11 @@
 #include "quantum/circuit.hpp"
 #include "quantum/exec_plan.hpp"
 #include "quantum/gates.hpp"
-#include "quantum/kernels.hpp"
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
 #include "quantum/statevector_batch.hpp"
 #include "test_helpers.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -447,10 +447,10 @@ TEST(ExecPlan, ReferenceBackendCompilesOnePlan) {
   std::shared_ptr<const ExecutionPlan> plan;
   {
     const qhdl::testing::ReferenceScope scope{true};
-    quantum::kernels::reset_stats();
+    util::Metrics::global().reset();
     circuit.run(reference, params);
-    EXPECT_EQ(quantum::kernels::stats().fused, 0u);
-    EXPECT_GT(quantum::kernels::stats().generic, 0u);
+    EXPECT_EQ(qhdl::testing::global_count("kernel.fused"), 0u);
+    EXPECT_GT(qhdl::testing::global_count("kernel.generic"), 0u);
     plan = circuit.compiled_plan();
   }
   ASSERT_NE(plan, nullptr);

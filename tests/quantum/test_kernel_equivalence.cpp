@@ -14,11 +14,11 @@
 #include "quantum/adjoint_diff.hpp"
 #include "quantum/circuit.hpp"
 #include "quantum/gates.hpp"
-#include "quantum/kernels.hpp"
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
 #include "quantum/statevector_batch.hpp"
 #include "test_helpers.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -213,14 +213,14 @@ TEST(KernelEquivalence, FusedCircuitRunMatchesGeneric) {
     const Circuit circuit = make_sel_circuit(qubits, 4, params, rng);
     StateVector fused{qubits};
     StateVector generic{qubits};
-    quantum::kernels::reset_stats();
+    util::Metrics::global().reset();
     {
       const KernelScope scope{false};
       circuit.run(fused, params);
     }
-    const auto stats = quantum::kernels::stats();
-    EXPECT_GT(stats.fused, 0u) << "SEL rot chains should fuse";
-    EXPECT_GT(stats.fused_gates, stats.fused)
+    const util::MetricsSnapshot stats = util::Metrics::global().snapshot();
+    EXPECT_GT(stats.at("kernel.fused"), 0u) << "SEL rot chains should fuse";
+    EXPECT_GT(stats.at("kernel.fused_gates"), stats.at("kernel.fused"))
         << "each fused chain absorbs >= 2 gates";
     {
       const KernelScope scope{true};
@@ -386,7 +386,7 @@ TEST(KernelEquivalence, FusionPreservesAdjointGradients) {
 
 TEST(KernelEquivalence, DispatchCountersClassifyCircuit) {
   const KernelScope scope{false};
-  quantum::kernels::reset_stats();
+  util::Metrics::global().reset();
   StateVector state{3};
   quantum::apply_gate(state, GateType::RZ, 0.3, 0);
   quantum::apply_gate(state, GateType::RX, 0.4, 1);
@@ -395,14 +395,14 @@ TEST(KernelEquivalence, DispatchCountersClassifyCircuit) {
   quantum::apply_gate(state, GateType::CNOT, 0.0, 0, 1);
   quantum::apply_gate(state, GateType::CRY, 0.5, 1, 2);
   quantum::apply_gate(state, GateType::RZZ, 0.6, 0, 2);
-  const auto stats = quantum::kernels::stats();
-  EXPECT_EQ(stats.diagonal, 1u);
-  EXPECT_EQ(stats.real_rotation, 1u);
-  EXPECT_EQ(stats.permutation, 2u);  // PauliX + CNOT
-  EXPECT_EQ(stats.generic, 1u);      // Hadamard
-  EXPECT_EQ(stats.controlled, 1u);
-  EXPECT_EQ(stats.double_flip, 1u);
-  EXPECT_EQ(stats.total_dispatches(), 7u);
+  const util::MetricsSnapshot stats = util::Metrics::global().snapshot();
+  EXPECT_EQ(stats.at("kernel.diagonal"), 1u);
+  EXPECT_EQ(stats.at("kernel.real_rotation"), 1u);
+  EXPECT_EQ(stats.at("kernel.permutation"), 2u);  // PauliX + CNOT
+  EXPECT_EQ(stats.at("kernel.generic"), 1u);      // Hadamard
+  EXPECT_EQ(stats.at("kernel.controlled"), 1u);
+  EXPECT_EQ(stats.at("kernel.double_flip"), 1u);
+  EXPECT_EQ(stats.at("kernel.two_qubit_dense"), 0u);
 }
 
 }  // namespace

@@ -16,12 +16,12 @@
 #include "core/config.hpp"
 #include "data/preprocess.hpp"
 #include "nn/dense.hpp"
-#include "nn/fastpath.hpp"
 #include "nn/trainer.hpp"
 #include "search/checkpoint.hpp"
 #include "search/experiment.hpp"
 #include "search/results.hpp"
 #include "util/fault_injection.hpp"
+#include "util/metrics.hpp"
 
 namespace qhdl::search {
 namespace {
@@ -313,12 +313,14 @@ TEST_F(CheckpointResumeTest, ResumeAtCheckpointedWinnerTrainsNothing) {
 
   StudyCheckpoint resumed{path_, hash};
   ASSERT_GT(resumed.load(), 0u);
-  const nn::fastpath::FastpathStatsSnapshot before = nn::fastpath::stats();
+  const util::MetricsSnapshot before = util::Metrics::global().snapshot();
   const SweepResult sweep =
       run_complexity_sweep(Family::Classical, config, &resumed);
-  const nn::fastpath::FastpathStatsSnapshot after = nn::fastpath::stats();
-  EXPECT_EQ(after.workspace_runs, before.workspace_runs);
-  EXPECT_EQ(after.reference_runs, before.reference_runs);
+  const util::MetricsSnapshot after = util::Metrics::global().snapshot();
+  EXPECT_EQ(after.at("fastpath.workspace_runs"),
+            before.at("fastpath.workspace_runs"));
+  EXPECT_EQ(after.at("fastpath.reference_runs"),
+            before.at("fastpath.reference_runs"));
   EXPECT_EQ(sweep_to_json(sweep).dump(2), baseline);
   for (const SearchOutcome& outcome : sweep.levels.at(0).search.repetitions) {
     EXPECT_EQ(outcome.units_trained, 0u);

@@ -82,7 +82,7 @@ bool eventually(const std::function<bool()>& pred,
 
 bool wait_for_registrations(WorkerPool& pool, std::size_t count) {
   return eventually(
-      [&] { return pool.stats().remote_registered >= count; });
+      [&] { return pool.metrics().at("pool_remote_registered") >= count; });
 }
 
 WorkerPoolConfig distributed_config(std::size_t remote_workers) {
@@ -160,10 +160,10 @@ TEST(DistributedPoolGolden, TwoDaemonSweepMatchesInProcessBytes) {
   ASSERT_TRUE(wait_for_registrations(pool, 4));
 
   EXPECT_EQ(sweep_bytes(config, &pool), baseline);
-  const WorkerPoolStats stats = pool.stats();
-  EXPECT_GE(stats.remote_registered, 4u);
-  EXPECT_EQ(stats.retried_units, 0u);
-  EXPECT_EQ(stats.quarantined_units, 0u);
+  const util::MetricsSnapshot stats = pool.metrics();
+  EXPECT_GE(stats.at("pool_remote_registered"), 4u);
+  EXPECT_EQ(stats.at("pool_retried_units"), 0u);
+  EXPECT_EQ(stats.at("pool_quarantined_units"), 0u);
 }
 
 TEST(DistributedPoolGolden, DaemonCrashMidRunIsRedispatchedIdentically) {
@@ -185,10 +185,10 @@ TEST(DistributedPoolGolden, DaemonCrashMidRunIsRedispatchedIdentically) {
   ASSERT_TRUE(wait_for_registrations(pool, 2));
 
   EXPECT_EQ(sweep_bytes(config, &pool), baseline);
-  const WorkerPoolStats stats = pool.stats();
-  EXPECT_GE(stats.steals, 1u);
-  EXPECT_GE(stats.remote_lost, 1u);
-  EXPECT_EQ(stats.quarantined_units, 0u);
+  const util::MetricsSnapshot stats = pool.metrics();
+  EXPECT_GE(stats.at("pool_steals"), 1u);
+  EXPECT_GE(stats.at("pool_remote_lost"), 1u);
+  EXPECT_EQ(stats.at("pool_quarantined_units"), 0u);
 }
 
 TEST(DistributedPoolGolden, SigkilledDaemonMidRunMatchesBytes) {
@@ -213,8 +213,8 @@ TEST(DistributedPoolGolden, SigkilledDaemonMidRunMatchesBytes) {
   killer.join();
   EXPECT_EQ(distributed, baseline);
   EXPECT_TRUE(eventually(
-      [&] { return pool.stats().remote_lost >= 1; }, 5000));
-  EXPECT_EQ(pool.stats().quarantined_units, 0u);
+      [&] { return pool.metrics().at("pool_remote_lost") >= 1; }, 5000));
+  EXPECT_EQ(pool.metrics().at("pool_quarantined_units"), 0u);
 }
 
 // --- fallback chain -------------------------------------------------------
@@ -232,7 +232,7 @@ TEST(DistributedPoolFallback, NoDaemonsFallsBackToLocalPipesIdentically) {
   // spawn local pipe workers and produce the same bytes.
   EXPECT_EQ(sweep_bytes(config, &pool), baseline);
   EXPECT_FALSE(pool.degraded()) << pool.degraded_reason();
-  EXPECT_EQ(pool.stats().remote_registered, 0u);
+  EXPECT_EQ(pool.metrics().at("pool_remote_registered"), 0u);
 }
 
 TEST(DistributedPoolFallback, SlowHandshakeIsRejectedThenFallsBackLocal) {
@@ -254,15 +254,15 @@ TEST(DistributedPoolFallback, SlowHandshakeIsRejectedThenFallsBackLocal) {
   // Snapshot the counters and stop the daemon while the fault is still
   // armed: the daemon redials shortly after each dropped handshake, and a
   // redial that lands after the disarm would register for real.
-  const WorkerPoolStats stats = pool.stats();
+  const util::MetricsSnapshot stats = pool.metrics();
   daemon.kill_hard();
   daemon.wait();
   util::FaultInjector::instance().configure("");
   EXPECT_EQ(bytes, baseline);
   EXPECT_FALSE(pool.degraded()) << pool.degraded_reason();
-  EXPECT_EQ(stats.remote_registered, 0u);
+  EXPECT_EQ(stats.at("pool_remote_registered"), 0u);
   EXPECT_TRUE(eventually(
-      [&] { return pool.stats().handshake_rejects >= 1; }, 5000));
+      [&] { return pool.metrics().at("pool_handshake_rejects") >= 1; }, 5000));
 }
 
 // --- injected connection faults ------------------------------------------
@@ -286,10 +286,10 @@ TEST(DistributedPoolFaults, ResetMidUnitIsRedispatchedAndHeals) {
   const std::string bytes = sweep_bytes(config, &pool);
   util::FaultInjector::instance().configure("");
   EXPECT_EQ(bytes, baseline);
-  const WorkerPoolStats stats = pool.stats();
-  EXPECT_GE(stats.steals, 1u);
-  EXPECT_GE(stats.remote_lost, 1u);
-  EXPECT_EQ(stats.quarantined_units, 0u);
+  const util::MetricsSnapshot stats = pool.metrics();
+  EXPECT_GE(stats.at("pool_steals"), 1u);
+  EXPECT_GE(stats.at("pool_remote_lost"), 1u);
+  EXPECT_EQ(stats.at("pool_quarantined_units"), 0u);
 }
 
 TEST(DistributedPoolFaults, PartitionIsReapedByHeartbeatAndRedispatched) {
@@ -314,10 +314,10 @@ TEST(DistributedPoolFaults, PartitionIsReapedByHeartbeatAndRedispatched) {
   const std::string bytes = sweep_bytes(config, &pool);
   util::FaultInjector::instance().configure("");
   EXPECT_EQ(bytes, baseline);
-  const WorkerPoolStats stats = pool.stats();
-  EXPECT_GE(stats.steals, 1u);
-  EXPECT_GE(stats.remote_lost, 1u);
-  EXPECT_EQ(stats.quarantined_units, 0u);
+  const util::MetricsSnapshot stats = pool.metrics();
+  EXPECT_GE(stats.at("pool_steals"), 1u);
+  EXPECT_GE(stats.at("pool_remote_lost"), 1u);
+  EXPECT_EQ(stats.at("pool_quarantined_units"), 0u);
 }
 
 TEST(DistributedPoolFaults, RefusedConnectRetriesWithBackoffAndRegisters) {
@@ -334,7 +334,7 @@ TEST(DistributedPoolFaults, RefusedConnectRetriesWithBackoffAndRegisters) {
   ASSERT_TRUE(wait_for_registrations(pool, 1));
 
   EXPECT_EQ(sweep_bytes(config, &pool), baseline);
-  EXPECT_EQ(pool.stats().quarantined_units, 0u);
+  EXPECT_EQ(pool.metrics().at("pool_quarantined_units"), 0u);
 }
 
 // --- straggler stealing ---------------------------------------------------
@@ -363,7 +363,7 @@ TEST(DistributedPoolStealing, IdleWorkerDuplicatesStragglerFirstResultWins) {
   ASSERT_TRUE(wait_for_registrations(pool, 2));
 
   EXPECT_EQ(sweep_bytes(config, &pool), baseline);
-  EXPECT_GE(pool.stats().steals, 1u);
+  EXPECT_GE(pool.metrics().at("pool_steals"), 1u);
 }
 
 // --- CI fault-matrix leg --------------------------------------------------
@@ -408,14 +408,14 @@ TEST(DistFaultMatrix, DistributedSweepSurvivesConfiguredConnFault) {
   const std::string bytes = sweep_bytes(config, &pool);
   util::FaultInjector::instance().configure("");
   EXPECT_EQ(bytes, baseline);
-  const WorkerPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.quarantined_units, 0u);
+  const util::MetricsSnapshot stats = pool.metrics();
+  EXPECT_EQ(stats.at("pool_quarantined_units"), 0u);
   if (slow) {
     // Handshakes never complete: the sweep ran on the local fallback.
-    EXPECT_EQ(stats.remote_registered, 0u);
-    EXPECT_GE(stats.handshake_rejects, 1u);
+    EXPECT_EQ(stats.at("pool_remote_registered"), 0u);
+    EXPECT_GE(stats.at("pool_handshake_rejects"), 1u);
   } else {
-    EXPECT_GE(stats.remote_registered, 1u);
+    EXPECT_GE(stats.at("pool_remote_registered"), 1u);
   }
 }
 

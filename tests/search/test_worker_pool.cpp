@@ -284,9 +284,9 @@ TEST(WorkerPoolGolden, MultiProcessSweepMatchesInProcessBytes) {
   WorkerPool pool{config, pool_config};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
   EXPECT_EQ(sweep_bytes(config, &pool), baseline);
-  const WorkerPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.retried_units, 0u);
-  EXPECT_EQ(stats.quarantined_units, 0u);
+  const util::MetricsSnapshot stats = pool.metrics();
+  EXPECT_EQ(stats.at("pool_retried_units"), 0u);
+  EXPECT_EQ(stats.at("pool_quarantined_units"), 0u);
 }
 
 // --- dispatch latency -----------------------------------------------------
@@ -333,12 +333,12 @@ TEST(WorkerPoolDispatch, IdlePoolDispatchesQueuedUnitWithoutWaitingForTick) {
 std::string faulted_sweep_bytes(const SweepConfig& config,
                                 const std::string& fault_spec,
                                 WorkerPoolConfig pool_config,
-                                WorkerPoolStats* stats_out = nullptr) {
+                                util::MetricsSnapshot* stats_out = nullptr) {
   pool_config.worker_env = {"QHDL_FAULT_SPEC=" + fault_spec};
   WorkerPool pool{config, pool_config};
   EXPECT_FALSE(pool.degraded()) << pool.degraded_reason();
   const std::string bytes = sweep_bytes(config, &pool);
-  if (stats_out != nullptr) *stats_out = pool.stats();
+  if (stats_out != nullptr) *stats_out = pool.metrics();
   return bytes;
 }
 
@@ -352,13 +352,13 @@ TEST(WorkerPoolFaults, CrashedWorkerIsRespawnedAndUnitRetried) {
   WorkerPoolConfig pool_config;
   pool_config.workers = 2;
   pool_config.backoff_initial_ms = 50;
-  WorkerPoolStats stats;
+  util::MetricsSnapshot stats;
   EXPECT_EQ(faulted_sweep_bytes(config, "worker=crash@2", pool_config,
                                 &stats),
             baseline);
-  EXPECT_GT(stats.restarts, 0u);
-  EXPECT_GT(stats.retried_units, 0u);
-  EXPECT_EQ(stats.quarantined_units, 0u);
+  EXPECT_GT(stats.at("pool_restarts"), 0u);
+  EXPECT_GT(stats.at("pool_retried_units"), 0u);
+  EXPECT_EQ(stats.at("pool_quarantined_units"), 0u);
 }
 
 TEST(WorkerPoolFaults, HungWorkerIsKilledByUnitDeadline) {
@@ -373,13 +373,13 @@ TEST(WorkerPoolFaults, HungWorkerIsKilledByUnitDeadline) {
   pool_config.unit_timeout_ms = 1500;
   pool_config.heartbeat_timeout_ms = 60000;
   pool_config.backoff_initial_ms = 50;
-  WorkerPoolStats stats;
+  util::MetricsSnapshot stats;
   EXPECT_EQ(
       faulted_sweep_bytes(config, "worker=hang@2", pool_config, &stats),
       baseline);
-  EXPECT_GT(stats.restarts, 0u);
-  EXPECT_GT(stats.retried_units, 0u);
-  EXPECT_EQ(stats.quarantined_units, 0u);
+  EXPECT_GT(stats.at("pool_restarts"), 0u);
+  EXPECT_GT(stats.at("pool_retried_units"), 0u);
+  EXPECT_EQ(stats.at("pool_quarantined_units"), 0u);
 }
 
 TEST(WorkerPoolFaults, HungWorkerIsKilledByHeartbeatLiveness) {
@@ -394,13 +394,13 @@ TEST(WorkerPoolFaults, HungWorkerIsKilledByHeartbeatLiveness) {
   pool_config.heartbeat_interval_ms = 100;
   pool_config.heartbeat_timeout_ms = 700;
   pool_config.backoff_initial_ms = 50;
-  WorkerPoolStats stats;
+  util::MetricsSnapshot stats;
   EXPECT_EQ(
       faulted_sweep_bytes(config, "worker=hang@2", pool_config, &stats),
       baseline);
-  EXPECT_GT(stats.restarts, 0u);
-  EXPECT_GT(stats.retried_units, 0u);
-  EXPECT_EQ(stats.quarantined_units, 0u);
+  EXPECT_GT(stats.at("pool_restarts"), 0u);
+  EXPECT_GT(stats.at("pool_retried_units"), 0u);
+  EXPECT_EQ(stats.at("pool_quarantined_units"), 0u);
 }
 
 TEST(WorkerPoolFaults, GarbageEmittingWorkerIsKilledAndUnitRetried) {
@@ -411,13 +411,13 @@ TEST(WorkerPoolFaults, GarbageEmittingWorkerIsKilledAndUnitRetried) {
   WorkerPoolConfig pool_config;
   pool_config.workers = 2;
   pool_config.backoff_initial_ms = 50;
-  WorkerPoolStats stats;
+  util::MetricsSnapshot stats;
   EXPECT_EQ(faulted_sweep_bytes(config, "worker=garbage@2", pool_config,
                                 &stats),
             baseline);
-  EXPECT_GT(stats.restarts, 0u);
-  EXPECT_GT(stats.retried_units, 0u);
-  EXPECT_EQ(stats.quarantined_units, 0u);
+  EXPECT_GT(stats.at("pool_restarts"), 0u);
+  EXPECT_GT(stats.at("pool_retried_units"), 0u);
+  EXPECT_EQ(stats.at("pool_quarantined_units"), 0u);
 }
 
 TEST(WorkerPoolFaults, ExhaustedRetriesQuarantineUnitsAndSweepCompletes) {
@@ -454,8 +454,8 @@ TEST(WorkerPoolFaults, ExhaustedRetriesQuarantineUnitsAndSweepCompletes) {
     EXPECT_GT(result.flops, 0.0);
     EXPECT_GT(result.parameter_count, 0u);
   }
-  const WorkerPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.quarantined_units, config.search.max_candidates);
+  const util::MetricsSnapshot stats = pool.metrics();
+  EXPECT_EQ(stats.at("pool_quarantined_units"), config.search.max_candidates);
 }
 
 // --- graceful degradation -------------------------------------------------
@@ -554,7 +554,7 @@ TEST(WorkerPoolLazyStart, ConcurrentFirstUseSpawnsEachWorkerOnce) {
   {
     WorkerPool pool{config, pool_config};
     EXPECT_EQ(sweep_bytes(config, &pool), baseline);
-    EXPECT_EQ(pool.stats().restarts, 0u);
+    EXPECT_EQ(pool.metrics().at("pool_restarts"), 0u);
   }
   std::ifstream in{log};
   std::size_t spawns = 0;
@@ -590,17 +590,17 @@ TEST(WorkerFaultMatrix, PooledSweepSurvivesConfiguredWorkerFault) {
   WorkerPool pool{config, pool_config};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
   const std::string faulted = sweep_bytes(config, &pool);
-  const WorkerPoolStats stats = pool.stats();
+  const util::MetricsSnapshot stats = pool.metrics();
 
   if (spec.find('+') != std::string::npos) {
     // Open-ended fault: every attempt fails, so units are quarantined but
     // the sweep still completes (exit 0 in the driver).
-    EXPECT_GT(stats.quarantined_units, 0u);
+    EXPECT_GT(stats.at("pool_quarantined_units"), 0u);
   } else {
     // Bounded fault: retries absorb it and the bytes are the baseline's.
     EXPECT_EQ(faulted, baseline);
-    EXPECT_GT(stats.retried_units, 0u);
-    EXPECT_EQ(stats.quarantined_units, 0u);
+    EXPECT_GT(stats.at("pool_retried_units"), 0u);
+    EXPECT_EQ(stats.at("pool_quarantined_units"), 0u);
   }
 }
 

@@ -55,7 +55,7 @@ TEST_F(ResultCacheTest, SameConfigHashSharesOneEntry) {
   // A result-affecting change is a different entry.
   auto c = cache.checkpoint_for(config_with_seed(2));
   EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.metrics().at("cache.entries"), 2u);
 }
 
 TEST_F(ResultCacheTest, MemoryOnlyEvictionDiscardsResults) {
@@ -64,8 +64,8 @@ TEST_F(ResultCacheTest, MemoryOnlyEvictionDiscardsResults) {
   record_unit(*a, 0);
   (void)cache.checkpoint_for(config_with_seed(2));
   (void)cache.checkpoint_for(config_with_seed(3));  // evicts seed-1 (LRU)
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.metrics().at("cache.entries"), 2u);
+  EXPECT_EQ(cache.metrics().at("cache.evictions"), 1u);
   auto a2 = cache.checkpoint_for(config_with_seed(1));
   EXPECT_EQ(a2->completed_units(), 0u) << "memory-only eviction must drop";
 }
@@ -90,7 +90,7 @@ TEST_F(ResultCacheTest, EvictedEntrySpillsToDiskAndReloads) {
   record_unit(*a, 1);
   a.reset();
   (void)cache.checkpoint_for(config_with_seed(2));  // evicts + flushes seed-1
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.metrics().at("cache.evictions"), 1u);
   // The spill file is on disk, named by the config hash.
   const std::string spill =
       dir_ + "/" + search::sweep_config_hash(config) + ".units.json";
@@ -98,7 +98,7 @@ TEST_F(ResultCacheTest, EvictedEntrySpillsToDiskAndReloads) {
   // Re-requesting the config restores the full manifest from disk.
   auto restored = cache.checkpoint_for(config);
   EXPECT_EQ(restored->completed_units(), 2u);
-  EXPECT_EQ(cache.stats().disk_loads, 1u);
+  EXPECT_EQ(cache.metrics().at("cache.disk_loads"), 1u);
 }
 
 TEST_F(ResultCacheTest, CorruptSpillIsDiscardedNotFatal) {
@@ -114,7 +114,7 @@ TEST_F(ResultCacheTest, CorruptSpillIsDiscardedNotFatal) {
   // A corrupt spill must yield a fresh entry, never throw.
   auto checkpoint = cache.checkpoint_for(config);
   EXPECT_EQ(checkpoint->completed_units(), 0u);
-  EXPECT_EQ(cache.stats().disk_loads, 0u);
+  EXPECT_EQ(cache.metrics().at("cache.disk_loads"), 0u);
 }
 
 TEST_F(ResultCacheTest, StatsAggregateRetiredEntries) {
@@ -127,10 +127,10 @@ TEST_F(ResultCacheTest, StatsAggregateRetiredEntries) {
   a.reset();
   (void)cache.checkpoint_for(config_with_seed(2));  // evicts A
   // A's replay counters must survive its eviction.
-  const ResultCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.unit_hits, 1u);
-  EXPECT_EQ(stats.unit_misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
+  const util::MetricsSnapshot stats = cache.metrics();
+  EXPECT_EQ(stats.at("cache.unit_hits"), 1u);
+  EXPECT_EQ(stats.at("cache.unit_misses"), 1u);
+  EXPECT_EQ(stats.at("cache.entries"), 1u);
 }
 
 TEST_F(ResultCacheTest, FlushAllPersistsEveryLiveEntry) {

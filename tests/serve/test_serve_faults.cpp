@@ -26,15 +26,16 @@ util::Json ping_request() {
   return request;
 }
 
-bool wait_for_stats(const Server& server,
-                    const std::function<bool(const ServerStats&)>& predicate,
-                    std::uint64_t budget_ms = 5000) {
+bool wait_for_stats(
+    const Server& server,
+    const std::function<bool(const util::MetricsSnapshot&)>& predicate,
+    std::uint64_t budget_ms = 5000) {
   const util::Deadline deadline = util::Deadline::after_ms(budget_ms);
   while (!deadline.expired()) {
-    if (predicate(server.stats())) return true;
+    if (predicate(server.metrics())) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  return predicate(server.stats());
+  return predicate(server.metrics());
 }
 
 /// Disarms around every test so the process-global injector cannot leak
@@ -58,8 +59,8 @@ TEST_F(ServeFaultTest, AcceptFailureIsCountedAndRecovered) {
   // client sees EOF instead of a reply.
   EXPECT_THROW(round_trip("127.0.0.1", server.port(), ping_request(), 5000),
                std::runtime_error);
-  EXPECT_TRUE(wait_for_stats(server, [](const ServerStats& s) {
-    return s.accept_failures >= 1;
+  EXPECT_TRUE(wait_for_stats(server, [](const util::MetricsSnapshot& s) {
+    return s.at("accept_failures") >= 1;
   }));
   // One-shot trigger: the very next connection is served normally.
   EXPECT_EQ(round_trip("127.0.0.1", server.port(), ping_request(), 5000)
@@ -93,7 +94,7 @@ TEST_F(ServeFaultTest, MidFrameDisconnectIsAProtocolErrorNotACrash) {
   EXPECT_NE(reply.at("message").as_string().find("truncated"),
             std::string::npos)
       << reply.dump(2);
-  EXPECT_EQ(server.stats().protocol_errors, 1u);
+  EXPECT_EQ(server.metrics().at("protocol_errors"), 1u);
   // And the next connection is healthy.
   util::FaultInjector::instance().configure("");
   EXPECT_EQ(round_trip("127.0.0.1", server.port(), ping_request(), 5000)
@@ -113,8 +114,8 @@ TEST_F(ServeFaultTest, SlowClientHitsReadTimeoutNotAHang) {
   util::FaultInjector::instance().configure("sock=slow@1+");
   EXPECT_THROW(round_trip("127.0.0.1", server.port(), ping_request(), 800),
                std::runtime_error);
-  EXPECT_TRUE(wait_for_stats(server, [](const ServerStats& s) {
-    return s.read_timeouts >= 1;
+  EXPECT_TRUE(wait_for_stats(server, [](const util::MetricsSnapshot& s) {
+    return s.at("read_timeouts") >= 1;
   }));
   util::FaultInjector::instance().configure("");
   EXPECT_EQ(round_trip("127.0.0.1", server.port(), ping_request(), 5000)
@@ -158,16 +159,16 @@ TEST(ServeFaultMatrix, ServerSurvivesConfiguredSocketFault) {
 
   if (spec.find("drop") != std::string::npos) {
     // A mid-stream disconnect surfaces as a descriptive protocol error.
-    EXPECT_TRUE(wait_for_stats(server, [](const ServerStats& s) {
-      return s.protocol_errors >= 1;
+    EXPECT_TRUE(wait_for_stats(server, [](const util::MetricsSnapshot& s) {
+      return s.at("protocol_errors") >= 1;
     })) << spec;
   } else if (spec.find("accept=") != std::string::npos) {
-    EXPECT_TRUE(wait_for_stats(server, [](const ServerStats& s) {
-      return s.accept_failures >= 1;
+    EXPECT_TRUE(wait_for_stats(server, [](const util::MetricsSnapshot& s) {
+      return s.at("accept_failures") >= 1;
     })) << spec;
   } else if (spec.find("slow") != std::string::npos) {
-    EXPECT_TRUE(wait_for_stats(server, [](const ServerStats& s) {
-      return s.read_timeouts >= 1;
+    EXPECT_TRUE(wait_for_stats(server, [](const util::MetricsSnapshot& s) {
+      return s.at("read_timeouts") >= 1;
     })) << spec;
   } else if (spec.find("short") != std::string::npos) {
     // Short reads only fragment the stream; the request must succeed.

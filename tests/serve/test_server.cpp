@@ -9,6 +9,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -20,6 +21,7 @@
 #include "serve/protocol.hpp"
 #include "util/deadline.hpp"
 #include "util/fault_injection.hpp"
+#include "util/rng.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
 
@@ -47,17 +49,31 @@ util::Json sleep_request(int ms) {
   return request;
 }
 
+/// A `train` request for one classical candidate of tiny_study().
+util::Json train_request(const search::SweepConfig& config,
+                         const search::ModelSpec& spec, double features,
+                         double repetition) {
+  util::Json request = util::Json::object();
+  request["type"] = "train";
+  request["config"] = search::sweep_config_to_json(config);
+  request["features"] = features;
+  request["repetition"] = repetition;
+  request["spec"] = search::model_spec_to_json(spec);
+  return request;
+}
+
 /// Polls `predicate` against the server's stats until it holds or the
 /// deadline expires.
-bool wait_for_stats(const Server& server,
-                    const std::function<bool(const ServerStats&)>& predicate,
-                    std::uint64_t budget_ms = 5000) {
+bool wait_for_stats(
+    const Server& server,
+    const std::function<bool(const util::MetricsSnapshot&)>& predicate,
+    std::uint64_t budget_ms = 5000) {
   const util::Deadline deadline = util::Deadline::after_ms(budget_ms);
   while (!deadline.expired()) {
-    if (predicate(server.stats())) return true;
+    if (predicate(server.metrics())) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  return predicate(server.stats());
+  return predicate(server.metrics());
 }
 
 class ServeServerTest : public ::testing::Test {
@@ -78,7 +94,7 @@ TEST_F(ServeServerTest, StartStopIsCleanAndIdempotent) {
   EXPECT_GT(server.port(), 0);
   server.stop();
   server.stop();  // idempotent
-  EXPECT_EQ(server.stats().accepted, 0u);
+  EXPECT_EQ(server.metrics().at("accepted"), 0u);
 }
 
 TEST_F(ServeServerTest, PingAndStatsAreServedInline) {
@@ -101,6 +117,27 @@ TEST_F(ServeServerTest, PingAndStatsAreServedInline) {
     EXPECT_TRUE(stats.contains(key)) << key;
   }
   EXPECT_EQ(static_cast<std::size_t>(stats.at("accepted").as_number()), 2u);
+}
+
+// The `stats` wire format: a fresh server's reply, byte for byte. Only the
+// stats connection itself has been accepted.
+TEST_F(ServeServerTest, FreshStatsReplyBytesArePinned) {
+  Server server{ServerConfig{}};
+  server.start();
+  util::Json request = util::Json::object();
+  request["type"] = "stats";
+  const util::Json stats =
+      round_trip("127.0.0.1", server.port(), request, 5000);
+  EXPECT_EQ(stats.dump(),
+            "{\"accept_failures\":0,\"accepted\":1,\"cache\":{\"disk_loads\":0,"
+            "\"entries\":0,\"evictions\":0,\"unit_hits\":0,\"unit_misses\":0},"
+            "\"client_disconnects\":0,\"deadlines_expired\":0,"
+            "\"jobs_cancelled\":0,\"jobs_completed\":0,\"jobs_failed\":0,"
+            "\"pool_quarantined_units\":0,\"pool_restarts\":0,"
+            "\"pool_retried_units\":0,\"pool_steals\":0,"
+            "\"progress_frames\":0,\"protocol_errors\":0,\"read_timeouts\":0,"
+            "\"rejected_draining\":0,\"rejected_overloaded\":0,"
+            "\"type\":\"stats\"}");
 }
 
 TEST_F(ServeServerTest, UnknownRequestTypeIsAnErrorNotADisconnect) {
@@ -132,7 +169,7 @@ TEST_F(ServeServerTest, DeeplyNestedRequestIsAnErrorNotACrash) {
   EXPECT_NE(reply.at("message").as_string().find("nesting"),
             std::string::npos)
       << reply.dump(2);
-  EXPECT_EQ(server.stats().protocol_errors, 1u);
+  EXPECT_EQ(server.metrics().at("protocol_errors"), 1u);
 
   util::Json ping = util::Json::object();
   ping["type"] = "ping";
@@ -179,10 +216,10 @@ TEST_F(ServeServerTest, GoldenRepeatedStudyIsCacheServedByteIdentical) {
   EXPECT_EQ(first.at("config_hash").as_string(),
             search::sweep_config_hash(config));
 
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.jobs_completed, 2u);
-  EXPECT_EQ(stats.cache.unit_hits, 2u);
-  EXPECT_EQ(stats.cache.unit_misses, 2u);
+  const util::MetricsSnapshot stats = server.metrics();
+  EXPECT_EQ(stats.at("jobs_completed"), 2u);
+  EXPECT_EQ(stats.at("cache.unit_hits"), 2u);
+  EXPECT_EQ(stats.at("cache.unit_misses"), 2u);
 }
 
 TEST_F(ServeServerTest, PoolBackedStudyMatchesInProcessBytes) {
@@ -206,6 +243,123 @@ TEST_F(ServeServerTest, PoolBackedStudyMatchesInProcessBytes) {
       round_trip("127.0.0.1", server.port(), request, 120000);
   ASSERT_EQ(reply.at("type").as_string(), "result");
   EXPECT_EQ(reply.at("sweep").dump(2), direct.at("sweep").dump(2));
+}
+
+// Each study job's pool counters merge into the server's: a served study
+// on a 2-worker pool whose workers crash on their 2nd unit still returns the
+// in-process bytes, and the restarts and retries show in `stats`.
+TEST_F(ServeServerTest, PoolCrashCountersMergeIntoStatsReply) {
+  if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
+  search::SweepConfig config = tiny_study();
+  config.search.max_candidates = 4;  // > 2 units, so some worker gets two
+  const std::string direct =
+      search::sweep_to_json(
+          search::run_complexity_sweep(search::Family::Classical, config))
+          .dump(2);
+
+  ServerConfig pooled;
+  pooled.pool_workers = 2;
+  pooled.pool.backoff_initial_ms = 50;
+  pooled.pool.worker_env = {"QHDL_FAULT_SPEC=worker=crash@2"};
+  Server server{pooled};
+  server.start();
+  const util::Json reply = round_trip(
+      "127.0.0.1", server.port(),
+      make_study_request(search::Family::Classical, config), 120000);
+  ASSERT_EQ(reply.at("type").as_string(), "result");
+  EXPECT_EQ(reply.at("sweep").dump(2), direct);
+
+  util::Json request = util::Json::object();
+  request["type"] = "stats";
+  const util::Json stats =
+      round_trip("127.0.0.1", server.port(), request, 5000);
+  EXPECT_GE(stats.at("pool_restarts").as_number(), 1.0) << stats.dump();
+  EXPECT_GE(stats.at("pool_retried_units").as_number(), 1.0) << stats.dump();
+  EXPECT_EQ(stats.at("pool_quarantined_units").as_number(), 0.0);
+  // The pool's remote counters are not part of the server's reply.
+  EXPECT_FALSE(stats.contains("pool_remote_registered"));
+}
+
+TEST_F(ServeServerTest, TrainRepeatIsCacheServedAndMatchesEvaluateUnit) {
+  const search::SweepConfig config = tiny_study();
+  const search::ModelSpec spec = search::ModelSpec::make_classical({3});
+  const util::Json request = train_request(config, spec, 4, 1);
+
+  // The same unit in-process: the repetition stream is the root seed's
+  // (repetition + 1)-th split, and the run streams are drawn from it.
+  search::WorkUnit unit;
+  unit.spec = spec;
+  util::Rng root{config.search.seed};
+  util::Rng rep_rng = root;
+  for (int r = 0; r <= 1; ++r) rep_rng = root.split();
+  for (std::size_t r = 0; r < config.search.runs_per_model; ++r) {
+    unit.streams.push_back(rep_rng.split());
+  }
+  unit.key.features = 4;
+  unit.key.repetition = 1;
+  search::UnitDataCache data_cache;
+  const std::string direct =
+      search::candidate_result_to_json(
+          search::evaluate_unit(config, unit, data_cache))
+          .dump();
+
+  Server server{ServerConfig{}};
+  server.start();
+  const util::Json first =
+      round_trip("127.0.0.1", server.port(), request, 120000);
+  ASSERT_EQ(first.at("type").as_string(), "result") << first.dump();
+  EXPECT_FALSE(first.at("cached").as_bool());
+  EXPECT_EQ(first.at("unit").dump(), direct);
+
+  const util::Json second =
+      round_trip("127.0.0.1", server.port(), request, 120000);
+  ASSERT_EQ(second.at("type").as_string(), "result") << second.dump();
+  EXPECT_TRUE(second.at("cached").as_bool());
+  EXPECT_EQ(second.at("unit").dump(), first.at("unit").dump());
+}
+
+TEST_F(ServeServerTest, TrainAndSleepRejectInvalidNumericFields) {
+  const search::SweepConfig config = tiny_study();
+  const search::ModelSpec spec = search::ModelSpec::make_classical({3});
+  util::Json negative_ms = sleep_request(0);
+  negative_ms["ms"] = -1;
+  const std::pair<util::Json, std::string> cases[] = {
+      {negative_ms, "ms"},
+      {train_request(config, spec, 4, 1.5), "repetition"},
+      {train_request(config, spec, -3, 0), "features"},
+  };
+
+  Server server{ServerConfig{}};
+  server.start();
+  for (const auto& [request, field] : cases) {
+    const util::Json reply =
+        round_trip("127.0.0.1", server.port(), request, 5000);
+    ASSERT_EQ(reply.at("type").as_string(), "error") << reply.dump();
+    EXPECT_NE(reply.at("message").as_string().find("'" + field + "'"),
+              std::string::npos)
+        << reply.dump();
+    // The executor is free again at once.
+    const util::Json slept =
+        round_trip("127.0.0.1", server.port(), sleep_request(0), 1000);
+    EXPECT_EQ(slept.at("type").as_string(), "result");
+  }
+  EXPECT_EQ(server.metrics().at("jobs_failed"), 3u);
+}
+
+TEST_F(ServeServerTest, TrainHugeRepetitionIsCancelledByJobDeadline) {
+  // 10^12 stream splits would wedge an executor for hours; the split loop
+  // must honour the job's cancellation token.
+  ServerConfig server_config;
+  server_config.job_timeout_ms = 200;
+  Server server{server_config};
+  server.start();
+  const util::Json reply = round_trip(
+      "127.0.0.1", server.port(),
+      train_request(tiny_study(), search::ModelSpec::make_classical({3}), 4,
+                    1e12),
+      30000);
+  EXPECT_EQ(reply.at("type").as_string(), "cancelled") << reply.dump();
+  EXPECT_EQ(server.metrics().at("deadlines_expired"), 1u);
 }
 
 TEST_F(ServeServerTest, StudyWithProgressStreamsFramesBeforeTheReply) {
@@ -241,7 +395,7 @@ TEST_F(ServeServerTest, StudyWithProgressStreamsFramesBeforeTheReply) {
   // Progress observation must not perturb the bytes: the streamed study's
   // result is the in-process baseline's.
   EXPECT_EQ(reply.at("sweep").dump(2), direct);
-  EXPECT_GE(server.stats().progress_frames, progress.size());
+  EXPECT_GE(server.metrics().at("progress_frames"), progress.size());
 
   // A plain request on the same server still gets exactly one frame.
   const util::Json plain = round_trip(
@@ -264,8 +418,8 @@ TEST_F(ServeServerTest, OverloadedQueueShedsDeterministically) {
     EXPECT_EQ(reply.at("type").as_string(), "result");
   });
   // ...wait until it has actually been dequeued into the executor...
-  ASSERT_TRUE(wait_for_stats(server, [](const ServerStats& s) {
-    return s.accepted >= 1;
+  ASSERT_TRUE(wait_for_stats(server, [](const util::MetricsSnapshot& s) {
+    return s.at("accepted") >= 1;
   }));
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
@@ -275,8 +429,8 @@ TEST_F(ServeServerTest, OverloadedQueueShedsDeterministically) {
         round_trip("127.0.0.1", server.port(), sleep_request(1500), 30000);
     EXPECT_EQ(reply.at("type").as_string(), "result");
   });
-  ASSERT_TRUE(wait_for_stats(server, [](const ServerStats& s) {
-    return s.accepted >= 2;
+  ASSERT_TRUE(wait_for_stats(server, [](const util::MetricsSnapshot& s) {
+    return s.at("accepted") >= 2;
   }));
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
@@ -288,9 +442,9 @@ TEST_F(ServeServerTest, OverloadedQueueShedsDeterministically) {
 
   a.join();
   b.join();
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.jobs_completed, 2u);
-  EXPECT_GE(stats.rejected_overloaded, 1u);
+  const util::MetricsSnapshot stats = server.metrics();
+  EXPECT_EQ(stats.at("jobs_completed"), 2u);
+  EXPECT_GE(stats.at("rejected_overloaded"), 1u);
 }
 
 TEST_F(ServeServerTest, SequentialNoopJobsAreNotPollBound) {
@@ -310,7 +464,7 @@ TEST_F(ServeServerTest, SequentialNoopJobsAreNotPollBound) {
           std::chrono::steady_clock::now() - start)
           .count();
   EXPECT_LT(elapsed_ms, 250);
-  EXPECT_EQ(server.stats().jobs_completed, 10u);
+  EXPECT_EQ(server.metrics().at("jobs_completed"), 10u);
 }
 
 TEST_F(ServeServerTest, ConcurrentHotJobsCountOnlyTheirOwnCacheHits) {
@@ -391,9 +545,9 @@ TEST_F(ServeServerTest, JobDeadlineCancelsSleep) {
   EXPECT_EQ(reply.at("type").as_string(), "cancelled");
   EXPECT_NE(reply.at("reason").as_string().find("deadline"),
             std::string::npos);
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.jobs_cancelled, 1u);
-  EXPECT_EQ(stats.deadlines_expired, 1u);
+  const util::MetricsSnapshot stats = server.metrics();
+  EXPECT_EQ(stats.at("jobs_cancelled"), 1u);
+  EXPECT_EQ(stats.at("deadlines_expired"), 1u);
 }
 
 TEST_F(ServeServerTest, JobDeadlineCancelsStudyCompute) {
@@ -411,7 +565,7 @@ TEST_F(ServeServerTest, JobDeadlineCancelsStudyCompute) {
       "127.0.0.1", server.port(),
       make_study_request(search::Family::Classical, config), 120000);
   EXPECT_EQ(reply.at("type").as_string(), "cancelled");
-  EXPECT_EQ(server.stats().deadlines_expired, 1u);
+  EXPECT_EQ(server.metrics().at("deadlines_expired"), 1u);
 }
 
 TEST_F(ServeServerTest, ClientDisconnectCancelsOrphanedJob) {
@@ -423,14 +577,14 @@ TEST_F(ServeServerTest, ClientDisconnectCancelsOrphanedJob) {
     ASSERT_TRUE(socket.write_all(
         search::frame_wire(sleep_request(30000).dump())));
     // Give the server a moment to admit the job before the disconnect.
-    ASSERT_TRUE(wait_for_stats(server, [](const ServerStats& s) {
-      return s.accepted >= 1;
+    ASSERT_TRUE(wait_for_stats(server, [](const util::MetricsSnapshot& s) {
+      return s.at("accepted") >= 1;
     }));
   }  // socket closes here: the client is gone
 
   // The orphaned job must be cancelled, not run to completion.
-  EXPECT_TRUE(wait_for_stats(server, [](const ServerStats& s) {
-    return s.client_disconnects >= 1 && s.jobs_cancelled >= 1;
+  EXPECT_TRUE(wait_for_stats(server, [](const util::MetricsSnapshot& s) {
+    return s.at("client_disconnects") >= 1 && s.at("jobs_cancelled") >= 1;
   }));
 
   // And the server is still healthy.
@@ -452,13 +606,13 @@ TEST_F(ServeServerTest, GracefulDrainFinishesInFlightJobs) {
     // and the client must receive its real reply, not a rejection.
     EXPECT_EQ(reply.at("type").as_string(), "result");
   });
-  ASSERT_TRUE(wait_for_stats(server, [](const ServerStats& s) {
-    return s.accepted >= 1;
+  ASSERT_TRUE(wait_for_stats(server, [](const util::MetricsSnapshot& s) {
+    return s.at("accepted") >= 1;
   }));
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   server.stop();  // request_drain + join everything
   in_flight.join();
-  EXPECT_EQ(server.stats().jobs_completed, 1u);
+  EXPECT_EQ(server.metrics().at("jobs_completed"), 1u);
 }
 
 }  // namespace

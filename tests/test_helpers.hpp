@@ -5,8 +5,10 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "nn/loss.hpp"
@@ -14,6 +16,7 @@
 #include "quantum/circuit.hpp"
 #include "quantum/observable.hpp"
 #include "util/backend_registry.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace qhdl::testing {
@@ -37,6 +40,12 @@ class ReferenceScope {
   ReferenceScope(const ReferenceScope&) = delete;
   ReferenceScope& operator=(const ReferenceScope&) = delete;
 };
+
+/// Current value of a process-wide counter (util::Metrics::global()),
+/// e.g. "kernel.fused" or "fastpath.workspace_runs".
+inline std::uint64_t global_count(std::string_view name) {
+  return util::Metrics::global().snapshot().at(name);
+}
 
 /// Uncompiled reference execution from |0...0⟩: the circuit's ops applied
 /// one by one through apply_gate on the active backend — no plan, no

@@ -11,12 +11,11 @@
 #include <gtest/gtest.h>
 
 #include "nn/dense.hpp"
-#include "nn/fastpath.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
 #include "nn/trainer.hpp"
 #include "quantum/circuit.hpp"
-#include "quantum/kernels.hpp"
+#include "test_helpers.hpp"
 #include "util/backend_registry.hpp"
 #include "util/rng.hpp"
 
@@ -204,11 +203,13 @@ TEST(BackendRegistry, ReferenceBackendForcesLegacyReferencePaths) {
     const bool reference = simd::active_backend().reference;
     EXPECT_EQ(reference, std::string{name} == "reference");
 
-    quantum::kernels::reset_stats();
+    util::Metrics::global().reset();
     circuit.execute(params);
-    EXPECT_EQ(quantum::kernels::stats().generic, reference ? 1u : 0u)
+    EXPECT_EQ(qhdl::testing::global_count("kernel.generic"),
+              reference ? 1u : 0u)
         << name;
-    EXPECT_EQ(quantum::kernels::stats().real_rotation, reference ? 0u : 1u)
+    EXPECT_EQ(qhdl::testing::global_count("kernel.real_rotation"),
+              reference ? 0u : 1u)
         << name;
 
     util::Rng rng{3};
@@ -220,11 +221,13 @@ TEST(BackendRegistry, ReferenceBackendForcesLegacyReferencePaths) {
     nn::TrainConfig config;
     config.epochs = 1;
     config.batch_size = 2;
-    nn::fastpath::reset_stats();
+    util::Metrics::global().reset();
     nn::train_classifier(model, optimizer, x, y, x, y, config, rng);
-    EXPECT_EQ(nn::fastpath::stats().reference_runs, reference ? 1u : 0u)
+    EXPECT_EQ(qhdl::testing::global_count("fastpath.reference_runs"),
+              reference ? 1u : 0u)
         << name;
-    EXPECT_EQ(nn::fastpath::stats().workspace_runs, reference ? 0u : 1u)
+    EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"),
+              reference ? 0u : 1u)
         << name;
   }
   simd::set_backend(std::nullopt);

@@ -161,13 +161,8 @@ int main(int argc, char** argv) {
     util::log_info("qhdl_serve: drain requested, finishing in-flight jobs");
     server.stop();
 
-    const serve::ServerStats stats = server.stats();
-    std::printf(
-        "qhdl_serve: done — %zu completed, %zu failed, %zu cancelled, "
-        "%zu shed; cache %zu hits / %zu misses\n",
-        stats.jobs_completed, stats.jobs_failed, stats.jobs_cancelled,
-        stats.rejected_overloaded, stats.cache.unit_hits,
-        stats.cache.unit_misses);
+    std::printf("qhdl_serve: done — %s\n",
+                server.metrics().to_string().c_str());
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "qhdl_serve: error: %s\n", e.what());
