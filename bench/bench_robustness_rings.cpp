@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
     bench::print_banner(
         "Robustness — the study's conclusions on a rings dataset", protocol);
 
+    const bool force = cli.flag("force");
     std::vector<core::FamilyGrowth> growths;
     util::Table table({"family", "features", "winner", "FLOPs", "params",
                        "val acc"});
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
          {search::Family::Classical, search::Family::HybridBel,
           search::Family::HybridSel}) {
       const search::SweepResult sweep =
-          search::run_complexity_sweep(family, protocol.config);
+          bench::load_or_run_sweep(family, protocol, force);
       for (const auto& level : sweep.levels) {
         for (const auto& outcome : level.search.repetitions) {
           if (outcome.winner.has_value()) {

@@ -1,12 +1,12 @@
 // Shared infrastructure for the figure/table bench drivers.
 //
 // Every driver accepts the same protocol flags (`--paper` switches from the
-// reduced bench protocol to the paper's full protocol) and caches sweep
-// results as CSV under --results-dir so that drivers which consume the same
-// sweep (Figs. 6-10) do not recompute each other's work.
+// reduced bench protocol to the paper's full protocol) and keeps each
+// family's sweep as a search::StudyCheckpoint unit manifest under
+// --results-dir, so that drivers which consume the same sweep (Figs. 6-10)
+// replay each other's work instead of recomputing it (DESIGN.md §10).
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "core/config.hpp"
@@ -27,19 +27,14 @@ void add_protocol_options(util::Cli& cli);
 /// Builds the protocol from parsed flags.
 Protocol protocol_from_cli(const util::Cli& cli);
 
-/// File path for a family's cached sweep under this protocol.
-std::string sweep_cache_path(const Protocol& protocol,
-                             search::Family family);
-
-/// Loads a cached sweep if present (and the cache matches the protocol),
-/// otherwise runs the sweep and caches it. Set `force` to recompute.
+/// Runs the family's sweep against its unit manifest
+/// `<results-dir>/sweep_<family>_<sweep_config_hash>.units.json`: units
+/// already recorded there replay instead of retraining, so a cached sweep,
+/// a resumed one and a fresh one return the same SweepResult. A manifest
+/// that fails to load is discarded with a warning; `force` deletes it first.
 search::SweepResult load_or_run_sweep(search::Family family,
                                       const Protocol& protocol,
                                       bool force = false);
-
-/// Parses a winner spec string produced by ModelSpec::to_string:
-/// "[2,10]" or "BEL(q=3,d=2)" / "SEL(q=3,d=2)".
-std::optional<search::ModelSpec> parse_spec(const std::string& text);
 
 /// Prints the standard bench banner (what is being reproduced, protocol).
 void print_banner(const std::string& experiment, const Protocol& protocol);

@@ -12,8 +12,8 @@ namespace qhdl::core {
 /// features 10..110 step 10, threshold 0.90.
 search::SweepConfig paper_scale();
 
-/// Reduced protocol for CI/bench runs: 2 runs x 2 repetitions, 40 epochs,
-/// pruning enabled, feature subset {10, 40, 80, 110}.
+/// Reduced protocol for CI/bench runs: 2 runs x 2 repetitions, 80 epochs,
+/// feature subset {10, 60, 110}, prune margin 0.10, at most 40 candidates.
 search::SweepConfig bench_scale();
 
 /// Tiny protocol for unit tests: 1 run x 1 repetition, few epochs,

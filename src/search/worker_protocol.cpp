@@ -474,6 +474,8 @@ bool parse_host_port(const std::string& text, std::string* host,
 
 struct UnitDataCache::Impl {
   struct Entry {
+    std::string config_hash;  ///< sweep_config_hash: a persistent daemon
+                              ///< serves many configs through one cache
     std::size_t features = 0;
     std::size_t repetition = 0;
     std::shared_ptr<const data::TrainValSplit> split;
@@ -486,10 +488,12 @@ UnitDataCache::UnitDataCache() : impl_(std::make_shared<Impl>()) {}
 
 std::shared_ptr<const data::TrainValSplit> UnitDataCache::split_for(
     const SweepConfig& config, std::size_t features, std::size_t repetition) {
+  std::string config_hash = sweep_config_hash(config);
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     for (const Impl::Entry& entry : impl_->entries) {
-      if (entry.features == features && entry.repetition == repetition) {
+      if (entry.features == features && entry.repetition == repetition &&
+          entry.config_hash == config_hash) {
         return entry.split;
       }
     }
@@ -506,7 +510,8 @@ std::shared_ptr<const data::TrainValSplit> UnitDataCache::split_for(
   data::standardize_split(*split);
 
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->entries.push_back(Impl::Entry{features, repetition, split});
+  impl_->entries.push_back(
+      Impl::Entry{std::move(config_hash), features, repetition, split});
   // Bound memory: a worker streams units grouped by (level, repetition), so
   // a short MRU window gets all the reuse there is.
   constexpr std::size_t kMaxEntries = 8;

@@ -170,8 +170,10 @@ bool parse_host_port(const std::string& text, std::string* host,
 
 /// Re-derives level datasets and repetition splits from the sweep config,
 /// caching a bounded number of recent splits (workers receive many units
-/// for the same level/repetition in a row). Thread-safe; entries are
-/// shared_ptr so an eviction cannot invalidate a split in use.
+/// for the same level/repetition in a row). Entries are keyed by
+/// (sweep_config_hash, features, repetition): a --persist daemon keeps one
+/// cache across sessions that serve different configs. Thread-safe; entries
+/// are shared_ptr so an eviction cannot invalidate a split in use.
 class UnitDataCache {
  public:
   UnitDataCache();

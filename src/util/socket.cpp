@@ -70,6 +70,14 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   return addr;
 }
 
+/// Sockets must not leak into spawned workers: an inherited listener keeps
+/// its port bound after the pool closes it, and an inherited connection
+/// keeps the peer from seeing EOF.
+int close_on_exec(int fd) {
+  if (fd >= 0) ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+  return fd;
+}
+
 }  // namespace
 
 bool Socket::write_all(const char* data, std::size_t size) {
@@ -118,7 +126,7 @@ Socket connect_tcp(const std::string& host, std::uint16_t port,
                              target + ")");
   }
   const sockaddr_in addr = make_addr(host, port);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = close_on_exec(::socket(AF_INET, SOCK_STREAM, 0));
   if (fd < 0) {
     throw std::runtime_error(std::string{"connect_tcp: socket failed: "} +
                              std::strerror(errno));
@@ -214,7 +222,7 @@ Socket connect_tcp(const std::string& host, std::uint16_t port,
 ListenSocket ListenSocket::listen_tcp(const std::string& host,
                                       std::uint16_t port, int backlog) {
   const sockaddr_in addr = make_addr(host, port);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = close_on_exec(::socket(AF_INET, SOCK_STREAM, 0));
   if (fd < 0) {
     throw std::runtime_error(std::string{"listen_tcp: socket failed: "} +
                              std::strerror(errno));
@@ -266,7 +274,7 @@ std::optional<Socket> ListenSocket::accept(const Deadline& deadline,
       return std::nullopt;
     }
     if (ready == 0) continue;  // slice elapsed; re-check deadline and fd
-    const int conn = ::accept(fd_, nullptr, nullptr);
+    const int conn = close_on_exec(::accept(fd_, nullptr, nullptr));
     if (conn < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       log_warn(std::string{"ListenSocket::accept: accept failed: "} +

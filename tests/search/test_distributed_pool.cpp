@@ -19,11 +19,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/config.hpp"
+#include "search/checkpoint.hpp"
 #include "search/results.hpp"
 #include "search/worker_protocol.hpp"
 #include "util/deadline.hpp"
@@ -55,18 +57,36 @@ std::string sweep_bytes(const SweepConfig& config, WorkerPool* pool) {
       .dump(2);
 }
 
+/// Every evaluated candidate of the sweep, exactly (sweep_to_json keeps
+/// only winners, and the unreachable threshold leaves none).
+std::string evaluated_bytes(const SweepConfig& config, WorkerPool* pool) {
+  util::Json all = util::Json::array();
+  const SweepResult sweep =
+      run_complexity_sweep(Family::Classical, config, nullptr, pool);
+  for (const LevelResult& level : sweep.levels) {
+    for (const SearchOutcome& outcome : level.search.repetitions) {
+      for (const CandidateResult& candidate : outcome.evaluated) {
+        all.push_back(candidate_result_to_json(candidate));
+      }
+    }
+  }
+  return all.dump(2);
+}
+
 bool distributed_supported() {
   return util::subprocess_supported() && util::sockets_supported();
 }
 
 /// Launches this binary as a remote worker daemon against 127.0.0.1:port.
 util::Subprocess spawn_daemon(std::uint16_t port, std::size_t slots,
-                              const std::vector<std::string>& extra_env = {}) {
-  return util::Subprocess::spawn(
-      {util::current_executable_path(), "--worker-connect",
-       "127.0.0.1:" + std::to_string(port), "--worker-slots",
-       std::to_string(slots)},
-      extra_env);
+                              const std::vector<std::string>& extra_env = {},
+                              const std::vector<std::string>& extra_args = {}) {
+  std::vector<std::string> argv = {
+      util::current_executable_path(), "--worker-connect",
+      "127.0.0.1:" + std::to_string(port), "--worker-slots",
+      std::to_string(slots)};
+  argv.insert(argv.end(), extra_args.begin(), extra_args.end());
+  return util::Subprocess::spawn(argv, extra_env);
 }
 
 /// Polls `pred` until it holds or `timeout_ms` elapses.
@@ -164,6 +184,33 @@ TEST(DistributedPoolGolden, TwoDaemonSweepMatchesInProcessBytes) {
   EXPECT_GE(stats.at("pool_remote_registered"), 4u);
   EXPECT_EQ(stats.at("pool_retried_units"), 0u);
   EXPECT_EQ(stats.at("pool_quarantined_units"), 0u);
+}
+
+TEST(DistributedPoolGolden, PersistentDaemonServesSuccessiveConfigsExactly) {
+  if (!distributed_supported()) GTEST_SKIP() << "no subprocess/socket support";
+  // One --persist daemon outlives the first pool and serves a second one on
+  // the same port, as under qhdl_serve. B differs from A only in the search
+  // seed, so a split the daemon cached for A would change B's results.
+  SweepConfig a = sweep_config();
+  SweepConfig b = a;
+  b.search.seed = a.search.seed + 1;
+
+  std::uint16_t port = 0;
+  std::optional<util::Subprocess> daemon;
+  for (const SweepConfig* config : {&a, &b}) {
+    const std::string baseline = evaluated_bytes(*config, nullptr);
+    WorkerPoolConfig pool_config = distributed_config(1);
+    pool_config.listen_port = port;  // ephemeral first, then the same port
+    WorkerPool pool{*config, pool_config};
+    ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
+    port = pool.listen_port();
+    ASSERT_NE(port, 0);
+    if (!daemon) daemon = spawn_daemon(port, 1, {}, {"--worker-persist"});
+    ASSERT_TRUE(wait_for_registrations(pool, 1));
+
+    EXPECT_EQ(evaluated_bytes(*config, &pool), baseline);
+    EXPECT_EQ(pool.metrics().at("pool_quarantined_units"), 0u);
+  }
 }
 
 TEST(DistributedPoolGolden, DaemonCrashMidRunIsRedispatchedIdentically) {

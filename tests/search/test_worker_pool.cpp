@@ -13,12 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -127,6 +129,31 @@ TEST(WorkerProtocol, WorkUnitRoundTrips) {
     util::Rng a = unit.streams[i];
     util::Rng b = back.streams[i];
     EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
+}
+
+TEST(WorkerProtocol, UnitDataCacheKeysSplitsByConfig) {
+  // A --persist daemon keeps one cache across sessions; a config that
+  // differs only in the search seed draws a different split and must not
+  // be served the first config's.
+  const SweepConfig a = sweep_config();
+  SweepConfig b = a;
+  b.search.seed = a.search.seed + 1;
+  const std::size_t features = a.feature_sizes.front();
+
+  UnitDataCache shared;
+  (void)shared.split_for(a, features, 0);
+  const auto reused = shared.split_for(b, features, 0);
+  UnitDataCache fresh;
+  const auto expected = fresh.split_for(b, features, 0);
+
+  for (const auto& [got, want] :
+       {std::pair{&reused->train, &expected->train},
+        std::pair{&reused->val, &expected->val}}) {
+    EXPECT_EQ(got->y, want->y);
+    ASSERT_EQ(got->x.size(), want->x.size());
+    EXPECT_TRUE(std::equal(got->x.data().begin(), got->x.data().end(),
+                           want->x.data().begin()));
   }
 }
 
