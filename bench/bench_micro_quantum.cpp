@@ -299,8 +299,8 @@ void run_expval_backend(benchmark::State& state, const std::string& backend) {
 
 // --- batched SoA variants (DESIGN.md §14) ---------------------------------
 // The batched kernels vectorize across batch lanes, so their speedup over
-// generic is the PR-8 acceptance metric; batch 16 fills the widest (AVX-512
-// 4-lane × unrolled) paths, and the layer-level forward measures the whole
+// generic is the PR-8 acceptance metric; batch 16 is eight AVX2 2-lane
+// steps per amplitude row, and the layer-level forward measures the whole
 // compiled batch pipeline end to end.
 
 void run_single_qubit_batch_backend(benchmark::State& state,

@@ -1,14 +1,13 @@
-// Prints the active SIMD kernel backend, how it was selected, the full
-// descriptor table, and the CPU feature summary. CI uses `--check <name>`
-// as a capability probe: exit 0 iff <name> is registered AND supported on
-// this machine, so workflow legs can skip-with-notice instead of failing on
-// runners without the required ISA.
+// Prints the active SIMD kernel backend, how it was selected, and the full
+// descriptor table, which says whether each backend runs on this CPU. CI
+// uses `--check <name>` as a capability probe: exit 0 iff <name> is
+// registered AND supported on this machine, so workflow legs can
+// skip-with-notice instead of failing on runners without the required ISA.
 #include <cstdio>
 #include <cstring>
 #include <exception>
 
 #include "util/backend_registry.hpp"
-#include "util/cpuid.hpp"
 
 int main(int argc, char** argv) {
   namespace simd = qhdl::util::simd;
@@ -32,7 +31,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("cpu features: %s\n", qhdl::util::cpuid::summary().c_str());
   try {
     const simd::Backend& active = simd::active_backend();
     std::printf("active backend: %s (source: %s)\n", active.name,

@@ -52,7 +52,7 @@ void parameters_from_json(Module& model, const util::Json& snapshot) {
           "parameters_from_json: rank mismatch at #" + std::to_string(i));
     }
     for (std::size_t d = 0; d < dims.size(); ++d) {
-      if (static_cast<std::size_t>(shape.at(d).as_number()) != dims[d]) {
+      if (shape.at(d).as_count("shape") != dims[d]) {
         throw std::invalid_argument(
             "parameters_from_json: shape mismatch at #" + std::to_string(i));
       }

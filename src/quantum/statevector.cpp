@@ -381,7 +381,7 @@ void StateVector::scale(Complex factor) {
 double StateVector::expval_pauli_z(std::size_t wire) const {
   check_wire(wire, "expval_pauli_z");
   const std::size_t mask = std::size_t{1} << (num_qubits_ - 1 - wire);
-  // Registry-dispatched reduction. generic/avx2/avx512fma share the
+  // Registry-dispatched reduction. generic and avx2 share the
   // canonical mod-8 lane order (bit-identical to each other); the reference
   // backend keeps the historical strictly sequential sum, which may differ
   // from the lane order by ~1 ulp per reassociation.

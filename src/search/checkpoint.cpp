@@ -42,14 +42,13 @@ ModelSpec model_spec_from_json(const util::Json& json) {
     const util::Json& widths = json.at("hidden");
     hidden.reserve(widths.size());
     for (std::size_t i = 0; i < widths.size(); ++i) {
-      hidden.push_back(static_cast<std::size_t>(widths.at(i).as_number()));
+      hidden.push_back(widths.at(i).as_count("hidden"));
     }
     return ModelSpec::make_classical(std::move(hidden));
   }
   if (family == "hybrid") {
     return ModelSpec::make_hybrid(
-        static_cast<std::size_t>(json.at("qubits").as_number()),
-        static_cast<std::size_t>(json.at("depth").as_number()),
+        json.count_at("qubits"), json.count_at("depth"),
         qnn::ansatz_from_name(json.at("ansatz").as_string()));
   }
   throw std::runtime_error("checkpoint: unknown model family '" + family +
@@ -95,11 +94,9 @@ CandidateResult candidate_result_from_json(const util::Json& json) {
   result.avg_best_val_accuracy = json.at("avg_best_val_accuracy").as_number();
   result.flops = json.at("flops").as_number();
   result.flops_forward = json.at("flops_forward").as_number();
-  result.parameter_count =
-      static_cast<std::size_t>(json.at("parameter_count").as_number());
-  result.runs = static_cast<std::size_t>(json.at("runs").as_number());
-  result.failed_runs =
-      static_cast<std::size_t>(json.at("failed_runs").as_number());
+  result.parameter_count = json.count_at("parameter_count");
+  result.runs = json.count_at("runs");
+  result.failed_runs = json.count_at("failed_runs");
   result.meets_threshold = json.at("meets_threshold").as_bool();
   if (json.contains("failures")) {
     const util::Json& failures = json.at("failures");
@@ -107,10 +104,9 @@ CandidateResult candidate_result_from_json(const util::Json& json) {
     for (std::size_t i = 0; i < failures.size(); ++i) {
       const util::Json& entry = failures.at(i);
       RunFailure failure;
-      failure.run = static_cast<std::size_t>(entry.at("run").as_number());
-      failure.attempt =
-          static_cast<std::size_t>(entry.at("attempt").as_number());
-      failure.epoch = static_cast<std::size_t>(entry.at("epoch").as_number());
+      failure.run = entry.count_at("run");
+      failure.attempt = entry.count_at("attempt");
+      failure.epoch = entry.count_at("epoch");
       failure.cause = entry.at("cause").as_string();
       result.failures.push_back(std::move(failure));
     }
@@ -137,8 +133,7 @@ std::size_t StudyCheckpoint::load() {
                              ": " + e.what());
   }
   try {
-    const auto version =
-        static_cast<std::size_t>(manifest.at("version").as_number());
+    const std::uint64_t version = manifest.count_at("version");
     if (version != 1) {
       throw std::runtime_error("unsupported manifest version " +
                                std::to_string(version));

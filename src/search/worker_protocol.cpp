@@ -1,11 +1,13 @@
 #include "search/worker_protocol.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -280,14 +282,11 @@ SweepConfig sweep_config_from_json(const util::Json& json) {
   config.feature_sizes.clear();
   const util::Json& sizes = json.at("feature_sizes");
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    config.feature_sizes.push_back(
-        static_cast<std::size_t>(sizes.at(i).as_number()));
+    config.feature_sizes.push_back(sizes.at(i).as_count("feature_sizes"));
   }
   const util::Json& spiral = json.at("spiral");
-  config.spiral.points =
-      static_cast<std::size_t>(spiral.at("points").as_number());
-  config.spiral.classes =
-      static_cast<std::size_t>(spiral.at("classes").as_number());
+  config.spiral.points = spiral.count_at("points");
+  config.spiral.classes = spiral.count_at("classes");
   config.spiral.turns = spiral.at("turns").as_number();
   config.spiral.radial_noise = spiral.at("radial_noise").as_number();
   config.geometry = geometry_from_name(json.at("geometry").as_string());
@@ -296,31 +295,27 @@ SweepConfig sweep_config_from_json(const util::Json& json) {
   const util::Json& s = json.at("search");
   SearchConfig& search = config.search;
   search.accuracy_threshold = s.at("accuracy_threshold").as_number();
-  search.runs_per_model =
-      static_cast<std::size_t>(s.at("runs_per_model").as_number());
-  search.repetitions =
-      static_cast<std::size_t>(s.at("repetitions").as_number());
+  search.runs_per_model = s.count_at("runs_per_model");
+  search.repetitions = s.count_at("repetitions");
   search.validation_fraction = s.at("validation_fraction").as_number();
   search.classical_activation =
       activation_from_name(s.at("classical_activation").as_string());
   search.seed = u64_from_json(s.at("seed"));
   search.prune_margin = s.at("prune_margin").as_number();
-  search.max_candidates =
-      static_cast<std::size_t>(s.at("max_candidates").as_number());
-  search.threads = static_cast<std::size_t>(s.at("threads").as_number());
-  search.lookahead = static_cast<std::size_t>(s.at("lookahead").as_number());
-  search.run_retries =
-      static_cast<std::size_t>(s.at("run_retries").as_number());
+  search.max_candidates = s.count_at("max_candidates");
+  search.threads = s.count_at("threads");
+  search.lookahead = s.count_at("lookahead");
+  search.run_retries = s.count_at("run_retries");
 
   const util::Json& t = s.at("train");
   nn::TrainConfig& train = search.train;
-  train.epochs = static_cast<std::size_t>(t.at("epochs").as_number());
-  train.batch_size = static_cast<std::size_t>(t.at("batch_size").as_number());
+  train.epochs = t.count_at("epochs");
+  train.batch_size = t.count_at("batch_size");
   train.learning_rate = t.at("learning_rate").as_number();
   train.finite_guard = t.at("finite_guard").as_bool();
   train.early_stop_accuracy = t.at("early_stop_accuracy").as_number();
   train.shuffle = t.at("shuffle").as_bool();
-  train.patience = static_cast<std::size_t>(t.at("patience").as_number());
+  train.patience = t.count_at("patience");
 
   const util::Json& c = s.at("cost_model");
   flops::CostModel& cost = search.cost_model;
@@ -387,12 +382,9 @@ WorkUnit work_unit_from_json(const util::Json& json) {
   WorkUnit unit;
   const util::Json& key = json.at("key");
   unit.key.family = key.at("family").as_string();
-  unit.key.features =
-      static_cast<std::size_t>(key.at("features").as_number());
-  unit.key.repetition =
-      static_cast<std::size_t>(key.at("repetition").as_number());
-  unit.key.candidate =
-      static_cast<std::size_t>(key.at("candidate").as_number());
+  unit.key.features = key.count_at("features");
+  unit.key.repetition = key.count_at("repetition");
+  unit.key.candidate = key.count_at("candidate");
   unit.spec = model_spec_from_json(json.at("spec"));
   const util::Json& streams = json.at("streams");
   unit.streams.reserve(streams.size());
@@ -419,12 +411,13 @@ WorkerRegistration registration_from_json(const util::Json& json) {
     if (json.at("type").as_string() != "register") {
       throw std::runtime_error("frame type is not 'register'");
     }
-    registration.version = static_cast<int>(json.at("version").as_number());
+    // A version past INT_MAX saturates, so it is rejected as a mismatch.
+    registration.version = static_cast<int>(std::min<std::uint64_t>(
+        json.count_at("version"), std::numeric_limits<int>::max()));
     registration.backend = json.at("backend").as_string();
-    registration.slots =
-        static_cast<std::size_t>(json.at("slots").as_number());
-    registration.slot = static_cast<std::size_t>(json.at("slot").as_number());
-    registration.pid = static_cast<long>(json.at("pid").as_number());
+    registration.slots = json.count_at("slots");
+    registration.slot = json.count_at("slot");
+    registration.pid = static_cast<long>(json.count_at("pid"));
   } catch (const std::exception& error) {
     throw ProtocolError(std::string{"bad register frame: "} + error.what());
   }
@@ -700,17 +693,15 @@ WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out,
 
     if (type == "init") {
       try {
-        const int version =
-            static_cast<int>(frame.at("version").as_number());
-        if (version != kWorkerProtocolVersion) {
+        const std::uint64_t version = frame.count_at("version");
+        if (version != static_cast<std::uint64_t>(kWorkerProtocolVersion)) {
           util::log_error("worker: unsupported protocol version " +
                           std::to_string(version));
           outcome.end = WorkerLoopEnd::Malformed;
           return outcome;
         }
         config = sweep_config_from_json(frame.at("config"));
-        heartbeat_interval_ms = static_cast<std::uint64_t>(
-            frame.at("heartbeat_interval_ms").as_number());
+        heartbeat_interval_ms = frame.count_at("heartbeat_interval_ms");
       } catch (const std::exception& error) {
         util::log_error(std::string{"worker: bad init frame: "} +
                         error.what());

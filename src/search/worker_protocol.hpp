@@ -138,7 +138,7 @@ WorkUnit work_unit_from_json(const util::Json& json);
 /// The opening frame a TCP worker sends after connecting: who it is and
 /// what it brings. `backend` is the worker's active SIMD kernel backend
 /// name — the supervisor warns when it differs from its own, because only
-/// the production backends (generic/avx2/avx512fma) are bit-identical.
+/// the production backends (generic/avx2) are bit-identical.
 struct WorkerRegistration {
   int version = kWorkerProtocolVersion;
   std::string backend;

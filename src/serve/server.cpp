@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <future>
@@ -67,21 +66,6 @@ struct Job {
 };
 
 constexpr std::size_t kMaxQueuedProgressFrames = 256;
-
-/// Reads a client-supplied count: a finite, non-negative integer no larger
-/// than 2^53, the largest a JSON number holds exactly. Anything else is a
-/// request error naming the field, never a cast of a negative, NaN or huge
-/// double to an unsigned type (undefined behaviour).
-std::uint64_t count_field(const util::Json& request, const std::string& field) {
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
-  const double value = request.at(field).as_number();
-  if (!std::isfinite(value) || value < 0.0 || value > kMaxExact ||
-      std::floor(value) != value) {
-    throw std::invalid_argument("field '" + field +
-                                "' must be an integer in [0, 2^53]");
-  }
-  return static_cast<std::uint64_t>(value);
-}
 
 }  // namespace
 
@@ -485,10 +469,10 @@ struct Server::Impl {
   util::Json run_train(Job& job) {
     const search::SweepConfig config =
         search::sweep_config_from_json(job.request.at("config"));
-    const std::size_t features = count_field(job.request, "features");
+    const std::size_t features = job.request.count_at("features");
     const std::size_t repetition =
         job.request.contains("repetition")
-            ? count_field(job.request, "repetition")
+            ? job.request.count_at("repetition")
             : 0;
     const search::ModelSpec spec =
         search::model_spec_from_json(job.request.at("spec"));
@@ -537,7 +521,7 @@ struct Server::Impl {
   }
 
   util::Json run_sleep(Job& job) {
-    const std::uint64_t total_ms = count_field(job.request, "ms");
+    const std::uint64_t total_ms = job.request.count_at("ms");
     const util::Deadline done = util::Deadline::after_ms(
         total_ms == 0 ? 1 : total_ms);
     // Sleeps in slices of at most 10 ms so cancellation stays prompt, and

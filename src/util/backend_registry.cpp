@@ -16,7 +16,6 @@ namespace detail {
 // backends() is deterministic.
 void register_generic_backends();
 void register_avx2_backend();
-void register_avx512_backend();
 }  // namespace detail
 
 namespace {
@@ -42,7 +41,6 @@ void ensure_registered() {
   static const bool once = [] {
     detail::register_generic_backends();
     detail::register_avx2_backend();
-    detail::register_avx512_backend();
     return true;
   }();
   (void)once;

@@ -5,26 +5,23 @@
 // blocked-GEMM 4x4 micro-kernel — are function pointers resolved through
 // this registry instead of fixed scalar code. Each backend translation unit
 // (src/util/simd/kernels_*.cpp) self-registers a capability descriptor:
-// a name, an auto-detect priority, a supported() predicate backed by
-// util::cpuid, and its KernelOps table. A CPUID-based dispatcher picks the
-// highest-priority supported backend at first use; `QHDL_BACKEND=<name>`
-// (env var, CMake default, or runtime override) pins the choice.
+// a name, an auto-detect priority, a supported() CPUID predicate, and its
+// KernelOps table. A CPUID-based dispatcher picks the highest-priority
+// supported backend at first use; `QHDL_BACKEND=<name>` (env var, CMake
+// default, or runtime override) pins the choice.
 //
-// Bit-identity contract: `generic`, `avx2`, and `avx512fma` must produce
+// Bit-identity contract: `generic` and `avx2` must produce
 // byte-for-byte identical doubles for every op on every input (enforced by
 // the BackendEquivalence / GemmBackend golden suites with EXPECT_EQ, and by
 // the per-backend CI matrix). The rules that make that possible:
 //   * no fused multiply-add in value-producing math — FMA skips the
 //     intermediate rounding, so vectorized kernels use explicit mul/add
-//     intrinsics and their translation units compile with -ffp-contract=off
-//     (the avx512fma backend requires the FMA CPUID bit as a capability
-//     gate only);
+//     intrinsics and their translation units compile with -ffp-contract=off;
 //   * reductions follow one canonical order: expval-Z accumulates into
 //     eight mod-8 lane sums combined as b_l = acc_l + acc_{l+4}, then
-//     (b0+b1) + (b2+b3) — expressible as scalar code, two 4-lane AVX2
-//     accumulators, or one 8-lane AVX-512 accumulator without changing a
-//     single rounding (states smaller than 8 amplitudes reduce
-//     sequentially in every backend);
+//     (b0+b1) + (b2+b3) — expressible as scalar code or two 4-lane AVX2
+//     accumulators without changing a single rounding (states smaller than
+//     8 amplitudes reduce sequentially in every backend);
 //   * elementwise complex multiplies vectorize via mul/shuffle/addsub,
 //     which performs exactly the two roundings per component the scalar
 //     formula does;
@@ -151,7 +148,7 @@ struct KernelOps {
 struct Backend {
   const char* name;       ///< selection key ("generic", "avx2", ...)
   int priority;           ///< auto-detect picks the highest supported one
-  bool (*supported)();    ///< CPUID gate (util::cpuid); constant per process
+  bool (*supported)();    ///< CPUID gate; constant per process
   bool reference;         ///< selecting it switches to the reference paths
   KernelOps ops;
 };

@@ -178,6 +178,21 @@ double Json::as_number() const {
   return number_;
 }
 
+std::uint64_t Json::as_count(const std::string& field) const {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  const double value = as_number();
+  if (!std::isfinite(value) || value < 0.0 || value > kMaxExact ||
+      std::floor(value) != value) {
+    throw std::invalid_argument("field '" + field +
+                                "' must be an integer in [0, 2^53]");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
+std::uint64_t Json::count_at(const std::string& key) const {
+  return at(key).as_count(key);
+}
+
 const std::string& Json::as_string() const {
   if (type_ != Type::String) {
     throw std::logic_error("Json::as_string: not a string");

@@ -3,6 +3,7 @@
 // and the nn serialization module round-trips model weights through it.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -55,6 +56,14 @@ class Json {
   bool as_bool() const;
   double as_number() const;
   const std::string& as_string() const;
+  /// A count read from untrusted JSON: a finite, non-negative integer no
+  /// larger than 2^53, the largest a JSON number holds exactly. Anything
+  /// else throws std::invalid_argument naming `field`, never a cast of a
+  /// negative, fractional, NaN or huge double to an integer type
+  /// (undefined behaviour).
+  std::uint64_t as_count(const std::string& field) const;
+  /// at(key).as_count(key).
+  std::uint64_t count_at(const std::string& key) const;
   /// Array element (checked).
   const Json& at(std::size_t index) const;
   /// Object member (checked; throws std::out_of_range if missing).

@@ -20,8 +20,6 @@
 
 #include <immintrin.h>
 
-#include "util/cpuid.hpp"
-
 namespace qhdl::util::simd::detail {
 
 namespace {
@@ -36,8 +34,6 @@ inline __m256d cmul_const(__m256d v, __m256d mr, __m256d mi) {
   // addsub: even lanes t1 - t2 (real), odd lanes t1 + t2 (imag).
   return _mm256_addsub_pd(t1, t2);
 }
-
-}  // namespace
 
 void avx2_apply_single_qubit(Complex* amps, std::size_t n, std::size_t stride,
                              const Complex* m) {
@@ -476,6 +472,17 @@ void avx2_gemm_micro_4x4(std::size_t kc, const double* pa, const double* pb,
   _mm256_storeu_pd(acc[3], c3);
 }
 
+// __builtin_cpu_supports consults the feature mask the compiler runtime
+// fills in from CPUID and XGETBV, so "supported" also means the OS saves
+// the ymm registers. __builtin_cpu_init() is idempotent and makes the mask
+// valid before the runtime's own initializer has run.
+bool avx2_supported() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+
+}  // namespace
+
 }  // namespace qhdl::util::simd::detail
 
 namespace qhdl::util::simd {
@@ -485,7 +492,7 @@ namespace {
 const Backend kAvx2{
     "avx2",
     /*priority=*/50,
-    util::cpuid::has_avx2,
+    detail::avx2_supported,
     /*reference=*/false,
     KernelOps{
         detail::avx2_apply_single_qubit,

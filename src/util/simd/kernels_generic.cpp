@@ -1,11 +1,11 @@
 // Scalar kernel backends: `generic` (the portable default and the
-// bit-identity anchor every SIMD backend is compared against) and
+// bit-identity anchor the avx2 backend is compared against) and
 // `reference` (same scalar loops, but the seed's sequential expval
 // reduction, and its descriptor flag switches circuits, the hybrid executor
 // and the trainer to their reference paths).
 //
 // This TU compiles with no -m arch flags and -ffp-contract=off, so the
-// scalar loops here — which double as the SIMD backends' small-shape
+// scalar loops here — which double as the avx2 backend's small-shape
 // fallbacks — generate exactly the baseline code the pre-registry
 // statevector.cpp/gemm.cpp loops did.
 #include "util/simd/kernels_internal.hpp"
@@ -85,7 +85,7 @@ double scalar_expval_z_lanes(const Complex* amps, std::size_t n,
     }
   }
   // Canonical combine: pairwise across the 4-lane halves, then a balanced
-  // tree — the exact sequence the AVX2/AVX-512 reductions perform.
+  // tree — the exact sequence the AVX2 reduction performs.
   const double b0 = acc[0] + acc[4];
   const double b1 = acc[1] + acc[5];
   const double b2 = acc[2] + acc[6];

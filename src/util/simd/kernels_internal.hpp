@@ -1,13 +1,9 @@
 // Internal declarations shared by the backend kernel translation units
 // (src/util/simd/kernels_*.cpp). Not installed API — everything here lives
-// in a detail namespace and exists so that
-//   * the SIMD backends can fall back to the scalar kernels (compiled in
-//     kernels_generic.cpp without any -m arch flags, so the fallback code
-//     generation is exactly the generic backend's) for shapes too small or
-//     too awkward to vectorize, and
-//   * the avx512fma backend can reuse the avx2 kernels where 512-bit
-//     widening would change a reduction order or buys nothing (expval-Z,
-//     CNOT, the GEMM micro-kernel, and sub-512-bit gate strides).
+// in a detail namespace and exists so that the avx2 backend can fall back
+// to the scalar kernels (compiled in kernels_generic.cpp without any -m arch
+// flags, so the fallback code generation is exactly the generic backend's)
+// for shapes too small or too awkward to vectorize.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +23,7 @@ inline std::size_t expand_two_zero_bits(std::size_t i, std::size_t lo_mask,
   return ((j & ~(hi_mask - 1)) << 1) | (j & (hi_mask - 1));
 }
 
-// Scalar kernels (generic backend ops; also the SIMD backends' tails).
+// Scalar kernels (generic backend ops; also the avx2 backend's tails).
 void scalar_apply_single_qubit(Complex* amps, std::size_t n,
                                std::size_t stride, const Complex* m);
 void scalar_apply_diagonal(Complex* amps, std::size_t n, std::size_t stride,
@@ -45,7 +41,7 @@ double scalar_expval_z_sequential(const Complex* amps, std::size_t n,
 void scalar_gemm_micro_4x4(std::size_t kc, const double* pa, const double* pb,
                            std::size_t pb_stride, double acc[4][4]);
 
-// Scalar batched-SoA kernels (generic backend ops; the SIMD backends fall
+// Scalar batched-SoA kernels (generic backend ops; the avx2 backend falls
 // back to them for tiny batches). Per-row arithmetic and reduction order
 // are the batched canon from backend_registry.hpp.
 void scalar_apply_single_qubit_batch(Complex* amps, std::size_t n,
@@ -67,40 +63,5 @@ void scalar_expval_z_batch(const Complex* amps, std::size_t n,
 void scalar_inner_products_real_batch(const Complex* lhs, const Complex* rhs,
                                       std::size_t n, std::size_t batch,
                                       double* out);
-
-// AVX2 kernels, exported for reuse by the avx512fma backend. Only defined
-// when the avx2 TU is compiled in (QHDL_SIMD_AVX2); the avx512 TU is only
-// compiled when avx2 is too, so the references always resolve.
-void avx2_apply_single_qubit(Complex* amps, std::size_t n, std::size_t stride,
-                             const Complex* m);
-void avx2_apply_diagonal(Complex* amps, std::size_t n, std::size_t stride,
-                         Complex d0, Complex d1);
-void avx2_apply_cnot_pairs(Complex* amps, std::size_t quarter, std::size_t lo,
-                           std::size_t hi, std::size_t cmask,
-                           std::size_t tmask);
-double avx2_expval_z(const Complex* amps, std::size_t n, std::size_t mask);
-void avx2_gemm_micro_4x4(std::size_t kc, const double* pa, const double* pb,
-                         std::size_t pb_stride, double acc[4][4]);
-
-// AVX2 batched-SoA kernels (2 lanes per ymm step, scalar tails).
-void avx2_apply_single_qubit_batch(Complex* amps, std::size_t n,
-                                   std::size_t stride, std::size_t batch,
-                                   const Complex* m);
-void avx2_apply_diagonal_batch(Complex* amps, std::size_t n,
-                               std::size_t stride, std::size_t batch,
-                               Complex d0, Complex d1);
-void avx2_apply_cnot_pairs_batch(Complex* amps, std::size_t quarter,
-                                 std::size_t lo, std::size_t hi,
-                                 std::size_t cmask, std::size_t tmask,
-                                 std::size_t batch);
-void avx2_apply_two_qubit_batch(Complex* amps, std::size_t quarter,
-                                std::size_t lo, std::size_t hi,
-                                std::size_t amask, std::size_t bmask,
-                                std::size_t batch, const Complex* m16);
-void avx2_expval_z_batch(const Complex* amps, std::size_t n, std::size_t mask,
-                         std::size_t batch, double* out);
-void avx2_inner_products_real_batch(const Complex* lhs, const Complex* rhs,
-                                    std::size_t n, std::size_t batch,
-                                    double* out);
 
 }  // namespace qhdl::util::simd::detail

@@ -99,8 +99,7 @@ void check_against_generic(const simd::Backend* backend,
 
 TEST(BackendEquivalence, DenseSingleQubitBitIdentical) {
   // Qubit counts 1..7 sweep every stride class: the scalar tails (n < 4),
-  // the AVX2 stride==1 regrouping, 2-wide stride==2, and the AVX-512
-  // 4-wide path (stride >= 4).
+  // the AVX2 stride==1 regrouping and the 2-wide stride >= 2 path.
   util::Rng rng{2024};
   for (const simd::Backend* backend : simd_backends_under_test()) {
     for (std::size_t qubits = 1; qubits <= 7; ++qubits) {

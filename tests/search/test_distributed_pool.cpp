@@ -130,6 +130,12 @@ TEST(DistributedProtocol, RegistrationRoundTrips) {
   EXPECT_EQ(back.pid, 4242);
 }
 
+TEST(DistributedProtocol, RegistrationRejectsNonIntegralCounts) {
+  util::Json json = registration_to_json(WorkerRegistration{});
+  json["slots"] = -1;
+  EXPECT_THROW((void)registration_from_json(json), ProtocolError);
+}
+
 TEST(DistributedProtocol, BackoffJitterIsDeterministicAndBounded) {
   // Pure function of its inputs: the reconnect schedule is reproducible.
   EXPECT_EQ(backoff_with_jitter_ms(100, 5000, 3, 7, 1),

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -103,6 +104,23 @@ TEST(WorkerProtocol, SweepConfigRoundTripsEveryResultAffectingField) {
   EXPECT_EQ(sweep_config_hash(back), sweep_config_hash(config));
   EXPECT_EQ(back.search.seed, config.search.seed);
   EXPECT_EQ(back.dataset_seed, config.dataset_seed);
+}
+
+TEST(WorkerProtocol, SweepConfigRejectsNonIntegralCounts) {
+  // A negative, fractional or out-of-range count is an error naming the
+  // field, never a cast of the double to size_t (undefined behaviour).
+  for (const double bad : {-1.0, 1.5, 1e300}) {
+    util::Json json = sweep_config_to_json(sweep_config());
+    json["search"]["runs_per_model"] = bad;
+    try {
+      (void)sweep_config_from_json(json);
+      ADD_FAILURE() << "runs_per_model = " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("'runs_per_model'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(WorkerProtocol, RngRoundTripResumesExactSequence) {

@@ -346,6 +346,28 @@ TEST_F(ServeServerTest, TrainAndSleepRejectInvalidNumericFields) {
   EXPECT_EQ(server.metrics().at("jobs_failed"), 3u);
 }
 
+TEST_F(ServeServerTest, StudyRejectsNonIntegralRepetitions) {
+  util::Json request =
+      make_study_request(search::Family::Classical, tiny_study());
+  request["config"]["search"]["repetitions"] = 1.5;
+
+  Server server{ServerConfig{}};
+  server.start();
+  const util::Json reply =
+      round_trip("127.0.0.1", server.port(), request, 30000);
+  ASSERT_EQ(reply.at("type").as_string(), "error") << reply.dump();
+  EXPECT_NE(reply.at("message").as_string().find("'repetitions'"),
+            std::string::npos)
+      << reply.dump();
+
+  util::Json ping = util::Json::object();
+  ping["type"] = "ping";
+  EXPECT_EQ(round_trip("127.0.0.1", server.port(), ping, 5000)
+                .at("type")
+                .as_string(),
+            "pong");
+}
+
 TEST_F(ServeServerTest, TrainHugeRepetitionIsCancelledByJobDeadline) {
   // 10^12 stream splits would wedge an executor for hours; the split loop
   // must honour the job's cancellation token.

@@ -128,6 +128,21 @@ TEST(BackendRegistry, UnsupportedBackendRejectedEverywhere) {
   EXPECT_TRUE(simd::active_backend().supported());
 }
 
+TEST(BackendRegistry, AutoDetectPicksAvx2WhereSupported) {
+  // The x86 vector backend is avx2; everywhere else auto-detect falls back
+  // to generic. No wider backend outranks avx2.
+  const EnvScope guard{"QHDL_BACKEND"};
+  ::unsetenv("QHDL_BACKEND");
+  simd::set_backend(std::nullopt);
+  if (std::string{simd::active_source()} == "build") {
+    GTEST_SKIP() << "built with a QHDL_BACKEND default";
+  }
+  EXPECT_STREQ(simd::active_source(), "auto");
+  const simd::Backend* avx2 = simd::find_backend("avx2");
+  const bool avx2_runs = avx2 != nullptr && avx2->supported();
+  EXPECT_STREQ(simd::active_backend().name, avx2_runs ? "avx2" : "generic");
+}
+
 TEST(BackendRegistry, RuntimeOverrideWinsAndClears) {
   simd::set_backend("generic");
   EXPECT_STREQ(simd::active_backend().name, "generic");

@@ -34,6 +34,9 @@ std::uint16_t resolve_port(const qhdl::util::Cli& cli) {
     }
     return static_cast<std::uint16_t>(port);
   }
+  if (cli.get_int("port") < 0 || cli.get_int("port") > 65535) {
+    throw std::runtime_error("--port must be in [0, 65535]");
+  }
   return static_cast<std::uint16_t>(cli.get_int("port"));
 }
 
@@ -136,12 +139,13 @@ int main(int argc, char** argv) {
           cli.get_string("host"), resolve_port(cli), request,
           [](const util::Json& frame) {
             std::fprintf(
-                stderr, "progress: %s features=%d rep=%d unit %d/%d%s\n",
+                stderr,
+                "progress: %s features=%llu rep=%llu unit %llu/%llu%s\n",
                 frame.at("family").as_string().c_str(),
-                static_cast<int>(frame.at("features").as_number()),
-                static_cast<int>(frame.at("repetition").as_number()),
-                static_cast<int>(frame.at("units_done").as_number()),
-                static_cast<int>(frame.at("total_units").as_number()),
+                static_cast<unsigned long long>(frame.count_at("features")),
+                static_cast<unsigned long long>(frame.count_at("repetition")),
+                static_cast<unsigned long long>(frame.count_at("units_done")),
+                static_cast<unsigned long long>(frame.count_at("total_units")),
                 frame.at("winner_found").as_bool() ? " (winner found)" : "");
           },
           timeout_ms);

@@ -105,6 +105,9 @@ int main(int argc, char** argv) {
 
     serve::ServerConfig config;
     config.host = cli.get_string("host");
+    if (cli.get_int("port") < 0 || cli.get_int("port") > 65535) {
+      throw std::runtime_error("--port must be in [0, 65535]");
+    }
     config.port = static_cast<std::uint16_t>(cli.get_int("port"));
     config.executors = static_cast<std::size_t>(cli.get_int("executors"));
     config.max_queue = static_cast<std::size_t>(cli.get_int("max-queue"));
