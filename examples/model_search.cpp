@@ -47,29 +47,7 @@ int main(int argc, char** argv) {
   cli.add_int("max-candidates", 0,
               "Examine at most this many FLOPs-ordered candidates "
               "(0 = unlimited)");
-  cli.add_int("workers", 0,
-              "Crash-isolated worker processes for candidate evaluation "
-              "(0 = in-process); results are identical either way");
-  cli.add_double("unit-timeout", 0.0,
-                 "Wall-clock budget per candidate evaluation in seconds "
-                 "when using --workers (0 = no deadline)");
-  cli.add_int("worker-retries", 2,
-              "Failed attempts allowed per unit beyond the first before it "
-              "is quarantined (with --workers)");
-  cli.add_string("listen", "",
-                 "Listen address host:port (port 0 = ephemeral, printed at "
-                 "startup) for remote qhdl_worker daemons; requires "
-                 "--workers-remote");
-  cli.add_int("workers-remote", 0,
-              "Expected remote worker registrations; falls back to local "
-              "--workers if none arrive within --handshake-timeout");
-  cli.add_double("handshake-timeout", 5.0,
-                 "Registration deadline in seconds (per connection, and for "
-                 "the remote fleet before local fallback)");
-  cli.add_double("steal-after", 0.0,
-                 "Duplicate a unit onto an idle worker once it has been in "
-                 "flight this many seconds (0 = off); first result wins, "
-                 "results unchanged");
+  search::add_pool_flags(cli);
   cli.add_string("checkpoint", "",
                  "Checkpoint manifest path for crash-safe resume "
                  "(empty = no checkpointing)");
@@ -110,6 +88,9 @@ int main(int argc, char** argv) {
                 config.feature_sizes[0],
                 search::family_search_space(family).size());
 
+    const std::unique_ptr<search::WorkerPool> pool =
+        search::pool_from_flags(config, cli);
+
     std::unique_ptr<search::StudyCheckpoint> checkpoint;
     const std::string checkpoint_path = cli.get_string("checkpoint");
     if (!checkpoint_path.empty()) {
@@ -119,45 +100,6 @@ int main(int argc, char** argv) {
       if (restored > 0) {
         std::printf("resuming: %zu completed candidate(s) restored\n",
                     restored);
-      }
-    }
-
-    std::unique_ptr<search::WorkerPool> pool;
-    if (cli.get_int("workers") > 0 || cli.get_int("workers-remote") > 0) {
-      search::WorkerPoolConfig pool_config;
-      if (cli.get_int("workers") > 0) {
-        pool_config.workers =
-            static_cast<std::size_t>(cli.get_int("workers"));
-      }
-      pool_config.unit_timeout_ms = static_cast<std::uint64_t>(
-          cli.get_double("unit-timeout") * 1000.0);
-      pool_config.unit_retries =
-          static_cast<std::size_t>(cli.get_int("worker-retries"));
-      if (cli.get_int("workers-remote") > 0) {
-        pool_config.remote_workers =
-            static_cast<std::size_t>(cli.get_int("workers-remote"));
-        pool_config.handshake_timeout_ms = static_cast<std::uint64_t>(
-            cli.get_double("handshake-timeout") * 1000.0);
-        if (!cli.get_string("listen").empty() &&
-            !search::parse_host_port(cli.get_string("listen"),
-                                     &pool_config.listen_host,
-                                     &pool_config.listen_port)) {
-          throw std::invalid_argument(
-              "--listen requires host:port (e.g. --listen 0.0.0.0:7200)");
-        }
-      }
-      pool_config.steal_after_ms = static_cast<std::uint64_t>(
-          cli.get_double("steal-after") * 1000.0);
-      pool = std::make_unique<search::WorkerPool>(config, pool_config);
-      if (pool->listen_port() != 0) {
-        std::printf("listening for qhdl_worker daemons on %s:%u\n",
-                    pool_config.listen_host.c_str(), pool->listen_port());
-      }
-      if (pool->degraded()) {
-        std::fprintf(stderr,
-                     "warning: worker pool degraded to in-process "
-                     "execution: %s\n",
-                     pool->degraded_reason().c_str());
       }
     }
 

@@ -27,7 +27,6 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <stdexcept>
 
 #include "core/config.hpp"
 #include "core/report.hpp"
@@ -58,29 +57,7 @@ int main(int argc, char** argv) {
   cli.add_int("threads", 1,
               "Search concurrency (families, levels, candidate lookahead, "
               "runs, quantum batches); results are thread-count independent");
-  cli.add_int("workers", 0,
-              "Crash-isolated worker processes for candidate evaluation "
-              "(0 = in-process); results are identical either way");
-  cli.add_double("unit-timeout", 0.0,
-                 "Wall-clock budget per candidate evaluation in seconds "
-                 "when using --workers (0 = no deadline)");
-  cli.add_int("worker-retries", 2,
-              "Failed attempts allowed per unit beyond the first before it "
-              "is quarantined (with --workers)");
-  cli.add_string("listen", "",
-                 "Listen address host:port (port 0 = ephemeral, printed at "
-                 "startup) for remote qhdl_worker daemons; requires "
-                 "--workers-remote");
-  cli.add_int("workers-remote", 0,
-              "Expected remote worker registrations; falls back to local "
-              "--workers if none arrive within --handshake-timeout");
-  cli.add_double("handshake-timeout", 5.0,
-                 "Registration deadline in seconds (per connection, and for "
-                 "the remote fleet before local fallback)");
-  cli.add_double("steal-after", 0.0,
-                 "Duplicate a unit onto an idle worker once it has been in "
-                 "flight this many seconds (0 = off); first result wins, "
-                 "results unchanged");
+  search::add_pool_flags(cli);
   cli.add_int("seed", 42, "Search seed");
   cli.add_string("out", "qhdl_results/study", "Output directory");
   try {
@@ -91,8 +68,12 @@ int main(int argc, char** argv) {
     search::SweepConfig config =
         cli.flag("paper") ? core::paper_scale() : core::bench_scale();
     config.search.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    config.search.threads =
-        static_cast<std::size_t>(cli.get_int("threads"));
+    config.search.threads = cli.get_count("threads");
+
+    // Supervised multi-process execution. The pool degrades to in-process
+    // evaluation (same results, no isolation) if workers cannot spawn.
+    const std::unique_ptr<search::WorkerPool> pool =
+        search::pool_from_flags(config, cli);
 
     const std::string out = cli.get_string("out");
     std::filesystem::create_directories(out);
@@ -110,47 +91,6 @@ int main(int argc, char** argv) {
       if (restored > 0) {
         std::printf("Resuming: %zu completed unit(s) restored from %s\n",
                     restored, checkpoint_path.c_str());
-      }
-    }
-
-    // Supervised multi-process execution. The pool degrades to in-process
-    // evaluation (same results, no isolation) if workers cannot spawn.
-    std::unique_ptr<search::WorkerPool> pool;
-    if (cli.get_int("workers") > 0 || cli.get_int("workers-remote") > 0) {
-      search::WorkerPoolConfig pool_config;
-      if (cli.get_int("workers") > 0) {
-        pool_config.workers =
-            static_cast<std::size_t>(cli.get_int("workers"));
-      }
-      pool_config.unit_timeout_ms = static_cast<std::uint64_t>(
-          cli.get_double("unit-timeout") * 1000.0);
-      pool_config.unit_retries =
-          static_cast<std::size_t>(cli.get_int("worker-retries"));
-      if (cli.get_int("workers-remote") > 0) {
-        pool_config.remote_workers =
-            static_cast<std::size_t>(cli.get_int("workers-remote"));
-        pool_config.handshake_timeout_ms = static_cast<std::uint64_t>(
-            cli.get_double("handshake-timeout") * 1000.0);
-        if (!cli.get_string("listen").empty() &&
-            !search::parse_host_port(cli.get_string("listen"),
-                                     &pool_config.listen_host,
-                                     &pool_config.listen_port)) {
-          throw std::runtime_error(
-              "--listen requires host:port (e.g. --listen 0.0.0.0:7200)");
-        }
-      }
-      pool_config.steal_after_ms = static_cast<std::uint64_t>(
-          cli.get_double("steal-after") * 1000.0);
-      pool = std::make_unique<search::WorkerPool>(config, pool_config);
-      if (pool->listen_port() != 0) {
-        std::printf("listening for qhdl_worker daemons on %s:%u\n",
-                    pool_config.listen_host.c_str(), pool->listen_port());
-      }
-      if (pool->degraded()) {
-        std::fprintf(stderr,
-                     "warning: worker pool degraded to in-process "
-                     "execution: %s\n",
-                     pool->degraded_reason().c_str());
       }
     }
 

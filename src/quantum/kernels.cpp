@@ -43,7 +43,8 @@ void count_fused(std::uint64_t gates_absorbed) {
   counters().fused_gates.add(gates_absorbed);
 }
 void count_batched_rows(std::uint64_t rows) {
-  counters().batched_rows.add(rows);
+  // A one-row batch is single-state work: every StateVector is one.
+  if (rows > 1) counters().batched_rows.add(rows);
 }
 
 }  // namespace qhdl::quantum::kernels

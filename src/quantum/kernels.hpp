@@ -17,7 +17,9 @@
 // controlled, double_flip, generic, two_qubit_dense (one per gate
 // application; a fused chain counts once), fused and fused_gates (chains
 // merged into one matrix and the gates they absorbed), batched_rows
-// (row-gates run by the SoA batch path). Read them with
+// (row-gates run by multi-row batches; a StateVector is a one-row batch and
+// is not counted, so the counter tells batched hybrid execution from
+// single-state execution). Read them with
 // util::Metrics::global().snapshot(); they are diagnostics, never control
 // flow.
 #pragma once
@@ -26,8 +28,8 @@
 
 namespace qhdl::quantum::kernels {
 
-// Counter bumps: one relaxed fetch_add each, called from the hot loops in
-// statevector.cpp.
+// Counter bumps: one relaxed fetch_add each, called from the gate kernels
+// in statevector_batch.cpp.
 void count_diagonal();
 void count_real_rotation();
 void count_permutation();

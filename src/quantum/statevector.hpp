@@ -1,46 +1,25 @@
-// Dense state-vector simulator.
+// Dense state-vector simulator: one state of n qubits.
 //
 // Wire convention matches PennyLane: wire 0 is the most significant bit of
 // the computational-basis index, so |q0 q1 ... q_{n-1}⟩ has basis index
 // (q0 << (n-1)) | ... | q_{n-1}. All public methods validate wires.
+//
+// A StateVector is a one-row StateVectorBatch. At batch() == 1 the SoA
+// layout amps[i * 1 + 0] is the plain amplitude array, so the inherited
+// gate methods (apply_single_qubit, apply_cnot, ...) are the batch kernels
+// and there is one kernel set for one state and for many. This class adds
+// only the single-state accessors.
 #pragma once
 
-#include <complex>
-#include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
+#include "quantum/statevector_batch.hpp"
+
 namespace qhdl::quantum {
 
-using Complex = std::complex<double>;
-
-/// Column-major-free 2x2 complex matrix [[m00, m01], [m10, m11]].
-struct Mat2 {
-  Complex m00, m01, m10, m11;
-
-  /// Conjugate transpose.
-  Mat2 dagger() const;
-  /// Matrix product this * other.
-  Mat2 operator*(const Mat2& other) const;
-  bool is_unitary(double tolerance = 1e-12) const;
-};
-
-/// Dense 4x4 complex matrix, row-major m[row][col]. Acts on a wire pair
-/// (a, b) with local basis index (bit_a << 1) | bit_b. Used by the compile
-/// pass to collapse adjacent fixed two-qubit gates into one unitary.
-struct Mat4 {
-  Complex m[4][4];
-
-  /// Conjugate transpose.
-  Mat4 dagger() const;
-  /// Matrix product this * other.
-  Mat4 operator*(const Mat4& other) const;
-  bool is_unitary(double tolerance = 1e-12) const;
-};
-
 /// State of `num_qubits` qubits; 2^n complex amplitudes.
-class StateVector {
+class StateVector : public StateVectorBatch {
  public:
   /// Initializes |0...0⟩.
   explicit StateVector(std::size_t num_qubits);
@@ -48,75 +27,14 @@ class StateVector {
   /// Takes explicit amplitudes (must have power-of-two size).
   explicit StateVector(std::vector<Complex> amplitudes);
 
-  std::size_t num_qubits() const { return num_qubits_; }
-  std::size_t dimension() const { return amplitudes_.size(); }
-
-  std::span<Complex> amplitudes() { return amplitudes_; }
-  std::span<const Complex> amplitudes() const { return amplitudes_; }
-
-  /// Resets to |0...0⟩.
-  void reset();
-
   /// Sets to a computational basis state.
   void set_basis_state(std::size_t basis_index);
-
-  /// Applies a single-qubit matrix to `wire` (generic dense 2x2 matvec over
-  /// every amplitude pair — the reference path every specialized kernel is
-  /// tested against).
-  void apply_single_qubit(const Mat2& gate, std::size_t wire);
-
-  // --- specialized kernels (see DESIGN.md §8) ---------------------------
-  // Each is algebraically identical to apply_single_qubit with the
-  // corresponding matrix but touches less data / does fewer FLOPs.
-
-  /// diag(d0, d1) on `wire`: pure per-amplitude phase multiply, no pair
-  /// gather (RZ, PhaseShift, S, T, PauliZ). When d0 == 1 only the wire=1
-  /// half of the state is touched.
-  void apply_diagonal(Complex d0, Complex d1, std::size_t wire);
-
-  /// RX(θ) with c = cos(θ/2), s = sin(θ/2): the matrix [[c, -is], [-is, c]]
-  /// needs only real multiplies (4 mul + 2 add per component pair).
-  void apply_rx_fast(double c, double s, std::size_t wire);
-
-  /// RY(θ) with c = cos(θ/2), s = sin(θ/2): the real rotation
-  /// [[c, -s], [s, c]] applied componentwise.
-  void apply_ry_fast(double c, double s, std::size_t wire);
-
-  /// PauliX on `wire`: pure index-permutation swap of amplitude pairs.
-  void apply_pauli_x(std::size_t wire);
-
-  /// Applies a single-qubit matrix to `target` controlled on `control`=1.
-  void apply_controlled(const Mat2& gate, std::size_t control,
-                        std::size_t target);
-
-  /// Applies d(CU)/dθ = |1⟩⟨1|_c ⊗ (dU/dθ): control-0 amplitudes are zeroed,
-  /// control-1 amplitudes get `gate` (typically a non-unitary derivative).
-  void apply_controlled_derivative(const Mat2& gate, std::size_t control,
-                                   std::size_t target);
-
-  void apply_cnot(std::size_t control, std::size_t target);
-  void apply_cz(std::size_t control, std::size_t target);
-  void apply_swap(std::size_t wire_a, std::size_t wire_b);
-
-  /// Applies a dense 4x4 matrix to the wire pair (wire_a, wire_b); the
-  /// matrix's local basis index is (bit_a << 1) | bit_b. The generic
-  /// two-qubit path — specialized kernels above beat it whenever the gate
-  /// has structure; the compile pass uses it for fused gate pairs.
-  void apply_two_qubit(const Mat4& gate, std::size_t wire_a,
-                       std::size_t wire_b);
-
-  /// Applies a 2x2 matrix to the double-flip amplitude pairs
-  /// (i, i ^ mask_a ^ mask_b): `even_pair` where the two wire bits agree
-  /// (|00⟩↔|11⟩ blocks), `odd_pair` where they differ (|01⟩↔|10⟩). The
-  /// "low" element of each pair has wire_a's bit = 0. This is exactly the
-  /// structure of the Ising gates RXX/RYY/RZZ (see gates.hpp).
-  void apply_double_flip_pairs(const Mat2& even_pair, const Mat2& odd_pair,
-                               std::size_t wire_a, std::size_t wire_b);
 
   /// Multiplies the whole state by a scalar (used by derivative ops).
   void scale(Complex factor);
 
-  /// ⟨Z_wire⟩ = Σ_i ±|a_i|².
+  /// ⟨Z_wire⟩ = Σ_i ±|a_i|², the batch reduction at B = 1: one sequential
+  /// sum in ascending i, bitwise equal to Observable::expectation.
   double expval_pauli_z(std::size_t wire) const;
 
   /// Probability of measuring basis state `basis_index`.
@@ -133,12 +51,6 @@ class StateVector {
 
   /// Debug rendering "(0.70+0.00i)|00⟩ + ...".
   std::string to_string() const;
-
- private:
-  void check_wire(std::size_t wire, const char* context) const;
-
-  std::size_t num_qubits_;
-  std::vector<Complex> amplitudes_;
 };
 
 }  // namespace qhdl::quantum

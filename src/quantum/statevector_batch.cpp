@@ -5,21 +5,38 @@
 #include <string>
 
 #include "quantum/kernels.hpp"
+#include "quantum/statevector.hpp"
 #include "util/backend_registry.hpp"
 
 namespace qhdl::quantum {
 
 namespace {
 
-/// Same compact-index expanders as the scalar kernels (statevector.cpp).
+/// Spreads compact index `i` into a basis index with a 0 bit at both mask
+/// positions (masks must satisfy lo_mask < hi_mask). Lets two-qubit kernels
+/// visit exactly the n/4 relevant base indices branch-free instead of
+/// scanning all n amplitudes.
 inline std::size_t expand_two_zero_bits(std::size_t i, std::size_t lo_mask,
                                         std::size_t hi_mask) {
   std::size_t j = ((i & ~(lo_mask - 1)) << 1) | (i & (lo_mask - 1));
   return ((j & ~(hi_mask - 1)) << 1) | (j & (hi_mask - 1));
 }
 
+/// One-bit version: a 0 bit at the mask position.
 inline std::size_t expand_one_zero_bit(std::size_t i, std::size_t mask) {
   return ((i & ~(mask - 1)) << 1) | (i & (mask - 1));
+}
+
+/// a0' = m00*a0 + m01*a1, a1' = m10*a0 + m11*a1 elementwise over two runs
+/// of `n` complexes.
+inline void mix_runs(const Mat2& gate, Complex* a0, Complex* a1,
+                     std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const Complex v0 = a0[j];
+    const Complex v1 = a1[j];
+    a0[j] = gate.m00 * v0 + gate.m01 * v1;
+    a1[j] = gate.m10 * v0 + gate.m11 * v1;
+  }
 }
 
 }  // namespace
@@ -38,6 +55,16 @@ StateVectorBatch::StateVectorBatch(std::size_t num_qubits, std::size_t batch)
   for (std::size_t b = 0; b < batch_; ++b) {
     amplitudes_[b] = Complex{1.0, 0.0};
   }
+}
+
+StateVectorBatch::StateVectorBatch(std::vector<Complex> amplitudes)
+    : num_qubits_(0), batch_(1), dimension_(amplitudes.size()),
+      amplitudes_(std::move(amplitudes)) {
+  if (dimension_ < 2 || (dimension_ & (dimension_ - 1)) != 0) {
+    throw std::invalid_argument(
+        "StateVector: amplitude count must be a power of two >= 2");
+  }
+  while ((std::size_t{1} << num_qubits_) < dimension_) ++num_qubits_;
 }
 
 void StateVectorBatch::reset() {
@@ -119,6 +146,13 @@ void StateVectorBatch::check_rows(std::size_t span_size,
 }
 
 // --- shared-matrix kernels -------------------------------------------------
+//
+// Every row gets the same operation, so the kernels walk contiguous runs:
+// a one-wire gate's rows block+offset for offset in [0, stride) are
+// consecutive, one run of stride * batch complexes per half, and a two-wire
+// gate's compact indices k .. k+lo-1 (k a multiple of lo) expand to
+// consecutive rows, one run of lo * batch complexes per row group. Each
+// element still gets exactly the per-row formula.
 
 void StateVectorBatch::apply_single_qubit(const Mat2& gate,
                                           std::size_t wire) {
@@ -128,7 +162,7 @@ void StateVectorBatch::apply_single_qubit(const Mat2& gate,
   const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
   // Registry-dispatched (DESIGN.md §14): the active backend vectorizes
   // across the contiguous batch lanes; per-lane arithmetic is the scalar
-  // StateVector formula unchanged.
+  // a0' = m00*a0 + m01*a1, a1' = m10*a0 + m11*a1 formula unchanged.
   const Complex m[4] = {gate.m00, gate.m01, gate.m10, gate.m11};
   util::simd::ops().apply_single_qubit_batch(amplitudes_.data(), dimension_,
                                              stride, batch_, m);
@@ -140,8 +174,8 @@ void StateVectorBatch::apply_diagonal(Complex d0, Complex d1,
   kernels::count_diagonal();
   kernels::count_batched_rows(batch_);
   const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
-  // Registry-dispatched; the d0 == 1 phase-gate fast path lives inside
-  // the backend op, mirroring the scalar apply_diagonal.
+  // Registry-dispatched; the d0 == 1 phase-gate fast path (only the
+  // wire=1 half moves) lives inside the backend op.
   util::simd::ops().apply_diagonal_batch(amplitudes_.data(), dimension_,
                                          stride, batch_, d0, d1);
 }
@@ -151,17 +185,17 @@ void StateVectorBatch::apply_rx_fast(double c, double s, std::size_t wire) {
   kernels::count_real_rotation();
   kernels::count_batched_rows(batch_);
   const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
-  Complex* amps = amplitudes_.data();
+  const std::size_t run = stride * batch_;
   for (std::size_t block = 0; block < dimension_; block += 2 * stride) {
-    for (std::size_t offset = 0; offset < stride; ++offset) {
-      Complex* a0 = amps + (block + offset) * batch_;
-      Complex* a1 = amps + (block + stride + offset) * batch_;
-      for (std::size_t b = 0; b < batch_; ++b) {
-        const double r0 = a0[b].real(), i0 = a0[b].imag();
-        const double r1 = a1[b].real(), i1 = a1[b].imag();
-        a0[b] = Complex{c * r0 + s * i1, c * i0 - s * r1};
-        a1[b] = Complex{s * i0 + c * r1, -s * r0 + c * i1};
-      }
+    Complex* a0 = amplitudes_.data() + block * batch_;
+    Complex* a1 = a0 + run;
+    for (std::size_t j = 0; j < run; ++j) {
+      const double r0 = a0[j].real(), i0 = a0[j].imag();
+      const double r1 = a1[j].real(), i1 = a1[j].imag();
+      // [[c, -is], [-is, c]] expanded over real/imag components, in the
+      // same operation order as the dense complex matvec.
+      a0[j] = Complex{c * r0 + s * i1, c * i0 - s * r1};
+      a1[j] = Complex{s * i0 + c * r1, -s * r0 + c * i1};
     }
   }
 }
@@ -171,17 +205,16 @@ void StateVectorBatch::apply_ry_fast(double c, double s, std::size_t wire) {
   kernels::count_real_rotation();
   kernels::count_batched_rows(batch_);
   const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
-  Complex* amps = amplitudes_.data();
+  const std::size_t run = stride * batch_;
   for (std::size_t block = 0; block < dimension_; block += 2 * stride) {
-    for (std::size_t offset = 0; offset < stride; ++offset) {
-      Complex* a0 = amps + (block + offset) * batch_;
-      Complex* a1 = amps + (block + stride + offset) * batch_;
-      for (std::size_t b = 0; b < batch_; ++b) {
-        const double r0 = a0[b].real(), i0 = a0[b].imag();
-        const double r1 = a1[b].real(), i1 = a1[b].imag();
-        a0[b] = Complex{c * r0 - s * r1, c * i0 - s * i1};
-        a1[b] = Complex{s * r0 + c * r1, s * i0 + c * i1};
-      }
+    Complex* a0 = amplitudes_.data() + block * batch_;
+    Complex* a1 = a0 + run;
+    for (std::size_t j = 0; j < run; ++j) {
+      const double r0 = a0[j].real(), i0 = a0[j].imag();
+      const double r1 = a1[j].real(), i1 = a1[j].imag();
+      // Real rotation [[c, -s], [s, c]] applied to both components.
+      a0[j] = Complex{c * r0 - s * r1, c * i0 - s * i1};
+      a1[j] = Complex{s * r0 + c * r1, s * i0 + c * i1};
     }
   }
 }
@@ -191,13 +224,10 @@ void StateVectorBatch::apply_pauli_x(std::size_t wire) {
   kernels::count_permutation();
   kernels::count_batched_rows(batch_);
   const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
-  Complex* amps = amplitudes_.data();
+  const std::size_t run = stride * batch_;
   for (std::size_t block = 0; block < dimension_; block += 2 * stride) {
-    for (std::size_t offset = 0; offset < stride; ++offset) {
-      Complex* a0 = amps + (block + offset) * batch_;
-      Complex* a1 = amps + (block + stride + offset) * batch_;
-      for (std::size_t b = 0; b < batch_; ++b) std::swap(a0[b], a1[b]);
-    }
+    Complex* a0 = amplitudes_.data() + block * batch_;
+    std::swap_ranges(a0, a0 + run, a0 + run);
   }
 }
 
@@ -233,8 +263,7 @@ void StateVectorBatch::apply_two_qubit(const Mat4& gate, std::size_t wire_a,
   const std::size_t bmask = std::size_t{1} << (num_qubits_ - 1 - wire_b);
   const std::size_t lo = amask < bmask ? amask : bmask;
   const std::size_t hi = amask < bmask ? bmask : amask;
-  // Same basis order as StateVector::apply_two_qubit: |wire_a wire_b⟩ rows
-  // {base, base|bmask, base|amask, base|amask|bmask}.
+  // |wire_a wire_b⟩ rows {base, base|bmask, base|amask, base|amask|bmask}.
   util::simd::ops().apply_two_qubit_batch(amplitudes_.data(), dimension_ / 4,
                                           lo, hi, amask, bmask, batch_,
                                           &gate.m[0][0]);
@@ -252,11 +281,11 @@ void StateVectorBatch::apply_cz(std::size_t control, std::size_t target) {
   const std::size_t tmask = std::size_t{1} << (num_qubits_ - 1 - target);
   const std::size_t lo = cmask < tmask ? cmask : tmask;
   const std::size_t hi = cmask < tmask ? tmask : cmask;
-  Complex* amps = amplitudes_.data();
-  for (std::size_t k = 0; k < dimension_ / 4; ++k) {
-    Complex* a = amps + (expand_two_zero_bits(k, lo, hi) | cmask | tmask) *
-                            batch_;
-    for (std::size_t b = 0; b < batch_; ++b) a[b] = -a[b];
+  const std::size_t run = lo * batch_;
+  for (std::size_t k = 0; k < dimension_ / 4; k += lo) {
+    Complex* a = amplitudes_.data() +
+                 (expand_two_zero_bits(k, lo, hi) | cmask | tmask) * batch_;
+    for (std::size_t j = 0; j < run; ++j) a[j] = -a[j];
   }
 }
 
@@ -270,12 +299,13 @@ void StateVectorBatch::apply_swap(std::size_t wire_a, std::size_t wire_b) {
   const std::size_t bmask = std::size_t{1} << (num_qubits_ - 1 - wire_b);
   const std::size_t lo = amask < bmask ? amask : bmask;
   const std::size_t hi = amask < bmask ? bmask : amask;
+  const std::size_t run = lo * batch_;
   Complex* amps = amplitudes_.data();
-  for (std::size_t k = 0; k < dimension_ / 4; ++k) {
+  // Swap |..a=1..b=0..⟩ with |..a=0..b=1..⟩; visit each pair once.
+  for (std::size_t k = 0; k < dimension_ / 4; k += lo) {
     const std::size_t base = expand_two_zero_bits(k, lo, hi);
     Complex* a0 = amps + (base | amask) * batch_;
-    Complex* a1 = amps + (base | bmask) * batch_;
-    for (std::size_t b = 0; b < batch_; ++b) std::swap(a0[b], a1[b]);
+    std::swap_ranges(a0, a0 + run, amps + (base | bmask) * batch_);
   }
 }
 
@@ -294,16 +324,11 @@ void StateVectorBatch::apply_controlled(const Mat2& gate, std::size_t control,
   const std::size_t lo = cmask < tmask ? cmask : tmask;
   const std::size_t hi = cmask < tmask ? tmask : cmask;
   Complex* amps = amplitudes_.data();
-  for (std::size_t k = 0; k < dimension_ / 4; ++k) {
+  // Visit each control-1, target-0 row once; pair it with target-1.
+  for (std::size_t k = 0; k < dimension_ / 4; k += lo) {
     const std::size_t i = expand_two_zero_bits(k, lo, hi) | cmask;
-    Complex* a0 = amps + i * batch_;
-    Complex* a1 = amps + (i | tmask) * batch_;
-    for (std::size_t b = 0; b < batch_; ++b) {
-      const Complex v0 = a0[b];
-      const Complex v1 = a1[b];
-      a0[b] = gate.m00 * v0 + gate.m01 * v1;
-      a1[b] = gate.m10 * v0 + gate.m11 * v1;
-    }
+    mix_runs(gate, amps + i * batch_, amps + (i | tmask) * batch_,
+             lo * batch_);
   }
 }
 
@@ -320,23 +345,18 @@ void StateVectorBatch::apply_controlled_derivative(const Mat2& gate,
   kernels::count_batched_rows(batch_);
   const std::size_t cmask = std::size_t{1} << (num_qubits_ - 1 - control);
   Complex* amps = amplitudes_.data();
-  for (std::size_t k = 0; k < dimension_ / 2; ++k) {
+  // d(CU)/dθ annihilates the control-0 subspace: runs of cmask rows.
+  for (std::size_t k = 0; k < dimension_ / 2; k += cmask) {
     Complex* a = amps + expand_one_zero_bit(k, cmask) * batch_;
-    for (std::size_t b = 0; b < batch_; ++b) a[b] = Complex{0.0, 0.0};
+    std::fill(a, a + cmask * batch_, Complex{0.0, 0.0});
   }
   const std::size_t tmask = std::size_t{1} << (num_qubits_ - 1 - target);
   const std::size_t lo = cmask < tmask ? cmask : tmask;
   const std::size_t hi = cmask < tmask ? tmask : cmask;
-  for (std::size_t k = 0; k < dimension_ / 4; ++k) {
+  for (std::size_t k = 0; k < dimension_ / 4; k += lo) {
     const std::size_t i = expand_two_zero_bits(k, lo, hi) | cmask;
-    Complex* a0 = amps + i * batch_;
-    Complex* a1 = amps + (i | tmask) * batch_;
-    for (std::size_t b = 0; b < batch_; ++b) {
-      const Complex v0 = a0[b];
-      const Complex v1 = a1[b];
-      a0[b] = gate.m00 * v0 + gate.m01 * v1;
-      a1[b] = gate.m10 * v0 + gate.m11 * v1;
-    }
+    mix_runs(gate, amps + i * batch_, amps + (i | tmask) * batch_,
+             lo * batch_);
   }
 }
 
@@ -358,21 +378,15 @@ void StateVectorBatch::apply_double_flip_pairs(const Mat2& even_pair,
   const std::size_t lo = amask < bmask ? amask : bmask;
   const std::size_t hi = amask < bmask ? bmask : amask;
   Complex* amps = amplitudes_.data();
-  const auto apply_pair = [&](std::size_t i, std::size_t j,
-                              const Mat2& gate) {
-    Complex* a0 = amps + i * batch_;
-    Complex* a1 = amps + j * batch_;
-    for (std::size_t b = 0; b < batch_; ++b) {
-      const Complex v0 = a0[b];
-      const Complex v1 = a1[b];
-      a0[b] = gate.m00 * v0 + gate.m01 * v1;
-      a1[b] = gate.m10 * v0 + gate.m11 * v1;
-    }
-  };
-  for (std::size_t k = 0; k < dimension_ / 4; ++k) {
+  const std::size_t run = lo * batch_;
+  // Visit each pair from its a=0 member: even block from |a=0,b=0⟩, odd
+  // block from |a=0,b=1⟩.
+  for (std::size_t k = 0; k < dimension_ / 4; k += lo) {
     const std::size_t base = expand_two_zero_bits(k, lo, hi);
-    apply_pair(base, base ^ flip, even_pair);
-    apply_pair(base | bmask, (base | bmask) ^ flip, odd_pair);
+    mix_runs(even_pair, amps + base * batch_, amps + (base ^ flip) * batch_,
+             run);
+    mix_runs(odd_pair, amps + (base | bmask) * batch_,
+             amps + ((base | bmask) ^ flip) * batch_, run);
   }
 }
 

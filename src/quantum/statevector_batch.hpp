@@ -4,17 +4,19 @@
 // index major, batch row minor), so every gate kernel walks contiguous
 // memory: the pair update for amplitude indices (i0, i1) touches two dense
 // runs of B complex numbers. This is what makes the hybrid layer's batch
-// forward/backward (one circuit, many samples) cache-friendly — the
-// per-row StateVector path re-derives the same gate matrices and strides
-// 2^n-sized vectors once per sample.
+// forward/backward (one circuit, many samples) cache-friendly.
+//
+// These are the simulator's only gate kernels: a StateVector is the
+// one-row batch (statevector.hpp), whose layout at B = 1 is the plain
+// amplitude array.
 //
 // Two kernel flavors per gate family:
 //   * shared — one matrix/angle for every row (ansatz weights, fixed gates);
 //     trig and matrix construction happen once for the whole batch;
 //   * per-row — independent angle per row (data-encoding gates).
-// Arithmetic per row is identical to the scalar StateVector kernels (same
-// operations in the same order), so batch results match the per-row path
-// bit-for-bit regardless of how the batch is chunked.
+// Each row runs the same operations in the same order whatever B is, so a
+// batch matches its rows run one at a time bit-for-bit regardless of how
+// the batch is chunked.
 //
 // The hottest kernels (dense 2x2, diagonal, CNOT, dense 4x4, expval-Z,
 // batched inner products) are registry-dispatched through
@@ -25,9 +27,11 @@
 #include <span>
 #include <vector>
 
-#include "quantum/statevector.hpp"
+#include "quantum/matrix.hpp"
 
 namespace qhdl::quantum {
+
+class StateVector;
 
 class StateVectorBatch {
  public:
@@ -53,23 +57,46 @@ class StateVectorBatch {
   void set_row(std::size_t row, const StateVector& state);
 
   // --- shared-matrix kernels (one gate for all rows) ---------------------
+  // Beyond the dense apply_single_qubit (the reference path the rest are
+  // tested against), each specialized kernel is algebraically identical to
+  // it with the corresponding matrix but touches less data or does fewer
+  // FLOPs (DESIGN.md §8).
+
+  /// Applies a single-qubit matrix to `wire` (dense 2x2 matvec over every
+  /// amplitude pair).
   void apply_single_qubit(const Mat2& gate, std::size_t wire);
+  /// diag(d0, d1) on `wire`: per-amplitude phase multiply, no pair gather
+  /// (RZ, PhaseShift, S, T, PauliZ). When d0 == 1 only the wire=1 half of
+  /// the state is touched.
   void apply_diagonal(Complex d0, Complex d1, std::size_t wire);
+  /// RX(θ) with c = cos(θ/2), s = sin(θ/2): [[c, -is], [-is, c]] needs only
+  /// real multiplies.
   void apply_rx_fast(double c, double s, std::size_t wire);
+  /// RY(θ) with c = cos(θ/2), s = sin(θ/2): the real rotation
+  /// [[c, -s], [s, c]] applied componentwise.
   void apply_ry_fast(double c, double s, std::size_t wire);
+  /// PauliX on `wire`: a pure swap of amplitude pairs.
   void apply_pauli_x(std::size_t wire);
   void apply_cnot(std::size_t control, std::size_t target);
   void apply_cz(std::size_t control, std::size_t target);
   void apply_swap(std::size_t wire_a, std::size_t wire_b);
+  /// Applies a single-qubit matrix to `target` controlled on `control`=1.
   void apply_controlled(const Mat2& gate, std::size_t control,
                         std::size_t target);
+  /// Applies d(CU)/dθ = |1⟩⟨1|_c ⊗ (dU/dθ): control-0 amplitudes are zeroed,
+  /// control-1 amplitudes get `gate` (typically a non-unitary derivative).
   void apply_controlled_derivative(const Mat2& gate, std::size_t control,
                                    std::size_t target);
+  /// Applies a 2x2 matrix to the double-flip amplitude pairs
+  /// (i, i ^ mask_a ^ mask_b): `even_pair` where the two wire bits agree
+  /// (|00⟩↔|11⟩ blocks), `odd_pair` where they differ (|01⟩↔|10⟩). The
+  /// "low" element of each pair has wire_a's bit = 0. This is exactly the
+  /// structure of the Ising gates RXX/RYY/RZZ (see gates.hpp).
   void apply_double_flip_pairs(const Mat2& even_pair, const Mat2& odd_pair,
                                std::size_t wire_a, std::size_t wire_b);
-  /// Dense 4x4 two-qubit unitary on |wire_a wire_b⟩, same basis order and
-  /// row formula as StateVector::apply_two_qubit (used by the compiled
-  /// plan's FusedPair ops).
+  /// Dense 4x4 two-qubit unitary on |wire_a wire_b⟩: the matrix's local
+  /// basis index is (bit_a << 1) | bit_b (used by the compiled plan's
+  /// FusedPair ops).
   void apply_two_qubit(const Mat4& gate, std::size_t wire_a,
                        std::size_t wire_b);
 
@@ -92,13 +119,18 @@ class StateVectorBatch {
                                        std::size_t wire_a, std::size_t wire_b);
 
   // --- reductions --------------------------------------------------------
-  /// out[b] = ⟨Z_wire⟩ of row b (accumulated in amplitude-index order, the
-  /// same order the scalar path uses).
+  /// out[b] = ⟨Z_wire⟩ of row b, accumulated in amplitude-index order (the
+  /// order Observable::expectation uses).
   void expval_pauli_z(std::size_t wire, std::span<double> out) const;
 
   /// out[b] = Re⟨this_b|other_b⟩, index-order accumulation per row.
   void inner_products_real(const StateVectorBatch& other,
                            std::span<double> out) const;
+
+ protected:
+  /// One row adopting `amplitudes` (StateVector's explicit-amplitude
+  /// constructor); the count must be a power of two >= 2.
+  explicit StateVectorBatch(std::vector<Complex> amplitudes);
 
  private:
   void check_wire(std::size_t wire, const char* context) const;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <deque>
 #include <future>
 #include <mutex>
@@ -1067,6 +1068,67 @@ std::uint16_t WorkerPool::listen_port() const {
 
 util::MetricsSnapshot WorkerPool::metrics() const {
   return impl_->metrics.snapshot();
+}
+
+void add_pool_flags(util::Cli& cli) {
+  cli.add_int("workers", 0,
+              "Crash-isolated worker processes for candidate evaluation "
+              "(0 = in-process); results are identical either way");
+  cli.add_double("unit-timeout", 0.0,
+                 "Wall-clock budget per candidate evaluation in seconds "
+                 "when using --workers (0 = no deadline)");
+  cli.add_int("worker-retries", 2,
+              "Failed attempts allowed per unit beyond the first before it "
+              "is quarantined (with --workers)");
+  cli.add_string("listen", "",
+                 "Listen address host:port (port 0 = ephemeral, printed at "
+                 "startup) for remote qhdl_worker daemons; requires "
+                 "--workers-remote");
+  cli.add_int("workers-remote", 0,
+              "Expected remote worker registrations; falls back to local "
+              "--workers if none arrive within --handshake-timeout");
+  cli.add_double("handshake-timeout", 5.0,
+                 "Registration deadline in seconds (per connection, and for "
+                 "the remote fleet before local fallback)");
+  cli.add_double("steal-after", 0.0,
+                 "Duplicate a unit onto an idle worker once it has been in "
+                 "flight this many seconds (0 = off); first result wins, "
+                 "results unchanged");
+}
+
+std::unique_ptr<WorkerPool> pool_from_flags(const SweepConfig& config,
+                                            const util::Cli& cli) {
+  WorkerPoolConfig pool_config;
+  const std::size_t workers = cli.get_count("workers");
+  if (workers > 0) pool_config.workers = workers;
+  pool_config.remote_workers = cli.get_count("workers-remote");
+  pool_config.unit_timeout_ms = cli.get_duration_ms("unit-timeout");
+  pool_config.unit_retries = cli.get_count("worker-retries");
+  const std::uint64_t handshake_ms = cli.get_duration_ms("handshake-timeout");
+  pool_config.steal_after_ms = cli.get_duration_ms("steal-after");
+  if (pool_config.remote_workers > 0) {
+    pool_config.handshake_timeout_ms = handshake_ms;
+    if (!cli.get_string("listen").empty() &&
+        !parse_host_port(cli.get_string("listen"), &pool_config.listen_host,
+                         &pool_config.listen_port)) {
+      throw std::invalid_argument(
+          "--listen requires host:port (e.g. --listen 0.0.0.0:7200)");
+    }
+  }
+  if (workers == 0 && pool_config.remote_workers == 0) return nullptr;
+
+  auto pool = std::make_unique<WorkerPool>(config, pool_config);
+  if (pool->listen_port() != 0) {
+    std::printf("listening for qhdl_worker daemons on %s:%u\n",
+                pool_config.listen_host.c_str(), pool->listen_port());
+  }
+  if (pool->degraded()) {
+    std::fprintf(stderr,
+                 "warning: worker pool degraded to in-process execution: "
+                 "%s\n",
+                 pool->degraded_reason().c_str());
+  }
+  return pool;
 }
 
 }  // namespace qhdl::search

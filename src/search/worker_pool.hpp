@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "search/worker_protocol.hpp"
+#include "util/cli.hpp"
 #include "util/metrics.hpp"
 
 namespace qhdl::search {
@@ -141,5 +142,18 @@ class WorkerPool {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Registers the pool flags the study drivers (run_study, model_search)
+/// share: --workers, --unit-timeout, --worker-retries, --listen,
+/// --workers-remote, --handshake-timeout and --steal-after.
+void add_pool_flags(util::Cli& cli);
+
+/// The pool those flags ask for, or nullptr when neither --workers nor
+/// --workers-remote is positive. Every flag is checked first: a negative
+/// count or duration, or a malformed --listen, throws std::invalid_argument
+/// naming the flag. Prints the listening address (remote mode) and a
+/// warning when the pool comes up degraded.
+std::unique_ptr<WorkerPool> pool_from_flags(const SweepConfig& config,
+                                            const util::Cli& cli);
 
 }  // namespace qhdl::search

@@ -514,6 +514,15 @@ std::shared_ptr<const data::TrainValSplit> UnitDataCache::split_for(
 
 CandidateResult evaluate_unit(const SweepConfig& config, const WorkUnit& unit,
                               UnitDataCache& cache) {
+  // The width sizes the dataset derived below, so only the config's own
+  // levels are served: a peer cannot ask for an arbitrarily wide one.
+  const std::vector<std::size_t>& sizes = config.feature_sizes;
+  if (std::find(sizes.begin(), sizes.end(), unit.key.features) ==
+      sizes.end()) {
+    throw std::invalid_argument(
+        "unit field 'features' (" + std::to_string(unit.key.features) +
+        ") is not one of the sweep config's feature sizes");
+  }
   const std::shared_ptr<const data::TrainValSplit> split =
       cache.split_for(config, unit.key.features, unit.key.repetition);
   // evaluate_candidate validates the stream count against runs_per_model.
@@ -767,6 +776,15 @@ WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out,
     }
 
     try {
+      // Workers serve sweep units only, so the repetition is bounded by the
+      // config too (deriving repetition r's stream takes r + 1 splits).
+      if (unit.key.repetition >= config->search.repetitions) {
+        throw std::invalid_argument(
+            "unit field 'repetition' (" +
+            std::to_string(unit.key.repetition) +
+            ") is not below the sweep config's repetitions (" +
+            std::to_string(config->search.repetitions) + ")");
+      }
       CandidateResult result;
       {
         HeartbeatTicker ticker{key, heartbeat_interval_ms, out};

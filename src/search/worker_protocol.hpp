@@ -188,8 +188,12 @@ class UnitDataCache {
 };
 
 /// Evaluates one unit exactly as the in-process search would: same split,
-/// same streams, same arithmetic. Used by worker_main and by the pool when
-/// it degrades to in-process execution.
+/// same streams, same arithmetic. Used by worker_main, by the pool when it
+/// degrades to in-process execution and by the serve `train` request.
+/// Throws std::invalid_argument naming 'features' when key.features is not
+/// one of config.feature_sizes, before deriving any data. (worker_main also
+/// rejects key.repetition >= config.search.repetitions; `train` addresses
+/// any repetition stream on purpose.)
 CandidateResult evaluate_unit(const SweepConfig& config, const WorkUnit& unit,
                               UnitDataCache& cache);
 

@@ -1,8 +1,10 @@
 #include "util/cli.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/string_util.hpp"
 
@@ -130,6 +132,27 @@ double Cli::get_double(const std::string& name) const {
 
 const std::string& Cli::get_string(const std::string& name) const {
   return require(name, Kind::String).string_value;
+}
+
+std::size_t Cli::get_count(const std::string& name) const {
+  const long value = get_int(name);
+  if (value < 0) {
+    throw std::invalid_argument("--" + name + " must be >= 0 (got " +
+                                std::to_string(value) + ")");
+  }
+  return static_cast<std::size_t>(value);
+}
+
+std::uint64_t Cli::get_duration_ms(const std::string& name) const {
+  const double seconds = get_double(name);
+  const double ms = seconds * 1000.0;
+  if (!std::isfinite(ms) || ms < 0.0 || ms > 9007199254740992.0) {
+    std::ostringstream oss;
+    oss << "--" << name << " must be a non-negative number of seconds (got "
+        << seconds << ")";
+    throw std::invalid_argument(oss.str());
+  }
+  return static_cast<std::uint64_t>(ms);
 }
 
 std::string Cli::help_text() const {

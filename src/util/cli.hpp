@@ -2,6 +2,8 @@
 // Supports `--flag`, `--key value`, and `--key=value`; generates --help text.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -33,6 +35,14 @@ class Cli {
   long get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;
+
+  /// An Int option read as a count or size. Throws std::invalid_argument
+  /// naming the option when the value is negative.
+  std::size_t get_count(const std::string& name) const;
+  /// A Double option read as seconds, returned in whole milliseconds.
+  /// Throws std::invalid_argument naming the option unless the value is
+  /// finite, non-negative and at most 2^53 ms.
+  std::uint64_t get_duration_ms(const std::string& name) const;
 
   std::string help_text() const;
 

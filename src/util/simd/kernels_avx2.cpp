@@ -1,19 +1,16 @@
 // AVX2 kernel backend. Every kernel is bit-identical to the generic scalar
 // backend (EXPECT_EQ-enforced by the BackendEquivalence / GemmBackend
 // suites):
+//   * the SoA batch kernels vectorize ACROSS the contiguous batch lanes, so
+//     each lane runs the scalar per-row formula unchanged;
 //   * complex multiplies use mul / in-lane shuffle / mul / addsub — the
 //     same two roundings per component as the scalar (a.re*c.re - a.im*c.im,
 //     a.im*c.re + a.re*c.im) formula;
 //   * no FMA anywhere (it would skip a rounding), and the TU compiles with
 //     -ffp-contract=off so the compiler cannot contract the scalar tails;
-//   * expval-Z implements the canonical mod-8 lane reduction with two
-//     4-lane accumulators, sign flips done by XORing the sign bit (exact);
 //   * CNOT is a pure permutation (wide loads/stores, no arithmetic);
 //   * the GEMM micro-kernel broadcasts A and keeps each accumulator
 //     element's ascending-p multiply/add order.
-// Shapes the vector paths cannot cover (tiny states, awkward strides) fall
-// back to the scalar kernels compiled in kernels_generic.cpp — the exact
-// generic code, not a re-compilation under -mavx2.
 #include "util/simd/kernels_internal.hpp"
 
 #if defined(QHDL_SIMD_AVX2) && (defined(__x86_64__) || defined(__i386__))
@@ -35,192 +32,23 @@ inline __m256d cmul_const(__m256d v, __m256d mr, __m256d mi) {
   return _mm256_addsub_pd(t1, t2);
 }
 
-void avx2_apply_single_qubit(Complex* amps, std::size_t n, std::size_t stride,
-                             const Complex* m) {
-  double* base = reinterpret_cast<double*>(amps);
-  const __m256d m00r = _mm256_set1_pd(m[0].real());
-  const __m256d m00i = _mm256_set1_pd(m[0].imag());
-  const __m256d m01r = _mm256_set1_pd(m[1].real());
-  const __m256d m01i = _mm256_set1_pd(m[1].imag());
-  const __m256d m10r = _mm256_set1_pd(m[2].real());
-  const __m256d m10i = _mm256_set1_pd(m[2].imag());
-  const __m256d m11r = _mm256_set1_pd(m[3].real());
-  const __m256d m11i = _mm256_set1_pd(m[3].imag());
-  if (stride >= 2) {
-    // The a0 and a1 runs are contiguous: two complexes (one ymm) per step.
-    for (std::size_t block = 0; block < n; block += 2 * stride) {
-      for (std::size_t offset = 0; offset < stride; offset += 2) {
-        double* p0 = base + 2 * (block + offset);
-        double* p1 = base + 2 * (block + offset + stride);
-        const __m256d a0 = _mm256_loadu_pd(p0);
-        const __m256d a1 = _mm256_loadu_pd(p1);
-        const __m256d r0 = _mm256_add_pd(cmul_const(a0, m00r, m00i),
-                                         cmul_const(a1, m01r, m01i));
-        const __m256d r1 = _mm256_add_pd(cmul_const(a0, m10r, m10i),
-                                         cmul_const(a1, m11r, m11i));
-        _mm256_storeu_pd(p0, r0);
-        _mm256_storeu_pd(p1, r1);
-      }
-    }
-    return;
-  }
-  if (n < 4) {  // one amplitude pair: plain scalar
-    scalar_apply_single_qubit(amps, n, stride, m);
-    return;
-  }
-  // stride == 1: pairs are adjacent. Load two pairs (four complexes),
-  // regroup a0s/a1s across the 128-bit halves (pure moves), compute, and
-  // regroup back.
-  for (std::size_t i = 0; i < n; i += 4) {
-    double* p = base + 2 * i;
-    const __m256d v01 = _mm256_loadu_pd(p);      // pair 0: [a0, a1]
-    const __m256d v23 = _mm256_loadu_pd(p + 4);  // pair 1: [a0, a1]
-    const __m256d a0 = _mm256_permute2f128_pd(v01, v23, 0x20);
-    const __m256d a1 = _mm256_permute2f128_pd(v01, v23, 0x31);
-    const __m256d r0 = _mm256_add_pd(cmul_const(a0, m00r, m00i),
-                                     cmul_const(a1, m01r, m01i));
-    const __m256d r1 = _mm256_add_pd(cmul_const(a0, m10r, m10i),
-                                     cmul_const(a1, m11r, m11i));
-    _mm256_storeu_pd(p, _mm256_permute2f128_pd(r0, r1, 0x20));
-    _mm256_storeu_pd(p + 4, _mm256_permute2f128_pd(r0, r1, 0x31));
-  }
+/// The one-complex (xmm) form of cmul_const for odd tails: the same
+/// per-lane operations, so the same roundings.
+inline __m128d cmul_const(__m128d v, __m128d mr, __m128d mi) {
+  const __m128d t1 = _mm_mul_pd(v, mr);
+  const __m128d t2 = _mm_mul_pd(_mm_shuffle_pd(v, v, 0x1), mi);
+  return _mm_addsub_pd(t1, t2);
 }
 
-void avx2_apply_diagonal(Complex* amps, std::size_t n, std::size_t stride,
-                         Complex d0, Complex d1) {
-  double* base = reinterpret_cast<double*>(amps);
-  const __m256d d1r = _mm256_set1_pd(d1.real());
-  const __m256d d1i = _mm256_set1_pd(d1.imag());
-  if (d0 == Complex{1.0, 0.0}) {
-    // Phase-type fast path: only the wire=1 half moves.
-    if (stride >= 2) {
-      for (std::size_t block = 0; block < n; block += 2 * stride) {
-        for (std::size_t offset = 0; offset < stride; offset += 2) {
-          double* p = base + 2 * (block + stride + offset);
-          _mm256_storeu_pd(p, cmul_const(_mm256_loadu_pd(p), d1r, d1i));
-        }
-      }
-      return;
-    }
-    // stride == 1: odd-index complexes move; keep the even complex of each
-    // ymm via a blend (untouched lanes pass through bit-exactly).
-    for (std::size_t i = 0; i < n; i += 2) {
-      double* p = base + 2 * i;
-      const __m256d v = _mm256_loadu_pd(p);
-      const __m256d r = cmul_const(v, d1r, d1i);
-      _mm256_storeu_pd(p, _mm256_blend_pd(v, r, 0xC));
-    }
-    return;
-  }
-  const __m256d d0r = _mm256_set1_pd(d0.real());
-  const __m256d d0i = _mm256_set1_pd(d0.imag());
-  if (stride >= 2) {
-    for (std::size_t block = 0; block < n; block += 2 * stride) {
-      for (std::size_t offset = 0; offset < stride; offset += 2) {
-        double* p0 = base + 2 * (block + offset);
-        double* p1 = base + 2 * (block + stride + offset);
-        _mm256_storeu_pd(p0, cmul_const(_mm256_loadu_pd(p0), d0r, d0i));
-        _mm256_storeu_pd(p1, cmul_const(_mm256_loadu_pd(p1), d1r, d1i));
-      }
-    }
-    return;
-  }
-  // stride == 1: lanes alternate d0 (even complex) / d1 (odd complex).
-  const __m256d dr = _mm256_set_pd(d1.real(), d1.real(), d0.real(), d0.real());
-  const __m256d di = _mm256_set_pd(d1.imag(), d1.imag(), d0.imag(), d0.imag());
-  for (std::size_t i = 0; i < n; i += 2) {
-    double* p = base + 2 * i;
-    _mm256_storeu_pd(p, cmul_const(_mm256_loadu_pd(p), dr, di));
-  }
-}
-
-void avx2_apply_cnot_pairs(Complex* amps, std::size_t quarter, std::size_t lo,
-                           std::size_t hi, std::size_t cmask,
-                           std::size_t tmask) {
-  double* base = reinterpret_cast<double*>(amps);
-  if (tmask == 1) {
-    // Target is the last qubit: each swap pair is adjacent and
-    // 32-byte-spanning — swap the 128-bit halves of one ymm.
-    for (std::size_t k = 0; k < quarter; ++k) {
-      const std::size_t i = expand_two_zero_bits(k, lo, hi) | cmask;
-      double* p = base + 2 * i;
-      const __m256d v = _mm256_loadu_pd(p);
-      _mm256_storeu_pd(p, _mm256_permute2f128_pd(v, v, 0x1));
-    }
-    return;
-  }
-  if (lo >= 2) {
-    // Compact indices below the lo bit map to contiguous amplitudes, so
-    // adjacent k share one expansion: two complexes per side per step.
-    for (std::size_t k = 0; k < quarter; k += 2) {
-      const std::size_t i = expand_two_zero_bits(k, lo, hi) | cmask;
-      double* p = base + 2 * i;
-      double* q = base + 2 * (i | tmask);
-      const __m256d a = _mm256_loadu_pd(p);
-      const __m256d b = _mm256_loadu_pd(q);
-      _mm256_storeu_pd(p, b);
-      _mm256_storeu_pd(q, a);
-    }
-    return;
-  }
-  // lo == 1 with the control on the last qubit: strided single swaps.
-  scalar_apply_cnot_pairs(amps, quarter, lo, hi, cmask, tmask);
-}
-
-double avx2_expval_z(const Complex* amps, std::size_t n, std::size_t mask) {
-  if (n < 8) return scalar_expval_z_sequential(amps, n, mask);
-  const double* base = reinterpret_cast<const double*>(amps);
-  const __m256d neg = _mm256_set1_pd(-0.0);
-  const __m256d none = _mm256_setzero_pd();
-  // hadd interleaves the residues: the `a` accumulator lanes hold residue
-  // sums [0, 2, 1, 3] of each 8-block, the `b` lanes [4, 6, 5, 7]. Sign
-  // vectors follow that layout; XOR with -0.0 flips the sign exactly, and
-  // acc + (-p) is bit-identical to acc - p.
-  __m256d sign_a = none;
-  __m256d sign_b = none;
-  if (mask == 4) {
-    sign_b = neg;
-  } else if (mask == 2) {
-    sign_a = sign_b = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
-  } else if (mask == 1) {
-    sign_a = sign_b = _mm256_set_pd(-0.0, -0.0, 0.0, 0.0);
-  }
-  __m256d acc_a = none;
-  __m256d acc_b = none;
-  for (std::size_t i = 0; i < n; i += 8) {
-    if (mask >= 8) {
-      const __m256d blocksign = (i & mask) != 0 ? neg : none;
-      sign_a = blocksign;
-      sign_b = blocksign;
-    }
-    const double* p = base + 2 * i;
-    const __m256d s0 = _mm256_mul_pd(_mm256_loadu_pd(p), _mm256_loadu_pd(p));
-    const __m256d s1 =
-        _mm256_mul_pd(_mm256_loadu_pd(p + 4), _mm256_loadu_pd(p + 4));
-    const __m256d s2 =
-        _mm256_mul_pd(_mm256_loadu_pd(p + 8), _mm256_loadu_pd(p + 8));
-    const __m256d s3 =
-        _mm256_mul_pd(_mm256_loadu_pd(p + 12), _mm256_loadu_pd(p + 12));
-    // hadd(re², im²) = one rounding per norm, same as the scalar formula.
-    const __m256d na = _mm256_hadd_pd(s0, s1);  // norms [0, 2, 1, 3]
-    const __m256d nb = _mm256_hadd_pd(s2, s3);  // norms [4, 6, 5, 7]
-    acc_a = _mm256_add_pd(acc_a, _mm256_xor_pd(na, sign_a));
-    acc_b = _mm256_add_pd(acc_b, _mm256_xor_pd(nb, sign_b));
-  }
-  // c holds [b0, b2, b1, b3] of the canonical combine b_l = acc_l +
-  // acc_{l+4}; finish with the canonical tree (b0 + b1) + (b2 + b3).
-  const __m256d c = _mm256_add_pd(acc_a, acc_b);
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, c);
-  return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
+inline __m128d low(__m256d v) { return _mm256_castpd256_pd128(v); }
 
 // Batched-SoA kernels. Amplitude row i is a contiguous run of `batch`
 // complexes; vectorization is ACROSS those lanes (2 complexes per ymm,
 // unit-stride, no shuffles), so each lane executes the scalar per-row
 // formula unchanged — the bit-identity argument is lane independence, not
-// a reduction-order proof. Odd trailing lanes run the scalar formula
-// directly (this TU has -ffp-contract=off, so the tail code is exact).
+// a reduction-order proof. An odd trailing complex (an odd batch, or the
+// stride-1 gates of a one-row batch) runs the same per-lane operations in
+// an xmm register.
 
 void avx2_apply_single_qubit_batch(Complex* amps, std::size_t n,
                                    std::size_t stride, std::size_t batch,
@@ -252,13 +80,15 @@ void avx2_apply_single_qubit_batch(Complex* amps, std::size_t n,
       _mm256_storeu_pd(p0 + 2 * j, r0);
       _mm256_storeu_pd(p1 + 2 * j, r1);
     }
-    for (; j < run; ++j) {
-      Complex* c0 = amps + block * batch + j;
-      Complex* c1 = c0 + run;
-      const Complex v0 = *c0;
-      const Complex v1 = *c1;
-      *c0 = m[0] * v0 + m[1] * v1;
-      *c1 = m[2] * v0 + m[3] * v1;
+    if (j < run) {
+      const __m128d a0 = _mm_loadu_pd(p0 + 2 * j);
+      const __m128d a1 = _mm_loadu_pd(p1 + 2 * j);
+      _mm_storeu_pd(p0 + 2 * j,
+                    _mm_add_pd(cmul_const(a0, low(m00r), low(m00i)),
+                               cmul_const(a1, low(m01r), low(m01i))));
+      _mm_storeu_pd(p1 + 2 * j,
+                    _mm_add_pd(cmul_const(a0, low(m10r), low(m10i)),
+                               cmul_const(a1, low(m11r), low(m11i))));
     }
   }
 }
@@ -278,7 +108,10 @@ void avx2_apply_diagonal_batch(Complex* amps, std::size_t n,
         _mm256_storeu_pd(p1 + 2 * j,
                          cmul_const(_mm256_loadu_pd(p1 + 2 * j), d1r, d1i));
       }
-      for (; j < run; ++j) amps[(block + stride) * batch + j] *= d1;
+      if (j < run) {
+        _mm_storeu_pd(p1 + 2 * j, cmul_const(_mm_loadu_pd(p1 + 2 * j),
+                                             low(d1r), low(d1i)));
+      }
     }
     return;
   }
@@ -294,30 +127,37 @@ void avx2_apply_diagonal_batch(Complex* amps, std::size_t n,
       _mm256_storeu_pd(p1 + 2 * j,
                        cmul_const(_mm256_loadu_pd(p1 + 2 * j), d1r, d1i));
     }
-    for (; j < run; ++j) {
-      amps[block * batch + j] *= d0;
-      amps[(block + stride) * batch + j] *= d1;
+    if (j < run) {
+      _mm_storeu_pd(p0 + 2 * j, cmul_const(_mm_loadu_pd(p0 + 2 * j),
+                                           low(d0r), low(d0i)));
+      _mm_storeu_pd(p1 + 2 * j, cmul_const(_mm_loadu_pd(p1 + 2 * j),
+                                           low(d1r), low(d1i)));
     }
   }
 }
+
+// The two-wire kernels walk compact indices in blocks of `lo`: indices
+// k .. k+lo-1 (k a multiple of lo) expand to consecutive amplitude rows, so
+// each block is one contiguous run of lo * batch complexes per row group.
 
 void avx2_apply_cnot_pairs_batch(Complex* amps, std::size_t quarter,
                                  std::size_t lo, std::size_t hi,
                                  std::size_t cmask, std::size_t tmask,
                                  std::size_t batch) {
   double* base = reinterpret_cast<double*>(amps);
-  for (std::size_t k = 0; k < quarter; ++k) {
+  const std::size_t run = lo * batch;
+  for (std::size_t k = 0; k < quarter; k += lo) {
     const std::size_t i = expand_two_zero_bits(k, lo, hi) | cmask;
     double* p = base + 2 * i * batch;
     double* q = base + 2 * (i | tmask) * batch;
     std::size_t j = 0;
-    for (; j + 2 <= batch; j += 2) {
+    for (; j + 2 <= run; j += 2) {
       const __m256d a = _mm256_loadu_pd(p + 2 * j);
       const __m256d b = _mm256_loadu_pd(q + 2 * j);
       _mm256_storeu_pd(p + 2 * j, b);
       _mm256_storeu_pd(q + 2 * j, a);
     }
-    for (; j < batch; ++j) {
+    for (; j < run; ++j) {
       const Complex tmp = amps[i * batch + j];
       amps[i * batch + j] = amps[(i | tmask) * batch + j];
       amps[(i | tmask) * batch + j] = tmp;
@@ -336,12 +176,13 @@ void avx2_apply_two_qubit_batch(Complex* amps, std::size_t quarter,
     mr[t] = _mm256_set1_pd(m16[t].real());
     mi[t] = _mm256_set1_pd(m16[t].imag());
   }
-  for (std::size_t k = 0; k < quarter; ++k) {
+  const std::size_t run = lo * batch;
+  for (std::size_t k = 0; k < quarter; k += lo) {
     const std::size_t idx = expand_two_zero_bits(k, lo, hi);
     const std::size_t rows[4] = {idx, idx | bmask, idx | amask,
                                  idx | amask | bmask};
     std::size_t j = 0;
-    for (; j + 2 <= batch; j += 2) {
+    for (; j + 2 <= run; j += 2) {
       __m256d a[4];
       for (std::size_t r = 0; r < 4; ++r) {
         a[r] = _mm256_loadu_pd(base + 2 * (rows[r] * batch + j));
@@ -358,7 +199,7 @@ void avx2_apply_two_qubit_batch(Complex* amps, std::size_t quarter,
         _mm256_storeu_pd(base + 2 * (rows[r] * batch + j), acc);
       }
     }
-    for (; j < batch; ++j) {
+    for (; j < run; ++j) {
       Complex a[4];
       for (std::size_t r = 0; r < 4; ++r) a[r] = amps[rows[r] * batch + j];
       for (std::size_t r = 0; r < 4; ++r) {
@@ -495,10 +336,6 @@ const Backend kAvx2{
     detail::avx2_supported,
     /*reference=*/false,
     KernelOps{
-        detail::avx2_apply_single_qubit,
-        detail::avx2_apply_diagonal,
-        detail::avx2_apply_cnot_pairs,
-        detail::avx2_expval_z,
         detail::avx2_gemm_micro_4x4,
         detail::avx2_apply_single_qubit_batch,
         detail::avx2_apply_diagonal_batch,

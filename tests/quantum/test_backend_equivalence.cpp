@@ -1,11 +1,12 @@
 // Cross-backend golden equivalence suite (DESIGN.md §13): every registered
 // supported non-reference backend must reproduce the generic backend's
 // amplitudes BIT-IDENTICALLY (EXPECT_EQ on raw doubles, not EXPECT_NEAR)
-// for the four registry-dispatched kernels and for full circuit execution,
-// through the compiled plan and through a test-local uncompiled per-op loop.
-// The reference backend is held to 1e-12 on the expval reduction only — its
-// sequential sum order legitimately differs from the canonical mod-8 lane
-// order.
+// for the registry-dispatched state kernels on a single state (the
+// one-row batch, B = 1, which runs the kernels' scalar tails) and for full
+// circuit execution, through the compiled plan and through a test-local
+// uncompiled per-op loop. The expval reduction has one canon, so the
+// reference backend (generic's ops table under the reference flag) matches
+// it bitwise too.
 #include <complex>
 #include <cstddef>
 #include <optional>
@@ -98,8 +99,8 @@ void check_against_generic(const simd::Backend* backend,
 }
 
 TEST(BackendEquivalence, DenseSingleQubitBitIdentical) {
-  // Qubit counts 1..7 sweep every stride class: the scalar tails (n < 4),
-  // the AVX2 stride==1 regrouping and the 2-wide stride >= 2 path.
+  // Qubit counts 1..7 sweep every stride class: at B = 1 stride 1 runs the
+  // one-lane scalar tail and stride >= 2 the 2-wide vector path.
   util::Rng rng{2024};
   for (const simd::Backend* backend : simd_backends_under_test()) {
     for (std::size_t qubits = 1; qubits <= 7; ++qubits) {
@@ -178,11 +179,10 @@ TEST(BackendEquivalence, ExpvalZBitIdenticalAcrossSimdBackends) {
         EXPECT_EQ(state.expval_pauli_z(w), golden)
             << backend->name << " q=" << qubits << " w=" << w;
       }
-      // The reference backend keeps the historical sequential reduction:
-      // numerically equal to 1e-12, not bitwise.
+      // The reference backend shares generic's ops table: bitwise equal.
       {
         const BackendScope scope{"reference"};
-        EXPECT_NEAR(state.expval_pauli_z(w), golden, 1e-12)
+        EXPECT_EQ(state.expval_pauli_z(w), golden)
             << "reference q=" << qubits << " w=" << w;
       }
     }

@@ -6,6 +6,8 @@
 #include <numbers>
 
 #include "quantum/gates.hpp"
+#include "quantum/observable.hpp"
+#include "util/rng.hpp"
 
 namespace qhdl::quantum {
 namespace {
@@ -168,6 +170,26 @@ TEST(StateVector, ControlledDerivativeZeroesControlZeroSubspace) {
   // Control-0 amplitudes must be exactly zero.
   EXPECT_NEAR(std::abs(state.amplitudes()[0b00]), 0.0, kTol);
   EXPECT_NEAR(std::abs(state.amplitudes()[0b01]), 0.0, kTol);
+}
+
+TEST(StateVector, ExpvalZEqualsObservableExpectationBitwise) {
+  // One reduction canon: ⟨Z_w⟩ is the sequential ascending-index sum that
+  // Observable::expectation runs too, under whichever backend is active.
+  util::Rng rng{2030};
+  for (std::size_t qubits = 3; qubits <= 7; ++qubits) {
+    StateVector state{qubits};
+    for (std::size_t w = 0; w < qubits; ++w) {
+      state.apply_single_qubit(gates::hadamard(), w);
+      state.apply_single_qubit(gates::ry(rng.uniform(-3.0, 3.0)), w);
+      state.apply_single_qubit(gates::rz(rng.uniform(-3.0, 3.0)), w);
+    }
+    for (std::size_t w = 0; w + 1 < qubits; ++w) state.apply_cnot(w, w + 1);
+    for (std::size_t w = 0; w < qubits; ++w) {
+      EXPECT_EQ(state.expval_pauli_z(w),
+                Observable::pauli_z(w).expectation(state))
+          << "q=" << qubits << " w=" << w;
+    }
+  }
 }
 
 TEST(StateVector, ProbabilitiesSumToOne) {

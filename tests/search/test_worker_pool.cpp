@@ -175,6 +175,25 @@ TEST(WorkerProtocol, UnitDataCacheKeysSplitsByConfig) {
   }
 }
 
+TEST(WorkerProtocol, EvaluateUnitRejectsWidthOutsideTheConfig) {
+  // The width sizes the derived dataset: only the config's levels are
+  // evaluated, and the error names the field before any data is built.
+  SweepConfig config = sweep_config();
+  config.feature_sizes = {10};
+  WorkUnit unit;
+  unit.key = UnitKey{"classical", 11, 0, 0};
+  unit.spec = ModelSpec::make_classical({2});
+  unit.streams = {util::Rng{1}, util::Rng{2}};
+  UnitDataCache cache;
+  try {
+    (void)evaluate_unit(config, unit, cache);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find("'features'"), std::string::npos)
+        << error.what();
+  }
+}
+
 // --- framing hardening (PR-9) ---------------------------------------------
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -501,6 +520,41 @@ TEST(WorkerPoolFaults, ExhaustedRetriesQuarantineUnitsAndSweepCompletes) {
   }
   const util::MetricsSnapshot stats = pool.metrics();
   EXPECT_EQ(stats.at("pool_quarantined_units"), config.search.max_candidates);
+}
+
+TEST(WorkerPoolFaults, OutOfConfigUnitsGetErrorFramesNamingTheField) {
+  if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
+  // A worker serves its sweep's units only: a width outside
+  // config.feature_sizes or a repetition past config.search.repetitions is
+  // answered with an error frame naming the field (quarantined here, with
+  // no retries), not trained.
+  SweepConfig config = sweep_config();
+  config.feature_sizes = {10};
+  WorkerPoolConfig pool_config;
+  pool_config.workers = 1;
+  pool_config.unit_retries = 0;
+  WorkerPool pool{config, pool_config};
+  ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
+
+  const auto unit = [](std::size_t features, std::size_t repetition) {
+    WorkUnit u;
+    u.key = UnitKey{"classical", features, repetition, 0};
+    u.spec = ModelSpec::make_classical({2});
+    u.streams = {util::Rng{1}, util::Rng{2}};
+    return u;
+  };
+  const std::vector<CandidateResult> results =
+      pool.evaluate({unit(11, 0), unit(10, 1)});
+  ASSERT_EQ(results.size(), 2u);
+  const std::string fields[] = {"'features'", "'repetition'"};
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].runs, 0u);
+    ASSERT_EQ(results[i].failures.size(), 1u);
+    EXPECT_NE(results[i].failures[0].cause.find(fields[i]),
+              std::string::npos)
+        << results[i].failures[0].cause;
+  }
+  EXPECT_EQ(pool.metrics().at("pool_quarantined_units"), 2u);
 }
 
 // --- graceful degradation -------------------------------------------------

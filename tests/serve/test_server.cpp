@@ -346,6 +346,23 @@ TEST_F(ServeServerTest, TrainAndSleepRejectInvalidNumericFields) {
   EXPECT_EQ(server.metrics().at("jobs_failed"), 3u);
 }
 
+TEST_F(ServeServerTest, TrainRejectsWidthOutsideTheConfig) {
+  // `train` derives a dataset of the requested width, so the width must be
+  // one of the config's levels: 11 against {4} is an error naming the
+  // field, not an 11-feature training job.
+  Server server{ServerConfig{}};
+  server.start();
+  const util::Json reply = round_trip(
+      "127.0.0.1", server.port(),
+      train_request(tiny_study(), search::ModelSpec::make_classical({3}), 11,
+                    0),
+      30000);
+  ASSERT_EQ(reply.at("type").as_string(), "error") << reply.dump();
+  EXPECT_NE(reply.at("message").as_string().find("'features'"),
+            std::string::npos)
+      << reply.dump();
+}
+
 TEST_F(ServeServerTest, StudyRejectsNonIntegralRepetitions) {
   util::Json request =
       make_study_request(search::Family::Classical, tiny_study());

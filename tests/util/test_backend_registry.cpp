@@ -82,10 +82,9 @@ TEST(BackendRegistry, StandardBackendsAreRegistered) {
   EXPECT_EQ(simd::find_backend("generic")->priority, 0);
   // Every KernelOps entry must be populated on every registered backend.
   for (const simd::Backend* backend : simd::backends()) {
-    EXPECT_NE(backend->ops.apply_single_qubit, nullptr) << backend->name;
-    EXPECT_NE(backend->ops.apply_diagonal, nullptr) << backend->name;
-    EXPECT_NE(backend->ops.apply_cnot_pairs, nullptr) << backend->name;
-    EXPECT_NE(backend->ops.expval_z, nullptr) << backend->name;
+    EXPECT_NE(backend->ops.apply_single_qubit_batch, nullptr)
+        << backend->name;
+    EXPECT_NE(backend->ops.apply_diagonal_batch, nullptr) << backend->name;
     EXPECT_NE(backend->ops.gemm_micro_4x4, nullptr) << backend->name;
   }
 }

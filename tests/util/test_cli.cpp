@@ -87,6 +87,36 @@ TEST(Cli, HelpTextListsOptions) {
   EXPECT_NE(help.find("training epochs"), std::string::npos);
 }
 
+TEST(Cli, CountAndDurationReadersRejectOutOfRangeValues) {
+  // Counts are non-negative; durations are finite, non-negative seconds
+  // that fit in 2^53 ms. Each error names the option.
+  const auto message = [](const char* epochs, const char* lr, bool count) {
+    Cli cli = make_cli();
+    const char* argv[] = {"prog", "--epochs", epochs, "--lr", lr};
+    EXPECT_TRUE(cli.parse(5, argv));
+    try {
+      if (count) {
+        (void)cli.get_count("epochs");
+      } else {
+        (void)cli.get_duration_ms("lr");
+      }
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{};
+  };
+  EXPECT_NE(message("-1", "0", true).find("--epochs"), std::string::npos);
+  for (const char* lr : {"-1", "1e300", "nan"}) {
+    EXPECT_NE(message("0", lr, false).find("--lr"), std::string::npos) << lr;
+  }
+
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--epochs", "3", "--lr", "2.5"};
+  EXPECT_TRUE(cli.parse(5, argv));
+  EXPECT_EQ(cli.get_count("epochs"), 3u);
+  EXPECT_EQ(cli.get_duration_ms("lr"), 2500u);
+}
+
 TEST(Cli, WrongTypeAccessThrows) {
   Cli cli = make_cli();
   const char* argv[] = {"prog"};

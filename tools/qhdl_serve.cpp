@@ -109,38 +109,31 @@ int main(int argc, char** argv) {
       throw std::runtime_error("--port must be in [0, 65535]");
     }
     config.port = static_cast<std::uint16_t>(cli.get_int("port"));
-    config.executors = static_cast<std::size_t>(cli.get_int("executors"));
-    config.max_queue = static_cast<std::size_t>(cli.get_int("max-queue"));
-    config.max_connections =
-        static_cast<std::size_t>(cli.get_int("max-connections"));
-    config.job_timeout_ms =
-        static_cast<std::uint64_t>(cli.get_double("job-timeout") * 1000.0);
-    config.read_timeout_ms =
-        static_cast<std::uint64_t>(cli.get_double("read-timeout") * 1000.0);
+    config.executors = cli.get_count("executors");
+    config.max_queue = cli.get_count("max-queue");
+    config.max_connections = cli.get_count("max-connections");
+    config.job_timeout_ms = cli.get_duration_ms("job-timeout");
+    config.read_timeout_ms = cli.get_duration_ms("read-timeout");
     config.cache_dir = cli.get_string("cache-dir");
-    config.cache_capacity =
-        static_cast<std::size_t>(cli.get_int("cache-capacity"));
-    config.pool_workers = static_cast<std::size_t>(cli.get_int("workers"));
-    config.pool.unit_timeout_ms =
-        static_cast<std::uint64_t>(cli.get_double("unit-timeout") * 1000.0);
-    config.pool.unit_retries =
-        static_cast<std::size_t>(cli.get_int("worker-retries"));
-    if (cli.get_int("workers-remote") > 0) {
+    config.cache_capacity = cli.get_count("cache-capacity");
+    config.pool_workers = cli.get_count("workers");
+    config.pool.unit_timeout_ms = cli.get_duration_ms("unit-timeout");
+    config.pool.unit_retries = cli.get_count("worker-retries");
+    const std::size_t remote_workers = cli.get_count("workers-remote");
+    const std::uint64_t handshake_ms = cli.get_duration_ms("handshake-timeout");
+    if (remote_workers > 0) {
       if (cli.get_int("workers-listen") <= 0 ||
           cli.get_int("workers-listen") > 65535) {
         throw std::runtime_error(
             "--workers-remote needs --workers-listen <port>: per-job pools "
             "must rebind a port the daemons know");
       }
-      config.pool.remote_workers =
-          static_cast<std::size_t>(cli.get_int("workers-remote"));
+      config.pool.remote_workers = remote_workers;
       config.pool.listen_port =
           static_cast<std::uint16_t>(cli.get_int("workers-listen"));
-      config.pool.handshake_timeout_ms = static_cast<std::uint64_t>(
-          cli.get_double("handshake-timeout") * 1000.0);
+      config.pool.handshake_timeout_ms = handshake_ms;
     }
-    config.pool.steal_after_ms =
-        static_cast<std::uint64_t>(cli.get_double("steal-after") * 1000.0);
+    config.pool.steal_after_ms = cli.get_duration_ms("steal-after");
 
     // Handlers go in before the port file exists: a supervisor may signal
     // as soon as it sees the file, and that signal must drain, not kill.
