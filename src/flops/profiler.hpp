@@ -76,9 +76,9 @@ struct DispatchCounts {
 /// Classifies every op of `circuit` by the kernel it dispatches to.
 DispatchCounts classify_circuit(const quantum::Circuit& circuit);
 
-/// Classifies the fused scalar stream of a compiled plan: exactly the
-/// dispatch mix one ExecutionPlan::run performs, so modeled counts line up
-/// with the measured process counters when the compiled path is active.
+/// Classifies the fused stream of a compiled plan: exactly the dispatch mix
+/// one ExecutionPlan::run_batch performs, so modeled counts line up with the
+/// measured process counters when the compiled path is active.
 DispatchCounts classify_plan(const quantum::ExecutionPlan& plan);
 
 /// Side-by-side table of the modeled dispatch mix for a circuit vs the

@@ -1,15 +1,21 @@
 #include "qnn/ansatz_metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
 #include "quantum/adjoint_diff.hpp"
 #include "quantum/density_matrix.hpp"
+#include "quantum/statevector_batch.hpp"
 
 namespace qhdl::qnn {
 
 namespace {
+
+/// Fidelity pairs simulated per batch: bounds the two batches to
+/// 2 · kPairsPerBatch · 2^q amplitudes whatever sample_pairs is.
+constexpr std::size_t kPairsPerBatch = 128;
 
 quantum::Circuit ansatz_only_circuit(AnsatzKind kind, std::size_t qubits,
                                      std::size_t depth) {
@@ -46,16 +52,41 @@ double ansatz_expressibility(AnsatzKind kind, std::size_t qubits,
   const std::size_t dimension = std::size_t{1} << qubits;
 
   std::vector<std::size_t> histogram(config.bins, 0);
-  for (std::size_t s = 0; s < config.sample_pairs; ++s) {
-    const auto theta1 = random_angles(params, rng);
-    const auto theta2 = random_angles(params, rng);
-    const quantum::StateVector psi1 = circuit.execute(theta1);
-    const quantum::StateVector psi2 = circuit.execute(theta2);
-    const double fidelity = std::norm(psi1.inner_product(psi2));
-    auto bin = static_cast<std::size_t>(
-        fidelity * static_cast<double>(config.bins));
-    if (bin >= config.bins) bin = config.bins - 1;  // F == 1 edge case
-    ++histogram[bin];
+  std::vector<double> theta1, theta2;
+  for (std::size_t first = 0; first < config.sample_pairs;
+       first += kPairsPerBatch) {
+    const std::size_t rows =
+        std::min(kPairsPerBatch, config.sample_pairs - first);
+    // Draw θ1 then θ2 for each pair in turn, one packed row per pair.
+    theta1.resize(rows * params);
+    theta2.resize(rows * params);
+    for (std::size_t b = 0; b < rows; ++b) {
+      for (std::size_t p = 0; p < params; ++p) {
+        theta1[b * params + p] = rng.uniform(0.0, 2.0 * std::numbers::pi);
+      }
+      for (std::size_t p = 0; p < params; ++p) {
+        theta2[b * params + p] = rng.uniform(0.0, 2.0 * std::numbers::pi);
+      }
+    }
+    quantum::StateVectorBatch psi1{qubits, rows};
+    quantum::StateVectorBatch psi2{qubits, rows};
+    circuit.run_batch(psi1, theta1, params);
+    circuit.run_batch(psi2, theta2, params);
+    const std::span<const quantum::Complex> a = psi1.amplitudes();
+    const std::span<const quantum::Complex> c = psi2.amplitudes();
+    for (std::size_t b = 0; b < rows; ++b) {
+      // ⟨ψ1|ψ2⟩ summed in ascending amplitude order, as
+      // StateVector::inner_product does.
+      quantum::Complex overlap{0.0, 0.0};
+      for (std::size_t i = 0; i < dimension; ++i) {
+        overlap += std::conj(a[i * rows + b]) * c[i * rows + b];
+      }
+      const double fidelity = std::norm(overlap);
+      auto bin = static_cast<std::size_t>(
+          fidelity * static_cast<double>(config.bins));
+      if (bin >= config.bins) bin = config.bins - 1;  // F == 1 edge case
+      ++histogram[bin];
+    }
   }
 
   // KL(P_hist || P_Haar) over the bins; zero-count bins contribute 0.

@@ -88,7 +88,9 @@ void QuantumLayer::for_each_chunk(
     work(c, begin, (c + 1) * batch / chunks - begin);
   };
   if (chunks > 1) {
-    run_batch_parallel(chunks, run_chunk);
+    // Shared persistent pool: forward/backward run once per training batch,
+    // so spawning threads per call would dominate small-circuit cost.
+    util::parallel_for(0, chunks, config_.threads, run_chunk);
   } else {
     run_chunk(0);
   }
@@ -106,14 +108,14 @@ Tensor QuantumLayer::forward(const Tensor& input) {
   forward_states_valid_ = false;
 
   Tensor output{Shape{input.rows(), q}};
+  if (input.rows() == 0) return output;
 
-  // Batched SoA fast path: all rows march through the gate kernels
-  // together, hitting contiguous memory (see StateVectorBatch). Chunked
-  // over the thread pool; per-row arithmetic is independent of the chunk
-  // boundaries, so results stay bit-identical across thread counts. Each
-  // chunk's final state is kept for backward() (forward-state reuse).
-  if (config_.noise.empty() && config_.shots == 0 &&
-      executor_.batch_path_available()) {
+  // Exact path: all rows march through the SoA gate kernels together,
+  // hitting contiguous memory (see StateVectorBatch). Chunked over the
+  // thread pool; per-row arithmetic is independent of the chunk boundaries,
+  // so results stay bit-identical across thread counts. Each chunk's final
+  // state is kept for backward() (forward-state reuse).
+  if (config_.noise.empty() && config_.shots == 0) {
     const std::size_t batch = input.rows();
     const std::size_t stride = q + weights_.value.size();
     pack_batch(input, forward_params_);
@@ -128,36 +130,28 @@ Tensor QuantumLayer::forward(const Tensor& input) {
                                                            rows * stride),
           stride, output.data().subspan(begin * q, rows * q));
     });
+    forward_backend_ = &util::simd::active_backend();
     forward_states_valid_ = true;
     return output;
   }
 
+  // Noise (density matrix) or shots (sampling): one row at a time, in row
+  // order, since sampling shares one RNG.
   std::vector<std::size_t> wires(q);
   for (std::size_t w = 0; w < q; ++w) wires[w] = w;
-
-  const auto compute_row = [&](std::size_t b) {
-    std::vector<double> params(q + weights_.value.size());
+  std::vector<double> params(q + weights_.value.size());
+  for (std::size_t b = 0; b < input.rows(); ++b) {
     pack_params(input, b, params);
     std::vector<double> expectations;
     if (!config_.noise.empty()) {
       expectations = quantum::noisy_expvals(executor_.circuit(), params,
                                             config_.noise, wires);
-    } else if (config_.shots > 0) {
+    } else {
       const quantum::StateVector psi = executor_.circuit().execute(params);
       expectations = quantum::estimate_expvals_z(psi, wires, config_.shots,
                                                  sample_rng_);
-    } else {
-      expectations = executor_.run(params);
     }
     for (std::size_t w = 0; w < q; ++w) output.at(b, w) = expectations[w];
-  };
-
-  // Thread over the batch only on the exact path (sampling shares an RNG).
-  if (config_.threads > 1 && config_.noise.empty() && config_.shots == 0 &&
-      input.rows() > 1) {
-    run_batch_parallel(input.rows(), compute_row);
-  } else {
-    for (std::size_t b = 0; b < input.rows(); ++b) compute_row(b);
   }
   return output;
 }
@@ -185,17 +179,19 @@ Tensor QuantumLayer::backward(const Tensor& grad_output) {
   // consumes them, and a mismatch means they are stale.
   const bool states_kept = forward_states_valid_;
   forward_states_valid_ = false;
+  if (batch == 0) return grad_input;
 
-  // Batched SoA fast path mirroring forward(): one adjoint sweep per chunk
-  // covers every row in it. When the repacked [angles | weights] rows are
-  // bitwise equal to the ones forward() simulated (same input, weights
-  // untouched), the sweep starts from forward()'s kept state instead of
-  // re-simulating it.
-  if (config_.noise.empty() && executor_.batch_path_available()) {
-    const std::size_t stride = q + weights_.value.size();
+  // Exact path mirroring forward(): one adjoint sweep per chunk covers
+  // every row in it (parameter-shift runs per row inside the executor).
+  // When the repacked [angles | weights] rows are bitwise equal to the ones
+  // forward() simulated (same input, weights untouched), the sweep starts
+  // from forward()'s kept state instead of re-simulating it.
+  const std::size_t stride = q + weights_.value.size();
+  if (config_.noise.empty()) {
     pack_batch(cached_input_, backward_params_);
     const bool reuse =
-        states_kept && forward_params_.size() == backward_params_.size() &&
+        states_kept && forward_backend_ == &util::simd::active_backend() &&
+        forward_params_.size() == backward_params_.size() &&
         std::memcmp(forward_params_.data(), backward_params_.data(),
                     backward_params_.size() * sizeof(double)) == 0;
     std::vector<double> all_grads(batch * stride);
@@ -221,57 +217,28 @@ Tensor QuantumLayer::backward(const Tensor& grad_output) {
     return grad_input;
   }
 
+  // Noise: parameter-shift rules on the density matrix, one row at a time.
   std::vector<std::size_t> wires(q);
   for (std::size_t w = 0; w < q; ++w) wires[w] = w;
-
-  // Per-sample gradients land in per-row buffers; the weight gradient is
-  // reduced afterwards so the parallel path needs no synchronization.
-  std::vector<std::vector<double>> weight_grads(
-      batch, std::vector<double>(weights_.value.size(), 0.0));
-
-  const auto compute_row = [&](std::size_t b) {
-    std::vector<double> params(q + weights_.value.size());
+  std::vector<double> params(stride);
+  std::vector<double> upstream(q);
+  for (std::size_t b = 0; b < batch; ++b) {
     pack_params(cached_input_, b, params);
-    std::vector<double> upstream(q);
     for (std::size_t w = 0; w < q; ++w) upstream[w] = grad_output.at(b, w);
-
-    std::vector<double> gradient;
-    if (config_.noise.empty()) {
-      gradient = executor_.run_with_vjp(params, upstream).gradient;
-    } else {
-      gradient = quantum::noisy_parameter_shift_vjp(
-                     executor_.circuit(), params, config_.noise, wires,
-                     upstream)
-                     .gradient;
-    }
+    const std::vector<double> gradient =
+        quantum::noisy_parameter_shift_vjp(executor_.circuit(), params,
+                                           config_.noise, wires, upstream)
+            .gradient;
     // First q entries are encoding-angle gradients; the chain rule through
     // angle = scale * input multiplies by the encoding scale.
     for (std::size_t w = 0; w < q; ++w) {
       grad_input.at(b, w) = config_.encoding.scale * gradient[w];
     }
     for (std::size_t i = 0; i < weights_.value.size(); ++i) {
-      weight_grads[b][i] = gradient[q + i];
-    }
-  };
-
-  if (config_.threads > 1 && config_.noise.empty() && batch > 1) {
-    run_batch_parallel(batch, compute_row);
-  } else {
-    for (std::size_t b = 0; b < batch; ++b) compute_row(b);
-  }
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t i = 0; i < weights_.value.size(); ++i) {
-      weights_.grad[i] += weight_grads[b][i];
+      weights_.grad[i] += gradient[q + i];
     }
   }
   return grad_input;
-}
-
-void QuantumLayer::run_batch_parallel(
-    std::size_t batch, const std::function<void(std::size_t)>& work) const {
-  // Shared persistent pool: forward/backward run once per training batch,
-  // so spawning threads here (the old design) dominated small-circuit cost.
-  util::parallel_for(0, batch, config_.threads, work);
 }
 
 std::vector<nn::Parameter*> QuantumLayer::parameters() { return {&weights_}; }

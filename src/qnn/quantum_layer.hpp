@@ -10,15 +10,16 @@
 //
 // Circuit parameter layout: [inputs (q) | ansatz weights (weight_count)].
 //
-// Forward-state reuse (batched SoA path only). The adjoint sweep starts from
+// Forward-state reuse (exact batched path only). The adjoint sweep starts from
 // the circuit's output state, which forward() has just computed, so the
 // layer simulates each training batch once:
 //   * the layer owns one StateVectorBatch per thread chunk; forward()
 //     leaves each chunk's final state in it and keeps the packed
 //     [angles | weights] rows the states were built from;
 //   * backward() repacks the rows from the cached input and the current
-//     weights; only if that buffer is bitwise equal to forward()'s does the
-//     sweep consume the kept states, otherwise it re-simulates the forward;
+//     weights; only if that buffer is bitwise equal to forward()'s and the
+//     kernel backend is the one forward() ran on does the sweep consume the
+//     kept states, otherwise it re-simulates the forward;
 //   * the states are spent by any backward() (consumed or stale), and
 //     every forward() rebuilds them, so a second backward(), or one after
 //     the weights changed, recomputes. Either way the gradients are
@@ -34,6 +35,7 @@
 #include "quantum/channels.hpp"
 #include "quantum/executor.hpp"
 #include "quantum/statevector_batch.hpp"
+#include "util/backend_registry.hpp"
 #include "util/rng.hpp"
 
 namespace qhdl::qnn {
@@ -100,11 +102,6 @@ class QuantumLayer : public nn::Module {
       const std::function<void(std::size_t, std::size_t, std::size_t)>& work)
       const;
 
-  /// Dispatches `work(row)` over [0, batch) on the shared pool, at most
-  /// config_.threads rows in flight.
-  void run_batch_parallel(std::size_t batch,
-                          const std::function<void(std::size_t)>& work) const;
-
   QuantumLayerConfig config_;
   quantum::Executor executor_;
   nn::Parameter weights_;
@@ -112,10 +109,12 @@ class QuantumLayer : public nn::Module {
   tensor::Tensor cached_input_;
   bool has_cached_input_ = false;
   /// Forward-state reuse (see the file comment): one final state per chunk,
-  /// the packed rows they were simulated from, and backward()'s repack.
+  /// the packed rows and the backend they were simulated with, and
+  /// backward()'s repack.
   std::vector<std::optional<quantum::StateVectorBatch>> forward_states_;
   std::vector<double> forward_params_;
   std::vector<double> backward_params_;
+  const util::simd::Backend* forward_backend_ = nullptr;
   bool forward_states_valid_ = false;
 };
 

@@ -11,36 +11,77 @@ namespace qhdl::quantum {
 
 namespace {
 
-/// Core reverse sweep shared by the scalar and VJP entry points, over the
-/// compiled plan's flat op stream (the op list minus exactly-cancelled
-/// involution pairs, never parameterized — see exec_plan.hpp).
-/// `lambda` must hold O_eff|ψ⟩ on entry; `phi` must hold |ψ⟩.
-std::vector<double> reverse_sweep(const Circuit& circuit,
-                                  std::span<const double> params,
-                                  StateVector& phi, StateVector& lambda) {
-  std::vector<double> gradient(circuit.parameter_count(), 0.0);
-  StateVector mu{circuit.num_qubits()};
+/// Thread-local scratch batch of the requested shape: re-created only when
+/// the shape changes, so repeated same-shape calls allocate nothing.
+StateVectorBatch& scratch_batch(std::optional<StateVectorBatch>& slot,
+                                std::size_t num_qubits, std::size_t rows) {
+  if (!slot || slot->num_qubits() != num_qubits || slot->batch() != rows) {
+    slot.emplace(num_qubits, rows);
+  }
+  return *slot;
+}
+
+/// The reverse sweep over the compiled plan's flat op stream (the op list
+/// minus exactly-cancelled involution pairs, never parameterized — see
+/// exec_plan.hpp), for every row of `lambda` at once; a single state is the
+/// one-row case. Row b reads its angles from params[b * param_stride + slot].
+/// `lambda` must hold the co-state seed O_eff|ψ⟩ and is pulled back through
+/// U†. With a non-null `phi` holding |ψ⟩, each gate is also peeled off φ
+/// and every parameterized one adds 2 Re⟨λ|(dU_k/dθ_k)|φ_{k-1}⟩ into
+/// gradient[b * parameter_count + slot]; a null `phi` only pulls λ back.
+void reverse_sweep_batch(const Circuit& circuit,
+                         std::span<const double> params,
+                         std::size_t param_stride, StateVectorBatch& lambda,
+                         StateVectorBatch* phi, std::span<double> gradient) {
+  thread_local std::optional<StateVectorBatch> mu_slot;
+  thread_local std::vector<double> angles;
+  thread_local std::vector<double> row_inner;
+  const std::size_t rows = lambda.batch();
+  const std::size_t parameter_count = circuit.parameter_count();
+  angles.resize(rows);
+  row_inner.resize(rows);
+
+  const auto gather_angles =
+      [&](const PlanOp& op) -> std::span<const double> {
+    if (op.param_slot < 0) {
+      angles[0] = op.fixed_angle;
+      return {angles.data(), 1};
+    }
+    const std::size_t index = static_cast<std::size_t>(op.param_slot);
+    bool shared = true;
+    for (std::size_t b = 0; b < rows; ++b) {
+      angles[b] = params[b * param_stride + index];
+      shared = shared && angles[b] == angles[0];
+    }
+    return shared ? std::span<const double>{angles.data(), 1}
+                  : std::span<const double>{angles};
+  };
+
   const std::shared_ptr<const ExecutionPlan> plan = circuit.compiled_plan();
   const std::span<const PlanOp> ops = plan->flat_ops();
-
   for (std::size_t idx = ops.size(); idx-- > 0;) {
     const PlanOp& op = ops[idx];
-    const double angle = op.angle(params);
-    // Peel the gate off the forward state: φ ← U_k† φ.
-    apply_gate_inverse(phi, op.type, angle, op.wire0, op.wire1);
-
-    if (op.param_slot >= 0) {
-      // μ = (dU_k/dθ) φ_{k-1}; contribution = 2 Re⟨λ|μ⟩.
-      mu = phi;
-      apply_gate_derivative(mu, op.type, angle, op.wire0, op.wire1);
-      gradient[static_cast<std::size_t>(op.param_slot)] +=
-          2.0 * lambda.inner_product(mu).real();
+    const std::span<const double> op_angles = gather_angles(op);
+    if (phi != nullptr) {
+      // Peel the gate off the forward state: φ ← U_k† φ.
+      apply_gate_inverse_batch(*phi, op.type, op_angles, op.wire0, op.wire1);
+      if (op.param_slot >= 0) {
+        // μ = (dU_k/dθ) φ_{k-1}; contribution = 2 Re⟨λ|μ⟩.
+        StateVectorBatch& mu =
+            scratch_batch(mu_slot, lambda.num_qubits(), rows);
+        mu.assign_from(*phi);
+        apply_gate_derivative_batch(mu, op.type, op_angles, op.wire0,
+                                    op.wire1);
+        lambda.inner_products_real(mu, row_inner);
+        const std::size_t slot = static_cast<std::size_t>(op.param_slot);
+        for (std::size_t b = 0; b < rows; ++b) {
+          gradient[b * parameter_count + slot] += 2.0 * row_inner[b];
+        }
+      }
     }
-
     // Pull the co-state back: λ ← U_k† λ.
-    apply_gate_inverse(lambda, op.type, angle, op.wire0, op.wire1);
+    apply_gate_inverse_batch(lambda, op.type, op_angles, op.wire0, op.wire1);
   }
-  return gradient;
 }
 
 }  // namespace
@@ -54,7 +95,9 @@ AdjointResult adjoint_gradient(const Circuit& circuit,
 
   StateVector lambda{circuit.num_qubits()};
   observable.apply(psi, lambda);
-  result.gradient = reverse_sweep(circuit, params, psi, lambda);
+  result.gradient.assign(circuit.parameter_count(), 0.0);
+  reverse_sweep_batch(circuit, params, circuit.parameter_count(), lambda,
+                      &psi, result.gradient);
   return result;
 }
 
@@ -91,7 +134,9 @@ AdjointVjpResult adjoint_vjp_impl(const Circuit& circuit,
   }
   StateVector lambda =
       weighted_observable_state(psi, observables, upstream_weights);
-  result.gradient = reverse_sweep(circuit, params, psi, lambda);
+  result.gradient.assign(circuit.parameter_count(), 0.0);
+  reverse_sweep_batch(circuit, params, circuit.parameter_count(), lambda,
+                      &psi, result.gradient);
   return result;
 }
 
@@ -138,13 +183,8 @@ std::vector<double> initial_state_cogradient(
   circuit.run(psi, params);
   StateVector lambda =
       weighted_observable_state(psi, observables, upstream_weights);
-  const std::shared_ptr<const ExecutionPlan> plan = circuit.compiled_plan();
-  const std::span<const PlanOp> ops = plan->flat_ops();
-  for (std::size_t idx = ops.size(); idx-- > 0;) {
-    const PlanOp& op = ops[idx];
-    apply_gate_inverse(lambda, op.type, op.angle(params), op.wire0,
-                       op.wire1);
-  }
+  reverse_sweep_batch(circuit, params, circuit.parameter_count(), lambda,
+                      nullptr, {});
   std::vector<double> cogradient(lambda.dimension());
   const auto amps = lambda.amplitudes();
   for (std::size_t i = 0; i < cogradient.size(); ++i) {
@@ -152,20 +192,6 @@ std::vector<double> initial_state_cogradient(
   }
   return cogradient;
 }
-
-namespace {
-
-/// Thread-local scratch batch of the requested shape: re-created only when
-/// the shape changes, so repeated same-shape calls allocate nothing.
-StateVectorBatch& scratch_batch(std::optional<StateVectorBatch>& slot,
-                                std::size_t num_qubits, std::size_t rows) {
-  if (!slot || slot->num_qubits() != num_qubits || slot->batch() != rows) {
-    slot.emplace(num_qubits, rows);
-  }
-  return *slot;
-}
-
-}  // namespace
 
 void diagonal_expectations_batch(
     const StateVectorBatch& state,
@@ -258,9 +284,6 @@ BatchAdjointVjpResult adjoint_vjp_batch_diagonal(
 
   thread_local std::optional<StateVectorBatch> phi_slot;
   thread_local std::optional<StateVectorBatch> lambda_slot;
-  thread_local std::optional<StateVectorBatch> mu_slot;
-  thread_local std::vector<double> angles;
-  thread_local std::vector<double> row_inner;
 
   // Forward: the caller's state when it holds U|0⟩ for these params
   // (consumed in place below), else all rows at once through the SoA
@@ -309,52 +332,9 @@ BatchAdjointVjpResult adjoint_vjp_batch_diagonal(
     }
   }
 
-  // Reverse sweep, batched: peel φ, form μ = (dU/dθ)φ, take per-row
-  // Re⟨λ|μ⟩, pull λ back.
-  const std::size_t parameter_count = circuit.parameter_count();
-  result.gradient.assign(batch_rows * parameter_count, 0.0);
-  StateVectorBatch& mu = scratch_batch(mu_slot, num_qubits, batch_rows);
-  angles.resize(batch_rows);
-  row_inner.resize(batch_rows);
-
-  const auto gather_angles =
-      [&](const PlanOp& op) -> std::span<const double> {
-    if (op.param_slot < 0) {
-      angles[0] = op.fixed_angle;
-      return {angles.data(), 1};
-    }
-    const std::size_t index = static_cast<std::size_t>(op.param_slot);
-    bool shared = true;
-    for (std::size_t b = 0; b < batch_rows; ++b) {
-      angles[b] = params[b * param_stride + index];
-      shared = shared && angles[b] == angles[0];
-    }
-    return shared ? std::span<const double>{angles.data(), 1}
-                  : std::span<const double>{angles};
-  };
-
-  // The flat plan stream is the op list minus exactly-cancelled involution
-  // pairs, so every row's gradient matches the scalar adjoint_vjp exactly.
-  const std::shared_ptr<const ExecutionPlan> plan = circuit.compiled_plan();
-  const std::span<const PlanOp> ops = plan->flat_ops();
-  for (std::size_t idx = ops.size(); idx-- > 0;) {
-    const PlanOp& op = ops[idx];
-    const std::span<const double> op_angles = gather_angles(op);
-    apply_gate_inverse_batch(phi, op.type, op_angles, op.wire0, op.wire1);
-
-    if (op.param_slot >= 0) {
-      mu.assign_from(phi);
-      apply_gate_derivative_batch(mu, op.type, op_angles, op.wire0,
-                                  op.wire1);
-      lambda.inner_products_real(mu, row_inner);
-      const std::size_t slot = static_cast<std::size_t>(op.param_slot);
-      for (std::size_t b = 0; b < batch_rows; ++b) {
-        result.gradient[b * parameter_count + slot] += 2.0 * row_inner[b];
-      }
-    }
-
-    apply_gate_inverse_batch(lambda, op.type, op_angles, op.wire0, op.wire1);
-  }
+  result.gradient.assign(batch_rows * circuit.parameter_count(), 0.0);
+  reverse_sweep_batch(circuit, params, param_stride, lambda, &phi,
+                      result.gradient);
   return result;
 }
 

@@ -155,22 +155,7 @@ void Circuit::set_plan(std::shared_ptr<const ExecutionPlan> plan) {
 }
 
 void Circuit::run(StateVector& state, std::span<const double> params) const {
-  if (state.num_qubits() != num_qubits_) {
-    throw std::invalid_argument("Circuit::run: state has " +
-                                std::to_string(state.num_qubits()) +
-                                " qubits, circuit needs " +
-                                std::to_string(num_qubits_));
-  }
-  // Oversized parameter vectors are as much a caller bug as undersized
-  // ones (a packing-layout mismatch would silently read garbage angles),
-  // so both directions are hard errors.
-  if (params.size() != parameter_count_) {
-    throw std::invalid_argument("Circuit::run: got " +
-                                std::to_string(params.size()) +
-                                " params, need exactly " +
-                                std::to_string(parameter_count_));
-  }
-  compiled_plan()->run(state, params);
+  run_batch(state, params, parameter_count_);
 }
 
 void Circuit::run_batch(StateVectorBatch& batch,

@@ -76,9 +76,9 @@ class Circuit {
   // --- execution --------------------------------------------------------
 
   /// Applies all ops to `state` with the given runtime parameters
-  /// (params.size() must equal parameter_count() exactly) by executing the
-  /// circuit's memoized ExecutionPlan (compiled on first use — see
-  /// exec_plan.hpp).
+  /// (params.size() must equal parameter_count() exactly): the one-row
+  /// run_batch, executing the circuit's memoized ExecutionPlan (compiled on
+  /// first use — see exec_plan.hpp).
   void run(StateVector& state, std::span<const double> params) const;
 
   /// Applies all ops to every row of a SoA batch. Row b reads its

@@ -11,7 +11,7 @@
 namespace qhdl::quantum {
 
 KernelClass kernel_class_for(GateType type) {
-  // Mirrors apply_gate_specialized's dispatch switch (gates.cpp).
+  // Mirrors the shared-angle dispatch switch in gates.cpp.
   switch (type) {
     case GateType::PauliZ:
     case GateType::S:
@@ -281,62 +281,14 @@ std::shared_ptr<const ExecutionPlan> compile_circuit(const Circuit& circuit) {
   return plan;
 }
 
-void ExecutionPlan::run(StateVector& state,
-                        std::span<const double> params) const {
-  if (util::simd::active_backend().reference) {
-    for (const PlanOp& op : flat_ops_) {
-      apply_gate(state, op.type, op.angle(params), op.wire0, op.wire1);
-    }
-    return;
-  }
-  for (const FusedOp& op : fused_ops_) {
-    switch (op.kind) {
-      case FusedOp::Kind::Single:
-        apply_gate(state, op.type, op.angle(params), op.wire0);
-        break;
-      case FusedOp::Kind::Chain: {
-        // Later gates multiply from the left; run_batch builds its per-row
-        // products in the same order, so batch rows match this bit-for-bit.
-        const ChainGate* gates = &chain_gates_[op.chain_begin];
-        Mat2 matrix =
-            gates::matrix_for(gates[0].type, gates[0].angle(params));
-        for (std::uint32_t i = 1; i < op.chain_length; ++i) {
-          matrix =
-              gates::matrix_for(gates[i].type, gates[i].angle(params)) *
-              matrix;
-        }
-        state.apply_single_qubit(matrix, op.wire0);
-        kernels::count_fused(op.chain_length);
-        break;
-      }
-      case FusedOp::Kind::FixedChain:
-        state.apply_single_qubit(op.matrix, op.wire0);
-        kernels::count_fused(op.gate_count);
-        break;
-      case FusedOp::Kind::DiagonalChain:
-        state.apply_diagonal(op.d0, op.d1, op.wire0);
-        kernels::count_fused(op.gate_count);
-        break;
-      case FusedOp::Kind::TwoQubit:
-        apply_gate(state, op.type, op.angle(params), op.wire0, op.wire1);
-        break;
-      case FusedOp::Kind::FusedPair:
-        state.apply_two_qubit(op.matrix4, op.wire0, op.wire1);
-        kernels::count_fused(op.gate_count);
-        break;
-    }
-  }
-}
-
 void ExecutionPlan::run_batch(StateVectorBatch& batch,
                               std::span<const double> params,
                               std::size_t param_stride) const {
-  // Mirrors run(): the fused stream (or, under the reference backend, the
-  // flat stream), so every batch row reproduces the scalar path
-  // bit-for-bit and the fused chains feed the batched SIMD kernels
-  // (DESIGN.md §14). Parameterized gates detect shared-vs-per-row angles
-  // at runtime; a chain whose angles differ across rows falls back to one
-  // 2x2 product per row, built in run()'s left-multiplication order.
+  // The fused stream, or under the reference backend the flat stream op by
+  // op. Parameterized gates detect shared-vs-per-row angles at runtime; a
+  // chain whose angles differ across rows falls back to one 2x2 product per
+  // row, built in the same left-multiplication order as the shared product,
+  // so every row is bit-identical to running it alone (DESIGN.md §14).
   const std::size_t rows = batch.batch();
   thread_local std::vector<double> angles;
   thread_local std::vector<Mat2> row_mats;
@@ -376,10 +328,10 @@ void ExecutionPlan::run_batch(StateVectorBatch& batch,
         break;
       case FusedOp::Kind::Chain: {
         // Factor i is shared when its angle is fixed or equal on every row;
-        // shared factors are built once for the whole batch. The product
-        // keeps run()'s left-multiplication order, and the leading run of
-        // shared factors (the prefix every row would form identically) is
-        // multiplied once, so each row's matrix is bit-identical to run().
+        // shared factors are built once for the whole batch. Later factors
+        // multiply from the left, and the leading run of shared factors (the
+        // prefix every row would form identically) is multiplied once, so
+        // each row's matrix is bit-identical to the one-row run's.
         const ChainGate* gates = &chain_gates_[op.chain_begin];
         const std::uint32_t length = op.chain_length;
         const auto chain_angle = [&](std::uint32_t i, std::size_t b) {

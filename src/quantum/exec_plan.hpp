@@ -1,9 +1,10 @@
 // Compiled circuit execution plans (DESIGN.md §12).
 //
-// Every circuit execution (Circuit::run / run_batch and the adjoint sweeps)
-// goes through an ExecutionPlan. A grid search runs thousands of candidate
-// evaluations over a handful of circuit *structures*, so the compile pass
-// lowers a Circuit once into an immutable plan:
+// Every circuit execution (Circuit::run / run_batch and the adjoint sweep)
+// goes through an ExecutionPlan; a single state runs as the one-row batch.
+// A grid search runs thousands of candidate evaluations over a handful of
+// circuit *structures*, so the compile pass lowers a Circuit once into an
+// immutable plan:
 //
 //   * a peephole pass drops adjacent exact-involution pairs (X·X, Z·Z,
 //     CNOT·CNOT, CZ·CZ, SWAP·SWAP on the same wires — pure permutations and
@@ -11,10 +12,10 @@
 //   * adjacent single-qubit gates on one wire become fused chains: fully
 //     fixed chains collapse to a precomputed dense 2×2 (or a precomputed
 //     diagonal when every factor is diagonal), parameterized chains record
-//     the gate sequence so run() multiplies the matrices at execution time
-//     (later gates from the left);
+//     the gate sequence so run_batch() multiplies the matrices at execution
+//     time (later gates from the left);
 //   * adjacent angle-independent two-qubit gates on one wire pair collapse
-//     to a precomputed 4×4 unitary (StateVector::apply_two_qubit);
+//     to a precomputed 4×4 unitary (StateVectorBatch::apply_two_qubit);
 //   * every op records the specialized kernel class it dispatches to, so
 //     flops::classify_plan can model the compiled dispatch mix exactly.
 //
@@ -24,9 +25,9 @@
 // no process-wide cache: each circuit a grid search builds compiles once.
 //
 // One executor serves both kernel modes. Under the `reference` backend
-// (QHDL_BACKEND=reference) run() / run_batch() replay the flat stream op by
-// op through apply_gate / apply_gate_batch — no fusion, and apply_gate
-// takes the generic dense-matrix path — instead of the fused stream.
+// (QHDL_BACKEND=reference) run_batch() replays the flat stream op by op
+// through apply_gate_batch — no fusion, and single-qubit gates take the
+// dense-matrix dispatch — instead of the fused stream.
 #pragma once
 
 #include <cstdint>
@@ -133,14 +134,13 @@ class ExecutionPlan {
   std::span<const FusedOp> fused_ops() const { return fused_ops_; }
   std::span<const ChainGate> chain_gates() const { return chain_gates_; }
 
-  /// Executes the fused stream; under the reference backend, the flat
-  /// stream op by op. Fused output agrees with per-op execution to the
-  /// golden-suite tolerance (1e-12); chains of one gate and two-qubit ops
-  /// dispatch through apply_gate and are bit-identical to it.
-  void run(StateVector& state, std::span<const double> params) const;
-
-  /// Executes the same stream run() would with the batched SoA kernels
-  /// (DESIGN.md §14), so every batch row is bit-identical to run().
+  /// Executes the fused stream over every row (DESIGN.md §14); under the
+  /// reference backend, the flat stream op by op. Row b reads its
+  /// parameters from params[b * param_stride + slot]. Fused output agrees
+  /// with per-op execution to the golden-suite tolerance (1e-12); chains of
+  /// one gate and two-qubit ops dispatch through apply_gate_batch and are
+  /// bit-identical to it. Every row is bit-identical to running it alone
+  /// (Circuit::run, the B = 1 call).
   void run_batch(StateVectorBatch& batch, std::span<const double> params,
                  std::size_t param_stride) const;
 

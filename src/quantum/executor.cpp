@@ -5,7 +5,6 @@
 
 #include "quantum/parameter_shift.hpp"
 #include "quantum/statevector_batch.hpp"
-#include "util/backend_registry.hpp"
 
 namespace qhdl::quantum {
 
@@ -63,18 +62,13 @@ AdjointVjpResult Executor::run_with_vjp(
   return result;
 }
 
-bool Executor::batch_path_available() const {
-  return !util::simd::active_backend().reference &&
-         diff_method_ == DiffMethod::Adjoint && !diagonals_.empty();
-}
-
 void Executor::run_batch(StateVectorBatch& state,
                          std::span<const double> params,
                          std::size_t param_stride,
                          std::span<double> expectations) const {
-  if (!batch_path_available()) {
+  if (diagonals_.empty()) {
     throw std::logic_error(
-        "Executor::run_batch: the batched path is unavailable here");
+        "Executor::run_batch: needs all-diagonal (all-Z) observables");
   }
   state.reset();
   circuit_.run_batch(state, params, param_stride);
@@ -90,13 +84,12 @@ BatchAdjointVjpResult Executor::run_with_vjp_batch(
     throw std::invalid_argument(
         "Executor::run_with_vjp_batch: upstream size");
   }
-  if (batch_path_available()) {
+  if (diff_method_ == DiffMethod::Adjoint && !diagonals_.empty()) {
     return adjoint_vjp_batch_diagonal(circuit_, params, param_stride,
                                       batch_rows, diagonals_, upstream,
                                       forward_state);
   }
-  // Per-row fallback (parameter-shift, non-diagonal observables, or the
-  // generic-kernel escape hatch).
+  // Per-row fallback (parameter-shift or non-diagonal observables).
   BatchAdjointVjpResult result;
   result.batch = batch_rows;
   result.observable_count = obs_count;

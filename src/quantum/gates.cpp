@@ -271,245 +271,10 @@ namespace {
 constexpr Complex kIu{0.0, 1.0};
 constexpr Complex kOneu{1.0, 0.0};
 
-void require_second_wire(GateType type, std::size_t wire1) {
-  if (wire1 == SIZE_MAX) {
-    throw std::invalid_argument("apply_gate: " + gate_name(type) +
-                                " needs two wires");
-  }
-}
-
-/// Generic path: every single-qubit gate as a dense 2x2 matvec (the
-/// pre-specialization behavior, kept verbatim for the reference backend).
-void apply_gate_generic(StateVector& state, GateType type, double theta,
-                        std::size_t wire0, std::size_t wire1) {
-  switch (type) {
-    case GateType::CNOT:
-      require_second_wire(type, wire1);
-      state.apply_cnot(wire0, wire1);
-      return;
-    case GateType::CZ:
-      require_second_wire(type, wire1);
-      state.apply_cz(wire0, wire1);
-      return;
-    case GateType::SWAP:
-      require_second_wire(type, wire1);
-      state.apply_swap(wire0, wire1);
-      return;
-    case GateType::CRX:
-    case GateType::CRY:
-    case GateType::CRZ:
-      require_second_wire(type, wire1);
-      state.apply_controlled(gates::matrix_for(type, theta), wire0, wire1);
-      return;
-    case GateType::RXX:
-    case GateType::RYY:
-    case GateType::RZZ: {
-      require_second_wire(type, wire1);
-      const gates::IsingPair pair = gates::ising_pair(type, theta);
-      state.apply_double_flip_pairs(pair.even, pair.odd, wire0, wire1);
-      return;
-    }
-    default:
-      state.apply_single_qubit(gates::matrix_for(type, theta), wire0);
-      return;
-  }
-}
-
-/// Specialized dispatch (DESIGN.md §8): diagonal / real-rotation /
-/// permutation kernels where the gate structure allows, dense 2x2 otherwise.
-void apply_gate_specialized(StateVector& state, GateType type, double theta,
-                            std::size_t wire0, std::size_t wire1) {
-  switch (type) {
-    case GateType::PauliX:
-      state.apply_pauli_x(wire0);
-      return;
-    case GateType::PauliZ:
-      state.apply_diagonal(kOneu, -kOneu, wire0);
-      return;
-    case GateType::S:
-      state.apply_diagonal(kOneu, kIu, wire0);
-      return;
-    case GateType::T:
-      state.apply_diagonal(kOneu, std::exp(kIu * (std::numbers::pi / 4.0)),
-                           wire0);
-      return;
-    case GateType::RZ: {
-      const double c = std::cos(theta / 2.0);
-      const double s = std::sin(theta / 2.0);
-      state.apply_diagonal(Complex{c, -s}, Complex{c, s}, wire0);
-      return;
-    }
-    case GateType::PhaseShift:
-      state.apply_diagonal(kOneu, Complex{std::cos(theta), std::sin(theta)},
-                           wire0);
-      return;
-    case GateType::RX:
-      state.apply_rx_fast(std::cos(theta / 2.0), std::sin(theta / 2.0),
-                          wire0);
-      return;
-    case GateType::RY:
-      state.apply_ry_fast(std::cos(theta / 2.0), std::sin(theta / 2.0),
-                          wire0);
-      return;
-    default:
-      // PauliY / Hadamard keep the dense matvec; two-qubit gates already
-      // dispatch to their structure-specific kernels.
-      apply_gate_generic(state, type, theta, wire0, wire1);
-      return;
-  }
-}
-
-}  // namespace
-
-void apply_gate(StateVector& state, GateType type, double theta,
-                std::size_t wire0, std::size_t wire1) {
-  if (util::simd::active_backend().reference) {
-    apply_gate_generic(state, type, theta, wire0, wire1);
-  } else {
-    apply_gate_specialized(state, type, theta, wire0, wire1);
-  }
-}
-
-void apply_gate_inverse(StateVector& state, GateType type, double theta,
-                        std::size_t wire0, std::size_t wire1) {
-  if (util::simd::active_backend().reference) {
-    switch (type) {
-      case GateType::CNOT:
-      case GateType::CZ:
-      case GateType::SWAP:
-        // Self-inverse.
-        apply_gate_generic(state, type, theta, wire0, wire1);
-        return;
-      case GateType::CRX:
-      case GateType::CRY:
-      case GateType::CRZ:
-        require_second_wire(type, wire1);
-        state.apply_controlled(gates::matrix_for(type, -theta), wire0, wire1);
-        return;
-      case GateType::RXX:
-      case GateType::RYY:
-      case GateType::RZZ: {
-        require_second_wire(type, wire1);
-        const gates::IsingPair pair = gates::ising_pair(type, -theta);
-        state.apply_double_flip_pairs(pair.even, pair.odd, wire0, wire1);
-        return;
-      }
-      case GateType::RX:
-      case GateType::RY:
-      case GateType::RZ:
-        state.apply_single_qubit(gates::matrix_for(type, -theta), wire0);
-        return;
-      case GateType::PhaseShift:
-        state.apply_single_qubit(gates::phase_shift(-theta), wire0);
-        return;
-      default:
-        // Fixed gates: apply the conjugate transpose.
-        state.apply_single_qubit(gates::matrix_for(type, theta).dagger(),
-                                 wire0);
-        return;
-    }
-  }
-  switch (type) {
-    case GateType::S:
-      state.apply_diagonal(kOneu, -kIu, wire0);
-      return;
-    case GateType::T:
-      state.apply_diagonal(kOneu, std::exp(-kIu * (std::numbers::pi / 4.0)),
-                           wire0);
-      return;
-    case GateType::RX:
-    case GateType::RY:
-    case GateType::RZ:
-    case GateType::PhaseShift:
-    case GateType::CRX:
-    case GateType::CRY:
-    case GateType::CRZ:
-    case GateType::RXX:
-    case GateType::RYY:
-    case GateType::RZZ:
-      // Every parameterized gate inverts by negating its angle.
-      apply_gate_specialized(state, type, -theta, wire0, wire1);
-      return;
-    default:
-      // X, Y, Z, H, CNOT, CZ, SWAP are self-inverse (U† = U).
-      apply_gate_specialized(state, type, theta, wire0, wire1);
-      return;
-  }
-}
-
-void apply_gate_derivative(StateVector& state, GateType type, double theta,
-                           std::size_t wire0, std::size_t wire1) {
-  if (!gate_is_parameterized(type)) {
-    throw std::invalid_argument("apply_gate_derivative: " + gate_name(type) +
-                                " has no parameter");
-  }
-  switch (type) {
-    case GateType::CRX:
-    case GateType::CRY:
-    case GateType::CRZ:
-      require_second_wire(type, wire1);
-      state.apply_controlled_derivative(gates::derivative_for(type, theta),
-                                        wire0, wire1);
-      return;
-    case GateType::RXX:
-    case GateType::RYY:
-    case GateType::RZZ: {
-      require_second_wire(type, wire1);
-      const gates::IsingPair pair = gates::ising_pair_derivative(type, theta);
-      state.apply_double_flip_pairs(pair.even, pair.odd, wire0, wire1);
-      return;
-    }
-    case GateType::RZ:
-      if (!util::simd::active_backend().reference) {
-        // dRZ/dθ = diag(-i/2·e^{-iθ/2}, i/2·e^{iθ/2}) — still diagonal.
-        const double c = 0.5 * std::cos(theta / 2.0);
-        const double s = 0.5 * std::sin(theta / 2.0);
-        state.apply_diagonal(Complex{-s, -c}, Complex{-s, c}, wire0);
-        return;
-      }
-      state.apply_single_qubit(gates::derivative_for(type, theta), wire0);
-      return;
-    case GateType::PhaseShift:
-      if (!util::simd::active_backend().reference) {
-        // d/dθ diag(1, e^{iθ}) = diag(0, i·e^{iθ}).
-        state.apply_diagonal(Complex{0.0, 0.0},
-                             kIu * Complex{std::cos(theta), std::sin(theta)},
-                             wire0);
-        return;
-      }
-      state.apply_single_qubit(gates::derivative_for(type, theta), wire0);
-      return;
-    case GateType::RX:
-      if (!util::simd::active_backend().reference) {
-        // dRX/dθ = [[-s', -ic'], [-ic', -s']] with c' = cos(θ/2)/2,
-        // s' = sin(θ/2)/2 — the RX kernel shape with (c, s) = (-s', c').
-        state.apply_rx_fast(-0.5 * std::sin(theta / 2.0),
-                            0.5 * std::cos(theta / 2.0), wire0);
-        return;
-      }
-      state.apply_single_qubit(gates::derivative_for(type, theta), wire0);
-      return;
-    case GateType::RY:
-      if (!util::simd::active_backend().reference) {
-        // dRY/dθ = [[-s', -c'], [c', -s']] — RY kernel with (-s', c').
-        state.apply_ry_fast(-0.5 * std::sin(theta / 2.0),
-                            0.5 * std::cos(theta / 2.0), wire0);
-        return;
-      }
-      state.apply_single_qubit(gates::derivative_for(type, theta), wire0);
-      return;
-    default:
-      state.apply_single_qubit(gates::derivative_for(type, theta), wire0);
-      return;
-  }
-}
-
-namespace {
-
 /// Per-call scratch for per-row batched dispatch. thread_local so the batch
 /// path allocates at most once per thread, not once per gate.
 struct BatchScratch {
-  std::vector<double> c, s;
+  std::vector<double> c, s, negated;
   std::vector<Complex> d0, d1;
   std::vector<Mat2> m_even, m_odd;
 };
@@ -519,7 +284,7 @@ BatchScratch& batch_scratch() {
   return scratch;
 }
 
-void require_second_wire_batch(GateType type, std::size_t wire1) {
+void require_second_wire(GateType type, std::size_t wire1) {
   if (wire1 == SIZE_MAX) {
     throw std::invalid_argument("apply_gate_batch: " + gate_name(type) +
                                 " needs two wires");
@@ -536,7 +301,30 @@ void check_angles_span(const StateVectorBatch& batch, GateType type,
   }
 }
 
-/// Shared-angle dispatch: mirror of apply_gate_specialized over the batch.
+/// True when `type` takes the reference backend's dense dispatch: every
+/// single-qubit gate as a dense 2x2 matvec. Two-qubit gates have no dense
+/// form here; they run their structure kernels under every backend.
+bool dense_reference(GateType type) {
+  return gate_arity(type) == 1 && util::simd::active_backend().reference;
+}
+
+/// Dense 2x2 dispatch on `wire`: one shared `matrix(θ)` for a single angle,
+/// else one per row.
+template <typename MatrixFn>
+void apply_dense(StateVectorBatch& batch, std::span<const double> angles,
+                 std::size_t wire, const MatrixFn& matrix) {
+  if (angles.size() == 1) {
+    batch.apply_single_qubit(matrix(angles[0]), wire);
+    return;
+  }
+  std::vector<Mat2>& rows = batch_scratch().m_even;
+  rows.resize(angles.size());
+  for (std::size_t b = 0; b < angles.size(); ++b) rows[b] = matrix(angles[b]);
+  batch.apply_single_qubit_per_row(rows, wire);
+}
+
+/// Shared-angle dispatch (DESIGN.md §8): diagonal / real-rotation /
+/// permutation kernels where the gate structure allows, dense 2x2 otherwise.
 void apply_gate_batch_shared(StateVectorBatch& batch, GateType type,
                              double theta, std::size_t wire0,
                              std::size_t wire1) {
@@ -573,27 +361,27 @@ void apply_gate_batch_shared(StateVectorBatch& batch, GateType type,
                           wire0);
       return;
     case GateType::CNOT:
-      require_second_wire_batch(type, wire1);
+      require_second_wire(type, wire1);
       batch.apply_cnot(wire0, wire1);
       return;
     case GateType::CZ:
-      require_second_wire_batch(type, wire1);
+      require_second_wire(type, wire1);
       batch.apply_cz(wire0, wire1);
       return;
     case GateType::SWAP:
-      require_second_wire_batch(type, wire1);
+      require_second_wire(type, wire1);
       batch.apply_swap(wire0, wire1);
       return;
     case GateType::CRX:
     case GateType::CRY:
     case GateType::CRZ:
-      require_second_wire_batch(type, wire1);
+      require_second_wire(type, wire1);
       batch.apply_controlled(gates::matrix_for(type, theta), wire0, wire1);
       return;
     case GateType::RXX:
     case GateType::RYY:
     case GateType::RZZ: {
-      require_second_wire_batch(type, wire1);
+      require_second_wire(type, wire1);
       const gates::IsingPair pair = gates::ising_pair(type, theta);
       batch.apply_double_flip_pairs(pair.even, pair.odd, wire0, wire1);
       return;
@@ -651,7 +439,7 @@ void apply_gate_batch_per_row(StateVectorBatch& batch, GateType type,
     case GateType::CRX:
     case GateType::CRY:
     case GateType::CRZ: {
-      require_second_wire_batch(type, wire1);
+      require_second_wire(type, wire1);
       scratch.m_even.resize(rows);
       for (std::size_t b = 0; b < rows; ++b) {
         scratch.m_even[b] = gates::matrix_for(type, angles[b]);
@@ -662,7 +450,7 @@ void apply_gate_batch_per_row(StateVectorBatch& batch, GateType type,
     case GateType::RXX:
     case GateType::RYY:
     case GateType::RZZ: {
-      require_second_wire_batch(type, wire1);
+      require_second_wire(type, wire1);
       scratch.m_even.resize(rows);
       scratch.m_odd.resize(rows);
       for (std::size_t b = 0; b < rows; ++b) {
@@ -675,9 +463,8 @@ void apply_gate_batch_per_row(StateVectorBatch& batch, GateType type,
       return;
     }
     default:
-      // Fixed gates cannot vary per row; the angle is ignored anyway.
-      apply_gate_batch_shared(batch, type, angles[0], wire0, wire1);
-      return;
+      // apply_gate_batch sends fixed gates to the shared dispatch.
+      throw std::logic_error("apply_gate_batch: unreachable");
   }
 }
 
@@ -687,7 +474,12 @@ void apply_gate_batch(StateVectorBatch& batch, GateType type,
                       std::span<const double> angles, std::size_t wire0,
                       std::size_t wire1) {
   check_angles_span(batch, type, angles);
-  if (angles.size() == 1 || !gate_is_parameterized(type)) {
+  // Fixed gates cannot vary per row; their angle is ignored anyway.
+  if (!gate_is_parameterized(type)) angles = angles.first(1);
+  if (dense_reference(type)) {
+    apply_dense(batch, angles, wire0,
+                [type](double t) { return gates::matrix_for(type, t); });
+  } else if (angles.size() == 1) {
     apply_gate_batch_shared(batch, type, angles[0], wire0, wire1);
   } else {
     apply_gate_batch_per_row(batch, type, angles, wire0, wire1);
@@ -699,8 +491,11 @@ void apply_gate_inverse_batch(StateVectorBatch& batch, GateType type,
                               std::size_t wire0, std::size_t wire1) {
   check_angles_span(batch, type, angles);
   if (!gate_is_parameterized(type)) {
-    // S and T are the only non-self-inverse fixed gates in the library.
-    if (type == GateType::S) {
+    if (dense_reference(type)) {
+      // The conjugate transpose of the dense matrix.
+      batch.apply_single_qubit(gates::matrix_for(type, 0.0).dagger(), wire0);
+    } else if (type == GateType::S) {
+      // S and T are the only non-self-inverse fixed gates in the library.
       batch.apply_diagonal(kOneu, -kIu, wire0);
     } else if (type == GateType::T) {
       batch.apply_diagonal(kOneu, std::exp(-kIu * (std::numbers::pi / 4.0)),
@@ -711,14 +506,10 @@ void apply_gate_inverse_batch(StateVectorBatch& batch, GateType type,
     return;
   }
   // Parameterized gates invert by negating the angle.
-  if (angles.size() == 1) {
-    apply_gate_batch_shared(batch, type, -angles[0], wire0, wire1);
-    return;
-  }
-  thread_local std::vector<double> negated;
+  std::vector<double>& negated = batch_scratch().negated;
   negated.resize(angles.size());
   for (std::size_t b = 0; b < angles.size(); ++b) negated[b] = -angles[b];
-  apply_gate_batch_per_row(batch, type, negated, wire0, wire1);
+  apply_gate_batch(batch, type, negated, wire0, wire1);
 }
 
 void apply_gate_derivative_batch(StateVectorBatch& batch, GateType type,
@@ -729,6 +520,11 @@ void apply_gate_derivative_batch(StateVectorBatch& batch, GateType type,
                                 gate_name(type) + " has no parameter");
   }
   check_angles_span(batch, type, angles);
+  if (dense_reference(type)) {
+    apply_dense(batch, angles, wire0,
+                [type](double t) { return gates::derivative_for(type, t); });
+    return;
+  }
   BatchScratch& scratch = batch_scratch();
   const bool shared = angles.size() == 1;
   const std::size_t rows = batch.batch();
@@ -736,7 +532,8 @@ void apply_gate_derivative_batch(StateVectorBatch& batch, GateType type,
     case GateType::RX:
     case GateType::RY: {
       // dU/dθ is the rotation-kernel shape with (c, s) = (-s', c') where
-      // c' = cos(θ/2)/2, s' = sin(θ/2)/2 (see apply_gate_derivative).
+      // c' = cos(θ/2)/2, s' = sin(θ/2)/2: dRX/dθ = [[-s', -ic'], [-ic', -s']]
+      // and dRY/dθ = [[-s', -c'], [c', -s']].
       if (shared) {
         const double c = -0.5 * std::sin(angles[0] / 2.0);
         const double s = 0.5 * std::cos(angles[0] / 2.0);
@@ -797,7 +594,7 @@ void apply_gate_derivative_batch(StateVectorBatch& batch, GateType type,
     case GateType::CRX:
     case GateType::CRY:
     case GateType::CRZ: {
-      require_second_wire_batch(type, wire1);
+      require_second_wire(type, wire1);
       if (shared) {
         batch.apply_controlled_derivative(
             gates::derivative_for(type, angles[0]), wire0, wire1);
@@ -813,7 +610,7 @@ void apply_gate_derivative_batch(StateVectorBatch& batch, GateType type,
     case GateType::RXX:
     case GateType::RYY:
     case GateType::RZZ: {
-      require_second_wire_batch(type, wire1);
+      require_second_wire(type, wire1);
       if (shared) {
         const gates::IsingPair pair =
             gates::ising_pair_derivative(type, angles[0]);

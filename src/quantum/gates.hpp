@@ -15,8 +15,6 @@
 
 namespace qhdl::quantum {
 
-class StateVectorBatch;
-
 enum class GateType {
   // Fixed single-qubit gates.
   PauliX,
@@ -97,39 +95,48 @@ Mat2 derivative_for(GateType type, double theta);
 
 }  // namespace gates
 
-/// Applies `type` (with optional angle) to the state on the given wires.
-/// For two-qubit gates wires[0] is the control (or first swap wire).
-void apply_gate(StateVector& state, GateType type, double theta,
-                std::size_t wire0, std::size_t wire1 = SIZE_MAX);
-
-/// Applies the inverse gate.
-void apply_gate_inverse(StateVector& state, GateType type, double theta,
-                        std::size_t wire0, std::size_t wire1 = SIZE_MAX);
-
-/// Applies dU/dθ (non-unitary). Only valid for parameterized gates.
-void apply_gate_derivative(StateVector& state, GateType type, double theta,
-                           std::size_t wire0, std::size_t wire1 = SIZE_MAX);
-
-// --- batched (SoA) dispatch -----------------------------------------------
+// --- gate dispatch over a SoA batch ---------------------------------------
 // `angles` holds either ONE shared angle (size 1 — also pass {0.0} for fixed
 // gates) or one angle per batch row (size batch.batch()). Shared angles hit
 // the shared kernels (one trig evaluation for the whole batch); per-row
-// angles hit the per-row kernel variants. These always use the specialized
-// kernels — under the reference backend the hybrid executor does not take
-// the batched path (it falls back to per-row StateVector execution).
+// angles hit the per-row kernel variants. Under the reference backend
+// (QHDL_BACKEND=reference) every single-qubit gate runs as a dense 2x2
+// matvec instead, one shared matrix or one per row; two-qubit gates keep
+// their structure kernels under every backend. For two-qubit gates wire0
+// is the control (or first swap wire).
 
 void apply_gate_batch(StateVectorBatch& batch, GateType type,
                       std::span<const double> angles, std::size_t wire0,
                       std::size_t wire1 = SIZE_MAX);
 
+/// Applies the inverse gate.
 void apply_gate_inverse_batch(StateVectorBatch& batch, GateType type,
                               std::span<const double> angles,
                               std::size_t wire0, std::size_t wire1 = SIZE_MAX);
 
-/// Only valid for parameterized gates.
+/// Applies dU/dθ (non-unitary). Only valid for parameterized gates.
 void apply_gate_derivative_batch(StateVectorBatch& batch, GateType type,
                                  std::span<const double> angles,
                                  std::size_t wire0,
                                  std::size_t wire1 = SIZE_MAX);
+
+// A single state is the one-row batch: these are the B = 1 calls above.
+
+inline void apply_gate(StateVector& state, GateType type, double theta,
+                       std::size_t wire0, std::size_t wire1 = SIZE_MAX) {
+  apply_gate_batch(state, type, {&theta, 1}, wire0, wire1);
+}
+
+inline void apply_gate_inverse(StateVector& state, GateType type,
+                               double theta, std::size_t wire0,
+                               std::size_t wire1 = SIZE_MAX) {
+  apply_gate_inverse_batch(state, type, {&theta, 1}, wire0, wire1);
+}
+
+inline void apply_gate_derivative(StateVector& state, GateType type,
+                                  double theta, std::size_t wire0,
+                                  std::size_t wire1 = SIZE_MAX) {
+  apply_gate_derivative_batch(state, type, {&theta, 1}, wire0, wire1);
+}
 
 }  // namespace qhdl::quantum

@@ -39,10 +39,10 @@
 //
 // The `reference` backend is the one mode switch for the reference paths:
 // it registers generic's ops table unchanged, and its descriptor's
-// `reference` flag makes circuits run unfused through the generic dense
-// gate path (quantum::ExecutionPlan, gates.cpp), keeps the hybrid executor
-// off the batched SoA path, and trains classical models on the reference
-// Module path instead of the workspace trainer.
+// `reference` flag makes circuits run unfused
+// (quantum::ExecutionPlan::run_batch), sends single-qubit gates through the
+// dense 2x2 dispatch (gates.cpp), and trains classical models on the
+// reference Module path instead of the workspace trainer.
 #pragma once
 
 #include <complex>

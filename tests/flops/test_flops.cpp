@@ -227,8 +227,8 @@ TEST(DispatchCounts, ClassifyCircuitMatchesMeasuredCounters) {
 
 TEST(DispatchCounts, ClassifyPlanMatchesMeasuredCompiledCounters) {
   // Classify the compiled fused stream and run it: modeled counts must
-  // equal the measured dispatch mix of an ExecutionPlan::run, including the
-  // fused-chain and precomputed-pair accounting.
+  // equal the measured dispatch mix of an ExecutionPlan::run_batch,
+  // including the fused-chain and precomputed-pair accounting.
   quantum::Circuit circuit{3};
   circuit.gate(quantum::GateType::Hadamard, 0);       // chain on wire 0...
   circuit.parameterized_gate(quantum::GateType::RY, 0, 0);
@@ -253,7 +253,7 @@ TEST(DispatchCounts, ClassifyPlanMatchesMeasuredCompiledCounters) {
   util::Metrics::global().reset();
   quantum::StateVector state{3};
   const std::vector<double> params{0.4, -0.8};
-  plan->run(state, params);
+  plan->run_batch(state, params, params.size());
   const util::MetricsSnapshot measured = util::Metrics::global().snapshot();
   util::simd::set_backend(std::nullopt);
   EXPECT_EQ(measured.at("kernel.diagonal"), modeled.diagonal);

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numbers>
+#include <string>
+#include <vector>
 
+#include "quantum/circuit.hpp"
 #include "quantum/gates.hpp"
 
 namespace qhdl::qnn {
@@ -72,6 +77,71 @@ TEST(Expressibility, SelMoreExpressiveThanBelAtSameDepth) {
   const double sel = ansatz_expressibility(AnsatzKind::StronglyEntangling,
                                            3, 2, config, rng);
   EXPECT_LT(sel, bel);
+}
+
+/// Test-local expressibility: each pair through Circuit::execute and
+/// StateVector::inner_product, θ1 then θ2 drawn per pair.
+double per_pair_expressibility(AnsatzKind kind, std::size_t qubits,
+                               std::size_t depth,
+                               const ExpressibilityConfig& config,
+                               util::Rng& rng) {
+  quantum::Circuit circuit{qubits};
+  append_ansatz(circuit, kind, qubits, depth, 0);
+  std::vector<std::size_t> histogram(config.bins, 0);
+  for (std::size_t s = 0; s < config.sample_pairs; ++s) {
+    const auto theta1 = rng.uniform_vector(circuit.parameter_count(), 0.0,
+                                           2.0 * std::numbers::pi);
+    const auto theta2 = rng.uniform_vector(circuit.parameter_count(), 0.0,
+                                           2.0 * std::numbers::pi);
+    const double fidelity = std::norm(
+        circuit.execute(theta1).inner_product(circuit.execute(theta2)));
+    const auto bin = std::min(
+        static_cast<std::size_t>(fidelity * static_cast<double>(config.bins)),
+        config.bins - 1);
+    ++histogram[bin];
+  }
+  double kl = 0.0;
+  const double total = static_cast<double>(config.sample_pairs);
+  for (std::size_t b = 0; b < config.bins; ++b) {
+    if (histogram[b] == 0) continue;
+    const double p = static_cast<double>(histogram[b]) / total;
+    const double q = std::max(
+        haar_bin_probability(
+            std::size_t{1} << qubits,
+            static_cast<double>(b) / static_cast<double>(config.bins),
+            static_cast<double>(b + 1) / static_cast<double>(config.bins)),
+        1e-12);
+    kl += p * std::log(p / q);
+  }
+  return kl;
+}
+
+TEST(Expressibility, BatchedKlMatchesPerPairLoop) {
+  // The batched simulation must reproduce the per-pair loop's KL bit for
+  // bit and consume the RNG identically, for pair counts below, across and
+  // well past one simulation batch.
+  for (const AnsatzKind kind :
+       {AnsatzKind::BasicEntangler, AnsatzKind::StronglyEntangling}) {
+    for (const std::size_t qubits : {std::size_t{3}, std::size_t{4}}) {
+      for (const std::size_t pairs :
+           {std::size_t{1}, std::size_t{130}, std::size_t{300}}) {
+        ExpressibilityConfig config;
+        config.sample_pairs = pairs;
+        config.bins = 20;
+        util::Rng rng{21};
+        util::Rng reference_rng{21};
+        const double batched =
+            ansatz_expressibility(kind, qubits, 2, config, rng);
+        const double per_pair =
+            per_pair_expressibility(kind, qubits, 2, config, reference_rng);
+        const std::string label = ansatz_name(kind) + " q=" +
+                                  std::to_string(qubits) +
+                                  " pairs=" + std::to_string(pairs);
+        EXPECT_EQ(batched, per_pair) << label;
+        EXPECT_EQ(rng.uniform(), reference_rng.uniform()) << label;
+      }
+    }
+  }
 }
 
 TEST(Expressibility, ValidatesConfig) {

@@ -5,6 +5,7 @@
 // gradient-preservation properties.
 #include <cmath>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -97,6 +98,31 @@ void check_both_modes(const StateVector& initial, const ApplyFn& apply_fn,
   expect_states_close(specialized, generic, kTol, label);
 }
 
+/// The reference backend's dense dispatch over a B = 3 batch of copies of
+/// `initial` with a distinct angle per row (`apply_batch`): each row must be
+/// bit-identical to the single-state call `apply_single` with that row's
+/// angle.
+template <typename BatchFn, typename SingleFn>
+void check_reference_rows(const StateVector& initial, double theta,
+                          const BatchFn& apply_batch,
+                          const SingleFn& apply_single,
+                          const std::string& label) {
+  const KernelScope scope{true};
+  const std::vector<double> angles = {theta, theta + 0.5, -theta - 0.25};
+  StateVectorBatch batch{initial.num_qubits(), angles.size()};
+  for (std::size_t b = 0; b < angles.size(); ++b) batch.set_row(b, initial);
+  apply_batch(batch, std::span<const double>{angles});
+  for (std::size_t b = 0; b < angles.size(); ++b) {
+    StateVector single = initial;
+    apply_single(single, angles[b]);
+    const StateVector row = batch.extract_row(b);
+    for (std::size_t i = 0; i < row.dimension(); ++i) {
+      EXPECT_EQ(row.amplitudes()[i], single.amplitudes()[i])
+          << label << " row " << b << " amplitude " << i;
+    }
+  }
+}
+
 TEST(KernelEquivalence, EveryGateEveryPositionMatchesGeneric) {
   util::Rng rng{123};
   for (const std::size_t qubits : {3u, 4u, 5u}) {
@@ -112,6 +138,15 @@ TEST(KernelEquivalence, EveryGateEveryPositionMatchesGeneric) {
                 quantum::apply_gate(s, type, theta, w0);
               },
               case_label(type, qubits, w0, SIZE_MAX));
+          check_reference_rows(
+              initial, theta,
+              [&](StateVectorBatch& s, std::span<const double> angles) {
+                quantum::apply_gate_batch(s, type, angles, w0);
+              },
+              [&](StateVector& s, double angle) {
+                quantum::apply_gate(s, type, angle, w0);
+              },
+              "reference rows " + case_label(type, qubits, w0, SIZE_MAX));
         } else {
           for (std::size_t w1 = 0; w1 < qubits; ++w1) {
             if (w1 == w0) continue;
@@ -122,6 +157,15 @@ TEST(KernelEquivalence, EveryGateEveryPositionMatchesGeneric) {
                   quantum::apply_gate(s, type, theta, w0, w1);
                 },
                 case_label(type, qubits, w0, w1));
+            check_reference_rows(
+                initial, theta,
+                [&](StateVectorBatch& s, std::span<const double> angles) {
+                  quantum::apply_gate_batch(s, type, angles, w0, w1);
+                },
+                [&](StateVector& s, double angle) {
+                  quantum::apply_gate(s, type, angle, w0, w1);
+                },
+                "reference rows " + case_label(type, qubits, w0, w1));
           }
         }
       }
@@ -146,6 +190,15 @@ TEST(KernelEquivalence, InverseGatesMatchGeneric) {
             quantum::apply_gate_inverse(s, type, theta, w0, w1);
           },
           "inverse " + case_label(type, qubits, w0, w1));
+      check_reference_rows(
+          initial, theta,
+          [&](StateVectorBatch& s, std::span<const double> angles) {
+            quantum::apply_gate_inverse_batch(s, type, angles, w0, w1);
+          },
+          [&](StateVector& s, double angle) {
+            quantum::apply_gate_inverse(s, type, angle, w0, w1);
+          },
+          "reference rows inverse " + case_label(type, qubits, w0, w1));
     }
   }
 }
@@ -189,6 +242,15 @@ TEST(KernelEquivalence, DerivativeKernelsMatchGeneric) {
               quantum::apply_gate_derivative(s, type, theta, w0, w1);
             },
             "derivative " + case_label(type, qubits, w0, w1));
+        check_reference_rows(
+            initial, theta,
+            [&](StateVectorBatch& s, std::span<const double> angles) {
+              quantum::apply_gate_derivative_batch(s, type, angles, w0, w1);
+            },
+            [&](StateVector& s, double angle) {
+              quantum::apply_gate_derivative(s, type, angle, w0, w1);
+            },
+            "reference rows derivative " + case_label(type, qubits, w0, w1));
       }
     }
   }

@@ -22,9 +22,9 @@
 namespace qhdl::testing {
 
 /// Pins the execution paths for one scope through the kernel backend.
-/// ReferenceScope{true} selects the reference backend: generic dense gate
-/// kernels, unfused circuits, no batched SoA layer path, and the reference
-/// Module trainer. ReferenceScope{false} keeps the active backend's fast
+/// ReferenceScope{true} selects the reference backend: dense 2x2 dispatch
+/// for single-qubit gates, unfused circuits, and the reference Module
+/// trainer. ReferenceScope{false} keeps the active backend's fast
 /// paths (falling back to generic when the active backend is the reference
 /// one). Restores the env/build/auto selection on exit.
 class ReferenceScope {
