@@ -357,11 +357,11 @@ void run_adjoint_vjp_batch_backend(benchmark::State& state,
     observables.push_back(Observable::pauli_z(w));
   }
   std::vector<double> upstream(batch * qubits, 0.5);
+  std::vector<double> gradient(batch * proto.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        quantum::adjoint_vjp_batch(circuit, params, proto.size(), batch,
-                                   observables, upstream)
-            .gradient.data());
+    quantum::adjoint_vjp_batch(circuit, params, proto.size(), batch,
+                               observables, upstream, gradient);
+    benchmark::DoNotOptimize(gradient.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch));

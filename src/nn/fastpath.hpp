@@ -1,9 +1,11 @@
-// Classical-training fast-path observability.
+// Training fast-path observability.
 //
-// train_classifier routes classical Sequential models through the
-// preallocated workspace trainer (nn/workspace.hpp): fused GEMM + bias +
-// activation forward, fused softmax-cross-entropy loss, in-place backward
-// and Adam step with zero steady-state heap allocations. Under the
+// train_classifier routes classical Sequential models and the paper's
+// hybrids through the preallocated workspace trainer (nn/workspace.hpp):
+// fused GEMM + bias + activation forward, the QuantumLayer's exact path as
+// a quantum stage, fused softmax-cross-entropy loss, in-place backward and
+// Adam step with zero steady-state heap allocations. Noisy, finite-shot
+// and amplitude-encoded quantum layers take the Module path. Under the
 // `reference` kernel backend (QHDL_BACKEND=reference,
 // util/backend_registry.hpp) every run takes the reference
 // Module::forward/backward path instead, which is how the two paths are

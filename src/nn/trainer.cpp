@@ -102,11 +102,12 @@ TrainHistory train_classifier(Module& model, Optimizer& optimizer,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
-  // Workspace fast path: pure classical Sequential stacks train through a
-  // preallocated, fused, zero-steady-state-allocation pipeline. Hybrid and
-  // custom models — and every model under the reference kernel backend —
-  // use the reference Module path below. Both produce bit-identical
-  // histories.
+  // Workspace fast path: classical stacks and the paper's hybrids (whose
+  // exact-path QuantumLayer is a row stage) train through a preallocated,
+  // fused, zero-steady-state-allocation pipeline. Noisy, finite-shot and
+  // amplitude-encoded layers, custom models — and every model under the
+  // reference kernel backend — use the reference Module path below. Both
+  // produce bit-identical histories.
   std::unique_ptr<TrainWorkspace> workspace;
   if (!util::simd::active_backend().reference) {
     if (auto* sequential = dynamic_cast<Sequential*>(&model)) {

@@ -73,11 +73,15 @@ struct TrainHistory {
 /// Trains `model` with softmax cross-entropy on (x_train, y_train),
 /// evaluating on (x_val, y_val) each epoch. `rng` drives batch shuffling.
 ///
-/// Classical Sequential models (Dense + Tanh/ReLU/Sigmoid stacks) train on
-/// the zero-allocation workspace fast path (nn/workspace.hpp); anything else
-/// — and everything under the reference kernel backend (nn/fastpath.hpp) —
-/// uses the reference Module::forward/backward path. Both paths produce
-/// bit-identical TrainHistory values and consume the RNG identically.
+/// Sequential models of Dense + Tanh/ReLU/Sigmoid layers and row-stage
+/// layers — every classical candidate and every paper hybrid with an exact
+/// QuantumLayer — train on the zero-allocation workspace fast path
+/// (nn/workspace.hpp); anything else (noisy or finite-shot quantum layers,
+/// AmplitudeLayer, custom modules) — and everything under the reference
+/// kernel backend (nn/fastpath.hpp) — uses the reference
+/// Module::forward/backward path. Both paths produce bit-identical
+/// TrainHistory values on the same backend and consume the RNG
+/// identically.
 TrainHistory train_classifier(Module& model, Optimizer& optimizer,
                               const tensor::Tensor& x_train,
                               std::span<const std::size_t> y_train,

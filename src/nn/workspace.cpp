@@ -8,6 +8,7 @@
 #include "nn/fastpath.hpp"
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
+#include "nn/row_stage.hpp"
 #include "tensor/gemm.hpp"
 
 namespace qhdl::nn {
@@ -31,23 +32,23 @@ void bias_act_rows(double* out, std::size_t rows, std::size_t cols,
 
 }  // namespace
 
-bool TrainWorkspace::supports(const Sequential& model) {
-  bool expect_dense = true;  // activations only allowed right after a Dense
-  std::size_t dense_count = 0;
+bool TrainWorkspace::supports(Sequential& model) {
+  bool activation_allowed = false;  // only right after a Dense
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    const Module& layer = model.layer(i);
-    if (dynamic_cast<const Dense*>(&layer) != nullptr) {
-      expect_dense = false;
-      ++dense_count;
+    Module& layer = model.layer(i);
+    if (dynamic_cast<Dense*>(&layer) != nullptr) {
+      activation_allowed = true;
       continue;
     }
-    const bool is_activation = dynamic_cast<const Tanh*>(&layer) != nullptr ||
-                               dynamic_cast<const ReLU*>(&layer) != nullptr ||
-                               dynamic_cast<const Sigmoid*>(&layer) != nullptr;
-    if (!is_activation || expect_dense) return false;
-    expect_dense = true;  // at most one activation per Dense
+    const bool is_activation = dynamic_cast<Tanh*>(&layer) != nullptr ||
+                               dynamic_cast<ReLU*>(&layer) != nullptr ||
+                               dynamic_cast<Sigmoid*>(&layer) != nullptr;
+    if (is_activation ? !activation_allowed : layer.row_stage() == nullptr) {
+      return false;
+    }
+    activation_allowed = false;  // at most one activation per Dense
   }
-  return dense_count > 0;
+  return model.layer_count() > 0;
 }
 
 std::unique_ptr<TrainWorkspace> TrainWorkspace::compile(
@@ -62,6 +63,12 @@ std::unique_ptr<TrainWorkspace> TrainWorkspace::compile(
       stage.dense = dense;
       stage.inputs = dense->inputs();
       stage.outputs = dense->outputs();
+      ws->stages_.push_back(stage);
+    } else if (RowStage* rows = layer.row_stage()) {
+      Stage stage;
+      stage.rows = rows;
+      stage.inputs = rows->row_inputs();
+      stage.outputs = rows->row_outputs();
       ws->stages_.push_back(stage);
     } else if (dynamic_cast<Tanh*>(&layer) != nullptr) {
       ws->stages_.back().activation = FusedActivation::Tanh;
@@ -99,7 +106,11 @@ std::unique_ptr<TrainWorkspace> TrainWorkspace::compile(
 }
 
 void TrainWorkspace::stage_forward(const Stage& stage, const double* input,
-                                   std::size_t m, double* out) const {
+                                   std::size_t m, double* out) {
+  if (stage.rows != nullptr) {
+    stage.rows->forward_rows(input, m, out);
+    return;
+  }
   tensor::gemm::dgemm(m, stage.outputs, stage.inputs, input, stage.inputs,
                       /*a_transposed=*/false, stage.dense->weight().value.data().data(),
                       stage.outputs, /*b_transposed=*/false, out, stage.outputs,
@@ -163,11 +174,20 @@ double TrainWorkspace::train_step(const tensor::Tensor& x,
       activations_.back().data(), m, classes_, y_batch_.data(),
       gradients_.back().data());
 
-  // Backward. Same per-layer arithmetic as the reference modules: activation
+  // Backward. Same per-layer arithmetic as the reference modules: a row
+  // stage runs its own backward; a dense stage takes the activation
   // derivative in place, then dW += Xᵀ·dY, db += colsum(dY), dX = dY·Wᵀ.
   for (std::size_t s = stages_.size(); s-- > 0;) {
     const Stage& stage = stages_[s];
     double* grad = gradients_[s].data();
+    const double* stage_input =
+        s == 0 ? x_batch_.data() : activations_[s - 1].data();
+    // The first stage's input gradient is consumed by nothing — skip it.
+    double* grad_in = s == 0 ? nullptr : gradients_[s - 1].data();
+    if (stage.rows != nullptr) {
+      stage.rows->backward_rows(stage_input, grad, m, grad_in);
+      continue;
+    }
     const double* out = activations_[s].data();
     const std::size_t count = m * stage.outputs;
     switch (stage.activation) {
@@ -194,8 +214,6 @@ double TrainWorkspace::train_step(const tensor::Tensor& x,
         break;
     }
 
-    const double* stage_input =
-        s == 0 ? x_batch_.data() : activations_[s - 1].data();
     // dW += Xᵀ·dY, accumulated directly into the parameter gradient.
     tensor::gemm::dgemm(stage.inputs, stage.outputs, m, stage_input,
                         stage.inputs, /*a_transposed=*/true, grad,
@@ -208,15 +226,13 @@ double TrainWorkspace::train_step(const tensor::Tensor& x,
       const double* grow = grad + i * stage.outputs;
       for (std::size_t j = 0; j < stage.outputs; ++j) bias_grad[j] += grow[j];
     }
-    // dX = dY·Wᵀ into the previous stage's gradient buffer. The first
-    // layer's input gradient is consumed by nothing — skip it.
-    if (s > 0) {
+    // dX = dY·Wᵀ into the previous stage's gradient buffer.
+    if (grad_in != nullptr) {
       tensor::gemm::dgemm(m, stage.inputs, stage.outputs, grad, stage.outputs,
                           /*a_transposed=*/false,
                           stage.dense->weight().value.data().data(),
-                          stage.outputs, /*b_transposed=*/true,
-                          gradients_[s - 1].data(), stage.inputs,
-                          /*accumulate=*/false);
+                          stage.outputs, /*b_transposed=*/true, grad_in,
+                          stage.inputs, /*accumulate=*/false);
     }
   }
 

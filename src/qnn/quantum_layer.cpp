@@ -54,23 +54,24 @@ QuantumLayer::QuantumLayer(const QuantumLayerConfig& config, util::Rng& rng)
   }
 }
 
-void QuantumLayer::pack_params(const Tensor& input, std::size_t row,
+void QuantumLayer::pack_params(const double* row,
                                std::span<double> out) const {
   const std::size_t q = config_.qubits;
   for (std::size_t i = 0; i < q; ++i) {
-    out[i] = config_.encoding.scale * input.at(row, i);
+    out[i] = config_.encoding.scale * row[i];
   }
   for (std::size_t i = 0; i < weights_.value.size(); ++i) {
     out[q + i] = weights_.value[i];
   }
 }
 
-void QuantumLayer::pack_batch(const Tensor& input,
-                              std::vector<double>& out) const {
+void QuantumLayer::pack_rows(const double* input, std::size_t rows,
+                             std::vector<double>& out) const {
   const std::size_t stride = config_.qubits + weights_.value.size();
-  out.resize(input.rows() * stride);
-  for (std::size_t b = 0; b < input.rows(); ++b) {
-    pack_params(input, b, std::span<double>{out}.subspan(b * stride, stride));
+  out.resize(rows * stride);
+  for (std::size_t b = 0; b < rows; ++b) {
+    pack_params(input + b * config_.qubits,
+                std::span<double>{out}.subspan(b * stride, stride));
   }
 }
 
@@ -78,10 +79,8 @@ std::size_t QuantumLayer::chunk_count(std::size_t batch) const {
   return std::min(std::max<std::size_t>(config_.threads, 1), batch);
 }
 
-void QuantumLayer::for_each_chunk(
-    std::size_t batch,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& work)
-    const {
+template <typename Work>
+void QuantumLayer::for_each_chunk(std::size_t batch, const Work& work) const {
   const std::size_t chunks = chunk_count(batch);
   const auto run_chunk = [&](std::size_t c) {
     const std::size_t begin = c * batch / chunks;
@@ -93,6 +92,85 @@ void QuantumLayer::for_each_chunk(
     util::parallel_for(0, chunks, config_.threads, run_chunk);
   } else {
     run_chunk(0);
+  }
+}
+
+nn::RowStage* QuantumLayer::row_stage() { return exact() ? this : nullptr; }
+
+void QuantumLayer::forward_rows(const double* input, std::size_t rows,
+                                double* out) {
+  forward_states_valid_ = false;
+  if (rows == 0) return;
+
+  // All rows march through the SoA gate kernels together, hitting
+  // contiguous memory (see StateVectorBatch). Chunked over the thread pool;
+  // per-row arithmetic is independent of the chunk boundaries, so results
+  // stay bit-identical across thread counts. Each chunk's final state is
+  // kept for backward_rows() (forward-state reuse).
+  const std::size_t q = config_.qubits;
+  const std::size_t stride = q + weights_.value.size();
+  pack_rows(input, rows, forward_params_);
+  forward_states_.resize(chunk_count(rows));
+  for_each_chunk(rows, [&](std::size_t c, std::size_t begin, std::size_t n) {
+    std::optional<quantum::StateVectorBatch>& state = forward_states_[c];
+    if (!state) {
+      state.emplace(q, n);
+    } else if (state->batch() != n) {
+      state->resize(n);
+    }
+    executor_.run_batch(
+        *state,
+        std::span<const double>{forward_params_}.subspan(begin * stride,
+                                                         n * stride),
+        stride, std::span<double>{out + begin * q, n * q});
+  });
+  forward_backend_ = &util::simd::active_backend();
+  forward_states_valid_ = true;
+}
+
+void QuantumLayer::backward_rows(const double* input, const double* grad_out,
+                                 std::size_t rows, double* grad_in) {
+  // Whatever happens below, the kept forward states are spent: reuse
+  // consumes them, and a mismatch means they are stale.
+  const bool states_kept = forward_states_valid_;
+  forward_states_valid_ = false;
+  if (rows == 0) return;
+
+  // One adjoint sweep per chunk covers every row in it (parameter-shift
+  // runs per row inside the executor). When the repacked [angles | weights]
+  // rows are bitwise equal to the ones forward_rows() simulated (same
+  // input, weights untouched), the sweep starts from its kept state instead
+  // of re-simulating it.
+  const std::size_t q = config_.qubits;
+  const std::size_t stride = q + weights_.value.size();
+  pack_rows(input, rows, backward_params_);
+  const bool reuse =
+      states_kept && forward_backend_ == &util::simd::active_backend() &&
+      forward_params_.size() == backward_params_.size() &&
+      std::memcmp(forward_params_.data(), backward_params_.data(),
+                  backward_params_.size() * sizeof(double)) == 0;
+  vjp_gradient_.resize(rows * stride);
+  for_each_chunk(rows, [&](std::size_t c, std::size_t begin, std::size_t n) {
+    executor_.run_with_vjp_batch(
+        std::span<const double>{backward_params_}.subspan(begin * stride,
+                                                          n * stride),
+        stride, n, std::span<const double>{grad_out + begin * q, n * q},
+        std::span<double>{vjp_gradient_}.subspan(begin * stride, n * stride),
+        reuse ? &*forward_states_[c] : nullptr);
+  });
+  // First q entries per row are encoding-angle gradients; the chain rule
+  // through angle = scale * input multiplies by the encoding scale. Weight
+  // gradients accumulate rows in ascending order.
+  for (std::size_t b = 0; b < rows; ++b) {
+    const double* row = vjp_gradient_.data() + b * stride;
+    if (grad_in != nullptr) {
+      for (std::size_t w = 0; w < q; ++w) {
+        grad_in[b * q + w] = config_.encoding.scale * row[w];
+      }
+    }
+    for (std::size_t i = 0; i < weights_.value.size(); ++i) {
+      weights_.grad[i] += row[q + i];
+    }
   }
 }
 
@@ -108,30 +186,8 @@ Tensor QuantumLayer::forward(const Tensor& input) {
   forward_states_valid_ = false;
 
   Tensor output{Shape{input.rows(), q}};
-  if (input.rows() == 0) return output;
-
-  // Exact path: all rows march through the SoA gate kernels together,
-  // hitting contiguous memory (see StateVectorBatch). Chunked over the
-  // thread pool; per-row arithmetic is independent of the chunk boundaries,
-  // so results stay bit-identical across thread counts. Each chunk's final
-  // state is kept for backward() (forward-state reuse).
-  if (config_.noise.empty() && config_.shots == 0) {
-    const std::size_t batch = input.rows();
-    const std::size_t stride = q + weights_.value.size();
-    pack_batch(input, forward_params_);
-    forward_states_.resize(chunk_count(batch));
-    for_each_chunk(batch, [&](std::size_t c, std::size_t begin,
-                              std::size_t rows) {
-      std::optional<quantum::StateVectorBatch>& state = forward_states_[c];
-      if (!state || state->batch() != rows) state.emplace(q, rows);
-      executor_.run_batch(
-          *state,
-          std::span<const double>{forward_params_}.subspan(begin * stride,
-                                                           rows * stride),
-          stride, output.data().subspan(begin * q, rows * q));
-    });
-    forward_backend_ = &util::simd::active_backend();
-    forward_states_valid_ = true;
+  if (exact()) {
+    forward_rows(input.data().data(), input.rows(), output.data().data());
     return output;
   }
 
@@ -141,7 +197,7 @@ Tensor QuantumLayer::forward(const Tensor& input) {
   for (std::size_t w = 0; w < q; ++w) wires[w] = w;
   std::vector<double> params(q + weights_.value.size());
   for (std::size_t b = 0; b < input.rows(); ++b) {
-    pack_params(input, b, params);
+    pack_params(input.data().data() + b * q, params);
     std::vector<double> expectations;
     if (!config_.noise.empty()) {
       expectations = quantum::noisy_expvals(executor_.circuit(), params,
@@ -174,56 +230,21 @@ Tensor QuantumLayer::backward(const Tensor& grad_output) {
 
   const std::size_t batch = cached_input_.rows();
   Tensor grad_input{Shape{batch, q}};
-
-  // Whatever happens below, the kept forward states are spent: reuse
-  // consumes them, and a mismatch means they are stale.
-  const bool states_kept = forward_states_valid_;
-  forward_states_valid_ = false;
-  if (batch == 0) return grad_input;
-
-  // Exact path mirroring forward(): one adjoint sweep per chunk covers
-  // every row in it (parameter-shift runs per row inside the executor).
-  // When the repacked [angles | weights] rows are bitwise equal to the ones
-  // forward() simulated (same input, weights untouched), the sweep starts
-  // from forward()'s kept state instead of re-simulating it.
-  const std::size_t stride = q + weights_.value.size();
   if (config_.noise.empty()) {
-    pack_batch(cached_input_, backward_params_);
-    const bool reuse =
-        states_kept && forward_backend_ == &util::simd::active_backend() &&
-        forward_params_.size() == backward_params_.size() &&
-        std::memcmp(forward_params_.data(), backward_params_.data(),
-                    backward_params_.size() * sizeof(double)) == 0;
-    std::vector<double> all_grads(batch * stride);
-    for_each_chunk(batch, [&](std::size_t c, std::size_t begin,
-                              std::size_t rows) {
-      const auto vjp = executor_.run_with_vjp_batch(
-          std::span<const double>{backward_params_}.subspan(begin * stride,
-                                                            rows * stride),
-          stride, rows, grad_output.data().subspan(begin * q, rows * q),
-          reuse ? &*forward_states_[c] : nullptr);
-      std::copy(vjp.gradient.begin(), vjp.gradient.end(),
-                all_grads.begin() + begin * stride);
-    });
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t w = 0; w < q; ++w) {
-        grad_input.at(b, w) =
-            config_.encoding.scale * all_grads[b * stride + w];
-      }
-      for (std::size_t i = 0; i < weights_.value.size(); ++i) {
-        weights_.grad[i] += all_grads[b * stride + q + i];
-      }
-    }
+    // Exact path; with shots the forward sampled, but gradients stay exact
+    // (and, having no kept states, recompute the forward).
+    backward_rows(cached_input_.data().data(), grad_output.data().data(),
+                  batch, grad_input.data().data());
     return grad_input;
   }
 
   // Noise: parameter-shift rules on the density matrix, one row at a time.
   std::vector<std::size_t> wires(q);
   for (std::size_t w = 0; w < q; ++w) wires[w] = w;
-  std::vector<double> params(stride);
+  std::vector<double> params(q + weights_.value.size());
   std::vector<double> upstream(q);
   for (std::size_t b = 0; b < batch; ++b) {
-    pack_params(cached_input_, b, params);
+    pack_params(cached_input_.data().data() + b * q, params);
     for (std::size_t w = 0; w < q; ++w) upstream[w] = grad_output.at(b, w);
     const std::vector<double> gradient =
         quantum::noisy_parameter_shift_vjp(executor_.circuit(), params,

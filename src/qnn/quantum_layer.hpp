@@ -10,26 +10,35 @@
 //
 // Circuit parameter layout: [inputs (q) | ansatz weights (weight_count)].
 //
-// Forward-state reuse (exact batched path only). The adjoint sweep starts from
-// the circuit's output state, which forward() has just computed, so the
+// Exact path (noiseless, shot-free) = the layer's nn::RowStage
+// (nn/row_stage.hpp): forward_rows/backward_rows on raw row-major buffers.
+// TrainWorkspace calls them directly; forward()/backward() are thin Tensor
+// wrappers over the same two calls, so the workspace and the Module path
+// run one implementation. Noisy and finite-shot layers have no row stage
+// and keep their per-row Module path.
+//
+// Forward-state reuse (exact path only). The adjoint sweep starts from the
+// circuit's output state, which forward_rows() has just computed, so the
 // layer simulates each training batch once:
-//   * the layer owns one StateVectorBatch per thread chunk; forward()
+//   * the layer owns one StateVectorBatch per thread chunk; forward_rows()
 //     leaves each chunk's final state in it and keeps the packed
 //     [angles | weights] rows the states were built from;
-//   * backward() repacks the rows from the cached input and the current
-//     weights; only if that buffer is bitwise equal to forward()'s and the
-//     kernel backend is the one forward() ran on does the sweep consume the
-//     kept states, otherwise it re-simulates the forward;
-//   * the states are spent by any backward() (consumed or stale), and
-//     every forward() rebuilds them, so a second backward(), or one after
-//     the weights changed, recomputes. Either way the gradients are
-//     bit-identical.
+//   * backward_rows() repacks the rows from its input and the current
+//     weights; only if that buffer is bitwise equal to forward_rows()'s and
+//     the kernel backend is the one forward_rows() ran on does the sweep
+//     consume the kept states, otherwise it re-simulates the forward;
+//   * the states are spent by any backward (consumed or stale), and every
+//     forward rebuilds them, so a second backward, or one after the weights
+//     changed, recomputes. Either way the gradients are bit-identical.
+// Every buffer (states, packed rows, VJP gradient) is resized in place, so
+// after the largest batch has been seen the exact path allocates nothing
+// (on one thread; more go through the shared pool's task queue).
 #pragma once
 
-#include <functional>
 #include <optional>
 
 #include "nn/module.hpp"
+#include "nn/row_stage.hpp"
 #include "qnn/ansatz.hpp"
 #include "qnn/encoding.hpp"
 #include "quantum/channels.hpp"
@@ -62,7 +71,7 @@ struct QuantumLayerConfig {
   std::size_t threads = 1;
 };
 
-class QuantumLayer : public nn::Module {
+class QuantumLayer : public nn::Module, public nn::RowStage {
  public:
   /// Weights initialized U(0, 2π) per PennyLane template convention.
   QuantumLayer(const QuantumLayerConfig& config, util::Rng& rng);
@@ -72,6 +81,16 @@ class QuantumLayer : public nn::Module {
   std::vector<nn::Parameter*> parameters() override;
   nn::LayerInfo info() const override;
   std::string name() const override;
+  /// This layer on the exact path; nullptr with noise or shots.
+  nn::RowStage* row_stage() override;
+
+  // nn::RowStage: the exact path (q inputs, q outputs per row).
+  std::size_t row_inputs() const override { return config_.qubits; }
+  std::size_t row_outputs() const override { return config_.qubits; }
+  void forward_rows(const double* input, std::size_t rows,
+                    double* out) override;
+  void backward_rows(const double* input, const double* grad_out,
+                     std::size_t rows, double* grad_in) override;
 
   std::size_t qubits() const { return config_.qubits; }
   std::size_t depth() const { return config_.depth; }
@@ -84,23 +103,24 @@ class QuantumLayer : public nn::Module {
   std::vector<double> run_single(std::span<const double> angles) const;
 
  private:
-  /// Writes [angles | weights] for one sample row into `out` (size
-  /// qubits + weight_count).
-  void pack_params(const tensor::Tensor& input, std::size_t row,
-                   std::span<double> out) const;
+  /// True on the exact (noiseless, shot-free) path.
+  bool exact() const { return config_.noise.empty() && config_.shots == 0; }
 
-  /// Packs every row of `input` into `out`, row b at b * stride.
-  void pack_batch(const tensor::Tensor& input, std::vector<double>& out) const;
+  /// Writes [angles | weights] for one sample row (q values at `row`) into
+  /// `out` (size qubits + weight_count).
+  void pack_params(const double* row, std::span<double> out) const;
+
+  /// Packs `rows` rows of `input` into `out`, row b at b * stride.
+  void pack_rows(const double* input, std::size_t rows,
+                 std::vector<double>& out) const;
 
   /// Thread chunks a batch splits into on the batched path.
   std::size_t chunk_count(std::size_t batch) const;
 
   /// Runs work(chunk, first_row, rows) over chunk_count(batch) contiguous
   /// chunks of [0, batch), on the shared pool when there is more than one.
-  void for_each_chunk(
-      std::size_t batch,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& work)
-      const;
+  template <typename Work>
+  void for_each_chunk(std::size_t batch, const Work& work) const;
 
   QuantumLayerConfig config_;
   quantum::Executor executor_;
@@ -110,10 +130,11 @@ class QuantumLayer : public nn::Module {
   bool has_cached_input_ = false;
   /// Forward-state reuse (see the file comment): one final state per chunk,
   /// the packed rows and the backend they were simulated with, and
-  /// backward()'s repack.
+  /// backward_rows()'s repack and VJP gradient.
   std::vector<std::optional<quantum::StateVectorBatch>> forward_states_;
   std::vector<double> forward_params_;
   std::vector<double> backward_params_;
+  std::vector<double> vjp_gradient_;
   const util::simd::Backend* forward_backend_ = nullptr;
   bool forward_states_valid_ = false;
 };

@@ -12,11 +12,15 @@ namespace qhdl::quantum {
 namespace {
 
 /// Thread-local scratch batch of the requested shape: re-created only when
-/// the shape changes, so repeated same-shape calls allocate nothing.
+/// the qubit count changes and resized in place otherwise, so calls that
+/// alternate between row counts (full and tail training batches) allocate
+/// nothing once the largest has been seen.
 StateVectorBatch& scratch_batch(std::optional<StateVectorBatch>& slot,
                                 std::size_t num_qubits, std::size_t rows) {
-  if (!slot || slot->num_qubits() != num_qubits || slot->batch() != rows) {
+  if (!slot || slot->num_qubits() != num_qubits) {
     slot.emplace(num_qubits, rows);
+  } else if (slot->batch() != rows) {
+    slot->resize(rows);
   }
   return *slot;
 }
@@ -220,12 +224,12 @@ void diagonal_expectations_batch(
   }
 }
 
-BatchAdjointVjpResult adjoint_vjp_batch(
-    const Circuit& circuit, std::span<const double> params,
-    std::size_t param_stride, std::size_t batch_rows,
-    std::span<const Observable> observables,
-    std::span<const double> upstream_weights,
-    StateVectorBatch* forward_state) {
+void adjoint_vjp_batch(const Circuit& circuit, std::span<const double> params,
+                       std::size_t param_stride, std::size_t batch_rows,
+                       std::span<const Observable> observables,
+                       std::span<const double> upstream_weights,
+                       std::span<double> gradient,
+                       StateVectorBatch* forward_state) {
   std::vector<std::vector<double>> diagonals;
   diagonals.reserve(observables.size());
   for (const Observable& obs : observables) {
@@ -237,17 +241,19 @@ BatchAdjointVjpResult adjoint_vjp_batch(
     }
     diagonals.push_back(obs.diagonal(circuit.num_qubits()));
   }
-  return adjoint_vjp_batch_diagonal(circuit, params, param_stride, batch_rows,
-                                    diagonals, upstream_weights,
-                                    forward_state);
+  adjoint_vjp_batch_diagonal(circuit, params, param_stride, batch_rows,
+                             diagonals, upstream_weights, gradient,
+                             forward_state);
 }
 
-BatchAdjointVjpResult adjoint_vjp_batch_diagonal(
-    const Circuit& circuit, std::span<const double> params,
-    std::size_t param_stride, std::size_t batch_rows,
-    std::span<const std::vector<double>> diagonals,
-    std::span<const double> upstream_weights,
-    StateVectorBatch* forward_state) {
+void adjoint_vjp_batch_diagonal(const Circuit& circuit,
+                                std::span<const double> params,
+                                std::size_t param_stride,
+                                std::size_t batch_rows,
+                                std::span<const std::vector<double>> diagonals,
+                                std::span<const double> upstream_weights,
+                                std::span<double> gradient,
+                                StateVectorBatch* forward_state) {
   const std::size_t obs_count = diagonals.size();
   if (upstream_weights.size() != batch_rows * obs_count) {
     throw std::invalid_argument(
@@ -269,6 +275,10 @@ BatchAdjointVjpResult adjoint_vjp_batch_diagonal(
     throw std::invalid_argument(
         "adjoint_vjp_batch: got " + std::to_string(params.size()) +
         " params, need exactly " + std::to_string(batch_rows * param_stride));
+  }
+  if (gradient.size() != batch_rows * circuit.parameter_count()) {
+    throw std::invalid_argument(
+        "adjoint_vjp_batch: gradient size must be batch * parameters");
   }
 
   const std::size_t num_qubits = circuit.num_qubits();
@@ -303,14 +313,6 @@ BatchAdjointVjpResult adjoint_vjp_batch_diagonal(
   }
   StateVectorBatch& phi = *phi_ptr;
 
-  BatchAdjointVjpResult result;
-  result.batch = batch_rows;
-  result.observable_count = obs_count;
-  // Each diagonal entry matches expectation()'s fast-path sign_weight, so
-  // the per-row expectations are bit-identical to the scalar path.
-  result.expectations.resize(batch_rows * obs_count);
-  diagonal_expectations_batch(phi, diagonals, result.expectations);
-
   // Co-state seed: λ_b = Σ_k w_{b,k} (O_k ψ_b), accumulated term-by-term in
   // the same order as the scalar weighted_observable_state (k outer,
   // ascending i, w == 0 terms skipped) — bit-identical per row for the
@@ -332,10 +334,8 @@ BatchAdjointVjpResult adjoint_vjp_batch_diagonal(
     }
   }
 
-  result.gradient.assign(batch_rows * circuit.parameter_count(), 0.0);
-  reverse_sweep_batch(circuit, params, param_stride, lambda, &phi,
-                      result.gradient);
-  return result;
+  std::fill(gradient.begin(), gradient.end(), 0.0);
+  reverse_sweep_batch(circuit, params, param_stride, lambda, &phi, gradient);
 }
 
 std::vector<std::vector<double>> adjoint_jacobian(

@@ -81,20 +81,16 @@ std::vector<std::vector<double>> adjoint_jacobian(
 
 // --- batched (SoA) adjoint VJP --------------------------------------------
 
-struct BatchAdjointVjpResult {
-  std::size_t batch = 0;
-  std::size_t observable_count = 0;
-  std::vector<double> expectations;  ///< [b * observable_count + k]
-  std::vector<double> gradient;      ///< [b * parameter_count + p]
-};
-
 /// One reverse sweep over a whole SoA batch of rows. Row b reads its circuit
 /// parameters from params[b*param_stride, (b+1)*param_stride) and its
 /// upstream weights from upstream_weights[b*K, (b+1)*K) with
-/// K = observables.size(). Requires every observable to be diagonal
-/// (all-Z) so the co-state seed is a per-amplitude multiply — the hybrid
-/// layer's ⟨Z_w⟩ heads satisfy this; callers with X/Y observables fall back
-/// to the per-row adjoint_vjp. Throws std::invalid_argument otherwise.
+/// K = observables.size(), and gets dL/dθ in
+/// gradient[b*P, (b+1)*P) with P = circuit.parameter_count() (the caller's
+/// buffer, overwritten; exactly batch_rows * P entries). Requires every
+/// observable to be diagonal (all-Z) so the co-state seed is a
+/// per-amplitude multiply — the hybrid layer's ⟨Z_w⟩ heads satisfy this;
+/// callers with X/Y observables fall back to the per-row adjoint_vjp.
+/// Throws std::invalid_argument otherwise.
 ///
 /// Forward-state reuse: a non-null `forward_state` must hold the circuit
 /// applied to |0…0⟩ with exactly these `params` (e.g. the batch a forward
@@ -105,22 +101,25 @@ struct BatchAdjointVjpResult {
 /// matches the params (the hybrid layer compares the packed parameter
 /// buffers bitwise); given that, the result is bit-identical to passing
 /// nullptr, which recomputes the forward. A shape mismatch throws.
-BatchAdjointVjpResult adjoint_vjp_batch(
-    const Circuit& circuit, std::span<const double> params,
-    std::size_t param_stride, std::size_t batch_rows,
-    std::span<const Observable> observables,
-    std::span<const double> upstream_weights,
-    StateVectorBatch* forward_state = nullptr);
+void adjoint_vjp_batch(const Circuit& circuit, std::span<const double> params,
+                       std::size_t param_stride, std::size_t batch_rows,
+                       std::span<const Observable> observables,
+                       std::span<const double> upstream_weights,
+                       std::span<double> gradient,
+                       StateVectorBatch* forward_state = nullptr);
 
 /// adjoint_vjp_batch with the observables given as their computational-basis
 /// diagonals (Observable::diagonal), so a caller that runs many batches
-/// (Executor) builds them once instead of per call.
-BatchAdjointVjpResult adjoint_vjp_batch_diagonal(
-    const Circuit& circuit, std::span<const double> params,
-    std::size_t param_stride, std::size_t batch_rows,
-    std::span<const std::vector<double>> diagonals,
-    std::span<const double> upstream_weights,
-    StateVectorBatch* forward_state = nullptr);
+/// (Executor) builds them once instead of per call. Allocates nothing once
+/// its thread-local scratch has seen the largest batch.
+void adjoint_vjp_batch_diagonal(const Circuit& circuit,
+                                std::span<const double> params,
+                                std::size_t param_stride,
+                                std::size_t batch_rows,
+                                std::span<const std::vector<double>> diagonals,
+                                std::span<const double> upstream_weights,
+                                std::span<double> gradient,
+                                StateVectorBatch* forward_state = nullptr);
 
 /// out[b * K + k] = Σ_i diagonals[k][i] · |amp_b[i]|², one running sum per
 /// row in ascending amplitude order — bit-identical to

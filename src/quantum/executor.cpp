@@ -75,37 +75,35 @@ void Executor::run_batch(StateVectorBatch& state,
   diagonal_expectations_batch(state, diagonals_, expectations);
 }
 
-BatchAdjointVjpResult Executor::run_with_vjp_batch(
-    std::span<const double> params, std::size_t param_stride,
-    std::size_t batch_rows, std::span<const double> upstream,
-    StateVectorBatch* forward_state) const {
+void Executor::run_with_vjp_batch(std::span<const double> params,
+                                  std::size_t param_stride,
+                                  std::size_t batch_rows,
+                                  std::span<const double> upstream,
+                                  std::span<double> gradient,
+                                  StateVectorBatch* forward_state) const {
   const std::size_t obs_count = observables_.size();
   if (upstream.size() != batch_rows * obs_count) {
     throw std::invalid_argument(
         "Executor::run_with_vjp_batch: upstream size");
   }
   if (diff_method_ == DiffMethod::Adjoint && !diagonals_.empty()) {
-    return adjoint_vjp_batch_diagonal(circuit_, params, param_stride,
-                                      batch_rows, diagonals_, upstream,
-                                      forward_state);
+    adjoint_vjp_batch_diagonal(circuit_, params, param_stride, batch_rows,
+                               diagonals_, upstream, gradient, forward_state);
+    return;
   }
   // Per-row fallback (parameter-shift or non-diagonal observables).
-  BatchAdjointVjpResult result;
-  result.batch = batch_rows;
-  result.observable_count = obs_count;
   const std::size_t parameter_count = circuit_.parameter_count();
-  result.expectations.resize(batch_rows * obs_count);
-  result.gradient.resize(batch_rows * parameter_count);
+  if (gradient.size() != batch_rows * parameter_count) {
+    throw std::invalid_argument(
+        "Executor::run_with_vjp_batch: gradient size");
+  }
   for (std::size_t b = 0; b < batch_rows; ++b) {
     const AdjointVjpResult row =
         run_with_vjp(params.subspan(b * param_stride, parameter_count),
                      upstream.subspan(b * obs_count, obs_count));
-    std::copy(row.expectations.begin(), row.expectations.end(),
-              result.expectations.begin() + b * obs_count);
     std::copy(row.gradient.begin(), row.gradient.end(),
-              result.gradient.begin() + b * parameter_count);
+              gradient.begin() + b * parameter_count);
   }
-  return result;
 }
 
 std::vector<std::vector<double>> Executor::jacobian(

@@ -46,17 +46,19 @@ class Executor {
                  std::size_t param_stride,
                  std::span<double> expectations) const;
 
-  /// Batched forward + VJP; upstream is [b * observable_count + k]. One
-  /// batched adjoint sweep when differentiating by adjoint with all-diagonal
-  /// observables; otherwise (parameter-shift, X/Y observables) per-row
-  /// run_with_vjp. A non-null `forward_state` is the batch run_batch left
-  /// for exactly these params; the batched sweep consumes it instead of
-  /// re-simulating the forward (adjoint_vjp_batch's contract). The per-row
-  /// fallback ignores it.
-  BatchAdjointVjpResult run_with_vjp_batch(
-      std::span<const double> params, std::size_t param_stride,
-      std::size_t batch_rows, std::span<const double> upstream,
-      StateVectorBatch* forward_state = nullptr) const;
+  /// Batched VJP; upstream is [b * observable_count + k] and dL/dθ lands
+  /// in the caller's `gradient` as [b * parameter_count + p] (exactly
+  /// batch_rows * parameter_count entries). One batched adjoint sweep when
+  /// differentiating by adjoint with all-diagonal observables; otherwise
+  /// (parameter-shift, X/Y observables) per-row run_with_vjp. A non-null
+  /// `forward_state` is the batch run_batch left for exactly these params;
+  /// the batched sweep consumes it instead of re-simulating the forward
+  /// (adjoint_vjp_batch's contract). The per-row fallback ignores it.
+  void run_with_vjp_batch(std::span<const double> params,
+                          std::size_t param_stride, std::size_t batch_rows,
+                          std::span<const double> upstream,
+                          std::span<double> gradient,
+                          StateVectorBatch* forward_state = nullptr) const;
 
  private:
   Circuit circuit_;

@@ -30,6 +30,9 @@ class StateVector : public StateVectorBatch {
   /// Sets to a computational basis state.
   void set_basis_state(std::size_t basis_index);
 
+  /// Always exactly one row.
+  void resize(std::size_t batch) = delete;
+
   /// Multiplies the whole state by a scalar (used by derivative ops).
   void scale(Complex factor);
 

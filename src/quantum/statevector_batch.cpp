@@ -74,6 +74,15 @@ void StateVectorBatch::reset() {
   }
 }
 
+void StateVectorBatch::resize(std::size_t batch) {
+  if (batch == 0) {
+    throw std::invalid_argument("StateVectorBatch::resize: batch must be >= 1");
+  }
+  batch_ = batch;
+  amplitudes_.resize(dimension_ * batch_);
+  reset();
+}
+
 void StateVectorBatch::assign_from(const StateVectorBatch& other) {
   if (other.num_qubits_ != num_qubits_ || other.batch_ != batch_) {
     throw std::invalid_argument("StateVectorBatch::assign_from: shape");

@@ -49,6 +49,11 @@ class StateVectorBatch {
   /// Resets every row to |0...0⟩.
   void reset();
 
+  /// Reshapes to `batch` rows of |0...0⟩ (batch >= 1), reusing the storage
+  /// when it already holds that many, so scratch batches that alternate
+  /// between row counts stop allocating once they have seen the largest.
+  void resize(std::size_t batch);
+
   /// Copies the amplitudes of another batch (same shape) into this one.
   void assign_from(const StateVectorBatch& other);
 

@@ -16,12 +16,14 @@
 // result-invariant in the thread count: RNG streams are pre-split in a
 // fixed order and results commit in that order.
 //
-// Classical candidates train on the zero-allocation workspace fast path
-// (nn/workspace.hpp): per-run models own their workspaces, GEMM packing
-// scratch is thread_local, and the workspace arithmetic is bit-identical to
-// the reference Module path — so the thread-count invariance above holds
-// unchanged, and the reference kernel backend reproduces identical results
-// on the reference path (see DESIGN.md §9).
+// Classical and hybrid candidates train on the zero-allocation workspace
+// fast path (nn/workspace.hpp; a hybrid's QuantumLayer is its quantum
+// stage): per-run models own their workspaces, GEMM packing and adjoint
+// scratch are thread_local, and the workspace arithmetic is bit-identical
+// to the Module path on the same backend — so the thread-count invariance
+// above holds unchanged. Classical results are identical under the
+// reference kernel backend too; hybrid ones are not, since that backend
+// also runs circuits unfused (see DESIGN.md §9).
 #pragma once
 
 #include <functional>

@@ -41,8 +41,8 @@
 // it registers generic's ops table unchanged, and its descriptor's
 // `reference` flag makes circuits run unfused
 // (quantum::ExecutionPlan::run_batch), sends single-qubit gates through the
-// dense 2x2 dispatch (gates.cpp), and trains classical models on the
-// reference Module path instead of the workspace trainer.
+// dense 2x2 dispatch (gates.cpp), and trains every model — classical and
+// hybrid — on the reference Module path instead of the workspace trainer.
 #pragma once
 
 #include <complex>

@@ -1,5 +1,6 @@
 // Non-finite guard: a NaN/Inf loss must stop training with a structured
-// NonFiniteError (never train on garbage), the guard must be free on healthy
+// NonFiniteError (never train on garbage) — classical and hybrid models
+// alike, both on the workspace path — the guard must be free on healthy
 // runs, and disabling it must restore the unguarded behaviour.
 #include <gtest/gtest.h>
 
@@ -9,8 +10,11 @@
 #include "nn/dense.hpp"
 #include "nn/sequential.hpp"
 #include "nn/trainer.hpp"
+#include "qnn/quantum_layer.hpp"
 #include "tensor/init.hpp"
+#include "test_helpers.hpp"
 #include "util/fault_injection.hpp"
+#include "util/metrics.hpp"
 
 namespace qhdl::nn {
 namespace {
@@ -36,9 +40,22 @@ struct Fixture {
   Sequential model;
   util::Rng rng{421};
 
-  Fixture() {
+  /// A Dense+Tanh+Dense MLP, or with `hybrid` the paper's hybrid topology
+  /// (Dense+Tanh, 2-qubit QuantumLayer, Dense), which trains on the
+  /// workspace's quantum stage.
+  explicit Fixture(bool hybrid = false) {
     make_separable(40, rng, x_train, y_train);
     make_separable(16, rng, x_val, y_val);
+    if (hybrid) {
+      qnn::QuantumLayerConfig qconfig;
+      qconfig.qubits = 2;
+      qconfig.depth = 1;
+      model.emplace<Dense>(2, 2, rng);
+      model.emplace<Tanh>();
+      model.emplace<qnn::QuantumLayer>(qconfig, rng);
+      model.emplace<Dense>(2, 2, rng);
+      return;
+    }
     model.emplace<Dense>(2, 4, rng);
     model.emplace<Tanh>();
     model.emplace<Dense>(4, 2, rng);
@@ -58,35 +75,47 @@ class FiniteGuardTest : public ::testing::Test {
 };
 
 TEST_F(FiniteGuardTest, PoisonedLossThrowsStructuredError) {
-  Fixture f;
-  TrainConfig config;
-  config.epochs = 3;
-  util::FaultInjector::instance().configure("loss=nan@1");
-  try {
-    f.train(config);
-    FAIL() << "expected NonFiniteError";
-  } catch (const NonFiniteError& e) {
-    EXPECT_EQ(e.kind(), "loss");
-    EXPECT_EQ(e.epoch(), 0u);
-    EXPECT_NE(std::string(e.what()).find("non-finite loss"),
-              std::string::npos);
+  for (const bool hybrid : {false, true}) {
+    SCOPED_TRACE(hybrid ? "hybrid" : "classical");
+    const testing::ReferenceScope scope{false};
+    Fixture f{hybrid};
+    TrainConfig config;
+    config.epochs = 3;
+    util::FaultInjector::instance().configure("loss=nan@1");
+    util::Metrics::global().reset();
+    try {
+      f.train(config);
+      FAIL() << "expected NonFiniteError";
+    } catch (const NonFiniteError& e) {
+      EXPECT_EQ(e.kind(), "loss");
+      EXPECT_EQ(e.epoch(), 0u);
+      EXPECT_NE(std::string(e.what()).find("non-finite loss"),
+                std::string::npos);
+    }
+    EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 1u);
   }
 }
 
 TEST_F(FiniteGuardTest, SecondEpochPoisonReportsSecondEpoch) {
-  Fixture f;
-  TrainConfig config;
-  config.epochs = 3;
-  config.batch_size = 8;
-  // 40 train rows / batch 8 = 5 loss arrivals per epoch; arrival 6 is the
-  // first batch of epoch 2.
-  util::FaultInjector::instance().configure("loss=nan@6");
-  try {
-    f.train(config);
-    FAIL() << "expected NonFiniteError";
-  } catch (const NonFiniteError& e) {
-    EXPECT_EQ(e.kind(), "loss");
-    EXPECT_EQ(e.epoch(), 1u);
+  for (const bool hybrid : {false, true}) {
+    SCOPED_TRACE(hybrid ? "hybrid" : "classical");
+    const testing::ReferenceScope scope{false};
+    Fixture f{hybrid};
+    TrainConfig config;
+    config.epochs = 3;
+    config.batch_size = 8;
+    // 40 train rows / batch 8 = 5 loss arrivals per epoch; arrival 6 is the
+    // first batch of epoch 2.
+    util::FaultInjector::instance().configure("loss=nan@6");
+    util::Metrics::global().reset();
+    try {
+      f.train(config);
+      FAIL() << "expected NonFiniteError";
+    } catch (const NonFiniteError& e) {
+      EXPECT_EQ(e.kind(), "loss");
+      EXPECT_EQ(e.epoch(), 1u);
+    }
+    EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 1u);
   }
 }
 

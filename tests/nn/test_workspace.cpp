@@ -3,16 +3,22 @@
 // TrainHistory to the last ulp — every epoch loss and accuracy, across the
 // search space's layer shapes, activations, and odd batch tails — because
 // both paths share the same GEMM kernel, loss core, accuracy core, and
-// optimizer arithmetic.
+// optimizer arithmetic. Hybrid models are pinned against a same-backend
+// Module loop (their quantum stage is the QuantumLayer's own exact path).
 #include "nn/workspace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <span>
 
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
+#include "nn/loss.hpp"
 #include "nn/trainer.hpp"
+#include "qnn/amplitude_layer.hpp"
+#include "qnn/hybrid_model.hpp"
 #include "qnn/quantum_layer.hpp"
 #include "tensor/init.hpp"
 #include "test_helpers.hpp"
@@ -84,6 +90,30 @@ TrainHistory train_once(bool reference, std::size_t hidden,
                           config, train_rng);
 }
 
+/// Dense(F→q) + Tanh, QuantumLayer, Dense(q→C): build_hybrid_model's
+/// topology with every QuantumLayer setting (noise, shots, threads) open.
+Sequential make_hybrid(std::size_t features,
+                       const qnn::QuantumLayerConfig& qconfig,
+                       std::size_t classes, util::Rng& rng) {
+  Sequential model;
+  model.emplace<Dense>(features, qconfig.qubits, rng);
+  model.emplace<Tanh>();
+  model.emplace<qnn::QuantumLayer>(qconfig, rng);
+  model.emplace<Dense>(qconfig.qubits, classes, rng);
+  return model;
+}
+
+/// AmplitudeQuantumLayer over 4 features (2 qubits) + Dense(2→2).
+Sequential make_amplitude_model(util::Rng& rng) {
+  qnn::AmplitudeLayerConfig config;
+  config.qubits = 2;
+  config.depth = 1;
+  Sequential model;
+  model.emplace<qnn::AmplitudeQuantumLayer>(config, rng);
+  model.emplace<Dense>(2, 2, rng);
+  return model;
+}
+
 void expect_bit_identical(const TrainHistory& a, const TrainHistory& b) {
   ASSERT_EQ(a.epochs.size(), b.epochs.size());
   for (std::size_t e = 0; e < a.epochs.size(); ++e) {
@@ -137,7 +167,7 @@ TEST(Workspace, GoldenBitIdentityOddBatchShapes) {
   }
 }
 
-TEST(Workspace, CompileSupportsClassicalStacksOnly) {
+TEST(Workspace, CompileSupportsDenseStacksAndRowStages) {
   util::Rng rng{3};
   Sequential mlp = make_mlp(4, 5, 2, 2, Act::Tanh, rng);
   EXPECT_TRUE(TrainWorkspace::supports(mlp));
@@ -155,43 +185,193 @@ TEST(Workspace, CompileSupportsClassicalStacksOnly) {
   EXPECT_FALSE(TrainWorkspace::supports(with_softmax));
   EXPECT_EQ(TrainWorkspace::compile(with_softmax, 8, 64), nullptr);
 
-  // Hybrid models (quantum layer) are not compilable.
+  // The paper's hybrid compiles: its exact QuantumLayer is a row stage.
   qnn::QuantumLayerConfig qconfig;
   qconfig.qubits = 2;
   qconfig.depth = 1;
-  Sequential hybrid;
-  hybrid.emplace<Dense>(4, 2, rng);
-  hybrid.emplace<Tanh>();
-  hybrid.emplace<qnn::QuantumLayer>(qconfig, rng);
-  hybrid.emplace<Dense>(2, 2, rng);
-  EXPECT_FALSE(TrainWorkspace::supports(hybrid));
-  EXPECT_EQ(TrainWorkspace::compile(hybrid, 8, 64), nullptr);
+  Sequential hybrid = make_hybrid(4, qconfig, 2, rng);
+  EXPECT_TRUE(TrainWorkspace::supports(hybrid));
+  EXPECT_NE(TrainWorkspace::compile(hybrid, 8, 64), nullptr);
+
+  // Noisy and finite-shot quantum layers have no row stage.
+  qnn::QuantumLayerConfig noisy = qconfig;
+  noisy.noise = quantum::NoiseModel::depolarizing(0.01);
+  Sequential noisy_hybrid = make_hybrid(4, noisy, 2, rng);
+  EXPECT_FALSE(TrainWorkspace::supports(noisy_hybrid));
+  EXPECT_EQ(TrainWorkspace::compile(noisy_hybrid, 8, 64), nullptr);
+  qnn::QuantumLayerConfig shots = qconfig;
+  shots.shots = 100;
+  Sequential shot_hybrid = make_hybrid(4, shots, 2, rng);
+  EXPECT_FALSE(TrainWorkspace::supports(shot_hybrid));
+  EXPECT_EQ(TrainWorkspace::compile(shot_hybrid, 8, 64), nullptr);
+
+  // Neither does the amplitude-encoded layer.
+  Sequential amplitude = make_amplitude_model(rng);
+  EXPECT_FALSE(TrainWorkspace::supports(amplitude));
+  EXPECT_EQ(TrainWorkspace::compile(amplitude, 8, 64), nullptr);
 }
 
-TEST(Workspace, HybridModelsFallBackToReferencePath) {
-  util::Rng rng{5};
-  qnn::QuantumLayerConfig qconfig;
-  qconfig.qubits = 2;
-  qconfig.depth = 1;
-  Sequential hybrid;
-  hybrid.emplace<Dense>(2, 2, rng);
-  hybrid.emplace<Tanh>();
-  hybrid.emplace<qnn::QuantumLayer>(qconfig, rng);
-  hybrid.emplace<Dense>(2, 2, rng);
-
+/// Trains `model` for one epoch on 12 rows (batch 4) through
+/// train_classifier, with the registry reset first.
+void train_one_epoch(Sequential& model, std::size_t features) {
   Tensor x;
   std::vector<std::size_t> y;
-  make_dataset(12, 2, 2, 9, x, y);
+  make_dataset(12, features, 2, 9, x, y);
   Adam optimizer{1e-3};
   TrainConfig config;
   config.epochs = 1;
   config.batch_size = 4;
-
   util::Metrics::global().reset();
   util::Rng train_rng{17};
-  train_classifier(hybrid, optimizer, x, y, x, y, config, train_rng);
+  train_classifier(model, optimizer, x, y, x, y, config, train_rng);
+}
+
+TEST(Workspace, HybridRouting) {
+  const testing::ReferenceScope scope{false};
+  util::Rng rng{5};
+  qnn::QuantumLayerConfig qconfig;
+  qconfig.qubits = 2;
+  qconfig.depth = 1;
+
+  // A paper hybrid trains on the workspace.
+  for (const qnn::AnsatzKind ansatz : {qnn::AnsatzKind::BasicEntangler,
+                                       qnn::AnsatzKind::StronglyEntangling}) {
+    qnn::HybridConfig config;
+    config.features = 2;
+    config.qubits = 2;
+    config.depth = 1;
+    config.ansatz = ansatz;
+    config.classes = 2;
+    auto paper = qnn::build_hybrid_model(config, rng);
+    train_one_epoch(*paper, 2);
+    EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 1u);
+    EXPECT_EQ(qhdl::testing::global_count("fastpath.reference_runs"), 0u);
+  }
+
+  // Noisy, finite-shot and amplitude-encoded models keep the Module path.
+  qnn::QuantumLayerConfig noisy = qconfig;
+  noisy.noise = quantum::NoiseModel::depolarizing(0.01);
+  qnn::QuantumLayerConfig shots = qconfig;
+  shots.shots = 100;
+  for (const qnn::QuantumLayerConfig& layer : {noisy, shots}) {
+    Sequential hybrid = make_hybrid(2, layer, 2, rng);
+    train_one_epoch(hybrid, 2);
+    EXPECT_EQ(qhdl::testing::global_count("fastpath.reference_runs"), 1u);
+    EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 0u);
+  }
+  Sequential amplitude = make_amplitude_model(rng);
+  train_one_epoch(amplitude, 4);
   EXPECT_EQ(qhdl::testing::global_count("fastpath.reference_runs"), 1u);
   EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 0u);
+}
+
+/// The Module path as a plain loop — zero_grad, forward, loss, backward,
+/// Adam::step per batch, then Module-forward accuracy passes — with
+/// train_classifier's shuffling and epoch bookkeeping (no early stopping).
+TrainHistory train_module_loop(Sequential& model, const Tensor& x_train,
+                               std::span<const std::size_t> y_train,
+                               const Tensor& x_val,
+                               std::span<const std::size_t> y_val,
+                               const TrainConfig& config, util::Rng& rng) {
+  Adam optimizer{config.learning_rate};
+  SoftmaxCrossEntropy loss_fn;
+  const std::size_t n = x_train.rows();
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  TrainHistory history;
+  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+    rng.shuffle(order);
+    double epoch_loss = 0.0;
+    std::size_t batches = 0;
+    for (std::size_t begin = 0; begin < n; begin += config.batch_size) {
+      const std::size_t end = std::min(begin + config.batch_size, n);
+      const std::span<const std::size_t> rows{order.data() + begin,
+                                              end - begin};
+      std::vector<std::size_t> labels;
+      for (const std::size_t r : rows) labels.push_back(y_train[r]);
+      model.zero_grad();
+      const Tensor logits = model.forward(slice_rows(x_train, rows));
+      const LossResult loss = loss_fn.evaluate(logits, labels);
+      model.backward(loss.grad);
+      optimizer.step(model.parameters());
+      epoch_loss += loss.value;
+      ++batches;
+    }
+    EpochStats stats;
+    stats.train_loss = epoch_loss / static_cast<double>(batches);
+    stats.train_accuracy = evaluate_accuracy(model, x_train, y_train);
+    stats.val_accuracy = evaluate_accuracy(model, x_val, y_val);
+    history.epochs.push_back(stats);
+    history.best_train_accuracy =
+        std::max(history.best_train_accuracy, stats.train_accuracy);
+    history.best_val_accuracy =
+        std::max(history.best_val_accuracy, stats.val_accuracy);
+    history.epochs_run = epoch + 1;
+  }
+  return history;
+}
+
+// The hybrid oracle is the Module path on the SAME backend: the reference
+// backend also unfuses circuits, so it cannot pin the quantum stage bit for
+// bit.
+TEST(Workspace, HybridMatchesModulePath) {
+  const testing::ReferenceScope scope{false};
+  constexpr std::size_t kFeatures = 4, kClasses = 2;
+  Tensor x_train, x_val;
+  std::vector<std::size_t> y_train, y_val;
+  // 27 rows with batch 8 leave a 3-row tail batch every epoch.
+  make_dataset(27, kFeatures, kClasses, 41, x_train, y_train);
+  make_dataset(14, kFeatures, kClasses, 43, x_val, y_val);
+  TrainConfig config;
+  config.epochs = 3;
+  config.batch_size = 8;
+
+  for (const qnn::AnsatzKind ansatz : {qnn::AnsatzKind::BasicEntangler,
+                                       qnn::AnsatzKind::StronglyEntangling}) {
+    for (std::size_t depth = 1; depth <= 3; ++depth) {
+      for (const std::size_t qubits : {std::size_t{2}, std::size_t{3}}) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+          SCOPED_TRACE(qnn::ansatz_name(ansatz) +
+                       " d=" + std::to_string(depth) +
+                       " q=" + std::to_string(qubits) +
+                       " threads=" + std::to_string(threads));
+          qnn::QuantumLayerConfig qconfig;
+          qconfig.qubits = qubits;
+          qconfig.depth = depth;
+          qconfig.ansatz = ansatz;
+          qconfig.encoding.scale = 1.5;
+          qconfig.threads = threads;
+
+          util::Rng init_a{11 * depth + qubits}, init_b{11 * depth + qubits};
+          Sequential fused = make_hybrid(kFeatures, qconfig, kClasses, init_a);
+          Sequential module = make_hybrid(kFeatures, qconfig, kClasses,
+                                          init_b);
+
+          util::Metrics::global().reset();
+          Adam optimizer{config.learning_rate};
+          util::Rng rng_a{997}, rng_b{997};
+          const TrainHistory workspace_history = train_classifier(
+              fused, optimizer, x_train, y_train, x_val, y_val, config, rng_a);
+          EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"),
+                    1u);
+          const TrainHistory module_history = train_module_loop(
+              module, x_train, y_train, x_val, y_val, config, rng_b);
+
+          expect_bit_identical(workspace_history, module_history);
+          const auto fused_params = fused.parameters();
+          const auto module_params = module.parameters();
+          ASSERT_EQ(fused_params.size(), module_params.size());
+          for (std::size_t p = 0; p < fused_params.size(); ++p) {
+            ASSERT_EQ(fused_params[p]->size(), module_params[p]->size());
+            for (std::size_t i = 0; i < fused_params[p]->size(); ++i) {
+              EXPECT_EQ(fused_params[p]->value[i], module_params[p]->value[i])
+                  << "parameter " << p << " entry " << i;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Workspace, ClassicalModelsUseWorkspacePath) {

@@ -1,6 +1,8 @@
 // Steady-state allocation test for the workspace trainer: after warm-up
-// (first train step builds Adam slots and the GEMM packing scratch), a
-// train_step / evaluate_accuracy cycle must perform ZERO heap allocations.
+// (first train step builds Adam slots and the GEMM packing scratch; the
+// quantum stage sizes its state buffers), a train_step / evaluate_accuracy
+// cycle must perform ZERO heap allocations — for a classical MLP and for a
+// paper hybrid.
 //
 // Enforced with a counting replacement of the global allocation functions.
 // The replacement is binary-wide, so this translation unit only counts —
@@ -18,6 +20,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
 #include "nn/workspace.hpp"
+#include "qnn/hybrid_model.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -60,27 +63,25 @@ namespace {
 using tensor::Shape;
 using tensor::Tensor;
 
-TEST(WorkspaceAlloc, TrainStepAndEvalAreAllocationFreeAfterWarmup) {
-  constexpr std::size_t kRows = 64, kFeatures = 10, kClasses = 2;
-  constexpr std::size_t kBatch = 8;
+constexpr std::size_t kRows = 64, kFeatures = 10, kClasses = 2;
+constexpr std::size_t kBatch = 8;
 
-  util::Rng rng{71};
-  Tensor x{Shape{kRows, kFeatures}};
-  std::vector<std::size_t> y(kRows);
+void make_data(util::Rng& rng, Tensor& x, std::vector<std::size_t>& y) {
+  x = Tensor{Shape{kRows, kFeatures}};
+  y.resize(kRows);
   for (std::size_t i = 0; i < kRows; ++i) {
     for (std::size_t j = 0; j < kFeatures; ++j) {
       x.at(i, j) = rng.uniform(-1.0, 1.0);
     }
     y[i] = i % kClasses;
   }
+}
 
-  Sequential model;
-  model.emplace<Dense>(kFeatures, 10, rng);
-  model.emplace<Tanh>();
-  model.emplace<Dense>(10, 10, rng);
-  model.emplace<ReLU>();
-  model.emplace<Dense>(10, kClasses, rng);
-
+/// Warms `model`'s workspace up, then counts the heap allocations of 50
+/// train_step (full and tail batch) + evaluate_accuracy cycles.
+void expect_steady_state_allocation_free(Sequential& model,
+                                         const Tensor& x,
+                                         const std::vector<std::size_t>& y) {
   auto workspace = TrainWorkspace::compile(model, kBatch, kRows);
   ASSERT_NE(workspace, nullptr);
   Adam optimizer{1e-3};
@@ -113,6 +114,39 @@ TEST(WorkspaceAlloc, TrainStepAndEvalAreAllocationFreeAfterWarmup) {
 
   EXPECT_EQ(after - before, 0u) << "train loop allocated on the steady state";
   EXPECT_TRUE(std::isfinite(sink));
+}
+
+TEST(WorkspaceAlloc, TrainStepAndEvalAreAllocationFreeAfterWarmup) {
+  util::Rng rng{71};
+  Tensor x;
+  std::vector<std::size_t> y;
+  make_data(rng, x, y);
+
+  Sequential model;
+  model.emplace<Dense>(kFeatures, 10, rng);
+  model.emplace<Tanh>();
+  model.emplace<Dense>(10, 10, rng);
+  model.emplace<ReLU>();
+  model.emplace<Dense>(10, kClasses, rng);
+  expect_steady_state_allocation_free(model, x, y);
+}
+
+// The quantum stage too: forward states, packed rows, the VJP gradient and
+// the adjoint sweep's scratch are all resized in place.
+TEST(WorkspaceAlloc, HybridTrainStepAndEvalAreAllocationFreeAfterWarmup) {
+  util::Rng rng{73};
+  Tensor x;
+  std::vector<std::size_t> y;
+  make_data(rng, x, y);
+
+  qnn::HybridConfig config;
+  config.features = kFeatures;
+  config.qubits = 3;
+  config.depth = 2;
+  config.ansatz = qnn::AnsatzKind::StronglyEntangling;
+  config.classes = kClasses;
+  const auto model = qnn::build_hybrid_model(config, rng);
+  expect_steady_state_allocation_free(*model, x, y);
 }
 
 }  // namespace

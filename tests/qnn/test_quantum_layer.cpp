@@ -478,16 +478,17 @@ LayerGrads recompute_grads(QuantumLayer& layer, const Tensor& x,
       params[b * stride + q + i] = theta[i];
     }
   }
-  const auto vjp = layer.executor().run_with_vjp_batch(params, stride, batch,
-                                                       g.data());
+  std::vector<double> gradient(batch * stride);
+  layer.executor().run_with_vjp_batch(params, stride, batch, g.data(),
+                                      gradient);
   LayerGrads out{std::vector<double>(batch * q),
                  std::vector<double>(weights, 0.0)};
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t w = 0; w < q; ++w) {
-      out.input[b * q + w] = scale * vjp.gradient[b * stride + w];
+      out.input[b * q + w] = scale * gradient[b * stride + w];
     }
     for (std::size_t i = 0; i < weights; ++i) {
-      out.weight[i] += vjp.gradient[b * stride + q + i];
+      out.weight[i] += gradient[b * stride + q + i];
     }
   }
   return out;

@@ -1,5 +1,6 @@
-// The search contract this PR enforces: results are bit-identical for any
-// thread count / lookahead window, including when run-pruning triggers.
+// The search contract: results are bit-identical for any thread count /
+// lookahead window, including when run-pruning triggers, for the classical
+// and the hybrid search spaces.
 // (The seed implementation only applied pruning on the serial path, so a
 // pruned candidate could still win the search under threads > 1.)
 #include <gtest/gtest.h>
@@ -72,16 +73,20 @@ TEST(GridSearchDeterminism, IdenticalAcrossThreadCountsWithWinner) {
   config.accuracy_threshold = 0.34;  // trivially met: winner at candidate 0
   const auto dataset = level_dataset(6, core::test_scale());
 
-  config.threads = 1;
-  const auto serial =
-      run_repeated_search(paper_classical_space(), dataset, config);
-  ASSERT_GT(serial.successful_repetitions, 0u);
+  for (const auto& space :
+       {paper_classical_space(),
+        paper_hybrid_space(qnn::AnsatzKind::BasicEntangler),
+        paper_hybrid_space(qnn::AnsatzKind::StronglyEntangling)}) {
+    SCOPED_TRACE(space.front().to_string());
+    config.threads = 1;
+    const auto serial = run_repeated_search(space, dataset, config);
+    ASSERT_GT(serial.successful_repetitions, 0u);
 
-  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    config.threads = threads;
-    const auto parallel =
-        run_repeated_search(paper_classical_space(), dataset, config);
-    expect_identical(serial, parallel);
+    for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      config.threads = threads;
+      const auto parallel = run_repeated_search(space, dataset, config);
+      expect_identical(serial, parallel);
+    }
   }
 }
 
@@ -177,6 +182,8 @@ TEST(GridSearchDeterminism, EvaluateCandidateRejectsZeroRuns) {
                std::invalid_argument);
 }
 
+// Every family, hybrids included: they train on the workspace's quantum
+// stage, which must stay deterministic under run-parallel training too.
 TEST(GridSearchDeterminism, SweepLevelsIdenticalAcrossThreadCounts) {
   auto config = core::test_scale();
   config.feature_sizes = {4, 6};
@@ -184,15 +191,19 @@ TEST(GridSearchDeterminism, SweepLevelsIdenticalAcrossThreadCounts) {
   config.search.train.epochs = 2;
   config.search.max_candidates = 2;
 
-  config.search.threads = 1;
-  const auto serial = run_complexity_sweep(Family::Classical, config);
-  config.search.threads = 4;
-  const auto parallel = run_complexity_sweep(Family::Classical, config);
+  for (const Family family :
+       {Family::Classical, Family::HybridBel, Family::HybridSel}) {
+    SCOPED_TRACE(family_name(family));
+    config.search.threads = 1;
+    const auto serial = run_complexity_sweep(family, config);
+    config.search.threads = 4;
+    const auto parallel = run_complexity_sweep(family, config);
 
-  ASSERT_EQ(serial.levels.size(), parallel.levels.size());
-  for (std::size_t i = 0; i < serial.levels.size(); ++i) {
-    EXPECT_EQ(serial.levels[i].features, parallel.levels[i].features);
-    expect_identical(serial.levels[i].search, parallel.levels[i].search);
+    ASSERT_EQ(serial.levels.size(), parallel.levels.size());
+    for (std::size_t i = 0; i < serial.levels.size(); ++i) {
+      EXPECT_EQ(serial.levels[i].features, parallel.levels[i].features);
+      expect_identical(serial.levels[i].search, parallel.levels[i].search);
+    }
   }
 }
 
