@@ -320,6 +320,28 @@ void run_single_qubit_batch_backend(benchmark::State& state,
                           static_cast<std::int64_t>(batch));
 }
 
+void run_single_qubit_rows_batch_backend(benchmark::State& state,
+                                         const std::string& backend) {
+  const BackendGuard guard{backend};
+  const auto qubits = static_cast<std::size_t>(state.range(0));
+  const std::size_t batch = 16;
+  quantum::StateVectorBatch sv{qubits, batch};
+  std::vector<quantum::Complex> m(4 * batch);
+  for (std::size_t b = 0; b < batch; ++b) {
+    quantum::store_lane(quantum::gates::rx(0.1 * static_cast<double>(b)),
+                        m.data(), batch, b);
+  }
+  std::size_t wire = 0;
+  for (auto _ : state) {
+    sv.apply_single_qubit_per_row(m, wire);
+    wire = (wire + 1) % qubits;
+    benchmark::DoNotOptimize(sv.amplitudes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch));
+}
+
 void run_expval_batch_backend(benchmark::State& state,
                               const std::string& backend) {
   const BackendGuard guard{backend};
@@ -413,6 +435,13 @@ void register_backend_variants() {
         ("BM_SingleQubitBatch@" + name).c_str(),
         [name](benchmark::State& state) {
           run_single_qubit_batch_backend(state, name);
+        })
+        ->Arg(6)
+        ->Arg(8);
+    benchmark::RegisterBenchmark(
+        ("BM_SingleQubitRowsBatch@" + name).c_str(),
+        [name](benchmark::State& state) {
+          run_single_qubit_rows_batch_backend(state, name);
         })
         ->Arg(6)
         ->Arg(8);

@@ -32,7 +32,9 @@ StateVectorBatch& scratch_batch(std::optional<StateVectorBatch>& slot,
 /// `lambda` must hold the co-state seed O_eff|ψ⟩ and is pulled back through
 /// U†. With a non-null `phi` holding |ψ⟩, each gate is also peeled off φ
 /// and every parameterized one adds 2 Re⟨λ|(dU_k/dθ_k)|φ_{k-1}⟩ into
-/// gradient[b * parameter_count + slot]; a null `phi` only pulls λ back.
+/// gradient[b * parameter_count + slot], and λ is left one gate short of
+/// the full pull-back (callers with a φ discard it); a null `phi` only
+/// pulls λ back, all the way through U†.
 void reverse_sweep_batch(const Circuit& circuit,
                          std::span<const double> params,
                          std::size_t param_stride, StateVectorBatch& lambda,
@@ -83,7 +85,9 @@ void reverse_sweep_batch(const Circuit& circuit,
         }
       }
     }
-    // Pull the co-state back: λ ← U_k† λ.
+    // Pull the co-state back: λ ← U_k† λ. With a φ the last pull-back is
+    // dead (those callers read only the gradient), so λ stops at U_0.
+    if (phi != nullptr && idx == 0) break;
     apply_gate_inverse_batch(lambda, op.type, op_angles, op.wire0, op.wire1);
   }
 }

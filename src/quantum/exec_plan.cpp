@@ -286,14 +286,16 @@ void ExecutionPlan::run_batch(StateVectorBatch& batch,
                               std::size_t param_stride) const {
   // The fused stream, or under the reference backend the flat stream op by
   // op. Parameterized gates detect shared-vs-per-row angles at runtime; a
-  // chain whose angles differ across rows falls back to one 2x2 product per
-  // row, built in the same left-multiplication order as the shared product,
-  // so every row is bit-identical to running it alone (DESIGN.md §14).
+  // chain whose angles differ across rows builds one 2x2 product per row,
+  // all rows at once as an SoA matrix batch, in the same left-multiplication
+  // order as the shared product, so every row is bit-identical to running
+  // it alone (DESIGN.md §14).
   const std::size_t rows = batch.batch();
   thread_local std::vector<double> angles;
-  thread_local std::vector<Mat2> row_mats;
   thread_local std::vector<Mat2> factors;  // shared chain factors
   thread_local std::vector<char> per_row;  // chain factor varies per row
+  thread_local std::vector<Complex> products;    // per-row chain products
+  thread_local std::vector<Complex> row_factor;  // one per-row factor
   angles.resize(rows);
   const auto gather = [&](std::int64_t slot,
                           double fixed_angle) -> std::span<const double> {
@@ -362,23 +364,45 @@ void ExecutionPlan::run_batch(StateVectorBatch& batch,
         for (std::uint32_t i = 1; i < prefix; ++i) head = factors[i] * head;
         if (prefix == length) {
           batch.apply_single_qubit(head, op.wire0);
-        } else {
-          row_mats.resize(rows);
-          for (std::size_t b = 0; b < rows; ++b) {
-            Mat2 matrix = prefix > 0 ? head
-                                     : gates::matrix_for(gates[0].type,
-                                                         chain_angle(0, b));
-            for (std::uint32_t i = std::max<std::uint32_t>(prefix, 1);
-                 i < length; ++i) {
-              matrix = (per_row[i] ? gates::matrix_for(gates[i].type,
-                                                       chain_angle(i, b))
-                                   : factors[i]) *
-                       matrix;
-            }
-            row_mats[b] = matrix;
-          }
-          batch.apply_single_qubit_per_row(row_mats, op.wire0);
+          kernels::count_fused(length);
+          break;
         }
+        // Row b's running product M_b is held SoA (store_lane over `rows`
+        // lanes), which is also a one-qubit batch of 2*rows lanes: lane
+        // j*rows + b of its amplitude row i is M_b[i][j]. Left-multiplying
+        // by F maps each column (M[0][j], M[1][j]) to F times it — exactly
+        // a 2x2 gate on that batch, with Mat2::operator*'s f00*m0j + f01*m1j
+        // per lane. The raw ops run it, so the kernel.* counters see only
+        // the state apply.
+        const std::size_t lanes = 2 * rows;
+        products.resize(4 * rows);
+        for (std::size_t b = 0; b < rows; ++b) {
+          store_lane(prefix > 0 ? head
+                                : gates::matrix_for(gates[0].type,
+                                                    chain_angle(0, b)),
+                     products.data(), rows, b);
+        }
+        const util::simd::KernelOps& ops = util::simd::ops();
+        for (std::uint32_t i = std::max<std::uint32_t>(prefix, 1); i < length;
+             ++i) {
+          if (per_row[i]) {
+            // Both column lanes of row b get row b's factor.
+            row_factor.resize(4 * lanes);
+            for (std::size_t b = 0; b < rows; ++b) {
+              const Mat2 f = gates::matrix_for(gates[i].type,
+                                               chain_angle(i, b));
+              store_lane(f, row_factor.data(), lanes, b);
+              store_lane(f, row_factor.data(), lanes, rows + b);
+            }
+            ops.apply_single_qubit_rows_batch(products.data(), 2, 1, lanes,
+                                              row_factor.data());
+          } else {
+            const Mat2& f = factors[i];
+            const Complex m[4] = {f.m00, f.m01, f.m10, f.m11};
+            ops.apply_single_qubit_batch(products.data(), 2, 1, lanes, m);
+          }
+        }
+        batch.apply_single_qubit_per_row(products, op.wire0);
         kernels::count_fused(length);
         break;
       }

@@ -13,7 +13,9 @@
 //     fixed chains collapse to a precomputed dense 2×2 (or a precomputed
 //     diagonal when every factor is diagonal), parameterized chains record
 //     the gate sequence so run_batch() multiplies the matrices at execution
-//     time (later gates from the left);
+//     time (later gates from the left; when angles differ across rows, all
+//     rows' products at once as an SoA matrix batch through the kernel
+//     registry);
 //   * adjacent angle-independent two-qubit gates on one wire pair collapse
 //     to a precomputed 4×4 unitary (StateVectorBatch::apply_two_qubit);
 //   * every op records the specialized kernel class it dispatches to, so

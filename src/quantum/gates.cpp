@@ -277,6 +277,7 @@ struct BatchScratch {
   std::vector<double> c, s, negated;
   std::vector<Complex> d0, d1;
   std::vector<Mat2> m_even, m_odd;
+  std::vector<Complex> soa;  // per-row 2x2s, SoA (store_lane)
 };
 
 BatchScratch& batch_scratch() {
@@ -309,7 +310,7 @@ bool dense_reference(GateType type) {
 }
 
 /// Dense 2x2 dispatch on `wire`: one shared `matrix(θ)` for a single angle,
-/// else one per row.
+/// else one per row, written SoA for the per-row kernel.
 template <typename MatrixFn>
 void apply_dense(StateVectorBatch& batch, std::span<const double> angles,
                  std::size_t wire, const MatrixFn& matrix) {
@@ -317,10 +318,13 @@ void apply_dense(StateVectorBatch& batch, std::span<const double> angles,
     batch.apply_single_qubit(matrix(angles[0]), wire);
     return;
   }
-  std::vector<Mat2>& rows = batch_scratch().m_even;
-  rows.resize(angles.size());
-  for (std::size_t b = 0; b < angles.size(); ++b) rows[b] = matrix(angles[b]);
-  batch.apply_single_qubit_per_row(rows, wire);
+  const std::size_t rows = angles.size();
+  std::vector<Complex>& soa = batch_scratch().soa;
+  soa.resize(4 * rows);
+  for (std::size_t b = 0; b < rows; ++b) {
+    store_lane(matrix(angles[b]), soa.data(), rows, b);
+  }
+  batch.apply_single_qubit_per_row(soa, wire);
 }
 
 /// Shared-angle dispatch (DESIGN.md §8): diagonal / real-rotation /

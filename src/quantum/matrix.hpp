@@ -3,6 +3,7 @@
 #pragma once
 
 #include <complex>
+#include <cstddef>
 
 namespace qhdl::quantum {
 
@@ -18,6 +19,17 @@ struct Mat2 {
   Mat2 operator*(const Mat2& other) const;
   bool is_unitary(double tolerance = 1e-12) const;
 };
+
+/// Writes `m` into lane `lane` of an SoA batch of 2x2 matrices with `lanes`
+/// lanes: entry k of {m00, m01, m10, m11} goes to out[k * lanes + lane]
+/// (the layout StateVectorBatch::apply_single_qubit_per_row reads).
+inline void store_lane(const Mat2& m, Complex* out, std::size_t lanes,
+                       std::size_t lane) {
+  out[lane] = m.m00;
+  out[lanes + lane] = m.m01;
+  out[2 * lanes + lane] = m.m10;
+  out[3 * lanes + lane] = m.m11;
+}
 
 /// Dense 4x4 complex matrix, row-major m[row][col]. Acts on a wire pair
 /// (a, b) with local basis index (bit_a << 1) | bit_b. Used by the compile

@@ -401,27 +401,21 @@ void StateVectorBatch::apply_double_flip_pairs(const Mat2& even_pair,
 
 // --- per-row kernels -------------------------------------------------------
 
-void StateVectorBatch::apply_single_qubit_per_row(std::span<const Mat2> gates,
+void StateVectorBatch::apply_single_qubit_per_row(std::span<const Complex> m,
                                                   std::size_t wire) {
   check_wire(wire, "StateVectorBatch::apply_single_qubit_per_row");
-  check_rows(gates.size(), "StateVectorBatch::apply_single_qubit_per_row");
+  if (m.size() != 4 * batch_) {
+    throw std::invalid_argument(
+        "StateVectorBatch::apply_single_qubit_per_row: matrix span size " +
+        std::to_string(m.size()) + " != 4 * batch " + std::to_string(batch_));
+  }
   kernels::count_generic();
   kernels::count_batched_rows(batch_);
   const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
-  Complex* amps = amplitudes_.data();
-  for (std::size_t block = 0; block < dimension_; block += 2 * stride) {
-    for (std::size_t offset = 0; offset < stride; ++offset) {
-      Complex* a0 = amps + (block + offset) * batch_;
-      Complex* a1 = amps + (block + stride + offset) * batch_;
-      for (std::size_t b = 0; b < batch_; ++b) {
-        const Mat2& gate = gates[b];
-        const Complex v0 = a0[b];
-        const Complex v1 = a1[b];
-        a0[b] = gate.m00 * v0 + gate.m01 * v1;
-        a1[b] = gate.m10 * v0 + gate.m11 * v1;
-      }
-    }
-  }
+  // Registry-dispatched: the backend vectorizes across the batch lanes,
+  // each lane running the scalar 2x2 formula with its own row's matrix.
+  util::simd::ops().apply_single_qubit_rows_batch(
+      amplitudes_.data(), dimension_, stride, batch_, m.data());
 }
 
 void StateVectorBatch::apply_diagonal_per_row(std::span<const Complex> d0,

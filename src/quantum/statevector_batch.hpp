@@ -18,10 +18,13 @@
 // batch matches its rows run one at a time bit-for-bit regardless of how
 // the batch is chunked.
 //
-// The hottest kernels (dense 2x2, diagonal, CNOT, dense 4x4, expval-Z,
-// batched inner products) are registry-dispatched through
-// util::simd::ops() (DESIGN.md §14): the active backend vectorizes ACROSS
-// the contiguous batch lanes, which cannot change any per-lane rounding.
+// The hottest kernels (dense 2x2 with a shared or a per-row matrix,
+// diagonal, CNOT, dense 4x4, expval-Z, batched inner products) are
+// registry-dispatched through util::simd::ops() (DESIGN.md §14): the
+// active backend vectorizes ACROSS the contiguous batch lanes, which cannot
+// change any per-lane rounding. The per-row 2x2 takes its matrices SoA
+// (entry k of row b at k * batch() + b), so lane b loads its own matrix
+// with the same unit stride as its amplitudes.
 #pragma once
 
 #include <span>
@@ -106,7 +109,10 @@ class StateVectorBatch {
                        std::size_t wire_b);
 
   // --- per-row kernels (independent gate per row; spans sized batch()) ---
-  void apply_single_qubit_per_row(std::span<const Mat2> gates,
+  /// Row b gets its own 2x2, read SoA from `m` (exactly 4 * batch()
+  /// complexes) as m[k * batch() + b] for k = m00, m01, m10, m11 — the
+  /// layout quantum::store_lane writes. One registry dispatch for all rows.
+  void apply_single_qubit_per_row(std::span<const Complex> m,
                                   std::size_t wire);
   void apply_diagonal_per_row(std::span<const Complex> d0,
                               std::span<const Complex> d1, std::size_t wire);

@@ -1,12 +1,13 @@
 // Runtime-dispatched SIMD kernel backend registry (DESIGN.md §13).
 //
 // The simulator's hottest inner loops — the state-vector gate kernels
-// (dense 2x2, diagonal phase multiply, CNOT pair swap, dense 4x4), the
-// expval-Z and inner-product reductions, and the blocked-GEMM 4x4
-// micro-kernel — are function pointers resolved through this registry
-// instead of fixed scalar code. The gate kernels and reductions act on a
-// StateVectorBatch's SoA layout; a single StateVector is the one-row batch,
-// so one kernel set serves both. Each backend translation unit
+// (dense 2x2 with one matrix or one per row, diagonal phase multiply, CNOT
+// pair swap, dense 4x4), the expval-Z and inner-product reductions, and
+// the blocked-GEMM 4x4 micro-kernel — are function pointers resolved
+// through this registry instead of fixed scalar code. The gate kernels and
+// reductions act on a StateVectorBatch's SoA layout; a single StateVector
+// is the one-row batch, so one kernel set serves both. Each backend
+// translation unit
 // (src/util/simd/kernels_*.cpp) self-registers a capability descriptor:
 // a name, an auto-detect priority, a supported() CPUID predicate, and its
 // KernelOps table. A CPUID-based dispatcher picks the highest-priority
@@ -80,6 +81,15 @@ struct KernelOps {
   void (*apply_single_qubit_batch)(Complex* amps, std::size_t n,
                                    std::size_t stride, std::size_t batch,
                                    const Complex* m);
+
+  /// apply_single_qubit_batch with a matrix per lane: lane b reads its
+  /// 2x2 from the SoA span `m` as m[k * batch + b] for k = m00, m01, m10,
+  /// m11 (4 * batch complexes), with the same per-lane formula and rounding
+  /// order. The per-row encoding gates and the fused chains' per-row
+  /// products (quantum::ExecutionPlan::run_batch) run through it.
+  void (*apply_single_qubit_rows_batch)(Complex* amps, std::size_t n,
+                                        std::size_t stride, std::size_t batch,
+                                        const Complex* m);
 
   /// Batched diagonal phase multiply: a_i *= d0 (bit clear) / d1 (bit set).
   /// The d0 == 1 phase-gate fast path (only the set half moves) lives

@@ -93,6 +93,57 @@ void avx2_apply_single_qubit_batch(Complex* amps, std::size_t n,
   }
 }
 
+/// cmul_const with a different constant per complex: `e` holds two packed
+/// complexes [re0, im0, re1, im1], split into the [re0, re0, re1, re1] /
+/// [im0, im0, im1, im1] broadcasts cmul_const takes.
+inline __m256d cmul_lanes(__m256d v, __m256d e) {
+  return cmul_const(v, _mm256_movedup_pd(e), _mm256_permute_pd(e, 0xF));
+}
+
+inline __m128d cmul_lanes(__m128d v, __m128d e) {
+  return cmul_const(v, _mm_movedup_pd(e), _mm_permute_pd(e, 0x3));
+}
+
+void avx2_apply_single_qubit_rows_batch(Complex* amps, std::size_t n,
+                                        std::size_t stride, std::size_t batch,
+                                        const Complex* m) {
+  double* base = reinterpret_cast<double*>(amps);
+  // Lane b's entries sit at the same lane offset of four runs of batch.
+  const double* m00 = reinterpret_cast<const double*>(m);
+  const double* m01 = m00 + 2 * batch;
+  const double* m10 = m00 + 4 * batch;
+  const double* m11 = m00 + 6 * batch;
+  for (std::size_t block = 0; block < n; block += 2 * stride) {
+    for (std::size_t offset = 0; offset < stride; ++offset) {
+      double* p0 = base + 2 * (block + offset) * batch;
+      double* p1 = p0 + 2 * stride * batch;
+      std::size_t b = 0;
+      for (; b + 2 <= batch; b += 2) {
+        const __m256d a0 = _mm256_loadu_pd(p0 + 2 * b);
+        const __m256d a1 = _mm256_loadu_pd(p1 + 2 * b);
+        const __m256d r0 =
+            _mm256_add_pd(cmul_lanes(a0, _mm256_loadu_pd(m00 + 2 * b)),
+                          cmul_lanes(a1, _mm256_loadu_pd(m01 + 2 * b)));
+        const __m256d r1 =
+            _mm256_add_pd(cmul_lanes(a0, _mm256_loadu_pd(m10 + 2 * b)),
+                          cmul_lanes(a1, _mm256_loadu_pd(m11 + 2 * b)));
+        _mm256_storeu_pd(p0 + 2 * b, r0);
+        _mm256_storeu_pd(p1 + 2 * b, r1);
+      }
+      if (b < batch) {
+        const __m128d a0 = _mm_loadu_pd(p0 + 2 * b);
+        const __m128d a1 = _mm_loadu_pd(p1 + 2 * b);
+        _mm_storeu_pd(p0 + 2 * b,
+                      _mm_add_pd(cmul_lanes(a0, _mm_loadu_pd(m00 + 2 * b)),
+                                 cmul_lanes(a1, _mm_loadu_pd(m01 + 2 * b))));
+        _mm_storeu_pd(p1 + 2 * b,
+                      _mm_add_pd(cmul_lanes(a0, _mm_loadu_pd(m10 + 2 * b)),
+                                 cmul_lanes(a1, _mm_loadu_pd(m11 + 2 * b))));
+      }
+    }
+  }
+}
+
 void avx2_apply_diagonal_batch(Complex* amps, std::size_t n,
                                std::size_t stride, std::size_t batch,
                                Complex d0, Complex d1) {
@@ -338,6 +389,7 @@ const Backend kAvx2{
     KernelOps{
         detail::avx2_gemm_micro_4x4,
         detail::avx2_apply_single_qubit_batch,
+        detail::avx2_apply_single_qubit_rows_batch,
         detail::avx2_apply_diagonal_batch,
         detail::avx2_apply_cnot_pairs_batch,
         detail::avx2_apply_two_qubit_batch,

@@ -34,6 +34,29 @@ void scalar_apply_single_qubit_batch(Complex* amps, std::size_t n,
   }
 }
 
+void scalar_apply_single_qubit_rows_batch(Complex* amps, std::size_t n,
+                                          std::size_t stride,
+                                          std::size_t batch,
+                                          const Complex* m) {
+  // Lane b's matrix is {m00, m01, m10, m11}[b], each entry a run of batch.
+  const Complex* m00 = m;
+  const Complex* m01 = m + batch;
+  const Complex* m10 = m + 2 * batch;
+  const Complex* m11 = m + 3 * batch;
+  for (std::size_t block = 0; block < n; block += 2 * stride) {
+    for (std::size_t offset = 0; offset < stride; ++offset) {
+      Complex* a0 = amps + (block + offset) * batch;
+      Complex* a1 = a0 + stride * batch;
+      for (std::size_t b = 0; b < batch; ++b) {
+        const Complex v0 = a0[b];
+        const Complex v1 = a1[b];
+        a0[b] = m00[b] * v0 + m01[b] * v1;
+        a1[b] = m10[b] * v0 + m11[b] * v1;
+      }
+    }
+  }
+}
+
 void scalar_apply_diagonal_batch(Complex* amps, std::size_t n,
                                  std::size_t stride, std::size_t batch,
                                  Complex d0, Complex d1) {
@@ -148,6 +171,7 @@ bool always_supported() { return true; }
 constexpr KernelOps kScalarOps{
     scalar_gemm_micro_4x4,
     scalar_apply_single_qubit_batch,
+    scalar_apply_single_qubit_rows_batch,
     scalar_apply_diagonal_batch,
     scalar_apply_cnot_pairs_batch,
     scalar_apply_two_qubit_batch,

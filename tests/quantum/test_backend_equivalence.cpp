@@ -20,6 +20,7 @@
 #include "quantum/circuit.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/statevector.hpp"
+#include "quantum/statevector_batch.hpp"
 #include "test_helpers.hpp"
 #include "util/backend_registry.hpp"
 #include "util/rng.hpp"
@@ -116,6 +117,64 @@ TEST(BackendEquivalence, DenseSingleQubitBitIdentical) {
               s.apply_single_qubit(dense, w);
             },
             "dense q=" + std::to_string(qubits) + " w=" + std::to_string(w));
+      }
+    }
+  }
+}
+
+TEST(BackendEquivalence, SingleQubitRowsBatchBitIdentical) {
+  // A distinct random unitary per lane through the per-row 2x2 kernel.
+  // Odd batches run the xmm tail, B = 1 only the tail. Each backend must
+  // match generic bitwise, and every row must match its own one-row shared
+  // apply (lane independence).
+  util::Rng rng{2030};
+  for (const std::size_t rows : {1u, 2u, 3u, 5u, 7u, 8u, 16u}) {
+    for (std::size_t qubits = 1; qubits <= 5; ++qubits) {
+      for (std::size_t w = 0; w < qubits; ++w) {
+        std::vector<StateVector> initial;
+        quantum::StateVectorBatch seeded{qubits, rows};
+        std::vector<quantum::Mat2> gates;
+        std::vector<Complex> soa(4 * rows);
+        for (std::size_t b = 0; b < rows; ++b) {
+          initial.push_back(random_state(qubits, rng));
+          seeded.set_row(b, initial.back());
+          gates.push_back(quantum::gates::rz(rng.uniform(-3.0, 3.0)) *
+                          quantum::gates::ry(rng.uniform(-3.0, 3.0)) *
+                          quantum::gates::rx(rng.uniform(-3.0, 3.0)));
+          quantum::store_lane(gates.back(), soa.data(), rows, b);
+        }
+        const std::string label = "rows q=" + std::to_string(qubits) +
+                                  " w=" + std::to_string(w) +
+                                  " b=" + std::to_string(rows);
+        quantum::StateVectorBatch golden{qubits, rows};
+        golden.assign_from(seeded);
+        {
+          const BackendScope scope{"generic"};
+          golden.apply_single_qubit_per_row(soa, w);
+          for (std::size_t b = 0; b < rows; ++b) {
+            StateVector row = initial[b];
+            row.apply_single_qubit(gates[b], w);
+            expect_states_bit_identical(
+                golden.extract_row(b), row,
+                "generic " + label + " row " + std::to_string(b));
+          }
+        }
+        for (const simd::Backend* backend : simd_backends_under_test()) {
+          quantum::StateVectorBatch candidate{qubits, rows};
+          candidate.assign_from(seeded);
+          {
+            const BackendScope scope{backend->name};
+            candidate.apply_single_qubit_per_row(soa, w);
+          }
+          const auto got = candidate.amplitudes();
+          const auto want = golden.amplitudes();
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].real(), want[i].real())
+                << backend->name << " " << label << " entry " << i << " (real)";
+            EXPECT_EQ(got[i].imag(), want[i].imag())
+                << backend->name << " " << label << " entry " << i << " (imag)";
+          }
+        }
       }
     }
   }

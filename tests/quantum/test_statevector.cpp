@@ -4,9 +4,12 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include "quantum/gates.hpp"
 #include "quantum/observable.hpp"
+#include "quantum/statevector_batch.hpp"
 #include "util/rng.hpp"
 
 namespace qhdl::quantum {
@@ -207,6 +210,30 @@ TEST(StateVector, ToStringShowsBasisKets) {
   StateVector state{2};
   state.apply_single_qubit(gates::pauli_x(), 1);
   EXPECT_NE(state.to_string().find("|01⟩"), std::string::npos);
+}
+
+TEST(StateVectorBatch, PerRowMatrixSpanSizeIsChecked) {
+  // The per-row 2x2 reads exactly 4 * batch() SoA entries; any other span
+  // size is rejected with the size named, before a kernel runs.
+  StateVectorBatch batch{2, 3};
+  for (const std::size_t size : {11u, 13u, 0u}) {
+    const std::vector<Complex> m(size, Complex{1.0, 0.0});
+    try {
+      batch.apply_single_qubit_per_row(m, 0);
+      FAIL() << "span size " << size << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("size " + std::to_string(size)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const Complex& a : batch.amplitudes().subspan(3)) {
+    EXPECT_EQ(a, Complex{});
+  }
+  const Mat2 identity{Complex{1.0, 0.0}, {}, {}, Complex{1.0, 0.0}};
+  std::vector<Complex> m(12);
+  for (std::size_t b = 0; b < 3; ++b) store_lane(identity, m.data(), 3, b);
+  EXPECT_NO_THROW(batch.apply_single_qubit_per_row(m, 1));
 }
 
 TEST(Mat2, UnitaryCheck) {

@@ -84,6 +84,8 @@ TEST(BackendRegistry, StandardBackendsAreRegistered) {
   for (const simd::Backend* backend : simd::backends()) {
     EXPECT_NE(backend->ops.apply_single_qubit_batch, nullptr)
         << backend->name;
+    EXPECT_NE(backend->ops.apply_single_qubit_rows_batch, nullptr)
+        << backend->name;
     EXPECT_NE(backend->ops.apply_diagonal_batch, nullptr) << backend->name;
     EXPECT_NE(backend->ops.gemm_micro_4x4, nullptr) << backend->name;
   }
