@@ -39,66 +39,37 @@ FlopsReport profile_model(const nn::Sequential& model,
   return profile_layers(model.layer_infos(), cost_model);
 }
 
+namespace {
+
+void count_kernel(DispatchCounts& counts, quantum::KernelClass kernel) {
+  using quantum::KernelClass;
+  switch (kernel) {
+    case KernelClass::Diagonal: ++counts.diagonal; break;
+    case KernelClass::Permutation: ++counts.permutation; break;
+    case KernelClass::Controlled: ++counts.controlled; break;
+    case KernelClass::DoubleFlip: ++counts.double_flip; break;
+    case KernelClass::Generic: ++counts.generic; break;
+  }
+}
+
+}  // namespace
+
 DispatchCounts classify_circuit(const quantum::Circuit& circuit) {
-  using quantum::GateType;
   DispatchCounts counts;
   for (const quantum::Op& op : circuit.ops()) {
-    switch (op.type) {
-      case GateType::RZ:
-      case GateType::PhaseShift:
-      case GateType::S:
-      case GateType::T:
-      case GateType::PauliZ:
-      case GateType::CZ:
-        ++counts.diagonal;
-        break;
-      case GateType::RX:
-      case GateType::RY:
-        ++counts.real_rotation;
-        break;
-      case GateType::PauliX:
-      case GateType::CNOT:
-      case GateType::SWAP:
-        ++counts.permutation;
-        break;
-      case GateType::CRX:
-      case GateType::CRY:
-      case GateType::CRZ:
-        ++counts.controlled;
-        break;
-      case GateType::RXX:
-      case GateType::RYY:
-      case GateType::RZZ:
-        ++counts.double_flip;
-        break;
-      case GateType::PauliY:
-      case GateType::Hadamard:
-        ++counts.generic;
-        break;
-    }
+    count_kernel(counts, quantum::kernel_class_for(op.type));
   }
   return counts;
 }
 
 DispatchCounts classify_plan(const quantum::ExecutionPlan& plan) {
   using quantum::FusedOp;
-  using quantum::KernelClass;
   DispatchCounts counts;
-  const auto count_kernel = [&](KernelClass kernel) {
-    switch (kernel) {
-      case KernelClass::Diagonal: ++counts.diagonal; break;
-      case KernelClass::RealRotation: ++counts.real_rotation; break;
-      case KernelClass::Permutation: ++counts.permutation; break;
-      case KernelClass::Controlled: ++counts.controlled; break;
-      case KernelClass::DoubleFlip: ++counts.double_flip; break;
-      case KernelClass::Generic: ++counts.generic; break;
-    }
-  };
   for (const quantum::FusedOp& op : plan.fused_ops()) {
     switch (op.kind) {
       case FusedOp::Kind::Single:
       case FusedOp::Kind::TwoQubit:
-        count_kernel(op.kernel);
+        count_kernel(counts, op.kernel);
         break;
       case FusedOp::Kind::Chain:
         // Runtime/precomputed 2x2 products go through the dense
@@ -137,7 +108,6 @@ std::string dispatch_comparison_to_string(
     table.add_row({name, std::to_string(m), std::to_string(got)});
   };
   row("diagonal", modeled.diagonal);
-  row("real_rotation", modeled.real_rotation);
   row("permutation", modeled.permutation);
   row("controlled", modeled.controlled);
   row("double_flip", modeled.double_flip);

@@ -53,23 +53,25 @@ std::string report_to_string(const FlopsReport& report);
 
 // --- kernel-dispatch accounting (DESIGN.md §8) ----------------------------
 
-/// Modeled per-kernel-class dispatch counts for ONE execution of a circuit:
-/// which specialized statevector kernel each op routes to. classify_circuit
-/// models the un-fused per-op stream; classify_plan models the compiled
-/// fused stream (chains count once, like the measured counters).
+/// Modeled per-kernel-class dispatch counts for ONE execution of a circuit
+/// with shared angles: which statevector kernel each op routes to, by
+/// quantum::kernel_class_for. classify_circuit models the un-fused per-op
+/// stream; classify_plan models the compiled fused stream (chains count
+/// once, like the measured counters). A single-qubit op whose angle
+/// differs per row runs the per-row dense 2x2, which the measured counters
+/// file as generic.
 struct DispatchCounts {
   std::uint64_t diagonal = 0;       ///< RZ, PhaseShift, S, T, Z, CZ
-  std::uint64_t real_rotation = 0;  ///< RX, RY
   std::uint64_t permutation = 0;    ///< X, CNOT, SWAP
   std::uint64_t controlled = 0;     ///< CRX, CRY, CRZ
   std::uint64_t double_flip = 0;    ///< RXX, RYY, RZZ
-  std::uint64_t generic = 0;        ///< PauliY, Hadamard (dense 2x2)
+  std::uint64_t generic = 0;        ///< RX, RY, PauliY, Hadamard (dense 2x2)
   std::uint64_t two_qubit_dense = 0;  ///< fused two-qubit pairs (dense 4x4)
   std::uint64_t fused = 0;        ///< single-qubit chains merged to one 2x2
   std::uint64_t fused_gates = 0;  ///< source gates absorbed into those chains
   std::uint64_t total() const {
-    return diagonal + real_rotation + permutation + controlled +
-           double_flip + generic + two_qubit_dense;
+    return diagonal + permutation + controlled + double_flip + generic +
+           two_qubit_dense;
   }
 };
 

@@ -11,7 +11,8 @@
 namespace qhdl::quantum {
 
 KernelClass kernel_class_for(GateType type) {
-  // Mirrors the shared-angle dispatch switch in gates.cpp.
+  // The one gate -> kernel table: gates.cpp dispatches single-qubit gates
+  // by it and flops::classify_circuit / classify_plan count by it.
   switch (type) {
     case GateType::PauliZ:
     case GateType::S:
@@ -20,9 +21,6 @@ KernelClass kernel_class_for(GateType type) {
     case GateType::PhaseShift:
     case GateType::CZ:
       return KernelClass::Diagonal;
-    case GateType::RX:
-    case GateType::RY:
-      return KernelClass::RealRotation;
     case GateType::PauliX:
     case GateType::CNOT:
     case GateType::SWAP:
@@ -35,6 +33,8 @@ KernelClass kernel_class_for(GateType type) {
     case GateType::RYY:
     case GateType::RZZ:
       return KernelClass::DoubleFlip;
+    case GateType::RX:
+    case GateType::RY:
     case GateType::PauliY:
     case GateType::Hadamard:
       return KernelClass::Generic;

@@ -18,8 +18,10 @@
 //     registry);
 //   * adjacent angle-independent two-qubit gates on one wire pair collapse
 //     to a precomputed 4×4 unitary (StateVectorBatch::apply_two_qubit);
-//   * every op records the specialized kernel class it dispatches to, so
-//     flops::classify_plan can model the compiled dispatch mix exactly.
+//   * every op records the kernel class it dispatches to with a shared
+//     angle, so flops::classify_plan models the compiled dispatch mix of a
+//     shared-angle run exactly (a single-qubit op whose angle differs per
+//     row runs the per-row dense 2x2 and is counted as generic).
 //
 // Each Circuit memoizes its plan per instance (Circuit::compiled_plan):
 // compiled once on first use, invalidated by builder mutations, shared by
@@ -44,18 +46,20 @@ namespace qhdl::quantum {
 class Circuit;
 class StateVectorBatch;
 
-/// Specialized kernel class an op dispatches to (the compile-time mirror of
-/// the dispatch switch in gates.cpp / flops::DispatchCounts).
+/// Kernel class an op dispatches to with one shared angle: gates.cpp picks
+/// single-qubit kernels by it, and flops::DispatchCounts counts by it. A
+/// single-qubit gate whose angle differs per row takes the per-row dense
+/// 2x2, which the kernel.* counters file as generic.
 enum class KernelClass : std::uint8_t {
-  Diagonal,      ///< RZ / PhaseShift / S / T / Z / CZ
-  RealRotation,  ///< RX / RY
-  Permutation,   ///< X / CNOT / SWAP
-  Controlled,    ///< CRX / CRY / CRZ
-  DoubleFlip,    ///< RXX / RYY / RZZ
-  Generic,       ///< dense 2x2 matvec (PauliY, Hadamard)
+  Diagonal,     ///< RZ / PhaseShift / S / T / Z / CZ
+  Permutation,  ///< X / CNOT / SWAP
+  Controlled,   ///< CRX / CRY / CRZ
+  DoubleFlip,   ///< RXX / RYY / RZZ
+  Generic,      ///< dense 2x2 matvec (RX, RY, PauliY, Hadamard)
 };
 
-/// Kernel class `type` routes to under specialized dispatch.
+/// Kernel class `type` routes to with one shared angle, off the reference
+/// backend (which runs every single-qubit gate as the dense 2x2).
 KernelClass kernel_class_for(GateType type);
 
 /// One op of the flat (unfused) stream: the original op order minus

@@ -4,6 +4,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "quantum/exec_plan.hpp"
 #include "quantum/statevector_batch.hpp"
 #include "util/backend_registry.hpp"
 
@@ -129,12 +130,13 @@ Mat2 ry(double theta) {
 }
 
 Mat2 rz(double theta) {
-  return {std::exp(-kI * (theta / 2.0)), kZero, kZero,
-          std::exp(kI * (theta / 2.0))};
+  const double c = std::cos(theta / 2.0);
+  const double sn = std::sin(theta / 2.0);
+  return {Complex{c, -sn}, kZero, kZero, Complex{c, sn}};
 }
 
 Mat2 phase_shift(double theta) {
-  return {kOne, kZero, kZero, std::exp(kI * theta)};
+  return {kOne, kZero, kZero, Complex{std::cos(theta), std::sin(theta)}};
 }
 
 Mat2 rx_derivative(double theta) {
@@ -150,12 +152,13 @@ Mat2 ry_derivative(double theta) {
 }
 
 Mat2 rz_derivative(double theta) {
-  return {-kI * 0.5 * std::exp(-kI * (theta / 2.0)), kZero, kZero,
-          kI * 0.5 * std::exp(kI * (theta / 2.0))};
+  const double c = 0.5 * std::cos(theta / 2.0);
+  const double sn = 0.5 * std::sin(theta / 2.0);
+  return {Complex{-sn, -c}, kZero, kZero, Complex{-sn, c}};
 }
 
 Mat2 phase_shift_derivative(double theta) {
-  return {kZero, kZero, kZero, kI * std::exp(kI * theta)};
+  return {kZero, kZero, kZero, kI * phase_shift(theta).m11};
 }
 
 IsingPair ising_pair(GateType type, double theta) {
@@ -274,8 +277,7 @@ constexpr Complex kOneu{1.0, 0.0};
 /// Per-call scratch for per-row batched dispatch. thread_local so the batch
 /// path allocates at most once per thread, not once per gate.
 struct BatchScratch {
-  std::vector<double> c, s, negated;
-  std::vector<Complex> d0, d1;
+  std::vector<double> negated;
   std::vector<Mat2> m_even, m_odd;
   std::vector<Complex> soa;  // per-row 2x2s, SoA (store_lane)
 };
@@ -302,21 +304,33 @@ void check_angles_span(const StateVectorBatch& batch, GateType type,
   }
 }
 
-/// True when `type` takes the reference backend's dense dispatch: every
-/// single-qubit gate as a dense 2x2 matvec. Two-qubit gates have no dense
-/// form here; they run their structure kernels under every backend.
-bool dense_reference(GateType type) {
-  return gate_arity(type) == 1 && util::simd::active_backend().reference;
-}
+bool reference_backend() { return util::simd::active_backend().reference; }
 
-/// Dense 2x2 dispatch on `wire`: one shared `matrix(θ)` for a single angle,
-/// else one per row, written SoA for the per-row kernel.
+/// Single-qubit dispatch (DESIGN.md §8) of `matrix(θ)` on `wire`: the gate,
+/// its inverse or its derivative. One shared angle takes the kernel
+/// kernel_class_for names — the phase multiply by a diagonal matrix's
+/// m00/m11, the PauliX swap, or the dense 2x2 — and the reference backend
+/// takes the dense 2x2 for every gate. Per-row angles take the per-row
+/// dense 2x2, one matrix per row written SoA, under every backend.
 template <typename MatrixFn>
-void apply_dense(StateVectorBatch& batch, std::span<const double> angles,
-                 std::size_t wire, const MatrixFn& matrix) {
+void apply_single(StateVectorBatch& batch, GateType type,
+                  std::span<const double> angles, std::size_t wire,
+                  const MatrixFn& matrix) {
   if (angles.size() == 1) {
-    batch.apply_single_qubit(matrix(angles[0]), wire);
-    return;
+    switch (reference_backend() ? KernelClass::Generic
+                                : kernel_class_for(type)) {
+      case KernelClass::Permutation:
+        batch.apply_pauli_x(wire);
+        return;
+      case KernelClass::Diagonal: {
+        const Mat2 m = matrix(angles[0]);
+        batch.apply_diagonal(m.m00, m.m11, wire);
+        return;
+      }
+      default:
+        batch.apply_single_qubit(matrix(angles[0]), wire);
+        return;
+    }
   }
   const std::size_t rows = angles.size();
   std::vector<Complex>& soa = batch_scratch().soa;
@@ -327,123 +341,51 @@ void apply_dense(StateVectorBatch& batch, std::span<const double> angles,
   batch.apply_single_qubit_per_row(soa, wire);
 }
 
-/// Shared-angle dispatch (DESIGN.md §8): diagonal / real-rotation /
-/// permutation kernels where the gate structure allows, dense 2x2 otherwise.
-void apply_gate_batch_shared(StateVectorBatch& batch, GateType type,
-                             double theta, std::size_t wire0,
-                             std::size_t wire1) {
+/// Two-qubit dispatch with one shared angle: every gate has a structure
+/// kernel (DESIGN.md §8).
+void apply_two_qubit_shared(StateVectorBatch& batch, GateType type,
+                            double theta, std::size_t wire0,
+                            std::size_t wire1) {
+  require_second_wire(type, wire1);
   switch (type) {
-    case GateType::PauliX:
-      batch.apply_pauli_x(wire0);
-      return;
-    case GateType::PauliZ:
-      batch.apply_diagonal(kOneu, -kOneu, wire0);
-      return;
-    case GateType::S:
-      batch.apply_diagonal(kOneu, kIu, wire0);
-      return;
-    case GateType::T:
-      batch.apply_diagonal(kOneu, std::exp(kIu * (std::numbers::pi / 4.0)),
-                           wire0);
-      return;
-    case GateType::RZ: {
-      const double c = std::cos(theta / 2.0);
-      const double s = std::sin(theta / 2.0);
-      batch.apply_diagonal(Complex{c, -s}, Complex{c, s}, wire0);
-      return;
-    }
-    case GateType::PhaseShift:
-      batch.apply_diagonal(kOneu, Complex{std::cos(theta), std::sin(theta)},
-                           wire0);
-      return;
-    case GateType::RX:
-      batch.apply_rx_fast(std::cos(theta / 2.0), std::sin(theta / 2.0),
-                          wire0);
-      return;
-    case GateType::RY:
-      batch.apply_ry_fast(std::cos(theta / 2.0), std::sin(theta / 2.0),
-                          wire0);
-      return;
     case GateType::CNOT:
-      require_second_wire(type, wire1);
       batch.apply_cnot(wire0, wire1);
       return;
     case GateType::CZ:
-      require_second_wire(type, wire1);
       batch.apply_cz(wire0, wire1);
       return;
     case GateType::SWAP:
-      require_second_wire(type, wire1);
       batch.apply_swap(wire0, wire1);
       return;
     case GateType::CRX:
     case GateType::CRY:
     case GateType::CRZ:
-      require_second_wire(type, wire1);
       batch.apply_controlled(gates::matrix_for(type, theta), wire0, wire1);
       return;
     case GateType::RXX:
     case GateType::RYY:
     case GateType::RZZ: {
-      require_second_wire(type, wire1);
       const gates::IsingPair pair = gates::ising_pair(type, theta);
       batch.apply_double_flip_pairs(pair.even, pair.odd, wire0, wire1);
       return;
     }
     default:
-      // PauliY / Hadamard: dense 2x2 over the batch.
-      batch.apply_single_qubit(gates::matrix_for(type, theta), wire0);
-      return;
+      throw std::logic_error("apply_gate_batch: unreachable");
   }
 }
 
-/// Per-row-angle dispatch. Only parameterized gates can differ per row.
-void apply_gate_batch_per_row(StateVectorBatch& batch, GateType type,
-                              std::span<const double> angles,
-                              std::size_t wire0, std::size_t wire1) {
+/// Two-qubit dispatch with per-row angles. Only parameterized gates can
+/// differ per row.
+void apply_two_qubit_per_row(StateVectorBatch& batch, GateType type,
+                             std::span<const double> angles,
+                             std::size_t wire0, std::size_t wire1) {
+  require_second_wire(type, wire1);
   BatchScratch& scratch = batch_scratch();
   const std::size_t rows = batch.batch();
   switch (type) {
-    case GateType::RX:
-    case GateType::RY: {
-      scratch.c.resize(rows);
-      scratch.s.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        scratch.c[b] = std::cos(angles[b] / 2.0);
-        scratch.s[b] = std::sin(angles[b] / 2.0);
-      }
-      if (type == GateType::RX) {
-        batch.apply_rx_fast_per_row(scratch.c, scratch.s, wire0);
-      } else {
-        batch.apply_ry_fast_per_row(scratch.c, scratch.s, wire0);
-      }
-      return;
-    }
-    case GateType::RZ: {
-      scratch.d0.resize(rows);
-      scratch.d1.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        const double c = std::cos(angles[b] / 2.0);
-        const double s = std::sin(angles[b] / 2.0);
-        scratch.d0[b] = Complex{c, -s};
-        scratch.d1[b] = Complex{c, s};
-      }
-      batch.apply_diagonal_per_row(scratch.d0, scratch.d1, wire0);
-      return;
-    }
-    case GateType::PhaseShift: {
-      scratch.d0.assign(rows, kOneu);
-      scratch.d1.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        scratch.d1[b] = Complex{std::cos(angles[b]), std::sin(angles[b])};
-      }
-      batch.apply_diagonal_per_row(scratch.d0, scratch.d1, wire0);
-      return;
-    }
     case GateType::CRX:
     case GateType::CRY:
     case GateType::CRZ: {
-      require_second_wire(type, wire1);
       scratch.m_even.resize(rows);
       for (std::size_t b = 0; b < rows; ++b) {
         scratch.m_even[b] = gates::matrix_for(type, angles[b]);
@@ -454,7 +396,6 @@ void apply_gate_batch_per_row(StateVectorBatch& batch, GateType type,
     case GateType::RXX:
     case GateType::RYY:
     case GateType::RZZ: {
-      require_second_wire(type, wire1);
       scratch.m_even.resize(rows);
       scratch.m_odd.resize(rows);
       for (std::size_t b = 0; b < rows; ++b) {
@@ -480,13 +421,13 @@ void apply_gate_batch(StateVectorBatch& batch, GateType type,
   check_angles_span(batch, type, angles);
   // Fixed gates cannot vary per row; their angle is ignored anyway.
   if (!gate_is_parameterized(type)) angles = angles.first(1);
-  if (dense_reference(type)) {
-    apply_dense(batch, angles, wire0,
-                [type](double t) { return gates::matrix_for(type, t); });
+  if (gate_arity(type) == 1) {
+    apply_single(batch, type, angles, wire0,
+                 [type](double t) { return gates::matrix_for(type, t); });
   } else if (angles.size() == 1) {
-    apply_gate_batch_shared(batch, type, angles[0], wire0, wire1);
+    apply_two_qubit_shared(batch, type, angles[0], wire0, wire1);
   } else {
-    apply_gate_batch_per_row(batch, type, angles, wire0, wire1);
+    apply_two_qubit_per_row(batch, type, angles, wire0, wire1);
   }
 }
 
@@ -495,7 +436,7 @@ void apply_gate_inverse_batch(StateVectorBatch& batch, GateType type,
                               std::size_t wire0, std::size_t wire1) {
   check_angles_span(batch, type, angles);
   if (!gate_is_parameterized(type)) {
-    if (dense_reference(type)) {
+    if (gate_arity(type) == 1 && reference_backend()) {
       // The conjugate transpose of the dense matrix.
       batch.apply_single_qubit(gates::matrix_for(type, 0.0).dagger(), wire0);
     } else if (type == GateType::S) {
@@ -505,7 +446,7 @@ void apply_gate_inverse_batch(StateVectorBatch& batch, GateType type,
       batch.apply_diagonal(kOneu, std::exp(-kIu * (std::numbers::pi / 4.0)),
                            wire0);
     } else {
-      apply_gate_batch_shared(batch, type, 0.0, wire0, wire1);
+      apply_gate_batch(batch, type, angles, wire0, wire1);
     }
     return;
   }
@@ -524,118 +465,42 @@ void apply_gate_derivative_batch(StateVectorBatch& batch, GateType type,
                                 gate_name(type) + " has no parameter");
   }
   check_angles_span(batch, type, angles);
-  if (dense_reference(type)) {
-    apply_dense(batch, angles, wire0,
-                [type](double t) { return gates::derivative_for(type, t); });
+  if (gate_arity(type) == 1) {
+    apply_single(batch, type, angles, wire0,
+                 [type](double t) { return gates::derivative_for(type, t); });
+    return;
+  }
+  require_second_wire(type, wire1);
+  const bool controlled = gate_is_controlled(type);
+  if (angles.size() == 1) {
+    if (controlled) {
+      batch.apply_controlled_derivative(
+          gates::derivative_for(type, angles[0]), wire0, wire1);
+    } else {
+      const gates::IsingPair pair =
+          gates::ising_pair_derivative(type, angles[0]);
+      batch.apply_double_flip_pairs(pair.even, pair.odd, wire0, wire1);
+    }
     return;
   }
   BatchScratch& scratch = batch_scratch();
-  const bool shared = angles.size() == 1;
   const std::size_t rows = batch.batch();
-  switch (type) {
-    case GateType::RX:
-    case GateType::RY: {
-      // dU/dθ is the rotation-kernel shape with (c, s) = (-s', c') where
-      // c' = cos(θ/2)/2, s' = sin(θ/2)/2: dRX/dθ = [[-s', -ic'], [-ic', -s']]
-      // and dRY/dθ = [[-s', -c'], [c', -s']].
-      if (shared) {
-        const double c = -0.5 * std::sin(angles[0] / 2.0);
-        const double s = 0.5 * std::cos(angles[0] / 2.0);
-        if (type == GateType::RX) {
-          batch.apply_rx_fast(c, s, wire0);
-        } else {
-          batch.apply_ry_fast(c, s, wire0);
-        }
-        return;
-      }
-      scratch.c.resize(rows);
-      scratch.s.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        scratch.c[b] = -0.5 * std::sin(angles[b] / 2.0);
-        scratch.s[b] = 0.5 * std::cos(angles[b] / 2.0);
-      }
-      if (type == GateType::RX) {
-        batch.apply_rx_fast_per_row(scratch.c, scratch.s, wire0);
-      } else {
-        batch.apply_ry_fast_per_row(scratch.c, scratch.s, wire0);
-      }
-      return;
+  scratch.m_even.resize(rows);
+  if (controlled) {
+    for (std::size_t b = 0; b < rows; ++b) {
+      scratch.m_even[b] = gates::derivative_for(type, angles[b]);
     }
-    case GateType::RZ: {
-      if (shared) {
-        const double c = 0.5 * std::cos(angles[0] / 2.0);
-        const double s = 0.5 * std::sin(angles[0] / 2.0);
-        batch.apply_diagonal(Complex{-s, -c}, Complex{-s, c}, wire0);
-        return;
-      }
-      scratch.d0.resize(rows);
-      scratch.d1.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        const double c = 0.5 * std::cos(angles[b] / 2.0);
-        const double s = 0.5 * std::sin(angles[b] / 2.0);
-        scratch.d0[b] = Complex{-s, -c};
-        scratch.d1[b] = Complex{-s, c};
-      }
-      batch.apply_diagonal_per_row(scratch.d0, scratch.d1, wire0);
-      return;
-    }
-    case GateType::PhaseShift: {
-      if (shared) {
-        batch.apply_diagonal(
-            Complex{0.0, 0.0},
-            kIu * Complex{std::cos(angles[0]), std::sin(angles[0])}, wire0);
-        return;
-      }
-      scratch.d0.assign(rows, Complex{0.0, 0.0});
-      scratch.d1.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        scratch.d1[b] =
-            kIu * Complex{std::cos(angles[b]), std::sin(angles[b])};
-      }
-      batch.apply_diagonal_per_row(scratch.d0, scratch.d1, wire0);
-      return;
-    }
-    case GateType::CRX:
-    case GateType::CRY:
-    case GateType::CRZ: {
-      require_second_wire(type, wire1);
-      if (shared) {
-        batch.apply_controlled_derivative(
-            gates::derivative_for(type, angles[0]), wire0, wire1);
-        return;
-      }
-      scratch.m_even.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        scratch.m_even[b] = gates::derivative_for(type, angles[b]);
-      }
-      batch.apply_controlled_derivative_per_row(scratch.m_even, wire0, wire1);
-      return;
-    }
-    case GateType::RXX:
-    case GateType::RYY:
-    case GateType::RZZ: {
-      require_second_wire(type, wire1);
-      if (shared) {
-        const gates::IsingPair pair =
-            gates::ising_pair_derivative(type, angles[0]);
-        batch.apply_double_flip_pairs(pair.even, pair.odd, wire0, wire1);
-        return;
-      }
-      scratch.m_even.resize(rows);
-      scratch.m_odd.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        const gates::IsingPair pair =
-            gates::ising_pair_derivative(type, angles[b]);
-        scratch.m_even[b] = pair.even;
-        scratch.m_odd[b] = pair.odd;
-      }
-      batch.apply_double_flip_pairs_per_row(scratch.m_even, scratch.m_odd,
-                                            wire0, wire1);
-      return;
-    }
-    default:
-      throw std::logic_error("apply_gate_derivative_batch: unreachable");
+    batch.apply_controlled_derivative_per_row(scratch.m_even, wire0, wire1);
+    return;
   }
+  scratch.m_odd.resize(rows);
+  for (std::size_t b = 0; b < rows; ++b) {
+    const gates::IsingPair pair = gates::ising_pair_derivative(type, angles[b]);
+    scratch.m_even[b] = pair.even;
+    scratch.m_odd[b] = pair.odd;
+  }
+  batch.apply_double_flip_pairs_per_row(scratch.m_even, scratch.m_odd, wire0,
+                                        wire1);
 }
 
 }  // namespace qhdl::quantum

@@ -9,7 +9,6 @@ namespace {
 struct Counters {
   util::Metrics& m = util::Metrics::global();
   util::Counter& diagonal = m.counter("kernel.diagonal");
-  util::Counter& real_rotation = m.counter("kernel.real_rotation");
   util::Counter& permutation = m.counter("kernel.permutation");
   util::Counter& controlled = m.counter("kernel.controlled");
   util::Counter& double_flip = m.counter("kernel.double_flip");
@@ -32,7 +31,6 @@ Counters& counters() {
 }  // namespace
 
 void count_diagonal() { counters().diagonal.add(); }
-void count_real_rotation() { counters().real_rotation.add(); }
 void count_permutation() { counters().permutation.add(); }
 void count_controlled() { counters().controlled.add(); }
 void count_double_flip() { counters().double_flip.add(); }

@@ -39,6 +39,18 @@ inline void mix_runs(const Mat2& gate, Complex* a0, Complex* a1,
   }
 }
 
+/// mix_runs with a matrix per lane: lane b of the two `batch`-complex
+/// amplitude rows a0, a1 gets gates[b].
+inline void mix_rows(const Mat2* gates, Complex* a0, Complex* a1,
+                     std::size_t batch) {
+  for (std::size_t b = 0; b < batch; ++b) {
+    const Complex v0 = a0[b];
+    const Complex v1 = a1[b];
+    a0[b] = gates[b].m00 * v0 + gates[b].m01 * v1;
+    a1[b] = gates[b].m10 * v0 + gates[b].m11 * v1;
+  }
+}
+
 }  // namespace
 
 StateVectorBatch::StateVectorBatch(std::size_t num_qubits, std::size_t batch)
@@ -187,45 +199,6 @@ void StateVectorBatch::apply_diagonal(Complex d0, Complex d1,
   // wire=1 half moves) lives inside the backend op.
   util::simd::ops().apply_diagonal_batch(amplitudes_.data(), dimension_,
                                          stride, batch_, d0, d1);
-}
-
-void StateVectorBatch::apply_rx_fast(double c, double s, std::size_t wire) {
-  check_wire(wire, "StateVectorBatch::apply_rx_fast");
-  kernels::count_real_rotation();
-  kernels::count_batched_rows(batch_);
-  const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
-  const std::size_t run = stride * batch_;
-  for (std::size_t block = 0; block < dimension_; block += 2 * stride) {
-    Complex* a0 = amplitudes_.data() + block * batch_;
-    Complex* a1 = a0 + run;
-    for (std::size_t j = 0; j < run; ++j) {
-      const double r0 = a0[j].real(), i0 = a0[j].imag();
-      const double r1 = a1[j].real(), i1 = a1[j].imag();
-      // [[c, -is], [-is, c]] expanded over real/imag components, in the
-      // same operation order as the dense complex matvec.
-      a0[j] = Complex{c * r0 + s * i1, c * i0 - s * r1};
-      a1[j] = Complex{s * i0 + c * r1, -s * r0 + c * i1};
-    }
-  }
-}
-
-void StateVectorBatch::apply_ry_fast(double c, double s, std::size_t wire) {
-  check_wire(wire, "StateVectorBatch::apply_ry_fast");
-  kernels::count_real_rotation();
-  kernels::count_batched_rows(batch_);
-  const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
-  const std::size_t run = stride * batch_;
-  for (std::size_t block = 0; block < dimension_; block += 2 * stride) {
-    Complex* a0 = amplitudes_.data() + block * batch_;
-    Complex* a1 = a0 + run;
-    for (std::size_t j = 0; j < run; ++j) {
-      const double r0 = a0[j].real(), i0 = a0[j].imag();
-      const double r1 = a1[j].real(), i1 = a1[j].imag();
-      // Real rotation [[c, -s], [s, c]] applied to both components.
-      a0[j] = Complex{c * r0 - s * r1, c * i0 - s * i1};
-      a1[j] = Complex{s * r0 + c * r1, s * i0 + c * i1};
-    }
-  }
 }
 
 void StateVectorBatch::apply_pauli_x(std::size_t wire) {
@@ -418,74 +391,6 @@ void StateVectorBatch::apply_single_qubit_per_row(std::span<const Complex> m,
       amplitudes_.data(), dimension_, stride, batch_, m.data());
 }
 
-void StateVectorBatch::apply_diagonal_per_row(std::span<const Complex> d0,
-                                              std::span<const Complex> d1,
-                                              std::size_t wire) {
-  check_wire(wire, "StateVectorBatch::apply_diagonal_per_row");
-  check_rows(d0.size(), "StateVectorBatch::apply_diagonal_per_row");
-  check_rows(d1.size(), "StateVectorBatch::apply_diagonal_per_row");
-  kernels::count_diagonal();
-  kernels::count_batched_rows(batch_);
-  const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
-  Complex* amps = amplitudes_.data();
-  for (std::size_t block = 0; block < dimension_; block += 2 * stride) {
-    for (std::size_t offset = 0; offset < stride; ++offset) {
-      Complex* a0 = amps + (block + offset) * batch_;
-      Complex* a1 = amps + (block + stride + offset) * batch_;
-      for (std::size_t b = 0; b < batch_; ++b) a0[b] *= d0[b];
-      for (std::size_t b = 0; b < batch_; ++b) a1[b] *= d1[b];
-    }
-  }
-}
-
-void StateVectorBatch::apply_rx_fast_per_row(std::span<const double> c,
-                                             std::span<const double> s,
-                                             std::size_t wire) {
-  check_wire(wire, "StateVectorBatch::apply_rx_fast_per_row");
-  check_rows(c.size(), "StateVectorBatch::apply_rx_fast_per_row");
-  check_rows(s.size(), "StateVectorBatch::apply_rx_fast_per_row");
-  kernels::count_real_rotation();
-  kernels::count_batched_rows(batch_);
-  const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
-  Complex* amps = amplitudes_.data();
-  for (std::size_t block = 0; block < dimension_; block += 2 * stride) {
-    for (std::size_t offset = 0; offset < stride; ++offset) {
-      Complex* a0 = amps + (block + offset) * batch_;
-      Complex* a1 = amps + (block + stride + offset) * batch_;
-      for (std::size_t b = 0; b < batch_; ++b) {
-        const double r0 = a0[b].real(), i0 = a0[b].imag();
-        const double r1 = a1[b].real(), i1 = a1[b].imag();
-        a0[b] = Complex{c[b] * r0 + s[b] * i1, c[b] * i0 - s[b] * r1};
-        a1[b] = Complex{s[b] * i0 + c[b] * r1, -s[b] * r0 + c[b] * i1};
-      }
-    }
-  }
-}
-
-void StateVectorBatch::apply_ry_fast_per_row(std::span<const double> c,
-                                             std::span<const double> s,
-                                             std::size_t wire) {
-  check_wire(wire, "StateVectorBatch::apply_ry_fast_per_row");
-  check_rows(c.size(), "StateVectorBatch::apply_ry_fast_per_row");
-  check_rows(s.size(), "StateVectorBatch::apply_ry_fast_per_row");
-  kernels::count_real_rotation();
-  kernels::count_batched_rows(batch_);
-  const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
-  Complex* amps = amplitudes_.data();
-  for (std::size_t block = 0; block < dimension_; block += 2 * stride) {
-    for (std::size_t offset = 0; offset < stride; ++offset) {
-      Complex* a0 = amps + (block + offset) * batch_;
-      Complex* a1 = amps + (block + stride + offset) * batch_;
-      for (std::size_t b = 0; b < batch_; ++b) {
-        const double r0 = a0[b].real(), i0 = a0[b].imag();
-        const double r1 = a1[b].real(), i1 = a1[b].imag();
-        a0[b] = Complex{c[b] * r0 - s[b] * r1, c[b] * i0 - s[b] * i1};
-        a1[b] = Complex{s[b] * r0 + c[b] * r1, s[b] * i0 + c[b] * i1};
-      }
-    }
-  }
-}
-
 void StateVectorBatch::apply_controlled_per_row(std::span<const Mat2> gates,
                                                 std::size_t control,
                                                 std::size_t target) {
@@ -505,15 +410,8 @@ void StateVectorBatch::apply_controlled_per_row(std::span<const Mat2> gates,
   Complex* amps = amplitudes_.data();
   for (std::size_t k = 0; k < dimension_ / 4; ++k) {
     const std::size_t i = expand_two_zero_bits(k, lo, hi) | cmask;
-    Complex* a0 = amps + i * batch_;
-    Complex* a1 = amps + (i | tmask) * batch_;
-    for (std::size_t b = 0; b < batch_; ++b) {
-      const Mat2& gate = gates[b];
-      const Complex v0 = a0[b];
-      const Complex v1 = a1[b];
-      a0[b] = gate.m00 * v0 + gate.m01 * v1;
-      a1[b] = gate.m10 * v0 + gate.m11 * v1;
-    }
+    mix_rows(gates.data(), amps + i * batch_, amps + (i | tmask) * batch_,
+             batch_);
   }
 }
 
@@ -531,24 +429,18 @@ void StateVectorBatch::apply_controlled_derivative_per_row(
   kernels::count_batched_rows(batch_);
   const std::size_t cmask = std::size_t{1} << (num_qubits_ - 1 - control);
   Complex* amps = amplitudes_.data();
-  for (std::size_t k = 0; k < dimension_ / 2; ++k) {
+  // d(CU)/dθ annihilates the control-0 subspace: runs of cmask rows.
+  for (std::size_t k = 0; k < dimension_ / 2; k += cmask) {
     Complex* a = amps + expand_one_zero_bit(k, cmask) * batch_;
-    for (std::size_t b = 0; b < batch_; ++b) a[b] = Complex{0.0, 0.0};
+    std::fill(a, a + cmask * batch_, Complex{0.0, 0.0});
   }
   const std::size_t tmask = std::size_t{1} << (num_qubits_ - 1 - target);
   const std::size_t lo = cmask < tmask ? cmask : tmask;
   const std::size_t hi = cmask < tmask ? tmask : cmask;
   for (std::size_t k = 0; k < dimension_ / 4; ++k) {
     const std::size_t i = expand_two_zero_bits(k, lo, hi) | cmask;
-    Complex* a0 = amps + i * batch_;
-    Complex* a1 = amps + (i | tmask) * batch_;
-    for (std::size_t b = 0; b < batch_; ++b) {
-      const Mat2& gate = gates[b];
-      const Complex v0 = a0[b];
-      const Complex v1 = a1[b];
-      a0[b] = gate.m00 * v0 + gate.m01 * v1;
-      a1[b] = gate.m10 * v0 + gate.m11 * v1;
-    }
+    mix_rows(gates.data(), amps + i * batch_, amps + (i | tmask) * batch_,
+             batch_);
   }
 }
 
@@ -573,22 +465,12 @@ void StateVectorBatch::apply_double_flip_pairs_per_row(
   const std::size_t lo = amask < bmask ? amask : bmask;
   const std::size_t hi = amask < bmask ? bmask : amask;
   Complex* amps = amplitudes_.data();
-  const auto apply_pair = [&](std::size_t i, std::size_t j,
-                              std::span<const Mat2> gates) {
-    Complex* a0 = amps + i * batch_;
-    Complex* a1 = amps + j * batch_;
-    for (std::size_t b = 0; b < batch_; ++b) {
-      const Mat2& gate = gates[b];
-      const Complex v0 = a0[b];
-      const Complex v1 = a1[b];
-      a0[b] = gate.m00 * v0 + gate.m01 * v1;
-      a1[b] = gate.m10 * v0 + gate.m11 * v1;
-    }
-  };
   for (std::size_t k = 0; k < dimension_ / 4; ++k) {
     const std::size_t base = expand_two_zero_bits(k, lo, hi);
-    apply_pair(base, base ^ flip, even_pairs);
-    apply_pair(base | bmask, (base | bmask) ^ flip, odd_pairs);
+    mix_rows(even_pairs.data(), amps + base * batch_,
+             amps + (base ^ flip) * batch_, batch_);
+    mix_rows(odd_pairs.data(), amps + (base | bmask) * batch_,
+             amps + ((base | bmask) ^ flip) * batch_, batch_);
   }
 }
 

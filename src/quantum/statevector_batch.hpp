@@ -10,10 +10,13 @@
 // one-row batch (statevector.hpp), whose layout at B = 1 is the plain
 // amplitude array.
 //
-// Two kernel flavors per gate family:
-//   * shared — one matrix/angle for every row (ansatz weights, fixed gates);
-//     trig and matrix construction happen once for the whole batch;
-//   * per-row — independent angle per row (data-encoding gates).
+// Two kernel flavors:
+//   * shared — one matrix for every row (ansatz weights, fixed gates):
+//     the dense 2x2 and the structure kernels (diagonal, PauliX, CNOT, CZ,
+//     SWAP, controlled, double-flip pairs, dense 4x4);
+//   * per-row — an independent matrix per row (data-encoding gates): the
+//     dense 2x2, which every per-row single-qubit gate takes, and the
+//     controlled and double-flip pair kernels for two-qubit gates.
 // Each row runs the same operations in the same order whatever B is, so a
 // batch matches its rows run one at a time bit-for-bit regardless of how
 // the batch is chunked.
@@ -77,12 +80,6 @@ class StateVectorBatch {
   /// (RZ, PhaseShift, S, T, PauliZ). When d0 == 1 only the wire=1 half of
   /// the state is touched.
   void apply_diagonal(Complex d0, Complex d1, std::size_t wire);
-  /// RX(θ) with c = cos(θ/2), s = sin(θ/2): [[c, -is], [-is, c]] needs only
-  /// real multiplies.
-  void apply_rx_fast(double c, double s, std::size_t wire);
-  /// RY(θ) with c = cos(θ/2), s = sin(θ/2): the real rotation
-  /// [[c, -s], [s, c]] applied componentwise.
-  void apply_ry_fast(double c, double s, std::size_t wire);
   /// PauliX on `wire`: a pure swap of amplitude pairs.
   void apply_pauli_x(std::size_t wire);
   void apply_cnot(std::size_t control, std::size_t target);
@@ -114,12 +111,6 @@ class StateVectorBatch {
   /// layout quantum::store_lane writes. One registry dispatch for all rows.
   void apply_single_qubit_per_row(std::span<const Complex> m,
                                   std::size_t wire);
-  void apply_diagonal_per_row(std::span<const Complex> d0,
-                              std::span<const Complex> d1, std::size_t wire);
-  void apply_rx_fast_per_row(std::span<const double> c,
-                             std::span<const double> s, std::size_t wire);
-  void apply_ry_fast_per_row(std::span<const double> c,
-                             std::span<const double> s, std::size_t wire);
   void apply_controlled_per_row(std::span<const Mat2> gates,
                                 std::size_t control, std::size_t target);
   void apply_controlled_derivative_per_row(std::span<const Mat2> gates,

@@ -197,9 +197,8 @@ TEST(DispatchCounts, ClassifyCircuitMatchesMeasuredCounters) {
 
   const DispatchCounts modeled = classify_circuit(circuit);
   EXPECT_EQ(modeled.diagonal, 2u);       // RZ + S
-  EXPECT_EQ(modeled.real_rotation, 1u);  // RX
   EXPECT_EQ(modeled.permutation, 2u);    // PauliX + CNOT
-  EXPECT_EQ(modeled.generic, 1u);        // Hadamard
+  EXPECT_EQ(modeled.generic, 2u);        // RX + Hadamard
   EXPECT_EQ(modeled.controlled, 1u);     // CRY
   EXPECT_EQ(modeled.double_flip, 1u);    // RZZ
   EXPECT_EQ(modeled.total(), circuit.op_count());
@@ -214,7 +213,6 @@ TEST(DispatchCounts, ClassifyCircuitMatchesMeasuredCounters) {
   const util::MetricsSnapshot measured = util::Metrics::global().snapshot();
   util::simd::set_backend(std::nullopt);
   EXPECT_EQ(measured.at("kernel.diagonal"), modeled.diagonal);
-  EXPECT_EQ(measured.at("kernel.real_rotation"), modeled.real_rotation);
   EXPECT_EQ(measured.at("kernel.permutation"), modeled.permutation);
   EXPECT_EQ(measured.at("kernel.controlled"), modeled.controlled);
   EXPECT_EQ(measured.at("kernel.double_flip"), modeled.double_flip);
@@ -263,7 +261,6 @@ TEST(DispatchCounts, ClassifyPlanMatchesMeasuredCompiledCounters) {
   EXPECT_EQ(measured.at("kernel.permutation"), modeled.permutation);
   EXPECT_EQ(measured.at("kernel.fused"), modeled.fused);
   EXPECT_EQ(measured.at("kernel.fused_gates"), modeled.fused_gates);
-  EXPECT_EQ(measured.at("kernel.real_rotation"), modeled.real_rotation);
   EXPECT_EQ(measured.at("kernel.double_flip"), modeled.double_flip);
 
   const std::string table = dispatch_comparison_to_string(modeled, measured);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <vector>
 
 namespace qhdl::quantum {
 namespace {
@@ -78,6 +80,76 @@ TEST(GateMatrices, SSquaredIsZ) {
 TEST(GateMatrices, TSquaredIsS) {
   const Mat2 s2 = gates::t() * gates::t();
   EXPECT_NEAR(std::abs(s2.m11 - gates::s().m11), 0.0, kTol);
+}
+
+/// Closed-form trig entries of a rotation and its derivative, from
+/// h_c = cos(θ/2), h_s = sin(θ/2), f_c = cos θ and f_s = sin θ. Per-row and
+/// shared dispatch both take their matrices from gates::, so these bits
+/// are what a batch row and its one-row call agree on.
+struct TrigEntries {
+  Mat2 gate;
+  Mat2 derivative;
+};
+
+TrigEntries closed_form(GateType type, double h_c, double h_s, double f_c,
+                        double f_s) {
+  const Complex zero{0.0, 0.0};
+  switch (type) {
+    case GateType::RX:
+      return {{Complex{h_c, 0.0}, Complex{0.0, -h_s}, Complex{0.0, -h_s},
+               Complex{h_c, 0.0}},
+              {Complex{-0.5 * h_s, 0.0}, Complex{0.0, -0.5 * h_c},
+               Complex{0.0, -0.5 * h_c}, Complex{-0.5 * h_s, 0.0}}};
+    case GateType::RY:
+      return {{Complex{h_c, 0.0}, Complex{-h_s, 0.0}, Complex{h_s, 0.0},
+               Complex{h_c, 0.0}},
+              {Complex{-0.5 * h_s, 0.0}, Complex{-0.5 * h_c, 0.0},
+               Complex{0.5 * h_c, 0.0}, Complex{-0.5 * h_s, 0.0}}};
+    case GateType::RZ:
+      return {{Complex{h_c, -h_s}, zero, zero, Complex{h_c, h_s}},
+              {Complex{-0.5 * h_s, -0.5 * h_c}, zero, zero,
+               Complex{-0.5 * h_s, 0.5 * h_c}}};
+    default:  // PhaseShift
+      return {{Complex{1.0, 0.0}, zero, zero, Complex{f_c, f_s}},
+              {zero, zero, zero, Complex{0.0, 1.0} * Complex{f_c, f_s}}};
+  }
+}
+
+bool same_bits(const Mat2& a, const Mat2& b) {
+  return std::memcmp(&a, &b, sizeof(Mat2)) == 0;
+}
+
+TEST(GateMatrices, RotationEntriesEqualClosedFormTrigBitwise) {
+  // memcmp, so signed zeros count. The angle at -θ is checked against the
+  // trig of +θ with sin negated, which also pins libm's sin(-x) == -sin(x)
+  // and cos(-x) == cos(x) bitwise: the inverse gate is the gate at -θ.
+  std::vector<double> angles = {0.0,   -0.0,   std::numbers::pi,
+                                1e-300, 1e3,   -0.37,
+                                -2.5,   -6.0,  5e-324};
+  // Encoding angles: standardized spiral features and the dense outputs
+  // fed to the encodings stay well inside ±8.
+  for (int k = -600; k <= 600; ++k) angles.push_back(0.0137 * k);
+  for (const GateType type : {GateType::RX, GateType::RY, GateType::RZ,
+                              GateType::PhaseShift}) {
+    for (const double theta : angles) {
+      const double h_c = std::cos(theta / 2.0);
+      const double h_s = std::sin(theta / 2.0);
+      const double f_c = std::cos(theta);
+      const double f_s = std::sin(theta);
+      const TrigEntries plus = closed_form(type, h_c, h_s, f_c, f_s);
+      const TrigEntries minus = closed_form(type, h_c, -h_s, f_c, -f_s);
+      EXPECT_TRUE(same_bits(gates::matrix_for(type, theta), plus.gate))
+          << gate_name(type) << "(" << theta << ")";
+      EXPECT_TRUE(
+          same_bits(gates::derivative_for(type, theta), plus.derivative))
+          << gate_name(type) << "'(" << theta << ")";
+      EXPECT_TRUE(same_bits(gates::matrix_for(type, -theta), minus.gate))
+          << gate_name(type) << "(-" << theta << ")";
+      EXPECT_TRUE(
+          same_bits(gates::derivative_for(type, -theta), minus.derivative))
+          << gate_name(type) << "'(-" << theta << ")";
+    }
+  }
 }
 
 /// Derivative matrices match finite differences of the gate matrices.

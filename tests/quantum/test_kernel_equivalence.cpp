@@ -98,27 +98,32 @@ void check_both_modes(const StateVector& initial, const ApplyFn& apply_fn,
   expect_states_close(specialized, generic, kTol, label);
 }
 
-/// The reference backend's dense dispatch over a B = 3 batch of copies of
-/// `initial` with a distinct angle per row (`apply_batch`): each row must be
-/// bit-identical to the single-state call `apply_single` with that row's
-/// angle.
+/// A B = 3 batch of copies of `initial` with a distinct angle per row
+/// (`apply_batch`): each row must be bit-identical to the one-row call
+/// `apply_single` with that row's angle, under the reference backend's dense
+/// dispatch and under the default backend (a per-row single-qubit gate runs
+/// the per-row dense 2x2, its one-row call the shared kernel).
 template <typename BatchFn, typename SingleFn>
-void check_reference_rows(const StateVector& initial, double theta,
-                          const BatchFn& apply_batch,
-                          const SingleFn& apply_single,
-                          const std::string& label) {
-  const KernelScope scope{true};
+void check_rows_match_one_row_calls(const StateVector& initial, double theta,
+                                    const BatchFn& apply_batch,
+                                    const SingleFn& apply_single,
+                                    const std::string& label) {
   const std::vector<double> angles = {theta, theta + 0.5, -theta - 0.25};
-  StateVectorBatch batch{initial.num_qubits(), angles.size()};
-  for (std::size_t b = 0; b < angles.size(); ++b) batch.set_row(b, initial);
-  apply_batch(batch, std::span<const double>{angles});
-  for (std::size_t b = 0; b < angles.size(); ++b) {
-    StateVector single = initial;
-    apply_single(single, angles[b]);
-    const StateVector row = batch.extract_row(b);
-    for (std::size_t i = 0; i < row.dimension(); ++i) {
-      EXPECT_EQ(row.amplitudes()[i], single.amplitudes()[i])
-          << label << " row " << b << " amplitude " << i;
+  for (const bool reference : {true, false}) {
+    const KernelScope scope{reference};
+    const std::string backend = util::simd::active_backend().name;
+    StateVectorBatch batch{initial.num_qubits(), angles.size()};
+    for (std::size_t b = 0; b < angles.size(); ++b) batch.set_row(b, initial);
+    apply_batch(batch, std::span<const double>{angles});
+    for (std::size_t b = 0; b < angles.size(); ++b) {
+      StateVector single = initial;
+      apply_single(single, angles[b]);
+      const StateVector row = batch.extract_row(b);
+      for (std::size_t i = 0; i < row.dimension(); ++i) {
+        EXPECT_EQ(row.amplitudes()[i], single.amplitudes()[i])
+            << label << " [" << backend << "] row " << b << " amplitude "
+            << i;
+      }
     }
   }
 }
@@ -138,7 +143,7 @@ TEST(KernelEquivalence, EveryGateEveryPositionMatchesGeneric) {
                 quantum::apply_gate(s, type, theta, w0);
               },
               case_label(type, qubits, w0, SIZE_MAX));
-          check_reference_rows(
+          check_rows_match_one_row_calls(
               initial, theta,
               [&](StateVectorBatch& s, std::span<const double> angles) {
                 quantum::apply_gate_batch(s, type, angles, w0);
@@ -146,7 +151,7 @@ TEST(KernelEquivalence, EveryGateEveryPositionMatchesGeneric) {
               [&](StateVector& s, double angle) {
                 quantum::apply_gate(s, type, angle, w0);
               },
-              "reference rows " + case_label(type, qubits, w0, SIZE_MAX));
+              "rows " + case_label(type, qubits, w0, SIZE_MAX));
         } else {
           for (std::size_t w1 = 0; w1 < qubits; ++w1) {
             if (w1 == w0) continue;
@@ -157,7 +162,7 @@ TEST(KernelEquivalence, EveryGateEveryPositionMatchesGeneric) {
                   quantum::apply_gate(s, type, theta, w0, w1);
                 },
                 case_label(type, qubits, w0, w1));
-            check_reference_rows(
+            check_rows_match_one_row_calls(
                 initial, theta,
                 [&](StateVectorBatch& s, std::span<const double> angles) {
                   quantum::apply_gate_batch(s, type, angles, w0, w1);
@@ -165,7 +170,7 @@ TEST(KernelEquivalence, EveryGateEveryPositionMatchesGeneric) {
                 [&](StateVector& s, double angle) {
                   quantum::apply_gate(s, type, angle, w0, w1);
                 },
-                "reference rows " + case_label(type, qubits, w0, w1));
+                "rows " + case_label(type, qubits, w0, w1));
           }
         }
       }
@@ -190,7 +195,7 @@ TEST(KernelEquivalence, InverseGatesMatchGeneric) {
             quantum::apply_gate_inverse(s, type, theta, w0, w1);
           },
           "inverse " + case_label(type, qubits, w0, w1));
-      check_reference_rows(
+      check_rows_match_one_row_calls(
           initial, theta,
           [&](StateVectorBatch& s, std::span<const double> angles) {
             quantum::apply_gate_inverse_batch(s, type, angles, w0, w1);
@@ -198,7 +203,7 @@ TEST(KernelEquivalence, InverseGatesMatchGeneric) {
           [&](StateVector& s, double angle) {
             quantum::apply_gate_inverse(s, type, angle, w0, w1);
           },
-          "reference rows inverse " + case_label(type, qubits, w0, w1));
+          "rows inverse " + case_label(type, qubits, w0, w1));
     }
   }
 }
@@ -242,7 +247,7 @@ TEST(KernelEquivalence, DerivativeKernelsMatchGeneric) {
               quantum::apply_gate_derivative(s, type, theta, w0, w1);
             },
             "derivative " + case_label(type, qubits, w0, w1));
-        check_reference_rows(
+        check_rows_match_one_row_calls(
             initial, theta,
             [&](StateVectorBatch& s, std::span<const double> angles) {
               quantum::apply_gate_derivative_batch(s, type, angles, w0, w1);
@@ -250,7 +255,7 @@ TEST(KernelEquivalence, DerivativeKernelsMatchGeneric) {
             [&](StateVector& s, double angle) {
               quantum::apply_gate_derivative(s, type, angle, w0, w1);
             },
-            "reference rows derivative " + case_label(type, qubits, w0, w1));
+            "rows derivative " + case_label(type, qubits, w0, w1));
       }
     }
   }
@@ -467,9 +472,8 @@ TEST(KernelEquivalence, DispatchCountersClassifyCircuit) {
   quantum::apply_gate(state, GateType::RZZ, 0.6, 0, 2);
   const util::MetricsSnapshot stats = util::Metrics::global().snapshot();
   EXPECT_EQ(stats.at("kernel.diagonal"), 1u);
-  EXPECT_EQ(stats.at("kernel.real_rotation"), 1u);
   EXPECT_EQ(stats.at("kernel.permutation"), 2u);  // PauliX + CNOT
-  EXPECT_EQ(stats.at("kernel.generic"), 1u);      // Hadamard
+  EXPECT_EQ(stats.at("kernel.generic"), 2u);      // RX + Hadamard
   EXPECT_EQ(stats.at("kernel.controlled"), 1u);
   EXPECT_EQ(stats.at("kernel.double_flip"), 1u);
   EXPECT_EQ(stats.at("kernel.two_qubit_dense"), 0u);

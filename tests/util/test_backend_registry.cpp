@@ -207,11 +207,11 @@ TEST(BackendRegistry, LegacyForceFlagsNoLongerSelectReference) {
 
 TEST(BackendRegistry, ReferenceBackendForcesLegacyReferencePaths) {
   // The descriptor's reference flag is the only switch onto the reference
-  // paths: gates take the generic dense kernels (RY would otherwise hit the
-  // real-rotation kernel) and classical models train on the reference
-  // Module path instead of the workspace trainer.
+  // paths: gates take the generic dense kernels (RZ would otherwise hit the
+  // diagonal kernel) and classical models train on the reference Module
+  // path instead of the workspace trainer.
   quantum::Circuit circuit{2};
-  circuit.parameterized_gate(quantum::GateType::RY, 0, 0);
+  circuit.parameterized_gate(quantum::GateType::RZ, 0, 0);
   circuit.gate(quantum::GateType::CNOT, 0, 1);
   const std::vector<double> params{0.3};
   for (const char* name : {"reference", "generic"}) {
@@ -224,7 +224,7 @@ TEST(BackendRegistry, ReferenceBackendForcesLegacyReferencePaths) {
     EXPECT_EQ(qhdl::testing::global_count("kernel.generic"),
               reference ? 1u : 0u)
         << name;
-    EXPECT_EQ(qhdl::testing::global_count("kernel.real_rotation"),
+    EXPECT_EQ(qhdl::testing::global_count("kernel.diagonal"),
               reference ? 0u : 1u)
         << name;
 

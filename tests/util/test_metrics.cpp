@@ -115,10 +115,10 @@ TEST(Metrics, ToJsonNestsDottedNames) {
 TEST(Metrics, GlobalRegistryListsKernelAndFastpathCounters) {
   const MetricsSnapshot snapshot = Metrics::global().snapshot();
   for (const char* name :
-       {"kernel.diagonal", "kernel.real_rotation", "kernel.permutation",
-        "kernel.controlled", "kernel.double_flip", "kernel.generic",
-        "kernel.two_qubit_dense", "kernel.fused", "kernel.fused_gates",
-        "kernel.batched_rows", "fastpath.workspace_runs",
+       {"kernel.diagonal", "kernel.permutation", "kernel.controlled",
+        "kernel.double_flip", "kernel.generic", "kernel.two_qubit_dense",
+        "kernel.fused", "kernel.fused_gates", "kernel.batched_rows",
+        "fastpath.workspace_runs",
         "fastpath.reference_runs", "fastpath.workspace_steps"}) {
     EXPECT_EQ(snapshot.values.count(name), 1u) << name;
   }
