@@ -1,8 +1,9 @@
 #include "quantum/channels.hpp"
 
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
+
+#include "quantum/parameter_shift.hpp"
 
 namespace qhdl::quantum {
 
@@ -99,39 +100,6 @@ NoiseModel NoiseModel::amplitude_damping(double gamma) {
 
 namespace {
 
-void apply_gate_to_density(DensityMatrix& rho, GateType type, double angle,
-                           std::size_t wire0, std::size_t wire1) {
-  switch (type) {
-    case GateType::CNOT:
-      rho.apply_cnot(wire0, wire1);
-      return;
-    case GateType::CZ:
-      rho.apply_cz(wire0, wire1);
-      return;
-    case GateType::SWAP:
-      // SWAP = 3 CNOTs.
-      rho.apply_cnot(wire0, wire1);
-      rho.apply_cnot(wire1, wire0);
-      rho.apply_cnot(wire0, wire1);
-      return;
-    case GateType::CRX:
-    case GateType::CRY:
-    case GateType::CRZ:
-      rho.apply_controlled(gates::matrix_for(type, angle), wire0, wire1);
-      return;
-    case GateType::RXX:
-    case GateType::RYY:
-    case GateType::RZZ: {
-      const gates::IsingPair pair = gates::ising_pair(type, angle);
-      rho.apply_double_flip_pairs(pair.even, pair.odd, wire0, wire1);
-      return;
-    }
-    default:
-      rho.apply_single_qubit(gates::matrix_for(type, angle), wire0);
-      return;
-  }
-}
-
 void apply_noise(DensityMatrix& rho, const NoiseModel& noise,
                  std::size_t wire0, std::size_t wire1) {
   for (const KrausChannel& channel : noise.per_gate_channels) {
@@ -140,20 +108,32 @@ void apply_noise(DensityMatrix& rho, const NoiseModel& noise,
   }
 }
 
+/// run_noisy with the angle of op `shifted_op` moved by `delta` (no op is
+/// shifted when shifted_op is SIZE_MAX): the one noisy evolution loop.
+DensityMatrix evolve(const Circuit& circuit, std::span<const double> params,
+                     const NoiseModel& noise,
+                     std::size_t shifted_op = SIZE_MAX, double delta = 0.0) {
+  if (params.size() < circuit.parameter_count()) {
+    throw std::invalid_argument("run_noisy: insufficient parameters");
+  }
+  const auto& ops = circuit.ops();
+  DensityMatrix rho{circuit.num_qubits()};
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Op& op = ops[i];
+    double angle = op.angle(params);
+    if (i == shifted_op) angle += delta;
+    rho.apply_gate(op.type, angle, op.wire0, op.wire1);
+    if (!noise.empty()) apply_noise(rho, noise, op.wire0, op.wire1);
+  }
+  return rho;
+}
+
 }  // namespace
 
 DensityMatrix run_noisy(const Circuit& circuit,
                         std::span<const double> params,
                         const NoiseModel& noise) {
-  if (params.size() < circuit.parameter_count()) {
-    throw std::invalid_argument("run_noisy: insufficient parameters");
-  }
-  DensityMatrix rho{circuit.num_qubits()};
-  for (const Op& op : circuit.ops()) {
-    apply_gate_to_density(rho, op.type, op.angle(params), op.wire0, op.wire1);
-    if (!noise.empty()) apply_noise(rho, noise, op.wire0, op.wire1);
-  }
-  return rho;
+  return evolve(circuit, params, noise);
 }
 
 std::vector<double> noisy_expvals(const Circuit& circuit,
@@ -169,63 +149,6 @@ std::vector<double> noisy_expvals(const Circuit& circuit,
   return values;
 }
 
-std::vector<double> noisy_parameter_shift_gradient(
-    const Circuit& circuit, std::span<const double> params,
-    const NoiseModel& noise, std::size_t observable_wire) {
-  std::vector<double> gradient(circuit.parameter_count(), 0.0);
-  const double half_pi = std::numbers::pi / 2.0;
-  const auto& ops = circuit.ops();
-
-  const auto eval_with_shift = [&](std::size_t op_index, double delta) {
-    DensityMatrix rho{circuit.num_qubits()};
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const Op& op = ops[i];
-      double angle = op.angle(params);
-      if (i == op_index) angle += delta;
-      apply_gate_to_density(rho, op.type, angle, op.wire0, op.wire1);
-      if (!noise.empty()) apply_noise(rho, noise, op.wire0, op.wire1);
-    }
-    return rho.expval_pauli_z(observable_wire);
-  };
-
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const Op& op = ops[i];
-    if (!op.param_index.has_value()) continue;
-    double contribution = 0.0;
-    switch (op.type) {
-      case GateType::RX:
-      case GateType::RY:
-      case GateType::RZ:
-      case GateType::PhaseShift:
-      case GateType::RXX:
-      case GateType::RYY:
-      case GateType::RZZ:
-        contribution = 0.5 * (eval_with_shift(i, half_pi) -
-                              eval_with_shift(i, -half_pi));
-        break;
-      case GateType::CRX:
-      case GateType::CRY:
-      case GateType::CRZ: {
-        const double sqrt2 = std::numbers::sqrt2;
-        const double c_plus = (sqrt2 + 1.0) / (4.0 * sqrt2);
-        const double c_minus = (sqrt2 - 1.0) / (4.0 * sqrt2);
-        contribution =
-            c_plus * (eval_with_shift(i, half_pi) -
-                      eval_with_shift(i, -half_pi)) -
-            c_minus * (eval_with_shift(i, 3.0 * half_pi) -
-                       eval_with_shift(i, -3.0 * half_pi));
-        break;
-      }
-      default:
-        throw std::logic_error(
-            "noisy_parameter_shift_gradient: no rule for " +
-            gate_name(op.type));
-    }
-    gradient[*op.param_index] += contribution;
-  }
-  return gradient;
-}
-
 NoisyVjpResult noisy_parameter_shift_vjp(const Circuit& circuit,
                                          std::span<const double> params,
                                          const NoiseModel& noise,
@@ -235,62 +158,25 @@ NoisyVjpResult noisy_parameter_shift_vjp(const Circuit& circuit,
     throw std::invalid_argument(
         "noisy_parameter_shift_vjp: wires/upstream size mismatch");
   }
-  const auto& ops = circuit.ops();
-  const double half_pi = std::numbers::pi / 2.0;
-
-  // Weighted observable value of one (optionally shifted) execution.
-  const auto weighted_eval = [&](std::size_t op_index, double delta) {
-    DensityMatrix rho{circuit.num_qubits()};
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const Op& op = ops[i];
-      double angle = op.angle(params);
-      if (i == op_index) angle += delta;
-      apply_gate_to_density(rho, op.type, angle, op.wire0, op.wire1);
-      if (!noise.empty()) apply_noise(rho, noise, op.wire0, op.wire1);
-    }
-    double total = 0.0;
-    for (std::size_t k = 0; k < wires.size(); ++k) {
-      total += upstream[k] * rho.expval_pauli_z(wires[k]);
-    }
-    return total;
-  };
-
   NoisyVjpResult result;
   result.expectations = noisy_expvals(circuit, params, noise, wires);
   result.gradient.assign(circuit.parameter_count(), 0.0);
 
+  const auto& ops = circuit.ops();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Op& op = ops[i];
     if (!op.param_index.has_value()) continue;
-    double contribution = 0.0;
-    switch (op.type) {
-      case GateType::RX:
-      case GateType::RY:
-      case GateType::RZ:
-      case GateType::PhaseShift:
-      case GateType::RXX:
-      case GateType::RYY:
-      case GateType::RZZ:
-        contribution = 0.5 * (weighted_eval(i, half_pi) -
-                              weighted_eval(i, -half_pi));
-        break;
-      case GateType::CRX:
-      case GateType::CRY:
-      case GateType::CRZ: {
-        const double sqrt2 = std::numbers::sqrt2;
-        const double c_plus = (sqrt2 + 1.0) / (4.0 * sqrt2);
-        const double c_minus = (sqrt2 - 1.0) / (4.0 * sqrt2);
-        contribution = c_plus * (weighted_eval(i, half_pi) -
-                                 weighted_eval(i, -half_pi)) -
-                       c_minus * (weighted_eval(i, 3.0 * half_pi) -
-                                  weighted_eval(i, -3.0 * half_pi));
-        break;
+    // Weighted observable value of the execution with op i shifted.
+    const auto weighted = [&](double delta) {
+      const DensityMatrix rho = evolve(circuit, params, noise, i, delta);
+      double total = 0.0;
+      for (std::size_t k = 0; k < wires.size(); ++k) {
+        total += upstream[k] * rho.expval_pauli_z(wires[k]);
       }
-      default:
-        throw std::logic_error("noisy_parameter_shift_vjp: no rule for " +
-                               gate_name(op.type));
-    }
-    result.gradient[*op.param_index] += contribution;
+      return total;
+    };
+    result.gradient[*op.param_index] +=
+        shift_rule_derivative(op.type, weighted);
   }
   return result;
 }

@@ -41,7 +41,9 @@ struct NoiseModel {
 };
 
 /// Runs a circuit on a density matrix under the noise model and returns the
-/// final state. Fixed-angle and parameterized ops both supported.
+/// final state. Fixed-angle and parameterized ops both supported; each gate
+/// is DensityMatrix::apply_gate, the pure states' gate dispatch run as a
+/// sandwich over ρ's columns.
 DensityMatrix run_noisy(const Circuit& circuit,
                         std::span<const double> params,
                         const NoiseModel& noise);
@@ -52,18 +54,14 @@ std::vector<double> noisy_expvals(const Circuit& circuit,
                                   const NoiseModel& noise,
                                   std::span<const std::size_t> wires);
 
-/// Parameter-shift gradient of ⟨Z_wire⟩ under noisy execution. The shift
-/// rules remain exact for unitary parameterized gates even when the overall
-/// evolution is a noisy CPTP map.
-std::vector<double> noisy_parameter_shift_gradient(
-    const Circuit& circuit, std::span<const double> params,
-    const NoiseModel& noise, std::size_t observable_wire);
-
 /// Vector-Jacobian product under noise: gradient of
 /// Σ_k upstream[k] · ⟨Z_{wires[k]}⟩ w.r.t. every runtime parameter, plus the
-/// unshifted expectations. Each shifted circuit is evolved ONCE and all
+/// unshifted expectations. The shift rules (shift_rule_derivative) remain
+/// exact for unitary parameterized gates even when the overall evolution is
+/// a noisy CPTP map. Each shifted circuit is evolved ONCE and all
 /// observables are read from it, so the cost matches the single-observable
-/// shift rule. This is what a noisy QuantumLayer's backward pass uses.
+/// shift rule; a one-hot `upstream` gives one observable's gradient. This is
+/// what a noisy QuantumLayer's backward pass uses.
 struct NoisyVjpResult {
   std::vector<double> expectations;
   std::vector<double> gradient;

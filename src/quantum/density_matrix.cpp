@@ -1,5 +1,6 @@
 #include "quantum/density_matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -20,23 +21,34 @@ bool KrausChannel::is_trace_preserving(double tolerance) const {
          std::abs(s01) < tolerance && std::abs(s10) < tolerance;
 }
 
-DensityMatrix::DensityMatrix(std::size_t num_qubits)
-    : num_qubits_(num_qubits) {
+namespace {
+
+/// 2^q for a supported density-matrix size (ρ holds 4^q amplitudes).
+std::size_t checked_dimension(std::size_t num_qubits) {
   if (num_qubits == 0 || num_qubits > 14) {
     throw std::invalid_argument(
         "DensityMatrix: qubit count must be in [1,14]");
   }
-  dim_ = std::size_t{1} << num_qubits;
-  elements_.assign(dim_ * dim_, Complex{0, 0});
-  elements_[0] = Complex{1, 0};
+  return std::size_t{1} << num_qubits;
+}
+
+}  // namespace
+
+DensityMatrix::DensityMatrix(std::size_t num_qubits)
+    : columns_(num_qubits, checked_dimension(num_qubits)) {
+  // The batch starts every column at |0...0⟩; |0⟩⟨0| keeps only column 0.
+  std::fill(elements().begin() + 1, elements().begin() + dimension(),
+            Complex{0, 0});
 }
 
 DensityMatrix DensityMatrix::from_statevector(const StateVector& state) {
   DensityMatrix rho{state.num_qubits()};
+  const std::size_t dim = rho.dimension();
   const auto amps = state.amplitudes();
-  for (std::size_t i = 0; i < rho.dim_; ++i) {
-    for (std::size_t j = 0; j < rho.dim_; ++j) {
-      rho.elements_[i * rho.dim_ + j] = amps[i] * std::conj(amps[j]);
+  const std::span<Complex> e = rho.elements();
+  for (std::size_t i = 0; i < dim; ++i) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      e[i * dim + j] = amps[i] * std::conj(amps[j]);
     }
   }
   return rho;
@@ -44,197 +56,66 @@ DensityMatrix DensityMatrix::from_statevector(const StateVector& state) {
 
 DensityMatrix DensityMatrix::maximally_mixed(std::size_t num_qubits) {
   DensityMatrix rho{num_qubits};
-  rho.elements_.assign(rho.dim_ * rho.dim_, Complex{0, 0});
-  const double p = 1.0 / static_cast<double>(rho.dim_);
-  for (std::size_t i = 0; i < rho.dim_; ++i) {
-    rho.elements_[i * rho.dim_ + i] = Complex{p, 0};
-  }
+  const std::size_t dim = rho.dimension();
+  const std::span<Complex> e = rho.elements();
+  std::fill(e.begin(), e.end(), Complex{0, 0});
+  const double p = 1.0 / static_cast<double>(dim);
+  for (std::size_t i = 0; i < dim; ++i) e[i * dim + i] = Complex{p, 0};
   return rho;
 }
 
 Complex& DensityMatrix::at(std::size_t row, std::size_t col) {
-  if (row >= dim_ || col >= dim_) {
+  if (row >= dimension() || col >= dimension()) {
     throw std::out_of_range("DensityMatrix::at: index out of range");
   }
-  return elements_[row * dim_ + col];
+  return elements()[row * dimension() + col];
 }
 
 Complex DensityMatrix::at(std::size_t row, std::size_t col) const {
-  if (row >= dim_ || col >= dim_) {
+  if (row >= dimension() || col >= dimension()) {
     throw std::out_of_range("DensityMatrix::at: index out of range");
   }
-  return elements_[row * dim_ + col];
+  return elements()[row * dimension() + col];
 }
 
 void DensityMatrix::check_wire(std::size_t wire, const char* context) const {
-  if (wire >= num_qubits_) {
+  if (wire >= num_qubits()) {
     throw std::out_of_range(std::string{context} + ": wire out of range");
   }
 }
 
+void DensityMatrix::conjugate_transpose() {
+  const std::size_t dim = dimension();
+  const std::span<Complex> e = elements();
+  for (std::size_t i = 0; i < dim; ++i) {
+    e[i * dim + i] = std::conj(e[i * dim + i]);
+    for (std::size_t j = i + 1; j < dim; ++j) {
+      const Complex upper = e[i * dim + j];
+      e[i * dim + j] = std::conj(e[j * dim + i]);
+      e[j * dim + i] = std::conj(upper);
+    }
+  }
+}
+
+template <typename ApplyToColumns>
+void DensityMatrix::sandwich(const ApplyToColumns& apply) {
+  apply(columns_);        // U ρ
+  conjugate_transpose();  // ρ† U†
+  apply(columns_);        // U ρ† U†
+  conjugate_transpose();  // U ρ U†
+}
+
+void DensityMatrix::apply_gate(GateType type, double angle,
+                               std::size_t wire0, std::size_t wire1) {
+  sandwich([&](StateVectorBatch& columns) {
+    apply_gate_batch(columns, type, {&angle, 1}, wire0, wire1);
+  });
+}
+
 void DensityMatrix::apply_single_qubit(const Mat2& gate, std::size_t wire) {
-  check_wire(wire, "DensityMatrix::apply_single_qubit");
-  const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
-
-  // Left multiply: each column transforms as a statevector.
-  for (std::size_t col = 0; col < dim_; ++col) {
-    for (std::size_t block = 0; block < dim_; block += 2 * stride) {
-      for (std::size_t offset = 0; offset < stride; ++offset) {
-        const std::size_t r0 = block + offset;
-        const std::size_t r1 = r0 + stride;
-        const Complex a0 = elements_[r0 * dim_ + col];
-        const Complex a1 = elements_[r1 * dim_ + col];
-        elements_[r0 * dim_ + col] = gate.m00 * a0 + gate.m01 * a1;
-        elements_[r1 * dim_ + col] = gate.m10 * a0 + gate.m11 * a1;
-      }
-    }
-  }
-  // Right multiply by U†: each row transforms with conj(U).
-  const Mat2 conj_gate{std::conj(gate.m00), std::conj(gate.m01),
-                       std::conj(gate.m10), std::conj(gate.m11)};
-  for (std::size_t row = 0; row < dim_; ++row) {
-    Complex* row_ptr = elements_.data() + row * dim_;
-    for (std::size_t block = 0; block < dim_; block += 2 * stride) {
-      for (std::size_t offset = 0; offset < stride; ++offset) {
-        const std::size_t c0 = block + offset;
-        const std::size_t c1 = c0 + stride;
-        const Complex a0 = row_ptr[c0];
-        const Complex a1 = row_ptr[c1];
-        // (ρU†)_rc = Σ_k ρ_rk conj(U_ck).
-        row_ptr[c0] = conj_gate.m00 * a0 + conj_gate.m01 * a1;
-        row_ptr[c1] = conj_gate.m10 * a0 + conj_gate.m11 * a1;
-      }
-    }
-  }
-}
-
-void DensityMatrix::apply_cnot(std::size_t control, std::size_t target) {
-  check_wire(control, "DensityMatrix::apply_cnot");
-  check_wire(target, "DensityMatrix::apply_cnot");
-  if (control == target) {
-    throw std::invalid_argument("DensityMatrix::apply_cnot: same wires");
-  }
-  const std::size_t cmask = std::size_t{1} << (num_qubits_ - 1 - control);
-  const std::size_t tmask = std::size_t{1} << (num_qubits_ - 1 - target);
-  const auto permute = [&](std::size_t index) {
-    return (index & cmask) != 0 ? index ^ tmask : index;
-  };
-  // ρ' = P ρ P with permutation P: ρ'_{ij} = ρ_{P(i) P(j)}. Done in place by
-  // swapping rows then columns for each control-1 pair.
-  for (std::size_t i = 0; i < dim_; ++i) {
-    const std::size_t pi = permute(i);
-    if (pi <= i) continue;
-    for (std::size_t j = 0; j < dim_; ++j) {
-      std::swap(elements_[i * dim_ + j], elements_[pi * dim_ + j]);
-    }
-  }
-  for (std::size_t j = 0; j < dim_; ++j) {
-    const std::size_t pj = permute(j);
-    if (pj <= j) continue;
-    for (std::size_t i = 0; i < dim_; ++i) {
-      std::swap(elements_[i * dim_ + j], elements_[i * dim_ + pj]);
-    }
-  }
-}
-
-void DensityMatrix::apply_cz(std::size_t control, std::size_t target) {
-  check_wire(control, "DensityMatrix::apply_cz");
-  check_wire(target, "DensityMatrix::apply_cz");
-  if (control == target) {
-    throw std::invalid_argument("DensityMatrix::apply_cz: same wires");
-  }
-  const std::size_t cmask = std::size_t{1} << (num_qubits_ - 1 - control);
-  const std::size_t tmask = std::size_t{1} << (num_qubits_ - 1 - target);
-  const auto sign = [&](std::size_t index) {
-    return ((index & cmask) != 0 && (index & tmask) != 0) ? -1.0 : 1.0;
-  };
-  for (std::size_t i = 0; i < dim_; ++i) {
-    for (std::size_t j = 0; j < dim_; ++j) {
-      elements_[i * dim_ + j] *= sign(i) * sign(j);
-    }
-  }
-}
-
-void DensityMatrix::apply_controlled(const Mat2& gate, std::size_t control,
-                                     std::size_t target) {
-  check_wire(control, "DensityMatrix::apply_controlled");
-  check_wire(target, "DensityMatrix::apply_controlled");
-  if (control == target) {
-    throw std::invalid_argument("DensityMatrix::apply_controlled: same wires");
-  }
-  const std::size_t cmask = std::size_t{1} << (num_qubits_ - 1 - control);
-  const std::size_t tmask = std::size_t{1} << (num_qubits_ - 1 - target);
-
-  // Left multiply by CU.
-  for (std::size_t col = 0; col < dim_; ++col) {
-    for (std::size_t r = 0; r < dim_; ++r) {
-      if ((r & cmask) == 0 || (r & tmask) != 0) continue;
-      const std::size_t r1 = r | tmask;
-      const Complex a0 = elements_[r * dim_ + col];
-      const Complex a1 = elements_[r1 * dim_ + col];
-      elements_[r * dim_ + col] = gate.m00 * a0 + gate.m01 * a1;
-      elements_[r1 * dim_ + col] = gate.m10 * a0 + gate.m11 * a1;
-    }
-  }
-  // Right multiply by (CU)†.
-  const Mat2 conj_gate{std::conj(gate.m00), std::conj(gate.m01),
-                       std::conj(gate.m10), std::conj(gate.m11)};
-  for (std::size_t row = 0; row < dim_; ++row) {
-    Complex* row_ptr = elements_.data() + row * dim_;
-    for (std::size_t c = 0; c < dim_; ++c) {
-      if ((c & cmask) == 0 || (c & tmask) != 0) continue;
-      const std::size_t c1 = c | tmask;
-      const Complex a0 = row_ptr[c];
-      const Complex a1 = row_ptr[c1];
-      row_ptr[c] = conj_gate.m00 * a0 + conj_gate.m01 * a1;
-      row_ptr[c1] = conj_gate.m10 * a0 + conj_gate.m11 * a1;
-    }
-  }
-}
-
-void DensityMatrix::apply_double_flip_pairs(const Mat2& even_pair,
-                                            const Mat2& odd_pair,
-                                            std::size_t wire_a,
-                                            std::size_t wire_b) {
-  check_wire(wire_a, "DensityMatrix::apply_double_flip_pairs");
-  check_wire(wire_b, "DensityMatrix::apply_double_flip_pairs");
-  if (wire_a == wire_b) {
-    throw std::invalid_argument(
-        "DensityMatrix::apply_double_flip_pairs: same wires");
-  }
-  const std::size_t amask = std::size_t{1} << (num_qubits_ - 1 - wire_a);
-  const std::size_t bmask = std::size_t{1} << (num_qubits_ - 1 - wire_b);
-  const std::size_t flip = amask | bmask;
-
-  // Left multiply by U: columns transform as statevectors.
-  for (std::size_t col = 0; col < dim_; ++col) {
-    for (std::size_t r = 0; r < dim_; ++r) {
-      if ((r & amask) != 0) continue;
-      const std::size_t r1 = r ^ flip;
-      const Mat2& gate = (r & bmask) == 0 ? even_pair : odd_pair;
-      const Complex a0 = elements_[r * dim_ + col];
-      const Complex a1 = elements_[r1 * dim_ + col];
-      elements_[r * dim_ + col] = gate.m00 * a0 + gate.m01 * a1;
-      elements_[r1 * dim_ + col] = gate.m10 * a0 + gate.m11 * a1;
-    }
-  }
-  // Right multiply by U† (conjugate blocks).
-  const Mat2 even_conj{std::conj(even_pair.m00), std::conj(even_pair.m01),
-                       std::conj(even_pair.m10), std::conj(even_pair.m11)};
-  const Mat2 odd_conj{std::conj(odd_pair.m00), std::conj(odd_pair.m01),
-                      std::conj(odd_pair.m10), std::conj(odd_pair.m11)};
-  for (std::size_t row = 0; row < dim_; ++row) {
-    Complex* row_ptr = elements_.data() + row * dim_;
-    for (std::size_t c = 0; c < dim_; ++c) {
-      if ((c & amask) != 0) continue;
-      const std::size_t c1 = c ^ flip;
-      const Mat2& gate = (c & bmask) == 0 ? even_conj : odd_conj;
-      const Complex a0 = row_ptr[c];
-      const Complex a1 = row_ptr[c1];
-      row_ptr[c] = gate.m00 * a0 + gate.m01 * a1;
-      row_ptr[c1] = gate.m10 * a0 + gate.m11 * a1;
-    }
-  }
+  sandwich([&](StateVectorBatch& columns) {
+    columns.apply_single_qubit(gate, wire);
+  });
 }
 
 void DensityMatrix::apply_channel(const KrausChannel& channel,
@@ -243,77 +124,83 @@ void DensityMatrix::apply_channel(const KrausChannel& channel,
   if (channel.operators.empty()) {
     throw std::invalid_argument("DensityMatrix::apply_channel: empty channel");
   }
-  // Accumulate Σ K ρ K† using a scratch copy per Kraus operator.
-  std::vector<Complex> accumulated(dim_ * dim_, Complex{0, 0});
-  const std::vector<Complex> original = elements_;
+  // Accumulate Σ K ρ K†, each branch evolved from a copy of ρ.
+  std::vector<Complex> accumulated(elements().size(), Complex{0, 0});
+  const StateVectorBatch original = columns_;
   for (const Mat2& k : channel.operators) {
-    elements_ = original;
-    apply_single_qubit(k, wire);  // note: applies K ρ K† since K† branch
-                                  // uses the conjugate of the same matrix
-    for (std::size_t i = 0; i < elements_.size(); ++i) {
-      accumulated[i] += elements_[i];
+    columns_.assign_from(original);
+    apply_single_qubit(k, wire);
+    const std::span<const Complex> branch = elements();
+    for (std::size_t i = 0; i < branch.size(); ++i) {
+      accumulated[i] += branch[i];
     }
   }
-  elements_ = std::move(accumulated);
+  std::copy(accumulated.begin(), accumulated.end(), elements().begin());
 }
 
 Complex DensityMatrix::trace() const {
+  const std::size_t dim = dimension();
   Complex total{0, 0};
-  for (std::size_t i = 0; i < dim_; ++i) total += elements_[i * dim_ + i];
+  for (std::size_t i = 0; i < dim; ++i) total += elements()[i * dim + i];
   return total;
 }
 
 double DensityMatrix::purity() const {
   // Tr(ρ²) = Σ_ij ρ_ij ρ_ji = Σ_ij |ρ_ij|² for Hermitian ρ.
   double total = 0.0;
-  for (const Complex& e : elements_) total += std::norm(e);
+  for (const Complex& e : elements()) total += std::norm(e);
   return total;
 }
 
 double DensityMatrix::expval_pauli_z(std::size_t wire) const {
   check_wire(wire, "DensityMatrix::expval_pauli_z");
-  const std::size_t mask = std::size_t{1} << (num_qubits_ - 1 - wire);
+  const std::size_t dim = dimension();
+  const std::size_t mask = std::size_t{1} << (num_qubits() - 1 - wire);
   double total = 0.0;
-  for (std::size_t i = 0; i < dim_; ++i) {
-    const double p = elements_[i * dim_ + i].real();
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double p = elements()[i * dim + i].real();
     total += (i & mask) == 0 ? p : -p;
   }
   return total;
 }
 
 std::vector<double> DensityMatrix::probabilities() const {
-  std::vector<double> probs(dim_);
-  for (std::size_t i = 0; i < dim_; ++i) {
-    probs[i] = elements_[i * dim_ + i].real();
+  const std::size_t dim = dimension();
+  std::vector<double> probs(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    probs[i] = elements()[i * dim + i].real();
   }
   return probs;
 }
 
 Mat2 DensityMatrix::reduced_single_qubit(std::size_t wire) const {
   check_wire(wire, "DensityMatrix::reduced_single_qubit");
-  const std::size_t mask = std::size_t{1} << (num_qubits_ - 1 - wire);
+  const std::size_t dim = dimension();
+  const std::size_t mask = std::size_t{1} << (num_qubits() - 1 - wire);
+  const std::span<const Complex> e = elements();
   Mat2 reduced{Complex{0, 0}, Complex{0, 0}, Complex{0, 0}, Complex{0, 0}};
-  for (std::size_t i = 0; i < dim_; ++i) {
+  for (std::size_t i = 0; i < dim; ++i) {
     // Pair i with j = i ^ mask; diagonal blocks accumulate by wire bit.
     const bool bit = (i & mask) != 0;
     if (bit) {
-      reduced.m11 += elements_[i * dim_ + i];
+      reduced.m11 += e[i * dim + i];
     } else {
-      reduced.m00 += elements_[i * dim_ + i];
-      reduced.m01 += elements_[i * dim_ + (i | mask)];
-      reduced.m10 += elements_[(i | mask) * dim_ + i];
+      reduced.m00 += e[i * dim + i];
+      reduced.m01 += e[i * dim + (i | mask)];
+      reduced.m10 += e[(i | mask) * dim + i];
     }
   }
   return reduced;
 }
 
 double DensityMatrix::hermiticity_error() const {
+  const std::size_t dim = dimension();
+  const std::span<const Complex> e = elements();
   double worst = 0.0;
-  for (std::size_t i = 0; i < dim_; ++i) {
-    for (std::size_t j = 0; j < dim_; ++j) {
+  for (std::size_t i = 0; i < dim; ++i) {
+    for (std::size_t j = 0; j < dim; ++j) {
       worst = std::max(worst,
-                       std::abs(elements_[i * dim_ + j] -
-                                std::conj(elements_[j * dim_ + i])));
+                       std::abs(e[i * dim + j] - std::conj(e[j * dim + i])));
     }
   }
   return worst;

@@ -6,12 +6,20 @@
 // ρ evolves under the same gate set as StateVector plus CPTP noise channels
 // (Kraus operators), at O(4^q) per gate. Same wire convention as
 // StateVector (wire 0 = most significant bit).
+//
+// ρ's columns are the lanes of a StateVectorBatch with batch() == 2^q: the
+// batch's SoA layout amps[i*B + b] is ρ's row-major [row*dim + col], so one
+// batch-kernel call computes U·ρ. Every gate and Kraus operator runs as the
+// sandwich U ρ U† = (U (U ρ)†)†: apply U, conjugate-transpose in place,
+// apply U again, conjugate-transpose back. Mixed states therefore run on
+// the pure states' one gate dispatch (apply_gate_batch) and registry
+// kernels, two kernel calls per gate (DESIGN.md §8).
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "quantum/statevector.hpp"
+#include "quantum/gates.hpp"
 
 namespace qhdl::quantum {
 
@@ -36,26 +44,20 @@ class DensityMatrix {
   /// Maximally mixed state I / 2^q.
   static DensityMatrix maximally_mixed(std::size_t num_qubits);
 
-  std::size_t num_qubits() const { return num_qubits_; }
-  std::size_t dimension() const { return dim_; }
+  std::size_t num_qubits() const { return columns_.num_qubits(); }
+  std::size_t dimension() const { return columns_.dimension(); }
 
   Complex& at(std::size_t row, std::size_t col);
   Complex at(std::size_t row, std::size_t col) const;
 
-  /// ρ ← U ρ U† for a single-qubit unitary on `wire`.
+  /// ρ ← U ρ U† for any GateType (same arguments as apply_gate on a
+  /// StateVector; for two-qubit gates wire0 is the control or first wire).
+  void apply_gate(GateType type, double angle, std::size_t wire0,
+                  std::size_t wire1 = SIZE_MAX);
+
+  /// ρ ← M ρ M† for an arbitrary 2x2 matrix on `wire` (a Kraus operator
+  /// need not be unitary).
   void apply_single_qubit(const Mat2& gate, std::size_t wire);
-
-  /// ρ ← U ρ U† for CNOT / CZ / controlled-U.
-  void apply_cnot(std::size_t control, std::size_t target);
-  void apply_cz(std::size_t control, std::size_t target);
-  void apply_controlled(const Mat2& gate, std::size_t control,
-                        std::size_t target);
-
-  /// Ising-gate application (see StateVector::apply_double_flip_pairs):
-  /// ρ ← U ρ U† where U acts on the double-flip pairs with parity-dependent
-  /// 2x2 blocks.
-  void apply_double_flip_pairs(const Mat2& even_pair, const Mat2& odd_pair,
-                               std::size_t wire_a, std::size_t wire_b);
 
   /// ρ ← Σ_k K_k ρ K_k† on `wire`.
   void apply_channel(const KrausChannel& channel, std::size_t wire);
@@ -81,11 +83,16 @@ class DensityMatrix {
   double hermiticity_error() const;
 
  private:
+  std::span<Complex> elements() { return columns_.amplitudes(); }
+  std::span<const Complex> elements() const { return columns_.amplitudes(); }
   void check_wire(std::size_t wire, const char* context) const;
+  /// ρ ← ρ† in place.
+  void conjugate_transpose();
+  /// ρ ← U ρ U†, where `apply` multiplies every column by U.
+  template <typename ApplyToColumns>
+  void sandwich(const ApplyToColumns& apply);
 
-  std::size_t num_qubits_;
-  std::size_t dim_;
-  std::vector<Complex> elements_;  ///< row-major dim x dim
+  StateVectorBatch columns_;  ///< lane `col` holds column col of ρ
 };
 
 /// Single-qubit reduced density matrix straight from a pure state —

@@ -271,9 +271,6 @@ Mat2 derivative_for(GateType type, double theta) {
 
 namespace {
 
-constexpr Complex kIu{0.0, 1.0};
-constexpr Complex kOneu{1.0, 0.0};
-
 /// Per-call scratch for per-row batched dispatch. thread_local so the batch
 /// path allocates at most once per thread, not once per gate.
 struct BatchScratch {
@@ -436,16 +433,13 @@ void apply_gate_inverse_batch(StateVectorBatch& batch, GateType type,
                               std::size_t wire0, std::size_t wire1) {
   check_angles_span(batch, type, angles);
   if (!gate_is_parameterized(type)) {
-    if (gate_arity(type) == 1 && reference_backend()) {
-      // The conjugate transpose of the dense matrix.
-      batch.apply_single_qubit(gates::matrix_for(type, 0.0).dagger(), wire0);
-    } else if (type == GateType::S) {
-      // S and T are the only non-self-inverse fixed gates in the library.
-      batch.apply_diagonal(kOneu, -kIu, wire0);
-    } else if (type == GateType::T) {
-      batch.apply_diagonal(kOneu, std::exp(-kIu * (std::numbers::pi / 4.0)),
-                           wire0);
+    if (gate_arity(type) == 1) {
+      // A fixed single-qubit gate inverts as its conjugate transpose.
+      const Mat2 inverse = gates::matrix_for(type, 0.0).dagger();
+      apply_single(batch, type, angles.first(1), wire0,
+                   [&inverse](double) { return inverse; });
     } else {
+      // CNOT, CZ and SWAP are their own inverses.
       apply_gate_batch(batch, type, angles, wire0, wire1);
     }
     return;

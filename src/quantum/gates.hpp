@@ -109,7 +109,9 @@ void apply_gate_batch(StateVectorBatch& batch, GateType type,
                       std::span<const double> angles, std::size_t wire0,
                       std::size_t wire1 = SIZE_MAX);
 
-/// Applies the inverse gate.
+/// Applies the inverse gate: a parameterized gate at the negated angle, a
+/// fixed single-qubit gate as the dagger() of its gates:: matrix (through
+/// the same kernel choice as the gate), CNOT/CZ/SWAP as themselves.
 void apply_gate_inverse_batch(StateVectorBatch& batch, GateType type,
                               std::span<const double> angles,
                               std::size_t wire0, std::size_t wire1 = SIZE_MAX);

@@ -14,6 +14,10 @@
 // (QHDL_BACKEND=reference, util/backend_registry.hpp) runs every
 // single-qubit gate as the dense 2x2 and runs circuits unfused.
 //
+// A DensityMatrix runs the same kernels over ρ's columns, two calls per
+// gate or Kraus operator (density_matrix.hpp), so noisy circuits bump these
+// counters too.
+//
 // The counters live in the process-wide util::Metrics registry
 // (DESIGN.md §17) under kernel.*: diagonal, permutation, controlled,
 // double_flip, generic, two_qubit_dense (one per gate application; a fused

@@ -2,13 +2,19 @@
 // to cross-validate adjoint differentiation (tests) and as a reference
 // implementation of the rules HQNN training would use on real devices.
 //
-// Two-term rule (RX/RY/RZ/PhaseShift, generator eigenvalue gap 1):
+// The gate → rule table lives once, in shift_rule_derivative: the pure-state
+// gradient below, the noisy VJP (channels.hpp) and the evaluation count all
+// read it.
+//
+// Two-term rule (RX/RY/RZ/PhaseShift/RXX/RYY/RZZ, generator eigenvalue
+// gap 1):
 //   dE/dθ = [E(θ+π/2) − E(θ−π/2)] / 2.
 // Four-term rule (CRX/CRY/CRZ, generator spectrum {0, ±1/2}):
 //   dE/dθ = c₊[E(θ+π/2) − E(θ−π/2)] − c₋[E(θ+3π/2) − E(θ−3π/2)],
 //   c± = (√2 ± 1) / (4√2).
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -16,6 +22,12 @@
 #include "quantum/observable.hpp"
 
 namespace qhdl::quantum {
+
+/// dE/dθ of one parameterized op of type `type` by its shift rule, where
+/// `shifted(δ)` is the expectation with that op's angle moved by δ (two or
+/// four calls). Throws std::logic_error for a gate with no rule.
+double shift_rule_derivative(GateType type,
+                             const std::function<double(double)>& shifted);
 
 /// Expectation with the angle of op `op_index` shifted by `delta` (all other
 /// ops use their normal angles). Helper for shift rules; exposed for tests.

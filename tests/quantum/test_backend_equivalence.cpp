@@ -9,6 +9,7 @@
 // it bitwise too.
 #include <complex>
 #include <cstddef>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -244,6 +245,36 @@ TEST(BackendEquivalence, ExpvalZBitIdenticalAcrossSimdBackends) {
         EXPECT_EQ(state.expval_pauli_z(w), golden)
             << "reference q=" << qubits << " w=" << w;
       }
+    }
+  }
+}
+
+TEST(BackendEquivalence, FixedGateInverseBitsMatchAcrossBackends) {
+  // Every backend inverts S and T as the dagger of their gates:: matrix, so
+  // X, G, G† ends in the same bits everywhere, zero signs included.
+  for (const GateType gate : {GateType::S, GateType::T}) {
+    const auto run = [gate] {
+      StateVector state{1};
+      quantum::apply_gate(state, GateType::PauliX, 0.0, 0);
+      quantum::apply_gate(state, gate, 0.0, 0);
+      quantum::apply_gate_inverse(state, gate, 0.0, 0);
+      return state;
+    };
+    const StateVector golden = [&] {
+      const BackendScope scope{"generic"};
+      return run();
+    }();
+    for (const simd::Backend* backend : simd::backends()) {
+      if (!backend->supported()) continue;
+      const BackendScope scope{backend->name};
+      const StateVector state = run();
+      EXPECT_EQ(std::memcmp(state.amplitudes().data(),
+                            golden.amplitudes().data(),
+                            2 * sizeof(Complex)),
+                0)
+          << backend->name << " " << quantum::gate_name(gate)
+          << ": amplitude 1 = " << state.amplitudes()[1].real() << "+"
+          << state.amplitudes()[1].imag() << "i";
     }
   }
 }

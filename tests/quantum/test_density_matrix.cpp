@@ -2,15 +2,51 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "quantum/channels.hpp"
+#include "util/backend_registry.hpp"
 #include "util/rng.hpp"
 
 namespace qhdl::quantum {
 namespace {
 
 constexpr double kTol = 1e-12;
+
+constexpr GateType kEveryGate[] = {
+    GateType::PauliX, GateType::PauliY, GateType::PauliZ,
+    GateType::Hadamard, GateType::S, GateType::T,
+    GateType::RX, GateType::RY, GateType::RZ,
+    GateType::PhaseShift, GateType::CNOT, GateType::CZ,
+    GateType::SWAP, GateType::CRX, GateType::CRY,
+    GateType::CRZ, GateType::RXX, GateType::RYY,
+    GateType::RZZ};
+
+/// Pins one kernel backend for the scope; restores the env/build/auto
+/// selection on exit.
+class BackendScope {
+ public:
+  explicit BackendScope(const char* name) { util::simd::set_backend(name); }
+  ~BackendScope() { util::simd::set_backend(std::nullopt); }
+};
+
+/// Entangled state with complex amplitudes, so every gate moves ρ.
+StateVector random_state(std::size_t qubits, util::Rng& rng) {
+  StateVector psi{qubits};
+  for (std::size_t w = 0; w < qubits; ++w) {
+    apply_gate(psi, GateType::Hadamard, 0.0, w);
+    apply_gate(psi, GateType::T, 0.0, w);
+    apply_gate(psi, GateType::RY, rng.uniform(-2.0, 2.0), w);
+  }
+  for (std::size_t w = 0; w + 1 < qubits; ++w) {
+    apply_gate(psi, GateType::CNOT, 0.0, w, w + 1);
+  }
+  return psi;
+}
 
 TEST(DensityMatrix, InitializesPureGroundState) {
   const DensityMatrix rho{2};
@@ -58,9 +94,9 @@ TEST(DensityMatrix, UnitaryEvolutionMatchesStatevector) {
   psi.apply_single_qubit(gates::rx(0.7), 1);
   rho.apply_single_qubit(gates::rx(0.7), 1);
   psi.apply_cnot(0, 2);
-  rho.apply_cnot(0, 2);
+  rho.apply_gate(GateType::CNOT, 0.0, 0, 2);
   psi.apply_cz(1, 2);
-  rho.apply_cz(1, 2);
+  rho.apply_gate(GateType::CZ, 0.0, 1, 2);
   psi.apply_single_qubit(gates::ry(-1.1), 2);
   rho.apply_single_qubit(gates::ry(-1.1), 2);
 
@@ -78,8 +114,98 @@ TEST(DensityMatrix, ControlledRotationMatchesStatevector) {
   psi.apply_single_qubit(gates::hadamard(), 0);
   rho.apply_single_qubit(gates::hadamard(), 0);
   psi.apply_controlled(gates::rx(0.9), 0, 1);
-  rho.apply_controlled(gates::rx(0.9), 0, 1);
+  rho.apply_gate(GateType::CRX, 0.9, 0, 1);
   EXPECT_NEAR(rho.expval_pauli_z(1), psi.expval_pauli_z(1), 1e-12);
+}
+
+TEST(DensityMatrix, EveryGateMatchesProjectorOfStatevector) {
+  // U ρ U† through the column sandwich equals |Uψ⟩⟨Uψ| for every gate,
+  // on every wire (every ordered pair for two-qubit gates).
+  util::Rng rng{77};
+  for (std::size_t qubits = 2; qubits <= 4; ++qubits) {
+    for (const GateType type : kEveryGate) {
+      for (std::size_t a = 0; a < qubits; ++a) {
+        for (std::size_t b = 0; b < qubits; ++b) {
+          const bool two_qubit = gate_arity(type) == 2;
+          if (two_qubit ? a == b : b != 0) continue;
+          const std::size_t wire1 = two_qubit ? b : SIZE_MAX;
+          const double angle = rng.uniform(-3.0, 3.0);
+          StateVector psi = random_state(qubits, rng);
+          DensityMatrix rho = DensityMatrix::from_statevector(psi);
+          apply_gate(psi, type, angle, a, wire1);
+          rho.apply_gate(type, angle, a, wire1);
+          const auto amps = psi.amplitudes();
+          double worst = 0.0;
+          for (std::size_t i = 0; i < rho.dimension(); ++i) {
+            for (std::size_t j = 0; j < rho.dimension(); ++j) {
+              worst = std::max(worst, std::abs(rho.at(i, j) -
+                                               amps[i] * std::conj(amps[j])));
+            }
+          }
+          EXPECT_LT(worst, 1e-12)
+              << gate_name(type) << " q=" << qubits << " wires " << a << ","
+              << (two_qubit ? std::to_string(b) : std::string{"-"});
+        }
+      }
+    }
+  }
+}
+
+TEST(DensityMatrix, SandwichEqualsExplicitLeftThenRightProduct) {
+  // The sandwich (M (M ρ)†)† must give the values of the explicit product
+  // (M ρ) M† — left-multiply the columns by M, then the rows by conj(M) —
+  // entry for entry under == (only the sign of a zero may differ), so
+  // noisy results keep their bits. Without the closing conjugate transpose
+  // the result is still M ρ M† to rounding (ρ is Hermitian); only this
+  // test notices it.
+  util::Rng rng{91};
+  const std::size_t qubits = 3;
+  const auto random_entry = [&] {
+    return Complex{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  };
+  for (std::size_t wire = 0; wire < qubits; ++wire) {
+    DensityMatrix rho =
+        DensityMatrix::from_statevector(random_state(qubits, rng));
+    rho.apply_channel(channels::amplitude_damping(0.3),
+                      (wire + 1) % qubits);
+    const Mat2 m{random_entry(), random_entry(), random_entry(),
+                 random_entry()};
+    const std::size_t dim = rho.dimension();
+    const std::size_t mask = std::size_t{1} << (qubits - 1 - wire);
+    std::vector<Complex> expected(dim * dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+      for (std::size_t j = 0; j < dim; ++j) {
+        expected[i * dim + j] = rho.at(i, j);
+      }
+    }
+    for (std::size_t col = 0; col < dim; ++col) {
+      for (std::size_t r0 = 0; r0 < dim; ++r0) {
+        if ((r0 & mask) != 0) continue;
+        const Complex a0 = expected[r0 * dim + col];
+        const Complex a1 = expected[(r0 | mask) * dim + col];
+        expected[r0 * dim + col] = m.m00 * a0 + m.m01 * a1;
+        expected[(r0 | mask) * dim + col] = m.m10 * a0 + m.m11 * a1;
+      }
+    }
+    for (std::size_t row = 0; row < dim; ++row) {
+      for (std::size_t c0 = 0; c0 < dim; ++c0) {
+        if ((c0 & mask) != 0) continue;
+        const Complex a0 = expected[row * dim + c0];
+        const Complex a1 = expected[row * dim + (c0 | mask)];
+        expected[row * dim + c0] =
+            std::conj(m.m00) * a0 + std::conj(m.m01) * a1;
+        expected[row * dim + (c0 | mask)] =
+            std::conj(m.m10) * a0 + std::conj(m.m11) * a1;
+      }
+    }
+    rho.apply_single_qubit(m, wire);
+    for (std::size_t i = 0; i < dim; ++i) {
+      for (std::size_t j = 0; j < dim; ++j) {
+        EXPECT_EQ(rho.at(i, j), expected[i * dim + j])
+            << "wire " << wire << " entry " << i << "," << j;
+      }
+    }
+  }
 }
 
 TEST(DensityMatrix, ChannelsAreTracePreserving) {
@@ -200,7 +326,10 @@ TEST(NoisyExecution, ParameterShiftMatchesFiniteDifferenceUnderNoise) {
   const NoiseModel noise = NoiseModel::depolarizing(0.03);
 
   const auto analytic =
-      noisy_parameter_shift_gradient(circuit, params, noise, 1);
+      noisy_parameter_shift_vjp(circuit, params, noise,
+                                std::vector<std::size_t>{1},
+                                std::vector<double>{1.0})
+          .gradient;
 
   for (std::size_t i = 0; i < params.size(); ++i) {
     const double eps = 1e-6;
@@ -233,6 +362,54 @@ TEST(NoisyExecution, TraceStaysOneThroughDeepNoisyCircuit) {
   EXPECT_NEAR(rho.trace().real(), 1.0, 1e-9);
   EXPECT_LE(rho.purity(), 1.0 + 1e-9);
   EXPECT_LT(rho.hermiticity_error(), 1e-10);
+}
+
+TEST(NoisyExecution, ExpvalsAndVjpBitIdenticalAcrossBackends) {
+  // Mixed states run on the registry kernels, so every supported backend
+  // (avx2 SIMD across ρ's columns, reference's dense dispatch) must
+  // reproduce generic's values exactly.
+  Circuit circuit{3};
+  std::vector<double> params;
+  util::Rng rng{31};
+  for (const GateType type : kEveryGate) {
+    const std::size_t a = rng.index(3);
+    const std::size_t b = (a + 1 + rng.index(2)) % 3;
+    const std::size_t wire1 = gate_arity(type) == 2 ? b : SIZE_MAX;
+    if (gate_is_parameterized(type)) {
+      circuit.parameterized_gate(type, params.size(), a, wire1);
+      params.push_back(rng.uniform(-3.0, 3.0));
+    } else {
+      circuit.gate(type, a, wire1);
+    }
+  }
+  const std::vector<std::size_t> wires{0, 1, 2};
+  const std::vector<double> upstream{0.7, -1.3, 0.4};
+  for (const NoiseModel& noise : {NoiseModel::depolarizing(0.03),
+                                  NoiseModel::amplitude_damping(0.05)}) {
+    const auto run = [&] {
+      return noisy_parameter_shift_vjp(circuit, params, noise, wires,
+                                       upstream);
+    };
+    NoisyVjpResult golden;
+    std::vector<double> golden_expvals;
+    {
+      const BackendScope scope{"generic"};
+      golden = run();
+      golden_expvals = noisy_expvals(circuit, params, noise, wires);
+    }
+    for (const util::simd::Backend* backend : util::simd::backends()) {
+      if (!backend->supported()) continue;
+      const BackendScope scope{backend->name};
+      const NoisyVjpResult result = run();
+      const std::string label =
+          std::string{backend->name} + " " +
+          noise.per_gate_channels.front().name;
+      EXPECT_EQ(noisy_expvals(circuit, params, noise, wires), golden_expvals)
+          << label;
+      EXPECT_EQ(result.expectations, golden.expectations) << label;
+      EXPECT_EQ(result.gradient, golden.gradient) << label;
+    }
+  }
 }
 
 }  // namespace

@@ -102,7 +102,10 @@ TEST(IsingGates, NoisyParameterShiftMatchesFiniteDifference) {
   c.parameterized_gate(GateType::RZZ, 1, 0, 1);
   std::vector<double> params{0.8, -0.6};
   const NoiseModel noise = NoiseModel::depolarizing(0.04);
-  const auto analytic = noisy_parameter_shift_gradient(c, params, noise, 1);
+  const auto analytic =
+      noisy_parameter_shift_vjp(c, params, noise, std::vector<std::size_t>{1},
+                                std::vector<double>{1.0})
+          .gradient;
   for (std::size_t i = 0; i < params.size(); ++i) {
     const double eps = 1e-6;
     const double saved = params[i];

@@ -1,13 +1,15 @@
 #!/bin/sh
 # Byte-identity check between two builds (DESIGN.md §13): runs the figure
-# drivers, the reference-backend Fig. 8 sweep and the single-state drivers
-# from each build into its own temporary directory, then `diff -r`s the
-# two trees (figure CSVs and `sweep_*.units.json` manifests included).
+# drivers, the reference-backend Fig. 8 sweep, the single-state drivers and
+# the noisy (density-matrix) training example from each build into its own
+# temporary directory, then `diff -r`s the two trees (figure CSVs,
+# `sweep_*.units.json` manifests and the example's stdout included).
 #
 #   sh tools/compare_outputs.sh PARENT_BUILD CHANGE_BUILD
 #
 # PARENT_BUILD and CHANGE_BUILD are CMake build directories (each holding
-# bench/bench_*). The figure drivers run at `--force --threads 1`;
+# bench/bench_* and examples/noisy_training). The figure drivers run at
+# `--force --threads 1`; `noisy_training` runs at `--epochs 6`;
 # `bench_fig8_sel_flops` runs a second time under QHDL_BACKEND=reference.
 # Every other run uses the caller's backend selection, so
 # `QHDL_BACKEND=generic sh tools/compare_outputs.sh ...` compares under
@@ -62,6 +64,14 @@ for side in parent change; do
     echo "compare_outputs: $side $driver"
     run "$side" "$build" "$driver" "$driver"
   done
+  # The example writes no files: its stdout (accuracy table) is compared.
+  echo "compare_outputs: $side noisy_training"
+  exe="$build/examples/noisy_training"
+  [ -x "$exe" ] || fail "$exe not found"
+  mkdir -p "$dir/$side/noisy_training"
+  log="$dir/logs/$side.noisy_training.log"
+  "$exe" --epochs 6 >"$dir/$side/noisy_training/stdout.txt" 2>"$log" ||
+    { cat "$log" >&2; fail "$side noisy_training failed"; }
 done
 
 files=$(find "$dir/parent" -type f | wc -l)
