@@ -1,5 +1,5 @@
 // Micro-benchmarks of the classical NN substrate (google-benchmark):
-// blocked GEMM at the search-space shapes, dense forward/backward vs width,
+// the small GEMM at the search-space shapes, dense forward/backward vs width,
 // fused softmax-cross-entropy, the workspace vs reference training step, and
 // an end-to-end candidate training run — the wall-clock counterpart of the
 // analytic FLOPs model.
@@ -25,9 +25,10 @@ using namespace qhdl;
 using tensor::Shape;
 using tensor::Tensor;
 
-/// Blocked GEMM on the shapes the classical search actually runs:
-/// batch 8 forward (m=8, k=F, n=hidden), full-dataset eval (m=rows), and a
-/// square reference point. Args: {m, k, n}.
+/// GEMM on the shapes the classical search actually runs: batch 8 forward
+/// (m=8, k=F, n=hidden), full-dataset eval (m=rows), the perfbench sweep's
+/// Dense(10->3) forward at batch 8 and over its 1200-row accuracy pass, and
+/// a square reference point. Args: {m, k, n}.
 void BM_Gemm(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
@@ -45,7 +46,9 @@ BENCHMARK(BM_Gemm)
     ->Args({8, 10, 10})     // batch forward, F=10 hidden 10
     ->Args({8, 110, 10})    // batch forward, F=110 hidden 10
     ->Args({300, 110, 10})  // full-dataset eval forward
-    ->Args({128, 128, 128});
+    ->Args({128, 128, 128})
+    ->Args({8, 10, 3})      // perfbench: Dense(10->3) batch forward
+    ->Args({1200, 10, 3});  // perfbench: Dense(10->3) accuracy pass
 
 /// dW = Xᵀ·dY accumulation (the backward transpose-A case). Args: {batch, in,
 /// out}.
@@ -62,7 +65,10 @@ void BM_GemmTransposeA(benchmark::State& state) {
     benchmark::DoNotOptimize(dw.data().data());
   }
 }
-BENCHMARK(BM_GemmTransposeA)->Args({8, 110, 10})->Args({8, 10, 10});
+BENCHMARK(BM_GemmTransposeA)
+    ->Args({8, 110, 10})
+    ->Args({8, 10, 10})
+    ->Args({8, 10, 3});  // perfbench: Dense(10->3) dW
 
 /// dX = dY·Wᵀ (the backward transpose-B case). Args: {batch, in, out}.
 void BM_GemmTransposeB(benchmark::State& state) {
@@ -78,7 +84,10 @@ void BM_GemmTransposeB(benchmark::State& state) {
     benchmark::DoNotOptimize(dx.data().data());
   }
 }
-BENCHMARK(BM_GemmTransposeB)->Args({8, 110, 10})->Args({8, 10, 10});
+BENCHMARK(BM_GemmTransposeB)
+    ->Args({8, 110, 10})
+    ->Args({8, 10, 10})
+    ->Args({8, 3, 3});  // perfbench: Dense(3->3) dX
 
 void BM_DenseForward(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
@@ -247,10 +256,11 @@ void BM_AdamStep(benchmark::State& state) {
 BENCHMARK(BM_AdamStep)->RangeMultiplier(8)->Range(64, 4096);
 
 // ---------------------------------------------------------------------------
-// Per-backend packed-GEMM variants, registered dynamically as
+// Per-backend GEMM variants, registered dynamically as
 // `BM_GemmPacked@<backend>/<size>` for every supported non-reference
-// backend. Size 256 (k*n = 65536) is far past the direct-path dispatch
-// bounds, so the registry-dispatched 4x4 micro-kernel dominates the timing.
+// backend (the name predates the one row-blocked path and is kept because
+// BENCH_micro.json gates it). At size 256 the registry-dispatched
+// gemm_rows op's full 4x8 tiles dominate the timing.
 // tools/check_bench_regression.py understands the `@<backend>` suffix and
 // compares like-for-like.
 

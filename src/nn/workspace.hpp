@@ -6,7 +6,7 @@
 // buffer row stage (Module::row_stage, nn/row_stage.hpp — the exact-path
 // QuantumLayer), builds a fused execution plan over preallocated buffers:
 //
-//   * forward:  blocked GEMM (tensor/gemm.hpp) straight into a preallocated
+//   * forward:  row-blocked GEMM (tensor/gemm.hpp) straight into a preallocated
 //     activation buffer, then one fused bias-add + activation pass; a row
 //     stage runs forward_rows from the previous stage's buffer into its own;
 //   * loss:     fused softmax-cross-entropy forward/gradient

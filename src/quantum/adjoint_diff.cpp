@@ -216,13 +216,24 @@ void diagonal_expectations_batch(
           "diagonal_expectations_batch: diagonal size != state dimension");
     }
   }
-  std::fill(out.begin(), out.end(), 0.0);
-  const std::span<const Complex> amps = state.amplitudes();
-  for (std::size_t i = 0; i < state.dimension(); ++i) {
-    for (std::size_t b = 0; b < rows; ++b) {
-      const double p = std::norm(amps[i * rows + b]);
-      for (std::size_t k = 0; k < obs_count; ++k) {
-        out[b * obs_count + k] += diagonals[k][i] * p;
+  // Lanes run innermost over contiguous amplitudes into a per-observable
+  // accumulator; each out[b, k] is still +0.0 plus diag[k][i] * |a_ib|^2 in
+  // ascending i.
+  constexpr std::size_t kLaneChunk = 32;
+  const Complex* amps = state.amplitudes().data();
+  for (std::size_t b0 = 0; b0 < rows; b0 += kLaneChunk) {
+    const std::size_t lanes = std::min(kLaneChunk, rows - b0);
+    for (std::size_t k = 0; k < obs_count; ++k) {
+      const double* diag = diagonals[k].data();
+      double acc[kLaneChunk] = {};
+      for (std::size_t i = 0; i < state.dimension(); ++i) {
+        const Complex* row = amps + i * rows + b0;
+        for (std::size_t b = 0; b < lanes; ++b) {
+          acc[b] += diag[i] * std::norm(row[b]);
+        }
+      }
+      for (std::size_t b = 0; b < lanes; ++b) {
+        out[(b0 + b) * obs_count + k] = acc[b];
       }
     }
   }

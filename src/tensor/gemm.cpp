@@ -7,204 +7,13 @@
 
 namespace qhdl::tensor::gemm {
 
-namespace {
-
-// Register tile (MR x NR accumulators) and cache blocks. MR*NR doubles plus
-// one packed-B row must fit the architectural register file with room to
-// spare at baseline x86-64 (SSE2, 16 xmm regs), so 4x4. The cache blocks
-// keep one packed A block (MC*KC doubles = 128 KB) plus one packed B block
-// (KC*NC doubles = 256 KB) resident in L2 while C tiles stay in L1.
-constexpr std::size_t MR = 4;
-constexpr std::size_t NR = 4;
-constexpr std::size_t MC = 64;
-constexpr std::size_t KC = 256;
-constexpr std::size_t NC = 128;
-
-double* scratch(std::vector<double>& buffer, std::size_t size) {
-  if (buffer.size() < size) buffer.resize(size);
-  return buffer.data();
-}
-
-// The MR x NR micro-kernel is registry-dispatched (DESIGN.md §13): every
-// backend sums each acc element in ascending p — the deterministic order
-// every caller shares — so the packed path stays bit-identical across
-// backends. MR/NR here must match the registry's 4x4 packing contract.
-static_assert(MR == 4 && NR == 4,
-              "KernelOps::gemm_micro_4x4 assumes a 4x4 register tile");
-
-// Shapes this small skip packing entirely: the classical search's matrices
-// (batch 8, widths 2..110) are dominated by packing overhead, not cache
-// misses. Both direct kernels keep the packed path's per-element arithmetic:
-// each C element is a sum over ascending p starting from 0, committed to C
-// with one store (or one add when accumulating) — so for k <= KC the direct
-// and packed paths are bit-identical and the dispatch is purely a speed
-// choice.
-constexpr std::size_t kDirectMaxN = 128;
-
-/// Direct i-k-j kernel with a stack row accumulator (B rows contiguous).
-template <class AAt, class BAt>
-void dgemm_direct_row(std::size_t m, std::size_t n, std::size_t k, AAt a_at,
-                      BAt b_at, double* c, std::size_t ldc, bool accumulate) {
-  double rowacc[kDirectMaxN];
-  for (std::size_t i = 0; i < m; ++i) {
-    std::fill(rowacc, rowacc + n, 0.0);
-    for (std::size_t p = 0; p < k; ++p) {
-      const double aval = a_at(i, p);
-      for (std::size_t j = 0; j < n; ++j) rowacc[j] += aval * b_at(p, j);
-    }
-    double* crow = c + i * ldc;
-    if (accumulate) {
-      for (std::size_t j = 0; j < n; ++j) crow[j] += rowacc[j];
-    } else {
-      for (std::size_t j = 0; j < n; ++j) crow[j] = rowacc[j];
-    }
-  }
-}
-
-/// Direct i-j-k dot-product kernel for transposed B (both operands walk
-/// contiguously over p). Four independent j accumulators break the serial
-/// add-chain of a lone dot product; each accumulator is still its own
-/// ascending-p sum, so per-element order matches dgemm_direct_row.
-template <class AAt, class BAt>
-void dgemm_direct_dot(std::size_t m, std::size_t n, std::size_t k, AAt a_at,
-                      BAt b_at, double* c, std::size_t ldc, bool accumulate) {
-  for (std::size_t i = 0; i < m; ++i) {
-    double* crow = c + i * ldc;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double av = a_at(i, p);
-        acc0 += av * b_at(p, j);
-        acc1 += av * b_at(p, j + 1);
-        acc2 += av * b_at(p, j + 2);
-        acc3 += av * b_at(p, j + 3);
-      }
-      if (accumulate) {
-        crow[j] += acc0;
-        crow[j + 1] += acc1;
-        crow[j + 2] += acc2;
-        crow[j + 3] += acc3;
-      } else {
-        crow[j] = acc0;
-        crow[j + 1] = acc1;
-        crow[j + 2] = acc2;
-        crow[j + 3] = acc3;
-      }
-    }
-    for (; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t p = 0; p < k; ++p) acc += a_at(i, p) * b_at(p, j);
-      if (accumulate) {
-        crow[j] += acc;
-      } else {
-        crow[j] = acc;
-      }
-    }
-  }
-}
-
-template <class AAt, class BAt>
-void dgemm_impl(std::size_t m, std::size_t n, std::size_t k, AAt a_at,
-                BAt b_at, double* c, std::size_t ldc, bool accumulate) {
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    if (!accumulate) {
-      for (std::size_t i = 0; i < m; ++i) {
-        std::fill(c + i * ldc, c + i * ldc + n, 0.0);
-      }
-    }
-    return;
-  }
-  thread_local std::vector<double> pa_buffer;
-  thread_local std::vector<double> pb_buffer;
-  const auto& simd_ops = util::simd::ops();
-
-  for (std::size_t jc = 0; jc < n; jc += NC) {
-    const std::size_t nc = std::min(NC, n - jc);
-    const std::size_t nc_padded = (nc + NR - 1) / NR * NR;
-    for (std::size_t pc = 0; pc < k; pc += KC) {
-      const std::size_t kc = std::min(KC, k - pc);
-      // The first k-block overwrites C (unless accumulating into existing
-      // contents); later blocks always add, keeping ascending-p order.
-      const bool add_into_c = accumulate || pc > 0;
-
-      // Pack B block: kc rows of nc_padded contiguous doubles, zero-padded
-      // past nc so edge tiles run the full-width microkernel (the padded
-      // lanes accumulate into discarded registers only).
-      double* pb = scratch(pb_buffer, kc * nc_padded);
-      for (std::size_t p = 0; p < kc; ++p) {
-        double* row = pb + p * nc_padded;
-        std::size_t j = 0;
-        for (; j < nc; ++j) row[j] = b_at(pc + p, jc + j);
-        for (; j < nc_padded; ++j) row[j] = 0.0;
-      }
-
-      for (std::size_t ic = 0; ic < m; ic += MC) {
-        const std::size_t mc = std::min(MC, m - ic);
-        const std::size_t tiles_m = (mc + MR - 1) / MR;
-
-        // Pack A block tile-major: tile t holds rows [ic+t*MR, ic+t*MR+MR)
-        // p-major (MR values per p step), zero-padded past mc.
-        double* pa = scratch(pa_buffer, tiles_m * MR * kc);
-        for (std::size_t t = 0; t < tiles_m; ++t) {
-          double* tile = pa + t * MR * kc;
-          for (std::size_t p = 0; p < kc; ++p) {
-            for (std::size_t ii = 0; ii < MR; ++ii) {
-              const std::size_t i = t * MR + ii;
-              tile[p * MR + ii] =
-                  i < mc ? a_at(ic + i, pc + p) : 0.0;
-            }
-          }
-        }
-
-        for (std::size_t t = 0; t < tiles_m; ++t) {
-          const std::size_t i0 = ic + t * MR;
-          const std::size_t mr = std::min(MR, ic + mc - i0);
-          const double* pa_tile = pa + t * MR * kc;
-          for (std::size_t jt = 0; jt < nc_padded / NR; ++jt) {
-            const std::size_t j0 = jc + jt * NR;
-            const std::size_t nr = std::min(NR, jc + nc - j0);
-            double acc[MR][NR] = {};
-            simd_ops.gemm_micro_4x4(kc, pa_tile, pb + jt * NR, nc_padded,
-                                    acc);
-            for (std::size_t ii = 0; ii < mr; ++ii) {
-              double* crow = c + (i0 + ii) * ldc + j0;
-              for (std::size_t jj = 0; jj < nr; ++jj) {
-                if (add_into_c) {
-                  crow[jj] += acc[ii][jj];
-                } else {
-                  crow[jj] = acc[ii][jj];
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void dgemm(std::size_t m, std::size_t n, std::size_t k, const double* a,
            std::size_t lda, bool a_transposed, const double* b,
            std::size_t ldb, bool b_transposed, double* c, std::size_t ldc,
            bool accumulate) {
-  const auto a_plain = [=](std::size_t i, std::size_t p) {
-    return a[i * lda + p];
-  };
-  const auto a_trans = [=](std::size_t i, std::size_t p) {
-    return a[p * lda + i];
-  };
-  const auto b_plain = [=](std::size_t p, std::size_t j) {
-    return b[p * ldb + j];
-  };
-  const auto b_trans = [=](std::size_t p, std::size_t j) {
-    return b[j * ldb + p];
-  };
-
   if (m == 0 || n == 0) return;
+  // An empty sum: C = +0.0, and accumulating leaves C untouched (C += +0.0
+  // would turn a -0.0 entry into +0.0). A and B may be empty here.
   if (k == 0) {
     if (!accumulate) {
       for (std::size_t i = 0; i < m; ++i) {
@@ -213,41 +22,20 @@ void dgemm(std::size_t m, std::size_t n, std::size_t k, const double* a,
     }
     return;
   }
-
-  // Shape-only dispatch (never data-dependent): small problems — the whole
-  // classical search space — go to the direct kernels, whose results are
-  // bit-identical to the packed path for k <= KC.
-  const bool small = k <= KC && n <= kDirectMaxN && k * n <= 8192;
-  if (small) {
-    if (b_transposed) {
-      if (a_transposed) {
-        dgemm_direct_dot(m, n, k, a_trans, b_trans, c, ldc, accumulate);
-      } else {
-        dgemm_direct_dot(m, n, k, a_plain, b_trans, c, ldc, accumulate);
-      }
-    } else {
-      if (a_transposed) {
-        dgemm_direct_row(m, n, k, a_trans, b_plain, c, ldc, accumulate);
-      } else {
-        dgemm_direct_row(m, n, k, a_plain, b_plain, c, ldc, accumulate);
-      }
+  // A transposed A is read in place through its strides; a transposed B
+  // is packed row-major first, so the kernel always streams B's rows.
+  if (b_transposed) {
+    thread_local std::vector<double> packed;
+    if (packed.size() < k * n) packed.resize(k * n);
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t j = 0; j < n; ++j) packed[p * n + j] = b[j * ldb + p];
     }
-    return;
+    b = packed.data();
+    ldb = n;
   }
-
-  if (a_transposed) {
-    if (b_transposed) {
-      dgemm_impl(m, n, k, a_trans, b_trans, c, ldc, accumulate);
-    } else {
-      dgemm_impl(m, n, k, a_trans, b_plain, c, ldc, accumulate);
-    }
-  } else {
-    if (b_transposed) {
-      dgemm_impl(m, n, k, a_plain, b_trans, c, ldc, accumulate);
-    } else {
-      dgemm_impl(m, n, k, a_plain, b_plain, c, ldc, accumulate);
-    }
-  }
+  util::simd::ops().gemm_rows(m, n, k, a, a_transposed ? 1 : lda,
+                              a_transposed ? lda : 1, b, ldb, c, ldc,
+                              accumulate);
 }
 
 }  // namespace qhdl::tensor::gemm

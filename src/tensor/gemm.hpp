@@ -1,14 +1,15 @@
-// Cache-blocked, register-tiled double GEMM used by every dense matmul in
-// the library (tensor::matmul and friends, the NN workspace trainer).
+// The double GEMM every dense matmul in the library runs on
+// (tensor::matmul and friends, the NN workspace trainer): one
+// registry-dispatched small-GEMM op (KernelOps::gemm_rows, DESIGN.md §9 and
+// §13) that register-blocks four rows of C at a time and streams k.
 //
-// One kernel serves all four transpose combinations: operands are packed
-// into contiguous panels first, so the inner microkernel always reads
-// unit-stride memory regardless of the source layout. Accumulation over the
-// inner dimension is strictly ascending per output element and the kernel is
-// single-threaded, so results are deterministic and — because every caller
-// (reference trainer, workspace trainer, Dense module) routes through this
-// same code — bit-identical across the training paths that must agree
-// (see DESIGN.md §9).
+// Each output element has its own accumulator that starts at +0.0 and adds
+// A(i,p)*B(p,j) in strictly ascending p, then is stored to C (or added to
+// it) once. The kernel is single-threaded and every backend keeps that
+// order, so results are deterministic, bit-identical across backends and —
+// because every caller (reference trainer, workspace trainer, Dense module)
+// routes through this same code — bit-identical across the training paths
+// that must agree.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +23,8 @@ namespace qhdl::tensor::gemm {
 /// `b_transposed`: B is stored as [n,k] with leading dimension `ldb`
 /// (logical element B(p,j) read from b[j*ldb + p]) — the dY·Wᵀ case.
 /// `accumulate`: false overwrites C, true adds the product into C
-/// (used to accumulate parameter gradients without a temporary).
+/// (used to accumulate parameter gradients without a temporary); with
+/// k == 0 it leaves C untouched.
 void dgemm(std::size_t m, std::size_t n, std::size_t k,
            const double* a, std::size_t lda, bool a_transposed,
            const double* b, std::size_t ldb, bool b_transposed,

@@ -9,7 +9,7 @@
 namespace qhdl::tensor {
 
 /// C = A·B for rank-2 operands ([m,k]·[k,n] -> [m,n]).
-/// All matmul variants run on the blocked/packed GEMM kernel
+/// All matmul variants run on the one row-blocked GEMM kernel
 /// (tensor/gemm.hpp); results are deterministic and identical between the
 /// allocating and `_into` forms.
 Tensor matmul(const Tensor& a, const Tensor& b);

@@ -1,8 +1,8 @@
 // Dense row-major double tensor with value semantics.
 //
 // The Tensor class itself favors clarity and strict checking; the dense
-// matmul hot paths in ops.cpp route through the blocked/packed GEMM kernel
-// in gemm.cpp, and the training loop avoids per-op Tensor allocation
+// matmul hot paths in ops.cpp route through the one row-blocked GEMM
+// kernel in gemm.cpp, and the training loop avoids per-op Tensor allocation
 // entirely via the workspace trainer (nn/workspace.hpp).
 #pragma once
 

@@ -3,8 +3,9 @@
 // The simulator's hottest inner loops — the state-vector gate kernels
 // (dense 2x2 with one matrix or one per row, diagonal phase multiply, CNOT
 // pair swap, dense 4x4), the expval-Z and inner-product reductions, and
-// the blocked-GEMM 4x4 micro-kernel — are function pointers resolved
-// through this registry instead of fixed scalar code. The gate kernels and
+// the row-blocked small GEMM every dense layer runs on — are function
+// pointers resolved through this registry instead of fixed scalar code.
+// The gate kernels and
 // reductions act on a StateVectorBatch's SoA layout; a single StateVector
 // is the one-row batch, so one kernel set serves both. Each backend
 // translation unit
@@ -24,9 +25,10 @@
 //   * elementwise complex multiplies vectorize via mul/shuffle/addsub,
 //     which performs exactly the two roundings per component the scalar
 //     formula does;
-//   * the GEMM micro-kernel keeps each accumulator element's ascending-p
-//     order (broadcast A, vector multiply, vector add), so AVX lanes see
-//     the same add sequence the scalar tile loop performs;
+//   * the GEMM canon: every C element has its own accumulator that starts
+//     at +0.0 and adds a*b (a separate multiply and add) in ascending p,
+//     then is stored to C or added to it once (broadcast A, vector
+//     multiply, vector add), so AVX lanes see the scalar tile's adds;
 //   * the state ops vectorize ACROSS the batch lanes of the SoA layout
 //     (amps[i * batch + b], unit-stride loads, no shuffles): each lane's
 //     arithmetic is the independent per-row scalar formula, so lane-wise
@@ -62,11 +64,17 @@ namespace qhdl::util::simd {
 struct KernelOps {
   using Complex = std::complex<double>;
 
-  /// Blocked-GEMM register tile: acc[ii][jj] += Σ_p pa[p*4+ii] *
-  /// pb[p*pb_stride+jj], ascending p per element (tensor/gemm.cpp packs
-  /// operands; MR = NR = 4 is fixed by the packing layout).
-  void (*gemm_micro_4x4)(std::size_t kc, const double* pa, const double* pb,
-                         std::size_t pb_stride, double acc[4][4]);
+  /// Small GEMM, register-blocked over 4 rows of C at a time:
+  /// C(i,j) = acc (or C(i,j) += acc when `accumulate`) with acc = +0.0 +
+  /// A(i,0)*B(0,j) + ... + A(i,k-1)*B(k-1,j), summed in ascending p with a
+  /// separate multiply and add (the GEMM canon). A(i,p) is read from
+  /// a[i * a_row_stride + p * a_col_stride], so a transposed A is read in
+  /// place; B and C are row-major with leading dimensions ldb and ldc.
+  void (*gemm_rows)(std::size_t m, std::size_t n, std::size_t k,
+                    const double* a, std::size_t a_row_stride,
+                    std::size_t a_col_stride, const double* b,
+                    std::size_t ldb, double* c, std::size_t ldc,
+                    bool accumulate);
 
   // State ops. `amps` holds a StateVectorBatch (a StateVector is the
   // batch == 1 case): amplitude i of row b at amps[i * batch + b], so every

@@ -9,13 +9,15 @@
 //   * no FMA anywhere (it would skip a rounding), and the TU compiles with
 //     -ffp-contract=off so the compiler cannot contract the scalar tails;
 //   * CNOT is a pure permutation (wide loads/stores, no arithmetic);
-//   * the GEMM micro-kernel broadcasts A and keeps each accumulator
-//     element's ascending-p multiply/add order.
+//   * the small GEMM broadcasts A and keeps each C element's own
+//     accumulator with its ascending-p multiply/add order (the GEMM canon).
 #include "util/simd/kernels_internal.hpp"
 
 #if defined(QHDL_SIMD_AVX2) && (defined(__x86_64__) || defined(__i386__))
 
 #include <immintrin.h>
+
+#include <utility>
 
 namespace qhdl::util::simd::detail {
 
@@ -342,26 +344,121 @@ void avx2_inner_products_real_batch(const Complex* lhs, const Complex* rhs,
   }
 }
 
-void avx2_gemm_micro_4x4(std::size_t kc, const double* pa, const double* pb,
-                         std::size_t pb_stride, double acc[4][4]) {
-  __m256d c0 = _mm256_loadu_pd(acc[0]);
-  __m256d c1 = _mm256_loadu_pd(acc[1]);
-  __m256d c2 = _mm256_loadu_pd(acc[2]);
-  __m256d c3 = _mm256_loadu_pd(acc[3]);
-  for (std::size_t p = 0; p < kc; ++p) {
-    const __m256d b = _mm256_loadu_pd(pb + p * pb_stride);
-    const double* arow = pa + p * 4;
-    // Explicit mul then add (no FMA): per element the exact ascending-p
-    // multiply/add sequence of the scalar tile loop.
-    c0 = _mm256_add_pd(c0, _mm256_mul_pd(_mm256_set1_pd(arow[0]), b));
-    c1 = _mm256_add_pd(c1, _mm256_mul_pd(_mm256_set1_pd(arow[1]), b));
-    c2 = _mm256_add_pd(c2, _mm256_mul_pd(_mm256_set1_pd(arow[2]), b));
-    c3 = _mm256_add_pd(c3, _mm256_mul_pd(_mm256_set1_pd(arow[3]), b));
+// Small GEMM: an R-row x 4V-column tile of C with k streamed. Each
+// accumulator lane starts at +0.0 and adds A(i,p)*B(p,j) in ascending p with
+// an explicit mul then add (no FMA), then is stored to C or added to it once
+// — per element the generic scalar tile's exact sequence. A `Masked` tile's
+// last vector covers 1-4 columns through `tail`; maskload/maskstore never
+// touch the masked-out columns, so a ragged tile ends exactly at C's or B's
+// last element. Accumulator t holds row t / V, column vector t % V; the fold
+// expressions index it with constants, so every accumulator stays in a
+// register across the k loop (GCC keeps a loop-indexed accumulator array in
+// memory and stores it back on every p step).
+template <std::size_t R, std::size_t V, bool Masked>
+void gemm_tile(std::size_t k, const double* a, std::size_t a_row_stride,
+               std::size_t a_col_stride, const double* b, std::size_t ldb,
+               double* c, std::size_t ldc, bool accumulate, __m256i tail) {
+  const auto load = [tail](const double* row, std::size_t v) {
+    return Masked && v + 1 == V ? _mm256_maskload_pd(row + 4 * v, tail)
+                                : _mm256_loadu_pd(row + 4 * v);
+  };
+  [&]<std::size_t... T>(std::index_sequence<T...>) {
+    __m256d acc[R * V] = {((void)T, _mm256_setzero_pd())...};
+    for (std::size_t p = 0; p < k; ++p) {
+      const double* brow = b + p * ldb;
+      const double* ap = a + p * a_col_stride;
+      ((acc[T] = _mm256_add_pd(
+            acc[T],
+            _mm256_mul_pd(_mm256_broadcast_sd(ap + T / V * a_row_stride),
+                          load(brow, T % V)))),
+       ...);
+    }
+    const auto store = [&](std::size_t t, __m256d out) {
+      double* cv = c + t / V * ldc + 4 * (t % V);
+      if (accumulate) out = _mm256_add_pd(load(c + t / V * ldc, t % V), out);
+      if (Masked && t % V + 1 == V) {
+        _mm256_maskstore_pd(cv, tail, out);
+      } else {
+        _mm256_storeu_pd(cv, out);
+      }
+    };
+    (store(T, acc[T]), ...);
+  }(std::make_index_sequence<R * V>{});
+}
+
+/// Lanes [0, columns) of a 4-wide column vector set, columns in 1..4.
+inline __m256i column_mask(std::size_t columns) {
+  return _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(columns)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+/// R rows of C: 8-wide column tiles (8 accumulators at R = 4), then one
+/// tile of the 1-7 remaining columns with a masked last vector.
+template <std::size_t R>
+void gemm_row_block(std::size_t n, std::size_t k, const double* a,
+                    std::size_t a_row_stride, std::size_t a_col_stride,
+                    const double* b, std::size_t ldb, double* c,
+                    std::size_t ldc, bool accumulate) {
+  const __m256i full = _mm256_set1_epi64x(-1);
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    gemm_tile<R, 2, false>(k, a, a_row_stride, a_col_stride, b + j, ldb,
+                           c + j, ldc, accumulate, full);
   }
-  _mm256_storeu_pd(acc[0], c0);
-  _mm256_storeu_pd(acc[1], c1);
-  _mm256_storeu_pd(acc[2], c2);
-  _mm256_storeu_pd(acc[3], c3);
+  const std::size_t rest = n - j;
+  if (rest == 0) return;
+  const __m256i tail = column_mask((rest - 1) % 4 + 1);
+  if (rest > 4) {
+    gemm_tile<R, 2, true>(k, a, a_row_stride, a_col_stride, b + j, ldb,
+                          c + j, ldc, accumulate, tail);
+  } else if (rest == 4) {
+    gemm_tile<R, 1, false>(k, a, a_row_stride, a_col_stride, b + j, ldb,
+                           c + j, ldc, accumulate, full);
+  } else {
+    gemm_tile<R, 1, true>(k, a, a_row_stride, a_col_stride, b + j, ldb,
+                          c + j, ldc, accumulate, tail);
+  }
+}
+
+void avx2_gemm_rows(std::size_t m, std::size_t n, std::size_t k,
+                    const double* a, std::size_t a_row_stride,
+                    std::size_t a_col_stride, const double* b,
+                    std::size_t ldb, double* c, std::size_t ldc,
+                    bool accumulate) {
+  std::size_t i = 0;
+  // One column vector holds only one accumulator per row, so narrow C runs
+  // 8-row blocks: twice the independent add chains in flight.
+  if (n <= 4) {
+    const __m256i tail = column_mask(n);
+    for (; i + 8 <= m; i += 8) {
+      gemm_tile<8, 1, true>(k, a + i * a_row_stride, a_row_stride,
+                            a_col_stride, b, ldb, c + i * ldc, ldc,
+                            accumulate, tail);
+    }
+  }
+  for (; i + 4 <= m; i += 4) {
+    gemm_row_block<4>(n, k, a + i * a_row_stride, a_row_stride, a_col_stride,
+                      b, ldb, c + i * ldc, ldc, accumulate);
+  }
+  const double* a_tail = a + i * a_row_stride;
+  double* c_tail = c + i * ldc;
+  switch (m - i) {
+    case 3:
+      gemm_row_block<3>(n, k, a_tail, a_row_stride, a_col_stride, b, ldb,
+                        c_tail, ldc, accumulate);
+      break;
+    case 2:
+      gemm_row_block<2>(n, k, a_tail, a_row_stride, a_col_stride, b, ldb,
+                        c_tail, ldc, accumulate);
+      break;
+    case 1:
+      gemm_row_block<1>(n, k, a_tail, a_row_stride, a_col_stride, b, ldb,
+                        c_tail, ldc, accumulate);
+      break;
+    default:
+      break;
+  }
 }
 
 // __builtin_cpu_supports consults the feature mask the compiler runtime
@@ -387,7 +484,7 @@ const Backend kAvx2{
     detail::avx2_supported,
     /*reference=*/false,
     KernelOps{
-        detail::avx2_gemm_micro_4x4,
+        detail::avx2_gemm_rows,
         detail::avx2_apply_single_qubit_batch,
         detail::avx2_apply_single_qubit_rows_batch,
         detail::avx2_apply_diagonal_batch,

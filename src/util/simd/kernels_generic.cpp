@@ -152,24 +152,100 @@ void scalar_inner_products_real_batch(const Complex* lhs, const Complex* rhs,
   }
 }
 
-void scalar_gemm_micro_4x4(std::size_t kc, const double* pa, const double* pb,
-                           std::size_t pb_stride, double acc[4][4]) {
-  for (std::size_t p = 0; p < kc; ++p) {
-    const double* arow = pa + p * 4;
-    const double* brow = pb + p * pb_stride;
-    for (std::size_t ii = 0; ii < 4; ++ii) {
-      const double aval = arow[ii];
-      for (std::size_t jj = 0; jj < 4; ++jj) {
-        acc[ii][jj] += aval * brow[jj];
+// One R-row x W-column tile of C with k streamed: each accumulator starts
+// at +0.0 and adds A(i,p)*B(p,j) in ascending p (the GEMM canon), then is
+// stored to C or added to it once. R and W are compile-time so the R*W
+// accumulators stay in registers.
+template <std::size_t R, std::size_t W>
+void scalar_gemm_tile(std::size_t k, const double* a, std::size_t a_row_stride,
+                      std::size_t a_col_stride, const double* b,
+                      std::size_t ldb, double* c, std::size_t ldc,
+                      bool accumulate) {
+  double acc[R][W] = {};
+  for (std::size_t p = 0; p < k; ++p) {
+    const double* ap = a + p * a_col_stride;
+    const double* brow = b + p * ldb;
+    for (std::size_t r = 0; r < R; ++r) {
+      const double aval = ap[r * a_row_stride];
+      for (std::size_t j = 0; j < W; ++j) acc[r][j] += aval * brow[j];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    double* crow = c + r * ldc;
+    for (std::size_t j = 0; j < W; ++j) {
+      if (accumulate) {
+        crow[j] += acc[r][j];
+      } else {
+        crow[j] = acc[r][j];
       }
     }
+  }
+}
+
+/// R rows of C: 4-wide column tiles, then one 1-3 column tile.
+template <std::size_t R>
+void scalar_gemm_row_block(std::size_t n, std::size_t k, const double* a,
+                           std::size_t a_row_stride, std::size_t a_col_stride,
+                           const double* b, std::size_t ldb, double* c,
+                           std::size_t ldc, bool accumulate) {
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    scalar_gemm_tile<R, 4>(k, a, a_row_stride, a_col_stride, b + j, ldb,
+                           c + j, ldc, accumulate);
+  }
+  switch (n - j) {
+    case 3:
+      scalar_gemm_tile<R, 3>(k, a, a_row_stride, a_col_stride, b + j, ldb,
+                             c + j, ldc, accumulate);
+      break;
+    case 2:
+      scalar_gemm_tile<R, 2>(k, a, a_row_stride, a_col_stride, b + j, ldb,
+                             c + j, ldc, accumulate);
+      break;
+    case 1:
+      scalar_gemm_tile<R, 1>(k, a, a_row_stride, a_col_stride, b + j, ldb,
+                             c + j, ldc, accumulate);
+      break;
+    default:
+      break;
+  }
+}
+
+void scalar_gemm_rows(std::size_t m, std::size_t n, std::size_t k,
+                      const double* a, std::size_t a_row_stride,
+                      std::size_t a_col_stride, const double* b,
+                      std::size_t ldb, double* c, std::size_t ldc,
+                      bool accumulate) {
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    scalar_gemm_row_block<4>(n, k, a + i * a_row_stride, a_row_stride,
+                             a_col_stride, b, ldb, c + i * ldc, ldc,
+                             accumulate);
+  }
+  const double* a_tail = a + i * a_row_stride;
+  double* c_tail = c + i * ldc;
+  switch (m - i) {
+    case 3:
+      scalar_gemm_row_block<3>(n, k, a_tail, a_row_stride, a_col_stride, b,
+                               ldb, c_tail, ldc, accumulate);
+      break;
+    case 2:
+      scalar_gemm_row_block<2>(n, k, a_tail, a_row_stride, a_col_stride, b,
+                               ldb, c_tail, ldc, accumulate);
+      break;
+    case 1:
+      scalar_gemm_row_block<1>(n, k, a_tail, a_row_stride, a_col_stride, b,
+                               ldb, c_tail, ldc, accumulate);
+      break;
+    default:
+      break;
   }
 }
 
 bool always_supported() { return true; }
 
 constexpr KernelOps kScalarOps{
-    scalar_gemm_micro_4x4,
+    scalar_gemm_rows,
     scalar_apply_single_qubit_batch,
     scalar_apply_single_qubit_rows_batch,
     scalar_apply_diagonal_batch,

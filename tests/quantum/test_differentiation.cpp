@@ -8,7 +8,9 @@
 
 #include "quantum/adjoint_diff.hpp"
 #include "quantum/parameter_shift.hpp"
+#include "quantum/statevector_batch.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace qhdl::quantum {
 namespace {
@@ -191,6 +193,45 @@ TEST(AdjointDiff, GradientOfCircuitWithOnlyFixedGatesIsEmpty) {
                                            Observable::pauli_z(0));
   EXPECT_TRUE(r.gradient.empty());
   EXPECT_NEAR(r.expectation, 0.0, 1e-12);
+}
+
+TEST(AdjointDiff, DiagonalExpectationsBatchMatchesTheScalarLoopBitwise) {
+  // The i/b/k loop the batched expectations were first written as: out
+  // starts at 0.0 and each out[b, k] adds diag[k][i] * |a_ib|^2 in
+  // ascending i. Batch 40 crosses the kernel's 32-lane chunk.
+  util::Rng rng{2611};
+  for (const std::size_t batch : {1, 3, 8, 16, 40}) {
+    for (std::size_t qubits = 1; qubits <= 5; ++qubits) {
+      StateVectorBatch state{qubits, batch};
+      for (Complex& amp : state.amplitudes()) {
+        amp = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+      }
+      for (std::size_t obs_count = 1; obs_count <= qubits; ++obs_count) {
+        std::vector<std::vector<double>> diagonals;
+        for (std::size_t k = 0; k < obs_count; ++k) {
+          diagonals.push_back(
+              rng.uniform_vector(state.dimension(), -1.0, 1.0));
+        }
+        std::vector<double> expected(batch * obs_count, 0.0);
+        const auto amps = state.amplitudes();
+        for (std::size_t i = 0; i < state.dimension(); ++i) {
+          for (std::size_t b = 0; b < batch; ++b) {
+            const double p = std::norm(amps[i * batch + b]);
+            for (std::size_t k = 0; k < obs_count; ++k) {
+              expected[b * obs_count + k] += diagonals[k][i] * p;
+            }
+          }
+        }
+        std::vector<double> out(batch * obs_count, -1.0);
+        diagonal_expectations_batch(state, diagonals, out);
+        for (std::size_t e = 0; e < out.size(); ++e) {
+          EXPECT_EQ(out[e], expected[e])
+              << "batch " << batch << " q " << qubits << " obs "
+              << obs_count << " entry " << e;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -156,7 +156,7 @@ TEST(GridSearchDeterminism, WorkspaceAndReferencePathsAgree) {
   }
   {
     // The reference backend puts training on the reference Module path. It
-    // shares the generic GEMM micro-kernel, which every SIMD backend
+    // shares the generic GEMM kernel, which every SIMD backend
     // matches bit-for-bit, so the outcomes stay identical — under parallel
     // execution too.
     const testing::ReferenceScope scope{true};

@@ -87,7 +87,7 @@ TEST(BackendRegistry, StandardBackendsAreRegistered) {
     EXPECT_NE(backend->ops.apply_single_qubit_rows_batch, nullptr)
         << backend->name;
     EXPECT_NE(backend->ops.apply_diagonal_batch, nullptr) << backend->name;
-    EXPECT_NE(backend->ops.gemm_micro_4x4, nullptr) << backend->name;
+    EXPECT_NE(backend->ops.gemm_rows, nullptr) << backend->name;
   }
 }
 
