@@ -427,16 +427,6 @@ void avx2_gemm_rows(std::size_t m, std::size_t n, std::size_t k,
                     std::size_t ldb, double* c, std::size_t ldc,
                     bool accumulate) {
   std::size_t i = 0;
-  // One column vector holds only one accumulator per row, so narrow C runs
-  // 8-row blocks: twice the independent add chains in flight.
-  if (n <= 4) {
-    const __m256i tail = column_mask(n);
-    for (; i + 8 <= m; i += 8) {
-      gemm_tile<8, 1, true>(k, a + i * a_row_stride, a_row_stride,
-                            a_col_stride, b, ldb, c + i * ldc, ldc,
-                            accumulate, tail);
-    }
-  }
   for (; i + 4 <= m; i += 4) {
     gemm_row_block<4>(n, k, a + i * a_row_stride, a_row_stride, a_col_stride,
                       b, ldb, c + i * ldc, ldc, accumulate);

@@ -139,8 +139,11 @@ void naive_dgemm(std::size_t m, std::size_t n, std::size_t k,
 
 // Each operand lives in its own exactly sized allocation with a leading
 // dimension equal to its row length, so a kernel that reads or writes one
-// element past a ragged column tail or the last row runs off the end of the
-// heap block, where ASan builds catch it.
+// element of A, C or a plain B past a ragged column tail or the last row
+// runs off the end of the heap block, where ASan builds catch it. A
+// transposed B reaches the kernel through dgemm's reused packed buffer,
+// which may be larger than k x n, so its tails are guarded by the plain-B
+// cases of the same shape.
 void expect_canon(std::size_t m, std::size_t n, std::size_t k,
                   const std::vector<double>& a, bool a_transposed,
                   const std::vector<double>& b, bool b_transposed,
