@@ -1,13 +1,11 @@
 // Figure-level benchmark report: times the hybrid-layer workloads the
 // figures lean on (batch forward/backward, adjoint VJP) under the active
-// kernel backend and under the reference backend, and writes
-// BENCH_figs.json via the shared JSON reporter — the figure-scale
-// counterpart of tools/bench_report.py's BENCH_micro.json.
+// kernel backend, and writes BENCH_figs.json via the shared JSON reporter —
+// the figure-scale counterpart of tools/bench_report.py's BENCH_micro.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,7 +18,6 @@
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
 #include "tensor/tensor.hpp"
-#include "util/backend_registry.hpp"
 #include "util/cli.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -29,71 +26,36 @@ namespace {
 
 using namespace qhdl;
 
-// Two execution modes per workload: the active backend (fused plans and
-// specialized kernels) and the reference backend (unfused generic kernels).
-struct BenchMode {
-  const char* suffix;
-  const char* backend;  ///< nullptr = env/build/auto selection
-};
-
-constexpr BenchMode kModes[] = {
-    {"", nullptr},
-    {"_reference", "reference"},
-};
-
-void apply_mode(const BenchMode& mode) {
-  if (mode.backend == nullptr) {
-    util::simd::set_backend(std::nullopt);
-  } else {
-    util::simd::set_backend(mode.backend);
-  }
-}
-
 double median(std::vector<double>& samples) {
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
 }
 
-/// Times `fn` under every mode with the modes INTERLEAVED per repetition
-/// round, then reports each mode's median ns/call. Interleaving matters:
-/// this machine's clock drifts several percent over a bench run, so timing
-/// one mode to completion before the next would fold that drift into the
-/// mode comparison; alternating modes within each round makes adjacent
-/// samples share thermal/frequency conditions so the drift cancels in the
-/// medians. Each sample is a timed block of `inner` calls preceded by one
-/// untimed call — the warm call restores branch predictors and caches
-/// after the mode switch, and the block amortizes timer granularity.
-std::vector<bench::BenchEntry> time_workload_all_modes(
-    const std::string& name, std::size_t repeat, std::size_t inner,
-    double amps_per_op, const std::function<void()>& fn) {
-  for (const BenchMode& mode : kModes) {
-    apply_mode(mode);
-    fn();  // warm-up (also primes thread-local scratch and the plan memo)
-  }
-  std::vector<std::vector<double>> samples(std::size(kModes));
+/// Times `fn` under the active backend and reports its median ns/call.
+/// Each sample is a timed block of `inner` calls preceded by one untimed
+/// call, which restores branch predictors and caches, and the block
+/// amortizes timer granularity.
+bench::BenchEntry time_workload(const std::string& name, std::size_t repeat,
+                                std::size_t inner, double amps_per_op,
+                                const std::function<void()>& fn) {
+  fn();  // warm-up (also primes thread-local scratch and the plan memo)
+  std::vector<double> samples;
   for (std::size_t r = 0; r < repeat; ++r) {
-    for (std::size_t m = 0; m < std::size(kModes); ++m) {
-      apply_mode(kModes[m]);
-      fn();
-      const auto begin = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < inner; ++i) fn();
-      const auto end = std::chrono::steady_clock::now();
-      samples[m].push_back(
-          std::chrono::duration<double, std::nano>(end - begin).count() /
-          static_cast<double>(inner));
-    }
+    fn();
+    const auto begin = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < inner; ++i) fn();
+    const auto end = std::chrono::steady_clock::now();
+    samples.push_back(
+        std::chrono::duration<double, std::nano>(end - begin).count() /
+        static_cast<double>(inner));
   }
-  std::vector<bench::BenchEntry> entries;
-  for (std::size_t m = 0; m < std::size(kModes); ++m) {
-    bench::BenchEntry entry;
-    entry.name = name + kModes[m].suffix;
-    entry.ns_per_op = median(samples[m]);
-    if (amps_per_op > 0.0) {
-      entry.amps_per_sec = amps_per_op / (entry.ns_per_op * 1e-9);
-    }
-    entries.push_back(entry);
+  bench::BenchEntry entry;
+  entry.name = name;
+  entry.ns_per_op = median(samples);
+  if (amps_per_op > 0.0) {
+    entry.amps_per_sec = amps_per_op / (entry.ns_per_op * 1e-9);
   }
-  return entries;
+  return entry;
 }
 
 struct LayerWorkload {
@@ -157,8 +119,8 @@ LayerWorkload make_layer_workload(std::size_t qubits, std::size_t depth,
 
 int main(int argc, char** argv) {
   util::Cli cli{"bench_figs_report",
-                "Times figure-level hybrid workloads under the active and "
-                "the reference kernel backend and writes BENCH_figs.json"};
+                "Times figure-level hybrid workloads under the active "
+                "kernel backend and writes BENCH_figs.json"};
   cli.add_string("out", "BENCH_figs.json", "output JSON path");
   cli.add_int("repeat", 9, "timed repetitions per workload");
   if (!cli.parse(argc, argv)) return 0;
@@ -168,25 +130,19 @@ int main(int argc, char** argv) {
   util::Rng rng{29};
   std::vector<bench::BenchEntry> entries;
 
-  const auto push_all = [&](std::vector<bench::BenchEntry> batch) {
-    for (bench::BenchEntry& entry : batch) {
-      entries.push_back(std::move(entry));
-    }
-  };
-
   auto sel5 = make_layer_workload(5, 10, 16, rng);
-  push_all(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q5_d10_b16_forward", repeat, 16, sel5.amps_per_call,
       [&] { sel5.layer.forward(sel5.input); }));
   // Repeated backward() after one forward(): every call past the first
   // re-simulates the forward, since the first one spends the kept state.
   sel5.layer.forward(sel5.input);
-  push_all(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q5_d10_b16_backward", repeat, 4, sel5.amps_per_call,
       [&] { sel5.layer.backward(sel5.upstream); }));
   // A training step's layer work: backward() starts from the state its
   // forward() kept, so the batch is simulated once.
-  push_all(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q5_d10_b16_forward_backward", repeat, 4, sel5.amps_per_call,
       [&] {
         sel5.layer.forward(sel5.input);
@@ -194,19 +150,19 @@ int main(int argc, char** argv) {
       }));
 
   auto sel8 = make_layer_workload(8, 2, 16, rng);
-  push_all(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q8_d2_b16_forward", repeat, 8, sel8.amps_per_call,
       [&] { sel8.layer.forward(sel8.input); }));
 
   // Scalar per-sample path (parameter-shift / shots / noise route).
   auto scalar5 = make_scalar_workload(5, 10, rng);
-  push_all(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q5_d10_scalar_forward", repeat, 64, scalar5.amps_per_call,
       [&] {
         quantum::StateVector state{5};
         scalar5.circuit.run(state, scalar5.params);
       }));
-  push_all(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q5_d10_scalar_backward", repeat, 24, scalar5.amps_per_call,
       [&] {
         quantum::adjoint_vjp(scalar5.circuit, scalar5.params,
@@ -217,7 +173,7 @@ int main(int argc, char** argv) {
   // comparable to the kernel arithmetic, so this is where compiled plans
   // buy the most throughput (~10% on this machine).
   auto scalar3 = make_scalar_workload(3, 10, rng);
-  push_all(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q3_d10_scalar_forward", repeat, 128, scalar3.amps_per_call,
       [&] {
         quantum::StateVector state{3};
@@ -227,14 +183,12 @@ int main(int argc, char** argv) {
   // The end-to-end study's layer shape (3 qubits, depth 2, batch 8); made
   // last so the workloads above keep their random inputs.
   auto sel3 = make_layer_workload(3, 2, 8, rng);
-  push_all(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q3_d2_b8_forward_backward", repeat, 64, sel3.amps_per_call,
       [&] {
         sel3.layer.forward(sel3.input);
         sel3.layer.backward(sel3.upstream);
       }));
-
-  util::simd::set_backend(std::nullopt);
 
   bench::write_bench_json(out_path, bench::collect_metadata(), entries);
   std::printf("wrote %s (%zu workloads)\n", out_path.c_str(),

@@ -1,6 +1,6 @@
 // Micro-benchmarks of the classical NN substrate (google-benchmark):
 // the small GEMM at the search-space shapes, dense forward/backward vs width,
-// fused softmax-cross-entropy, the workspace vs reference training step, and
+// fused softmax-cross-entropy, the workspace vs Module training step, and
 // an end-to-end candidate training run — the wall-clock counterpart of the
 // analytic FLOPs model.
 #include <benchmark/benchmark.h>
@@ -134,8 +134,9 @@ void BM_ClassicalTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassicalTrainStep);
 
-/// The same training step through the reference Module path — the
-/// before/after counterpart of BM_ClassicalTrainStep.
+/// The same training step through the Module path — the before/after
+/// counterpart of BM_ClassicalTrainStep (the name predates the Module
+/// path's rename and is kept because BENCH_micro.json records it).
 void BM_ReferenceTrainStep(benchmark::State& state) {
   util::Rng rng{3};
   qnn::ClassicalConfig config;
@@ -257,9 +258,9 @@ BENCHMARK(BM_AdamStep)->RangeMultiplier(8)->Range(64, 4096);
 
 // ---------------------------------------------------------------------------
 // Per-backend GEMM variants, registered dynamically as
-// `BM_GemmPacked@<backend>/<size>` for every supported non-reference
-// backend (the name predates the one row-blocked path and is kept because
-// BENCH_micro.json gates it). At size 256 the registry-dispatched
+// `BM_GemmPacked@<backend>/<size>` for every supported backend (the name
+// predates the one row-blocked path and is kept because BENCH_micro.json
+// gates it). At size 256 the registry-dispatched
 // gemm_rows op's full 4x8 tiles dominate the timing.
 // tools/check_bench_regression.py understands the `@<backend>` suffix and
 // compares like-for-like.
@@ -282,7 +283,7 @@ void run_gemm_packed_backend(benchmark::State& state,
 
 void register_backend_variants() {
   for (const util::simd::Backend* backend : util::simd::backends()) {
-    if (backend->reference || !backend->supported()) continue;
+    if (!backend->supported()) continue;
     const std::string name = backend->name;
     benchmark::RegisterBenchmark(
         ("BM_GemmPacked@" + name).c_str(),

@@ -246,8 +246,7 @@ BENCHMARK(BM_SelAdjointVsDepth)->DenseRange(1, 10, 3);
 // ---------------------------------------------------------------------------
 // Per-backend variants of the registry-dispatched kernels, registered
 // dynamically as `BM_<Kernel>@<backend>/<qubits>` for every backend this
-// machine supports (reference excluded — it measures the legacy scalar
-// paths, not a kernel table). tools/check_bench_regression.py understands
+// machine supports. tools/check_bench_regression.py understands
 // the `@<backend>` suffix and compares like-for-like, skipping backends the
 // baseline runner could not measure.
 
@@ -412,7 +411,7 @@ void run_layer_batch_forward_backend(benchmark::State& state,
 
 void register_backend_variants() {
   for (const util::simd::Backend* backend : util::simd::backends()) {
-    if (backend->reference || !backend->supported()) continue;
+    if (!backend->supported()) continue;
     const std::string name = backend->name;
     benchmark::RegisterBenchmark(
         ("BM_SingleQubitGate@" + name).c_str(),

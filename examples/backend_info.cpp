@@ -42,9 +42,8 @@ int main(int argc, char** argv) {
 
   std::printf("registered backends (auto-detect priority order):\n");
   for (const simd::Backend* backend : simd::backends()) {
-    std::printf("  %-10s priority=%-4d supported=%s%s\n", backend->name,
-                backend->priority, backend->supported() ? "yes" : "no",
-                backend->reference ? "  [reference paths]" : "");
+    std::printf("  %-10s priority=%-4d supported=%s\n", backend->name,
+                backend->priority, backend->supported() ? "yes" : "no");
   }
   return 0;
 }

@@ -9,7 +9,7 @@ namespace {
 struct Counters {
   util::Metrics& m = util::Metrics::global();
   util::Counter& workspace_runs = m.counter("fastpath.workspace_runs");
-  util::Counter& reference_runs = m.counter("fastpath.reference_runs");
+  util::Counter& module_runs = m.counter("fastpath.module_runs");
   util::Counter& workspace_steps = m.counter("fastpath.workspace_steps");
 };
 
@@ -24,7 +24,7 @@ Counters& counters() {
 }  // namespace
 
 void count_workspace_run() { counters().workspace_runs.add(); }
-void count_reference_run() { counters().reference_runs.add(); }
+void count_module_run() { counters().module_runs.add(); }
 void count_workspace_steps(std::uint64_t steps) {
   counters().workspace_steps.add(steps);
 }

@@ -10,7 +10,6 @@
 #include "nn/metrics.hpp"
 #include "nn/sequential.hpp"
 #include "nn/workspace.hpp"
-#include "util/backend_registry.hpp"
 #include "util/csv.hpp"
 #include "util/fault_injection.hpp"
 #include "util/string_util.hpp"
@@ -105,24 +104,21 @@ TrainHistory train_classifier(Module& model, Optimizer& optimizer,
   // Workspace fast path: classical stacks and the paper's hybrids (whose
   // exact-path QuantumLayer is a row stage) train through a preallocated,
   // fused, zero-steady-state-allocation pipeline. Noisy, finite-shot and
-  // amplitude-encoded layers, custom models — and every model under the
-  // reference kernel backend — use the reference Module path below. Both
-  // produce bit-identical histories.
+  // amplitude-encoded layers and custom models use the Module path below.
+  // Both produce bit-identical histories.
   std::unique_ptr<TrainWorkspace> workspace;
-  if (!util::simd::active_backend().reference) {
-    if (auto* sequential = dynamic_cast<Sequential*>(&model)) {
-      workspace = TrainWorkspace::compile(
-          *sequential, std::min(config.batch_size, n),
-          std::max(n, x_val.rows()));
-    }
+  if (auto* sequential = dynamic_cast<Sequential*>(&model)) {
+    workspace = TrainWorkspace::compile(*sequential,
+                                        std::min(config.batch_size, n),
+                                        std::max(n, x_val.rows()));
   }
   if (workspace) {
     fastpath::count_workspace_run();
   } else {
-    fastpath::count_reference_run();
+    fastpath::count_module_run();
   }
 
-  // Reference-path batch buffers, reused across batches: one tensor for
+  // Module-path batch buffers, reused across batches: one tensor for
   // full batches and (when n % batch_size != 0) one for the tail batch.
   const std::size_t full_rows = std::min(config.batch_size, n);
   const std::size_t tail_rows = n % config.batch_size;

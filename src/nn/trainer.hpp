@@ -77,11 +77,9 @@ struct TrainHistory {
 /// layers — every classical candidate and every paper hybrid with an exact
 /// QuantumLayer — train on the zero-allocation workspace fast path
 /// (nn/workspace.hpp); anything else (noisy or finite-shot quantum layers,
-/// AmplitudeLayer, custom modules) — and everything under the reference
-/// kernel backend (nn/fastpath.hpp) — uses the reference
-/// Module::forward/backward path. Both paths produce bit-identical
-/// TrainHistory values on the same backend and consume the RNG
-/// identically.
+/// AmplitudeLayer, custom modules) uses the Module::forward/backward path.
+/// Both paths produce bit-identical TrainHistory values on the same backend
+/// and consume the RNG identically.
 TrainHistory train_classifier(Module& model, Optimizer& optimizer,
                               const tensor::Tensor& x_train,
                               std::span<const std::size_t> y_train,

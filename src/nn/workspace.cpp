@@ -16,7 +16,7 @@ namespace qhdl::nn {
 namespace {
 
 // Fused bias-add + activation epilogue over a GEMM result. Matches the
-// reference path's arithmetic exactly: (z + b) first, then the activation
+// Module path's arithmetic exactly: (z + b) first, then the activation
 // on that double — the same two steps add_row_broadcast and the activation
 // modules perform, just without a trip through intermediate tensors.
 template <typename Act>
@@ -79,7 +79,7 @@ std::unique_ptr<TrainWorkspace> TrainWorkspace::compile(
     }
   }
   // Widths must chain, otherwise the model would throw on forward anyway;
-  // refuse to compile so the reference path reports the error.
+  // refuse to compile so the Module path reports the error.
   for (std::size_t s = 1; s < ws->stages_.size(); ++s) {
     if (ws->stages_[s].inputs != ws->stages_[s - 1].outputs) return nullptr;
   }
@@ -174,7 +174,7 @@ double TrainWorkspace::train_step(const tensor::Tensor& x,
       activations_.back().data(), m, classes_, y_batch_.data(),
       gradients_.back().data());
 
-  // Backward. Same per-layer arithmetic as the reference modules: a row
+  // Backward. Same per-layer arithmetic as the Module path: a row
   // stage runs its own backward; a dense stage takes the activation
   // derivative in place, then dW += Xᵀ·dY, db += colsum(dY), dX = dY·Wᵀ.
   for (std::size_t s = stages_.size(); s-- > 0;) {
@@ -201,7 +201,8 @@ double TrainWorkspace::train_step(const tensor::Tensor& x,
         break;
       case FusedActivation::ReLU:
         // output <= 0 exactly when the pre-activation input was <= 0, so the
-        // reference mask (on the cached input) is reproduced from outputs.
+        // Module path's mask (on the cached input) is reproduced from
+        // outputs.
         for (std::size_t i = 0; i < count; ++i) {
           if (out[i] <= 0.0) grad[i] = 0.0;
         }

@@ -35,9 +35,9 @@
 // Arithmetic is bit-identical to the Module::forward/backward path: both
 // route every matrix product through the same GEMM kernel, run the same
 // row-stage code, share the loss and accuracy cores, and order every
-// floating-point accumulation identically (see DESIGN.md §9). The
-// reference kernel backend (nn/fastpath.hpp) puts train_classifier on the
-// Module path, so the equivalence is testable end to end.
+// floating-point accumulation identically (see DESIGN.md §9). A model that
+// is not a Sequential trains on the Module path (nn/fastpath.hpp), so the
+// equivalence is testable end to end.
 #pragma once
 
 #include <memory>

@@ -284,12 +284,11 @@ std::shared_ptr<const ExecutionPlan> compile_circuit(const Circuit& circuit) {
 void ExecutionPlan::run_batch(StateVectorBatch& batch,
                               std::span<const double> params,
                               std::size_t param_stride) const {
-  // The fused stream, or under the reference backend the flat stream op by
-  // op. Parameterized gates detect shared-vs-per-row angles at runtime; a
-  // chain whose angles differ across rows builds one 2x2 product per row,
-  // all rows at once as an SoA matrix batch, in the same left-multiplication
-  // order as the shared product, so every row is bit-identical to running
-  // it alone (DESIGN.md §14).
+  // The fused stream. Parameterized gates detect shared-vs-per-row angles
+  // at runtime; a chain whose angles differ across rows builds one 2x2
+  // product per row, all rows at once as an SoA matrix batch, in the same
+  // left-multiplication order as the shared product, so every row is
+  // bit-identical to running it alone (DESIGN.md §14).
   const std::size_t rows = batch.batch();
   thread_local std::vector<double> angles;
   thread_local std::vector<Mat2> factors;  // shared chain factors
@@ -313,13 +312,6 @@ void ExecutionPlan::run_batch(StateVectorBatch& batch,
     return shared ? std::span<const double>{angles.data(), 1}
                   : std::span<const double>{angles};
   };
-  if (util::simd::active_backend().reference) {
-    for (const PlanOp& op : flat_ops_) {
-      apply_gate_batch(batch, op.type, gather(op.param_slot, op.fixed_angle),
-                       op.wire0, op.wire1);
-    }
-    return;
-  }
   for (const FusedOp& op : fused_ops_) {
     switch (op.kind) {
       case FusedOp::Kind::Single:

@@ -28,10 +28,9 @@
 // copies of the circuit. A compile costs a few microseconds, so there is
 // no process-wide cache: each circuit a grid search builds compiles once.
 //
-// One executor serves both kernel modes. Under the `reference` backend
-// (QHDL_BACKEND=reference) run_batch() replays the flat stream op by op
-// through apply_gate_batch — no fusion, and single-qubit gates take the
-// dense-matrix dispatch — instead of the fused stream.
+// Tests replay the flat stream unfused (tests/test_helpers.hpp) and hold
+// both streams to a dense-matrix oracle that shares no code with the
+// kernels (tests/quantum/oracle.hpp).
 #pragma once
 
 #include <cstdint>
@@ -58,14 +57,13 @@ enum class KernelClass : std::uint8_t {
   Generic,      ///< dense 2x2 matvec (RX, RY, PauliY, Hadamard)
 };
 
-/// Kernel class `type` routes to with one shared angle, off the reference
-/// backend (which runs every single-qubit gate as the dense 2x2).
+/// Kernel class `type` routes to with one shared angle.
 KernelClass kernel_class_for(GateType type);
 
 /// One op of the flat (unfused) stream: the original op order minus
 /// peephole-cancelled pairs, with parameter lookup and kernel dispatch
-/// resolved at compile time. Executed by the reference backend and by the
-/// adjoint reverse sweeps, whose arithmetic is per-op dispatch.
+/// resolved at compile time. Executed by the adjoint reverse sweeps, whose
+/// arithmetic is per-op dispatch.
 struct PlanOp {
   GateType type;
   std::size_t wire0 = 0;
@@ -140,13 +138,12 @@ class ExecutionPlan {
   std::span<const FusedOp> fused_ops() const { return fused_ops_; }
   std::span<const ChainGate> chain_gates() const { return chain_gates_; }
 
-  /// Executes the fused stream over every row (DESIGN.md §14); under the
-  /// reference backend, the flat stream op by op. Row b reads its
-  /// parameters from params[b * param_stride + slot]. Fused output agrees
-  /// with per-op execution to the golden-suite tolerance (1e-12); chains of
-  /// one gate and two-qubit ops dispatch through apply_gate_batch and are
-  /// bit-identical to it. Every row is bit-identical to running it alone
-  /// (Circuit::run, the B = 1 call).
+  /// Executes the fused stream over every row (DESIGN.md §14). Row b reads
+  /// its parameters from params[b * param_stride + slot]. Fused output
+  /// agrees with per-op execution to the golden-suite tolerance (1e-12);
+  /// chains of one gate and two-qubit ops dispatch through apply_gate_batch
+  /// and are bit-identical to it. Every row is bit-identical to running it
+  /// alone (Circuit::run, the B = 1 call).
   void run_batch(StateVectorBatch& batch, std::span<const double> params,
                  std::size_t param_stride) const;
 

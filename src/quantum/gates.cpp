@@ -6,7 +6,6 @@
 
 #include "quantum/exec_plan.hpp"
 #include "quantum/statevector_batch.hpp"
-#include "util/backend_registry.hpp"
 
 namespace qhdl::quantum {
 
@@ -301,21 +300,17 @@ void check_angles_span(const StateVectorBatch& batch, GateType type,
   }
 }
 
-bool reference_backend() { return util::simd::active_backend().reference; }
-
 /// Single-qubit dispatch (DESIGN.md §8) of `matrix(θ)` on `wire`: the gate,
 /// its inverse or its derivative. One shared angle takes the kernel
 /// kernel_class_for names — the phase multiply by a diagonal matrix's
-/// m00/m11, the PauliX swap, or the dense 2x2 — and the reference backend
-/// takes the dense 2x2 for every gate. Per-row angles take the per-row
-/// dense 2x2, one matrix per row written SoA, under every backend.
+/// m00/m11, the PauliX swap, or the dense 2x2. Per-row angles take the
+/// per-row dense 2x2, one matrix per row written SoA.
 template <typename MatrixFn>
 void apply_single(StateVectorBatch& batch, GateType type,
                   std::span<const double> angles, std::size_t wire,
                   const MatrixFn& matrix) {
   if (angles.size() == 1) {
-    switch (reference_backend() ? KernelClass::Generic
-                                : kernel_class_for(type)) {
+    switch (kernel_class_for(type)) {
       case KernelClass::Permutation:
         batch.apply_pauli_x(wire);
         return;

@@ -99,11 +99,8 @@ Mat2 derivative_for(GateType type, double theta);
 // `angles` holds either ONE shared angle (size 1 — also pass {0.0} for fixed
 // gates) or one angle per batch row (size batch.batch()). Shared angles hit
 // the shared kernels (one trig evaluation for the whole batch); per-row
-// angles hit the per-row kernel variants. Under the reference backend
-// (QHDL_BACKEND=reference) every single-qubit gate runs as a dense 2x2
-// matvec instead, one shared matrix or one per row; two-qubit gates keep
-// their structure kernels under every backend. For two-qubit gates wire0
-// is the control (or first swap wire).
+// angles hit the per-row kernel variants. For two-qubit gates wire0 is the
+// control (or first swap wire).
 
 void apply_gate_batch(StateVectorBatch& batch, GateType type,
                       std::span<const double> angles, std::size_t wire0,

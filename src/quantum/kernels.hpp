@@ -9,10 +9,8 @@
 // header bumps per-kernel dispatch counters, so the FLOPs cost model's
 // predicted gate mix can be checked against what the simulator actually
 // executed (flops::classify_circuit / flops::dispatch_comparison_to_string).
-// Beyond shared vs per-row angles, which path a gate takes is decided by
-// the active kernel backend alone: the `reference` backend
-// (QHDL_BACKEND=reference, util/backend_registry.hpp) runs every
-// single-qubit gate as the dense 2x2 and runs circuits unfused.
+// Which kernel a gate takes depends only on its type and on whether its
+// angle is shared by every row; the backend only picks the ops table.
 //
 // A DensityMatrix runs the same kernels over ρ's columns, two calls per
 // gate or Kraus operator (density_matrix.hpp), so noisy circuits bump these

@@ -69,10 +69,9 @@ class StateVectorBatch {
   void set_row(std::size_t row, const StateVector& state);
 
   // --- shared-matrix kernels (one gate for all rows) ---------------------
-  // Beyond the dense apply_single_qubit (the reference path the rest are
-  // tested against), each specialized kernel is algebraically identical to
-  // it with the corresponding matrix but touches less data or does fewer
-  // FLOPs (DESIGN.md §8).
+  // Beyond the dense apply_single_qubit, each specialized kernel is
+  // algebraically identical to it with the corresponding matrix but touches
+  // less data or does fewer FLOPs (DESIGN.md §8).
 
   /// Applies a single-qubit matrix to `wire` (dense 2x2 matvec over every
   /// amplitude pair).

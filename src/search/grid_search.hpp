@@ -21,9 +21,7 @@
 // stage): per-run models own their workspaces, GEMM packing and adjoint
 // scratch are thread_local, and the workspace arithmetic is bit-identical
 // to the Module path on the same backend — so the thread-count invariance
-// above holds unchanged. Classical results are identical under the
-// reference kernel backend too; hybrid ones are not, since that backend
-// also runs circuits unfused (see DESIGN.md §9).
+// above holds unchanged (see DESIGN.md §9).
 #pragma once
 
 #include <functional>

@@ -420,19 +420,11 @@ struct WorkerPool::Impl {
       return false;
     }
     if (reg.backend != local_backend) {
-      // Production SIMD backends are bit-identical by contract (DESIGN.md
-      // §14); the reference backend is only ~1e-12 close, so a mixed fleet
-      // involving it can lose byte-identity with a local run.
-      const std::string note = "worker pool: remote backend '" + reg.backend +
-                               "' differs from supervisor backend '" +
-                               local_backend + "'";
-      if (reg.backend == "reference" || local_backend == "reference") {
-        util::log_warn(note +
-                       " — reference arithmetic is not bit-identical; sweep "
-                       "bytes may differ from a single-host run");
-      } else {
-        util::log_info(note + " (production backends are bit-identical)");
-      }
+      // Every backend is bit-identical by contract (DESIGN.md §14), so a
+      // mixed fleet keeps byte-identity with a local run.
+      util::log_info("worker pool: remote backend '" + reg.backend +
+                     "' differs from supervisor backend '" + local_backend +
+                     "' (backends are bit-identical)");
     }
     Slot slot;
     slot.remote = true;

@@ -7,7 +7,7 @@
 // A(i,p)*B(p,j) in strictly ascending p, then is stored to C (or added to
 // it) once. The kernel is single-threaded and every backend keeps that
 // order, so results are deterministic, bit-identical across backends and —
-// because every caller (reference trainer, workspace trainer, Dense module)
+// because every caller (Module trainer, workspace trainer, Dense module)
 // routes through this same code — bit-identical across the training paths
 // that must agree.
 #pragma once

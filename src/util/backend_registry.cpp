@@ -14,7 +14,7 @@ namespace detail {
 // static library get dropped by the linker when nothing references their
 // translation unit, and the call list also fixes the registration order so
 // backends() is deterministic.
-void register_generic_backends();
+void register_generic_backend();
 void register_avx2_backend();
 }  // namespace detail
 
@@ -39,7 +39,7 @@ std::atomic<const Backend*> g_active{nullptr};
 
 void ensure_registered() {
   static const bool once = [] {
-    detail::register_generic_backends();
+    detail::register_generic_backend();
     detail::register_avx2_backend();
     return true;
   }();
@@ -62,13 +62,13 @@ const Backend* find_locked(const Registry& reg, std::string_view name) {
   return nullptr;
 }
 
-/// Highest-priority supported non-reference backend. The generic backend
+/// Highest-priority supported backend. The generic backend
 /// always registers with supported() == true, so auto-detect cannot fail —
 /// this is the graceful fallback on CPUs without AVX.
 const Backend* auto_detect_locked(const Registry& reg) {
   const Backend* best = nullptr;
   for (const Backend* backend : reg.entries) {
-    if (backend->reference || !backend->supported()) continue;
+    if (!backend->supported()) continue;
     if (best == nullptr || backend->priority > best->priority) best = backend;
   }
   if (best == nullptr) {

@@ -39,13 +39,6 @@
 //     inner_products_real_batch keep one sequential running sum per row in
 //     ascending amplitude order — the order Observable::expectation and the
 //     scalar adjoint sweep use.
-//
-// The `reference` backend is the one mode switch for the reference paths:
-// it registers generic's ops table unchanged, and its descriptor's
-// `reference` flag makes circuits run unfused
-// (quantum::ExecutionPlan::run_batch), sends single-qubit gates through the
-// dense 2x2 dispatch (gates.cpp), and trains every model — classical and
-// hybrid — on the reference Module path instead of the workspace trainer.
 #pragma once
 
 #include <complex>
@@ -143,7 +136,6 @@ struct Backend {
   const char* name;       ///< selection key ("generic", "avx2", ...)
   int priority;           ///< auto-detect picks the highest supported one
   bool (*supported)();    ///< CPUID gate; constant per process
-  bool reference;         ///< selecting it switches to the reference paths
   KernelOps ops;
 };
 

@@ -472,7 +472,6 @@ const Backend kAvx2{
     "avx2",
     /*priority=*/50,
     detail::avx2_supported,
-    /*reference=*/false,
     KernelOps{
         detail::avx2_gemm_rows,
         detail::avx2_apply_single_qubit_batch,

@@ -1,8 +1,5 @@
-// The scalar kernel table, registered twice: as `generic` (the portable
-// default and the bit-identity anchor the avx2 backend is compared against)
-// and as `reference`, which shares the table and differs only by its
-// descriptor flag (it switches circuits, the hybrid executor and the
-// trainer to their reference paths).
+// The scalar kernel table, registered as `generic`: the portable default
+// and the bit-identity anchor the avx2 backend is compared against.
 //
 // This TU compiles with no -m arch flags and -ffp-contract=off, so the
 // scalar loops here generate exactly the baseline code.
@@ -259,15 +256,6 @@ const Backend kGeneric{
     "generic",
     /*priority=*/0,
     always_supported,
-    /*reference=*/false,
-    kScalarOps,
-};
-
-const Backend kReference{
-    "reference",
-    /*priority=*/-1,  // never auto-detected; explicit selection only
-    always_supported,
-    /*reference=*/true,
     kScalarOps,
 };
 
@@ -275,10 +263,7 @@ const Backend kReference{
 
 namespace detail {
 
-void register_generic_backends() {
-  register_backend(&kGeneric);
-  register_backend(&kReference);
-}
+void register_generic_backend() { register_backend(&kGeneric); }
 
 }  // namespace detail
 }  // namespace qhdl::util::simd

@@ -77,7 +77,6 @@ class FiniteGuardTest : public ::testing::Test {
 TEST_F(FiniteGuardTest, PoisonedLossThrowsStructuredError) {
   for (const bool hybrid : {false, true}) {
     SCOPED_TRACE(hybrid ? "hybrid" : "classical");
-    const testing::ReferenceScope scope{false};
     Fixture f{hybrid};
     TrainConfig config;
     config.epochs = 3;
@@ -99,7 +98,6 @@ TEST_F(FiniteGuardTest, PoisonedLossThrowsStructuredError) {
 TEST_F(FiniteGuardTest, SecondEpochPoisonReportsSecondEpoch) {
   for (const bool hybrid : {false, true}) {
     SCOPED_TRACE(hybrid ? "hybrid" : "classical");
-    const testing::ReferenceScope scope{false};
     Fixture f{hybrid};
     TrainConfig config;
     config.epochs = 3;

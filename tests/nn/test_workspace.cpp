@@ -1,16 +1,16 @@
 // Golden bit-identity suite for the zero-allocation workspace trainer: the
-// fused/blocked fast path must reproduce the reference Module path's
-// TrainHistory to the last ulp — every epoch loss and accuracy, across the
-// search space's layer shapes, activations, and odd batch tails — because
-// both paths share the same GEMM kernel, loss core, accuracy core, and
-// optimizer arithmetic. Hybrid models are pinned against a same-backend
+// fused/blocked fast path must reproduce train_classifier's Module path
+// (reached through a testing::ModulePath adapter, which is not a
+// Sequential) TrainHistory to the last ulp — every epoch loss and accuracy,
+// across the search space's layer shapes, activations, and odd batch tails
+// — because both paths share the same GEMM kernel, loss core, accuracy
+// core, and optimizer arithmetic. Hybrid models are pinned against a plain
 // Module loop (their quantum stage is the QuantumLayer's own exact path).
 #include "nn/workspace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <span>
 
 #include "nn/activations.hpp"
@@ -68,7 +68,7 @@ Sequential make_mlp(std::size_t features, std::size_t hidden,
   return model;
 }
 
-TrainHistory train_once(bool reference, std::size_t hidden,
+TrainHistory train_once(bool module_path, std::size_t hidden,
                         std::size_t depth, Act act, std::size_t n,
                         std::size_t batch, std::size_t epochs) {
   constexpr std::size_t kFeatures = 4, kClasses = 2;
@@ -77,17 +77,23 @@ TrainHistory train_once(bool reference, std::size_t hidden,
   make_dataset(n, kFeatures, kClasses, 100 + hidden, x_train, y_train);
   make_dataset(n / 2 + 1, kFeatures, kClasses, 200 + depth, x_val, y_val);
 
-  const testing::ReferenceScope scope{reference};
   util::Rng init_rng{7 * hidden + depth};
   Sequential model = make_mlp(kFeatures, hidden, depth, kClasses, act,
                               init_rng);
+  testing::ModulePath adapter{model};
+  Module& trained = module_path ? static_cast<Module&>(adapter) : model;
   Adam optimizer{1e-3};
   TrainConfig config;
   config.epochs = epochs;
   config.batch_size = batch;
   util::Rng train_rng{997};
-  return train_classifier(model, optimizer, x_train, y_train, x_val, y_val,
-                          config, train_rng);
+  util::Metrics::global().reset();
+  TrainHistory history = train_classifier(trained, optimizer, x_train,
+                                          y_train, x_val, y_val, config,
+                                          train_rng);
+  EXPECT_EQ(qhdl::testing::global_count("fastpath.module_runs"),
+            module_path ? 1u : 0u);
+  return history;
 }
 
 /// Dense(F→q) + Tanh, QuantumLayer, Dense(q→C): build_hybrid_model's
@@ -133,22 +139,22 @@ TEST(Workspace, GoldenBitIdentityAcrossSearchSpaceShapes) {
   // n=52 with batch 8 leaves an odd 4-row tail batch every epoch.
   for (std::size_t depth = 1; depth <= 3; ++depth) {
     for (std::size_t hidden = 2; hidden <= 10; ++hidden) {
-      const TrainHistory ref =
+      const TrainHistory via_module =
           train_once(true, hidden, depth, Act::Tanh, 52, 8, 3);
       const TrainHistory fast =
           train_once(false, hidden, depth, Act::Tanh, 52, 8, 3);
       SCOPED_TRACE("hidden=" + std::to_string(hidden) +
                    " depth=" + std::to_string(depth));
-      expect_bit_identical(ref, fast);
+      expect_bit_identical(via_module, fast);
     }
   }
 }
 
 TEST(Workspace, GoldenBitIdentityReluAndSigmoid) {
   for (const Act act : {Act::ReLU, Act::Sigmoid}) {
-    const TrainHistory ref = train_once(true, 6, 2, act, 52, 8, 4);
+    const TrainHistory via_module = train_once(true, 6, 2, act, 52, 8, 4);
     const TrainHistory fast = train_once(false, 6, 2, act, 52, 8, 4);
-    expect_bit_identical(ref, fast);
+    expect_bit_identical(via_module, fast);
   }
 }
 
@@ -158,12 +164,13 @@ TEST(Workspace, GoldenBitIdentityOddBatchShapes) {
       {52, 8}, {40, 8}, {7, 16}, {9, 1}, {13, 5},
   };
   for (const auto& c : cases) {
-    const TrainHistory ref = train_once(true, 5, 2, Act::Tanh, c.n, c.batch, 3);
+    const TrainHistory via_module =
+        train_once(true, 5, 2, Act::Tanh, c.n, c.batch, 3);
     const TrainHistory fast =
         train_once(false, 5, 2, Act::Tanh, c.n, c.batch, 3);
     SCOPED_TRACE("n=" + std::to_string(c.n) +
                  " batch=" + std::to_string(c.batch));
-    expect_bit_identical(ref, fast);
+    expect_bit_identical(via_module, fast);
   }
 }
 
@@ -227,7 +234,6 @@ void train_one_epoch(Sequential& model, std::size_t features) {
 }
 
 TEST(Workspace, HybridRouting) {
-  const testing::ReferenceScope scope{false};
   util::Rng rng{5};
   qnn::QuantumLayerConfig qconfig;
   qconfig.qubits = 2;
@@ -245,7 +251,7 @@ TEST(Workspace, HybridRouting) {
     auto paper = qnn::build_hybrid_model(config, rng);
     train_one_epoch(*paper, 2);
     EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 1u);
-    EXPECT_EQ(qhdl::testing::global_count("fastpath.reference_runs"), 0u);
+    EXPECT_EQ(qhdl::testing::global_count("fastpath.module_runs"), 0u);
   }
 
   // Noisy, finite-shot and amplitude-encoded models keep the Module path.
@@ -256,12 +262,12 @@ TEST(Workspace, HybridRouting) {
   for (const qnn::QuantumLayerConfig& layer : {noisy, shots}) {
     Sequential hybrid = make_hybrid(2, layer, 2, rng);
     train_one_epoch(hybrid, 2);
-    EXPECT_EQ(qhdl::testing::global_count("fastpath.reference_runs"), 1u);
+    EXPECT_EQ(qhdl::testing::global_count("fastpath.module_runs"), 1u);
     EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 0u);
   }
   Sequential amplitude = make_amplitude_model(rng);
   train_one_epoch(amplitude, 4);
-  EXPECT_EQ(qhdl::testing::global_count("fastpath.reference_runs"), 1u);
+  EXPECT_EQ(qhdl::testing::global_count("fastpath.module_runs"), 1u);
   EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 0u);
 }
 
@@ -311,11 +317,9 @@ TrainHistory train_module_loop(Sequential& model, const Tensor& x_train,
   return history;
 }
 
-// The hybrid oracle is the Module path on the SAME backend: the reference
-// backend also unfuses circuits, so it cannot pin the quantum stage bit for
-// bit.
+// The hybrid oracle is the Module path on the same backend, written out as
+// a plain loop.
 TEST(Workspace, HybridMatchesModulePath) {
-  const testing::ReferenceScope scope{false};
   constexpr std::size_t kFeatures = 4, kClasses = 2;
   Tensor x_train, x_val;
   std::vector<std::size_t> y_train, y_val;
@@ -378,7 +382,7 @@ TEST(Workspace, ClassicalModelsUseWorkspacePath) {
   util::Metrics::global().reset();
   train_once(false, 4, 1, Act::Tanh, 20, 8, 1);
   EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 1u);
-  EXPECT_EQ(qhdl::testing::global_count("fastpath.reference_runs"), 0u);
+  EXPECT_EQ(qhdl::testing::global_count("fastpath.module_runs"), 0u);
   EXPECT_GT(qhdl::testing::global_count("fastpath.workspace_steps"), 0u);
 }
 

@@ -340,44 +340,61 @@ TEST(QuantumLayer, ThreadedBatchMatchesSequential) {
 }
 
 TEST(QuantumLayer, BatchedSoAPathMatchesGenericPerRow) {
-  // The SoA batch path (specialized kernels, shared+per-row variants,
-  // batched adjoint VJP) must agree with the reference backend's unfused
-  // dense-dispatch path to 1e-12 on outputs, input gradients, and weight
-  // gradients.
-  util::Rng rng_a{31};
-  util::Rng rng_b{31};
+  // The SoA batch path (fused plan, specialized kernels, shared+per-row
+  // variants, batched adjoint VJP) must agree with each row's uncompiled
+  // per-op run and with the dense-matrix oracle to 1e-12 on outputs, and
+  // with the oracle's exact derivative matrices on input gradients and
+  // weight gradients.
+  util::Rng rng{31};
   auto config = small_config(AnsatzKind::StronglyEntangling, 4, 3);
-  QuantumLayer batched{config, rng_a};
-  QuantumLayer generic{config, rng_b};  // same weights
+  QuantumLayer batched{config, rng};
+  const std::size_t q = 4;
+  const std::size_t weights = batched.weight_count();
+  const std::size_t rows = 7;
 
   util::Rng data_rng{13};
   const tensor::Tensor x =
-      tensor::uniform(tensor::Shape{7, 4}, -1.0, 1.0, data_rng);
+      tensor::uniform(tensor::Shape{rows, q}, -1.0, 1.0, data_rng);
   const tensor::Tensor g =
-      tensor::uniform(tensor::Shape{7, 4}, -1.0, 1.0, data_rng);
+      tensor::uniform(tensor::Shape{rows, q}, -1.0, 1.0, data_rng);
 
-  tensor::Tensor out_batched, gin_batched, out_generic, gin_generic;
-  {
-    const testing::ReferenceScope scope{false};
-    util::Metrics::global().reset();
-    out_batched = batched.forward(x);
-    EXPECT_GT(qhdl::testing::global_count("kernel.batched_rows"), 0u)
-        << "specialized mode should take the SoA batch path";
-    gin_batched = batched.backward(g);
-  }
-  {
-    const testing::ReferenceScope scope{true};
-    util::Metrics::global().reset();
-    out_generic = generic.forward(x);
-    EXPECT_EQ(qhdl::testing::global_count("kernel.fused"), 0u)
-        << "the reference backend should run the circuit unfused";
-    gin_generic = generic.backward(g);
-  }
+  util::Metrics::global().reset();
+  const tensor::Tensor out = batched.forward(x);
+  EXPECT_GT(qhdl::testing::global_count("kernel.batched_rows"), 0u)
+      << "the layer should take the SoA batch path";
+  const tensor::Tensor gin = batched.backward(g);
+  const tensor::Tensor& wgrad = batched.parameters()[0]->grad;
 
-  EXPECT_TRUE(tensor::allclose(out_batched, out_generic, 1e-12, 1e-12));
-  EXPECT_TRUE(tensor::allclose(gin_batched, gin_generic, 1e-12, 1e-12));
-  EXPECT_TRUE(tensor::allclose(batched.parameters()[0]->grad,
-                               generic.parameters()[0]->grad, 1e-12, 1e-12));
+  const quantum::Circuit& circuit = batched.executor().circuit();
+  const oracle::Circuit exact = qhdl::testing::to_oracle(circuit);
+  const Tensor& theta = batched.parameters()[0]->value;
+  const double scale = AngleEncoding{}.scale;
+  std::vector<std::size_t> wires(q);
+  for (std::size_t w = 0; w < q; ++w) wires[w] = w;
+  std::vector<double> weight_grad(weights, 0.0);
+  for (std::size_t b = 0; b < rows; ++b) {
+    std::vector<double> params(q + weights);
+    for (std::size_t w = 0; w < q; ++w) params[w] = scale * x.at(b, w);
+    for (std::size_t i = 0; i < weights; ++i) params[q + i] = theta[i];
+    const oracle::State psi = oracle::run(exact, params);
+    const quantum::StateVector unfused =
+        qhdl::testing::run_uncompiled(circuit, params);
+    const std::vector<double> upstream(g.data().begin() + b * q,
+                                       g.data().begin() + (b + 1) * q);
+    const std::vector<double> vjp =
+        oracle::vjp(exact, params, wires, upstream);
+    for (std::size_t w = 0; w < q; ++w) {
+      const std::string at = "row " + std::to_string(b) + " wire " +
+                             std::to_string(w);
+      EXPECT_NEAR(out.at(b, w), oracle::expval_z(psi, q, w), 1e-12) << at;
+      EXPECT_NEAR(out.at(b, w), unfused.expval_pauli_z(w), 1e-12) << at;
+      EXPECT_NEAR(gin.at(b, w), scale * vjp[w], 1e-12) << at;
+    }
+    for (std::size_t i = 0; i < weights; ++i) weight_grad[i] += vjp[q + i];
+  }
+  for (std::size_t i = 0; i < weights; ++i) {
+    EXPECT_NEAR(wgrad[i], weight_grad[i], 1e-12) << "weight " << i;
+  }
 }
 
 TEST(QuantumLayer, BatchedPathBitIdenticalAcrossChunkCounts) {
@@ -412,7 +429,8 @@ TEST(QuantumLayer, ZeroRowBatchReturnsEmpty) {
   // An empty batch is a valid input: forward gives [0, q] and backward a
   // [0, q] input gradient with the weight gradient untouched, under every
   // backend and chunk count.
-  for (const char* backend : {"generic", "reference"}) {
+  for (const auto* supported : qhdl::testing::supported_backends()) {
+    const char* backend = supported->name;
     util::simd::set_backend(backend);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
       const std::string label =
@@ -442,16 +460,10 @@ TEST(QuantumLayer, ZeroRowBatchReturnsEmpty) {
 // forward() kept, but only when its repacked [angles | weights] rows are
 // bitwise equal to forward()'s; otherwise it re-simulates. Either way every
 // gradient bit must match a fresh recompute. Recomputation is detected
-// through kernel.fused, which the reference backend's unfused replay never
-// bumps, so under it only the gradient bits are checked.
+// through kernel.fused, which only plan execution bumps.
 
 namespace qhdl::qnn {
 namespace {
-
-/// True when run_backward can tell a recompute from a reuse.
-bool recompute_observable() {
-  return !util::simd::active_backend().reference;
-}
 
 struct LayerGrads {
   std::vector<double> input;   ///< dL/dx, [b * q + w]
@@ -551,9 +563,7 @@ TEST(QuantumLayerReuse, ReusedGradientsMatchFreshRecompute) {
       const Tensor g = tensor::uniform(Shape{batch, 3}, -1.0, 1.0, data_rng);
       layer.forward(x);
       const BackwardRun run = run_backward(layer, g);
-      if (recompute_observable()) {
-        EXPECT_FALSE(run.recomputed) << label << ": kept state not reused";
-      }
+      EXPECT_FALSE(run.recomputed) << label << ": kept state not reused";
       expect_grads_bit_identical(run.grads, recompute_grads(layer, x, g),
                                  label);
     }
@@ -575,10 +585,8 @@ TEST(QuantumLayerReuse, SecondBackwardRecomputes) {
     layer.forward(x);
     const BackwardRun first = run_backward(layer, g);
     const BackwardRun second = run_backward(layer, g);
-    if (recompute_observable()) {
-      EXPECT_FALSE(first.recomputed) << label;
-      EXPECT_TRUE(second.recomputed) << label << ": spent state reused";
-    }
+    EXPECT_FALSE(first.recomputed) << label;
+    EXPECT_TRUE(second.recomputed) << label << ": spent state reused";
     expect_grads_bit_identical(second.grads, first.grads, label);
     expect_grads_bit_identical(second.grads, recompute_grads(layer, x, g),
                                label);
@@ -601,9 +609,7 @@ TEST(QuantumLayerReuse, WeightChangeBeforeBackwardRecomputes) {
     layer.forward(x);
     layer.parameters()[0]->value[0] += 0.25;
     const BackwardRun run = run_backward(layer, g);
-    if (recompute_observable()) {
-      EXPECT_TRUE(run.recomputed) << label << ": stale state reused";
-    }
+    EXPECT_TRUE(run.recomputed) << label << ": stale state reused";
     expect_grads_bit_identical(run.grads, recompute_grads(layer, x, g),
                                label);
   }

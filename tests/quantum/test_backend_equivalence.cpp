@@ -1,16 +1,16 @@
 // Cross-backend golden equivalence suite (DESIGN.md §13): every registered
-// supported non-reference backend must reproduce the generic backend's
+// supported backend must reproduce the generic backend's
 // amplitudes BIT-IDENTICALLY (EXPECT_EQ on raw doubles, not EXPECT_NEAR)
 // for the registry-dispatched state kernels on a single state (the
 // one-row batch, B = 1, which runs the kernels' scalar tails) and for full
 // circuit execution, through the compiled plan and through a test-local
-// uncompiled per-op loop. The expval reduction has one canon, so the
-// reference backend (generic's ops table under the reference flag) matches
-// it bitwise too.
+// uncompiled per-op loop. The expval reduction has one canon, which the
+// dense-matrix oracle (quantum/oracle.hpp) writes out independently, so it
+// matches every backend bitwise too; full circuits match the oracle to
+// 1e-12.
 #include <complex>
 #include <cstddef>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,22 +35,14 @@ using quantum::GateType;
 using quantum::StateVector;
 using Complex = std::complex<double>;
 
-/// Pins one backend for the scope; restores env/build/auto selection on
-/// exit.
-class BackendScope {
- public:
-  explicit BackendScope(const char* name) { simd::set_backend(name); }
-  ~BackendScope() { simd::set_backend(std::nullopt); }
-};
+using qhdl::testing::BackendScope;
 
-/// Supported non-reference backends other than generic — the ones bound by
-/// the bit-identity contract.
+/// Supported backends other than generic — the ones bound by the
+/// bit-identity contract.
 std::vector<const simd::Backend*> simd_backends_under_test() {
   std::vector<const simd::Backend*> out;
-  for (const simd::Backend* backend : simd::backends()) {
-    if (backend->reference || !backend->supported()) continue;
-    if (std::string{backend->name} == "generic") continue;
-    out.push_back(backend);
+  for (const simd::Backend* backend : qhdl::testing::supported_backends()) {
+    if (std::string{backend->name} != "generic") out.push_back(backend);
   }
   return out;
 }
@@ -239,12 +231,10 @@ TEST(BackendEquivalence, ExpvalZBitIdenticalAcrossSimdBackends) {
         EXPECT_EQ(state.expval_pauli_z(w), golden)
             << backend->name << " q=" << qubits << " w=" << w;
       }
-      // The reference backend shares generic's ops table: bitwise equal.
-      {
-        const BackendScope scope{"reference"};
-        EXPECT_EQ(state.expval_pauli_z(w), golden)
-            << "reference q=" << qubits << " w=" << w;
-      }
+      // The oracle's Σ±|a|², written independently of the kernels, in
+      // the same ascending order: bitwise equal.
+      EXPECT_EQ(oracle::expval_z(state.amplitudes(), qubits, w), golden)
+          << "oracle q=" << qubits << " w=" << w;
     }
   }
 }
@@ -317,27 +307,27 @@ TEST(BackendEquivalence, FullCircuitBitIdenticalCompiledAndUncompiled) {
   }
 }
 
-TEST(BackendEquivalence, ReferenceBackendCircuitMatchesGenericNumerically) {
-  // The reference backend runs the seed's scalar path (generic kernels, the
-  // plan's flat stream unfused); results agree with the registry's generic
-  // backend to float tolerance — the historical KernelEquivalence contract.
+TEST(BackendEquivalence, CircuitMatchesOracleNumerically) {
+  // Every backend's fused run, and the same plan replayed unfused, agree
+  // with the dense-matrix oracle to float tolerance — the historical
+  // KernelEquivalence contract.
   util::Rng rng{2029};
   std::vector<double> params;
   const Circuit circuit = make_sel_circuit(5, 4, params, rng);
-  const StateVector golden = [&] {
-    const BackendScope scope{"generic"};
-    return circuit.execute(params);
-  }();
-  const BackendScope scope{"reference"};
-  const StateVector reference = circuit.execute(params);
-  ASSERT_EQ(reference.dimension(), golden.dimension());
-  for (std::size_t i = 0; i < golden.dimension(); ++i) {
-    EXPECT_NEAR(reference.amplitudes()[i].real(),
-                golden.amplitudes()[i].real(), 1e-12)
-        << "amplitude " << i;
-    EXPECT_NEAR(reference.amplitudes()[i].imag(),
-                golden.amplitudes()[i].imag(), 1e-12)
-        << "amplitude " << i;
+  const qhdl::oracle::State expected =
+      qhdl::oracle::run(qhdl::testing::to_oracle(circuit), params);
+  for (const simd::Backend* backend : qhdl::testing::supported_backends()) {
+    const BackendScope scope{backend->name};
+    StateVector unfused{5};
+    qhdl::testing::run_plan_unfused(circuit, unfused, params, params.size());
+    qhdl::testing::expect_amplitudes_near(circuit.execute(params).amplitudes(),
+                                          expected, 1e-12,
+                                          std::string{backend->name} +
+                                              " fused");
+    qhdl::testing::expect_amplitudes_near(unfused.amplitudes(), expected,
+                                          1e-12,
+                                          std::string{backend->name} +
+                                              " unfused");
   }
 }
 

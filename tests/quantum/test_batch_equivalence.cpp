@@ -3,13 +3,13 @@
 // reproduce the scalar per-row path BIT-IDENTICALLY (EXPECT_EQ on raw
 // doubles) on every supported backend, for every batch size — including the
 // odd tails (1, 3, 5, 7) that exercise the scalar remainder loops — both
-// through the compiled plan and through a test-local uncompiled per-op loop,
-// and under the reference backend too. The adjoint batch VJP is held to the
-// same contract against row-by-row adjoint_vjp for the single-term diagonal
-// observables the hybrid layer emits.
+// through the compiled plan, through the plan's flat stream replayed unfused
+// and through a test-local uncompiled per-op loop. The adjoint batch VJP is
+// held to the same contract against row-by-row adjoint_vjp for the
+// single-term diagonal observables the hybrid layer emits, from a fused and
+// from an unfused forward state.
 #include <complex>
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,23 +41,12 @@ using Complex = std::complex<double>;
 constexpr std::size_t kBatchSizes[] = {1, 3, 5, 7, 16};
 constexpr std::size_t kQubitCounts[] = {3, 4, 5};
 
-/// Pins one backend for the scope; restores env/build/auto selection on
-/// exit.
-class BackendScope {
- public:
-  explicit BackendScope(const char* name) { simd::set_backend(name); }
-  ~BackendScope() { simd::set_backend(std::nullopt); }
-};
+using qhdl::testing::BackendScope;
 
-/// All backends bound by the batched bit-identity contract: generic itself
-/// plus every supported non-reference SIMD backend.
+/// All backends bound by the batched bit-identity contract: every
+/// supported one, generic included.
 std::vector<const simd::Backend*> batch_backends_under_test() {
-  std::vector<const simd::Backend*> out;
-  for (const simd::Backend* backend : simd::backends()) {
-    if (backend->reference || !backend->supported()) continue;
-    out.push_back(backend);
-  }
-  return out;
+  return qhdl::testing::supported_backends();
 }
 
 /// Reproducible entangled non-real state, prepared under the pinned
@@ -273,15 +262,7 @@ std::vector<double> make_mixed_batch_params(const std::vector<double>& proto,
   return params;
 }
 
-/// Every backend a circuit can run on here: the bit-identity backends plus
-/// the reference backend, whose unfused generic-kernel scalar path the
-/// batched kernels must reproduce per row as well.
-std::vector<const simd::Backend*> circuit_backends_under_test() {
-  std::vector<const simd::Backend*> out = batch_backends_under_test();
-  out.push_back(simd::find_backend("reference"));
-  return out;
-}
-
+using qhdl::testing::run_plan_unfused;
 using qhdl::testing::run_uncompiled;
 
 /// Batched counterpart of run_uncompiled: the circuit's ops applied one by
@@ -335,7 +316,7 @@ TEST(BatchEquivalence, CircuitRunBitIdenticalPerRowAllModes) {
             c.per_row_slots == qubits
                 ? make_batch_params(c.proto, qubits, batch_size, rng)
                 : make_mixed_batch_params(c.proto, qubits, batch_size, rng);
-        for (const simd::Backend* backend : circuit_backends_under_test()) {
+        for (const simd::Backend* backend : batch_backends_under_test()) {
           const BackendScope scope{backend->name};
           const std::string base = std::string{c.name} + " " +
                                    backend->name +
@@ -361,6 +342,8 @@ TEST(BatchEquivalence, CircuitRunBitIdenticalPerRowAllModes) {
 
           StateVectorBatch uncompiled{qubits, batch_size};
           run_batch_uncompiled(c.circuit, uncompiled, params, stride);
+          StateVectorBatch unfused{qubits, batch_size};
+          run_plan_unfused(c.circuit, unfused, params, stride);
           for (std::size_t b = 0; b < batch_size; ++b) {
             const std::span<const double> row_params{
                 params.data() + b * stride, stride};
@@ -371,6 +354,10 @@ TEST(BatchEquivalence, CircuitRunBitIdenticalPerRowAllModes) {
             expect_row_bit_identical(uncompiled.extract_row(b),
                                      run_uncompiled(c.circuit, row_params),
                                      label + " uncompiled");
+            StateVector unfused_row{qubits};
+            run_plan_unfused(c.circuit, unfused_row, row_params, stride);
+            expect_row_bit_identical(unfused.extract_row(b), unfused_row,
+                                     label + " unfused plan");
           }
         }
       }
@@ -396,7 +383,7 @@ TEST(BatchEquivalence, AdjointVjpBitIdenticalPerRowAllModes) {
     for (auto& u : upstream) u = rng.uniform(-1.0, 1.0);
     // Exercise the w == 0 skip, which both seeds share.
     upstream[0] = 0.0;
-    for (const simd::Backend* backend : circuit_backends_under_test()) {
+    for (const simd::Backend* backend : batch_backends_under_test()) {
       const BackendScope scope{backend->name};
       const std::string label =
           std::string{backend->name} + " b=" + std::to_string(batch_size);
@@ -424,6 +411,42 @@ TEST(BatchEquivalence, AdjointVjpBitIdenticalPerRowAllModes) {
         for (std::size_t p = 0; p < proto.size(); ++p) {
           EXPECT_EQ(gradient[b * proto.size() + p], row.gradient[p])
               << label << " gradient row " << b << " param " << p;
+        }
+      }
+
+      // From an unfused forward state (the plan's flat stream replayed op
+      // by op): each row's expectations and gradient are bit-identical to
+      // the one-row sweep from that row's own unfused forward.
+      StateVectorBatch unfused{qubits, batch_size};
+      run_plan_unfused(circuit, unfused, params, proto.size());
+      std::vector<double> unfused_expectations(batch_size * qubits);
+      quantum::diagonal_expectations_batch(unfused, diagonals,
+                                           unfused_expectations);
+      std::vector<double> unfused_gradient(batch_size * proto.size());
+      quantum::adjoint_vjp_batch(circuit, params, proto.size(), batch_size,
+                                 observables, upstream, unfused_gradient,
+                                 &unfused);
+      for (std::size_t b = 0; b < batch_size; ++b) {
+        const std::span<const double> row_params{
+            params.data() + b * proto.size(), proto.size()};
+        const std::span<const double> row_up{upstream.data() + b * qubits,
+                                             qubits};
+        StateVector row_state{qubits};
+        run_plan_unfused(circuit, row_state, row_params, proto.size());
+        std::vector<double> row_expectations(qubits);
+        quantum::diagonal_expectations_batch(row_state, diagonals,
+                                             row_expectations);
+        std::vector<double> row_gradient(proto.size());
+        quantum::adjoint_vjp_batch(circuit, row_params, proto.size(), 1,
+                                   observables, row_up, row_gradient,
+                                   &row_state);
+        for (std::size_t k = 0; k < qubits; ++k) {
+          EXPECT_EQ(unfused_expectations[b * qubits + k], row_expectations[k])
+              << label << " unfused expectation row " << b << " obs " << k;
+        }
+        for (std::size_t p = 0; p < proto.size(); ++p) {
+          EXPECT_EQ(unfused_gradient[b * proto.size() + p], row_gradient[p])
+              << label << " unfused gradient row " << b << " param " << p;
         }
       }
     }

@@ -4,11 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "quantum/channels.hpp"
+#include "test_helpers.hpp"
 #include "util/backend_registry.hpp"
 #include "util/rng.hpp"
 
@@ -26,13 +26,7 @@ constexpr GateType kEveryGate[] = {
     GateType::CRZ, GateType::RXX, GateType::RYY,
     GateType::RZZ};
 
-/// Pins one kernel backend for the scope; restores the env/build/auto
-/// selection on exit.
-class BackendScope {
- public:
-  explicit BackendScope(const char* name) { util::simd::set_backend(name); }
-  ~BackendScope() { util::simd::set_backend(std::nullopt); }
-};
+using qhdl::testing::BackendScope;
 
 /// Entangled state with complex amplitudes, so every gate moves ρ.
 StateVector random_state(std::size_t qubits, util::Rng& rng) {
@@ -145,6 +139,36 @@ TEST(DensityMatrix, EveryGateMatchesProjectorOfStatevector) {
           EXPECT_LT(worst, 1e-12)
               << gate_name(type) << " q=" << qubits << " wires " << a << ","
               << (two_qubit ? std::to_string(b) : std::string{"-"});
+        }
+      }
+    }
+  }
+}
+
+TEST(DensityMatrix, SingleQubitGatesMatchTheirDense2x2Bitwise) {
+  // A shared-angle single-qubit gate takes its specialized kernel (phase
+  // multiply, PauliX swap or dense 2x2) on ρ's columns; the same sandwich
+  // with the dense 2x2 of its gates:: matrix gives the same bits, under
+  // every backend.
+  util::Rng rng{78};
+  for (const util::simd::Backend* backend :
+       qhdl::testing::supported_backends()) {
+    const BackendScope scope{backend->name};
+    for (const GateType type : kEveryGate) {
+      if (gate_arity(type) != 1) continue;
+      for (std::size_t wire = 0; wire < 3; ++wire) {
+        const double angle = rng.uniform(-3.0, 3.0);
+        DensityMatrix dispatched =
+            DensityMatrix::from_statevector(random_state(3, rng));
+        DensityMatrix dense = dispatched;
+        dispatched.apply_gate(type, angle, wire);
+        dense.apply_single_qubit(gates::matrix_for(type, angle), wire);
+        for (std::size_t i = 0; i < dense.dimension(); ++i) {
+          for (std::size_t j = 0; j < dense.dimension(); ++j) {
+            EXPECT_EQ(dispatched.at(i, j), dense.at(i, j))
+                << backend->name << " " << gate_name(type) << " wire "
+                << wire << " entry " << i << "," << j;
+          }
         }
       }
     }
@@ -366,8 +390,7 @@ TEST(NoisyExecution, TraceStaysOneThroughDeepNoisyCircuit) {
 
 TEST(NoisyExecution, ExpvalsAndVjpBitIdenticalAcrossBackends) {
   // Mixed states run on the registry kernels, so every supported backend
-  // (avx2 SIMD across ρ's columns, reference's dense dispatch) must
-  // reproduce generic's values exactly.
+  // (avx2 SIMD across ρ's columns) must reproduce generic's values exactly.
   Circuit circuit{3};
   std::vector<double> params;
   util::Rng rng{31};

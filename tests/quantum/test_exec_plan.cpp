@@ -1,13 +1,14 @@
 // Compiled execution plans (DESIGN.md §12): golden equivalence of plan
 // execution against a test-local uncompiled reference (the circuit's ops
 // applied one by one on the same backend) for every gate × position ×
-// {3,4,5} qubits, fusion/cancellation lowering invariants, the reference
-// backend's unfused replay of the same plan, the per-circuit plan memo
+// {3,4,5} qubits, fusion/cancellation lowering invariants, the unfused
+// replay of the same plan's flat stream, the per-circuit plan memo
 // (independent or racing compiles give identical results, mutation
 // invalidates it), and the strict parameter size contract the compile
 // pass relies on.
 #include <atomic>
 #include <memory>
+#include <string>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -436,29 +437,33 @@ TEST(ExecPlan, MemoizedSlotInvalidatesOnMutation) {
   EXPECT_EQ(copy.compiled_plan(), after) << "copies share the memo";
 }
 
-TEST(ExecPlan, ReferenceBackendCompilesOnePlan) {
-  // The reference backend executes the same memoized plan, replaying its
-  // flat stream unfused through the generic gate path: one compile, no
-  // fused chains, and amplitudes within 1e-12 of the fused fast path.
+TEST(ExecPlan, FlatStreamReplaysTheMemoizedPlan) {
+  // The memoized plan's flat stream replayed op by op (the test-only
+  // unfused executor): one compile, no fused chains, and amplitudes within
+  // 1e-12 of the fused run and of the dense-matrix oracle, under every
+  // backend.
   util::Rng rng{37};
   std::vector<double> params;
   const Circuit circuit = make_sel_circuit(4, 3, params, rng);
-  StateVector reference{4};
-  std::shared_ptr<const ExecutionPlan> plan;
-  {
-    const qhdl::testing::ReferenceScope scope{true};
-    util::Metrics::global().reset();
-    circuit.run(reference, params);
-    EXPECT_EQ(qhdl::testing::global_count("kernel.fused"), 0u);
-    EXPECT_GT(qhdl::testing::global_count("kernel.generic"), 0u);
-    plan = circuit.compiled_plan();
-  }
+  const std::shared_ptr<const ExecutionPlan> plan = circuit.compiled_plan();
   ASSERT_NE(plan, nullptr);
-  const qhdl::testing::ReferenceScope scope{false};
-  expect_states_close(reference, circuit.execute(params), kTol,
-                      "reference vs fused");
-  EXPECT_EQ(circuit.compiled_plan(), plan)
-      << "switching backends must not recompile";
+  const qhdl::oracle::State expected =
+      qhdl::oracle::run(qhdl::testing::to_oracle(circuit), params);
+  for (const auto* backend : qhdl::testing::supported_backends()) {
+    const qhdl::testing::BackendScope scope{backend->name};
+    const std::string label = backend->name;
+    StateVector unfused{4};
+    util::Metrics::global().reset();
+    qhdl::testing::run_plan_unfused(circuit, unfused, params, params.size());
+    EXPECT_EQ(qhdl::testing::global_count("kernel.fused"), 0u) << label;
+    EXPECT_GT(qhdl::testing::global_count("kernel.generic"), 0u) << label;
+    expect_states_close(unfused, circuit.execute(params), kTol,
+                        label + " unfused vs fused");
+    qhdl::testing::expect_amplitudes_near(unfused.amplitudes(), expected,
+                                          kTol, label + " unfused vs oracle");
+    EXPECT_EQ(circuit.compiled_plan(), plan)
+        << label << ": switching backends must not recompile";
+  }
 }
 
 TEST(ExecPlan, RunRejectsWrongSizedParams) {

@@ -5,7 +5,6 @@
 // pruned candidate could still win the search under threads > 1.)
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <stdexcept>
 
 #include "core/config.hpp"
@@ -13,7 +12,6 @@
 #include "search/experiment.hpp"
 #include "search/grid_search.hpp"
 #include "search/search_space.hpp"
-#include "test_helpers.hpp"
 
 namespace qhdl::search {
 namespace {
@@ -138,36 +136,6 @@ TEST(GridSearchDeterminism, LookaheadWindowDoesNotChangeResults) {
   const auto speculative =
       run_repeated_search(paper_classical_space(), dataset, config);
   expect_identical(serial, speculative);
-}
-
-// The workspace fast path (default) and the reference backend's Module
-// path must produce the same search outcome bit for bit — the classical
-// training results are interchangeable between the two trainers.
-TEST(GridSearchDeterminism, WorkspaceAndReferencePathsAgree) {
-  auto config = base_config();
-  config.accuracy_threshold = 0.34;
-  const auto dataset = level_dataset(6, core::test_scale());
-
-  RepeatedSearchResult workspace, reference, reference_parallel;
-  config.threads = 1;
-  {
-    const testing::ReferenceScope scope{false};
-    workspace = run_repeated_search(paper_classical_space(), dataset, config);
-  }
-  {
-    // The reference backend puts training on the reference Module path. It
-    // shares the generic GEMM kernel, which every SIMD backend
-    // matches bit-for-bit, so the outcomes stay identical — under parallel
-    // execution too.
-    const testing::ReferenceScope scope{true};
-    reference = run_repeated_search(paper_classical_space(), dataset, config);
-    config.threads = 4;
-    reference_parallel =
-        run_repeated_search(paper_classical_space(), dataset, config);
-  }
-
-  expect_identical(workspace, reference);
-  expect_identical(workspace, reference_parallel);
 }
 
 TEST(GridSearchDeterminism, EvaluateCandidateRejectsZeroRuns) {

@@ -319,8 +319,8 @@ TEST_F(CheckpointResumeTest, ResumeAtCheckpointedWinnerTrainsNothing) {
   const util::MetricsSnapshot after = util::Metrics::global().snapshot();
   EXPECT_EQ(after.at("fastpath.workspace_runs"),
             before.at("fastpath.workspace_runs"));
-  EXPECT_EQ(after.at("fastpath.reference_runs"),
-            before.at("fastpath.reference_runs"));
+  EXPECT_EQ(after.at("fastpath.module_runs"),
+            before.at("fastpath.module_runs"));
   EXPECT_EQ(sweep_to_json(sweep).dump(2), baseline);
   for (const SearchOutcome& outcome : sweep.levels.at(0).search.repetitions) {
     EXPECT_EQ(outcome.units_trained, 0u);

@@ -1,44 +1,75 @@
 // Shared test utilities: finite-difference gradient checking for nn modules
-// and quantum circuits, random-circuit generation for property tests, an
-// uncompiled per-op circuit reference, and a scope that switches between
-// the fast and the reference execution paths.
+// and quantum circuits, random-circuit generation for property tests, the
+// uncompiled and unfused circuit replays, the bridge from library circuits
+// to the dense-matrix oracle (quantum/oracle.hpp), a backend pin, and a
+// Module adapter that keeps a model on train_classifier's Module path.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "nn/loss.hpp"
 #include "nn/module.hpp"
 #include "quantum/circuit.hpp"
+#include "quantum/exec_plan.hpp"
 #include "quantum/observable.hpp"
+#include "quantum/oracle.hpp"
+#include "quantum/statevector_batch.hpp"
 #include "util/backend_registry.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace qhdl::testing {
 
-/// Pins the execution paths for one scope through the kernel backend.
-/// ReferenceScope{true} selects the reference backend: dense 2x2 dispatch
-/// for single-qubit gates, unfused circuits, and the reference Module
-/// trainer. ReferenceScope{false} keeps the active backend's fast
-/// paths (falling back to generic when the active backend is the reference
-/// one). Restores the env/build/auto selection on exit.
-class ReferenceScope {
+/// Pins one kernel backend for the scope; restores the env/build/auto
+/// selection on exit.
+class BackendScope {
  public:
-  explicit ReferenceScope(bool reference) {
-    if (reference) {
-      util::simd::set_backend("reference");
-    } else if (util::simd::active_backend().reference) {
-      util::simd::set_backend("generic");
-    }
+  explicit BackendScope(const char* name) { util::simd::set_backend(name); }
+  ~BackendScope() { util::simd::set_backend(std::nullopt); }
+  BackendScope(const BackendScope&) = delete;
+  BackendScope& operator=(const BackendScope&) = delete;
+};
+
+/// Every registered backend this CPU can run, highest priority first.
+inline std::vector<const util::simd::Backend*> supported_backends() {
+  std::vector<const util::simd::Backend*> out;
+  for (const util::simd::Backend* backend : util::simd::backends()) {
+    if (backend->supported()) out.push_back(backend);
   }
-  ~ReferenceScope() { util::simd::set_backend(std::nullopt); }
-  ReferenceScope(const ReferenceScope&) = delete;
-  ReferenceScope& operator=(const ReferenceScope&) = delete;
+  return out;
+}
+
+/// A Module that forwards every call to `inner`. It is not a Sequential, so
+/// nn::train_classifier trains it on the Module path (forward, loss,
+/// backward and optimizer step per batch) instead of a TrainWorkspace: the
+/// oracle the workspace trainer is held to.
+class ModulePath final : public nn::Module {
+ public:
+  explicit ModulePath(nn::Module& inner) : inner_(inner) {}
+  tensor::Tensor forward(const tensor::Tensor& input) override {
+    return inner_.forward(input);
+  }
+  tensor::Tensor backward(const tensor::Tensor& grad_output) override {
+    return inner_.backward(grad_output);
+  }
+  std::vector<nn::Parameter*> parameters() override {
+    return inner_.parameters();
+  }
+  nn::LayerInfo info() const override { return inner_.info(); }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  nn::Module& inner_;
 };
 
 /// Current value of a process-wide counter (util::Metrics::global()),
@@ -47,9 +78,9 @@ inline std::uint64_t global_count(std::string_view name) {
   return util::Metrics::global().snapshot().at(name);
 }
 
-/// Uncompiled reference execution from |0...0⟩: the circuit's ops applied
-/// one by one through apply_gate on the active backend — no plan, no
-/// fusion, no involution cancellation.
+/// Uncompiled execution from |0...0⟩: the circuit's ops applied one by one
+/// through apply_gate on the active backend — no plan, no fusion, no
+/// involution cancellation.
 inline quantum::StateVector run_uncompiled(const quantum::Circuit& circuit,
                                            std::span<const double> params) {
   quantum::StateVector state{circuit.num_qubits()};
@@ -58,6 +89,94 @@ inline quantum::StateVector run_uncompiled(const quantum::Circuit& circuit,
                         op.wire1);
   }
   return state;
+}
+
+/// The circuit's compiled plan run unfused: its flat stream (the source ops
+/// minus cancelled pairs) applied op by op through apply_gate_batch, each op
+/// with one shared angle when every row agrees, else one per row. Row b
+/// reads params[b * stride + slot]; `batch` is reset to |0...0⟩ first.
+inline void run_plan_unfused(const quantum::Circuit& circuit,
+                             quantum::StateVectorBatch& batch,
+                             std::span<const double> params,
+                             std::size_t stride) {
+  batch.reset();
+  std::vector<double> angles(batch.batch());
+  for (const quantum::PlanOp& op : circuit.compiled_plan()->flat_ops()) {
+    bool shared = true;
+    for (std::size_t b = 0; b < angles.size(); ++b) {
+      angles[b] = op.param_slot < 0
+                      ? op.fixed_angle
+                      : params[b * stride +
+                               static_cast<std::size_t>(op.param_slot)];
+      shared = shared && angles[b] == angles[0];
+    }
+    quantum::apply_gate_batch(
+        batch, op.type,
+        std::span<const double>{angles}.first(shared ? 1 : angles.size()),
+        op.wire0, op.wire1);
+  }
+}
+
+/// The oracle's name for a library gate type.
+inline oracle::Gate to_oracle(quantum::GateType type) {
+  using quantum::GateType;
+  switch (type) {
+    case GateType::PauliX: return oracle::Gate::PauliX;
+    case GateType::PauliY: return oracle::Gate::PauliY;
+    case GateType::PauliZ: return oracle::Gate::PauliZ;
+    case GateType::Hadamard: return oracle::Gate::Hadamard;
+    case GateType::S: return oracle::Gate::S;
+    case GateType::T: return oracle::Gate::T;
+    case GateType::RX: return oracle::Gate::RX;
+    case GateType::RY: return oracle::Gate::RY;
+    case GateType::RZ: return oracle::Gate::RZ;
+    case GateType::PhaseShift: return oracle::Gate::PhaseShift;
+    case GateType::CNOT: return oracle::Gate::CNOT;
+    case GateType::CZ: return oracle::Gate::CZ;
+    case GateType::SWAP: return oracle::Gate::SWAP;
+    case GateType::CRX: return oracle::Gate::CRX;
+    case GateType::CRY: return oracle::Gate::CRY;
+    case GateType::CRZ: return oracle::Gate::CRZ;
+    case GateType::RXX: return oracle::Gate::RXX;
+    case GateType::RYY: return oracle::Gate::RYY;
+    case GateType::RZZ: return oracle::Gate::RZZ;
+  }
+  throw std::logic_error("to_oracle: unknown gate type");
+}
+
+/// The same op list for the oracle.
+inline oracle::Circuit to_oracle(const quantum::Circuit& circuit) {
+  oracle::Circuit out;
+  out.qubits = circuit.num_qubits();
+  out.parameters = circuit.parameter_count();
+  for (const quantum::Op& op : circuit.ops()) {
+    out.ops.push_back(oracle::Op{
+        to_oracle(op.type), op.wire0, op.wire1,
+        op.param_index.has_value()
+            ? static_cast<std::int64_t>(*op.param_index)
+            : std::int64_t{-1},
+        op.fixed_angle});
+  }
+  return out;
+}
+
+inline oracle::State to_oracle(const quantum::StateVector& state) {
+  return {state.amplitudes().begin(), state.amplitudes().end()};
+}
+
+/// Every amplitude of `got` within `tolerance` of `want`, real and
+/// imaginary parts separately.
+inline void expect_amplitudes_near(std::span<const std::complex<double>> got,
+                                   std::span<const std::complex<double>> want,
+                                   double tolerance,
+                                   const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NEAR(got[i].real(), want[i].real(), tolerance)
+        << label << " amplitude " << i << " (real)";
+    EXPECT_NEAR(got[i].imag(), want[i].imag(), tolerance)
+        << label << " amplitude " << i << " (imag)";
+  }
 }
 
 /// Central finite difference of a scalar function at x.

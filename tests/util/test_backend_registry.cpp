@@ -1,23 +1,17 @@
 // Backend registry selection tests (DESIGN.md §13): precedence layers
 // (runtime override > QHDL_BACKEND env > build default > CPUID
-// auto-detect), unknown/unsupported-backend errors, and the reference
-// backend as the one switch onto the reference execution paths.
+// auto-detect), unknown/unsupported-backend errors, and the loud failure
+// of a selection that names a backend this build no longer has.
 #include <cstdlib>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "nn/dense.hpp"
-#include "nn/optimizer.hpp"
-#include "nn/sequential.hpp"
-#include "nn/trainer.hpp"
-#include "quantum/circuit.hpp"
-#include "test_helpers.hpp"
 #include "util/backend_registry.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -72,11 +66,43 @@ TEST(BackendRegistry, ResolutionPrecedenceIsOverrideEnvBuildAuto) {
   EXPECT_STREQ(source, "auto");
 }
 
+/// The backend-free name auto-detection settles on here.
+std::string auto_detected_name() {
+  const simd::Backend* avx2 = simd::find_backend("avx2");
+  return avx2 != nullptr && avx2->supported() ? "avx2" : "generic";
+}
+
+/// The comma-separated names after "registered: " in a selection error.
+std::vector<std::string> listed_names(const std::string& what) {
+  const std::string marker = "registered: ";
+  const std::size_t at = what.find(marker);
+  std::vector<std::string> names;
+  if (at == std::string::npos) return names;
+  std::stringstream list{what.substr(at + marker.size())};
+  std::string name;
+  while (std::getline(list, name, ',')) {
+    names.push_back(name.substr(name.find_first_not_of(' ')));
+  }
+  return names;
+}
+
+/// A selection error names `stale` and lists only generic and avx2.
+void expect_stale_selection_error(const std::string& what,
+                                  const std::string& stale) {
+  EXPECT_NE(what.find("unknown backend '" + stale + "'"), std::string::npos)
+      << what;
+  const std::vector<std::string> names = listed_names(what);
+  ASSERT_FALSE(names.empty()) << what;
+  for (const std::string& name : names) {
+    EXPECT_TRUE(name == "generic" || name == "avx2")
+        << "the error should list only generic and avx2: " << what;
+  }
+  EXPECT_EQ(names.front(), "generic") << what;
+}
+
 TEST(BackendRegistry, StandardBackendsAreRegistered) {
   ASSERT_NE(simd::find_backend("generic"), nullptr);
-  ASSERT_NE(simd::find_backend("reference"), nullptr);
-  EXPECT_FALSE(simd::find_backend("generic")->reference);
-  EXPECT_TRUE(simd::find_backend("reference")->reference);
+  EXPECT_EQ(simd::find_backend("reference"), nullptr);
   // generic is the unconditional fallback: always supported, priority 0.
   EXPECT_TRUE(simd::find_backend("generic")->supported());
   EXPECT_EQ(simd::find_backend("generic")->priority, 0);
@@ -106,6 +132,31 @@ TEST(BackendRegistry, UnknownBackendThrowsListingRegisteredNames) {
   EXPECT_TRUE(simd::active_backend().supported());
 }
 
+TEST(BackendRegistry, StaleReferenceSelectionFailsLoudly) {
+  // `reference` was a backend once; a script or build that still selects it
+  // must fail with the list of real backends, never fall back silently.
+  // (Declared before the fake-descriptor test so a whole-binary run lists
+  // only the production backends.)
+  try {
+    simd::set_backend("reference");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    expect_stale_selection_error(e.what(), "reference");
+  }
+  EXPECT_TRUE(simd::active_backend().supported());
+
+  const EnvScope guard{"QHDL_BACKEND"};
+  ::setenv("QHDL_BACKEND", "reference", 1);
+  try {
+    simd::set_backend(std::nullopt);  // forces re-resolution from env
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    expect_stale_selection_error(e.what(), "reference");
+    EXPECT_NE(std::string{e.what()}.find("env"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(BackendRegistry, UnsupportedBackendRejectedEverywhere) {
   // Inject a fake descriptor whose CPUID gate always fails. Static storage:
   // the registry keeps the pointer for the process lifetime.
@@ -113,7 +164,6 @@ TEST(BackendRegistry, UnsupportedBackendRejectedEverywhere) {
       "test-unsupported",
       /*priority=*/100000,  // would win auto-detect if support were ignored
       +[] { return false; },
-      /*reference=*/false,
       simd::find_backend("generic")->ops,
   };
   simd::register_backend(&kUnsupported);
@@ -163,9 +213,11 @@ TEST(BackendRegistry, EnvSelectionAppliesOnResolution) {
   EXPECT_STREQ(simd::active_source(), "env");
 
   // The runtime override still beats the env var.
-  simd::set_backend("reference");
-  EXPECT_STREQ(simd::active_backend().name, "reference");
-  EXPECT_STREQ(simd::active_source(), "override");
+  if (auto_detected_name() == "avx2") {
+    simd::set_backend("avx2");
+    EXPECT_STREQ(simd::active_backend().name, "avx2");
+    EXPECT_STREQ(simd::active_source(), "override");
+  }
 }
 
 TEST(BackendRegistry, UnknownEnvBackendThrowsOnResolution) {
@@ -200,53 +252,8 @@ TEST(BackendRegistry, LegacyForceFlagsNoLongerSelectReference) {
   const std::string source = simd::active_source();
   EXPECT_TRUE(source == "auto" || source == "build") << source;
   if (source == "auto") {
-    EXPECT_FALSE(simd::active_backend().reference)
-        << simd::active_backend().name;
+    EXPECT_EQ(simd::active_backend().name, auto_detected_name());
   }
-}
-
-TEST(BackendRegistry, ReferenceBackendForcesLegacyReferencePaths) {
-  // The descriptor's reference flag is the only switch onto the reference
-  // paths: gates take the generic dense kernels (RZ would otherwise hit the
-  // diagonal kernel) and classical models train on the reference Module
-  // path instead of the workspace trainer.
-  quantum::Circuit circuit{2};
-  circuit.parameterized_gate(quantum::GateType::RZ, 0, 0);
-  circuit.gate(quantum::GateType::CNOT, 0, 1);
-  const std::vector<double> params{0.3};
-  for (const char* name : {"reference", "generic"}) {
-    simd::set_backend(name);
-    const bool reference = simd::active_backend().reference;
-    EXPECT_EQ(reference, std::string{name} == "reference");
-
-    util::Metrics::global().reset();
-    circuit.execute(params);
-    EXPECT_EQ(qhdl::testing::global_count("kernel.generic"),
-              reference ? 1u : 0u)
-        << name;
-    EXPECT_EQ(qhdl::testing::global_count("kernel.diagonal"),
-              reference ? 0u : 1u)
-        << name;
-
-    util::Rng rng{3};
-    nn::Sequential model;
-    model.emplace<nn::Dense>(2, 2, rng);
-    nn::Adam optimizer{1e-3};
-    const tensor::Tensor x{tensor::Shape{4, 2}};
-    const std::vector<std::size_t> y{0, 1, 0, 1};
-    nn::TrainConfig config;
-    config.epochs = 1;
-    config.batch_size = 2;
-    util::Metrics::global().reset();
-    nn::train_classifier(model, optimizer, x, y, x, y, config, rng);
-    EXPECT_EQ(qhdl::testing::global_count("fastpath.reference_runs"),
-              reference ? 1u : 0u)
-        << name;
-    EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"),
-              reference ? 0u : 1u)
-        << name;
-  }
-  simd::set_backend(std::nullopt);
 }
 
 }  // namespace

@@ -119,7 +119,7 @@ TEST(Metrics, GlobalRegistryListsKernelAndFastpathCounters) {
         "kernel.double_flip", "kernel.generic", "kernel.two_qubit_dense",
         "kernel.fused", "kernel.fused_gates", "kernel.batched_rows",
         "fastpath.workspace_runs",
-        "fastpath.reference_runs", "fastpath.workspace_steps"}) {
+        "fastpath.module_runs", "fastpath.workspace_steps"}) {
     EXPECT_EQ(snapshot.values.count(name), 1u) << name;
   }
 }

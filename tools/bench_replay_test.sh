@@ -30,7 +30,7 @@ cp -R "$dir/a" "$dir/before"
 grep -q '^\[cache\]' "$dir/replay.out" || fail "replay restored no units"
 grep -q 'fastpath\.workspace_runs=0 ' "$dir/replay.err" ||
   fail "replay logged no counters"
-if grep -Eq 'fastpath\.(reference|workspace)_runs=[1-9]' "$dir/replay.err"
+if grep -Eq 'fastpath\.(module|workspace)_runs=[1-9]' "$dir/replay.err"
 then
   fail "replay trained"
 fi

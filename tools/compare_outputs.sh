@@ -1,17 +1,16 @@
 #!/bin/sh
 # Byte-identity check between two builds (DESIGN.md §13): runs the figure
-# drivers, the reference-backend Fig. 8 sweep, the single-state drivers and
-# the noisy (density-matrix) training example from each build into its own
-# temporary directory, then `diff -r`s the two trees (figure CSVs,
-# `sweep_*.units.json` manifests and the example's stdout included).
+# drivers, the single-state drivers and the noisy (density-matrix) training
+# example from each build into its own temporary directory, then `diff -r`s
+# the two trees (figure CSVs, `sweep_*.units.json` manifests and the
+# example's stdout included).
 #
 #   sh tools/compare_outputs.sh PARENT_BUILD CHANGE_BUILD
 #
 # PARENT_BUILD and CHANGE_BUILD are CMake build directories (each holding
 # bench/bench_* and examples/noisy_training). The figure drivers run at
-# `--force --threads 1`; `noisy_training` runs at `--epochs 6`;
-# `bench_fig8_sel_flops` runs a second time under QHDL_BACKEND=reference.
-# Every other run uses the caller's backend selection, so
+# `--force --threads 1`; `noisy_training` runs at `--epochs 6`. Every run
+# uses the caller's backend selection, so
 # `QHDL_BACKEND=generic sh tools/compare_outputs.sh ...` compares under
 # generic. Exits 0 when every output is byte-identical, 1 otherwise.
 set -u
@@ -54,12 +53,6 @@ for side in parent change; do
     echo "compare_outputs: $side $driver"
     run "$side" "$build" "$driver" "$driver" --force --threads 1
   done
-  echo "compare_outputs: $side bench_fig8_sel_flops (reference backend)"
-  (
-    export QHDL_BACKEND=reference
-    run "$side" "$build" fig8_reference bench_fig8_sel_flops --force \
-      --threads 1
-  ) || exit 1
   for driver in $single_state_drivers; do
     echo "compare_outputs: $side $driver"
     run "$side" "$build" "$driver" "$driver"
