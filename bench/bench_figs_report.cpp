@@ -65,9 +65,10 @@ struct LayerWorkload {
   double amps_per_call = 0.0;
 };
 
-// Scalar (per-sample) workload over the raw circuit: the path taken by
-// parameter-shift, shots, and noisy evaluation, where every run() call
-// re-lowered the op stream before compiled plans existed.
+// Scalar (per-sample) workload over the raw circuit: one circuit run or
+// adjoint sweep per call, where every run() call re-lowered the op stream
+// before compiled plans existed. The entries keep their names, which
+// BENCH_figs.json records.
 struct ScalarWorkload {
   quantum::Circuit circuit;
   std::vector<double> params;
@@ -154,7 +155,7 @@ int main(int argc, char** argv) {
       "figs/sel_q8_d2_b16_forward", repeat, 8, sel8.amps_per_call,
       [&] { sel8.layer.forward(sel8.input); }));
 
-  // Scalar per-sample path (parameter-shift / shots / noise route).
+  // Scalar per-sample path (one circuit per call).
   auto scalar5 = make_scalar_workload(5, 10, rng);
   entries.push_back(time_workload(
       "figs/sel_q5_d10_scalar_forward", repeat, 64, scalar5.amps_per_call,

@@ -2,11 +2,11 @@
 //
 // train_classifier routes classical Sequential models and the paper's
 // hybrids through the preallocated workspace trainer (nn/workspace.hpp):
-// fused GEMM + bias + activation forward, the QuantumLayer's exact path as
-// a quantum stage, fused softmax-cross-entropy loss, in-place backward and
-// Adam step with zero steady-state heap allocations. Noisy, finite-shot
-// and amplitude-encoded quantum layers and models that are not a
-// Sequential take the Module::forward/backward path. This header bumps
+// fused GEMM + bias + activation forward, the QuantumLayer (exact, noisy
+// or finite-shot) as a quantum stage, fused softmax-cross-entropy loss,
+// in-place backward and Adam step with zero steady-state heap allocations.
+// Amplitude-encoded quantum layers and models that are not a Sequential
+// take the Module::forward/backward path. This header bumps
 // per-path run/step counters so tests and benchmarks can assert which path
 // actually executed.
 //

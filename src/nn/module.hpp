@@ -73,8 +73,8 @@ class Module {
   /// Human-readable one-liner, e.g. "Dense(10 -> 6)".
   virtual std::string name() const = 0;
 
-  /// The layer's raw-buffer row stage (nn/row_stage.hpp) when its current
-  /// configuration has one, else nullptr. TrainWorkspace runs such layers
+  /// The layer's raw-buffer row stage (nn/row_stage.hpp) when it has one,
+  /// else nullptr. TrainWorkspace runs such layers
   /// on its preallocated buffers.
   virtual RowStage* row_stage() { return nullptr; }
 

@@ -2,9 +2,9 @@
 // TrainWorkspace (nn/workspace.hpp) can run it between its fused dense
 // stages on preallocated buffers, without nn knowing what the layer
 // computes. The hybrid QuantumLayer (qnn/quantum_layer.hpp) is the one
-// implementation: its exact-path Module::forward/backward are thin wrappers
-// over these two calls, so the workspace and the Module path share one
-// implementation.
+// implementation, in every mode (exact, noisy, finite-shot): its
+// Module::forward/backward are thin wrappers over these two calls, so the
+// workspace and the Module path share one implementation.
 //
 // Buffers are row-major: `rows` rows of row_inputs() (inputs, input
 // gradients) or row_outputs() (outputs, output gradients) doubles.

@@ -101,11 +101,11 @@ TrainHistory train_classifier(Module& model, Optimizer& optimizer,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
-  // Workspace fast path: classical stacks and the paper's hybrids (whose
-  // exact-path QuantumLayer is a row stage) train through a preallocated,
-  // fused, zero-steady-state-allocation pipeline. Noisy, finite-shot and
-  // amplitude-encoded layers and custom models use the Module path below.
-  // Both produce bit-identical histories.
+  // Workspace fast path: classical stacks and hybrids (every QuantumLayer
+  // mode is a row stage) train through a preallocated, fused,
+  // zero-steady-state-allocation pipeline. Amplitude-encoded layers and
+  // models that are not a Sequential use the Module path below. Both
+  // produce bit-identical histories.
   std::unique_ptr<TrainWorkspace> workspace;
   if (auto* sequential = dynamic_cast<Sequential*>(&model)) {
     workspace = TrainWorkspace::compile(*sequential,

@@ -3,7 +3,7 @@
 //
 // TrainWorkspace::compile inspects a Sequential and, when every layer is a
 // Dense (optionally followed by one Tanh/ReLU/Sigmoid) or offers a raw-
-// buffer row stage (Module::row_stage, nn/row_stage.hpp — the exact-path
+// buffer row stage (Module::row_stage, nn/row_stage.hpp — the
 // QuantumLayer), builds a fused execution plan over preallocated buffers:
 //
 //   * forward:  row-blocked GEMM (tensor/gemm.hpp) straight into a preallocated
@@ -20,10 +20,10 @@
 //   * step:     Optimizer::step over a cached parameter list (Adam's slot
 //     map allocates on the first step only).
 //
-// For the paper's hybrids (Dense(F→q)+Tanh, QuantumLayer, Dense(q→C)) the
-// quantum stage is the layer's own exact path: the same thread chunking,
-// forward-state reuse and row-ordered weight-gradient accumulation its
-// Module::forward/backward wrap. Noisy and finite-shot quantum layers, the
+// For the paper's hybrids (Dense(F→q)+Tanh, QuantumLayer, Dense(q→C)) and
+// their noisy and finite-shot variants the quantum stage is the layer's own
+// row stage: the same thread chunking, forward-state reuse and row-ordered
+// weight-gradient accumulation its Module::forward/backward wrap. The
 // AmplitudeLayer and any other module have no row stage, so compile
 // returns nullptr and train_classifier uses the Module path for them.
 //

@@ -52,26 +52,23 @@ QuantumLayer::QuantumLayer(const QuantumLayerConfig& config, util::Rng& rng)
     throw std::invalid_argument(
         "QuantumLayer: shots with noise channels is not supported");
   }
-}
-
-void QuantumLayer::pack_params(const double* row,
-                               std::span<double> out) const {
-  const std::size_t q = config_.qubits;
-  for (std::size_t i = 0; i < q; ++i) {
-    out[i] = config_.encoding.scale * row[i];
-  }
-  for (std::size_t i = 0; i < weights_.value.size(); ++i) {
-    out[q + i] = weights_.value[i];
-  }
+  wires_.resize(config.qubits);
+  for (std::size_t w = 0; w < config.qubits; ++w) wires_[w] = w;
 }
 
 void QuantumLayer::pack_rows(const double* input, std::size_t rows,
                              std::vector<double>& out) const {
-  const std::size_t stride = config_.qubits + weights_.value.size();
+  const std::size_t q = config_.qubits;
+  const std::size_t stride = q + weights_.value.size();
   out.resize(rows * stride);
   for (std::size_t b = 0; b < rows; ++b) {
-    pack_params(input + b * config_.qubits,
-                std::span<double>{out}.subspan(b * stride, stride));
+    double* row = out.data() + b * stride;
+    for (std::size_t i = 0; i < q; ++i) {
+      row[i] = config_.encoding.scale * input[b * q + i];
+    }
+    for (std::size_t i = 0; i < weights_.value.size(); ++i) {
+      row[q + i] = weights_.value[i];
+    }
   }
 }
 
@@ -95,7 +92,7 @@ void QuantumLayer::for_each_chunk(std::size_t batch, const Work& work) const {
   }
 }
 
-nn::RowStage* QuantumLayer::row_stage() { return exact() ? this : nullptr; }
+nn::RowStage* QuantumLayer::row_stage() { return this; }
 
 void QuantumLayer::forward_rows(const double* input, std::size_t rows,
                                 double* out) {
@@ -105,11 +102,25 @@ void QuantumLayer::forward_rows(const double* input, std::size_t rows,
   // All rows march through the SoA gate kernels together, hitting
   // contiguous memory (see StateVectorBatch). Chunked over the thread pool;
   // per-row arithmetic is independent of the chunk boundaries, so results
-  // stay bit-identical across thread counts. Each chunk's final state is
-  // kept for backward_rows() (forward-state reuse).
+  // stay bit-identical across thread counts.
   const std::size_t q = config_.qubits;
   const std::size_t stride = q + weights_.value.size();
   pack_rows(input, rows, forward_params_);
+  if (!config_.noise.empty()) {
+    // Each chunk's ρ_r evolve as one density-matrix batch.
+    for_each_chunk(rows, [&](std::size_t, std::size_t begin, std::size_t n) {
+      quantum::noisy_expvals_batch(
+          executor_.circuit(),
+          std::span<const double>{forward_params_}.subspan(begin * stride,
+                                                           n * stride),
+          stride, n, config_.noise, wires_,
+          std::span<double>{out + begin * q, n * q});
+    });
+    return;
+  }
+
+  // Exact states; each chunk's final state is kept for backward_rows()
+  // (forward-state reuse).
   forward_states_.resize(chunk_count(rows));
   for_each_chunk(rows, [&](std::size_t c, std::size_t begin, std::size_t n) {
     std::optional<quantum::StateVectorBatch>& state = forward_states_[c];
@@ -126,6 +137,19 @@ void QuantumLayer::forward_rows(const double* input, std::size_t rows,
   });
   forward_backend_ = &util::simd::active_backend();
   forward_states_valid_ = true;
+  if (config_.shots == 0) return;
+
+  // Shots: sample each row's exact state, rows in order, from the one
+  // sampling RNG, so the draws do not depend on the thread count.
+  std::size_t row = 0;
+  for (const std::optional<quantum::StateVectorBatch>& state :
+       forward_states_) {
+    for (std::size_t i = 0; i < state->batch(); ++i, ++row) {
+      const std::vector<double> estimates = quantum::estimate_expvals_z(
+          state->extract_row(i), wires_, config_.shots, sample_rng_);
+      std::copy(estimates.begin(), estimates.end(), out + row * q);
+    }
+  }
 }
 
 void QuantumLayer::backward_rows(const double* input, const double* grad_out,
@@ -136,11 +160,12 @@ void QuantumLayer::backward_rows(const double* input, const double* grad_out,
   forward_states_valid_ = false;
   if (rows == 0) return;
 
-  // One adjoint sweep per chunk covers every row in it (parameter-shift
-  // runs per row inside the executor). When the repacked [angles | weights]
-  // rows are bitwise equal to the ones forward_rows() simulated (same
-  // input, weights untouched), the sweep starts from its kept state instead
-  // of re-simulating it.
+  // One adjoint sweep per chunk covers every row in it; with noise (or the
+  // parameter-shift method) every shifted circuit of the chunk is one lane
+  // of a single batch. When the repacked [angles | weights] rows are
+  // bitwise equal to the ones forward_rows() simulated (same input, weights
+  // untouched), the adjoint sweep starts from its kept state instead of
+  // re-simulating it.
   const std::size_t q = config_.qubits;
   const std::size_t stride = q + weights_.value.size();
   pack_rows(input, rows, backward_params_);
@@ -151,12 +176,19 @@ void QuantumLayer::backward_rows(const double* input, const double* grad_out,
                   backward_params_.size() * sizeof(double)) == 0;
   vjp_gradient_.resize(rows * stride);
   for_each_chunk(rows, [&](std::size_t c, std::size_t begin, std::size_t n) {
-    executor_.run_with_vjp_batch(
-        std::span<const double>{backward_params_}.subspan(begin * stride,
-                                                          n * stride),
-        stride, n, std::span<const double>{grad_out + begin * q, n * q},
-        std::span<double>{vjp_gradient_}.subspan(begin * stride, n * stride),
-        reuse ? &*forward_states_[c] : nullptr);
+    const auto params = std::span<const double>{backward_params_}.subspan(
+        begin * stride, n * stride);
+    const std::span<const double> upstream{grad_out + begin * q, n * q};
+    const auto gradient =
+        std::span<double>{vjp_gradient_}.subspan(begin * stride, n * stride);
+    if (!config_.noise.empty()) {
+      quantum::noisy_parameter_shift_vjp_batch(executor_.circuit(), params,
+                                               stride, n, config_.noise,
+                                               wires_, upstream, gradient);
+    } else {
+      executor_.run_with_vjp_batch(params, stride, n, upstream, gradient,
+                                   reuse ? &*forward_states_[c] : nullptr);
+    }
   });
   // First q entries per row are encoding-angle gradients; the chain rule
   // through angle = scale * input multiplies by the encoding scale. Weight
@@ -186,29 +218,7 @@ Tensor QuantumLayer::forward(const Tensor& input) {
   forward_states_valid_ = false;
 
   Tensor output{Shape{input.rows(), q}};
-  if (exact()) {
-    forward_rows(input.data().data(), input.rows(), output.data().data());
-    return output;
-  }
-
-  // Noise (density matrix) or shots (sampling): one row at a time, in row
-  // order, since sampling shares one RNG.
-  std::vector<std::size_t> wires(q);
-  for (std::size_t w = 0; w < q; ++w) wires[w] = w;
-  std::vector<double> params(q + weights_.value.size());
-  for (std::size_t b = 0; b < input.rows(); ++b) {
-    pack_params(input.data().data() + b * q, params);
-    std::vector<double> expectations;
-    if (!config_.noise.empty()) {
-      expectations = quantum::noisy_expvals(executor_.circuit(), params,
-                                            config_.noise, wires);
-    } else {
-      const quantum::StateVector psi = executor_.circuit().execute(params);
-      expectations = quantum::estimate_expvals_z(psi, wires, config_.shots,
-                                                 sample_rng_);
-    }
-    for (std::size_t w = 0; w < q; ++w) output.at(b, w) = expectations[w];
-  }
+  forward_rows(input.data().data(), input.rows(), output.data().data());
   return output;
 }
 
@@ -230,35 +240,8 @@ Tensor QuantumLayer::backward(const Tensor& grad_output) {
 
   const std::size_t batch = cached_input_.rows();
   Tensor grad_input{Shape{batch, q}};
-  if (config_.noise.empty()) {
-    // Exact path; with shots the forward sampled, but gradients stay exact
-    // (and, having no kept states, recompute the forward).
-    backward_rows(cached_input_.data().data(), grad_output.data().data(),
-                  batch, grad_input.data().data());
-    return grad_input;
-  }
-
-  // Noise: parameter-shift rules on the density matrix, one row at a time.
-  std::vector<std::size_t> wires(q);
-  for (std::size_t w = 0; w < q; ++w) wires[w] = w;
-  std::vector<double> params(q + weights_.value.size());
-  std::vector<double> upstream(q);
-  for (std::size_t b = 0; b < batch; ++b) {
-    pack_params(cached_input_.data().data() + b * q, params);
-    for (std::size_t w = 0; w < q; ++w) upstream[w] = grad_output.at(b, w);
-    const std::vector<double> gradient =
-        quantum::noisy_parameter_shift_vjp(executor_.circuit(), params,
-                                           config_.noise, wires, upstream)
-            .gradient;
-    // First q entries are encoding-angle gradients; the chain rule through
-    // angle = scale * input multiplies by the encoding scale.
-    for (std::size_t w = 0; w < q; ++w) {
-      grad_input.at(b, w) = config_.encoding.scale * gradient[w];
-    }
-    for (std::size_t i = 0; i < weights_.value.size(); ++i) {
-      weights_.grad[i] += gradient[q + i];
-    }
-  }
+  backward_rows(cached_input_.data().data(), grad_output.data().data(),
+                batch, grad_input.data().data());
   return grad_input;
 }
 

@@ -10,16 +10,23 @@
 //
 // Circuit parameter layout: [inputs (q) | ansatz weights (weight_count)].
 //
-// Exact path (noiseless, shot-free) = the layer's nn::RowStage
-// (nn/row_stage.hpp): forward_rows/backward_rows on raw row-major buffers.
-// TrainWorkspace calls them directly; forward()/backward() are thin Tensor
-// wrappers over the same two calls, so the workspace and the Module path
-// run one implementation. Noisy and finite-shot layers have no row stage
-// and keep their per-row Module path.
+// Every mode is the layer's nn::RowStage (nn/row_stage.hpp):
+// forward_rows/backward_rows on raw row-major buffers. TrainWorkspace calls
+// them directly; forward()/backward() are thin Tensor wrappers over the
+// same two calls, so the workspace and the Module path run one
+// implementation. Each mode runs a whole thread chunk of rows as one batch:
+//   * exact: the rows are the lanes of one StateVectorBatch, differentiated
+//     by one batched adjoint sweep (or, with DiffMethod::ParameterShift,
+//     every shifted circuit is a lane of one batch);
+//   * noise: the chunk's density matrices are one DensityMatrixBatch, and
+//     backward evaluates every row's shifted circuits as the lanes of one
+//     more (parameter-shift rules; adjoint needs pure states);
+//   * shots: the exact forward, then each row's state sampled in row order
+//     from the layer's one sampling RNG; gradients are the exact ones.
 //
-// Forward-state reuse (exact path only). The adjoint sweep starts from the
-// circuit's output state, which forward_rows() has just computed, so the
-// layer simulates each training batch once:
+// Forward-state reuse (exact and shot layers). The adjoint sweep starts
+// from the circuit's output state, which forward_rows() has just computed,
+// so the layer simulates each training batch once:
 //   * the layer owns one StateVectorBatch per thread chunk; forward_rows()
 //     leaves each chunk's final state in it and keeps the packed
 //     [angles | weights] rows the states were built from;
@@ -64,10 +71,10 @@ struct QuantumLayerConfig {
   /// Gradients remain exact (the layer models shot noise at inference time;
   /// combine with `noise` for channels + shots together is not supported).
   std::size_t shots = 0;
-  /// Concurrency over the batch dimension for the exact (noiseless,
-  /// shot-free) forward/backward paths, dispatched on the shared
-  /// util::ThreadPool. 1 = sequential. Results are bit-identical
-  /// regardless of the thread count.
+  /// Concurrency over the batch dimension for every mode's forward and
+  /// backward, dispatched on the shared util::ThreadPool. 1 = sequential.
+  /// Results (shot draws included) are bit-identical regardless of the
+  /// thread count.
   std::size_t threads = 1;
 };
 
@@ -81,10 +88,10 @@ class QuantumLayer : public nn::Module, public nn::RowStage {
   std::vector<nn::Parameter*> parameters() override;
   nn::LayerInfo info() const override;
   std::string name() const override;
-  /// This layer on the exact path; nullptr with noise or shots.
+  /// This layer, in every mode.
   nn::RowStage* row_stage() override;
 
-  // nn::RowStage: the exact path (q inputs, q outputs per row).
+  // nn::RowStage (q inputs, q outputs per row).
   std::size_t row_inputs() const override { return config_.qubits; }
   std::size_t row_outputs() const override { return config_.qubits; }
   void forward_rows(const double* input, std::size_t rows,
@@ -103,18 +110,12 @@ class QuantumLayer : public nn::Module, public nn::RowStage {
   std::vector<double> run_single(std::span<const double> angles) const;
 
  private:
-  /// True on the exact (noiseless, shot-free) path.
-  bool exact() const { return config_.noise.empty() && config_.shots == 0; }
-
-  /// Writes [angles | weights] for one sample row (q values at `row`) into
-  /// `out` (size qubits + weight_count).
-  void pack_params(const double* row, std::span<double> out) const;
-
-  /// Packs `rows` rows of `input` into `out`, row b at b * stride.
+  /// Packs [angles | weights] for `rows` rows of `input` into `out`, row b
+  /// at b * (qubits + weight_count).
   void pack_rows(const double* input, std::size_t rows,
                  std::vector<double>& out) const;
 
-  /// Thread chunks a batch splits into on the batched path.
+  /// Thread chunks a batch splits into.
   std::size_t chunk_count(std::size_t batch) const;
 
   /// Runs work(chunk, first_row, rows) over chunk_count(batch) contiguous
@@ -126,6 +127,7 @@ class QuantumLayer : public nn::Module, public nn::RowStage {
   quantum::Executor executor_;
   nn::Parameter weights_;
   util::Rng sample_rng_;  ///< drives finite-shot sampling when shots > 0
+  std::vector<std::size_t> wires_;  ///< 0 … q-1, the measured wires
   tensor::Tensor cached_input_;
   bool has_cached_input_ = false;
   /// Forward-state reuse (see the file comment): one final state per chunk,

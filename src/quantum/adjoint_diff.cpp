@@ -245,15 +245,33 @@ void adjoint_vjp_batch(const Circuit& circuit, std::span<const double> params,
                        std::span<const double> upstream_weights,
                        std::span<double> gradient,
                        StateVectorBatch* forward_state) {
-  std::vector<std::vector<double>> diagonals;
-  diagonals.reserve(observables.size());
-  for (const Observable& obs : observables) {
-    if (!obs.is_diagonal()) {
-      throw std::invalid_argument(
-          "adjoint_vjp_batch: all observables must be diagonal (all-Z); "
-          "fall back to per-row adjoint_vjp for " +
-          obs.to_string());
+  const std::size_t obs_count = observables.size();
+  if (!std::all_of(observables.begin(), observables.end(),
+                   [](const Observable& obs) { return obs.is_diagonal(); })) {
+    // X/Y observables: each row seeded as adjoint_vjp seeds it, then one
+    // batched forward and sweep as below.
+    if (upstream_weights.size() != batch_rows * obs_count ||
+        gradient.size() != batch_rows * circuit.parameter_count()) {
+      throw std::invalid_argument("adjoint_vjp_batch: upstream or gradient "
+                                  "size must be batch * count");
     }
+    StateVectorBatch phi{circuit.num_qubits(), batch_rows};
+    circuit.run_batch(phi, params, param_stride);
+    StateVectorBatch lambda{circuit.num_qubits(), batch_rows};
+    for (std::size_t b = 0; b < batch_rows; ++b) {
+      lambda.set_row(b, weighted_observable_state(
+                            phi.extract_row(b), observables,
+                            upstream_weights.subspan(b * obs_count,
+                                                     obs_count)));
+    }
+    std::fill(gradient.begin(), gradient.end(), 0.0);
+    reverse_sweep_batch(circuit, params, param_stride, lambda, &phi,
+                        gradient);
+    return;
+  }
+  std::vector<std::vector<double>> diagonals;
+  diagonals.reserve(obs_count);
+  for (const Observable& obs : observables) {
     diagonals.push_back(obs.diagonal(circuit.num_qubits()));
   }
   adjoint_vjp_batch_diagonal(circuit, params, param_stride, batch_rows,

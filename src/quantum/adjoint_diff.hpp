@@ -86,11 +86,12 @@ std::vector<std::vector<double>> adjoint_jacobian(
 /// upstream weights from upstream_weights[b*K, (b+1)*K) with
 /// K = observables.size(), and gets dL/dθ in
 /// gradient[b*P, (b+1)*P) with P = circuit.parameter_count() (the caller's
-/// buffer, overwritten; exactly batch_rows * P entries). Requires every
-/// observable to be diagonal (all-Z) so the co-state seed is a
-/// per-amplitude multiply — the hybrid layer's ⟨Z_w⟩ heads satisfy this;
-/// callers with X/Y observables fall back to the per-row adjoint_vjp.
-/// Throws std::invalid_argument otherwise.
+/// buffer, overwritten; exactly batch_rows * P entries). With every
+/// observable diagonal (all-Z, the hybrid layer's ⟨Z_w⟩ heads) the
+/// co-state seed is a per-amplitude multiply (adjoint_vjp_batch_diagonal);
+/// with X/Y observables each row is seeded as adjoint_vjp seeds it, and the
+/// forward (never `forward_state`) and the sweep still run once for the
+/// whole batch.
 ///
 /// Forward-state reuse: a non-null `forward_state` must hold the circuit
 /// applied to |0…0⟩ with exactly these `params` (e.g. the batch a forward

@@ -100,7 +100,7 @@ NoiseModel NoiseModel::amplitude_damping(double gamma) {
 
 namespace {
 
-void apply_noise(DensityMatrix& rho, const NoiseModel& noise,
+void apply_noise(DensityMatrixBatch& rho, const NoiseModel& noise,
                  std::size_t wire0, std::size_t wire1) {
   for (const KrausChannel& channel : noise.per_gate_channels) {
     rho.apply_channel(channel, wire0);
@@ -108,24 +108,21 @@ void apply_noise(DensityMatrix& rho, const NoiseModel& noise,
   }
 }
 
-/// run_noisy with the angle of op `shifted_op` moved by `delta` (no op is
-/// shifted when shifted_op is SIZE_MAX): the one noisy evolution loop.
-DensityMatrix evolve(const Circuit& circuit, std::span<const double> params,
-                     const NoiseModel& noise,
-                     std::size_t shifted_op = SIZE_MAX, double delta = 0.0) {
-  if (params.size() < circuit.parameter_count()) {
+/// The one noisy evolution loop: ρ_l of `rho` runs the circuit for lane l
+/// (rho.rows() == lanes.size()), every lane's gate at once.
+void evolve(DensityMatrixBatch& rho, const Circuit& circuit,
+            std::span<const double> params, std::size_t stride,
+            std::span<const ShiftLane> lanes, const NoiseModel& noise) {
+  if (stride < circuit.parameter_count()) {
     throw std::invalid_argument("run_noisy: insufficient parameters");
   }
-  const auto& ops = circuit.ops();
-  DensityMatrix rho{circuit.num_qubits()};
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const Op& op = ops[i];
-    double angle = op.angle(params);
-    if (i == shifted_op) angle += delta;
-    rho.apply_gate(op.type, angle, op.wire0, op.wire1);
-    if (!noise.empty()) apply_noise(rho, noise, op.wire0, op.wire1);
-  }
-  return rho;
+  for_each_lane_op(circuit, params, stride, lanes,
+                   [&](const Op& op, std::span<const double> angles) {
+                     rho.apply_gate(op.type, angles, op.wire0, op.wire1);
+                     if (!noise.empty()) {
+                       apply_noise(rho, noise, op.wire0, op.wire1);
+                     }
+                   });
 }
 
 }  // namespace
@@ -133,20 +130,43 @@ DensityMatrix evolve(const Circuit& circuit, std::span<const double> params,
 DensityMatrix run_noisy(const Circuit& circuit,
                         std::span<const double> params,
                         const NoiseModel& noise) {
-  return evolve(circuit, params, noise);
+  DensityMatrix rho{circuit.num_qubits()};
+  const ShiftLane lane{};
+  evolve(rho, circuit, params, params.size(), {&lane, 1}, noise);
+  return rho;
 }
 
 std::vector<double> noisy_expvals(const Circuit& circuit,
                                   std::span<const double> params,
                                   const NoiseModel& noise,
                                   std::span<const std::size_t> wires) {
-  const DensityMatrix rho = run_noisy(circuit, params, noise);
-  std::vector<double> values;
-  values.reserve(wires.size());
-  for (std::size_t wire : wires) {
-    values.push_back(rho.expval_pauli_z(wire));
-  }
+  std::vector<double> values(wires.size());
+  noisy_expvals_batch(circuit, params, params.size(), 1, noise, wires,
+                      values);
   return values;
+}
+
+void noisy_expvals_batch(const Circuit& circuit,
+                         std::span<const double> params, std::size_t stride,
+                         std::size_t rows, const NoiseModel& noise,
+                         std::span<const std::size_t> wires,
+                         std::span<double> out) {
+  if (out.size() != rows * wires.size()) {
+    throw std::invalid_argument(
+        "noisy_expvals_batch: out size must be rows * wires");
+  }
+  if (rows == 0) return;
+  std::vector<ShiftLane> lanes(rows);
+  for (std::size_t r = 0; r < rows; ++r) lanes[r].row = r;
+  DensityMatrixBatch rho{circuit.num_qubits(), rows};
+  evolve(rho, circuit, params, stride, lanes, noise);
+  std::vector<double> column(rows);
+  for (std::size_t k = 0; k < wires.size(); ++k) {
+    rho.expval_pauli_z(wires[k], column);
+    for (std::size_t r = 0; r < rows; ++r) {
+      out[r * wires.size() + k] = column[r];
+    }
+  }
 }
 
 NoisyVjpResult noisy_parameter_shift_vjp(const Circuit& circuit,
@@ -154,31 +174,42 @@ NoisyVjpResult noisy_parameter_shift_vjp(const Circuit& circuit,
                                          const NoiseModel& noise,
                                          std::span<const std::size_t> wires,
                                          std::span<const double> upstream) {
-  if (wires.size() != upstream.size()) {
+  NoisyVjpResult result;
+  result.gradient.resize(circuit.parameter_count());
+  noisy_parameter_shift_vjp_batch(circuit, params, params.size(), 1, noise,
+                                  wires, upstream, result.gradient);
+  result.expectations = noisy_expvals(circuit, params, noise, wires);
+  return result;
+}
+
+void noisy_parameter_shift_vjp_batch(const Circuit& circuit,
+                                     std::span<const double> params,
+                                     std::size_t stride, std::size_t rows,
+                                     const NoiseModel& noise,
+                                     std::span<const std::size_t> wires,
+                                     std::span<const double> upstream,
+                                     std::span<double> gradient) {
+  const std::size_t width = wires.size();
+  if (upstream.size() != rows * width) {
     throw std::invalid_argument(
         "noisy_parameter_shift_vjp: wires/upstream size mismatch");
   }
-  NoisyVjpResult result;
-  result.expectations = noisy_expvals(circuit, params, noise, wires);
-  result.gradient.assign(circuit.parameter_count(), 0.0);
-
-  const auto& ops = circuit.ops();
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const Op& op = ops[i];
-    if (!op.param_index.has_value()) continue;
-    // Weighted observable value of the execution with op i shifted.
-    const auto weighted = [&](double delta) {
-      const DensityMatrix rho = evolve(circuit, params, noise, i, delta);
-      double total = 0.0;
-      for (std::size_t k = 0; k < wires.size(); ++k) {
-        total += upstream[k] * rho.expval_pauli_z(wires[k]);
-      }
-      return total;
-    };
-    result.gradient[*op.param_index] +=
-        shift_rule_derivative(op.type, weighted);
-  }
-  return result;
+  // Each lane's value is its upstream-weighted observable sum.
+  shift_rule_rows(
+      circuit, rows, 1,
+      [&](std::span<const ShiftLane> lanes, std::span<double> values) {
+        DensityMatrixBatch rho{circuit.num_qubits(), lanes.size()};
+        evolve(rho, circuit, params, stride, lanes, noise);
+        std::vector<double> expvals(lanes.size());
+        std::fill(values.begin(), values.end(), 0.0);
+        for (std::size_t k = 0; k < width; ++k) {
+          rho.expval_pauli_z(wires[k], expvals);
+          for (std::size_t l = 0; l < lanes.size(); ++l) {
+            values[l] += upstream[lanes[l].row * width + k] * expvals[l];
+          }
+        }
+      },
+      gradient);
 }
 
 }  // namespace qhdl::quantum

@@ -42,8 +42,9 @@ struct NoiseModel {
 
 /// Runs a circuit on a density matrix under the noise model and returns the
 /// final state. Fixed-angle and parameterized ops both supported; each gate
-/// is DensityMatrix::apply_gate, the pure states' gate dispatch run as a
-/// sandwich over ρ's columns.
+/// is a DensityMatrixBatch::apply_gate, the pure states' gate dispatch run
+/// as a sandwich over ρ's columns. This is the one-row case of the batched
+/// functions below.
 DensityMatrix run_noisy(const Circuit& circuit,
                         std::span<const double> params,
                         const NoiseModel& noise);
@@ -54,14 +55,23 @@ std::vector<double> noisy_expvals(const Circuit& circuit,
                                   const NoiseModel& noise,
                                   std::span<const std::size_t> wires);
 
+/// noisy_expvals for `rows` parameter rows at once (row r reads
+/// params[r * stride, …)): the R ρ_r evolve as one DensityMatrixBatch, and
+/// out[r * wires.size() + k] = ⟨Z_{wires[k]}⟩ of row r. Each row equals
+/// (==) the row evaluated alone.
+void noisy_expvals_batch(const Circuit& circuit,
+                         std::span<const double> params, std::size_t stride,
+                         std::size_t rows, const NoiseModel& noise,
+                         std::span<const std::size_t> wires,
+                         std::span<double> out);
+
 /// Vector-Jacobian product under noise: gradient of
 /// Σ_k upstream[k] · ⟨Z_{wires[k]}⟩ w.r.t. every runtime parameter, plus the
 /// unshifted expectations. The shift rules (shift_rule_derivative) remain
 /// exact for unitary parameterized gates even when the overall evolution is
 /// a noisy CPTP map. Each shifted circuit is evolved ONCE and all
 /// observables are read from it, so the cost matches the single-observable
-/// shift rule; a one-hot `upstream` gives one observable's gradient. This is
-/// what a noisy QuantumLayer's backward pass uses.
+/// shift rule; a one-hot `upstream` gives one observable's gradient.
 struct NoisyVjpResult {
   std::vector<double> expectations;
   std::vector<double> gradient;
@@ -71,5 +81,19 @@ NoisyVjpResult noisy_parameter_shift_vjp(const Circuit& circuit,
                                          const NoiseModel& noise,
                                          std::span<const std::size_t> wires,
                                          std::span<const double> upstream);
+
+/// The VJP's gradient for `rows` parameter rows at once — what a noisy
+/// QuantumLayer's backward uses: upstream[r * wires.size() + k], and
+/// gradient[r * P + p] (P = parameter_count, overwritten). Every shifted
+/// circuit of every row is one ρ of a single DensityMatrixBatch (the
+/// shift_rule_rows lanes); the unshifted ρ is not evolved. Each row
+/// equals (==) the row evaluated alone.
+void noisy_parameter_shift_vjp_batch(const Circuit& circuit,
+                                     std::span<const double> params,
+                                     std::size_t stride, std::size_t rows,
+                                     const NoiseModel& noise,
+                                     std::span<const std::size_t> wires,
+                                     std::span<const double> upstream,
+                                     std::span<double> gradient);
 
 }  // namespace qhdl::quantum

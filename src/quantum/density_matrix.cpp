@@ -34,12 +34,19 @@ std::size_t checked_dimension(std::size_t num_qubits) {
 
 }  // namespace
 
-DensityMatrix::DensityMatrix(std::size_t num_qubits)
-    : columns_(num_qubits, checked_dimension(num_qubits)) {
-  // The batch starts every column at |0...0⟩; |0⟩⟨0| keeps only column 0.
-  std::fill(elements().begin() + 1, elements().begin() + dimension(),
-            Complex{0, 0});
+DensityMatrixBatch::DensityMatrixBatch(std::size_t num_qubits,
+                                       std::size_t rows)
+    : columns_(num_qubits, checked_dimension(num_qubits) * rows) {
+  // The batch starts every column at |0...0⟩; |0⟩⟨0| keeps only each ρ_r's
+  // column 0.
+  const std::size_t dim = dimension();
+  for (std::size_t lane = 0; lane < columns_.batch(); ++lane) {
+    if (lane % dim != 0) elements()[lane] = Complex{0, 0};
+  }
 }
+
+DensityMatrix::DensityMatrix(std::size_t num_qubits)
+    : DensityMatrixBatch(num_qubits, 1) {}
 
 DensityMatrix DensityMatrix::from_statevector(const StateVector& state) {
   DensityMatrix rho{state.num_qubits()};
@@ -78,48 +85,71 @@ Complex DensityMatrix::at(std::size_t row, std::size_t col) const {
   return elements()[row * dimension() + col];
 }
 
-void DensityMatrix::check_wire(std::size_t wire, const char* context) const {
+void DensityMatrixBatch::check_wire(std::size_t wire,
+                                    const char* context) const {
   if (wire >= num_qubits()) {
     throw std::out_of_range(std::string{context} + ": wire out of range");
   }
 }
 
-void DensityMatrix::conjugate_transpose() {
+void DensityMatrixBatch::conjugate_transpose() {
+  // ρ_r[i][j] sits at i * lanes + r * dim + j.
   const std::size_t dim = dimension();
+  const std::size_t lanes = columns_.batch();
   const std::span<Complex> e = elements();
-  for (std::size_t i = 0; i < dim; ++i) {
-    e[i * dim + i] = std::conj(e[i * dim + i]);
-    for (std::size_t j = i + 1; j < dim; ++j) {
-      const Complex upper = e[i * dim + j];
-      e[i * dim + j] = std::conj(e[j * dim + i]);
-      e[j * dim + i] = std::conj(upper);
+  for (std::size_t base = 0; base < lanes; base += dim) {
+    for (std::size_t i = 0; i < dim; ++i) {
+      Complex* row_i = e.data() + i * lanes + base;
+      row_i[i] = std::conj(row_i[i]);
+      for (std::size_t j = i + 1; j < dim; ++j) {
+        Complex& lower = e[j * lanes + base + i];
+        const Complex upper = row_i[j];
+        row_i[j] = std::conj(lower);
+        lower = std::conj(upper);
+      }
     }
   }
 }
 
 template <typename ApplyToColumns>
-void DensityMatrix::sandwich(const ApplyToColumns& apply) {
+void DensityMatrixBatch::sandwich(const ApplyToColumns& apply) {
   apply(columns_);        // U ρ
   conjugate_transpose();  // ρ† U†
   apply(columns_);        // U ρ† U†
   conjugate_transpose();  // U ρ U†
 }
 
-void DensityMatrix::apply_gate(GateType type, double angle,
-                               std::size_t wire0, std::size_t wire1) {
+void DensityMatrixBatch::apply_gate(GateType type,
+                                    std::span<const double> angles,
+                                    std::size_t wire0, std::size_t wire1) {
+  if (angles.size() != 1) {
+    if (angles.size() != rows()) {
+      throw std::invalid_argument(
+          "DensityMatrixBatch::apply_gate: " + std::to_string(angles.size()) +
+          " angles for " + std::to_string(rows()) + " density matrices");
+    }
+    // Every column of ρ_r turns by ρ_r's angle.
+    const std::size_t dim = dimension();
+    lane_angles_.resize(columns_.batch());
+    for (std::size_t lane = 0; lane < lane_angles_.size(); ++lane) {
+      lane_angles_[lane] = angles[lane / dim];
+    }
+    angles = lane_angles_;
+  }
   sandwich([&](StateVectorBatch& columns) {
-    apply_gate_batch(columns, type, {&angle, 1}, wire0, wire1);
+    apply_gate_batch(columns, type, angles, wire0, wire1);
   });
 }
 
-void DensityMatrix::apply_single_qubit(const Mat2& gate, std::size_t wire) {
+void DensityMatrixBatch::apply_single_qubit(const Mat2& gate,
+                                            std::size_t wire) {
   sandwich([&](StateVectorBatch& columns) {
     columns.apply_single_qubit(gate, wire);
   });
 }
 
-void DensityMatrix::apply_channel(const KrausChannel& channel,
-                                  std::size_t wire) {
+void DensityMatrixBatch::apply_channel(const KrausChannel& channel,
+                                       std::size_t wire) {
   check_wire(wire, "DensityMatrix::apply_channel");
   if (channel.operators.empty()) {
     throw std::invalid_argument("DensityMatrix::apply_channel: empty channel");
@@ -138,6 +168,26 @@ void DensityMatrix::apply_channel(const KrausChannel& channel,
   std::copy(accumulated.begin(), accumulated.end(), elements().begin());
 }
 
+void DensityMatrixBatch::expval_pauli_z(std::size_t wire,
+                                        std::span<double> out) const {
+  check_wire(wire, "DensityMatrix::expval_pauli_z");
+  if (out.size() != rows()) {
+    throw std::invalid_argument(
+        "DensityMatrixBatch::expval_pauli_z: out size must be rows()");
+  }
+  const std::size_t dim = dimension();
+  const std::size_t lanes = columns_.batch();
+  const std::size_t mask = std::size_t{1} << (num_qubits() - 1 - wire);
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    double total = 0.0;
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double p = elements()[i * lanes + r * dim + i].real();
+      total += (i & mask) == 0 ? p : -p;
+    }
+    out[r] = total;
+  }
+}
+
 Complex DensityMatrix::trace() const {
   const std::size_t dim = dimension();
   Complex total{0, 0};
@@ -149,18 +199,6 @@ double DensityMatrix::purity() const {
   // Tr(ρ²) = Σ_ij ρ_ij ρ_ji = Σ_ij |ρ_ij|² for Hermitian ρ.
   double total = 0.0;
   for (const Complex& e : elements()) total += std::norm(e);
-  return total;
-}
-
-double DensityMatrix::expval_pauli_z(std::size_t wire) const {
-  check_wire(wire, "DensityMatrix::expval_pauli_z");
-  const std::size_t dim = dimension();
-  const std::size_t mask = std::size_t{1} << (num_qubits() - 1 - wire);
-  double total = 0.0;
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double p = elements()[i * dim + i].real();
-    total += (i & mask) == 0 ? p : -p;
-  }
   return total;
 }
 

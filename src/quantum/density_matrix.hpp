@@ -7,13 +7,17 @@
 // (Kraus operators), at O(4^q) per gate. Same wire convention as
 // StateVector (wire 0 = most significant bit).
 //
-// ρ's columns are the lanes of a StateVectorBatch with batch() == 2^q: the
-// batch's SoA layout amps[i*B + b] is ρ's row-major [row*dim + col], so one
-// batch-kernel call computes U·ρ. Every gate and Kraus operator runs as the
-// sandwich U ρ U† = (U (U ρ)†)†: apply U, conjugate-transpose in place,
+// ρ's columns are the lanes of a StateVectorBatch: the batch's SoA layout
+// amps[i*B + b] is ρ's row-major [row*dim + col], so one batch-kernel call
+// computes U·ρ. R density matrices of the same size are one batch of
+// R·2^q lanes (ρ_r's column c in lane r·2^q + c), and a DensityMatrix is
+// the R = 1 case. Every gate and Kraus operator runs as the sandwich
+// U ρ U† = (U (U ρ)†)†: apply U, conjugate-transpose each ρ_r in place,
 // apply U again, conjugate-transpose back. Mixed states therefore run on
 // the pure states' one gate dispatch (apply_gate_batch) and registry
-// kernels, two kernel calls per gate (DESIGN.md §8).
+// kernels, two kernel calls per gate for all R matrices (DESIGN.md §8); a
+// gate whose angle differs between the ρ_r repeats ρ_r's angle across its
+// 2^q lanes.
 #pragma once
 
 #include <span>
@@ -32,8 +36,50 @@ struct KrausChannel {
   bool is_trace_preserving(double tolerance = 1e-10) const;
 };
 
-/// Dense 2^q x 2^q density matrix, row-major.
-class DensityMatrix {
+/// R dense 2^q x 2^q density matrices ρ_0 … ρ_{R-1}, row-major, as the
+/// lanes of one StateVectorBatch (see the file comment).
+class DensityMatrixBatch {
+ public:
+  /// R copies of |0...0⟩⟨0...0|.
+  DensityMatrixBatch(std::size_t num_qubits, std::size_t rows);
+
+  std::size_t num_qubits() const { return columns_.num_qubits(); }
+  std::size_t dimension() const { return columns_.dimension(); }
+  std::size_t rows() const { return columns_.batch() / dimension(); }
+
+  /// ρ_r ← U ρ_r U† for any GateType (wire arguments as apply_gate_batch).
+  /// `angles` holds one angle shared by every ρ_r or one per ρ_r.
+  void apply_gate(GateType type, std::span<const double> angles,
+                  std::size_t wire0, std::size_t wire1 = SIZE_MAX);
+
+  /// ρ_r ← M ρ_r M† for an arbitrary 2x2 matrix on `wire` (a Kraus
+  /// operator need not be unitary).
+  void apply_single_qubit(const Mat2& gate, std::size_t wire);
+
+  /// ρ_r ← Σ_k K_k ρ_r K_k† on `wire`.
+  void apply_channel(const KrausChannel& channel, std::size_t wire);
+
+  /// out[r] = Tr(Z_wire ρ_r) (out has rows() entries).
+  void expval_pauli_z(std::size_t wire, std::span<double> out) const;
+
+ protected:
+  std::span<Complex> elements() { return columns_.amplitudes(); }
+  std::span<const Complex> elements() const { return columns_.amplitudes(); }
+  void check_wire(std::size_t wire, const char* context) const;
+
+ private:
+  /// ρ_r ← ρ_r† in place, for every r.
+  void conjugate_transpose();
+  /// ρ_r ← U ρ_r U†, where `apply` multiplies every column by U.
+  template <typename ApplyToColumns>
+  void sandwich(const ApplyToColumns& apply);
+
+  StateVectorBatch columns_;  ///< lane r·2^q + col holds column col of ρ_r
+  std::vector<double> lane_angles_;  ///< per-row angles repeated per column
+};
+
+/// One dense 2^q x 2^q density matrix: the R = 1 DensityMatrixBatch.
+class DensityMatrix : public DensityMatrixBatch {
  public:
   /// |0...0⟩⟨0...0|.
   explicit DensityMatrix(std::size_t num_qubits);
@@ -44,23 +90,15 @@ class DensityMatrix {
   /// Maximally mixed state I / 2^q.
   static DensityMatrix maximally_mixed(std::size_t num_qubits);
 
-  std::size_t num_qubits() const { return columns_.num_qubits(); }
-  std::size_t dimension() const { return columns_.dimension(); }
-
   Complex& at(std::size_t row, std::size_t col);
   Complex at(std::size_t row, std::size_t col) const;
 
   /// ρ ← U ρ U† for any GateType (same arguments as apply_gate on a
   /// StateVector; for two-qubit gates wire0 is the control or first wire).
   void apply_gate(GateType type, double angle, std::size_t wire0,
-                  std::size_t wire1 = SIZE_MAX);
-
-  /// ρ ← M ρ M† for an arbitrary 2x2 matrix on `wire` (a Kraus operator
-  /// need not be unitary).
-  void apply_single_qubit(const Mat2& gate, std::size_t wire);
-
-  /// ρ ← Σ_k K_k ρ K_k† on `wire`.
-  void apply_channel(const KrausChannel& channel, std::size_t wire);
+                  std::size_t wire1 = SIZE_MAX) {
+    DensityMatrixBatch::apply_gate(type, {&angle, 1}, wire0, wire1);
+  }
 
   /// Tr(ρ) — should stay 1 under CPTP evolution.
   Complex trace() const;
@@ -69,7 +107,11 @@ class DensityMatrix {
   double purity() const;
 
   /// Tr(Z_wire ρ).
-  double expval_pauli_z(std::size_t wire) const;
+  double expval_pauli_z(std::size_t wire) const {
+    double value = 0.0;
+    DensityMatrixBatch::expval_pauli_z(wire, {&value, 1});
+    return value;
+  }
 
   /// Diagonal of ρ: computational-basis probabilities.
   std::vector<double> probabilities() const;
@@ -81,18 +123,6 @@ class DensityMatrix {
 
   /// Hermiticity violation: max |ρ_ij - conj(ρ_ji)|.
   double hermiticity_error() const;
-
- private:
-  std::span<Complex> elements() { return columns_.amplitudes(); }
-  std::span<const Complex> elements() const { return columns_.amplitudes(); }
-  void check_wire(std::size_t wire, const char* context) const;
-  /// ρ ← ρ† in place.
-  void conjugate_transpose();
-  /// ρ ← U ρ U†, where `apply` multiplies every column by U.
-  template <typename ApplyToColumns>
-  void sandwich(const ApplyToColumns& apply);
-
-  StateVectorBatch columns_;  ///< lane `col` holds column col of ρ
 };
 
 /// Single-qubit reduced density matrix straight from a pure state —

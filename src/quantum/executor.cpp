@@ -47,18 +47,10 @@ AdjointVjpResult Executor::run_with_vjp(
   if (diff_method_ == DiffMethod::Adjoint) {
     return adjoint_vjp(circuit_, params, observables_, upstream);
   }
-  // Parameter-shift path: full Jacobian, then contract with upstream.
   AdjointVjpResult result;
   result.expectations = run(params);
-  result.gradient.assign(circuit_.parameter_count(), 0.0);
-  for (std::size_t k = 0; k < observables_.size(); ++k) {
-    if (upstream[k] == 0.0) continue;
-    const auto row =
-        parameter_shift_gradient(circuit_, params, observables_[k]);
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      result.gradient[j] += upstream[k] * row[j];
-    }
-  }
+  result.gradient.resize(circuit_.parameter_count());
+  run_with_vjp_batch(params, params.size(), 1, upstream, result.gradient);
   return result;
 }
 
@@ -81,28 +73,53 @@ void Executor::run_with_vjp_batch(std::span<const double> params,
                                   std::span<const double> upstream,
                                   std::span<double> gradient,
                                   StateVectorBatch* forward_state) const {
-  const std::size_t obs_count = observables_.size();
-  if (upstream.size() != batch_rows * obs_count) {
+  const std::size_t parameter_count = circuit_.parameter_count();
+  if (param_stride < parameter_count) {
+    throw std::invalid_argument(
+        "Executor::run_with_vjp_batch: param_stride " +
+        std::to_string(param_stride) + " < " +
+        std::to_string(parameter_count) + " circuit parameters");
+  }
+  if (params.size() != batch_rows * param_stride) {
+    throw std::invalid_argument(
+        "Executor::run_with_vjp_batch: got " + std::to_string(params.size()) +
+        " params, need exactly " + std::to_string(batch_rows * param_stride));
+  }
+  if (upstream.size() != batch_rows * observables_.size()) {
     throw std::invalid_argument(
         "Executor::run_with_vjp_batch: upstream size");
   }
-  if (diff_method_ == DiffMethod::Adjoint && !diagonals_.empty()) {
-    adjoint_vjp_batch_diagonal(circuit_, params, param_stride, batch_rows,
-                               diagonals_, upstream, gradient, forward_state);
-    return;
-  }
-  // Per-row fallback (parameter-shift or non-diagonal observables).
-  const std::size_t parameter_count = circuit_.parameter_count();
   if (gradient.size() != batch_rows * parameter_count) {
     throw std::invalid_argument(
         "Executor::run_with_vjp_batch: gradient size");
   }
+  if (diff_method_ == DiffMethod::Adjoint) {
+    if (diagonals_.empty()) {
+      adjoint_vjp_batch(circuit_, params, param_stride, batch_rows,
+                        observables_, upstream, gradient);
+    } else {
+      adjoint_vjp_batch_diagonal(circuit_, params, param_stride, batch_rows,
+                                 diagonals_, upstream, gradient,
+                                 forward_state);
+    }
+    return;
+  }
+  // Parameter-shift: every row's full Jacobian from one lane batch, each
+  // row contracted with its upstream.
+  const std::size_t obs_count = observables_.size();
+  std::vector<double> jacobian(batch_rows * obs_count * parameter_count);
+  parameter_shift_jacobian_batch(circuit_, params, param_stride, batch_rows,
+                                 observables_, jacobian);
+  std::fill(gradient.begin(), gradient.end(), 0.0);
   for (std::size_t b = 0; b < batch_rows; ++b) {
-    const AdjointVjpResult row =
-        run_with_vjp(params.subspan(b * param_stride, parameter_count),
-                     upstream.subspan(b * obs_count, obs_count));
-    std::copy(row.gradient.begin(), row.gradient.end(),
-              gradient.begin() + b * parameter_count);
+    for (std::size_t k = 0; k < obs_count; ++k) {
+      const double weight = upstream[b * obs_count + k];
+      const double* row =
+          jacobian.data() + (b * obs_count + k) * parameter_count;
+      for (std::size_t j = 0; j < parameter_count; ++j) {
+        gradient[b * parameter_count + j] += weight * row[j];
+      }
+    }
   }
 }
 
@@ -111,10 +128,15 @@ std::vector<std::vector<double>> Executor::jacobian(
   if (diff_method_ == DiffMethod::Adjoint) {
     return adjoint_jacobian(circuit_, params, observables_);
   }
+  const std::size_t parameter_count = circuit_.parameter_count();
+  std::vector<double> flat(observables_.size() * parameter_count);
+  parameter_shift_jacobian_batch(circuit_, params, params.size(), 1,
+                                 observables_, flat);
   std::vector<std::vector<double>> rows;
   rows.reserve(observables_.size());
-  for (const Observable& obs : observables_) {
-    rows.push_back(parameter_shift_gradient(circuit_, params, obs));
+  for (std::size_t k = 0; k < observables_.size(); ++k) {
+    rows.emplace_back(flat.begin() + k * parameter_count,
+                      flat.begin() + (k + 1) * parameter_count);
   }
   return rows;
 }

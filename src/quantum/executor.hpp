@@ -46,14 +46,17 @@ class Executor {
                  std::size_t param_stride,
                  std::span<double> expectations) const;
 
-  /// Batched VJP; upstream is [b * observable_count + k] and dL/dθ lands
-  /// in the caller's `gradient` as [b * parameter_count + p] (exactly
-  /// batch_rows * parameter_count entries). One batched adjoint sweep when
-  /// differentiating by adjoint with all-diagonal observables; otherwise
-  /// (parameter-shift, X/Y observables) per-row run_with_vjp. A non-null
-  /// `forward_state` is the batch run_batch left for exactly these params;
-  /// the batched sweep consumes it instead of re-simulating the forward
-  /// (adjoint_vjp_batch's contract). The per-row fallback ignores it.
+  /// Batched VJP; row b reads params[b*param_stride, …) (param_stride >=
+  /// parameter_count, params exactly batch_rows * param_stride entries),
+  /// upstream is [b * observable_count + k] and dL/dθ lands in the caller's
+  /// `gradient` as [b * parameter_count + p] (exactly
+  /// batch_rows * parameter_count entries); a bad size throws
+  /// std::invalid_argument. Adjoint runs one batched sweep; parameter-shift
+  /// evaluates every row's shifted circuits as the lanes of one batch
+  /// (parameter_shift_jacobian_batch). A non-null `forward_state` is the
+  /// batch run_batch left for exactly these params; the adjoint sweep
+  /// consumes it instead of re-simulating the forward (adjoint_vjp_batch's
+  /// contract). Parameter-shift ignores it.
   void run_with_vjp_batch(std::span<const double> params,
                           std::size_t param_stride, std::size_t batch_rows,
                           std::span<const double> upstream,

@@ -8,8 +8,9 @@
 //
 // These are the simulator's only gate kernels: a StateVector is the
 // one-row batch (statevector.hpp), whose layout at B = 1 is the plain
-// amplitude array, and a DensityMatrix is the batch of its 2^q columns
-// (density_matrix.hpp), whose layout is ρ's row-major array.
+// amplitude array, and R density matrices are the batch of their R·2^q
+// columns (density_matrix.hpp), whose layout at R = 1 is ρ's row-major
+// array.
 //
 // Two kernel flavors:
 //   * shared — one matrix for every row (ansatz weights, fixed gates):

@@ -200,19 +200,20 @@ TEST(Workspace, CompileSupportsDenseStacksAndRowStages) {
   EXPECT_TRUE(TrainWorkspace::supports(hybrid));
   EXPECT_NE(TrainWorkspace::compile(hybrid, 8, 64), nullptr);
 
-  // Noisy and finite-shot quantum layers have no row stage.
+  // So do noisy and finite-shot hybrids: every QuantumLayer mode is a row
+  // stage.
   qnn::QuantumLayerConfig noisy = qconfig;
   noisy.noise = quantum::NoiseModel::depolarizing(0.01);
   Sequential noisy_hybrid = make_hybrid(4, noisy, 2, rng);
-  EXPECT_FALSE(TrainWorkspace::supports(noisy_hybrid));
-  EXPECT_EQ(TrainWorkspace::compile(noisy_hybrid, 8, 64), nullptr);
+  EXPECT_TRUE(TrainWorkspace::supports(noisy_hybrid));
+  EXPECT_NE(TrainWorkspace::compile(noisy_hybrid, 8, 64), nullptr);
   qnn::QuantumLayerConfig shots = qconfig;
   shots.shots = 100;
   Sequential shot_hybrid = make_hybrid(4, shots, 2, rng);
-  EXPECT_FALSE(TrainWorkspace::supports(shot_hybrid));
-  EXPECT_EQ(TrainWorkspace::compile(shot_hybrid, 8, 64), nullptr);
+  EXPECT_TRUE(TrainWorkspace::supports(shot_hybrid));
+  EXPECT_NE(TrainWorkspace::compile(shot_hybrid, 8, 64), nullptr);
 
-  // Neither does the amplitude-encoded layer.
+  // The amplitude-encoded layer has no row stage.
   Sequential amplitude = make_amplitude_model(rng);
   EXPECT_FALSE(TrainWorkspace::supports(amplitude));
   EXPECT_EQ(TrainWorkspace::compile(amplitude, 8, 64), nullptr);
@@ -239,7 +240,8 @@ TEST(Workspace, HybridRouting) {
   qconfig.qubits = 2;
   qconfig.depth = 1;
 
-  // A paper hybrid trains on the workspace.
+  // A paper hybrid trains on the workspace, and so do noisy and
+  // finite-shot hybrids.
   for (const qnn::AnsatzKind ansatz : {qnn::AnsatzKind::BasicEntangler,
                                        qnn::AnsatzKind::StronglyEntangling}) {
     qnn::HybridConfig config;
@@ -254,7 +256,6 @@ TEST(Workspace, HybridRouting) {
     EXPECT_EQ(qhdl::testing::global_count("fastpath.module_runs"), 0u);
   }
 
-  // Noisy, finite-shot and amplitude-encoded models keep the Module path.
   qnn::QuantumLayerConfig noisy = qconfig;
   noisy.noise = quantum::NoiseModel::depolarizing(0.01);
   qnn::QuantumLayerConfig shots = qconfig;
@@ -262,9 +263,11 @@ TEST(Workspace, HybridRouting) {
   for (const qnn::QuantumLayerConfig& layer : {noisy, shots}) {
     Sequential hybrid = make_hybrid(2, layer, 2, rng);
     train_one_epoch(hybrid, 2);
-    EXPECT_EQ(qhdl::testing::global_count("fastpath.module_runs"), 1u);
-    EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 0u);
+    EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 1u);
+    EXPECT_EQ(qhdl::testing::global_count("fastpath.module_runs"), 0u);
   }
+
+  // Only the amplitude-encoded model keeps the Module path.
   Sequential amplitude = make_amplitude_model(rng);
   train_one_epoch(amplitude, 4);
   EXPECT_EQ(qhdl::testing::global_count("fastpath.module_runs"), 1u);
@@ -372,6 +375,64 @@ TEST(Workspace, HybridMatchesModulePath) {
                   << "parameter " << p << " entry " << i;
             }
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(Workspace, NoisyAndShotHybridsMatchModulePath) {
+  // Noisy and finite-shot hybrids train on the workspace; the same models
+  // behind a testing::ModulePath adapter (the Module trainer) are the
+  // oracle, shot draws included.
+  constexpr std::size_t kFeatures = 3, kClasses = 2;
+  Tensor x_train, x_val;
+  std::vector<std::size_t> y_train, y_val;
+  make_dataset(13, kFeatures, kClasses, 47, x_train, y_train);
+  make_dataset(6, kFeatures, kClasses, 49, x_val, y_val);
+  TrainConfig config;
+  config.epochs = 2;
+  config.batch_size = 5;
+
+  qnn::QuantumLayerConfig noisy;
+  noisy.qubits = 2;
+  noisy.depth = 1;
+  noisy.noise = quantum::NoiseModel::depolarizing(0.02);
+  qnn::QuantumLayerConfig shots = noisy;
+  shots.noise = quantum::NoiseModel::noiseless();
+  shots.shots = 50;
+  for (qnn::QuantumLayerConfig qconfig : {noisy, shots}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      SCOPED_TRACE(std::string{qconfig.shots > 0 ? "shots" : "noisy"} +
+                   " threads=" + std::to_string(threads));
+      qconfig.threads = threads;
+      util::Rng init_a{31}, init_b{31};
+      Sequential fused = make_hybrid(kFeatures, qconfig, kClasses, init_a);
+      Sequential module = make_hybrid(kFeatures, qconfig, kClasses, init_b);
+      testing::ModulePath adapter{module};
+
+      util::Metrics::global().reset();
+      Adam optimizer_a{config.learning_rate};
+      util::Rng rng_a{991};
+      const TrainHistory workspace_history =
+          train_classifier(fused, optimizer_a, x_train, y_train, x_val,
+                           y_val, config, rng_a);
+      EXPECT_EQ(qhdl::testing::global_count("fastpath.workspace_runs"), 1u);
+      Adam optimizer_b{config.learning_rate};
+      util::Rng rng_b{991};
+      const TrainHistory module_history =
+          train_classifier(adapter, optimizer_b, x_train, y_train, x_val,
+                           y_val, config, rng_b);
+      EXPECT_EQ(qhdl::testing::global_count("fastpath.module_runs"), 1u);
+
+      expect_bit_identical(workspace_history, module_history);
+      const auto fused_params = fused.parameters();
+      const auto module_params = module.parameters();
+      ASSERT_EQ(fused_params.size(), module_params.size());
+      for (std::size_t p = 0; p < fused_params.size(); ++p) {
+        for (std::size_t i = 0; i < fused_params[p]->size(); ++i) {
+          EXPECT_EQ(fused_params[p]->value[i], module_params[p]->value[i])
+              << "parameter " << p << " entry " << i;
         }
       }
     }

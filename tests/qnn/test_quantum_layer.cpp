@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 #include <optional>
 #include <vector>
 
+#include "quantum/sampling.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 #include "test_helpers.hpp"
@@ -216,6 +218,34 @@ TEST(QuantumLayer, NoisyGradientsMatchFiniteDifferences) {
   EXPECT_LT(testing::module_parameter_gradient_error(layer, x, rng), 1e-6);
 }
 
+TEST(QuantumLayer, NoisyBatchBitIdenticalAcrossThreadCounts) {
+  // The noisy layer chunks its rows over the pool like the exact one:
+  // outputs, input gradients and weight gradients do not depend on it.
+  QuantumLayerConfig config = small_config(AnsatzKind::StronglyEntangling,
+                                           2, 2);
+  config.noise = quantum::NoiseModel::depolarizing(0.05);
+  util::Rng data_rng{45};
+  const Tensor x = tensor::uniform(Shape{7, 2}, -1.0, 1.0, data_rng);
+  const Tensor g = tensor::uniform(Shape{7, 2}, -1.0, 1.0, data_rng);
+  util::Rng rng_a{44}, rng_b{44};
+  QuantumLayer sequential{config, rng_a};
+  config.threads = 3;
+  QuantumLayer threaded{config, rng_b};
+  const Tensor out_seq = sequential.forward(x);
+  const Tensor out_thr = threaded.forward(x);
+  const Tensor grad_seq = sequential.backward(g);
+  const Tensor grad_thr = threaded.backward(g);
+  for (std::size_t i = 0; i < out_seq.size(); ++i) {
+    EXPECT_EQ(out_seq[i], out_thr[i]) << i;
+    EXPECT_EQ(grad_seq[i], grad_thr[i]) << i;
+  }
+  const Tensor& w_seq = sequential.parameters()[0]->grad;
+  const Tensor& w_thr = threaded.parameters()[0]->grad;
+  for (std::size_t i = 0; i < w_seq.size(); ++i) {
+    EXPECT_EQ(w_seq[i], w_thr[i]) << i;
+  }
+}
+
 TEST(QuantumLayer, ZeroNoiseDensityPathMatchesStatevector) {
   util::Rng rng_a{47}, rng_b{47};
   QuantumLayerConfig config = small_config(AnsatzKind::BasicEntangler, 3, 2);
@@ -295,6 +325,52 @@ TEST(QuantumLayer, ShotBasedForwardApproximatesExact) {
   // Shot noise means repeated forwards differ.
   const Tensor s2 = sampled.forward(x);
   EXPECT_GT(tensor::max_abs_difference(s, s2), 0.0);
+}
+
+TEST(QuantumLayer, ShotDrawsMatchPerRowSamplingBitwise) {
+  // Each row's estimate is the row's exact state sampled from the layer's
+  // one sampling RNG, rows in order, whatever the thread count.
+  constexpr std::uint64_t kSeed = 73;
+  QuantumLayerConfig config;
+  config.qubits = 3;
+  config.depth = 2;
+  config.ansatz = AnsatzKind::StronglyEntangling;
+  config.shots = 64;
+  util::Rng data_rng{74};
+  const Tensor x = tensor::uniform(tensor::Shape{5, 3}, -1.0, 1.0, data_rng);
+  const std::vector<std::size_t> wires{0, 1, 2};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    config.threads = threads;
+    util::Rng layer_rng{kSeed};
+    QuantumLayer layer{config, layer_rng};
+    const Tensor out = layer.forward(x);
+
+    // The constructor draws the weights, then splits the sampling RNG.
+    util::Rng twin_rng{kSeed};
+    const Tensor weights =
+        tensor::uniform(tensor::Shape{layer.weight_count()}, 0.0,
+                        2.0 * std::numbers::pi, twin_rng);
+    util::Rng sample_rng = twin_rng.split();
+    ASSERT_EQ(weights.data().size(), layer.parameters()[0]->value.size());
+    for (std::size_t b = 0; b < x.rows(); ++b) {
+      std::vector<double> params;
+      for (std::size_t w = 0; w < 3; ++w) {
+        params.push_back(config.encoding.scale * x.at(b, w));
+      }
+      for (std::size_t i = 0; i < weights.size(); ++i) {
+        EXPECT_EQ(weights[i], layer.parameters()[0]->value[i]);
+        params.push_back(weights[i]);
+      }
+      const quantum::StateVector psi =
+          layer.executor().circuit().execute(params);
+      const std::vector<double> expected = quantum::estimate_expvals_z(
+          psi, wires, config.shots, sample_rng);
+      for (std::size_t w = 0; w < 3; ++w) {
+        EXPECT_EQ(out.at(b, w), expected[w])
+            << "threads " << threads << " row " << b << " wire " << w;
+      }
+    }
+  }
 }
 
 TEST(QuantumLayer, ShotsWithNoiseRejected) {

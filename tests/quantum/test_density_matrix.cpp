@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "quantum/channels.hpp"
+#include "quantum/executor.hpp"
 #include "test_helpers.hpp"
 #include "util/backend_registry.hpp"
 #include "util/rng.hpp"
@@ -386,6 +387,72 @@ TEST(NoisyExecution, TraceStaysOneThroughDeepNoisyCircuit) {
   EXPECT_NEAR(rho.trace().real(), 1.0, 1e-9);
   EXPECT_LE(rho.purity(), 1.0 + 1e-9);
   EXPECT_LT(rho.hermiticity_error(), 1e-10);
+}
+
+TEST(NoisyExecution, BatchedRowsMatchEachRowAlone) {
+  // Rows share some angles and differ in others (shared and per-lane
+  // kernels, ρ_r side by side in one batch): every row of the batched noisy
+  // forward, noisy VJP and pure shift-rule VJP is bitwise the row run alone.
+  Circuit circuit{3};
+  std::vector<double> proto;
+  util::Rng rng{37};
+  for (const GateType type : kEveryGate) {
+    const std::size_t a = rng.index(3);
+    const std::size_t b = (a + 1 + rng.index(2)) % 3;
+    const std::size_t wire1 = gate_arity(type) == 2 ? b : SIZE_MAX;
+    if (gate_is_parameterized(type)) {
+      circuit.parameterized_gate(type, proto.size(), a, wire1);
+      proto.push_back(rng.uniform(-3.0, 3.0));
+    } else {
+      circuit.gate(type, a, wire1);
+    }
+  }
+  constexpr std::size_t kRows = 4;
+  const std::size_t stride = proto.size() + 1;  // one unused slot per row
+  std::vector<double> params(kRows * stride);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t p = 0; p < stride; ++p) {
+      params[r * stride + p] = p < proto.size() && rng.uniform() < 0.5
+                                   ? proto[p]
+                                   : rng.uniform(-3.0, 3.0);
+    }
+  }
+  const std::vector<std::size_t> wires{2, 0};
+  const std::vector<double> upstream =
+      rng.uniform_vector(kRows * wires.size(), -1.0, 1.0);
+  const std::size_t parameter_count = circuit.parameter_count();
+  const NoiseModel noise = NoiseModel::amplitude_damping(0.05);
+
+  std::vector<double> expvals(kRows * wires.size());
+  noisy_expvals_batch(circuit, params, stride, kRows, noise, wires, expvals);
+  std::vector<double> noisy_gradient(kRows * parameter_count);
+  noisy_parameter_shift_vjp_batch(circuit, params, stride, kRows, noise,
+                                  wires, upstream, noisy_gradient);
+  const Executor shift{circuit,
+                       {Observable::pauli_z(2), Observable::pauli_z(0)},
+                       DiffMethod::ParameterShift};
+  std::vector<double> shift_gradient(kRows * parameter_count);
+  shift.run_with_vjp_batch(params, stride, kRows, upstream, shift_gradient);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const std::span<const double> row{params.data() + r * stride, stride};
+    const std::span<const double> row_upstream{
+        upstream.data() + r * wires.size(), wires.size()};
+    const NoisyVjpResult alone =
+        noisy_parameter_shift_vjp(circuit, row, noise, wires, row_upstream);
+    const AdjointVjpResult shift_alone =
+        shift.run_with_vjp(row.first(parameter_count), row_upstream);
+    for (std::size_t k = 0; k < wires.size(); ++k) {
+      EXPECT_EQ(expvals[r * wires.size() + k], alone.expectations[k])
+          << "row " << r << " wire " << wires[k];
+    }
+    for (std::size_t p = 0; p < parameter_count; ++p) {
+      EXPECT_EQ(noisy_gradient[r * parameter_count + p], alone.gradient[p])
+          << "row " << r << " param " << p;
+      EXPECT_EQ(shift_gradient[r * parameter_count + p],
+                shift_alone.gradient[p])
+          << "row " << r << " param " << p;
+    }
+  }
 }
 
 TEST(NoisyExecution, ExpvalsAndVjpBitIdenticalAcrossBackends) {

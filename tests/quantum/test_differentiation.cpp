@@ -82,9 +82,22 @@ TEST(ParameterShift, ShiftHelperBounds) {
   Circuit c{1};
   c.parameterized_gate(GateType::RX, 0, 0);
   const std::vector<double> params{0.5};
-  EXPECT_THROW(expectation_with_op_shift(c, params, Observable::pauli_z(0),
-                                         5, 0.1),
+  const auto ignore = [](const Op&, std::span<const double>) {};
+  // A lane whose row lies past the parameter rows.
+  const ShiftLane past{1, 0, 0.1};
+  EXPECT_THROW(for_each_lane_op(c, params, 1, {&past, 1}, ignore),
                std::out_of_range);
+  // A shift rule fed the wrong number of shifted values.
+  EXPECT_THROW(shift_rule_derivative(GateType::RX, params),
+               std::invalid_argument);
+  EXPECT_THROW(shift_rule_shifts(GateType::CNOT), std::logic_error);
+  // A gradient buffer that is not rows * width * parameters.
+  std::vector<double> gradient(2);
+  EXPECT_THROW(shift_rule_rows(c, 1, 1,
+                               [](std::span<const ShiftLane>,
+                                  std::span<double>) {},
+                               gradient),
+               std::invalid_argument);
 }
 
 /// Property sweep: all three gradient methods agree on random circuits

@@ -57,6 +57,72 @@ TEST(Executor, VjpUpstreamSizeValidated) {
                std::invalid_argument);
 }
 
+TEST(Executor, RunWithVjpBatchValidatesInputs) {
+  // Every differentiation path checks the stride and the params size before
+  // it reads a row: adjoint with Z heads, parameter-shift, and adjoint with
+  // a non-diagonal observable.
+  Circuit circuit{2};
+  circuit.parameterized_gate(GateType::RY, 0, 0);
+  circuit.gate(GateType::CNOT, 0, 1);
+  circuit.parameterized_gate(GateType::RX, 1, 1);
+  PauliWord x0;
+  x0.factors = {Pauli::X};
+  x0.wires = {0};
+  const Executor executors[] = {
+      make_executor(DiffMethod::Adjoint),
+      make_executor(DiffMethod::ParameterShift),
+      Executor{circuit, {Observable{x0}, Observable::pauli_z(1)}}};
+  constexpr std::size_t kRows = 2;
+  const std::vector<double> upstream(kRows * 2, 0.5);
+  std::vector<double> gradient(kRows * 2);
+  for (const Executor& executor : executors) {
+    // Stride below the circuit's two parameters.
+    EXPECT_THROW(executor.run_with_vjp_batch(std::vector<double>(kRows, 0.1),
+                                             1, kRows, upstream, gradient),
+                 std::invalid_argument);
+    // One row's worth of params short, and one value long.
+    EXPECT_THROW(executor.run_with_vjp_batch(std::vector<double>(2, 0.1), 2,
+                                             kRows, upstream, gradient),
+                 std::invalid_argument);
+    EXPECT_THROW(executor.run_with_vjp_batch(std::vector<double>(5, 0.1), 2,
+                                             kRows, upstream, gradient),
+                 std::invalid_argument);
+    // Well-formed input runs.
+    EXPECT_NO_THROW(executor.run_with_vjp_batch(
+        std::vector<double>(kRows * 2, 0.1), 2, kRows, upstream, gradient));
+  }
+}
+
+TEST(Executor, NonDiagonalAdjointBatchMatchesEachRow) {
+  // X/Y observables: one batched forward and sweep, each row bitwise the
+  // row's own run_with_vjp.
+  Circuit circuit{2};
+  circuit.parameterized_gate(GateType::RY, 0, 0);
+  circuit.gate(GateType::CNOT, 0, 1);
+  circuit.parameterized_gate(GateType::RX, 1, 1);
+  circuit.parameterized_gate(GateType::CRZ, 2, 1, 0);
+  PauliWord xy;
+  xy.factors = {Pauli::X, Pauli::Y};
+  xy.wires = {0, 1};
+  Observable mixed{xy};
+  mixed.add_term(0.5, PauliWord::z(1));
+  const Executor executor{circuit, {mixed, Observable::pauli_z(0)}};
+  const std::vector<double> params{0.3, -1.2, 0.8, 0.3, 2.1, -0.4,
+                                   1.7, -1.2, 0.9};
+  const std::vector<double> upstream{0.6, -0.3, 0.0, 1.1, -0.8, 0.2};
+  std::vector<double> gradient(9);
+  executor.run_with_vjp_batch(params, 3, 3, upstream, gradient);
+  for (std::size_t b = 0; b < 3; ++b) {
+    const AdjointVjpResult row = executor.run_with_vjp(
+        std::span<const double>{params}.subspan(b * 3, 3),
+        std::span<const double>{upstream}.subspan(b * 2, 2));
+    for (std::size_t p = 0; p < 3; ++p) {
+      EXPECT_EQ(gradient[b * 3 + p], row.gradient[p])
+          << "row " << b << " param " << p;
+    }
+  }
+}
+
 TEST(Executor, JacobianMethodsAgree) {
   const Executor adjoint = make_executor(DiffMethod::Adjoint);
   const Executor shift = make_executor(DiffMethod::ParameterShift);
