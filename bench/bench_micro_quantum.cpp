@@ -409,6 +409,47 @@ void run_layer_batch_forward_backend(benchmark::State& state,
                           static_cast<std::int64_t>(batch));
 }
 
+/// One training step of the study's hybrid layer: forward + backward of a
+/// q = 3 layer on a batch of 8 rows (the backward reuses the forward state).
+void run_layer_step(benchmark::State& state, qnn::AnsatzKind kind,
+                    std::size_t depth) {
+  qnn::QuantumLayerConfig config;
+  config.qubits = 3;
+  config.depth = depth;
+  config.ansatz = kind;
+  config.threads = 1;
+  util::Rng rng{11};
+  qnn::QuantumLayer layer{config, rng};
+  const std::size_t batch = 8;
+  tensor::Tensor input{tensor::Shape{batch, config.qubits}};
+  tensor::Tensor upstream{tensor::Shape{batch, config.qubits}};
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input[i] = rng.uniform(-1.0, 1.0);
+    upstream[i] = rng.uniform(-1.0, 1.0);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.forward(input));
+    benchmark::DoNotOptimize(layer.backward(upstream));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch));
+}
+
+void register_layer_steps() {
+  for (const qnn::AnsatzKind kind :
+       {qnn::AnsatzKind::BasicEntangler, qnn::AnsatzKind::StronglyEntangling}) {
+    for (std::size_t depth = 1; depth <= 3; ++depth) {
+      benchmark::RegisterBenchmark(
+          ("BM_QuantumLayerStep/" + qnn::ansatz_name(kind) + "/d" +
+           std::to_string(depth))
+              .c_str(),
+          [kind, depth](benchmark::State& state) {
+            run_layer_step(state, kind, depth);
+          });
+    }
+  }
+}
+
 void register_backend_variants() {
   for (const util::simd::Backend* backend : util::simd::backends()) {
     if (!backend->supported()) continue;
@@ -468,6 +509,7 @@ void register_backend_variants() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  register_layer_steps();
   register_backend_variants();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -140,14 +140,16 @@ void QuantumLayer::forward_rows(const double* input, std::size_t rows,
   if (config_.shots == 0) return;
 
   // Shots: sample each row's exact state, rows in order, from the one
-  // sampling RNG, so the draws do not depend on the thread count.
+  // sampling RNG, so the draws do not depend on the thread count. Each row
+  // is sampled where it lies in its chunk's batch, through the layer's CDF
+  // scratch.
   std::size_t row = 0;
   for (const std::optional<quantum::StateVectorBatch>& state :
        forward_states_) {
     for (std::size_t i = 0; i < state->batch(); ++i, ++row) {
-      const std::vector<double> estimates = quantum::estimate_expvals_z(
-          state->extract_row(i), wires_, config_.shots, sample_rng_);
-      std::copy(estimates.begin(), estimates.end(), out + row * q);
+      quantum::estimate_expvals_z_row(*state, i, wires_, config_.shots,
+                                      sample_rng_, shot_cdf_,
+                                      std::span<double>{out + row * q, q});
     }
   }
 }

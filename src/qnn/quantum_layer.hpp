@@ -37,8 +37,9 @@
 //   * the states are spent by any backward (consumed or stale), and every
 //     forward rebuilds them, so a second backward, or one after the weights
 //     changed, recomputes. Either way the gradients are bit-identical.
-// Every buffer (states, packed rows, VJP gradient) is resized in place, so
-// after the largest batch has been seen the exact path allocates nothing
+// Every buffer (states, packed rows, VJP gradient, the shot sampler's CDF)
+// is resized in place, so after the largest batch has been seen the exact
+// and finite-shot paths allocate nothing
 // (on one thread; more go through the shared pool's task queue).
 #pragma once
 
@@ -139,6 +140,7 @@ class QuantumLayer : public nn::Module, public nn::RowStage {
   std::vector<double> vjp_gradient_;
   const util::simd::Backend* forward_backend_ = nullptr;
   bool forward_states_valid_ = false;
+  std::vector<double> shot_cdf_;  ///< finite-shot sampling scratch
 };
 
 /// Builds the executor (circuit + Z observables) for a config; exposed so

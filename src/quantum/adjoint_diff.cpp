@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "quantum/exec_plan.hpp"
+#include "quantum/kernels.hpp"
 #include "quantum/statevector_batch.hpp"
 
 namespace qhdl::quantum {
@@ -35,13 +36,20 @@ StateVectorBatch& scratch_batch(std::optional<StateVectorBatch>& slot,
 /// gradient[b * parameter_count + slot], and λ is left one gate short of
 /// the full pull-back (callers with a φ discard it); a null `phi` only
 /// pulls λ back, all the way through U†.
+///
+/// Each op's matrices are built once (BatchGate): U_k† serves both φ and
+/// λ, and a rotation's U_k† and dU_k/dθ share one cos/sin evaluation per
+/// angle.
 void reverse_sweep_batch(const Circuit& circuit,
                          std::span<const double> params,
                          std::size_t param_stride, StateVectorBatch& lambda,
                          StateVectorBatch* phi, std::span<double> gradient) {
+  const kernels::TallyScope tally;  // kernel.* bumps land when it ends
   thread_local std::optional<StateVectorBatch> mu_slot;
   thread_local std::vector<double> angles;
   thread_local std::vector<double> row_inner;
+  thread_local BatchGate inverse;
+  thread_local BatchGate derivative;
   const std::size_t rows = lambda.batch();
   const std::size_t parameter_count = circuit.parameter_count();
   angles.resize(rows);
@@ -68,16 +76,21 @@ void reverse_sweep_batch(const Circuit& circuit,
   for (std::size_t idx = ops.size(); idx-- > 0;) {
     const PlanOp& op = ops[idx];
     const std::span<const double> op_angles = gather_angles(op);
+    const bool differentiate = phi != nullptr && op.param_slot >= 0;
+    if (differentiate) {
+      BatchGate::build_adjoint(op.type, op_angles, inverse, derivative);
+    } else {
+      inverse.build(op.type, GateForm::Inverse, op_angles);
+    }
     if (phi != nullptr) {
       // Peel the gate off the forward state: φ ← U_k† φ.
-      apply_gate_inverse_batch(*phi, op.type, op_angles, op.wire0, op.wire1);
-      if (op.param_slot >= 0) {
+      inverse.apply(*phi, op.wire0, op.wire1);
+      if (differentiate) {
         // μ = (dU_k/dθ) φ_{k-1}; contribution = 2 Re⟨λ|μ⟩.
         StateVectorBatch& mu =
             scratch_batch(mu_slot, lambda.num_qubits(), rows);
         mu.assign_from(*phi);
-        apply_gate_derivative_batch(mu, op.type, op_angles, op.wire0,
-                                    op.wire1);
+        derivative.apply(mu, op.wire0, op.wire1);
         lambda.inner_products_real(mu, row_inner);
         const std::size_t slot = static_cast<std::size_t>(op.param_slot);
         for (std::size_t b = 0; b < rows; ++b) {
@@ -88,7 +101,7 @@ void reverse_sweep_batch(const Circuit& circuit,
     // Pull the co-state back: λ ← U_k† λ. With a φ the last pull-back is
     // dead (those callers read only the gradient), so λ stops at U_0.
     if (phi != nullptr && idx == 0) break;
-    apply_gate_inverse_batch(lambda, op.type, op_angles, op.wire0, op.wire1);
+    inverse.apply(lambda, op.wire0, op.wire1);
   }
 }
 

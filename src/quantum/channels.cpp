@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "quantum/kernels.hpp"
 #include "quantum/parameter_shift.hpp"
 
 namespace qhdl::quantum {
@@ -116,6 +117,7 @@ void evolve(DensityMatrixBatch& rho, const Circuit& circuit,
   if (stride < circuit.parameter_count()) {
     throw std::invalid_argument("run_noisy: insufficient parameters");
   }
+  const kernels::TallyScope tally;  // kernel.* bumps land when it ends
   for_each_lane_op(circuit, params, stride, lanes,
                    [&](const Op& op, std::span<const double> angles) {
                      rho.apply_gate(op.type, angles, op.wire0, op.wire1);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 namespace qhdl::quantum {
@@ -92,11 +93,14 @@ void DensityMatrixBatch::check_wire(std::size_t wire,
   }
 }
 
-void DensityMatrixBatch::conjugate_transpose() {
-  // ρ_r[i][j] sits at i * lanes + r * dim + j.
-  const std::size_t dim = dimension();
-  const std::size_t lanes = columns_.batch();
-  const std::span<Complex> e = elements();
+namespace {
+
+/// ρ_r ← ρ_r† in place for every ρ_r of a batch of columns (ρ_r[i][j] sits
+/// at i * lanes + r * dim + j).
+void conjugate_transpose(StateVectorBatch& columns) {
+  const std::size_t dim = columns.dimension();
+  const std::size_t lanes = columns.batch();
+  const std::span<Complex> e = columns.amplitudes();
   for (std::size_t base = 0; base < lanes; base += dim) {
     for (std::size_t i = 0; i < dim; ++i) {
       Complex* row_i = e.data() + i * lanes + base;
@@ -111,39 +115,39 @@ void DensityMatrixBatch::conjugate_transpose() {
   }
 }
 
+/// ρ_r ← U ρ_r U† for the density matrices held in `columns`, where `apply`
+/// multiplies every column by U.
 template <typename ApplyToColumns>
-void DensityMatrixBatch::sandwich(const ApplyToColumns& apply) {
-  apply(columns_);        // U ρ
-  conjugate_transpose();  // ρ† U†
-  apply(columns_);        // U ρ† U†
-  conjugate_transpose();  // U ρ U†
+void sandwich(StateVectorBatch& columns, const ApplyToColumns& apply) {
+  apply(columns);                // U ρ
+  conjugate_transpose(columns);  // ρ† U†
+  apply(columns);                // U ρ† U†
+  conjugate_transpose(columns);  // U ρ U†
 }
+
+}  // namespace
 
 void DensityMatrixBatch::apply_gate(GateType type,
                                     std::span<const double> angles,
                                     std::size_t wire0, std::size_t wire1) {
-  if (angles.size() != 1) {
-    if (angles.size() != rows()) {
-      throw std::invalid_argument(
-          "DensityMatrixBatch::apply_gate: " + std::to_string(angles.size()) +
-          " angles for " + std::to_string(rows()) + " density matrices");
-    }
-    // Every column of ρ_r turns by ρ_r's angle.
-    const std::size_t dim = dimension();
-    lane_angles_.resize(columns_.batch());
-    for (std::size_t lane = 0; lane < lane_angles_.size(); ++lane) {
-      lane_angles_[lane] = angles[lane / dim];
-    }
-    angles = lane_angles_;
+  if (angles.size() != 1 && angles.size() != rows()) {
+    throw std::invalid_argument(
+        "DensityMatrixBatch::apply_gate: " + std::to_string(angles.size()) +
+        " angles for " + std::to_string(rows()) + " density matrices");
   }
-  sandwich([&](StateVectorBatch& columns) {
-    apply_gate_batch(columns, type, angles, wire0, wire1);
+  // Built once for both halves of the sandwich; with per-row angles ρ_r's
+  // matrix is evaluated once and turns every one of its columns.
+  thread_local BatchGate gate;
+  gate.build(type, GateForm::Gate, angles,
+             angles.size() == 1 ? 1 : dimension());
+  sandwich(columns_, [&](StateVectorBatch& columns) {
+    gate.apply(columns, wire0, wire1);
   });
 }
 
 void DensityMatrixBatch::apply_single_qubit(const Mat2& gate,
                                             std::size_t wire) {
-  sandwich([&](StateVectorBatch& columns) {
+  sandwich(columns_, [&](StateVectorBatch& columns) {
     columns.apply_single_qubit(gate, wire);
   });
 }
@@ -154,18 +158,35 @@ void DensityMatrixBatch::apply_channel(const KrausChannel& channel,
   if (channel.operators.empty()) {
     throw std::invalid_argument("DensityMatrix::apply_channel: empty channel");
   }
-  // Accumulate Σ K ρ K†, each branch evolved from a copy of ρ.
-  std::vector<Complex> accumulated(elements().size(), Complex{0, 0});
-  const StateVectorBatch original = columns_;
-  for (const Mat2& k : channel.operators) {
-    columns_.assign_from(original);
-    apply_single_qubit(k, wire);
-    const std::span<const Complex> branch = elements();
-    for (std::size_t i = 0; i < branch.size(); ++i) {
-      accumulated[i] += branch[i];
+  // Σ_k K_k ρ K_k†, summed from zero in k order: every branch but the last
+  // evolves a copy of ρ in thread-local scratch, and the last evolves ρ in
+  // place, so a channel copies ρ K - 1 times and allocates nothing once the
+  // scratch has seen this shape.
+  thread_local std::optional<StateVectorBatch> branch_slot;
+  thread_local std::vector<Complex> accumulated;
+  if (!branch_slot || branch_slot->num_qubits() != num_qubits()) {
+    branch_slot.emplace(num_qubits(), columns_.batch());
+  } else if (branch_slot->batch() != columns_.batch()) {
+    branch_slot->resize(columns_.batch());
+  }
+  StateVectorBatch& branch = *branch_slot;
+  const std::span<Complex> rho = elements();
+  accumulated.assign(rho.size(), Complex{0, 0});
+  const std::size_t last = channel.operators.size() - 1;
+  for (std::size_t k = 0; k < last; ++k) {
+    branch.assign_from(columns_);
+    sandwich(branch, [&](StateVectorBatch& columns) {
+      columns.apply_single_qubit(channel.operators[k], wire);
+    });
+    const std::span<const Complex> evolved = branch.amplitudes();
+    for (std::size_t i = 0; i < evolved.size(); ++i) {
+      accumulated[i] += evolved[i];
     }
   }
-  std::copy(accumulated.begin(), accumulated.end(), elements().begin());
+  apply_single_qubit(channel.operators[last], wire);
+  for (std::size_t i = 0; i < rho.size(); ++i) {
+    rho[i] = accumulated[i] + rho[i];
+  }
 }
 
 void DensityMatrixBatch::expval_pauli_z(std::size_t wire,

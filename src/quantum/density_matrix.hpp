@@ -15,9 +15,10 @@
 // U ρ U† = (U (U ρ)†)†: apply U, conjugate-transpose each ρ_r in place,
 // apply U again, conjugate-transpose back. Mixed states therefore run on
 // the pure states' one gate dispatch (apply_gate_batch) and registry
-// kernels, two kernel calls per gate for all R matrices (DESIGN.md §8); a
-// gate whose angle differs between the ρ_r repeats ρ_r's angle across its
-// 2^q lanes.
+// kernels, two kernel calls per gate for all R matrices (DESIGN.md §8). A
+// gate's matrices are built once for both calls (BatchGate); when its angle
+// differs between the ρ_r, ρ_r's matrix is evaluated once and repeated
+// across its 2^q lanes.
 #pragma once
 
 #include <span>
@@ -68,14 +69,7 @@ class DensityMatrixBatch {
   void check_wire(std::size_t wire, const char* context) const;
 
  private:
-  /// ρ_r ← ρ_r† in place, for every r.
-  void conjugate_transpose();
-  /// ρ_r ← U ρ_r U†, where `apply` multiplies every column by U.
-  template <typename ApplyToColumns>
-  void sandwich(const ApplyToColumns& apply);
-
   StateVectorBatch columns_;  ///< lane r·2^q + col holds column col of ρ_r
-  std::vector<double> lane_angles_;  ///< per-row angles repeated per column
 };
 
 /// One dense 2^q x 2^q density matrix: the R = 1 DensityMatrixBatch.

@@ -10,38 +10,6 @@
 
 namespace qhdl::quantum {
 
-KernelClass kernel_class_for(GateType type) {
-  // The one gate -> kernel table: gates.cpp dispatches single-qubit gates
-  // by it and flops::classify_circuit / classify_plan count by it.
-  switch (type) {
-    case GateType::PauliZ:
-    case GateType::S:
-    case GateType::T:
-    case GateType::RZ:
-    case GateType::PhaseShift:
-    case GateType::CZ:
-      return KernelClass::Diagonal;
-    case GateType::PauliX:
-    case GateType::CNOT:
-    case GateType::SWAP:
-      return KernelClass::Permutation;
-    case GateType::CRX:
-    case GateType::CRY:
-    case GateType::CRZ:
-      return KernelClass::Controlled;
-    case GateType::RXX:
-    case GateType::RYY:
-    case GateType::RZZ:
-      return KernelClass::DoubleFlip;
-    case GateType::RX:
-    case GateType::RY:
-    case GateType::PauliY:
-    case GateType::Hadamard:
-      return KernelClass::Generic;
-  }
-  return KernelClass::Generic;
-}
-
 namespace {
 
 /// True for gates whose square is the exact identity permutation/sign flip
@@ -289,6 +257,7 @@ void ExecutionPlan::run_batch(StateVectorBatch& batch,
   // product per row, all rows at once as an SoA matrix batch, in the same
   // left-multiplication order as the shared product, so every row is
   // bit-identical to running it alone (DESIGN.md §14).
+  const kernels::TallyScope tally;  // kernel.* bumps land when the run ends
   const std::size_t rows = batch.batch();
   thread_local std::vector<double> angles;
   thread_local std::vector<Mat2> factors;  // shared chain factors

@@ -45,21 +45,6 @@ namespace qhdl::quantum {
 class Circuit;
 class StateVectorBatch;
 
-/// Kernel class an op dispatches to with one shared angle: gates.cpp picks
-/// single-qubit kernels by it, and flops::DispatchCounts counts by it. A
-/// single-qubit gate whose angle differs per row takes the per-row dense
-/// 2x2, which the kernel.* counters file as generic.
-enum class KernelClass : std::uint8_t {
-  Diagonal,     ///< RZ / PhaseShift / S / T / Z / CZ
-  Permutation,  ///< X / CNOT / SWAP
-  Controlled,   ///< CRX / CRY / CRZ
-  DoubleFlip,   ///< RXX / RYY / RZZ
-  Generic,      ///< dense 2x2 matvec (RX, RY, PauliY, Hadamard)
-};
-
-/// Kernel class `type` routes to with one shared angle.
-KernelClass kernel_class_for(GateType type);
-
 /// One op of the flat (unfused) stream: the original op order minus
 /// peephole-cancelled pairs, with parameter lookup and kernel dispatch
 /// resolved at compile time. Executed by the adjoint reverse sweeps, whose

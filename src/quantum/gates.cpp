@@ -4,68 +4,9 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "quantum/exec_plan.hpp"
 #include "quantum/statevector_batch.hpp"
 
 namespace qhdl::quantum {
-
-std::size_t gate_arity(GateType type) {
-  switch (type) {
-    case GateType::PauliX:
-    case GateType::PauliY:
-    case GateType::PauliZ:
-    case GateType::Hadamard:
-    case GateType::S:
-    case GateType::T:
-    case GateType::RX:
-    case GateType::RY:
-    case GateType::RZ:
-    case GateType::PhaseShift:
-      return 1;
-    case GateType::CNOT:
-    case GateType::CZ:
-    case GateType::SWAP:
-    case GateType::CRX:
-    case GateType::CRY:
-    case GateType::CRZ:
-    case GateType::RXX:
-    case GateType::RYY:
-    case GateType::RZZ:
-      return 2;
-  }
-  throw std::logic_error("gate_arity: unknown gate");
-}
-
-bool gate_is_parameterized(GateType type) {
-  switch (type) {
-    case GateType::RX:
-    case GateType::RY:
-    case GateType::RZ:
-    case GateType::PhaseShift:
-    case GateType::CRX:
-    case GateType::CRY:
-    case GateType::CRZ:
-    case GateType::RXX:
-    case GateType::RYY:
-    case GateType::RZZ:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool gate_is_controlled(GateType type) {
-  switch (type) {
-    case GateType::CNOT:
-    case GateType::CZ:
-    case GateType::CRX:
-    case GateType::CRY:
-    case GateType::CRZ:
-      return true;
-    default:
-      return false;
-  }
-}
 
 std::string gate_name(GateType type) {
   switch (type) {
@@ -116,48 +57,99 @@ Mat2 t() {
   return {kOne, kZero, kZero, std::exp(kI * (std::numbers::pi / 4.0))};
 }
 
+namespace {
+
+/// cos and sin of the angle a rotation's entries are built from: θ for
+/// PhaseShift, θ/2 for RX/RY/RZ and their controlled forms.
+struct Trig {
+  double c;
+  double s;
+};
+
+Trig rotation_trig(GateType type, double theta) {
+  const double x = type == GateType::PhaseShift ? theta : theta / 2.0;
+  return {std::cos(x), std::sin(x)};
+}
+
+bool is_rotation(GateType type) {
+  return gate_is_parameterized(type) && type != GateType::RXX &&
+         type != GateType::RYY && type != GateType::RZZ;
+}
+
+/// The rotation (or its controlled form's target factor) with entries from
+/// `t`; {t.c, -t.s} gives the rotation at −θ.
+Mat2 rotation(GateType type, Trig t) {
+  switch (type) {
+    case GateType::RX:
+    case GateType::CRX:
+      return {Complex{t.c, 0}, Complex{0, -t.s}, Complex{0, -t.s},
+              Complex{t.c, 0}};
+    case GateType::RY:
+    case GateType::CRY:
+      return {Complex{t.c, 0}, Complex{-t.s, 0}, Complex{t.s, 0},
+              Complex{t.c, 0}};
+    case GateType::RZ:
+    case GateType::CRZ:
+      return {Complex{t.c, -t.s}, kZero, kZero, Complex{t.c, t.s}};
+    case GateType::PhaseShift:
+      return {kOne, kZero, kZero, Complex{t.c, t.s}};
+    default:
+      throw std::invalid_argument("rotation: not a rotation: " +
+                                  gate_name(type));
+  }
+}
+
+/// dU/dθ of the rotation whose entries come from `t` (at +θ).
+Mat2 rotation_derivative(GateType type, Trig t) {
+  const double c = 0.5 * t.c;
+  const double sn = 0.5 * t.s;
+  switch (type) {
+    case GateType::RX:
+    case GateType::CRX:
+      return {Complex{-sn, 0}, Complex{0, -c}, Complex{0, -c},
+              Complex{-sn, 0}};
+    case GateType::RY:
+    case GateType::CRY:
+      return {Complex{-sn, 0}, Complex{-c, 0}, Complex{c, 0},
+              Complex{-sn, 0}};
+    case GateType::RZ:
+    case GateType::CRZ:
+      return {Complex{-sn, -c}, kZero, kZero, Complex{-sn, c}};
+    case GateType::PhaseShift:
+      return {kZero, kZero, kZero, kI * Complex{t.c, t.s}};
+    default:
+      throw std::invalid_argument("derivative_for: gate is not parameterized: " +
+                                  gate_name(type));
+  }
+}
+
+}  // namespace
+
 Mat2 rx(double theta) {
-  const double c = std::cos(theta / 2.0);
-  const double sn = std::sin(theta / 2.0);
-  return {Complex{c, 0}, Complex{0, -sn}, Complex{0, -sn}, Complex{c, 0}};
+  return rotation(GateType::RX, rotation_trig(GateType::RX, theta));
 }
 
 Mat2 ry(double theta) {
-  const double c = std::cos(theta / 2.0);
-  const double sn = std::sin(theta / 2.0);
-  return {Complex{c, 0}, Complex{-sn, 0}, Complex{sn, 0}, Complex{c, 0}};
+  return rotation(GateType::RY, rotation_trig(GateType::RY, theta));
 }
 
 Mat2 rz(double theta) {
-  const double c = std::cos(theta / 2.0);
-  const double sn = std::sin(theta / 2.0);
-  return {Complex{c, -sn}, kZero, kZero, Complex{c, sn}};
+  return rotation(GateType::RZ, rotation_trig(GateType::RZ, theta));
 }
 
 Mat2 phase_shift(double theta) {
-  return {kOne, kZero, kZero, Complex{std::cos(theta), std::sin(theta)}};
+  return rotation(GateType::PhaseShift,
+                  rotation_trig(GateType::PhaseShift, theta));
 }
 
-Mat2 rx_derivative(double theta) {
-  const double c = 0.5 * std::cos(theta / 2.0);
-  const double sn = 0.5 * std::sin(theta / 2.0);
-  return {Complex{-sn, 0}, Complex{0, -c}, Complex{0, -c}, Complex{-sn, 0}};
-}
+Mat2 rx_derivative(double theta) { return derivative_for(GateType::RX, theta); }
 
-Mat2 ry_derivative(double theta) {
-  const double c = 0.5 * std::cos(theta / 2.0);
-  const double sn = 0.5 * std::sin(theta / 2.0);
-  return {Complex{-sn, 0}, Complex{-c, 0}, Complex{c, 0}, Complex{-sn, 0}};
-}
+Mat2 ry_derivative(double theta) { return derivative_for(GateType::RY, theta); }
 
-Mat2 rz_derivative(double theta) {
-  const double c = 0.5 * std::cos(theta / 2.0);
-  const double sn = 0.5 * std::sin(theta / 2.0);
-  return {Complex{-sn, -c}, kZero, kZero, Complex{-sn, c}};
-}
+Mat2 rz_derivative(double theta) { return derivative_for(GateType::RZ, theta); }
 
 Mat2 phase_shift_derivative(double theta) {
-  return {kZero, kZero, kZero, kI * phase_shift(theta).m11};
+  return derivative_for(GateType::PhaseShift, theta);
 }
 
 IsingPair ising_pair(GateType type, double theta) {
@@ -231,57 +223,26 @@ Mat2 matrix_for(GateType type, double theta) {
     case GateType::Hadamard: return hadamard();
     case GateType::S: return s();
     case GateType::T: return t();
-    case GateType::RX:
-    case GateType::CRX:
-      return rx(theta);
-    case GateType::RY:
-    case GateType::CRY:
-      return ry(theta);
-    case GateType::RZ:
-    case GateType::CRZ:
-      return rz(theta);
-    case GateType::PhaseShift: return phase_shift(theta);
     default:
-      throw std::invalid_argument("matrix_for: gate has no 2x2 target matrix: " +
-                                  gate_name(type));
+      if (!is_rotation(type)) {
+        throw std::invalid_argument(
+            "matrix_for: gate has no 2x2 target matrix: " + gate_name(type));
+      }
+      return rotation(type, rotation_trig(type, theta));
   }
 }
 
 Mat2 derivative_for(GateType type, double theta) {
-  switch (type) {
-    case GateType::RX:
-    case GateType::CRX:
-      return rx_derivative(theta);
-    case GateType::RY:
-    case GateType::CRY:
-      return ry_derivative(theta);
-    case GateType::RZ:
-    case GateType::CRZ:
-      return rz_derivative(theta);
-    case GateType::PhaseShift:
-      return phase_shift_derivative(theta);
-    default:
-      throw std::invalid_argument("derivative_for: gate is not parameterized: " +
-                                  gate_name(type));
+  if (!is_rotation(type)) {
+    throw std::invalid_argument("derivative_for: gate is not parameterized: " +
+                                gate_name(type));
   }
+  return rotation_derivative(type, rotation_trig(type, theta));
 }
 
 }  // namespace gates
 
 namespace {
-
-/// Per-call scratch for per-row batched dispatch. thread_local so the batch
-/// path allocates at most once per thread, not once per gate.
-struct BatchScratch {
-  std::vector<double> negated;
-  std::vector<Mat2> m_even, m_odd;
-  std::vector<Complex> soa;  // per-row 2x2s, SoA (store_lane)
-};
-
-BatchScratch& batch_scratch() {
-  thread_local BatchScratch scratch;
-  return scratch;
-}
 
 void require_second_wire(GateType type, std::size_t wire1) {
   if (wire1 == SIZE_MAX) {
@@ -300,46 +261,145 @@ void check_angles_span(const StateVectorBatch& batch, GateType type,
   }
 }
 
-/// Single-qubit dispatch (DESIGN.md §8) of `matrix(θ)` on `wire`: the gate,
-/// its inverse or its derivative. One shared angle takes the kernel
-/// kernel_class_for names — the phase multiply by a diagonal matrix's
-/// m00/m11, the PauliX swap, or the dense 2x2. Per-row angles take the
-/// per-row dense 2x2, one matrix per row written SoA.
-template <typename MatrixFn>
-void apply_single(StateVectorBatch& batch, GateType type,
-                  std::span<const double> angles, std::size_t wire,
-                  const MatrixFn& matrix) {
-  if (angles.size() == 1) {
-    switch (kernel_class_for(type)) {
+bool is_ising(GateType type) {
+  return type == GateType::RXX || type == GateType::RYY ||
+         type == GateType::RZZ;
+}
+
+}  // namespace
+
+void BatchGate::start(GateType type, GateForm form, std::size_t rows,
+                      std::size_t lane_repeat) {
+  if (rows == 0 || lane_repeat == 0) {
+    throw std::invalid_argument("BatchGate: needs at least one angle");
+  }
+  type_ = type;
+  form_ = form;
+  shared_ = rows == 1;
+  lane_repeat_ = lane_repeat;
+  lanes_ = rows * lane_repeat;
+  if (shared_) return;
+  if (gate_arity(type) == 1) {
+    lane_soa_.resize(4 * lanes_);
+  } else {
+    lane_matrix_.resize(lanes_);
+    if (is_ising(type)) lane_odd_.resize(lanes_);
+  }
+}
+
+void BatchGate::set(std::size_t row, const Mat2& matrix) {
+  if (shared_) {
+    matrix_ = matrix;
+    return;
+  }
+  const std::size_t end = (row + 1) * lane_repeat_;
+  for (std::size_t lane = row * lane_repeat_; lane < end; ++lane) {
+    if (gate_arity(type_) == 1) {
+      store_lane(matrix, lane_soa_.data(), lanes_, lane);
+    } else {
+      lane_matrix_[lane] = matrix;
+    }
+  }
+}
+
+void BatchGate::set(std::size_t row, const gates::IsingPair& pair) {
+  if (shared_) {
+    matrix_ = pair.even;
+    odd_ = pair.odd;
+    return;
+  }
+  const std::size_t end = (row + 1) * lane_repeat_;
+  for (std::size_t lane = row * lane_repeat_; lane < end; ++lane) {
+    lane_matrix_[lane] = pair.even;
+    lane_odd_[lane] = pair.odd;
+  }
+}
+
+void BatchGate::build(GateType type, GateForm form,
+                      std::span<const double> angles,
+                      std::size_t lane_repeat) {
+  if (!gate_is_parameterized(type)) {
+    if (form == GateForm::Derivative) {
+      throw std::invalid_argument("apply_gate_derivative_batch: " +
+                                  gate_name(type) + " has no parameter");
+    }
+    // Fixed gates cannot vary per row; their angle is ignored anyway.
+    start(type, form, 1, 1);
+    // A fixed single-qubit gate inverts as its conjugate transpose; CNOT,
+    // CZ and SWAP are their own inverses and carry no matrix.
+    if (gate_arity(type) == 1) {
+      const Mat2 m = gates::matrix_for(type, 0.0);
+      set(0, form == GateForm::Inverse ? m.dagger() : m);
+    }
+    return;
+  }
+  start(type, form, angles.size(), lane_repeat);
+  for (std::size_t r = 0; r < angles.size(); ++r) {
+    const double theta = angles[r];
+    if (is_ising(type)) {
+      set(r, form == GateForm::Derivative
+                 ? gates::ising_pair_derivative(type, theta)
+                 : gates::ising_pair(
+                       type, form == GateForm::Inverse ? -theta : theta));
+      continue;
+    }
+    const gates::Trig t = gates::rotation_trig(type, theta);
+    if (form == GateForm::Derivative) {
+      set(r, gates::rotation_derivative(type, t));
+    } else {
+      set(r, gates::rotation(
+                 type, form == GateForm::Inverse ? gates::Trig{t.c, -t.s}
+                                                 : t));
+    }
+  }
+}
+
+void BatchGate::build_adjoint(GateType type, std::span<const double> angles,
+                              BatchGate& inverse, BatchGate& derivative) {
+  if (is_ising(type) || !gate_is_parameterized(type)) {
+    inverse.build(type, GateForm::Inverse, angles);
+    derivative.build(type, GateForm::Derivative, angles);
+    return;
+  }
+  inverse.start(type, GateForm::Inverse, angles.size(), 1);
+  derivative.start(type, GateForm::Derivative, angles.size(), 1);
+  for (std::size_t r = 0; r < angles.size(); ++r) {
+    const gates::Trig t = gates::rotation_trig(type, angles[r]);
+    inverse.set(r, gates::rotation(type, gates::Trig{t.c, -t.s}));
+    derivative.set(r, gates::rotation_derivative(type, t));
+  }
+}
+
+void BatchGate::apply(StateVectorBatch& batch, std::size_t wire0,
+                      std::size_t wire1) const {
+  if (!shared_ && lanes_ != batch.batch()) {
+    throw std::invalid_argument(
+        "apply_gate_batch: " + gate_name(type_) + " built for " +
+        std::to_string(lanes_) + " lanes, batch has " +
+        std::to_string(batch.batch()));
+  }
+  if (gate_arity(type_) == 1) {
+    if (!shared_) {
+      batch.apply_single_qubit_per_row(lane_soa_, wire0);
+      return;
+    }
+    // One shared matrix takes the kernel kernel_class_for names: the phase
+    // multiply by a diagonal matrix's m00/m11, the PauliX swap, or the
+    // dense 2x2.
+    switch (kernel_class_for(type_)) {
       case KernelClass::Permutation:
-        batch.apply_pauli_x(wire);
+        batch.apply_pauli_x(wire0);
         return;
-      case KernelClass::Diagonal: {
-        const Mat2 m = matrix(angles[0]);
-        batch.apply_diagonal(m.m00, m.m11, wire);
+      case KernelClass::Diagonal:
+        batch.apply_diagonal(matrix_.m00, matrix_.m11, wire0);
         return;
-      }
       default:
-        batch.apply_single_qubit(matrix(angles[0]), wire);
+        batch.apply_single_qubit(matrix_, wire0);
         return;
     }
   }
-  const std::size_t rows = angles.size();
-  std::vector<Complex>& soa = batch_scratch().soa;
-  soa.resize(4 * rows);
-  for (std::size_t b = 0; b < rows; ++b) {
-    store_lane(matrix(angles[b]), soa.data(), rows, b);
-  }
-  batch.apply_single_qubit_per_row(soa, wire);
-}
-
-/// Two-qubit dispatch with one shared angle: every gate has a structure
-/// kernel (DESIGN.md §8).
-void apply_two_qubit_shared(StateVectorBatch& batch, GateType type,
-                            double theta, std::size_t wire0,
-                            std::size_t wire1) {
-  require_second_wire(type, wire1);
-  switch (type) {
+  require_second_wire(type_, wire1);
+  switch (type_) {
     case GateType::CNOT:
       batch.apply_cnot(wire0, wire1);
       return;
@@ -352,57 +412,44 @@ void apply_two_qubit_shared(StateVectorBatch& batch, GateType type,
     case GateType::CRX:
     case GateType::CRY:
     case GateType::CRZ:
-      batch.apply_controlled(gates::matrix_for(type, theta), wire0, wire1);
+      if (form_ == GateForm::Derivative) {
+        if (shared_) {
+          batch.apply_controlled_derivative(matrix_, wire0, wire1);
+        } else {
+          batch.apply_controlled_derivative_per_row(lane_matrix_, wire0,
+                                                    wire1);
+        }
+      } else if (shared_) {
+        batch.apply_controlled(matrix_, wire0, wire1);
+      } else {
+        batch.apply_controlled_per_row(lane_matrix_, wire0, wire1);
+      }
       return;
     case GateType::RXX:
     case GateType::RYY:
-    case GateType::RZZ: {
-      const gates::IsingPair pair = gates::ising_pair(type, theta);
-      batch.apply_double_flip_pairs(pair.even, pair.odd, wire0, wire1);
+    case GateType::RZZ:
+      if (shared_) {
+        batch.apply_double_flip_pairs(matrix_, odd_, wire0, wire1);
+      } else {
+        batch.apply_double_flip_pairs_per_row(lane_matrix_, lane_odd_, wire0,
+                                              wire1);
+      }
       return;
-    }
     default:
       throw std::logic_error("apply_gate_batch: unreachable");
   }
 }
 
-/// Two-qubit dispatch with per-row angles. Only parameterized gates can
-/// differ per row.
-void apply_two_qubit_per_row(StateVectorBatch& batch, GateType type,
-                             std::span<const double> angles,
-                             std::size_t wire0, std::size_t wire1) {
-  require_second_wire(type, wire1);
-  BatchScratch& scratch = batch_scratch();
-  const std::size_t rows = batch.batch();
-  switch (type) {
-    case GateType::CRX:
-    case GateType::CRY:
-    case GateType::CRZ: {
-      scratch.m_even.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        scratch.m_even[b] = gates::matrix_for(type, angles[b]);
-      }
-      batch.apply_controlled_per_row(scratch.m_even, wire0, wire1);
-      return;
-    }
-    case GateType::RXX:
-    case GateType::RYY:
-    case GateType::RZZ: {
-      scratch.m_even.resize(rows);
-      scratch.m_odd.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        const gates::IsingPair pair = gates::ising_pair(type, angles[b]);
-        scratch.m_even[b] = pair.even;
-        scratch.m_odd[b] = pair.odd;
-      }
-      batch.apply_double_flip_pairs_per_row(scratch.m_even, scratch.m_odd,
-                                            wire0, wire1);
-      return;
-    }
-    default:
-      // apply_gate_batch sends fixed gates to the shared dispatch.
-      throw std::logic_error("apply_gate_batch: unreachable");
-  }
+namespace {
+
+/// The three public dispatch entry points: build `form` once, apply it.
+void apply_form(StateVectorBatch& batch, GateType type, GateForm form,
+                std::span<const double> angles, std::size_t wire0,
+                std::size_t wire1) {
+  check_angles_span(batch, type, angles);
+  thread_local BatchGate gate;
+  gate.build(type, form, angles);
+  gate.apply(batch, wire0, wire1);
 }
 
 }  // namespace
@@ -410,86 +457,19 @@ void apply_two_qubit_per_row(StateVectorBatch& batch, GateType type,
 void apply_gate_batch(StateVectorBatch& batch, GateType type,
                       std::span<const double> angles, std::size_t wire0,
                       std::size_t wire1) {
-  check_angles_span(batch, type, angles);
-  // Fixed gates cannot vary per row; their angle is ignored anyway.
-  if (!gate_is_parameterized(type)) angles = angles.first(1);
-  if (gate_arity(type) == 1) {
-    apply_single(batch, type, angles, wire0,
-                 [type](double t) { return gates::matrix_for(type, t); });
-  } else if (angles.size() == 1) {
-    apply_two_qubit_shared(batch, type, angles[0], wire0, wire1);
-  } else {
-    apply_two_qubit_per_row(batch, type, angles, wire0, wire1);
-  }
+  apply_form(batch, type, GateForm::Gate, angles, wire0, wire1);
 }
 
 void apply_gate_inverse_batch(StateVectorBatch& batch, GateType type,
                               std::span<const double> angles,
                               std::size_t wire0, std::size_t wire1) {
-  check_angles_span(batch, type, angles);
-  if (!gate_is_parameterized(type)) {
-    if (gate_arity(type) == 1) {
-      // A fixed single-qubit gate inverts as its conjugate transpose.
-      const Mat2 inverse = gates::matrix_for(type, 0.0).dagger();
-      apply_single(batch, type, angles.first(1), wire0,
-                   [&inverse](double) { return inverse; });
-    } else {
-      // CNOT, CZ and SWAP are their own inverses.
-      apply_gate_batch(batch, type, angles, wire0, wire1);
-    }
-    return;
-  }
-  // Parameterized gates invert by negating the angle.
-  std::vector<double>& negated = batch_scratch().negated;
-  negated.resize(angles.size());
-  for (std::size_t b = 0; b < angles.size(); ++b) negated[b] = -angles[b];
-  apply_gate_batch(batch, type, negated, wire0, wire1);
+  apply_form(batch, type, GateForm::Inverse, angles, wire0, wire1);
 }
 
 void apply_gate_derivative_batch(StateVectorBatch& batch, GateType type,
                                  std::span<const double> angles,
                                  std::size_t wire0, std::size_t wire1) {
-  if (!gate_is_parameterized(type)) {
-    throw std::invalid_argument("apply_gate_derivative_batch: " +
-                                gate_name(type) + " has no parameter");
-  }
-  check_angles_span(batch, type, angles);
-  if (gate_arity(type) == 1) {
-    apply_single(batch, type, angles, wire0,
-                 [type](double t) { return gates::derivative_for(type, t); });
-    return;
-  }
-  require_second_wire(type, wire1);
-  const bool controlled = gate_is_controlled(type);
-  if (angles.size() == 1) {
-    if (controlled) {
-      batch.apply_controlled_derivative(
-          gates::derivative_for(type, angles[0]), wire0, wire1);
-    } else {
-      const gates::IsingPair pair =
-          gates::ising_pair_derivative(type, angles[0]);
-      batch.apply_double_flip_pairs(pair.even, pair.odd, wire0, wire1);
-    }
-    return;
-  }
-  BatchScratch& scratch = batch_scratch();
-  const std::size_t rows = batch.batch();
-  scratch.m_even.resize(rows);
-  if (controlled) {
-    for (std::size_t b = 0; b < rows; ++b) {
-      scratch.m_even[b] = gates::derivative_for(type, angles[b]);
-    }
-    batch.apply_controlled_derivative_per_row(scratch.m_even, wire0, wire1);
-    return;
-  }
-  scratch.m_odd.resize(rows);
-  for (std::size_t b = 0; b < rows; ++b) {
-    const gates::IsingPair pair = gates::ising_pair_derivative(type, angles[b]);
-    scratch.m_even[b] = pair.even;
-    scratch.m_odd[b] = pair.odd;
-  }
-  batch.apply_double_flip_pairs_per_row(scratch.m_even, scratch.m_odd, wire0,
-                                        wire1);
+  apply_form(batch, type, GateForm::Derivative, angles, wire0, wire1);
 }
 
 }  // namespace qhdl::quantum

@@ -8,8 +8,11 @@
 //   CR*(θ) = |0⟩⟨0|⊗I + |1⟩⟨1|⊗R*(θ).
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "quantum/statevector.hpp"
 
@@ -43,13 +46,109 @@ enum class GateType {
 };
 
 /// Number of wires the gate acts on (1 or 2).
-std::size_t gate_arity(GateType type);
+constexpr std::size_t gate_arity(GateType type) {
+  switch (type) {
+    case GateType::PauliX:
+    case GateType::PauliY:
+    case GateType::PauliZ:
+    case GateType::Hadamard:
+    case GateType::S:
+    case GateType::T:
+    case GateType::RX:
+    case GateType::RY:
+    case GateType::RZ:
+    case GateType::PhaseShift:
+      return 1;
+    case GateType::CNOT:
+    case GateType::CZ:
+    case GateType::SWAP:
+    case GateType::CRX:
+    case GateType::CRY:
+    case GateType::CRZ:
+    case GateType::RXX:
+    case GateType::RYY:
+    case GateType::RZZ:
+      return 2;
+  }
+  throw std::logic_error("gate_arity: unknown gate");
+}
 
 /// True for gates that carry a rotation angle.
-bool gate_is_parameterized(GateType type);
+constexpr bool gate_is_parameterized(GateType type) {
+  switch (type) {
+    case GateType::RX:
+    case GateType::RY:
+    case GateType::RZ:
+    case GateType::PhaseShift:
+    case GateType::CRX:
+    case GateType::CRY:
+    case GateType::CRZ:
+    case GateType::RXX:
+    case GateType::RYY:
+    case GateType::RZZ:
+      return true;
+    default:
+      return false;
+  }
+}
 
 /// True for two-qubit gates whose first wire is a control.
-bool gate_is_controlled(GateType type);
+constexpr bool gate_is_controlled(GateType type) {
+  switch (type) {
+    case GateType::CNOT:
+    case GateType::CZ:
+    case GateType::CRX:
+    case GateType::CRY:
+    case GateType::CRZ:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Kernel class an op dispatches to with one shared angle: BatchGate picks
+/// single-qubit kernels by it, and flops::DispatchCounts counts by it. A
+/// single-qubit gate whose angle differs per row takes the per-row dense
+/// 2x2, which the kernel.* counters file as generic.
+enum class KernelClass : std::uint8_t {
+  Diagonal,     ///< RZ / PhaseShift / S / T / Z / CZ
+  Permutation,  ///< X / CNOT / SWAP
+  Controlled,   ///< CRX / CRY / CRZ
+  DoubleFlip,   ///< RXX / RYY / RZZ
+  Generic,      ///< dense 2x2 matvec (RX, RY, PauliY, Hadamard)
+};
+
+/// Kernel class `type` routes to with one shared angle: the one gate ->
+/// kernel table.
+constexpr KernelClass kernel_class_for(GateType type) {
+  switch (type) {
+    case GateType::PauliZ:
+    case GateType::S:
+    case GateType::T:
+    case GateType::RZ:
+    case GateType::PhaseShift:
+    case GateType::CZ:
+      return KernelClass::Diagonal;
+    case GateType::PauliX:
+    case GateType::CNOT:
+    case GateType::SWAP:
+      return KernelClass::Permutation;
+    case GateType::CRX:
+    case GateType::CRY:
+    case GateType::CRZ:
+      return KernelClass::Controlled;
+    case GateType::RXX:
+    case GateType::RYY:
+    case GateType::RZZ:
+      return KernelClass::DoubleFlip;
+    case GateType::RX:
+    case GateType::RY:
+    case GateType::PauliY:
+    case GateType::Hadamard:
+      return KernelClass::Generic;
+  }
+  return KernelClass::Generic;
+}
 
 /// Human-readable name ("RX", "CNOT", ...).
 std::string gate_name(GateType type);
@@ -101,6 +200,62 @@ Mat2 derivative_for(GateType type, double theta);
 // the shared kernels (one trig evaluation for the whole batch); per-row
 // angles hit the per-row kernel variants. For two-qubit gates wire0 is the
 // control (or first swap wire).
+
+/// Which matrix of a gate a BatchGate holds: U(θ), U(θ)† or dU/dθ.
+enum class GateForm : std::uint8_t { Gate, Inverse, Derivative };
+
+/// One gate's matrices for a batch, evaluated once and then applied to any
+/// number of batches of that shape (the adjoint sweep applies an inverse to
+/// both its states; a density matrix applies a gate twice per sandwich).
+/// The one gate dispatch: apply_gate_batch and its inverse and derivative
+/// twins build one and apply it.
+///
+/// With one angle the matrix is shared by every row and apply() takes the
+/// gate's structure kernel (DESIGN.md §8); with one angle per row, row r's
+/// matrix is evaluated once and serves the `lane_repeat` consecutive lanes
+/// [r * lane_repeat, (r + 1) * lane_repeat) through the per-row kernels (a
+/// DensityMatrixBatch passes 2^q: ρ_r's columns).
+///
+/// A rotation's entries are built from one cos/sin pair (of θ/2, or of θ
+/// for PhaseShift), so its inverse takes sin negated and its derivative
+/// takes both halved; GateMatrices.RotationEntriesEqualClosedFormTrigBitwise
+/// pins that this equals evaluating the gate at −θ and derivative_for bit
+/// for bit. The Ising gates, whose entries no such test pins, evaluate each
+/// form from its own angle.
+class BatchGate {
+ public:
+  /// `form` of `type` at `angles` (size 1, or one per row). A fixed gate
+  /// ignores its angles; the Derivative of a fixed gate throws.
+  void build(GateType type, GateForm form, std::span<const double> angles,
+             std::size_t lane_repeat = 1);
+
+  /// The adjoint sweep's pair for one parameterized op: U(θ)† into
+  /// `inverse` and dU/dθ into `derivative`, one trig evaluation per angle.
+  static void build_adjoint(GateType type, std::span<const double> angles,
+                            BatchGate& inverse, BatchGate& derivative);
+
+  /// Applies the built matrices to `batch` (wire arguments as
+  /// apply_gate_batch). Per-row matrices need batch.batch() lanes.
+  void apply(StateVectorBatch& batch, std::size_t wire0,
+             std::size_t wire1 = SIZE_MAX) const;
+
+ private:
+  void start(GateType type, GateForm form, std::size_t rows,
+             std::size_t lane_repeat);
+  void set(std::size_t row, const Mat2& matrix);
+  void set(std::size_t row, const gates::IsingPair& pair);
+
+  GateType type_ = GateType::PauliX;
+  GateForm form_ = GateForm::Gate;
+  bool shared_ = true;
+  std::size_t lane_repeat_ = 1;
+  std::size_t lanes_ = 1;
+  Mat2 matrix_{};  ///< shared: the 2x2 (the even block of an Ising pair)
+  Mat2 odd_{};     ///< shared: an Ising pair's odd block
+  std::vector<Complex> lane_soa_;  ///< per-row single-qubit, SoA
+  std::vector<Mat2> lane_matrix_;  ///< per-row controlled / Ising even
+  std::vector<Mat2> lane_odd_;     ///< per-row Ising odd
+};
 
 void apply_gate_batch(StateVectorBatch& batch, GateType type,
                       std::span<const double> angles, std::size_t wire0,

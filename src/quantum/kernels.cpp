@@ -8,12 +8,12 @@ namespace {
 
 struct Counters {
   util::Metrics& m = util::Metrics::global();
-  util::Counter& diagonal = m.counter("kernel.diagonal");
-  util::Counter& permutation = m.counter("kernel.permutation");
-  util::Counter& controlled = m.counter("kernel.controlled");
-  util::Counter& double_flip = m.counter("kernel.double_flip");
-  util::Counter& generic = m.counter("kernel.generic");
-  util::Counter& two_qubit_dense = m.counter("kernel.two_qubit_dense");
+  // Indexed by Kernel.
+  util::Counter* dispatch[detail::kKernelCount] = {
+      &m.counter("kernel.diagonal"),    &m.counter("kernel.permutation"),
+      &m.counter("kernel.controlled"),  &m.counter("kernel.double_flip"),
+      &m.counter("kernel.generic"),     &m.counter("kernel.two_qubit_dense"),
+  };
   util::Counter& fused = m.counter("kernel.fused");
   util::Counter& fused_gates = m.counter("kernel.fused_gates");
   util::Counter& batched_rows = m.counter("kernel.batched_rows");
@@ -30,19 +30,31 @@ Counters& counters() {
 
 }  // namespace
 
-void count_diagonal() { counters().diagonal.add(); }
-void count_permutation() { counters().permutation.add(); }
-void count_controlled() { counters().controlled.add(); }
-void count_double_flip() { counters().double_flip.add(); }
-void count_generic() { counters().generic.add(); }
-void count_two_qubit_dense() { counters().two_qubit_dense.add(); }
-void count_fused(std::uint64_t gates_absorbed) {
+namespace detail {
+
+void add_dispatch(Kernel kernel, std::size_t rows) {
+  Counters& c = counters();
+  c.dispatch[static_cast<std::size_t>(kernel)]->add();
+  if (rows > 1) c.batched_rows.add(rows);
+}
+
+void add_fused(std::uint64_t gates_absorbed) {
   counters().fused.add();
   counters().fused_gates.add(gates_absorbed);
 }
-void count_batched_rows(std::uint64_t rows) {
-  // A one-row batch is single-state work: every StateVector is one.
-  if (rows > 1) counters().batched_rows.add(rows);
+
+void flush(Tally& t) {
+  Counters& c = counters();
+  for (std::size_t k = 0; k < kKernelCount; ++k) {
+    if (t.dispatch[k] != 0) c.dispatch[k]->add(t.dispatch[k]);
+    t.dispatch[k] = 0;
+  }
+  if (t.fused != 0) c.fused.add(t.fused);
+  if (t.fused_gates != 0) c.fused_gates.add(t.fused_gates);
+  if (t.batched_rows != 0) c.batched_rows.add(t.batched_rows);
+  t.fused = t.fused_gates = t.batched_rows = 0;
 }
+
+}  // namespace detail
 
 }  // namespace qhdl::quantum::kernels

@@ -33,6 +33,15 @@ std::vector<double> estimate_expvals_z(const StateVector& state,
                                        std::span<const std::size_t> wires,
                                        std::size_t shots, util::Rng& rng);
 
+/// estimate_expvals_z for row `row` of a batch, drawing exactly as it draws
+/// from that row extracted, into `out` (wires.size() entries). `cdf` is the
+/// caller's scratch, resized in place, so a caller that keeps it allocates
+/// nothing once it has seen the largest state.
+void estimate_expvals_z_row(const StateVectorBatch& batch, std::size_t row,
+                            std::span<const std::size_t> wires,
+                            std::size_t shots, util::Rng& rng,
+                            std::vector<double>& cdf, std::span<double> out);
+
 /// Precomputed alias-free CDF sampler for repeated draws from one state.
 class BasisSampler {
  public:

@@ -178,8 +178,7 @@ void StateVectorBatch::check_rows(std::size_t span_size,
 void StateVectorBatch::apply_single_qubit(const Mat2& gate,
                                           std::size_t wire) {
   check_wire(wire, "StateVectorBatch::apply_single_qubit");
-  kernels::count_generic();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::Generic, batch_);
   const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
   // Registry-dispatched (DESIGN.md §14): the active backend vectorizes
   // across the contiguous batch lanes; per-lane arithmetic is the scalar
@@ -192,8 +191,7 @@ void StateVectorBatch::apply_single_qubit(const Mat2& gate,
 void StateVectorBatch::apply_diagonal(Complex d0, Complex d1,
                                       std::size_t wire) {
   check_wire(wire, "StateVectorBatch::apply_diagonal");
-  kernels::count_diagonal();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::Diagonal, batch_);
   const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
   // Registry-dispatched; the d0 == 1 phase-gate fast path (only the
   // wire=1 half moves) lives inside the backend op.
@@ -203,8 +201,7 @@ void StateVectorBatch::apply_diagonal(Complex d0, Complex d1,
 
 void StateVectorBatch::apply_pauli_x(std::size_t wire) {
   check_wire(wire, "StateVectorBatch::apply_pauli_x");
-  kernels::count_permutation();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::Permutation, batch_);
   const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
   const std::size_t run = stride * batch_;
   for (std::size_t block = 0; block < dimension_; block += 2 * stride) {
@@ -219,8 +216,7 @@ void StateVectorBatch::apply_cnot(std::size_t control, std::size_t target) {
   if (control == target) {
     throw std::invalid_argument("StateVectorBatch::apply_cnot: wires equal");
   }
-  kernels::count_permutation();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::Permutation, batch_);
   const std::size_t cmask = std::size_t{1} << (num_qubits_ - 1 - control);
   const std::size_t tmask = std::size_t{1} << (num_qubits_ - 1 - target);
   const std::size_t lo = cmask < tmask ? cmask : tmask;
@@ -239,8 +235,7 @@ void StateVectorBatch::apply_two_qubit(const Mat4& gate, std::size_t wire_a,
     throw std::invalid_argument(
         "StateVectorBatch::apply_two_qubit: wires must differ");
   }
-  kernels::count_two_qubit_dense();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::TwoQubitDense, batch_);
   const std::size_t amask = std::size_t{1} << (num_qubits_ - 1 - wire_a);
   const std::size_t bmask = std::size_t{1} << (num_qubits_ - 1 - wire_b);
   const std::size_t lo = amask < bmask ? amask : bmask;
@@ -257,8 +252,7 @@ void StateVectorBatch::apply_cz(std::size_t control, std::size_t target) {
   if (control == target) {
     throw std::invalid_argument("StateVectorBatch::apply_cz: wires equal");
   }
-  kernels::count_diagonal();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::Diagonal, batch_);
   const std::size_t cmask = std::size_t{1} << (num_qubits_ - 1 - control);
   const std::size_t tmask = std::size_t{1} << (num_qubits_ - 1 - target);
   const std::size_t lo = cmask < tmask ? cmask : tmask;
@@ -275,8 +269,7 @@ void StateVectorBatch::apply_swap(std::size_t wire_a, std::size_t wire_b) {
   check_wire(wire_a, "StateVectorBatch::apply_swap");
   check_wire(wire_b, "StateVectorBatch::apply_swap");
   if (wire_a == wire_b) return;
-  kernels::count_permutation();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::Permutation, batch_);
   const std::size_t amask = std::size_t{1} << (num_qubits_ - 1 - wire_a);
   const std::size_t bmask = std::size_t{1} << (num_qubits_ - 1 - wire_b);
   const std::size_t lo = amask < bmask ? amask : bmask;
@@ -299,8 +292,7 @@ void StateVectorBatch::apply_controlled(const Mat2& gate, std::size_t control,
     throw std::invalid_argument(
         "StateVectorBatch::apply_controlled: wires equal");
   }
-  kernels::count_controlled();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::Controlled, batch_);
   const std::size_t cmask = std::size_t{1} << (num_qubits_ - 1 - control);
   const std::size_t tmask = std::size_t{1} << (num_qubits_ - 1 - target);
   const std::size_t lo = cmask < tmask ? cmask : tmask;
@@ -323,8 +315,7 @@ void StateVectorBatch::apply_controlled_derivative(const Mat2& gate,
     throw std::invalid_argument(
         "StateVectorBatch::apply_controlled_derivative: wires equal");
   }
-  kernels::count_controlled();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::Controlled, batch_);
   const std::size_t cmask = std::size_t{1} << (num_qubits_ - 1 - control);
   Complex* amps = amplitudes_.data();
   // d(CU)/dθ annihilates the control-0 subspace: runs of cmask rows.
@@ -352,8 +343,7 @@ void StateVectorBatch::apply_double_flip_pairs(const Mat2& even_pair,
     throw std::invalid_argument(
         "StateVectorBatch::apply_double_flip_pairs: wires must differ");
   }
-  kernels::count_double_flip();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::DoubleFlip, batch_);
   const std::size_t amask = std::size_t{1} << (num_qubits_ - 1 - wire_a);
   const std::size_t bmask = std::size_t{1} << (num_qubits_ - 1 - wire_b);
   const std::size_t flip = amask | bmask;
@@ -382,8 +372,7 @@ void StateVectorBatch::apply_single_qubit_per_row(std::span<const Complex> m,
         "StateVectorBatch::apply_single_qubit_per_row: matrix span size " +
         std::to_string(m.size()) + " != 4 * batch " + std::to_string(batch_));
   }
-  kernels::count_generic();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::Generic, batch_);
   const std::size_t stride = std::size_t{1} << (num_qubits_ - 1 - wire);
   // Registry-dispatched: the backend vectorizes across the batch lanes,
   // each lane running the scalar 2x2 formula with its own row's matrix.
@@ -401,8 +390,7 @@ void StateVectorBatch::apply_controlled_per_row(std::span<const Mat2> gates,
     throw std::invalid_argument(
         "StateVectorBatch::apply_controlled_per_row: wires equal");
   }
-  kernels::count_controlled();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::Controlled, batch_);
   const std::size_t cmask = std::size_t{1} << (num_qubits_ - 1 - control);
   const std::size_t tmask = std::size_t{1} << (num_qubits_ - 1 - target);
   const std::size_t lo = cmask < tmask ? cmask : tmask;
@@ -425,8 +413,7 @@ void StateVectorBatch::apply_controlled_derivative_per_row(
     throw std::invalid_argument(
         "StateVectorBatch::apply_controlled_derivative_per_row: wires equal");
   }
-  kernels::count_controlled();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::Controlled, batch_);
   const std::size_t cmask = std::size_t{1} << (num_qubits_ - 1 - control);
   Complex* amps = amplitudes_.data();
   // d(CU)/dθ annihilates the control-0 subspace: runs of cmask rows.
@@ -457,8 +444,7 @@ void StateVectorBatch::apply_double_flip_pairs_per_row(
     throw std::invalid_argument(
         "StateVectorBatch::apply_double_flip_pairs_per_row: wires differ");
   }
-  kernels::count_double_flip();
-  kernels::count_batched_rows(batch_);
+  kernels::count(kernels::Kernel::DoubleFlip, batch_);
   const std::size_t amask = std::size_t{1} << (num_qubits_ - 1 - wire_a);
   const std::size_t bmask = std::size_t{1} << (num_qubits_ - 1 - wire_b);
   const std::size_t flip = amask | bmask;

@@ -21,6 +21,7 @@
 #include "nn/trainer.hpp"
 #include "nn/workspace.hpp"
 #include "qnn/hybrid_model.hpp"
+#include "qnn/quantum_layer.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -147,6 +148,27 @@ TEST(WorkspaceAlloc, HybridTrainStepAndEvalAreAllocationFreeAfterWarmup) {
   config.classes = kClasses;
   const auto model = qnn::build_hybrid_model(config, rng);
   expect_steady_state_allocation_free(*model, x, y);
+}
+
+// A finite-shot layer samples each row where it lies in the kept forward
+// batch, through the layer's CDF scratch.
+TEST(WorkspaceAlloc, FiniteShotHybridIsAllocationFreeAfterWarmup) {
+  util::Rng rng{79};
+  Tensor x;
+  std::vector<std::size_t> y;
+  make_data(rng, x, y);
+
+  qnn::QuantumLayerConfig quantum;
+  quantum.qubits = 3;
+  quantum.depth = 2;
+  quantum.ansatz = qnn::AnsatzKind::StronglyEntangling;
+  quantum.shots = 64;
+  Sequential model;
+  model.emplace<Dense>(kFeatures, quantum.qubits, rng);
+  model.emplace<Tanh>(quantum.qubits);
+  model.emplace<qnn::QuantumLayer>(quantum, rng);
+  model.emplace<Dense>(quantum.qubits, kClasses, rng);
+  expect_steady_state_allocation_free(model, x, y);
 }
 
 }  // namespace
