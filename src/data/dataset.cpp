@@ -1,5 +1,6 @@
 #include "data/dataset.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -29,12 +30,13 @@ namespace {
 Dataset gather(const Dataset& source, const std::vector<std::size_t>& rows) {
   Dataset out;
   out.classes = source.classes;
-  out.x = Tensor{Shape{rows.size(), source.features()}};
+  const std::size_t f = source.features();
+  out.x = Tensor{Shape{rows.size(), f}};
   out.y.resize(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    for (std::size_t j = 0; j < source.features(); ++j) {
-      out.x.at(i, j) = source.x.at(rows[i], j);
-    }
+  const double* in = source.x.data().data();
+  double* row = out.x.data().data();
+  for (std::size_t i = 0; i < rows.size(); ++i, row += f) {
+    std::copy_n(in + rows[i] * f, f, row);
     out.y[i] = source.y[rows[i]];
   }
   return out;

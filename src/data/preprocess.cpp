@@ -11,9 +11,11 @@ void Scaler::apply(Tensor& x) const {
   if (x.rank() != 2 || x.cols() != offset.size()) {
     throw std::invalid_argument("Scaler::apply: feature count mismatch");
   }
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    for (std::size_t j = 0; j < x.cols(); ++j) {
-      x.at(i, j) = (x.at(i, j) - offset[j]) / scale[j];
+  const std::size_t n = x.rows(), f = x.cols();
+  double* row = x.data().data();
+  for (std::size_t i = 0; i < n; ++i, row += f) {
+    for (std::size_t j = 0; j < f; ++j) {
+      row[j] = (row[j] - offset[j]) / scale[j];
     }
   }
 }
@@ -26,13 +28,15 @@ Scaler fit_standardizer(const Tensor& x) {
   Scaler scaler;
   scaler.offset.assign(f, 0.0);
   scaler.scale.assign(f, 1.0);
+  const double* data = x.data().data();
   for (std::size_t j = 0; j < f; ++j) {
+    // Column j, one row stride (f) per step, summed in row order.
     double mean = 0.0;
-    for (std::size_t i = 0; i < n; ++i) mean += x.at(i, j);
+    for (const double* v = data + j; v < data + n * f; v += f) mean += *v;
     mean /= static_cast<double>(n);
     double var = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = x.at(i, j) - mean;
+    for (const double* v = data + j; v < data + n * f; v += f) {
+      const double d = *v - mean;
       var += d * d;
     }
     var /= static_cast<double>(n);
@@ -51,11 +55,12 @@ Scaler fit_minmax(const Tensor& x, double lo, double hi) {
   Scaler scaler;
   scaler.offset.assign(f, 0.0);
   scaler.scale.assign(f, 1.0);
+  const double* data = x.data().data();
   for (std::size_t j = 0; j < f; ++j) {
-    double mn = x.at(0, j), mx = x.at(0, j);
-    for (std::size_t i = 1; i < n; ++i) {
-      mn = std::min(mn, x.at(i, j));
-      mx = std::max(mx, x.at(i, j));
+    double mn = data[j], mx = data[j];
+    for (const double* v = data + f + j; v < data + n * f; v += f) {
+      mn = std::min(mn, *v);
+      mx = std::max(mx, *v);
     }
     const double range = mx - mn;
     // Map [mn, mx] -> [lo, hi]: (v - offset) / scale with

@@ -1,5 +1,6 @@
 #include "data/spiral.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -89,15 +90,16 @@ Dataset augment_features(const Dataset& base, std::size_t target_features,
   out.classes = base.classes;
   out.y = base.y;
   out.x = Tensor{Shape{base.size(), target_features}};
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    for (std::size_t j = 0; j < base_features; ++j) {
-      out.x.at(i, j) = base.x.at(i, j);
-    }
-    const double x0 = base.x.at(i, 0);
-    const double x1 = base.x.at(i, 1);
+  const double* in = base.x.data().data();
+  double* row = out.x.data().data();
+  for (std::size_t i = 0; i < base.size();
+       ++i, in += base_features, row += target_features) {
+    std::copy_n(in, base_features, row);
+    const double x0 = in[0];
+    const double x1 = in[1];
     for (std::size_t j = base_features; j < target_features; ++j) {
       const std::size_t k = j - base_features;
-      out.x.at(i, j) = derived_feature(k, x0, x1) + noise * rng.normal();
+      row[j] = derived_feature(k, x0, x1) + noise * rng.normal();
     }
   }
   return out;

@@ -71,4 +71,29 @@ SweepResult run_complexity_sweep(Family family, const SweepConfig& config,
 /// the comparison is apples-to-apples).
 data::Dataset level_dataset(std::size_t features, const SweepConfig& config);
 
+/// Entries the process-wide repetition data cache keeps; the least
+/// recently used is evicted first. A worker receives its units
+/// grouped by (level, repetition), and a bench-scale study has at most six
+/// level x repetition pairs, so eight entries get all the reuse there is.
+inline constexpr std::size_t kRepetitionCacheEntries = 8;
+
+/// The data of repetition `repetition` at complexity level `features`:
+/// split_repetition of level_dataset(features, config) on
+/// repetition_stream(config.search.seed, repetition). This is the one
+/// derivation behind every consumer: run_complexity_sweep, evaluate_unit
+/// (workers, persistent daemons, the degraded pool) and the serve `train`
+/// job. Results come from one process-wide cache keyed by
+/// (sweep_config_hash, features, repetition) that fills on first use and
+/// holds kRepetitionCacheEntries entries; a hit derives nothing. Entries
+/// are shared and never mutated. Thread-safe: concurrent first lookups of
+/// one key may each derive it (bitwise-equal results), then share the
+/// entry inserted first. Counts `data.split_derivations` and
+/// `data.split_hits` in util::Metrics::global(). Polls `cancel` while
+/// deriving the repetition stream. Throws std::invalid_argument naming
+/// 'features' when `features` is not one of config.feature_sizes, before
+/// deriving anything: the width sizes the dataset.
+std::shared_ptr<const RepetitionData> repetition_data(
+    const SweepConfig& config, std::size_t features, std::size_t repetition,
+    const util::CancelToken* cancel = nullptr);
+
 }  // namespace qhdl::search

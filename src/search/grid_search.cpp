@@ -380,6 +380,25 @@ SearchOutcome search_once(const std::vector<ModelSpec>& sorted_specs,
   return outcome;
 }
 
+util::Rng repetition_stream(std::uint64_t seed, std::size_t repetition,
+                            const util::CancelToken* cancel) {
+  util::Rng root{seed};
+  util::Rng stream = root;
+  for (std::size_t rep = 0; rep <= repetition; ++rep) {
+    util::throw_if_cancelled(cancel);
+    stream = root.split();
+  }
+  return stream;
+}
+
+RepetitionData split_repetition(const data::Dataset& dataset,
+                                const SearchConfig& config, util::Rng stream) {
+  data::TrainValSplit split =
+      data::stratified_split(dataset, config.validation_fraction, stream);
+  data::standardize_split(split);
+  return RepetitionData{std::move(split), stream};
+}
+
 RepeatedSearchResult run_repeated_search(const std::vector<ModelSpec>& specs,
                                          const data::Dataset& dataset,
                                          const SearchConfig& config) {
@@ -391,23 +410,34 @@ RepeatedSearchResult run_repeated_search(const std::vector<ModelSpec>& specs,
                                          const SearchConfig& config,
                                          const ResumeContext& resume) {
   dataset.validate();
+  return run_repeated_search(
+      specs, dataset.features(), dataset.classes, config, resume,
+      [&](std::size_t repetition) {
+        return std::make_shared<const RepetitionData>(split_repetition(
+            dataset, config, repetition_stream(config.seed, repetition)));
+      });
+}
+
+RepeatedSearchResult run_repeated_search(const std::vector<ModelSpec>& specs,
+                                         std::size_t features,
+                                         std::size_t classes,
+                                         const SearchConfig& config,
+                                         const ResumeContext& resume,
+                                         const RepetitionSource& source) {
   if (specs.empty()) {
     throw std::invalid_argument("run_repeated_search: empty search space");
   }
 
   const std::vector<ModelSpec> sorted =
-      sort_by_flops(specs, dataset.features(), dataset.classes, config);
+      sort_by_flops(specs, features, classes, config);
 
   RepeatedSearchResult result;
-  util::Rng rng{config.seed};
   for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
     util::throw_if_cancelled(resume.cancel);
-    util::Rng rep_rng = rng.split();
-    data::TrainValSplit split =
-        data::stratified_split(dataset, config.validation_fraction, rep_rng);
-    data::standardize_split(split);
+    const std::shared_ptr<const RepetitionData> data = source(rep);
+    util::Rng stream = data->stream;
     result.repetitions.push_back(
-        search_once(sorted, split, config, rep_rng, resume, rep));
+        search_once(sorted, data->split, config, stream, resume, rep));
   }
 
   double flops_sum = 0.0;

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "data/dataset.hpp"
@@ -210,6 +211,30 @@ SearchOutcome search_once(const std::vector<ModelSpec>& sorted_specs,
                           const ResumeContext& resume,
                           std::size_t repetition);
 
+/// One repetition's data: its standardized train/val split, and the
+/// repetition stream as it stands after the split drew from it (the stream
+/// search_once continues from). Shared entries are read-only: a consumer
+/// copies `stream` before drawing from it.
+struct RepetitionData {
+  data::TrainValSplit split;
+  util::Rng stream;
+};
+
+/// Repetition `repetition`'s stream: the (repetition + 1)-th split of the
+/// root stream seeded with `seed`. Polls `cancel` before every split,
+/// because a serve `train` request may address a repetition up to 2^53.
+util::Rng repetition_stream(std::uint64_t seed, std::size_t repetition,
+                            const util::CancelToken* cancel = nullptr);
+
+/// The one place a search repetition splits its data: a stratified split
+/// of `dataset` drawn from `stream`, standardized on the train statistics.
+RepetitionData split_repetition(const data::Dataset& dataset,
+                                const SearchConfig& config, util::Rng stream);
+
+/// A repetition's data by repetition index.
+using RepetitionSource =
+    std::function<std::shared_ptr<const RepetitionData>(std::size_t)>;
+
 /// Full repeated search on a dataset (splits internally per repetition).
 RepeatedSearchResult run_repeated_search(const std::vector<ModelSpec>& specs,
                                          const data::Dataset& dataset,
@@ -220,5 +245,15 @@ RepeatedSearchResult run_repeated_search(const std::vector<ModelSpec>& specs,
                                          const data::Dataset& dataset,
                                          const SearchConfig& config,
                                          const ResumeContext& resume);
+
+/// Resume-aware repeated search at one complexity level whose repetition
+/// data comes from `source` (run_complexity_sweep passes the process-wide
+/// cache behind repetition_data, so it builds no dataset on a hit).
+RepeatedSearchResult run_repeated_search(const std::vector<ModelSpec>& specs,
+                                         std::size_t features,
+                                         std::size_t classes,
+                                         const SearchConfig& config,
+                                         const ResumeContext& resume,
+                                         const RepetitionSource& source);
 
 }  // namespace qhdl::search

@@ -113,7 +113,6 @@ struct WorkerPool::Impl {
   /// Guards start(): the constructor in remote mode, else the first use.
   std::once_flag started;
   std::thread dispatcher;
-  UnitDataCache cache;  ///< degraded-mode dataset/split derivation
 
   // --- promise resolution (mutex held) ------------------------------------
 
@@ -811,7 +810,7 @@ struct WorkerPool::Impl {
           std::exception_ptr error;
           CandidateResult result;
           try {
-            result = evaluate_unit(worker_config, units[i]->unit, cache);
+            result = evaluate_unit(worker_config, units[i]->unit);
           } catch (...) {
             error = std::current_exception();
           }

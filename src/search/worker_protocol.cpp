@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <limits>
 #include <mutex>
 #include <thread>
@@ -19,7 +18,6 @@
 #include <unistd.h>
 #endif
 
-#include "data/preprocess.hpp"
 #include "flops/profiler.hpp"
 #include "util/backend_registry.hpp"
 #include "util/fault_injection.hpp"
@@ -465,69 +463,15 @@ bool parse_host_port(const std::string& text, std::string* host,
 
 // --- unit evaluation ------------------------------------------------------
 
-struct UnitDataCache::Impl {
-  struct Entry {
-    std::string config_hash;  ///< sweep_config_hash: a persistent daemon
-                              ///< serves many configs through one cache
-    std::size_t features = 0;
-    std::size_t repetition = 0;
-    std::shared_ptr<const data::TrainValSplit> split;
-  };
-  std::mutex mutex;
-  std::deque<Entry> entries;  // most-recently-used at the back
-};
-
-UnitDataCache::UnitDataCache() : impl_(std::make_shared<Impl>()) {}
-
-std::shared_ptr<const data::TrainValSplit> UnitDataCache::split_for(
-    const SweepConfig& config, std::size_t features, std::size_t repetition) {
-  std::string config_hash = sweep_config_hash(config);
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    for (const Impl::Entry& entry : impl_->entries) {
-      if (entry.features == features && entry.repetition == repetition &&
-          entry.config_hash == config_hash) {
-        return entry.split;
-      }
-    }
-  }
-  // Replay exactly what run_repeated_search does for this repetition: the
-  // repetition stream is the (repetition+1)-th split of the root search
-  // stream, and the stratified split consumes it before any training draws.
-  const data::Dataset dataset = level_dataset(features, config);
-  util::Rng root{config.search.seed};
-  util::Rng rep_rng = root.split();
-  for (std::size_t rep = 0; rep < repetition; ++rep) rep_rng = root.split();
-  auto split = std::make_shared<data::TrainValSplit>(data::stratified_split(
-      dataset, config.search.validation_fraction, rep_rng));
-  data::standardize_split(*split);
-
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->entries.push_back(
-      Impl::Entry{std::move(config_hash), features, repetition, split});
-  // Bound memory: a worker streams units grouped by (level, repetition), so
-  // a short MRU window gets all the reuse there is.
-  constexpr std::size_t kMaxEntries = 8;
-  while (impl_->entries.size() > kMaxEntries) impl_->entries.pop_front();
-  return split;
-}
-
 CandidateResult evaluate_unit(const SweepConfig& config, const WorkUnit& unit,
-                              UnitDataCache& cache) {
-  // The width sizes the dataset derived below, so only the config's own
-  // levels are served: a peer cannot ask for an arbitrarily wide one.
-  const std::vector<std::size_t>& sizes = config.feature_sizes;
-  if (std::find(sizes.begin(), sizes.end(), unit.key.features) ==
-      sizes.end()) {
-    throw std::invalid_argument(
-        "unit field 'features' (" + std::to_string(unit.key.features) +
-        ") is not one of the sweep config's feature sizes");
-  }
-  const std::shared_ptr<const data::TrainValSplit> split =
-      cache.split_for(config, unit.key.features, unit.key.repetition);
+                              const util::CancelToken* cancel) {
+  // repetition_data serves only the config's own levels: the width sizes
+  // the dataset, so a peer cannot ask for an arbitrarily wide one.
+  const std::shared_ptr<const RepetitionData> data = repetition_data(
+      config, unit.key.features, unit.key.repetition, cancel);
   // evaluate_candidate validates the stream count against runs_per_model.
   std::vector<util::Rng> streams = unit.streams;
-  return evaluate_candidate(unit.spec, *split, config.search, streams);
+  return evaluate_candidate(unit.spec, data->split, config.search, streams);
 }
 
 CandidateResult quarantined_unit_result(
@@ -647,8 +591,7 @@ struct WorkerLoopResult {
 /// The worker side of the protocol, generic over the stream: blocking reads
 /// from `in_fd`, replies through `out`. Shared by pipe workers (stdin/
 /// stdout) and TCP daemon slots (the connected socket, both directions).
-WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out,
-                                 UnitDataCache& cache) {
+WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out) {
   FrameReader reader;
   std::optional<SweepConfig> config;
   std::uint64_t heartbeat_interval_ms = 250;
@@ -788,7 +731,7 @@ WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out,
       CandidateResult result;
       {
         HeartbeatTicker ticker{key, heartbeat_interval_ms, out};
-        result = evaluate_unit(*config, unit, cache);
+        result = evaluate_unit(*config, unit);
       }
       util::Json reply = util::Json::object();
       reply["type"] = "result";
@@ -821,8 +764,7 @@ int worker_main() {
   // should surface as a failed write, not SIGPIPE.
   util::install_sigpipe_guard();
   FrameChannel out{STDOUT_FILENO};
-  UnitDataCache cache;
-  const WorkerLoopResult outcome = run_worker_loop(STDIN_FILENO, out, cache);
+  const WorkerLoopResult outcome = run_worker_loop(STDIN_FILENO, out);
   return (outcome.end == WorkerLoopEnd::Shutdown ||
           outcome.end == WorkerLoopEnd::Eof)
              ? 0
@@ -839,10 +781,6 @@ int remote_worker_main(const RemoteWorkerOptions& options) {
     threads.emplace_back([&options, slots, slot, &gave_up] {
       const std::string tag =
           "qhdl_worker slot " + std::to_string(slot) + ": ";
-      // Level splits are derived from the sweep config, not the connection;
-      // keeping the cache across reconnects avoids re-deriving them after a
-      // supervisor restart.
-      UnitDataCache cache;
       std::size_t failures = 0;
       const auto back_off = [&](const std::string& why) {
         failures += 1;
@@ -885,7 +823,7 @@ int remote_worker_main(const RemoteWorkerOptions& options) {
         util::log_info(tag + "registered with " + options.host + ":" +
                        std::to_string(options.port));
         const WorkerLoopResult served =
-            run_worker_loop(socket.fd(), out, cache);
+            run_worker_loop(socket.fd(), out);
         if (served.end == WorkerLoopEnd::Shutdown) {
           if (!options.persist) {
             util::log_info(tag + "shutdown from supervisor; exiting");

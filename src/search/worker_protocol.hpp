@@ -5,9 +5,9 @@
 // repetition, candidate) unit the PR-4 checkpoint keys — plus everything a
 // fresh process needs to reproduce it bit-for-bit: the candidate's
 // ModelSpec and the pre-split per-run RNG streams the in-process search
-// would have consumed. The worker re-derives the level dataset and the
-// repetition's train/val split from the sweep config it received at init
-// (replaying exactly the derivation run_repeated_search performs), trains
+// would have consumed. The worker takes the repetition's train/val split
+// from repetition_data, on the sweep config it received at init (the one
+// derivation run_complexity_sweep uses too), trains
 // the unit with qhdl::search::evaluate_candidate on the shipped streams,
 // and returns the CandidateResult in the checkpoint's own JSON encoding —
 // so a multi-process sweep is byte-identical to an in-process one.
@@ -168,34 +168,16 @@ bool parse_host_port(const std::string& text, std::string* host,
 
 // --- unit evaluation (shared with the pool's in-process degradation) ------
 
-/// Re-derives level datasets and repetition splits from the sweep config,
-/// caching a bounded number of recent splits (workers receive many units
-/// for the same level/repetition in a row). Entries are keyed by
-/// (sweep_config_hash, features, repetition): a --persist daemon keeps one
-/// cache across sessions that serve different configs. Thread-safe; entries
-/// are shared_ptr so an eviction cannot invalidate a split in use.
-class UnitDataCache {
- public:
-  UnitDataCache();
-
-  std::shared_ptr<const data::TrainValSplit> split_for(
-      const SweepConfig& config, std::size_t features,
-      std::size_t repetition);
-
- private:
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
-};
-
-/// Evaluates one unit exactly as the in-process search would: same split,
-/// same streams, same arithmetic. Used by worker_main, by the pool when it
+/// Evaluates one unit exactly as the in-process search would: same split
+/// (repetition_data, the process-wide cache the sweep also reads), same
+/// streams, same arithmetic. Used by worker_main, by the pool when it
 /// degrades to in-process execution and by the serve `train` request.
 /// Throws std::invalid_argument naming 'features' when key.features is not
 /// one of config.feature_sizes, before deriving any data. (worker_main also
 /// rejects key.repetition >= config.search.repetitions; `train` addresses
-/// any repetition stream on purpose.)
+/// any repetition stream on purpose, and passes its job's `cancel` token.)
 CandidateResult evaluate_unit(const SweepConfig& config, const WorkUnit& unit,
-                              UnitDataCache& cache);
+                              const util::CancelToken* cancel = nullptr);
 
 /// The result recorded for a unit whose every supervised attempt failed
 /// (crash/hang/garbage beyond the retry budget): analytic FLOPs/parameter

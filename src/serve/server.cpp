@@ -126,6 +126,11 @@ struct Server::Impl {
   util::MetricsSnapshot snapshot() const {
     util::MetricsSnapshot snapshot = metrics.snapshot();
     snapshot.values.merge(cache.metrics().values);
+    // The process-wide repetition data cache (search::repetition_data).
+    for (const auto& [name, value] :
+         util::Metrics::global().snapshot().values) {
+      if (name.starts_with("data.")) snapshot.values.emplace(name, value);
+    }
     return snapshot;
   }
 
@@ -494,21 +499,16 @@ struct Server::Impl {
     if (!result.has_value()) {
       cached = false;
       util::throw_if_cancelled(&job.cancel);
-      // Stream derivation replays the sweep's: root seed -> the
-      // (repetition+1)-th split is the repetition stream, from which the
-      // run streams for this one candidate are drawn.
-      util::Rng root{config.search.seed};
-      util::Rng rep_rng = root;
-      for (std::size_t r = 0; r <= repetition; ++r) {
-        job.cancel.throw_if_cancelled();  // repetition may be up to 2^53
-        rep_rng = root.split();
-      }
+      // The run streams for this one candidate are drawn from the
+      // repetition stream as it stands before the split draws from it;
+      // the split itself comes from the process-wide repetition cache.
+      util::Rng rep_rng = search::repetition_stream(
+          config.search.seed, repetition, &job.cancel);
       unit.streams.reserve(config.search.runs_per_model);
       for (std::size_t r = 0; r < config.search.runs_per_model; ++r) {
         unit.streams.push_back(rep_rng.split());
       }
-      search::UnitDataCache data_cache;
-      result = search::evaluate_unit(config, unit, data_cache);
+      result = search::evaluate_unit(config, unit, &job.cancel);
       checkpoint->record(unit.key, *result);
       checkpoint->flush();
     }

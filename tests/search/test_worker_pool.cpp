@@ -150,31 +150,6 @@ TEST(WorkerProtocol, WorkUnitRoundTrips) {
   }
 }
 
-TEST(WorkerProtocol, UnitDataCacheKeysSplitsByConfig) {
-  // A --persist daemon keeps one cache across sessions; a config that
-  // differs only in the search seed draws a different split and must not
-  // be served the first config's.
-  const SweepConfig a = sweep_config();
-  SweepConfig b = a;
-  b.search.seed = a.search.seed + 1;
-  const std::size_t features = a.feature_sizes.front();
-
-  UnitDataCache shared;
-  (void)shared.split_for(a, features, 0);
-  const auto reused = shared.split_for(b, features, 0);
-  UnitDataCache fresh;
-  const auto expected = fresh.split_for(b, features, 0);
-
-  for (const auto& [got, want] :
-       {std::pair{&reused->train, &expected->train},
-        std::pair{&reused->val, &expected->val}}) {
-    EXPECT_EQ(got->y, want->y);
-    ASSERT_EQ(got->x.size(), want->x.size());
-    EXPECT_TRUE(std::equal(got->x.data().begin(), got->x.data().end(),
-                           want->x.data().begin()));
-  }
-}
-
 TEST(WorkerProtocol, EvaluateUnitRejectsWidthOutsideTheConfig) {
   // The width sizes the derived dataset: only the config's levels are
   // evaluated, and the error names the field before any data is built.
@@ -184,9 +159,8 @@ TEST(WorkerProtocol, EvaluateUnitRejectsWidthOutsideTheConfig) {
   unit.key = UnitKey{"classical", 11, 0, 0};
   unit.spec = ModelSpec::make_classical({2});
   unit.streams = {util::Rng{1}, util::Rng{2}};
-  UnitDataCache cache;
   try {
-    (void)evaluate_unit(config, unit, cache);
+    (void)evaluate_unit(config, unit);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string{error.what()}.find("'features'"), std::string::npos)

@@ -122,6 +122,9 @@ TEST_F(ServeServerTest, PingAndStatsAreServedInline) {
 // The `stats` wire format: a fresh server's reply, byte for byte. Only the
 // stats connection itself has been accepted.
 TEST_F(ServeServerTest, FreshStatsReplyBytesArePinned) {
+  // The data.* counters are process-wide (search::repetition_data); zero
+  // them so the reply is a fresh process's whatever ran before.
+  util::Metrics::global().reset();
   Server server{ServerConfig{}};
   server.start();
   util::Json request = util::Json::object();
@@ -131,7 +134,9 @@ TEST_F(ServeServerTest, FreshStatsReplyBytesArePinned) {
   EXPECT_EQ(stats.dump(),
             "{\"accept_failures\":0,\"accepted\":1,\"cache\":{\"disk_loads\":0,"
             "\"entries\":0,\"evictions\":0,\"unit_hits\":0,\"unit_misses\":0},"
-            "\"client_disconnects\":0,\"deadlines_expired\":0,"
+            "\"client_disconnects\":0,"
+            "\"data\":{\"split_derivations\":0,\"split_hits\":0},"
+            "\"deadlines_expired\":0,"
             "\"jobs_cancelled\":0,\"jobs_completed\":0,\"jobs_failed\":0,"
             "\"pool_quarantined_units\":0,\"pool_restarts\":0,"
             "\"pool_retried_units\":0,\"pool_steals\":0,"
@@ -222,6 +227,56 @@ TEST_F(ServeServerTest, GoldenRepeatedStudyIsCacheServedByteIdentical) {
   EXPECT_EQ(stats.at("cache.unit_misses"), 2u);
 }
 
+// A hot study replays every unit from the result cache, and its data comes
+// from the process-wide repetition cache (search::repetition_data): a
+// repeat of a served study, and a `train` of one of its candidates, derive
+// no split and answer with the same bytes.
+TEST_F(ServeServerTest, HotStudyAndTrainDeriveNoSplit) {
+  search::SweepConfig config = tiny_study();
+  config.dataset_seed = 0x5e7e0001ULL;  // a key no other test derives
+  Server server{ServerConfig{}};
+  server.start();
+  const util::Json request =
+      make_study_request(search::Family::Classical, config);
+  const auto derivations = [&server] {
+    return server.metrics().at("data.split_derivations");
+  };
+
+  const util::Json cold =
+      round_trip("127.0.0.1", server.port(), request, 120000);
+  ASSERT_EQ(cold.at("type").as_string(), "result") << cold.dump();
+  const std::uint64_t derived = derivations();
+  EXPECT_GE(derived, 1u);
+
+  const std::uint64_t hits = server.metrics().at("data.split_hits");
+  const util::Json hot =
+      round_trip("127.0.0.1", server.port(), request, 120000);
+  ASSERT_EQ(hot.at("type").as_string(), "result") << hot.dump();
+  EXPECT_EQ(derivations(), derived);
+  EXPECT_EQ(server.metrics().at("data.split_hits") - hits, 1u);
+  EXPECT_EQ(hot.at("sweep").dump(), cold.at("sweep").dump());
+  EXPECT_EQ(hot.at("cache").at("unit_misses").as_number(), 0.0);
+  const util::Json again =
+      round_trip("127.0.0.1", server.port(), request, 120000);
+  EXPECT_EQ(again.dump(), hot.dump());
+  EXPECT_EQ(derivations(), derived);
+
+  const util::Json trained = round_trip(
+      "127.0.0.1", server.port(),
+      train_request(config, search::ModelSpec::make_classical({3}), 4, 0),
+      120000);
+  ASSERT_EQ(trained.at("type").as_string(), "result") << trained.dump();
+  EXPECT_FALSE(trained.at("cached").as_bool());
+  EXPECT_EQ(derivations(), derived);
+
+  util::Json stats_request = util::Json::object();
+  stats_request["type"] = "stats";
+  const util::Json stats =
+      round_trip("127.0.0.1", server.port(), stats_request, 5000);
+  EXPECT_EQ(stats.at("data").at("split_derivations").as_number(),
+            static_cast<double>(derived));
+}
+
 TEST_F(ServeServerTest, PoolBackedStudyMatchesInProcessBytes) {
   if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
   const search::SweepConfig config = tiny_study();
@@ -297,10 +352,8 @@ TEST_F(ServeServerTest, TrainRepeatIsCacheServedAndMatchesEvaluateUnit) {
   }
   unit.key.features = 4;
   unit.key.repetition = 1;
-  search::UnitDataCache data_cache;
   const std::string direct =
-      search::candidate_result_to_json(
-          search::evaluate_unit(config, unit, data_cache))
+      search::candidate_result_to_json(search::evaluate_unit(config, unit))
           .dump();
 
   Server server{ServerConfig{}};
