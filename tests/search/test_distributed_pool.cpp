@@ -26,6 +26,7 @@
 
 #include "core/config.hpp"
 #include "search/checkpoint.hpp"
+#include "search/experiment.hpp"
 #include "search/results.hpp"
 #include "search/worker_protocol.hpp"
 #include "util/deadline.hpp"
@@ -65,6 +66,24 @@ std::string evaluated_bytes(const SweepConfig& config, WorkerPool* pool) {
       run_complexity_sweep(Family::Classical, config, nullptr, pool);
   for (const LevelResult& level : sweep.levels) {
     for (const SearchOutcome& outcome : level.search.repetitions) {
+      for (const CandidateResult& candidate : outcome.evaluated) {
+        all.push_back(candidate_result_to_json(candidate));
+      }
+    }
+  }
+  return all.dump(2);
+}
+
+/// evaluated_bytes of an in-process sweep that derives every level's data
+/// afresh (the explicit-dataset run_repeated_search), so the baseline does
+/// not read the process-wide repetition cache that the pool path shares.
+std::string uncached_evaluated_bytes(const SweepConfig& config) {
+  util::Json all = util::Json::array();
+  const std::vector<ModelSpec> specs = family_search_space(Family::Classical);
+  for (const std::size_t features : config.feature_sizes) {
+    const RepeatedSearchResult search = run_repeated_search(
+        specs, level_dataset(features, config), config.search);
+    for (const SearchOutcome& outcome : search.repetitions) {
       for (const CandidateResult& candidate : outcome.evaluated) {
         all.push_back(candidate_result_to_json(candidate));
       }
@@ -196,7 +215,9 @@ TEST(DistributedPoolGolden, PersistentDaemonServesSuccessiveConfigsExactly) {
   if (!distributed_supported()) GTEST_SKIP() << "no subprocess/socket support";
   // One --persist daemon outlives the first pool and serves a second one on
   // the same port, as under qhdl_serve. B differs from A only in the search
-  // seed, so a split the daemon cached for A would change B's results.
+  // seed, so a split the daemon cached for A would change B's results. The
+  // baselines derive their data without the repetition cache, which this
+  // process shares with the pool.
   SweepConfig a = sweep_config();
   SweepConfig b = a;
   b.search.seed = a.search.seed + 1;
@@ -204,7 +225,7 @@ TEST(DistributedPoolGolden, PersistentDaemonServesSuccessiveConfigsExactly) {
   std::uint16_t port = 0;
   std::optional<util::Subprocess> daemon;
   for (const SweepConfig* config : {&a, &b}) {
-    const std::string baseline = evaluated_bytes(*config, nullptr);
+    const std::string baseline = uncached_evaluated_bytes(*config);
     WorkerPoolConfig pool_config = distributed_config(1);
     pool_config.listen_port = port;  // ephemeral first, then the same port
     WorkerPool pool{*config, pool_config};

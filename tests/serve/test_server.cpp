@@ -123,7 +123,7 @@ TEST_F(ServeServerTest, PingAndStatsAreServedInline) {
 // stats connection itself has been accepted.
 TEST_F(ServeServerTest, FreshStatsReplyBytesArePinned) {
   // The data.* counters are process-wide (search::repetition_data); zero
-  // them so the reply is a fresh process's whatever ran before.
+  // them so the reply reads as a fresh process's, whatever ran before.
   util::Metrics::global().reset();
   Server server{ServerConfig{}};
   server.start();
